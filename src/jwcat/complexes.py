@@ -19,10 +19,12 @@ exhibit the pattern over two periods.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, kernel_from_columns, solve_from_columns
+from .linalg import (Matrix, affine_columns, kernel_from_columns,
+                     search_invertible, solve_from_columns)
 from .modules import (GradedModule, ModuleHom, direct_sum,
                       left_multiplication_hom, projective)
 from .quiver import AlgebraElement, ConstructionError, PathAlgebra
@@ -36,7 +38,6 @@ class WindowTooSmall(ValueError):
     """The materialized window cannot certify the requested statement."""
 
 
-BOUNDED = "bounded"
 LEFT_TAIL = "left"    # extends to -infinity homologically
 RIGHT_TAIL = "right"  # extends to +infinity homologically
 
@@ -184,9 +185,6 @@ class TailSpec:
     period: int
     shift: int      # internal shift per period step, moving outward
 
-    def outward(self) -> int:
-        return -1 if self.side == LEFT_TAIL else 1
-
 
 class ProjComplex:
     """Complex of formal sums of shifted projectives over one algebra."""
@@ -221,11 +219,6 @@ class ProjComplex:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def regime(self) -> str:
-        if self.tail is None:
-            return BOUNDED
-        return self.tail.side
 
     def _validate(self):
         for i, d in self.diffs.items():
@@ -924,23 +917,6 @@ def _allowed_paths(algebra: PathAlgebra, tgt: Summand, src: Summand):
             if algebra.target(p) == tgt.vertex and algebra.source(p) == src.vertex]
 
 
-def _unknown_slots(algebra, rows, cols):
-    slots = []
-    for i, sr in enumerate(rows):
-        for j, sc in enumerate(cols):
-            for p in _allowed_paths(algebra, sr, sc):
-                slots.append((i, j, p))
-    return slots
-
-
-def _mat_from_slots(algebra, rows, cols, slots, values) -> AlgMatrix:
-    m = AlgMatrix.zero(algebra, rows, cols)
-    for (i, j, p), v in zip(slots, values):
-        if v != 0:
-            m.entries[i][j] = m.entries[i][j] + algebra.element({p: v})
-    return m
-
-
 def _mat_coords(m: AlgMatrix) -> list[Fraction]:
     out = []
     for i, sr in enumerate(m.rows):
@@ -955,14 +931,149 @@ def _common_tail(X: ProjComplex, Y: ProjComplex) -> TailSpec | None:
     tx, ty = X.tail, Y.tail
     if tx is None or ty is None or tx.side != ty.side:
         return None
-    import math
-    p = tx.period * ty.period // math.gcd(tx.period, ty.period)
+    p = math.lcm(tx.period, ty.period)
     sx = tx.shift * (p // tx.period)
     sy = ty.shift * (p // ty.period)
     if sx != sy:
         return None
-    start = max(tx.start, ty.start) + (0 if tx.side == RIGHT_TAIL else 0)
+    start = max(tx.start, ty.start) if tx.side == RIGHT_TAIL else min(tx.start, ty.start)
     return TailSpec(tx.side, start, p, sx)
+
+
+def ladder_degrees(window: tuple[int, int], offset: int,
+                   tail: TailSpec | None) -> tuple[range, range]:
+    """The degree rule of a ladder family φ_i: A^i -> B^{i+offset}.
+
+    Returns (unknowns, equations): the degrees whose components are solved
+    for, and the degrees i of the chain-type equations d∘φ_i ± φ_{i+1}∘d.
+    Those equations involve φ_i and φ_{i+1}, so without a tail they run over
+    window[0] .. window[1] - 1 and every component in the window is unknown.
+
+    With a common tail of A and B (side, start, period p, internal shift s):
+    A^i lies in the tail for i at or beyond ``start`` and B^{i+offset} for i
+    at or beyond ``start - offset``. Both do from the seam σ, the later of
+    the two on a right tail and the earlier on a left tail (taken inside the
+    window). Beyond σ both complexes repeat with period p up to the shift s,
+    so the identification φ_i = φ_{i-p}<s> (right) or φ_i = φ_{i+p}<s> (left)
+    is well typed for every i at least one period past σ. The unknowns are
+    the window's components up to one period past the seam, that is through
+    σ + p - 1 on a right tail and from σ - p + 1 on a left tail; ``build``
+    fills the rest of the window by the identification.
+
+    An equation at least one period past σ involves only identified
+    components and periodic differentials, so it is the shifted copy of the
+    equation one period nearer the seam. Solutions of the windowed system
+    therefore extend to the semi-infinite complexes. The equations run two
+    periods past the seam on the tail side, which checks one repeated period
+    explicitly as the seam check on the terms does, and to the window edge
+    on the other side.
+    """
+    lo, hi = window
+    if tail is None:
+        return range(lo, hi + 1), range(lo, hi)
+    p = tail.period
+    if tail.side == RIGHT_TAIL:
+        seam = max(lo, tail.start, tail.start - offset)
+        return range(lo, min(hi, seam + p - 1) + 1), range(lo, min(hi - 1, seam + 2 * p) + 1)
+    seam = min(hi, tail.start, tail.start - offset)
+    return range(max(lo, seam - p + 1), hi + 1), range(max(lo, seam - 2 * p), hi)
+
+
+@dataclass(frozen=True)
+class LadderFamily:
+    """Unknown maps φ_i: source^i -> target^{i+offset} for i in ``window``,
+    identified periodically along ``tail`` (a common tail of both)."""
+    source: ProjComplex
+    target: ProjComplex
+    offset: int
+    window: tuple[int, int]
+    tail: TailSpec | None = None
+
+
+class LadderSystem:
+    """A linear system whose unknowns are the coefficients of one or more
+    ladder families.
+
+    Unknowns are ordered by family, then degree, row, column, and path in
+    ``basis_by_degree`` order. ``build`` turns a coefficient vector into the
+    families' components, one dict per family. ``probe`` turns an affine
+    residual of those components into matrix columns and a right-hand side
+    for ``kernel_from_columns`` or ``solve_from_columns``.
+    """
+
+    def __init__(self, families: list[LadderFamily]):
+        self.families = list(families)
+        self.tables: list[dict[int, tuple[int, list]]] = []
+        n = 0
+        for fam in self.families:
+            alg = fam.source.algebra
+            table = {}
+            for i in ladder_degrees(fam.window, fam.offset, fam.tail)[0]:
+                rows, cols = fam.target.term(i + fam.offset), fam.source.term(i)
+                slots = [(r, c, path) for r, sr in enumerate(rows)
+                         for c, sc in enumerate(cols)
+                         for path in _allowed_paths(alg, sr, sc)]
+                table[i] = (n, slots)
+                n += len(slots)
+            self.tables.append(table)
+        self.n = n
+
+    def build(self, vec) -> list[dict[int, AlgMatrix]]:
+        out = []
+        for fam, table in zip(self.families, self.tables):
+            alg = fam.source.algebra
+            maps = {}
+            for i, (start, slots) in table.items():
+                m = AlgMatrix.zero(alg, fam.target.term(i + fam.offset),
+                                   fam.source.term(i))
+                for (r, c, path), v in zip(slots, vec[start:start + len(slots)]):
+                    if v != 0:
+                        m.entries[r][c] = m.entries[r][c] + alg.element({path: v})
+                maps[i] = m
+            t = fam.tail
+            if t is not None and table:
+                lo, hi = fam.window
+                if t.side == RIGHT_TAIL:
+                    step, rest = -t.period, range(max(table) + 1, hi + 1)
+                else:
+                    step, rest = t.period, range(min(table) - 1, lo - 1, -1)
+                for i in rest:
+                    maps[i] = maps[i + step].shifted(t.shift)
+            out.append(maps)
+        return out
+
+    def component(self, maps, k: int, i: int) -> AlgMatrix:
+        fam = self.families[k]
+        m = maps[k].get(i)
+        if m is None:
+            return AlgMatrix.zero(fam.source.algebra, fam.target.term(i + fam.offset),
+                                  fam.source.term(i))
+        return m
+
+    def commutator(self, maps, k: int, i: int) -> AlgMatrix:
+        """d∘φ_i - (-1)^offset φ_{i+1}∘d at degree i: the chain-map condition
+        for offset 0, d∘h + h∘d for a homotopy (offset -1)."""
+        fam = self.families[k]
+        out = fam.target.diff(i + fam.offset) * self.component(maps, k, i)
+        back = self.component(maps, k, i + 1) * fam.source.diff(i)
+        return out - back if fam.offset % 2 == 0 else out + back
+
+    def chain_residual(self, maps, k: int, given: ProjChainMap | None = None
+                       ) -> list[Fraction]:
+        """Coordinates of the commutator of family k, minus ``given``, over
+        the family's equation degrees."""
+        fam = self.families[k]
+        out = []
+        for i in ladder_degrees(fam.window, fam.offset, fam.tail)[1]:
+            m = self.commutator(maps, k, i)
+            if given is not None:
+                m = m - given.component(i)
+            out.extend(_mat_coords(m))
+        return out
+
+    def probe(self, residual):
+        """(column_fn, rhs) of the affine map vec -> residual(build(vec))."""
+        return affine_columns(lambda vec: residual(self.build(vec)), self.n)
 
 
 def solve_chain_maps(X: ProjComplex, Y: ProjComplex,
@@ -970,63 +1081,10 @@ def solve_chain_maps(X: ProjComplex, Y: ProjComplex,
     """Basis of degree-0 chain maps X -> Y on a window; with aligned tails the
     tail components are identified periodically, so a solution certifies a map
     of the semi-infinite complexes."""
-    lo, hi = window
-    tail = _common_tail(X, Y)
-    if tail is not None and tail.side == RIGHT_TAIL:
-        var_range = list(range(lo, min(hi, tail.start + tail.period - 1) + 1))
-        eq_range = list(range(lo, min(hi - 1, tail.start + 2 * tail.period) + 1))
-    elif tail is not None:
-        var_range = list(range(max(lo, tail.start - tail.period + 1), hi + 1))
-        eq_range = list(range(max(lo, tail.start - 2 * tail.period), hi))
-    else:
-        var_range = list(range(lo, hi + 1))
-        eq_range = list(range(lo, hi))
-
-    slot_table = {}
-    all_slots = []
-    for i in var_range:
-        slots = _unknown_slots(X.algebra, Y.term(i), X.term(i))
-        slot_table[i] = (len(all_slots), slots)
-        all_slots.extend([(i,) + tuple(s) for s in slots])
-    n = len(all_slots)
-    if n == 0:
-        return []
-
-    def build(vec) -> dict[int, AlgMatrix]:
-        maps = {}
-        for i in var_range:
-            off, slots = slot_table[i]
-            maps[i] = _mat_from_slots(X.algebra, Y.term(i), X.term(i), slots,
-                                      vec[off: off + len(slots)])
-        if tail is not None:
-            if tail.side == RIGHT_TAIL:
-                i = var_range[-1] + 1
-                while i <= hi:
-                    maps[i] = maps[i - tail.period].shifted(tail.shift)
-                    i += 1
-            else:
-                i = var_range[0] - 1
-                while i >= lo:
-                    maps[i] = maps[i + tail.period].shifted(tail.shift)
-                    i -= 1
-        return maps
-
-    def column(k):
-        vec = [Fraction(0)] * n
-        vec[k] = Fraction(1)
-        maps = build(vec)
-
-        def comp(i):
-            return maps.get(i) or AlgMatrix.zero(X.algebra, Y.term(i), X.term(i))
-
-        col = []
-        for i in eq_range:
-            diff = Y.diff(i) * comp(i) - comp(i + 1) * X.diff(i)
-            col.extend(_mat_coords(diff))
-        return col
-
-    kernel = kernel_from_columns(column, n)
-    return [ProjChainMap(X, Y, build(vec), validate=False) for vec in kernel]
+    ladder = LadderSystem([LadderFamily(X, Y, 0, window, _common_tail(X, Y))])
+    column, _ = ladder.probe(lambda maps: ladder.chain_residual(maps, 0))
+    kernel = kernel_from_columns(column, ladder.n)
+    return [ProjChainMap(X, Y, ladder.build(vec)[0], validate=False) for vec in kernel]
 
 
 def solve_homotopy(X: ProjComplex, Y: ProjComplex, f_minus_g: ProjChainMap,
@@ -1035,66 +1093,14 @@ def solve_homotopy(X: ProjComplex, Y: ProjComplex, f_minus_g: ProjChainMap,
     """h: X^i -> Y^{i-1} with (f-g) = d∘h + h∘d on the window, or None."""
     lo, hi = window
     tail = _common_tail(X, Y) if periodic else None
-    if tail is not None and tail.side == RIGHT_TAIL:
-        var_range = list(range(lo, min(hi + 1, tail.start + tail.period) + 1))
-        eq_range = list(range(lo, min(hi, tail.start + 2 * tail.period) + 1))
-    elif tail is not None:
-        var_range = list(range(max(lo - 1, tail.start - tail.period), hi + 2))
-        eq_range = list(range(max(lo, tail.start - 2 * tail.period), hi + 1))
-    else:
-        var_range = list(range(lo, hi + 2))
-        eq_range = list(range(lo, hi + 1))
-
-    slot_table = {}
-    all_slots = []
-    for i in var_range:
-        slots = _unknown_slots(X.algebra, Y.term(i - 1), X.term(i))
-        slot_table[i] = (len(all_slots), slots)
-        all_slots.extend([(i,) + tuple(s) for s in slots])
-    n = len(all_slots)
-
-    def build(vec) -> dict[int, AlgMatrix]:
-        maps = {}
-        for i in var_range:
-            off, slots = slot_table[i]
-            maps[i] = _mat_from_slots(X.algebra, Y.term(i - 1), X.term(i), slots,
-                                      vec[off: off + len(slots)])
-        if tail is not None:
-            if tail.side == RIGHT_TAIL:
-                i = var_range[-1] + 1
-                while i <= hi + 1:
-                    maps[i] = maps[i - tail.period].shifted(tail.shift)
-                    i += 1
-            else:
-                i = var_range[0] - 1
-                while i >= lo:
-                    maps[i] = maps[i + tail.period].shifted(tail.shift)
-                    i -= 1
-        return maps
-
-    def comp_of(maps, i):
-        return maps.get(i) or AlgMatrix.zero(X.algebra, Y.term(i - 1), X.term(i))
-
-    def column(k):
-        vec = [Fraction(0)] * n
-        vec[k] = Fraction(1)
-        maps = build(vec)
-        col = []
-        for i in eq_range:
-            lhs = (Y.diff(i - 1) * comp_of(maps, i)
-                   + comp_of(maps, i + 1) * X.diff(i))
-            col.extend(_mat_coords(lhs))
-        return col
-
-    rhs_vec = []
-    for i in eq_range:
-        rhs_vec.extend(_mat_coords(f_minus_g.component(i)))
-    if n == 0:
-        return ProjHomotopy(X, Y, {}) if all(c == 0 for c in rhs_vec) else None
-    sol = solve_from_columns(column, n, rhs_vec)
+    # h_i for i in lo..hi+1 reaches X^{hi+1} and Y^{lo-1}
+    X, Y = X.materialize(lo - 1, hi + 1), Y.materialize(lo - 1, hi + 1)
+    ladder = LadderSystem([LadderFamily(X, Y, -1, (lo, hi + 1), tail)])
+    column, rhs = ladder.probe(lambda maps: ladder.chain_residual(maps, 0, f_minus_g))
+    sol = solve_from_columns(column, ladder.n, rhs)
     if sol is None:
         return None
-    return ProjHomotopy(X, Y, build(sol))
+    return ProjHomotopy(X, Y, ladder.build(sol)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -1132,8 +1138,7 @@ def minimal_model(c: ProjComplex, window: tuple[int, int]) -> ProjComplex:
 
 
 def iso_in_homotopy_category(x: ProjComplex, y: ProjComplex,
-                             window: tuple[int, int] | None = None,
-                             seed: int = 0) -> Verdict:
+                             window: tuple[int, int] | None = None) -> Verdict:
     """Reduce both to minimal form and search for an invertible chain map.
 
     Minimal complexes over a finite-dimensional graded algebra are unique up
@@ -1157,7 +1162,7 @@ def iso_in_homotopy_category(x: ProjComplex, y: ProjComplex,
     if xm.tail is not None and _common_tail(xm, ym) is None:
         return Verdict("inconclusive", reason="tail patterns do not align")
     sols = solve_chain_maps(xm, ym, window)
-    inv = _search_invertible_chain_map(sols, window, seed)
+    inv = search_invertible(sols, lambda f: _chain_map_invertible(f, window))
     if inv is not None:
         return Verdict("true", witness=(xm, ym, inv))
     if not sols:
@@ -1192,41 +1197,8 @@ def _chain_map_invertible(f: ProjChainMap, window: tuple[int, int]) -> bool:
     return True
 
 
-def _search_invertible_chain_map(sols, window, seed: int = 0):
-    import itertools
-    import random
-    if not sols:
-        return None
-    for f in sols:
-        if _chain_map_invertible(f, window):
-            return f
-    k = len(sols)
-    if k <= 4:
-        for combo in itertools.product([0, 1, -1], repeat=k):
-            if all(c == 0 for c in combo):
-                continue
-            f = None
-            for c, b in zip(combo, sols):
-                if c == 0:
-                    continue
-                t = b.scale(c)
-                f = t if f is None else f + t
-            if f is not None and _chain_map_invertible(f, window):
-                return f
-    rng = random.Random(seed or 977)
-    for _ in range(200):
-        f = None
-        for b in sols:
-            t = b.scale(rng.randint(-10 ** 6, 10 ** 6))
-            f = t if f is None else f + t
-        if f is not None and _chain_map_invertible(f, window):
-            return f
-    return None
-
-
 def maps_agree_under_identification(F: ProjChainMap, G: ProjChainMap,
-                                    window: tuple[int, int], seed: int = 0
-                                    ) -> Verdict:
+                                    window: tuple[int, int]) -> Verdict:
     """Whether two maps between (possibly different models of) the same
     objects agree once the objects are identified.
 
@@ -1250,7 +1222,7 @@ def maps_agree_under_identification(F: ProjChainMap, G: ProjChainMap,
             return Verdict("true", witness=direct.witness,
                            reason=f"equal under the identity identification ({level})")
     for strict in (True, False):
-        found = _solve_intertwining(F, G, window, strict=strict, seed=seed)
+        found = _solve_intertwining(F, G, window, strict=strict)
         if found is not None:
             level = "strict" if strict else "homotopy"
             return Verdict("true", witness=found,
@@ -1264,129 +1236,44 @@ def maps_agree_under_identification(F: ProjChainMap, G: ProjChainMap,
 
 
 def _solve_intertwining(F: ProjChainMap, G: ProjChainMap,
-                        window: tuple[int, int], strict: bool, seed: int = 0):
+                        window: tuple[int, int], strict: bool):
     """Solution search for ψ_t∘F - G∘ψ_s = (0 | dh + hd) with ψ's invertible."""
     S1, T1 = F.source, F.target
     S2, T2 = G.source, G.target
     lo, hi = window
-    alg = S1.algebra
-
-    tail_s = _common_tail(S1, S2)
-    tail_t = _common_tail(T1, T2)
-    tail_h = _common_tail(S1, T2)
-
-    def var_degrees(tail):
-        if tail is not None and tail.side == RIGHT_TAIL:
-            return list(range(lo, min(hi, tail.start + tail.period - 1) + 1))
-        if tail is not None:
-            return list(range(max(lo, tail.start - tail.period + 1), hi + 1))
-        return list(range(lo, hi + 1))
-
-    families = {
-        "s": (S1, S2, 0, var_degrees(tail_s), tail_s),
-        "t": (T1, T2, 0, var_degrees(tail_t), tail_t),
-    }
+    families = [LadderFamily(S1, S2, 0, window, _common_tail(S1, S2)),
+                LadderFamily(T1, T2, 0, window, _common_tail(T1, T2))]
     if not strict:
-        families["h"] = (S1, T2, -1, var_degrees(tail_h), tail_h)
-
-    slot_index = []
-    tables = {}
-    for key, (A, Bc, off, degs, _tail) in families.items():
-        table = {}
-        for i in degs:
-            slots = _unknown_slots(alg, Bc.term(i + off), A.term(i))
-            table[i] = (len(slot_index), slots)
-            slot_index.extend([(key, i) + tuple(s) for s in slots])
-        tables[key] = table
-    n = len(slot_index)
-    if n == 0:
+        families.append(LadderFamily(S1, T2, -1, window, _common_tail(S1, T2)))
+    ladder = LadderSystem(families)
+    if ladder.n == 0:
         return None
 
-    def build(vec):
-        out = {}
-        for key, (A, Bc, off, degs, tail) in families.items():
-            maps = {}
-            for i in degs:
-                offset, slots = tables[key][i]
-                maps[i] = _mat_from_slots(alg, Bc.term(i + off), A.term(i), slots,
-                                          vec[offset: offset + len(slots)])
-            if tail is not None:
-                if tail.side == RIGHT_TAIL:
-                    i = degs[-1] + 1
-                    while i <= hi + 1:
-                        prev = maps.get(i - tail.period)
-                        if prev is not None:
-                            maps[i] = prev.shifted(tail.shift)
-                        i += 1
-                else:
-                    i = degs[0] - 1
-                    while i >= lo - 1:
-                        nxt = maps.get(i + tail.period)
-                        if nxt is not None:
-                            maps[i] = nxt.shifted(tail.shift)
-                        i -= 1
-            out[key] = maps
-        return out
-
-    def comp(maps, A, Bc, off, i):
-        return maps.get(i) or AlgMatrix.zero(alg, Bc.term(i + off), A.term(i))
-
-    def eq_hi(tail):
-        return hi - 1 if tail is None else min(hi - 1, tail.start + 2 * tail.period)
-
-    def residual(vec):
-        fams = build(vec)
-        col = []
-        # ψ_s, ψ_t chain-map conditions
-        for key in ("s", "t"):
-            A, Bc, off, degs, tail = families[key]
-            for i in range(lo, eq_hi(tail) + 1):
-                m = (Bc.diff(i) * comp(fams[key], A, Bc, 0, i)
-                     - comp(fams[key], A, Bc, 0, i + 1) * A.diff(i))
-                col.extend(_mat_coords(m))
-        # intertwining
-        t_hi = hi - 1
-        for i in range(lo, t_hi + 1):
-            m = (comp(fams["t"], T1, T2, 0, i) * F.component(i)
-                 - G.component(i) * comp(fams["s"], S1, S2, 0, i))
+    def residual(maps):
+        col = ladder.chain_residual(maps, 0) + ladder.chain_residual(maps, 1)
+        for i in range(lo, hi):
+            m = (ladder.component(maps, 1, i) * F.component(i)
+                 - G.component(i) * ladder.component(maps, 0, i))
             if not strict:
-                h = fams["h"]
-                m = m - (T2.diff(i - 1) * comp(h, S1, T2, -1, i)
-                         + comp(h, S1, T2, -1, i + 1) * S1.diff(i))
+                m = m - ladder.commutator(maps, 2, i)
             col.extend(_mat_coords(m))
         return col
 
-    kernel = kernel_from_columns(lambda k: residual(_unit_vec(n, k)), n)
-    if not kernel:
-        return None
+    column, _ = ladder.probe(residual)
+    kernel = kernel_from_columns(column, ladder.n)
 
-    def vec_invertible(vec) -> bool:
-        fams = build(vec)
-        ps = ProjChainMap(S1, S2, fams["s"], validate=False)
-        pt = ProjChainMap(T1, T2, fams["t"], validate=False)
-        return _chain_map_invertible(ps, window) and _chain_map_invertible(pt, window)
+    def psis(vec):
+        s_maps, t_maps = ladder.build(vec)[:2]
+        return (ProjChainMap(S1, S2, s_maps, "ψ_s", validate=False),
+                ProjChainMap(T1, T2, t_maps, "ψ_t", validate=False))
 
-    import random
-    for vec in kernel:
-        if vec_invertible(vec):
-            fams = build(vec)
-            return (ProjChainMap(S1, S2, fams["s"], "ψ_s", validate=False),
-                    ProjChainMap(T1, T2, fams["t"], "ψ_t", validate=False))
-    rng = random.Random(seed or 4099)
-    for _ in range(300):
-        combo = [rng.randint(-10 ** 6, 10 ** 6) for _ in kernel]
-        vec = [sum(c * kv[j] for c, kv in zip(combo, kernel)) for j in range(n)]
-        if vec_invertible(vec):
-            fams = build(vec)
-            return (ProjChainMap(S1, S2, fams["s"], "ψ_s", validate=False),
-                    ProjChainMap(T1, T2, fams["t"], "ψ_t", validate=False))
-    return None
+    def combine(coeffs):
+        return [sum(c * v[j] for c, v in zip(coeffs, kernel)) for j in range(ladder.n)]
 
-
-def _unit_vec(n, k):
-    v = [Fraction(0)] * n
-    v[k] = Fraction(1)
-    return v
+    vec = search_invertible(
+        kernel, lambda v: all(_chain_map_invertible(f, window) for f in psis(v)),
+        combine)
+    return None if vec is None else psis(vec)
 
 
 def chain_maps_homotopic(f: ProjChainMap, g: ProjChainMap,

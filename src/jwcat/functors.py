@@ -22,10 +22,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, Complex,
-                        ProjBicomplex, ProjChainMap, ProjComplex, Reduction,
-                        RegimeError, Summand, WindowTooSmall,
-                        detect_tail, gaussian_reduce, realize, total_complex)
-from .linalg import Matrix, solve_from_columns
+                        LadderFamily, LadderSystem, ProjBicomplex,
+                        ProjChainMap, ProjComplex, Reduction, RegimeError,
+                        Summand, WindowTooSmall, detect_tail, gaussian_reduce,
+                        realize, total_complex)
+from .linalg import solve_from_columns
 from .modules import (GradedModule, ModuleHom, apply_pi, apply_pi_hom,
                       projective, simple, injective2)
 from .quiver import (AlgebraElement, ConstructionError, PathAlgebra,
@@ -75,15 +76,6 @@ class ModChainMap:
             return ModuleHom(self.source.term(i), self.target.term(i), 0, {},
                              "0", validate=False)
         return h
-
-    def validate(self):
-        lo = min(self.source.window()[0], self.target.window()[0])
-        hi = max(self.source.window()[1], self.target.window()[1])
-        for i in range(lo, hi):
-            lhs = self.target.diff(i).compose(self.comp(i))
-            rhs = self.comp(i + 1).compose(self.source.diff(i))
-            if not (lhs - rhs).is_zero():
-                raise ConstructionError(f"{self.name} is not a chain map at {i}")
 
 
 def realize_chain_map(f: ProjChainMap) -> ModChainMap:
@@ -146,43 +138,25 @@ def _pi_fast(setup: Setup, x: ProjComplex) -> ProjComplex | None:
     return ProjComplex(C, terms, diffs, x.tail, f"π({x.name})", validate=True)
 
 
-def iota_translate(setup: Setup, freeC: ProjComplex,
-                   maps: dict[int, AlgMatrix] | None = None) -> ProjComplex:
+def iota_translate(setup: Setup, freeC: ProjComplex) -> ProjComplex:
     """The inclusion functor on free complexes: each free summand <r> becomes
     P(2)<r+1>, the degree-2 generator becomes the loop."""
-    B, C = setup.B, setup.C
-    x_path = next(iter(C.arrow_element("x").terms))
-    c_elem = B.path_element(("a", "b"))
+    terms = {i: _iota_summands(t) for i, t in freeC.terms.items()}
+    diffs = {i: _iota_translate_matrix(setup, d) for i, d in freeC.diffs.items()}
+    return ProjComplex(setup.B, terms, diffs, freeC.tail, f"ι({freeC.name})",
+                       validate=True)
 
-    def entry_to_b(z: AlgebraElement) -> AlgebraElement:
-        lam = z.scalar_part()
-        mu = z.coefficient(x_path)
-        out = B.zero()
-        if lam:
-            out = out + B.idempotent("2").scale(lam)
-        if mu:
-            out = out + c_elem.scale(mu)
-        return out
 
-    terms = {i: tuple(Summand("2", s.shift + 1) for s in t)
-             for i, t in freeC.terms.items()}
-    diffs = {}
-    for i, d in freeC.diffs.items():
-        nd = AlgMatrix.zero(B, terms[i + 1], terms[i])
-        for r in range(len(d.rows)):
-            for c in range(len(d.cols)):
-                nd.entries[r][c] = entry_to_b(d.entries[r][c])
-        diffs[i] = nd
-    return ProjComplex(B, terms, diffs, freeC.tail, f"ι({freeC.name})", validate=True)
+def _iota_summands(term: tuple[Summand, ...]) -> tuple[Summand, ...]:
+    return tuple(Summand("2", s.shift + 1) for s in term)
 
 
 def _iota_translate_matrix(setup: Setup, m: AlgMatrix) -> AlgMatrix:
+    """Entrywise C -> B translation: scalar part onto e(2), x onto the loop."""
     B, C = setup.B, setup.C
     x_path = next(iter(C.arrow_element("x").terms))
     c_elem = B.path_element(("a", "b"))
-    rows = tuple(Summand("2", s.shift + 1) for s in m.rows)
-    cols = tuple(Summand("2", s.shift + 1) for s in m.cols)
-    out = AlgMatrix.zero(B, rows, cols)
+    out = AlgMatrix.zero(B, _iota_summands(m.rows), _iota_summands(m.cols))
     for r in range(len(m.rows)):
         for c in range(len(m.cols)):
             z = m.entries[r][c]
@@ -238,17 +212,6 @@ def P_on_object(setup: Setup, x, depth: int = 16) -> ProjComplex:
     return out
 
 
-def P_on_map(setup: Setup, z: AlgebraElement, source: GradedModule,
-             target: GradedModule, depth: int = 16
-             ) -> tuple[ProjChainMap, ProjComplex, ProjComplex]:
-    """The projector on a left-multiplication generator map between shifted
-    projectives: lift the section image through the free resolutions, then
-    include. Returns the chain map together with its source and target."""
-    from .modules import left_multiplication_hom
-    f = left_multiplication_hom(source, target, z)
-    return P_on_module_map(setup, f, depth)
-
-
 def P_on_module_map(setup: Setup, f: ModuleHom, depth: int = 16
                     ) -> tuple[ProjChainMap, ProjComplex, ProjComplex]:
     if f.degree != 0:
@@ -272,22 +235,17 @@ def lift_through_resolutions(alg: PathAlgebra, resM: ProjComplex,
                              augN: dict[int, ModuleHom], f0: ModuleHom
                              ) -> dict[int, AlgMatrix]:
     """Comparison lift: chain map between resolutions covering a single
-    module map (concentrated in homological degree 0)."""
-    from .complexes import _alg_matrix_to_hom, _unknown_slots, _mat_from_slots
+    module map (concentrated in homological degree 0). Solved one degree at
+    a time from 0 downward, since each degree's solution enters the next."""
+    from .complexes import _alg_matrix_to_hom
     lift: dict[int, AlgMatrix] = {}
-    loM = resM.window()[0]
     srcR = realize(resM)
     tgtR = realize(resN)
-    for i in range(0, loM - 1, -1):
-        rows, cols = resN.term(i), resM.term(i)
-        slots = _unknown_slots(alg, rows, cols)
-        if not slots:
-            lift[i] = AlgMatrix.zero(alg, rows, cols)
-            continue
+    for i in range(0, resM.window()[0] - 1, -1):
+        ladder = LadderSystem([LadderFamily(resM, resN, 0, (i, i))])
 
-        def residual(mat: AlgMatrix, i=i) -> list[Fraction]:
-            out: list[Fraction] = []
-            hom = _alg_matrix_to_hom(mat, srcR.term(i), tgtR.term(i), alg)
+        def residual(maps, i=i) -> list[Fraction]:
+            hom = _alg_matrix_to_hom(maps[0][i], srcR.term(i), tgtR.term(i), alg)
             if i == 0:
                 # augN ∘ phi_0 = f0 ∘ augM
                 want = f0.compose(augM[0])
@@ -301,26 +259,14 @@ def lift_through_resolutions(alg: PathAlgebra, resM: ProjComplex,
                 want = prev.compose(dM)
                 got = dN.compose(hom)
             diff = got - want
-            degs = sorted(set(srcR.term(i).degrees()))
-            for d in degs:
-                m = diff.mat(d)
-                out.extend(x for row in m.data for x in row)
-            return out
+            return [x for d in sorted(set(srcR.term(i).degrees()))
+                    for row in diff.mat(d).data for x in row]
 
-        zero_mat = AlgMatrix.zero(alg, rows, cols)
-        base = residual(zero_mat)
-        rhs = [-x for x in base]
-
-        def column(k):
-            vec = [Fraction(0)] * len(slots)
-            vec[k] = Fraction(1)
-            mat = _mat_from_slots(alg, rows, cols, slots, vec)
-            return [a - b for a, b in zip(residual(mat), base)]
-
-        sol = solve_from_columns(column, len(slots), rhs)
+        column, rhs = ladder.probe(residual)
+        sol = solve_from_columns(column, ladder.n, rhs)
         if sol is None:
             raise ConstructionError(f"resolution lift failed at degree {i}")
-        lift[i] = _mat_from_slots(alg, rows, cols, slots, sol)
+        lift[i] = ladder.build(sol)[0][i]
     return lift
 
 
@@ -744,11 +690,3 @@ def two_term_dual_model(setup: Setup) -> ProjComplex:
     d = AlgMatrix(B, t1, t0, [[B.arrow_element("b")]])
     return ProjComplex(B, {0: t0, 1: t1}, {0: d}, name="dual-P(1)-model")
 
-
-def functor_report(setup: Setup, raw: ProjComplex, window: tuple[int, int],
-                   desc: str) -> FunctorReport:
-    margin = 0 if raw.tail is None else 2 * raw.tail.period + 2
-    lo, hi = window
-    mat = raw.materialize(lo, hi + margin) if raw.tail is not None else raw
-    red = gaussian_reduce(mat, keep_window=window)
-    return FunctorReport(desc, raw, red.reduced, red)

@@ -8,6 +8,7 @@ exact. Matrices are immutable by convention once built.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -115,19 +116,11 @@ class Matrix:
             raise ValueError("vector length mismatch")
         return [sum((row[j] * vec[j] for j in range(self.ncols)), Fraction(0)) for row in self.data]
 
-    def transpose(self) -> Matrix:
-        return Matrix(self.ncols, self.nrows, [list(col) for col in zip(*self.data)] if self.nrows else [[] for _ in range(self.ncols)])
-
     def hstack(self, other: Matrix) -> Matrix:
         if self.nrows != other.nrows:
             raise ValueError("hstack row mismatch")
         return Matrix(self.nrows, self.ncols + other.ncols,
                       [r1 + r2 for r1, r2 in zip(self.data, other.data)])
-
-    def vstack(self, other: Matrix) -> Matrix:
-        if self.ncols != other.ncols:
-            raise ValueError("vstack col mismatch")
-        return Matrix(self.nrows + other.nrows, self.ncols, [r[:] for r in self.data] + [r[:] for r in other.data])
 
     def submatrix(self, rows: Iterable[int], cols: Iterable[int]) -> Matrix:
         rows = list(rows)
@@ -192,16 +185,6 @@ class Matrix:
             x[pc] = R.data[r][self.ncols]
         return x
 
-    def solve_matrix(self, rhs: Matrix) -> Matrix | None:
-        """X with self * X = rhs, or None."""
-        cols = []
-        for j in range(rhs.ncols):
-            x = self.solve([rhs.data[i][j] for i in range(rhs.nrows)])
-            if x is None:
-                return None
-            cols.append(x)
-        return Matrix(self.ncols, rhs.ncols, [[cols[j][i] for j in range(rhs.ncols)] for i in range(self.ncols)])
-
     def inverse(self) -> Matrix | None:
         if self.nrows != self.ncols:
             return None
@@ -213,6 +196,27 @@ class Matrix:
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
+
+
+def affine_columns(residual, nuk: int):
+    """Probe an affine map r on Q^nuk at the zero and unit vectors.
+
+    Returns (column_fn, rhs) with column_fn(k) = r(e_k) - r(0) and
+    rhs = -r(0), so r(x) = 0 exactly when A x = rhs for the matrix A with
+    those columns. For a linear r the right-hand side is zero and the
+    solutions are kernel_from_columns(column_fn, nuk).
+    """
+    base = residual([Fraction(0)] * nuk)
+    rhs = [-x for x in base]
+    affine = any(rhs)
+
+    def column_fn(k: int) -> list[Fraction]:
+        vec = [Fraction(0)] * nuk
+        vec[k] = Fraction(1)
+        col = residual(vec)
+        return [a + b for a, b in zip(col, rhs)] if affine else col
+
+    return column_fn, rhs
 
 
 def solve_from_columns(column_fn, nuk: int, rhs: list[Fraction]):
@@ -233,3 +237,33 @@ def kernel_from_columns(column_fn, nuk: int) -> list[list[Fraction]]:
     nr = len(cols[0])
     A = Matrix(nr, nuk, [[cols[j][i] for j in range(nuk)] for i in range(nr)])
     return A.nullspace()
+
+
+def search_invertible(basis: list, is_invertible, combine=None):
+    """An element of the span of ``basis`` accepted by ``is_invertible``.
+
+    Tries each basis element, then, when there are at most four, every
+    combination with coefficients in {0, 1, -1, 2}, not all zero, in
+    ``itertools.product`` order. ``combine(coeffs)`` forms a combination; by
+    default it is the sum of ``b.scale(c)`` over the nonzero coefficients.
+    The search is deterministic. None means that no candidate passed, not
+    that the span has no invertible element, and callers report it that way.
+    """
+    for b in basis:
+        if is_invertible(b):
+            return b
+    if len(basis) > 4:
+        return None
+    if combine is None:
+        def combine(coeffs):
+            out = None
+            for c, b in zip(coeffs, basis):
+                if c:
+                    out = b.scale(c) if out is None else out + b.scale(c)
+            return out
+    for coeffs in itertools.product((0, 1, -1, 2), repeat=len(basis)):
+        if any(coeffs):
+            f = combine(coeffs)
+            if is_invertible(f):
+                return f
+    return None

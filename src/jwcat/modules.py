@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Matrix, kernel_from_columns
+from .linalg import (Matrix, affine_columns, kernel_from_columns,
+                     search_invertible)
 from .quiver import (AlgebraElement, ConstructionError, GradedBimodule,
                      PathAlgebra, Path)
 
@@ -445,9 +446,7 @@ def _hom_space_degree(M: GradedModule, N: GradedModule, j: int) -> list[ModuleHo
             mats[d].data[r][c] += x
         return mats
 
-    def column(k: int):
-        vec = [Fraction(0)] * len(slots)
-        vec[k] = Fraction(1)
+    def residual(vec) -> list[Fraction]:
         mats = unknown_to_hom(vec)
 
         def mat(d):
@@ -463,6 +462,7 @@ def _hom_space_degree(M: GradedModule, N: GradedModule, j: int) -> list[ModuleHo
                 col.extend(x for row in diff.data for x in row)
         return col
 
+    column, _ = affine_columns(residual, len(slots))
     kernel = kernel_from_columns(column, len(slots))
     homs = []
     for i, vec in enumerate(kernel):
@@ -470,51 +470,14 @@ def _hom_space_degree(M: GradedModule, N: GradedModule, j: int) -> list[ModuleHo
     return homs
 
 
-def find_module_iso(M: GradedModule, N: GradedModule, seed: int = 0
-                    ) -> ModuleHom | None:
+def find_module_iso(M: GradedModule, N: GradedModule) -> ModuleHom | None:
     """An explicit invertible degree-0 hom, or None (None is certified when
     graded dimensions differ or the hom space is trivial)."""
     if M.graded_dims_by_vertex() != N.graded_dims_by_vertex():
         return None
     if M.is_zero():
         return ModuleHom(M, N, 0, {}, "0", validate=False)
-    basis = _hom_space_degree(M, N, 0)
-    return _search_invertible(basis, lambda f: f.is_invertible(), seed)
-
-
-def _search_invertible(basis, is_invertible, seed: int = 0):
-    """Find an invertible combination of a solution-space basis."""
-    import itertools
-    import random
-
-    if not basis:
-        return None
-    for f in basis:
-        if is_invertible(f):
-            return f
-    k = len(basis)
-    if k <= 4:
-        for combo in itertools.product([0, 1, -1, 2], repeat=k):
-            if all(c == 0 for c in combo):
-                continue
-            f = None
-            for c, b in zip(combo, basis):
-                if c == 0:
-                    continue
-                term = b.scale(c)
-                f = term if f is None else f + term
-            if f is not None and is_invertible(f):
-                return f
-    rng = random.Random(seed or 20240)
-    for _ in range(200):
-        f = None
-        for b in basis:
-            c = rng.randint(-10 ** 6, 10 ** 6)
-            term = b.scale(c)
-            f = term if f is None else f + term
-        if f is not None and is_invertible(f):
-            return f
-    return None
+    return search_invertible(_hom_space_degree(M, N, 0), ModuleHom.is_invertible)
 
 
 # ---------------------------------------------------------------------------

@@ -35,14 +35,6 @@ class LaurentPoly:
     def __init__(self, coeffs: dict | None = None):
         self.coeffs = _clean(coeffs or {})
 
-    @classmethod
-    def const(cls, c) -> LaurentPoly:
-        return cls({0: _frac(c)})
-
-    @classmethod
-    def q_power(cls, e: int, c=1) -> LaurentPoly:
-        return cls({e: _frac(c)})
-
     zero_ = None  # set after class definition
 
     def is_zero(self) -> bool:
@@ -97,9 +89,6 @@ class LaurentPoly:
 
     def degree(self) -> int | None:
         return max(self.coeffs) if self.coeffs else None
-
-    def eval_at_one(self) -> Fraction:
-        return sum(self.coeffs.values(), Fraction(0))
 
     # --- textual form, exact round-trip ---
 
@@ -297,10 +286,6 @@ class TruncatedSeries:
 def quantum_two(order: int) -> TruncatedSeries:
     """[2] = q + q^-1 as a truncated series."""
     return TruncatedSeries({1: 1, -1: 1}, -1, order)
-
-
-def series_add(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
-    return x + y
 
 
 def series_mul(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:

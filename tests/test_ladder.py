@@ -1,0 +1,160 @@
+"""The ladder solver: chain maps, homotopies and intertwining identifications
+on complexes where the answer is known by hand."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jwcat.complexes import (RIGHT_TAIL, AlgMatrix, LadderFamily, LadderSystem,
+                             ProjChainMap, ProjComplex, Summand, TailSpec,
+                             _solve_intertwining, chain_maps_homotopic,
+                             gaussian_reduce, ladder_degrees,
+                             maps_agree_under_identification,
+                             solve_chain_maps)
+from jwcat.functors import P_on_object, Setup
+from jwcat.modules import projective, simple
+from jwcat.quiver import build_B
+from jwcat.resolutions import projective_resolution
+
+
+@pytest.fixture(scope="module")
+def B():
+    return build_B()
+
+
+def cone(B, scalar=1):
+    """P(2) --scalar·e(2)--> P(2) in degrees 0, 1 (contractible unless 0)."""
+    t = (Summand("2", 0),)
+    d = {0: AlgMatrix(B, t, t, [[B.idempotent("2").scale(scalar)]])}
+    return ProjComplex(B, {0: t, 1: t}, d, name=f"cone({scalar})")
+
+
+def cone_chain(B, hi=7):
+    """Cones P(2)<-2k> --e(2)--> P(2)<-2k> in degrees 2k, 2k+1 for all k >= 0,
+    stored on degrees 0..hi: a right tail of period 2 and shift -2."""
+    e2 = B.idempotent("2")
+    terms = {i: (Summand("2", -2 * (i // 2)),) for i in range(hi + 1)}
+    diffs = {i: AlgMatrix(B, terms[i + 1], terms[i], [[e2]])
+             for i in range(0, hi, 2)}
+    return ProjComplex(B, terms, diffs, TailSpec(RIGHT_TAIL, 2, 2, -2), "cones")
+
+
+def is_chain_map(f, window):
+    lo, hi = window
+    return all(f.target.diff(i) * f.component(i) == f.component(i + 1) * f.source.diff(i)
+               for i in range(lo, hi))
+
+
+class TestDegreeRule:
+    def test_no_tail_covers_the_window(self):
+        assert ladder_degrees((0, 5), 0, None) == (range(0, 6), range(0, 5))
+
+    def test_right_tail_seam_waits_for_the_shifted_target(self):
+        tail = TailSpec(RIGHT_TAIL, 2, 2, -2)
+        assert ladder_degrees((0, 20), 0, tail) == (range(0, 4), range(0, 7))
+        # h_i: X^i -> Y^{i-1} is periodic only once Y^{i-1} is, from 3 on
+        assert ladder_degrees((0, 20), -1, tail) == (range(0, 5), range(0, 8))
+
+    def test_left_tail_runs_to_the_window_edge_inward(self):
+        tail = TailSpec("left", -7, 1, 2)
+        assert ladder_degrees((-20, 0), 0, tail) == (range(-7, 1), range(-9, 0))
+        assert ladder_degrees((-20, 1), -1, tail) == (range(-7, 2), range(-9, 1))
+
+    def test_window_starting_inside_the_tail(self, B):
+        # the seam is taken at the window edge: unknowns at 3 and 4 only
+        x = cone_chain(B)
+        assert ladder_degrees((3, 7), 0, x.tail)[0] == range(3, 5)
+        sols = solve_chain_maps(x, x, (3, 7))
+        assert sols and all(is_chain_map(f, (3, 7)) for f in sols)
+
+    def test_unknown_order_is_family_degree_row_column_path(self, B):
+        t = (Summand("2", 0), Summand("2", 2))
+        x = ProjComplex(B, {0: t, 1: t[:1]}, {}, name="x")
+        ladder = LadderSystem([LadderFamily(x, x, 0, (0, 1)),
+                               LadderFamily(x, x, -1, (0, 2))])
+        e2, c = B.idempotent("2"), B.path_element(("a", "b"))
+        words = [[(i, r, col, path.word()) for i, (_start, slots) in table.items()
+                  for r, col, path in slots] for table in ladder.tables]
+        assert words == [
+            [(0, 0, 0, e2.word()), (0, 0, 1, c.word()), (0, 1, 1, e2.word()),
+             (1, 0, 0, e2.word())],
+            [(1, 0, 0, e2.word())]]
+        assert [start for table in ladder.tables for start, _ in table.values()] \
+            == [0, 3, 4, 4, 5]
+
+
+class TestHomotopySolve:
+    def test_identity_on_a_cone_is_nullhomotopic(self, B):
+        x = cone(B)
+        idm, zero = ProjChainMap.identity(x), ProjChainMap(x, x, {})
+        v = chain_maps_homotopic(idm, zero, (0, 1))
+        assert v.value == "true" and v.reason == ""
+        assert v.witness.witnesses(idm, zero, (0, 1))
+
+    def test_identity_on_a_right_tailed_chain_of_cones(self, B):
+        x = cone_chain(B)
+        idm, zero = ProjChainMap.identity(x), ProjChainMap(x, x, {})
+        v = chain_maps_homotopic(idm, zero, (0, 7))
+        assert v.value == "true" and v.reason == ""
+        assert v.witness.witnesses(idm, zero, (0, 7))
+        # the tail components are the periodic copies of one period
+        assert v.witness.component(7) == v.witness.component(5).shifted(-2)
+
+    def test_maps_differing_on_homology_are_not_homotopic(self, B):
+        # P(2) --0--> P(2): one unknown slot h_1 = λ·e(2), and dh + hd = 0
+        x = cone(B, scalar=0)
+        ladder = LadderSystem([LadderFamily(x, x, -1, (0, 2))])
+        assert ladder.n == 1
+        v = chain_maps_homotopic(ProjChainMap.identity(x), ProjChainMap(x, x, {}), (0, 1))
+        assert v.value == "false"
+
+    def test_reduction_witness_is_reproved(self, B):
+        x = projective_resolution(simple(B, "1"), 4)
+        e2 = B.idempotent("2")
+        padded = ProjComplex(B, {**x.terms, 1: (Summand("2", 0),), 2: (Summand("2", 0),)},
+                             {**x.diffs, 1: AlgMatrix(B, (Summand("2", 0),),
+                                                      (Summand("2", 0),), [[e2]])},
+                             name="res⊕cone")
+        red = gaussian_reduce(padded)
+        GF = red.from_reduced.compose(red.to_reduced)
+        assert not (ProjChainMap.identity(padded) - GF).is_zero()
+        v = chain_maps_homotopic(ProjChainMap.identity(padded), GF, padded.window())
+        assert v.value == "true" and v.reason == ""
+
+    @settings(max_examples=25, deadline=None)
+    @given(which=st.sampled_from(["res-L1", "res-L2", "cone"]),
+           coeffs=st.lists(st.integers(-3, 3), min_size=16, max_size=16))
+    def test_adding_a_boundary_keeps_the_homotopy_class(self, B, which, coeffs):
+        x = {"res-L1": lambda: projective_resolution(simple(B, "1"), 4),
+             "res-L2": lambda: projective_resolution(simple(B, "2"), 4),
+             "cone": lambda: cone(B)}[which]()
+        lo, hi = x.window()
+        ladder = LadderSystem([LadderFamily(x, x, -1, (lo, hi + 1))])
+        h = ladder.build(coeffs[:ladder.n])[0]
+        boundary = {i: ladder.commutator([h], 0, i) for i in range(lo, hi + 1)}
+        f = ProjChainMap.identity(x)
+        g = f + ProjChainMap(x, x, boundary, validate=True)
+        assert chain_maps_homotopic(g, f, (lo, hi)).value == "true"
+
+
+class TestIntertwining:
+    def test_left_tail_witnesses_are_chain_maps(self):
+        setup = Setup.create()
+        x = P_on_object(setup, projective(setup.B, "1"), depth=8)
+        assert x.window() == (-8, 0) and x.tail.side == "left" and x.tail.period == 1
+        idx = ProjChainMap.identity(x)
+        found = _solve_intertwining(idx, idx, (-8, 0), strict=True)
+        assert found is not None
+        for psi in found:
+            assert is_chain_map(psi, (-8, 0))
+
+    def test_agreement_up_to_homotopy(self, B):
+        s1, s2 = cone(B, 1), cone(B, 2)
+        F = ProjChainMap.identity(s1)
+        G = ProjChainMap(s2, s1, {})
+        assert _solve_intertwining(F, G, (0, 1), strict=True) is None
+        v = maps_agree_under_identification(F, G, (0, 1))
+        assert v.value == "true"
+        assert v.reason == "agree under an identification (homotopy)"
+        for psi in v.witness:
+            assert is_chain_map(psi, (0, 1))
