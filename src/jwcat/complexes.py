@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (Matrix, affine_columns, kernel_from_columns,
-                     search_invertible, solve_from_columns)
+from .linalg import (Matrix, kernel_from_columns, search_invertible,
+                     solve_from_columns)
 from .modules import (GradedModule, ModuleHom, direct_sum,
                       left_multiplication_hom, projective)
 from .quiver import AlgebraElement, ConstructionError, PathAlgebra
@@ -996,16 +996,21 @@ class LadderSystem:
 
     Unknowns are ordered by family, then degree, row, column, and path in
     ``basis_by_degree`` order. ``build`` turns a coefficient vector into the
-    families' components, one dict per family. ``probe`` turns an affine
-    residual of those components into matrix columns and a right-hand side
+    families' components, one dict per family.
+
+    The equations come as blocks ``(reads, fn)``: ``fn(maps)`` is the list of
+    coordinates of an affine expression in the components named by
+    ``reads``, (family, degree) pairs that it reads through ``component``.
+    ``probe`` turns a list of blocks into matrix columns and a right-hand side
     for ``kernel_from_columns`` or ``solve_from_columns``.
     """
 
     def __init__(self, families: list[LadderFamily]):
         self.families = list(families)
         self.tables: list[dict[int, tuple[int, list]]] = []
+        self.unknowns: list[tuple[int, int, tuple]] = []   # (family, degree, slot)
         n = 0
-        for fam in self.families:
+        for k, fam in enumerate(self.families):
             alg = fam.source.algebra
             table = {}
             for i in ladder_degrees(fam.window, fam.offset, fam.tail)[0]:
@@ -1014,41 +1019,62 @@ class LadderSystem:
                          for c, sc in enumerate(cols)
                          for path in _allowed_paths(alg, sr, sc)]
                 table[i] = (n, slots)
+                self.unknowns.extend((k, i, slot) for slot in slots)
                 n += len(slots)
             self.tables.append(table)
         self.n = n
 
+    def _zero(self, k: int, i: int) -> AlgMatrix:
+        fam = self.families[k]
+        return AlgMatrix.zero(fam.source.algebra, fam.target.term(i + fam.offset),
+                              fam.source.term(i))
+
+    def _extend(self, k: int, maps: dict[int, AlgMatrix]) -> None:
+        """Fill family k's window beyond its unknowns by the periodic
+        identification, from whichever components ``maps`` holds."""
+        fam, table = self.families[k], self.tables[k]
+        t = fam.tail
+        if t is None or not table:
+            return
+        lo, hi = fam.window
+        if t.side == RIGHT_TAIL:
+            step, rest = -t.period, range(max(table) + 1, hi + 1)
+        else:
+            step, rest = t.period, range(min(table) - 1, lo - 1, -1)
+        for i in rest:
+            m = maps.get(i + step)
+            if m is not None:
+                maps[i] = m.shifted(t.shift)
+
     def build(self, vec) -> list[dict[int, AlgMatrix]]:
         out = []
-        for fam, table in zip(self.families, self.tables):
+        for k, (fam, table) in enumerate(zip(self.families, self.tables)):
             alg = fam.source.algebra
             maps = {}
             for i, (start, slots) in table.items():
-                m = AlgMatrix.zero(alg, fam.target.term(i + fam.offset),
-                                   fam.source.term(i))
+                m = self._zero(k, i)
                 for (r, c, path), v in zip(slots, vec[start:start + len(slots)]):
                     if v != 0:
                         m.entries[r][c] = m.entries[r][c] + alg.element({path: v})
                 maps[i] = m
-            t = fam.tail
-            if t is not None and table:
-                lo, hi = fam.window
-                if t.side == RIGHT_TAIL:
-                    step, rest = -t.period, range(max(table) + 1, hi + 1)
-                else:
-                    step, rest = t.period, range(min(table) - 1, lo - 1, -1)
-                for i in rest:
-                    maps[i] = maps[i + step].shifted(t.shift)
+            self._extend(k, maps)
             out.append(maps)
         return out
 
+    def _unit(self, j: int) -> list[dict[int, AlgMatrix]]:
+        """``build`` of the j-th unit vector, holding only the components it
+        makes nonzero: the unknown's own and their periodic copies."""
+        k, i, (r, c, path) = self.unknowns[j]
+        m = self._zero(k, i)
+        m.entries[r][c] = self.families[k].source.algebra.element({path: Fraction(1)})
+        maps: list[dict[int, AlgMatrix]] = [{} for _ in self.families]
+        maps[k][i] = m
+        self._extend(k, maps[k])
+        return maps
+
     def component(self, maps, k: int, i: int) -> AlgMatrix:
-        fam = self.families[k]
         m = maps[k].get(i)
-        if m is None:
-            return AlgMatrix.zero(fam.source.algebra, fam.target.term(i + fam.offset),
-                                  fam.source.term(i))
-        return m
+        return self._zero(k, i) if m is None else m
 
     def commutator(self, maps, k: int, i: int) -> AlgMatrix:
         """d∘φ_i - (-1)^offset φ_{i+1}∘d at degree i: the chain-map condition
@@ -1058,22 +1084,52 @@ class LadderSystem:
         back = self.component(maps, k, i + 1) * fam.source.diff(i)
         return out - back if fam.offset % 2 == 0 else out + back
 
-    def chain_residual(self, maps, k: int, given: ProjChainMap | None = None
-                       ) -> list[Fraction]:
-        """Coordinates of the commutator of family k, minus ``given``, over
-        the family's equation degrees."""
+    def chain_blocks(self, k: int, given: ProjChainMap | None = None) -> list:
+        """The blocks of family k's commutator, minus ``given``, one per
+        equation degree i; block i reads φ_i and φ_{i+1}."""
         fam = self.families[k]
-        out = []
-        for i in ladder_degrees(fam.window, fam.offset, fam.tail)[1]:
-            m = self.commutator(maps, k, i)
-            if given is not None:
-                m = m - given.component(i)
-            out.extend(_mat_coords(m))
-        return out
 
-    def probe(self, residual):
-        """(column_fn, rhs) of the affine map vec -> residual(build(vec))."""
-        return affine_columns(lambda vec: residual(self.build(vec)), self.n)
+        def block(i):
+            def fn(maps):
+                m = self.commutator(maps, k, i)
+                return _mat_coords(m if given is None else m - given.component(i))
+            return ((k, i), (k, i + 1)), fn
+
+        return [block(i) for i in ladder_degrees(fam.window, fam.offset, fam.tail)[1]]
+
+    def probe(self, blocks: list) -> tuple:
+        """(column_fn, rhs) of the affine map r: vec -> the blocks'
+        coordinates at build(vec), in block order, with column_fn(j) =
+        r(e_j) - r(0) and rhs = -r(0), as ``linalg.affine_columns`` defines
+        them.
+
+        r(0) is evaluated once. Column j evaluates only the blocks that read
+        a component of ``_unit(j)``; every other block reads zeros only, so
+        its part of the column is zero.
+        """
+        empty: list[dict[int, AlgMatrix]] = [{} for _ in self.families]
+        base = [fn(empty) for _, fn in blocks]
+        rhs = [-x for part in base for x in part]
+        offsets = [0]
+        readers: dict[tuple[int, int], list[int]] = {}
+        for b, (reads, _) in enumerate(blocks):
+            offsets.append(offsets[-1] + len(base[b]))
+            for key in reads:
+                readers.setdefault(key, []).append(b)
+        zero = Fraction(0)
+
+        def column_fn(j: int) -> list[Fraction]:
+            maps = self._unit(j)
+            k = self.unknowns[j][0]
+            col = [zero] * len(rhs)
+            for b in {b for i in maps[k] for b in readers.get((k, i), ())}:
+                part = blocks[b][1](maps)
+                if any(base[b]):
+                    part = [x - y for x, y in zip(part, base[b])]
+                col[offsets[b]:offsets[b + 1]] = part
+            return col
+
+        return column_fn, rhs
 
 
 def solve_chain_maps(X: ProjComplex, Y: ProjComplex,
@@ -1082,7 +1138,7 @@ def solve_chain_maps(X: ProjComplex, Y: ProjComplex,
     tail components are identified periodically, so a solution certifies a map
     of the semi-infinite complexes."""
     ladder = LadderSystem([LadderFamily(X, Y, 0, window, _common_tail(X, Y))])
-    column, _ = ladder.probe(lambda maps: ladder.chain_residual(maps, 0))
+    column, _ = ladder.probe(ladder.chain_blocks(0))
     kernel = kernel_from_columns(column, ladder.n)
     return [ProjChainMap(X, Y, ladder.build(vec)[0], validate=False) for vec in kernel]
 
@@ -1096,7 +1152,7 @@ def solve_homotopy(X: ProjComplex, Y: ProjComplex, f_minus_g: ProjChainMap,
     # h_i for i in lo..hi+1 reaches X^{hi+1} and Y^{lo-1}
     X, Y = X.materialize(lo - 1, hi + 1), Y.materialize(lo - 1, hi + 1)
     ladder = LadderSystem([LadderFamily(X, Y, -1, (lo, hi + 1), tail)])
-    column, rhs = ladder.probe(lambda maps: ladder.chain_residual(maps, 0, f_minus_g))
+    column, rhs = ladder.probe(ladder.chain_blocks(0, f_minus_g))
     sol = solve_from_columns(column, ladder.n, rhs)
     if sol is None:
         return None
@@ -1227,17 +1283,23 @@ def maps_agree_under_identification(F: ProjChainMap, G: ProjChainMap,
             level = "strict" if strict else "homotopy"
             return Verdict("true", witness=found,
                            reason=f"agree under an identification ({level})")
-    # certify falsehood only via object-level obstruction
-    if not _summand_multisets_match(S1, S2, window) or \
-       not _summand_multisets_match(T1, T2, window):
+    # certify falsehood only via object-level obstruction: the given models
+    # need not be minimal, so compare the minimal ones
+    if not _summand_multisets_match(minimal_model(S1, window),
+                                    minimal_model(S2, window), window) or \
+       not _summand_multisets_match(minimal_model(T1, window),
+                                    minimal_model(T2, window), window):
         return Verdict("false", reason="objects are not isomorphic")
     return Verdict("inconclusive",
                    reason="no invertible intertwining identification found")
 
 
-def _solve_intertwining(F: ProjChainMap, G: ProjChainMap,
-                        window: tuple[int, int], strict: bool):
-    """Solution search for ψ_t∘F - G∘ψ_s = (0 | dh + hd) with ψ's invertible."""
+def _intertwining_system(F: ProjChainMap, G: ProjChainMap,
+                         window: tuple[int, int], strict: bool):
+    """The ladder system and blocks of ψ_t∘F - G∘ψ_s = (0 | dh + hd) with
+    ψ_s: S1 -> S2 and ψ_t: T1 -> T2 chain maps (families 0 and 1) and, up to
+    homotopy, h: S1^i -> T2^{i-1} (family 2). Intertwining block i reads
+    ψ_s(i), ψ_t(i), and h(i), h(i+1)."""
     S1, T1 = F.source, F.target
     S2, T2 = G.source, G.target
     lo, hi = window
@@ -1246,20 +1308,30 @@ def _solve_intertwining(F: ProjChainMap, G: ProjChainMap,
     if not strict:
         families.append(LadderFamily(S1, T2, -1, window, _common_tail(S1, T2)))
     ladder = LadderSystem(families)
-    if ladder.n == 0:
-        return None
 
-    def residual(maps):
-        col = ladder.chain_residual(maps, 0) + ladder.chain_residual(maps, 1)
-        for i in range(lo, hi):
+    def block(i):
+        def fn(maps):
             m = (ladder.component(maps, 1, i) * F.component(i)
                  - G.component(i) * ladder.component(maps, 0, i))
             if not strict:
                 m = m - ladder.commutator(maps, 2, i)
-            col.extend(_mat_coords(m))
-        return col
+            return _mat_coords(m)
+        return ((0, i), (1, i), (2, i), (2, i + 1)), fn
 
-    column, _ = ladder.probe(residual)
+    blocks = (ladder.chain_blocks(0) + ladder.chain_blocks(1)
+              + [block(i) for i in range(lo, hi)])
+    return ladder, blocks
+
+
+def _solve_intertwining(F: ProjChainMap, G: ProjChainMap,
+                        window: tuple[int, int], strict: bool):
+    """Solution search for ψ_t∘F - G∘ψ_s = (0 | dh + hd) with ψ's invertible."""
+    S1, T1 = F.source, F.target
+    S2, T2 = G.source, G.target
+    ladder, blocks = _intertwining_system(F, G, window, strict)
+    if ladder.n == 0:
+        return None
+    column, _ = ladder.probe(blocks)
     kernel = kernel_from_columns(column, ladder.n)
 
     def psis(vec):

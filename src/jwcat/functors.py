@@ -243,26 +243,25 @@ def lift_through_resolutions(alg: PathAlgebra, resM: ProjComplex,
     tgtR = realize(resN)
     for i in range(0, resM.window()[0] - 1, -1):
         ladder = LadderSystem([LadderFamily(resM, resN, 0, (i, i))])
+        if i == 0:
+            # augN ∘ phi_0 = f0 ∘ augM
+            after, want = augN[0], f0.compose(augM[0])
+        else:
+            # d_N ∘ phi_i = phi_{i+1} ∘ d_M
+            after = _alg_matrix_to_hom(resN.diff(i), tgtR.term(i), tgtR.term(i + 1), alg)
+            dM = _alg_matrix_to_hom(resM.diff(i), srcR.term(i), srcR.term(i + 1), alg)
+            prev = _alg_matrix_to_hom(lift[i + 1], srcR.term(i + 1),
+                                      tgtR.term(i + 1), alg)
+            want = prev.compose(dM)
+        degrees = sorted(set(srcR.term(i).degrees()))
 
-        def residual(maps, i=i) -> list[Fraction]:
-            hom = _alg_matrix_to_hom(maps[0][i], srcR.term(i), tgtR.term(i), alg)
-            if i == 0:
-                # augN ∘ phi_0 = f0 ∘ augM
-                want = f0.compose(augM[0])
-                got = augN[0].compose(hom)
-            else:
-                # d_N ∘ phi_i = phi_{i+1} ∘ d_M
-                dN = _alg_matrix_to_hom(resN.diff(i), tgtR.term(i), tgtR.term(i + 1), alg)
-                dM = _alg_matrix_to_hom(resM.diff(i), srcR.term(i), srcR.term(i + 1), alg)
-                prev = _alg_matrix_to_hom(lift[i + 1], srcR.term(i + 1),
-                                          tgtR.term(i + 1), alg)
-                want = prev.compose(dM)
-                got = dN.compose(hom)
-            diff = got - want
-            return [x for d in sorted(set(srcR.term(i).degrees()))
-                    for row in diff.mat(d).data for x in row]
+        def residual(maps) -> list[Fraction]:
+            hom = _alg_matrix_to_hom(ladder.component(maps, 0, i), srcR.term(i),
+                                     tgtR.term(i), alg)
+            diff = after.compose(hom) - want
+            return [x for d in degrees for row in diff.mat(d).data for x in row]
 
-        column, rhs = ladder.probe(residual)
+        column, rhs = ladder.probe([(((0, i),), residual)])
         sol = solve_from_columns(column, ladder.n, rhs)
         if sol is None:
             raise ConstructionError(f"resolution lift failed at degree {i}")

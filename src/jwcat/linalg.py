@@ -1,9 +1,10 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Everything downstream (hom spaces, homology ranks, homotopy solving) reduces
-to small exact kernels/solves, so this stays deliberately simple: dense lists
-of Fractions, fraction-free only in the sense that Fraction arithmetic is
-exact. Matrices are immutable by convention once built.
+to exact kernels and solves. ``Matrix`` stores dense lists of Fractions and
+is immutable by convention once built; its one elimination routine,
+``Matrix.rref``, works on sparse rows and skips zero entries, since the
+systems that come up (ladder systems above all) hold a few nonzeros per row.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 Rational = Fraction  # scalar type used across the package
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _frac(x) -> Fraction:
@@ -32,7 +34,7 @@ class Matrix:
         self.nrows = nrows
         self.ncols = ncols
         if data is None:
-            self.data = [[Fraction(0)] * ncols for _ in range(nrows)]
+            self.data = [[_ZERO] * ncols for _ in range(nrows)]
         else:
             if len(data) != nrows or any(len(r) != ncols for r in data):
                 raise ValueError("matrix data shape mismatch")
@@ -51,10 +53,6 @@ class Matrix:
         for i in range(n):
             m.data[i][i] = Fraction(1)
         return m
-
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> Matrix:
-        return cls(nrows, ncols)
 
     def copy(self) -> Matrix:
         return Matrix(self.nrows, self.ncols, [row[:] for row in self.data])
@@ -130,30 +128,53 @@ class Matrix:
     # --- elimination ---
 
     def rref(self) -> tuple[Matrix, list[int]]:
-        """Reduced row echelon form and pivot column indices."""
-        m = self.copy()
+        """Reduced row echelon form and pivot column indices.
+
+        Gauss-Jordan elimination over sparse rows ({column: nonzero entry}):
+        each pivot touches only the rows that hold its column. Among the
+        candidate rows the one with fewest nonzeros is the pivot, which keeps
+        fill-in low on banded systems; the reduced form is unique, so the
+        choice does not change the result.
+        """
+        pending = [r for r in ({j: x for j, x in enumerate(row) if x}
+                               for row in self.data) if r]   # not yet pivots
+        done: list[dict[int, Fraction]] = []        # pivot rows, in pivot order
         pivots: list[int] = []
-        r = 0
-        for c in range(m.ncols):
-            if r == m.nrows:
+        for c in range(self.ncols):
+            if not pending:
                 break
-            pivot_row = None
-            for i in range(r, m.nrows):
-                if m.data[i][c] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
+            best = None
+            for k, row in enumerate(pending):
+                if c in row and (best is None or len(row) < len(pending[best])):
+                    best = k
+            if best is None:
                 continue
-            m.data[r], m.data[pivot_row] = m.data[pivot_row], m.data[r]
-            pv = m.data[r][c]
-            m.data[r] = [x / pv for x in m.data[r]]
-            for i in range(m.nrows):
-                if i != r and m.data[i][c] != 0:
-                    f = m.data[i][c]
-                    m.data[i] = [a - f * b for a, b in zip(m.data[i], m.data[r])]
+            prow = pending.pop(best)
+            pv = prow.pop(c)
+            if pv != 1:
+                prow = {j: x / pv for j, x in prow.items()}
+            emptied = False
+            for row in itertools.chain(pending, done):
+                f = row.pop(c, None)
+                if f is None:
+                    continue
+                for j, x in prow.items():
+                    v = row.get(j, 0) - f * x
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+                emptied = emptied or not row
+            if emptied:
+                pending = [row for row in pending if row]
+            prow[c] = _ONE
+            done.append(prow)
             pivots.append(c)
-            r += 1
-        return m, pivots
+        out = Matrix(self.nrows, self.ncols)
+        for dense, row in zip(out.data, done):
+            for j, x in row.items():
+                dense[j] = x
+        return out, pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])

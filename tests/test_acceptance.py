@@ -3,6 +3,7 @@ N = 16 with exact arithmetic and zero tolerance throughout. Each test prints
 one pass/fail line (visible with pytest -s or on failure)."""
 
 import time
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,8 @@ from jwcat.verify import VerificationConfig, run_suite, _Runner
 
 N = 16
 ORDER = 2 * N + 1
+# the benchmark's reference report at N = 16, read here and never written
+REFERENCE_N16 = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "verify-N16.json"
 
 
 @pytest.fixture(scope="module")
@@ -252,11 +255,13 @@ def test_criterion_6_property_suites(runner):
 
 
 def test_full_suite_passes_at_window_16():
-    """The packaged verification suite itself: all checks pass at N = 16."""
+    """The packaged verification suite itself: all checks pass at N = 16,
+    and the report is byte-identical to the committed reference."""
     report = run_suite(VerificationConfig(window=N))
     counts = report.verdict_counts()
     print(f"ACCEPTANCE suite: {counts}")
     assert counts["fail"] == 0 and counts["inconclusive"] == 0
+    assert report.to_json(with_timings=False) == REFERENCE_N16.read_text()
 
 
 def test_small_window_degrades_to_inconclusive():
@@ -265,3 +270,19 @@ def test_small_window_degrades_to_inconclusive():
     counts = report.verdict_counts()
     print(f"ACCEPTANCE degradation: {counts}")
     assert counts["fail"] == 0
+
+
+def test_verdicts_are_monotone_in_the_window():
+    """Over N = 4..11 no check fails, a check that passes keeps passing at
+    every larger window, and all checks pass from N = 10."""
+    passed_before: set[str] = set()
+    for n in range(4, 12):
+        report = run_suite(VerificationConfig(window=n))
+        verdicts = {c.name: c.verdict for c in report.checks}
+        passed = {name for name, v in verdicts.items() if v == "pass"}
+        print(f"ACCEPTANCE sweep N={n}: {len(passed)}/{len(verdicts)} pass")
+        assert "fail" not in verdicts.values(), n
+        assert passed_before <= passed, n
+        if n >= 10:
+            assert passed == set(verdicts), n
+        passed_before = passed

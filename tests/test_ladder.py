@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from jwcat.complexes import (RIGHT_TAIL, AlgMatrix, LadderFamily, LadderSystem,
                              ProjChainMap, ProjComplex, Summand, TailSpec,
+                             _common_tail, _intertwining_system,
                              _solve_intertwining, chain_maps_homotopic,
-                             gaussian_reduce, ladder_degrees,
-                             maps_agree_under_identification,
+                             gaussian_reduce, iso_in_homotopy_category,
+                             ladder_degrees, maps_agree_under_identification,
                              solve_chain_maps)
 from jwcat.functors import P_on_object, Setup
+from jwcat.linalg import affine_columns
 from jwcat.modules import projective, simple
 from jwcat.quiver import build_B
 from jwcat.resolutions import projective_resolution
@@ -158,3 +160,61 @@ class TestIntertwining:
         assert v.reason == "agree under an identification (homotopy)"
         for psi in v.witness:
             assert is_chain_map(psi, (0, 1))
+
+    def test_contractible_against_zero_is_not_certified_false(self, B):
+        # S1 is a contractible cone, so S1 ≅ 0 although the given models
+        # have different summands; only minimal models may certify "false"
+        s1, s2 = cone(B, 1), ProjComplex.zero_complex(B)
+        assert iso_in_homotopy_category(s1, s2).value == "true"
+        F = ProjChainMap.identity(s1)
+        G = ProjChainMap(s2, s1, {})
+        assert maps_agree_under_identification(F, G, (0, 1)).value == "inconclusive"
+
+
+def assert_local_columns_match(ladder, blocks):
+    """probe's locally assembled columns and rhs equal the unit-vector probe
+    of the whole residual of build(vec)."""
+    column, rhs = ladder.probe(blocks)
+    whole = affine_columns(
+        lambda vec: [x for _, fn in blocks for x in fn(ladder.build(vec))], ladder.n)
+    assert ladder.n > 0
+    assert rhs == whole[1]
+    for j in range(ladder.n):
+        assert column(j) == whole[0](j), j
+
+
+class TestLocalColumns:
+    def test_chain_maps_on_a_right_tail(self, B):
+        x = cone_chain(B)
+        ladder = LadderSystem([LadderFamily(x, x, 0, (0, 7), x.tail)])
+        # unknowns stop at 3; the equations at 4..6 read periodic copies only
+        assert max(ladder.tables[0]) == 3
+        assert_local_columns_match(ladder, ladder.chain_blocks(0))
+
+    def test_chain_maps_on_a_left_tail(self):
+        setup = Setup.create()
+        x = P_on_object(setup, projective(setup.B, "1"), depth=8)
+        ladder = LadderSystem([LadderFamily(x, x, 0, (-8, 0), _common_tail(x, x))])
+        assert min(ladder.tables[0]) > -8
+        assert_local_columns_match(ladder, ladder.chain_blocks(0))
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_intertwining(self, B, strict):
+        x = cone_chain(B)
+        F = ProjChainMap.identity(x)
+        ladder, blocks = _intertwining_system(F, F, (0, 7), strict)
+        assert len(ladder.families) == (2 if strict else 3)
+        assert_local_columns_match(ladder, blocks)
+
+    def test_strict_intertwining_on_a_left_tail(self):
+        setup = Setup.create()
+        x = P_on_object(setup, projective(setup.B, "1"), depth=8)
+        F = ProjChainMap.identity(x)
+        assert_local_columns_match(*_intertwining_system(F, F, (-8, 0), True))
+
+    def test_homotopy_family_with_a_given_map(self, B):
+        x = cone_chain(B).materialize(-1, 8)
+        ladder = LadderSystem([LadderFamily(x, x, -1, (0, 8), _common_tail(x, x))])
+        blocks = ladder.chain_blocks(0, ProjChainMap.identity(x))
+        assert any(ladder.probe(blocks)[1])
+        assert_local_columns_match(ladder, blocks)

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from jwcat.linalg import Matrix
 
 
@@ -72,3 +75,68 @@ def test_rref_idempotent():
         r, piv = a.rref()
         r2, piv2 = r.rref()
         assert r == r2 and piv == piv2
+
+
+def reference_rref(a):
+    """Textbook dense Gauss-Jordan: first nonzero row below as pivot."""
+    m = [row[:] for row in a.data]
+    pivots, r = [], 0
+    for c in range(a.ncols):
+        if r == a.nrows:
+            break
+        below = [i for i in range(r, a.nrows) if m[i][c] != 0]
+        if not below:
+            continue
+        m[r], m[below[0]] = m[below[0]], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(a.nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+@st.composite
+def sparse_matrices(draw, max_rows=7, max_cols=7):
+    """Small integer matrices, mostly zeros, with repeated and scaled rows."""
+    n = draw(st.integers(0, max_rows))
+    m = draw(st.integers(0, max_cols))
+    entry = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-4, 4))
+    rows = [draw(st.lists(entry, min_size=m, max_size=m)) for _ in range(n)]
+    for i in range(n):
+        if i and draw(st.booleans()):
+            k = draw(st.integers(0, i - 1))
+            c = draw(st.sampled_from([0, 1, -2]))
+            rows[i] = [c * x for x in rows[k]]
+    return Matrix(n, m, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=sparse_matrices())
+def test_rref_matches_dense_gauss_jordan(a):
+    r, piv = a.rref()
+    ref, ref_piv = reference_rref(a)
+    assert piv == ref_piv
+    assert (r.nrows, r.ncols) == (a.nrows, a.ncols)
+    assert r.data == ref
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=sparse_matrices(), data=st.data())
+def test_sparse_kernels_and_solutions(a, data):
+    for v in a.nullspace():
+        assert all(c == 0 for c in a.apply(v))
+    assert a.rank() + len(a.nullspace()) == a.ncols
+    x = [Fraction(data.draw(st.integers(-3, 3))) for _ in range(a.ncols)]
+    b = a.apply(x)
+    sol = a.solve(b)
+    assert sol is not None and a.apply(sol) == b
+    inv = a.inverse()
+    if inv is not None:
+        assert a * inv == Matrix.identity(a.nrows) == inv * a
+        assert sol == inv.apply(b)
+    elif a.nrows == a.ncols:
+        assert a.rank() < a.nrows
