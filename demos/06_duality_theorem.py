@@ -2,8 +2,8 @@
 """The headline comparison: the duality functor intertwines the two projector
 constructions, on objects and on the generator maps."""
 
-from jwcat.complexes import (Complex, gaussian_reduce, iso_in_homotopy_category,
-                             maps_agree_under_identification)
+from jwcat.complexes import (Complex, iso_in_homotopy_category,
+                             maps_agree_under_identification, reduce_on_window)
 from jwcat.functors import (CK_on_map, CK_on_object, ModChainMap,
                             P_on_module_map, P_on_object, Setup,
                             koszul_D_on_map, koszul_D_on_object,
@@ -13,15 +13,6 @@ from jwcat.modules import left_multiplication_hom, projective
 setup = Setup.create()
 B = setup.B
 N = 12
-
-
-def reduce_windowed(c, window):
-    margin = 0 if c.tail is None else 4 * c.tail.period + 4
-    if c.tail is not None:
-        side_r = c.tail.side == "right"
-        c = c.materialize(window[0] - (0 if side_r else margin),
-                          window[1] + (margin if side_r else 0))
-    return gaussian_reduce(c, keep_window=window)
 
 
 # objects
@@ -49,7 +40,7 @@ for name, (z, src, tgt) in cases.items():
     fc = ModChainMap(Complex.from_module(src), Complex.from_module(tgt), {0: f0}, name)
     Dz, _, _ = koszul_D_on_map(setup, fc, out_window=w)
     CKDz, CKsrc, CKtgt = CK_on_map(setup, Dz, out_window=w)
-    red = [reduce_windowed(c, cmp_w) for c in (DPsrc, DPtgt, CKsrc, CKtgt)]
+    red = [reduce_on_window(c, cmp_w) for c in (DPsrc, DPtgt, CKsrc, CKtgt)]
     lhs = red[1].to_reduced.compose(DPz).compose(red[0].from_reduced)
     rhs = red[3].to_reduced.compose(CKDz).compose(red[2].from_reduced)
     verdict = maps_agree_under_identification(lhs, rhs, cmp_w)

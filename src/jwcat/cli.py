@@ -61,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_verify(args) -> int:
     try:
         cfg = VerificationConfig(window=args.window, order=args.order,
-                                 fmt=args.format,
                                  only=tuple(x for x in args.only.split(",") if x))
     except ValueError as exc:
         print(f"jwcat: error: {exc}", file=sys.stderr)

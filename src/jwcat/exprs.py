@@ -13,7 +13,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .complexes import Complex, ProjComplex, ProjChainMap, gaussian_reduce
+from .complexes import (RIGHT_TAIL, Complex, ProjComplex, ProjChainMap,
+                        gaussian_reduce, reduce_on_window)
 from .functors import (CK_on_map, CK_on_object, ModChainMap, P_on_module_map,
                        P_on_object, Setup, koszul_D_on_map, koszul_D_on_object,
                        realize_chain_map)
@@ -167,15 +168,10 @@ def evaluate(setup: Setup, node: Node, window: tuple[int, int],
         red = pc
     elif pc.tail is None:
         red = gaussian_reduce(pc).reduced
+    elif pc.tail.side == RIGHT_TAIL:
+        red = reduce_on_window(pc, (pc.window()[0], window[1])).reduced
     else:
-        margin = 4 * pc.tail.period + 4
-        if pc.tail.side == "right":
-            keep = (pc.window()[0], window[1])
-            mat = pc.materialize(pc.window()[0], window[1] + margin)
-        else:
-            keep = (-window[1], pc.window()[1])
-            mat = pc.materialize(-window[1] - margin, pc.window()[1])
-        red = gaussian_reduce(mat, keep_window=keep).reduced
+        red = reduce_on_window(pc, (-window[1], pc.window()[1])).reduced
     try:
         kc = euler_class(pc, order)
     except Exception:

@@ -25,11 +25,11 @@ from .complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, Complex,
                         LadderFamily, LadderSystem, ProjBicomplex,
                         ProjChainMap, ProjComplex, Reduction, RegimeError,
                         Summand, WindowTooSmall, detect_tail, gaussian_reduce,
-                        realize, total_complex)
+                        realize, total_complex, total_layout)
 from .linalg import solve_from_columns
 from .modules import (GradedModule, ModuleHom, apply_pi, apply_pi_hom,
                       projective, simple, injective2)
-from .quiver import (AlgebraElement, ConstructionError, PathAlgebra,
+from .quiver import (AlgebraElement, ConstructionError, Path, PathAlgebra,
                      build_B, build_C)
 from .resolutions import resolve_complex
 
@@ -106,6 +106,22 @@ class FunctorReport:
 # the projector: section functor, derived inclusion
 # ---------------------------------------------------------------------------
 
+# Entry translation, both ways, between vertex-2 summands P(2)<r+1> over B
+# and free summands <r> over C: e(2)·B·e(2) has basis e(2), ab and C has
+# basis 1, x.
+_B_TO_C = ((Path((), "2"), Path((), "*")), (Path(("a", "b")), Path(("x",))))
+_C_TO_B = tuple((c, b) for b, c in _B_TO_C)
+
+
+def _translate_matrix(m: AlgMatrix, alg: PathAlgebra, pairs,
+                      rows: tuple[Summand, ...], cols: tuple[Summand, ...]
+                      ) -> AlgMatrix:
+    """Entrywise change of algebra along (source path, target path) pairs."""
+    return AlgMatrix(alg, rows, cols,
+                     [[alg.element({dst: z.coefficient(src) for src, dst in pairs})
+                       for z in row] for row in m.entries], validate=False)
+
+
 def _pi_fast(setup: Setup, x: ProjComplex) -> ProjComplex | None:
     """Translate a complex all of whose summands sit at vertex 2 directly to
     the quotient algebra: P(2)<r> becomes a free summand <r-1>, the loop ab
@@ -113,29 +129,11 @@ def _pi_fast(setup: Setup, x: ProjComplex) -> ProjComplex | None:
     for t in x.terms.values():
         if any(s.vertex != "2" for s in t):
             return None
-    C = setup.C
-    c_path = setup.B.path_element(("a", "b"))
-
-    def entry_to_c(z: AlgebraElement) -> AlgebraElement:
-        lam = z.scalar_part()
-        mu = z.coefficient(next(iter(c_path.terms)))
-        out = C.zero()
-        if lam:
-            out = out + C.idempotent("*").scale(lam)
-        if mu:
-            out = out + C.arrow_element("x").scale(mu)
-        return out
-
     terms = {i: tuple(Summand("*", s.shift - 1) for s in t)
              for i, t in x.terms.items()}
-    diffs = {}
-    for i, d in x.diffs.items():
-        nd = AlgMatrix.zero(C, terms[i + 1], terms[i])
-        for r in range(len(d.rows)):
-            for c in range(len(d.cols)):
-                nd.entries[r][c] = entry_to_c(d.entries[r][c])
-        diffs[i] = nd
-    return ProjComplex(C, terms, diffs, x.tail, f"π({x.name})", validate=True)
+    diffs = {i: _translate_matrix(d, setup.C, _B_TO_C, terms[i + 1], terms[i])
+             for i, d in x.diffs.items()}
+    return ProjComplex(setup.C, terms, diffs, x.tail, f"π({x.name})", validate=True)
 
 
 def iota_translate(setup: Setup, freeC: ProjComplex) -> ProjComplex:
@@ -153,21 +151,8 @@ def _iota_summands(term: tuple[Summand, ...]) -> tuple[Summand, ...]:
 
 def _iota_translate_matrix(setup: Setup, m: AlgMatrix) -> AlgMatrix:
     """Entrywise C -> B translation: scalar part onto e(2), x onto the loop."""
-    B, C = setup.B, setup.C
-    x_path = next(iter(C.arrow_element("x").terms))
-    c_elem = B.path_element(("a", "b"))
-    out = AlgMatrix.zero(B, _iota_summands(m.rows), _iota_summands(m.cols))
-    for r in range(len(m.rows)):
-        for c in range(len(m.cols)):
-            z = m.entries[r][c]
-            lam, mu = z.scalar_part(), z.coefficient(x_path)
-            e = B.zero()
-            if lam:
-                e = e + B.idempotent("2").scale(lam)
-            if mu:
-                e = e + c_elem.scale(mu)
-            out.entries[r][c] = e
-    return out
+    return _translate_matrix(m, setup.B, _C_TO_B, _iota_summands(m.rows),
+                             _iota_summands(m.cols))
 
 
 def _as_module_complex(setup: Setup, x) -> Complex:
@@ -278,6 +263,30 @@ def koszul_D_on_object(setup: Setup, x, out_window: tuple[int, int] | None = Non
     """Bigraded construction: each basis vector of bidegree (r, s) and label v
     gives a summand P(swap v)<-s> at homological degree r+s, with the scalar
     part of d plus the signed staircase arrows as differential."""
+    return _koszul_D(setup, x, out_window, name)[0]
+
+
+def _dual_index(c: Complex, out_window: tuple[int, int]
+                ) -> dict[int, dict[tuple[int, int, int], tuple[int, str]]]:
+    """The summands of D(c)^p for p in the window: each basis vector (r, s,
+    idx) of c with r + s = p, ordered by r descending then idx, mapped to its
+    position in D(c)^p and its vertex label."""
+    lo, hi = out_window
+    vecs: dict[int, list[tuple[int, int, int, str]]] = {}
+    for r, M in c.terms.items():
+        for s in M.degrees():
+            if lo <= r + s <= hi:
+                vecs.setdefault(r + s, []).extend(
+                    (r, s, idx, M.label(s, idx)) for idx in range(M.dim(s)))
+    return {p: {(r, s, idx): (k, lab) for k, (r, s, idx, lab)
+                in enumerate(sorted(v, key=lambda t: (-t[0], t[2])))}
+            for p, v in vecs.items()}
+
+
+def _koszul_D(setup: Setup, x, out_window: tuple[int, int] | None,
+              name: str | None = None):
+    """``koszul_D_on_object`` together with the ``_dual_index`` of its
+    summands, which the map functor reads."""
     B = setup.B
     Y = _as_module_complex(setup, x)
     if Y.tail is not None and Y.tail.side == RIGHT_TAIL:
@@ -309,39 +318,27 @@ def koszul_D_on_object(setup: Setup, x, out_window: tuple[int, int] | None = Non
         omit_min = min(mat.term(lo).degrees()) + mat.tail.shift
         p_safe = min(p_safe, (lo - 1) + omit_min - 1)
 
-    # collect basis vectors: (r, s, index) ordered r descending within a degree
-    vector_index: dict[int, list[tuple[int, int, int, str]]] = {}
-    for r, M in mat.terms.items():
-        for s in M.degrees():
-            for idx in range(M.dim(s)):
-                p = r + s
-                if out_lo <= p <= out_hi:
-                    vector_index.setdefault(p, []).append((r, s, idx, M.label(s, idx)))
-    for p in vector_index:
-        vector_index[p].sort(key=lambda t: (-t[0], t[2]))
-
-    terms: dict[int, tuple[Summand, ...]] = {}
-    pos: dict[int, dict[tuple[int, int, int], int]] = {}
-    for p, vecs in sorted(vector_index.items()):
-        terms[p] = tuple(Summand(setup.swap(lab), -s) for (r, s, idx, lab) in vecs)
-        pos[p] = {(r, s, idx): k for k, (r, s, idx, lab) in enumerate(vecs)}
+    index = _dual_index(mat, out_window)
+    terms = {p: tuple(Summand(setup.swap(lab), -s) for (_, s, _), (_, lab) in vecs.items())
+             for p, vecs in sorted(index.items())}
 
     a_el, b_el = B.arrow_element("a"), B.arrow_element("b")
     diffs: dict[int, AlgMatrix] = {}
-    for p in sorted(terms):
-        if (p + 1) not in terms:
+    for p, vecs in sorted(index.items()):
+        up = index.get(p + 1)
+        if up is None:
             continue
         d = AlgMatrix.zero(B, terms[p + 1], terms[p])
-        for (r, s, idx, lab) in vector_index[p]:
-            col = pos[p][(r, s, idx)]
+        for (r, s, idx), (col, lab) in vecs.items():
             sign = -1 if (r + s) % 2 else 1
             M = mat.term(r)
             # scalar part: the complex differential, same s
             dmat = mat.diff(r).mat(s)
             for ridx in range(dmat.nrows):
                 coef = dmat.data[ridx][idx]
-                if coef != 0 and (r + 1, s, ridx) in pos.get(p + 1, {}):
-                    row = pos[p + 1][(r + 1, s, ridx)]
+                hit = up.get((r + 1, s, ridx))
+                if coef != 0 and hit is not None:
+                    row = hit[0]
                     d.entries[row][col] = d.entries[row][col] + \
                         B.idempotent(setup.swap(lab)).scale(coef)
             # staircase arrows, with the parity sign
@@ -351,8 +348,9 @@ def koszul_D_on_object(setup: Setup, x, out_window: tuple[int, int] | None = Non
                 act = M.act_element(arrow_el, s)
                 for ridx in range(act.nrows):
                     coef = act.data[ridx][idx]
-                    if coef != 0 and (r, s + 1, ridx) in pos.get(p + 1, {}):
-                        row = pos[p + 1][(r, s + 1, ridx)]
+                    hit = up.get((r, s + 1, ridx))
+                    if coef != 0 and hit is not None:
+                        row = hit[0]
                         d.entries[row][col] = d.entries[row][col] + \
                             arrow_el.scale(sign * coef)
         diffs[p] = d
@@ -364,55 +362,31 @@ def koszul_D_on_object(setup: Setup, x, out_window: tuple[int, int] | None = Non
         if tail is None:
             raise WindowTooSmall("duality output did not stabilize; enlarge the window")
         out = ProjComplex(B, out.terms, out.diffs, tail, out.name, validate=True)
-    return out
+    return out, index
 
 
-def koszul_D_on_map(setup: Setup, f: ModChainMap,
-                    out_window: tuple[int, int],
-                    dual_source: ProjComplex | None = None,
-                    dual_target: ProjComplex | None = None
+def koszul_D_on_map(setup: Setup, f: ModChainMap, out_window: tuple[int, int]
                     ) -> tuple[ProjChainMap, ProjComplex, ProjComplex]:
     """Induced map m⊗g -> f(m)⊗g: entries are the scalar coefficients of f
     placed between matching summands."""
     B = setup.B
-    X, Yc = f.source, f.target
-    DX = dual_source if dual_source is not None else koszul_D_on_object(setup, X, out_window)
-    DY = dual_target if dual_target is not None else koszul_D_on_object(setup, Yc, out_window)
-
-    def index_of(c: Complex, out_lo, out_hi):
-        vi: dict[int, list[tuple[int, int, int, str]]] = {}
-        for r, M in c.terms.items():
-            for s in M.degrees():
-                for idx in range(M.dim(s)):
-                    p = r + s
-                    if out_lo <= p <= out_hi:
-                        vi.setdefault(p, []).append((r, s, idx, M.label(s, idx)))
-        for p in vi:
-            vi[p].sort(key=lambda t: (-t[0], t[2]))
-        return vi
-
-    lo, hi = out_window
-    # materialize like the object functor did
-    Xm, Ym = X, Yc
-    vx = index_of(Xm, lo, hi)
-    vy = index_of(Ym, lo, hi)
+    DX, vx = _koszul_D(setup, f.source, out_window)
+    DY, vy = _koszul_D(setup, f.target, out_window)
+    hi = min(DX.window()[1], DY.window()[1])
     comps: dict[int, AlgMatrix] = {}
     for p in sorted(set(vx) & set(vy)):
-        if p > min(DX.window()[1], DY.window()[1]):
+        if p > hi:
             continue
         m = AlgMatrix.zero(B, DY.term(p), DX.term(p))
-        posx = {(r, s, i): k for k, (r, s, i, lab) in enumerate(vx[p])}
-        posy = {(r, s, i): k for k, (r, s, i, lab) in enumerate(vy[p])}
-        for (r, s, idx, lab) in vx[p]:
+        for (r, s, idx), (col, lab) in vx[p].items():
             fm = f.comp(r).mat(s)
             for ridx in range(fm.nrows):
                 coef = fm.data[ridx][idx]
-                if coef != 0 and (r, s, ridx) in posy:
-                    m.entries[posy[(r, s, ridx)]][posx[(r, s, idx)]] = \
-                        B.idempotent(setup.swap(lab)).scale(coef)
+                hit = vy[p].get((r, s, ridx))
+                if coef != 0 and hit is not None:
+                    m.entries[hit[0]][col] = B.idempotent(setup.swap(lab)).scale(coef)
         comps[p] = m
-    out = ProjChainMap(DX, DY, comps, f"𝔻({f.name})", validate=True)
-    return out, DX, DY
+    return ProjChainMap(DX, DY, comps, f"𝔻({f.name})", validate=True), DX, DY
 
 
 # ---------------------------------------------------------------------------
@@ -515,76 +489,66 @@ def _ck_column_map(setup: Setup, s: Summand, k: int) -> AlgMatrix:
     return m
 
 
+def _ck_tensor(setup: Setup, m: AlgMatrix, k: int) -> AlgMatrix:
+    """m ⊗ id on projector column k: m itself on the regular bimodule, and
+    for k >= 1 the theta-block of each entry between the theta-parts of its
+    summands."""
+    if k == 0:
+        return m
+    rows = [_theta_parts(setup, s, k) for s in m.rows]
+    cols = [_theta_parts(setup, s, k) for s in m.cols]
+    out = AlgMatrix.zero(setup.B, sum(rows, ()), sum(cols, ()))
+    ro = 0
+    for ti, row_parts in enumerate(rows):
+        co = 0
+        for tj, col_parts in enumerate(cols):
+            z = m.entries[ti][tj]
+            if not z.is_zero():
+                out.place(_theta_block(setup, z, m.cols[tj], m.rows[ti], k), ro, co)
+            co += len(col_parts)
+        ro += len(row_parts)
+    return out
+
+
 def ck_bicomplex(setup: Setup, x: ProjComplex, K: int) -> ProjBicomplex:
     """X ⊗ projector complex, horizontal = projector column index."""
     if x.tail is not None and x.tail.side == LEFT_TAIL:
         raise RegimeError("topological projector input must be bounded below")
     B = setup.B
-    terms: dict[tuple[int, int], tuple[Summand, ...]] = {}
-    offsets: dict[tuple[int, int], list[int]] = {}
-    for i, t in x.terms.items():
-        for k in range(K + 1):
-            flat: list[Summand] = []
-            offs = []
-            for s in t:
-                offs.append(len(flat))
-                flat.extend((s,) if k == 0 else _theta_parts(setup, s, k))
-            terms[(k, i)] = tuple(flat)
-            offsets[(k, i)] = offs
+    terms = {(k, i): t if k == 0 else sum((_theta_parts(setup, s, k) for s in t), ())
+             for i, t in x.terms.items() for k in range(K + 1)}
     d1: dict[tuple[int, int], AlgMatrix] = {}
     d2: dict[tuple[int, int], AlgMatrix] = {}
     for i, t in x.terms.items():
         for k in range(K):
             m = AlgMatrix.zero(B, terms[(k + 1, i)], terms[(k, i)])
-            for s_idx, s in enumerate(t):
+            ro = co = 0
+            for s in t:
                 blk = _ck_column_map(setup, s, k)
-                ro = offsets[(k + 1, i)][s_idx]
-                co = offsets[(k, i)][s_idx]
-                for r in range(len(blk.rows)):
-                    for c in range(len(blk.cols)):
-                        m.entries[ro + r][co + c] = blk.entries[r][c]
+                m.place(blk, ro, co)
+                ro += len(blk.rows)
+                co += len(blk.cols)
             d1[(k, i)] = m
-    for i in x.terms:
-        if (i + 1) not in x.terms:
-            continue
-        dx = x.diff(i)
-        for k in range(K + 1):
-            m = AlgMatrix.zero(B, terms[(k, i + 1)], terms[(k, i)])
-            for ti, trow in enumerate(dx.rows):
-                for tj, tcol in enumerate(dx.cols):
-                    z = dx.entries[ti][tj]
-                    if z.is_zero():
-                        continue
-                    if k == 0:
-                        m.entries[offsets[(0, i + 1)][ti]][offsets[(0, i)][tj]] = z
-                    else:
-                        blk = _theta_block(setup, z, tcol, trow, k)
-                        ro = offsets[(k, i + 1)][ti]
-                        co = offsets[(k, i)][tj]
-                        for r in range(len(blk.rows)):
-                            for c in range(len(blk.cols)):
-                                m.entries[ro + r][co + c] = blk.entries[r][c]
-            d2[(k, i)] = m
+        if (i + 1) in x.terms:
+            dx = x.diff(i)
+            for k in range(K + 1):
+                d2[(k, i)] = _ck_tensor(setup, dx, k)
     return ProjBicomplex(B, terms, d1, d2, name=f"{x.name}⊗CK")
 
 
-def CK_on_object(setup: Setup, x, out_window: tuple[int, int] | None = None,
-                 name: str | None = None) -> ProjComplex:
-    """Total complex of the tensor with the semi-infinite projector complex."""
-    if not isinstance(x, ProjComplex):
-        raise TypeError("topological projector consumes formal complexes of projectives")
-    if x.is_zero():
-        return ProjComplex.zero_complex(setup.B)
-    if out_window is None:
-        lo, hi = x.window()
-        out_window = (lo, hi + 8)
+def _ck_total(setup: Setup, x: ProjComplex, out_window: tuple[int, int]
+              ) -> tuple[ProjComplex, ProjBicomplex]:
+    """``CK_on_object`` on a given window, together with the bicomplex it
+    totalizes, whose ``total_layout`` the map functor reads."""
     out_lo, out_hi = out_window
     if x.tail is not None and x.tail.side == RIGHT_TAIL:
         x = x.materialize(x.window()[0], out_hi + 2)
     x_lo = x.window()[0]
     K = out_hi - x_lo + 2
     bc = ck_bicomplex(setup, x, K)
-    tot = total_complex(bc, None, name=name or f"ℂ𝕂({x.name})")
+    if x.is_zero():
+        return ProjComplex.zero_complex(setup.B), bc
+    tot = total_complex(bc, name=f"ℂ𝕂({x.name})")
     # total degree n is complete iff every contributing column k <= K was built
     safe_hi = min(out_hi, K + x_lo - 1)
     tot = tot.clip(out_lo, safe_hi)
@@ -594,75 +558,38 @@ def CK_on_object(setup: Setup, x, out_window: tuple[int, int] | None = None,
     if tail is None:
         raise WindowTooSmall(
             f"projector tensor output did not stabilize on window {out_window}")
-    tot = ProjComplex(setup.B, tot.terms, tot.diffs, tail, tot.name, validate=True)
-    return tot
+    return ProjComplex(setup.B, tot.terms, tot.diffs, tail, tot.name,
+                       validate=True), bc
 
 
-def CK_on_map(setup: Setup, f: ProjChainMap,
-              out_window: tuple[int, int],
-              ck_source: ProjComplex | None = None,
-              ck_target: ProjComplex | None = None
+def CK_on_object(setup: Setup, x, out_window: tuple[int, int] | None = None
+                 ) -> ProjComplex:
+    """Total complex of the tensor with the semi-infinite projector complex."""
+    if not isinstance(x, ProjComplex):
+        raise TypeError("topological projector consumes formal complexes of projectives")
+    if out_window is None:
+        lo, hi = x.window()
+        out_window = (lo, hi + 8)
+    return _ck_total(setup, x, out_window)[0]
+
+
+def CK_on_map(setup: Setup, f: ProjChainMap, out_window: tuple[int, int]
               ) -> tuple[ProjChainMap, ProjComplex, ProjComplex]:
-    """Termwise f ⊗ id through the totalization."""
-    B = setup.B
-    X, Y = f.source, f.target
-    lo, hi = out_window
-    CX = ck_source if ck_source is not None else CK_on_object(setup, X, out_window)
-    CY = ck_target if ck_target is not None else CK_on_object(setup, Y, out_window)
-    if X.tail is not None and X.tail.side == RIGHT_TAIL:
-        X = X.materialize(X.window()[0], hi + 2)
-    if Y.tail is not None and Y.tail.side == RIGHT_TAIL:
-        Y = Y.materialize(Y.window()[0], hi + 2)
-
-    def layout(xc: ProjComplex, n: int):
-        cells = []
-        for i in sorted(xc.terms):
-            k = n - i
-            if k >= 0:
-                cells.append((k, i))
-        cells.sort()
-        out = []
-        for (k, i) in cells:
-            offs = []
-            cnt = 0
-            for s in xc.term(i):
-                offs.append(cnt)
-                cnt += 1 if k == 0 else len(_theta_parts(setup, s, k))
-            out.append(((k, i), offs, cnt))
-        return out
-
+    """Termwise f ⊗ id through the totalization: on each total degree, the
+    cell (k, i) of the source goes to the same cell of the target by
+    f^i ⊗ id on projector column k."""
+    CX, bcX = _ck_total(setup, f.source, out_window)
+    CY, bcY = _ck_total(setup, f.target, out_window)
+    layout_x, layout_y = total_layout(bcX), total_layout(bcY)
     comps: dict[int, AlgMatrix] = {}
-    for n in range(lo, min(CX.window()[1], CY.window()[1]) + 1):
-        lx = layout(X, n)
-        ly = layout(Y, n)
-        if sum(c for (_cell, _o, c) in lx) != len(CX.term(n)):
-            continue
-        if sum(c for (_cell, _o, c) in ly) != len(CY.term(n)):
-            continue
-        m = AlgMatrix.zero(B, CY.term(n), CX.term(n))
-        xoff = 0
-        for ((k, i), offs_x, cnt_x) in lx:
-            yoff = 0
-            for ((k2, i2), offs_y, cnt_y) in ly:
-                if (k2, i2) == (k, i):
-                    fm = f.component(i)
-                    for ti in range(len(fm.rows)):
-                        for tj in range(len(fm.cols)):
-                            z = fm.entries[ti][tj]
-                            if z.is_zero():
-                                continue
-                            if k == 0:
-                                m.entries[yoff + offs_y[ti]][xoff + offs_x[tj]] = z
-                            else:
-                                blk = _theta_block(setup, z, fm.cols[tj], fm.rows[ti], k)
-                                for r in range(len(blk.rows)):
-                                    for c in range(len(blk.cols)):
-                                        m.entries[yoff + offs_y[ti] + r][xoff + offs_x[tj] + c] = blk.entries[r][c]
-                yoff += cnt_y
-            xoff += cnt_x
+    for n in range(out_window[0], min(CX.window()[1], CY.window()[1]) + 1):
+        m = AlgMatrix.zero(setup.B, CY.term(n), CX.term(n))
+        cells_y = layout_y.get(n, {})
+        for (k, i), co in layout_x.get(n, {}).items():
+            if (k, i) in cells_y:
+                m.place(_ck_tensor(setup, f.component(i), k), cells_y[(k, i)], co)
         comps[n] = m
-    out = ProjChainMap(CX, CY, comps, f"ℂ𝕂({f.name})", validate=True)
-    return out, CX, CY
+    return ProjChainMap(CX, CY, comps, f"ℂ𝕂({f.name})", validate=True), CX, CY
 
 
 # ---------------------------------------------------------------------------

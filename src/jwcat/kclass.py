@@ -29,17 +29,9 @@ class KClass:
     series: dict[str, TruncatedSeries]
     regime: str = STANDARD
 
-    def coeff(self, v: str) -> TruncatedSeries:
-        return self.series[v]
-
     def __add__(self, other: KClass) -> KClass:
         self._check(other)
         return KClass({v: self.series[v] + other.series[v] for v in VERTICES},
-                      self.regime)
-
-    def __sub__(self, other: KClass) -> KClass:
-        self._check(other)
-        return KClass({v: self.series[v] - other.series[v] for v in VERTICES},
                       self.regime)
 
     def __neg__(self) -> KClass:
@@ -47,9 +39,6 @@ class KClass:
 
     def scale_series(self, t: TruncatedSeries) -> KClass:
         return KClass({v: s * t for v, s in self.series.items()}, self.regime)
-
-    def scale(self, c) -> KClass:
-        return KClass({v: s.scale(c) for v, s in self.series.items()}, self.regime)
 
     def is_zero(self) -> bool:
         return all(s.is_zero() for s in self.series.values())

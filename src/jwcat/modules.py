@@ -349,13 +349,6 @@ class ModuleHom:
             return False
         return all(self.mat(d).is_invertible() for d in self.source.degrees())
 
-    def inverse(self) -> ModuleHom:
-        mats = {d: self.mat(d).inverse() for d in self.source.degrees()}
-        if any(m is None for m in mats.values()):
-            raise ConstructionError("hom is not invertible")
-        return ModuleHom(self.target, self.source, 0, mats, f"{self.name}^-1",
-                         validate=False)
-
     def __repr__(self):
         return f"ModuleHom({self.name}: {self.source.name} -> {self.target.name}, deg={self.degree})"
 

@@ -179,9 +179,6 @@ class PathAlgebra:
     def zero(self) -> AlgebraElement:
         return AlgebraElement(self, {})
 
-    def one(self) -> AlgebraElement:
-        return AlgebraElement(self, {Path((), v): Fraction(1) for v in self.quiver.vertices})
-
     def idempotent(self, v: str) -> AlgebraElement:
         if v not in self.quiver.vertices:
             raise KeyError(f"unknown vertex {v!r}")
@@ -287,10 +284,6 @@ class AlgebraElement:
                 if r is not None:
                     out[r] = out.get(r, Fraction(0)) + cp * cq
         return AlgebraElement(self.algebra, out)
-
-    def is_homogeneous(self) -> bool:
-        degs = {self.algebra.path_degree(p) for p in self.terms}
-        return len(degs) <= 1
 
     def degree(self) -> int | None:
         """degree of a homogeneous element; None for 0."""

@@ -216,39 +216,11 @@ def _summand_path_column(cover: GradedModule, summands: tuple[Summand, ...],
 # resolutions
 # ---------------------------------------------------------------------------
 
-def projective_resolution(M: GradedModule, depth: int,
-                          name: str | None = None) -> ProjComplex:
+def projective_resolution(M: GradedModule, depth: int) -> ProjComplex:
     """Minimal resolution by iterated covers, truncated at ``depth`` steps;
-    attaches a left tail when the syzygy pattern becomes periodic."""
-    alg = M.algebra
-    if M.is_zero():
-        return ProjComplex.zero_complex(alg)
-    terms: dict[int, tuple[Summand, ...]] = {}
-    diffs: dict[int, AlgMatrix] = {}
-    current = M
-    prev_incl: ModuleHom | None = None
-    exhausted = False
-    for k in range(depth + 1):
-        summands, eps = projective_cover(current)
-        terms[-k] = summands
-        if k > 0:
-            # differential F_k -> F_{k-1} is (syzygy inclusion) ∘ (new cover)
-            comp = prev_incl.compose(eps)
-            diffs[-k] = _hom_to_alg_matrix(comp, summands, terms[-k + 1], alg)
-        ker, incl = kernel_submodule(eps, name=f"syz{k + 1}")
-        if ker.is_zero():
-            exhausted = True
-            break
-        prev_incl = incl
-        current = ker
-    pc = ProjComplex(alg, terms, diffs, None, name or f"res({M.name})")
-    if not exhausted:
-        tail = detect_tail(pc, LEFT_TAIL)
-        if tail is None:
-            raise WindowTooSmall(
-                f"resolution of {M.name} neither terminates nor stabilizes at depth {depth}")
-        pc = ProjComplex(alg, terms, diffs, tail, pc.name, validate=True)
-    return pc
+    attaches a left tail when the syzygy pattern becomes periodic. This is
+    ``resolve_complex`` on the complex with M in degree 0."""
+    return resolve_complex(Complex.from_module(M), depth)[0]
 
 
 def _hom_to_alg_matrix(f: ModuleHom, src_summands: tuple[Summand, ...],
@@ -288,7 +260,7 @@ def _summand_generator_column(summands: tuple[Summand, ...], j: int,
     return off
 
 
-def resolve_complex(Y: Complex, depth: int, name: str | None = None
+def resolve_complex(Y: Complex, depth: int
                     ) -> tuple[ProjComplex, dict[int, ModuleHom]]:
     """Termwise-surjective quasi-isomorphism from a complex of projectives.
 
@@ -394,7 +366,7 @@ def resolve_complex(Y: Complex, depth: int, name: str | None = None
             dmats[i] = into_P
             diffs[i] = _hom_to_alg_matrix(into_P, summands, terms[i + 1], alg)
 
-    pc = ProjComplex(alg, terms, diffs, None, name or f"res({Y.name})")
+    pc = ProjComplex(alg, terms, diffs, None, f"res({Y.name})")
     if not pc.is_zero() and min(terms) <= floor + 1:
         tail = detect_tail(pc, LEFT_TAIL)
         if tail is None:

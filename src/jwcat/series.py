@@ -68,14 +68,6 @@ class LaurentPoly:
                 out[e] = out.get(e, Fraction(0)) + c1 * c2
         return LaurentPoly(out)
 
-    def scale(self, c) -> LaurentPoly:
-        c = _frac(c)
-        return LaurentPoly({e: c * v for e, v in self.coeffs.items()})
-
-    def shift(self, r: int) -> LaurentPoly:
-        """Multiply by q^r."""
-        return LaurentPoly({e + r: c for e, c in self.coeffs.items()})
-
     def substitute_minus_qinv(self) -> LaurentPoly:
         """q -> -q^{-1}; the decategorified shadow of the duality functor."""
         return LaurentPoly({-e: c * ((-1) ** e) for e, c in self.coeffs.items()})
@@ -86,9 +78,6 @@ class LaurentPoly:
 
     def valuation(self) -> int | None:
         return min(self.coeffs) if self.coeffs else None
-
-    def degree(self) -> int | None:
-        return max(self.coeffs) if self.coeffs else None
 
     # --- textual form, exact round-trip ---
 
@@ -229,15 +218,6 @@ class TruncatedSeries:
                 if e <= order:
                     out[e] = out.get(e, Fraction(0)) + c1 * c2
         return TruncatedSeries(out, min_exp, order)
-
-    def scale(self, c) -> TruncatedSeries:
-        c = _frac(c)
-        return TruncatedSeries({e: c * v for e, v in self.coeffs.items()},
-                               self.min_exp, self.order)
-
-    def shift(self, r: int) -> TruncatedSeries:
-        return TruncatedSeries({e + r: c for e, c in self.coeffs.items()},
-                               self.min_exp + r, self.order + r)
 
     def invert(self) -> TruncatedSeries:
         """y with self * y = 1 up to the propagated truncation order."""

@@ -18,7 +18,8 @@ from .complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, Complex,
                         TailSpec, WindowTooSmall,
                         gaussian_reduce, homology, GradedVectorSpace,
                         iso_in_homotopy_category, maps_agree_under_identification,
-                        match_up_to_diagonal_signs, realize, total_complex)
+                        match_up_to_diagonal_signs, realize, reduce_on_window,
+                        total_complex)
 from .functors import (CK_on_map, CK_on_object, ModChainMap, P_on_module_map,
                        P_on_object, Setup, koszul_D_on_map, koszul_D_on_object,
                        realize_chain_map, two_term_dual_model)
@@ -38,7 +39,6 @@ from .series import LaurentPoly, TruncatedSeries
 class VerificationConfig:
     window: int = 16
     order: int | None = None       # defaults to 2*window + 1
-    fmt: str = "text"
     only: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -142,18 +142,6 @@ class _Runner:
                                               time.time() - t0))
 
     # --- shared fixtures ---------------------------------------------------
-
-    def window(self) -> tuple[int, int]:
-        return (0, self.cfg.window)
-
-    def reduce(self, c: ProjComplex, window=None):
-        window = window or self.window()
-        margin = 0 if c.tail is None else 4 * c.tail.period + 4
-        if c.tail is not None:
-            lo = window[0] - (margin if c.tail.side == LEFT_TAIL else 0)
-            hi = window[1] + (margin if c.tail.side == RIGHT_TAIL else 0)
-            c = c.materialize(lo, hi)
-        return gaussian_reduce(c, keep_window=window)
 
     def cached(self, key, producer):
         if key not in self._cache:
@@ -567,7 +555,7 @@ class _Runner:
             assert (L.compose(M)).component(i).is_zero(), "L∘M = 0"
             got = (J.compose(L) + M.compose(Km)).component(i)
             assert got == idM.component(i), "J∘L + M∘K = id"
-        red_left = self.reduce(left, window=(-2, K - 3))
+        red_left = reduce_on_window(left, (-2, K - 3))
         assert red_left.reduced.is_zero(), "left column is contractible"
         # the staircase bicomplex totalizes to the middle column
         bc = self._staircase_bicomplex(K)
@@ -588,7 +576,7 @@ class _Runner:
                     "(up to diagonal signs)"
         if signs2 and any(s == -1 for row in signs2.values() for s in row):
             details.append("composite sign normalization: " + _sign_summary(signs2))
-        red_mid = self.reduce(mid, window=(-2, K - 3))
+        red_mid = reduce_on_window(mid, (-2, K - 3))
         v = iso_in_homotopy_category(red_mid.reduced, right, window=(-2, K - 3))
         assert v.value == "true", "middle column reduces to the right column"
 
@@ -598,7 +586,7 @@ class _Runner:
         N = self.cfg.window
         ckP2 = CK_on_object(setup, ProjComplex.from_summand(B, "2"),
                             out_window=(0, N))
-        red = self.reduce(ckP2, window=(0, N - 4))
+        red = reduce_on_window(ckP2, (0, N - 4))
         assert red.reduced.is_zero(), "contractible on the big projective"
         # the internal matrices are the displayed ones
         d0 = ckP2.diff(0)
@@ -629,13 +617,13 @@ class _Runner:
         B = self.B()
         N = self.cfg.window
         ckd2 = self.ckd_side("2")
-        red2 = self.reduce(ckd2, window=(0, N - 4))
+        red2 = reduce_on_window(ckd2, (0, N - 4))
         resL1 = projective_resolution(simple(B, "1"), 6)
         model = resL1.shift(-2, -2)
         v = iso_in_homotopy_category(red2.reduced, model, window=(0, N - 4))
         assert v.value == "true", "reduces to the shifted simple model"
         ckd1 = self.ckd_side("1")
-        red1 = self.reduce(ckd1, window=(0, N))
+        red1 = reduce_on_window(ckd1, (0, N))
         if N < 8:
             raise WindowTooSmall("the semi-infinite reference model needs N >= 8")
         # Lemma model: P(1)<-1> at degree 1, then alternating signed loops
@@ -656,7 +644,7 @@ class _Runner:
         # the shifted simple again
         res = projective_resolution(simple(B, "1"), 6).shift(0, -2)  # degrees 0..2
         ck_res = CK_on_object(setup, res, out_window=(0, N))
-        red_res = self.reduce(ck_res, window=(0, N - 4))
+        red_res = reduce_on_window(ck_res, (0, N - 4))
         v2 = iso_in_homotopy_category(red_res.reduced, res, window=(0, N - 4))
         assert v2.value == "true", "projector complex fixes the simple's model"
 
@@ -685,7 +673,7 @@ class _Runner:
                              {0: f0}, zname)
             Dz, _, _ = koszul_D_on_map(setup, fc, out_window=w)
             CKDz, CKsrc, CKtgt = CK_on_map(setup, Dz, out_window=w)
-            red = [self.reduce(c, window=cmp_w)
+            red = [reduce_on_window(c, cmp_w)
                    for c in (DPsrc, DPtgt, CKsrc, CKtgt)]
             lhs = red[1].to_reduced.compose(DPz).compose(red[0].from_reduced)
             rhs = red[3].to_reduced.compose(CKDz).compose(red[2].from_reduced)
@@ -751,7 +739,7 @@ class _Runner:
                   koszul_D_on_object(setup, self.modules()["I(2)"]),
                   koszul_D_on_object(setup, self.modules()["P(2)"])]
         for c in corpus:
-            red = self.reduce(c, window=(min(0, c.window()[0]), N))
+            red = reduce_on_window(c, (min(0, c.window()[0]), N))
             e1 = euler_class(red.original, order)
             e2 = euler_class(red.reduced, order)
             o = N - 6

@@ -106,6 +106,14 @@ class TestCli:
         assert payload["schema"] == "jwcat-report-v1"
         assert [c["name"] for c in payload["checks"]] == ["algebra-sanity"]
 
+    def test_verify_text_report(self, capsys):
+        code = main(["verify", "--window", "6", "--only", "algebra-sanity"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("[    PASS    ] algebra-sanity")
+        assert lines[-1] == ("1 passed, 0 failed, 0 inconclusive "
+                             "(window N=6, series order 13)")
+
     def test_json_report_deterministic(self):
         from jwcat.verify import VerificationConfig, run_suite
         cfg = VerificationConfig(window=6, only=("algebra-sanity", "module-duals"))

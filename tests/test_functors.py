@@ -1,8 +1,10 @@
 import pytest
 
-from jwcat.complexes import (Complex, ProjComplex, Summand, gaussian_reduce,
+from jwcat.complexes import (AlgMatrix, Complex, ProjChainMap, ProjComplex,
+                             Summand, gaussian_reduce,
                              homology, iso_in_homotopy_category,
-                             maps_agree_under_identification, realize)
+                             maps_agree_under_identification, realize,
+                             reduce_on_window)
 from jwcat.functors import (CK_on_map, CK_on_object, ModChainMap,
                             P_on_module_map, P_on_object, Setup, D_of_P1,
                             koszul_D_on_map, koszul_D_on_object,
@@ -17,13 +19,40 @@ def setup():
     return Setup.create()
 
 
-def reduce_windowed(c, window):
-    margin = 0 if c.tail is None else 4 * c.tail.period + 4
-    if c.tail is not None:
-        lo = window[0] - (margin if c.tail.side == "left" else 0)
-        hi = window[1] + (margin if c.tail.side == "right" else 0)
-        c = c.materialize(lo, hi)
-    return gaussian_reduce(c, keep_window=window)
+def generator_maps(setup):
+    """The five generator maps as one-term module-level chain maps."""
+    B = setup.B
+    P1, P2 = projective(B, "1"), projective(B, "2")
+    cases = {
+        "c": (B.path_element(("a", "b")), P2.shift(2), P2),
+        "a": (B.arrow_element("a"), P1.shift(1), P2),
+        "b": (B.arrow_element("b"), P2.shift(1), P1),
+        "e(1)": (B.idempotent("1"), P1, P1),
+        "e(2)": (B.idempotent("2"), P2, P2),
+    }
+    return {name: ModChainMap(Complex.from_module(src), Complex.from_module(tgt),
+                              {0: left_multiplication_hom(src, tgt, z, name)}, name)
+            for name, (z, src, tgt) in cases.items()}
+
+
+def assert_same_complex(x, y):
+    assert x.terms == y.terms
+    assert x.diffs == y.diffs
+    assert x.tail == y.tail
+
+
+def vertex2_complex(B, terms, diffs):
+    """A bounded complex of shifted P(2)s: terms {degree: shifts}, diffs
+    {degree: rows of loop coefficients (ab) or, on equal shifts, e(2)}."""
+    S = Summand
+    t = {i: tuple(S("2", r) for r in shifts) for i, shifts in terms.items()}
+    d = {}
+    for i, rows in diffs.items():
+        entries = [[(B.idempotent("2") if src.shift == tgt.shift
+                     else B.path_element(("a", "b"))).scale(x)
+                    for src, x in zip(t[i], row)] for tgt, row in zip(t[i + 1], rows)]
+        d[i] = AlgMatrix(B, t[i + 1], t[i], entries)
+    return ProjComplex(B, t, d)
 
 
 class TestProjector:
@@ -90,6 +119,21 @@ class TestProjector:
                                            B.path_element(("a", "b"))), depth=8)
         comp = fa.compose(fb)
         assert comp.component(0).entries == fc.component(0).entries
+
+    @pytest.mark.parametrize("terms, diffs", [
+        ({0: (0,)}, {}),
+        ({2: (3,)}, {}),
+        ({0: (0, 2)}, {}),
+        ({-1: (2,), 0: (0,)}, {-1: [[-3]]}),
+        ({-2: (4,), -1: (2,), 0: (0,)}, {-2: [[1]], -1: [[1]]}),
+        ({-1: (0,), 0: (0,)}, {-1: [[1]]}),
+        ({-1: (2,), 0: (0, 2)}, {-1: [[1], [2]]}),
+    ])
+    def test_vertex2_shortcut_equals_general_path(self, setup, terms, diffs):
+        # a formal complex takes the entry-translation shortcut, its
+        # module-level realization the section functor and resolve_complex
+        x = vertex2_complex(setup.B, terms, diffs)
+        assert_same_complex(P_on_object(setup, x), P_on_object(setup, realize(x)))
 
 
 class TestDuality:
@@ -167,6 +211,28 @@ class TestDuality:
         for i in set(Dc.maps) | set(comp.maps):
             assert Dc.component(i).entries == comp.component(i).entries
 
+    def test_left_tail_extended_past_the_stored_window(self, setup):
+        # a short resolution is extended by its tail until the window is
+        # covered, so it gives what a long one gives
+        P1 = projective(setup.B, "1")
+        for w in ((0, 8), (0, 11)):
+            short = koszul_D_on_object(setup, P_on_object(setup, P1, depth=3),
+                                       out_window=w)
+            long = koszul_D_on_object(setup, P_on_object(setup, P1, depth=20),
+                                      out_window=w)
+            assert_same_complex(short, long)
+
+    def test_map_source_and_target_are_the_object_images(self, setup):
+        w = (0, 12)
+        maps = dict(generator_maps(setup))
+        for name, fc in generator_maps(setup).items():
+            Pz, _, _ = P_on_module_map(setup, fc.comps[0], depth=18)
+            maps[f"P({name})"] = realize_chain_map(Pz)
+        for name, f in maps.items():
+            _, DX, DY = koszul_D_on_map(setup, f, out_window=w)
+            assert_same_complex(DX, koszul_D_on_object(setup, f.source, w))
+            assert_same_complex(DY, koszul_D_on_object(setup, f.target, w))
+
     def test_ck_bimodule_complex_surface(self, setup):
         from jwcat.functors import ck_bimodule_complex
         ck = ck_bimodule_complex(setup, depth=6)
@@ -179,7 +245,7 @@ class TestTopologicalProjector:
     def test_kills_big_projective(self, setup):
         ck = CK_on_object(setup, ProjComplex.from_summand(setup.B, "2"),
                           out_window=(0, 10))
-        red = reduce_windowed(ck, (0, 6))
+        red = reduce_on_window(ck, (0, 6))
         assert red.reduced.is_zero()
 
     def test_displayed_complex_on_other(self, setup):
@@ -204,6 +270,21 @@ class TestTopologicalProjector:
         for i, m in f.maps.items():
             for k in range(len(m.rows)):
                 assert m.entries[k][k].scalar_part() == 1
+
+    def test_map_source_and_target_are_the_object_images(self, setup):
+        w = (0, 12)
+        maps = {}
+        for name, fc in generator_maps(setup).items():
+            maps[f"D({name})"] = koszul_D_on_map(setup, fc, out_window=w)[0]
+        B = setup.B
+        x = ProjComplex.from_summand(B, "2", 2)
+        y = ProjComplex.from_summand(B, "2", 0)
+        maps["c"] = ProjChainMap(x, y, {0: AlgMatrix(B, y.term(0), x.term(0),
+                                                     [[B.path_element(("a", "b"))]])})
+        for name, f in maps.items():
+            _, CX, CY = CK_on_map(setup, f, out_window=w)
+            assert_same_complex(CX, CK_on_object(setup, f.source, w))
+            assert_same_complex(CY, CK_on_object(setup, f.target, w))
 
 
 class TestComposites:
@@ -240,7 +321,7 @@ class TestComposites:
                              {0: f0}, name)
             Dz, _, _ = koszul_D_on_map(setup, fc, out_window=w)
             CKDz, CKsrc, CKtgt = CK_on_map(setup, Dz, out_window=w)
-            red = [reduce_windowed(c, cmp_w) for c in (DPsrc, DPtgt, CKsrc, CKtgt)]
+            red = [reduce_on_window(c, cmp_w) for c in (DPsrc, DPtgt, CKsrc, CKtgt)]
             lhs = red[1].to_reduced.compose(DPz).compose(red[0].from_reduced)
             rhs = red[3].to_reduced.compose(CKDz).compose(red[2].from_reduced)
             verdict = maps_agree_under_identification(lhs, rhs, cmp_w)
