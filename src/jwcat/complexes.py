@@ -76,7 +76,8 @@ class AlgMatrix:
         self.rows = tuple(rows)
         self.cols = tuple(cols)
         if entries is None:
-            self.entries = [[algebra.zero() for _ in cols] for _ in rows]
+            zero = algebra.zero()
+            self.entries = [[zero] * len(self.cols) for _ in self.rows]
         else:
             self.entries = [list(row) for row in entries]
         if validate:
@@ -113,7 +114,7 @@ class AlgMatrix:
         return m
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not any(e.terms for row in self.entries for e in row)
 
     def __eq__(self, other):
         if not isinstance(other, AlgMatrix):
@@ -125,15 +126,16 @@ class AlgMatrix:
         if self.cols != other.rows:
             raise ConstructionError("AlgMatrix composition shape mismatch")
         out = AlgMatrix.zero(self.algebra, self.rows, other.cols)
-        for i in range(len(self.rows)):
-            for k in range(len(self.cols)):
-                z = self.entries[i][k]
-                if z.is_zero():
+        # the nonzero entries of each row of the right factor, listed once
+        nonzero = [[(j, w) for j, w in enumerate(row) if w.terms]
+                   for row in other.entries]
+        for row, orow in zip(self.entries, out.entries):
+            for z, nz in zip(row, nonzero):
+                if not z.terms:
                     continue
-                for j in range(len(other.cols)):
-                    w = other.entries[k][j]
-                    if not w.is_zero():
-                        out.entries[i][j] = out.entries[i][j] + z * w
+                for j, w in nz:
+                    v = orow[j]
+                    orow[j] = z * w if not v.terms else v + z * w
         return out
 
     def __add__(self, other: AlgMatrix) -> AlgMatrix:

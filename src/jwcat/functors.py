@@ -368,7 +368,11 @@ def _koszul_D(setup: Setup, x, out_window: tuple[int, int] | None,
 def koszul_D_on_map(setup: Setup, f: ModChainMap, out_window: tuple[int, int]
                     ) -> tuple[ProjChainMap, ProjComplex, ProjComplex]:
     """Induced map m⊗g -> f(m)⊗g: entries are the scalar coefficients of f
-    placed between matching summands."""
+    placed between matching summands.
+
+    The object construction extends a left-tailed source or target past its
+    stored degrees; f has no component there, so when an output degree reads
+    such a degree this raises ``WindowTooSmall`` naming it."""
     B = setup.B
     DX, vx = _koszul_D(setup, f.source, out_window)
     DY, vy = _koszul_D(setup, f.target, out_window)
@@ -378,7 +382,14 @@ def koszul_D_on_map(setup: Setup, f: ModChainMap, out_window: tuple[int, int]
         if p > hi:
             continue
         m = AlgMatrix.zero(B, DY.term(p), DX.term(p))
+        target_rs = {(r, s) for (r, s, _) in vy[p]}
         for (r, s, idx), (col, lab) in vx[p].items():
+            if (r, s) in target_rs and not (r in f.source.terms
+                                            and r in f.target.terms):
+                raise WindowTooSmall(
+                    f"𝔻({f.name}) at degree {p} needs the component of "
+                    f"{f.name} at degree {r}, past its stored degrees; "
+                    f"resolve it deeper")
             fm = f.comp(r).mat(s)
             for ridx in range(fm.nrows):
                 coef = fm.data[ridx][idx]

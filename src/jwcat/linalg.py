@@ -112,7 +112,9 @@ class Matrix:
     def apply(self, vec: Sequence[Fraction]) -> list[Fraction]:
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        return [sum((row[j] * vec[j] for j in range(self.ncols)), Fraction(0)) for row in self.data]
+        nonzero = [(j, x) for j, x in enumerate(vec) if x]
+        return [sum((row[j] * x for j, x in nonzero if row[j]), _ZERO)
+                for row in self.data]
 
     def hstack(self, other: Matrix) -> Matrix:
         if self.nrows != other.nrows:

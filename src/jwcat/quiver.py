@@ -104,6 +104,12 @@ class PathAlgebra:
             if a1.source != a2.target:
                 raise ConstructionError(f"relation path {r} is not composable")
         self._build_basis()
+        # _products[p][q] = p·q for every pair of basis paths with a nonzero
+        # product; AlgebraElement.__mul__ reads it instead of mul_paths.
+        self._products = {p: {q: r for q in self.basis
+                              if (r := self.mul_paths(p, q)) is not None}
+                          for p in self.basis}
+        self._zero = AlgebraElement(self, {})
 
     # --- basis enumeration ---
 
@@ -177,7 +183,8 @@ class PathAlgebra:
         return AlgebraElement(self, terms)
 
     def zero(self) -> AlgebraElement:
-        return AlgebraElement(self, {})
+        """The algebra's one zero element (elements are immutable)."""
+        return self._zero
 
     def idempotent(self, v: str) -> AlgebraElement:
         if v not in self.quiver.vertices:
@@ -227,7 +234,12 @@ class PathAlgebra:
 
 
 class AlgebraElement:
-    """Finitely supported rational combination of basis paths."""
+    """Finitely supported rational combination of basis paths.
+
+    Elements are immutable: ``terms`` maps basis paths to nonzero Fractions
+    and is never changed after construction, so an element (the algebra's
+    one shared zero included) may sit in any number of matrices at once.
+    """
 
     __slots__ = ("algebra", "terms")
 
@@ -242,6 +254,23 @@ class AlgebraElement:
                 raise ConstructionError(f"{p.word()} is not a basis path of {algebra.name}")
             clean[p] = c
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, algebra: PathAlgebra, terms: dict) -> AlgebraElement:
+        """Element from basis paths with Fraction coefficients, zeros dropped.
+
+        The arithmetic below builds its results here: sums and products of
+        basis-path terms need neither the coercion nor the basis check of
+        the public constructor. The element takes ``terms`` over, so callers
+        pass a dict of their own. A zero result is the algebra's shared zero.
+        """
+        clean = terms if all(terms.values()) else {p: c for p, c in terms.items() if c}
+        if not clean:
+            return algebra._zero
+        self = cls.__new__(cls)
+        self.algebra = algebra
+        self.terms = clean
+        return self
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -258,18 +287,19 @@ class AlgebraElement:
         self._same_parent(other)
         out = dict(self.terms)
         for p, c in other.terms.items():
-            out[p] = out.get(p, Fraction(0)) + c
-        return AlgebraElement(self.algebra, out)
+            v = out.get(p)
+            out[p] = c if v is None else v + c
+        return AlgebraElement._trusted(self.algebra, out)
 
     def __neg__(self) -> AlgebraElement:
-        return AlgebraElement(self.algebra, {p: -c for p, c in self.terms.items()})
+        return AlgebraElement._trusted(self.algebra, {p: -c for p, c in self.terms.items()})
 
     def __sub__(self, other: AlgebraElement) -> AlgebraElement:
         return self + (-other)
 
     def scale(self, c) -> AlgebraElement:
         c = _frac(c)
-        return AlgebraElement(self.algebra, {p: c * v for p, v in self.terms.items()})
+        return AlgebraElement._trusted(self.algebra, {p: c * v for p, v in self.terms.items()})
 
     def _same_parent(self, other: AlgebraElement) -> None:
         if self.algebra is not other.algebra:
@@ -277,13 +307,16 @@ class AlgebraElement:
 
     def __mul__(self, other: AlgebraElement) -> AlgebraElement:
         self._same_parent(other)
+        table = self.algebra._products
         out: dict = {}
         for p, cp in self.terms.items():
+            row = table[p]
             for q, cq in other.terms.items():
-                r = self.algebra.mul_paths(p, q)
+                r = row.get(q)
                 if r is not None:
-                    out[r] = out.get(r, Fraction(0)) + cp * cq
-        return AlgebraElement(self.algebra, out)
+                    v = out.get(r)
+                    out[r] = cp * cq if v is None else v + cp * cq
+        return AlgebraElement._trusted(self.algebra, out)
 
     def degree(self) -> int | None:
         """degree of a homogeneous element; None for 0."""

@@ -227,13 +227,16 @@ class TruncatedSeries:
         lead = self.coeffs[v]
         n_terms = self.order - v  # soluble coefficient count beyond leading
         out = {-v: 1 / lead}
-        # y_{-v+k} determined recursively from x * y = 1
+        # y_{-v+k} determined recursively from x * y = 1: the sum over
+        # x_{v+i} y_{-v+k-i} runs over the nonzero x_{v+i}, 1 <= i <= k
+        higher = sorted((e - v, c) for e, c in self.coeffs.items()
+                        if v < e <= v + n_terms)
         for k in range(1, n_terms + 1):
             s = Fraction(0)
-            for j in range(k):
-                xc = self.coeffs.get(v + (k - j), Fraction(0))
-                yc = out.get(-v + j, Fraction(0))
-                s += xc * yc
+            for i, xc in higher:
+                if i > k:
+                    break
+                s += xc * out[-v + k - i]
             out[-v + k] = -s / lead
         return TruncatedSeries(out, -v, -v + n_terms)
 

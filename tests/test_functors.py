@@ -1,7 +1,7 @@
 import pytest
 
 from jwcat.complexes import (AlgMatrix, Complex, ProjChainMap, ProjComplex,
-                             Summand, gaussian_reduce,
+                             Summand, WindowTooSmall, gaussian_reduce,
                              homology, iso_in_homotopy_category,
                              maps_agree_under_identification, realize,
                              reduce_on_window)
@@ -232,6 +232,18 @@ class TestDuality:
             _, DX, DY = koszul_D_on_map(setup, f, out_window=w)
             assert_same_complex(DX, koszul_D_on_object(setup, f.source, w))
             assert_same_complex(DY, koszul_D_on_object(setup, f.target, w))
+
+    def test_map_past_its_stored_degrees_is_window_too_small(self, setup):
+        # 𝔻 extends the left-tailed source and target of ℙ(e(1)) by their
+        # tails; a short lift has no components there
+        fc = generator_maps(setup)["e(1)"]
+        short = realize_chain_map(P_on_module_map(setup, fc.comps[0], depth=3)[0])
+        with pytest.raises(WindowTooSmall, match="at degree 5 .* at degree -4"):
+            koszul_D_on_map(setup, short, out_window=(0, 12))
+        long = realize_chain_map(P_on_module_map(setup, fc.comps[0], depth=18)[0])
+        Df, DX, DY = koszul_D_on_map(setup, long, out_window=(0, 12))
+        assert DX.window() == DY.window() == (1, 12)
+        assert Df.source is DX and Df.target is DY
 
     def test_ck_bimodule_complex_surface(self, setup):
         from jwcat.functors import ck_bimodule_complex

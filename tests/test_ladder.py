@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from jwcat.complexes import (RIGHT_TAIL, AlgMatrix, LadderFamily, LadderSystem,
                              ProjChainMap, ProjComplex, Summand, TailSpec,
-                             _common_tail, _intertwining_system,
-                             _solve_intertwining, chain_maps_homotopic,
+                             _chain_map_invertible, _common_tail,
+                             _intertwining_system, _solve_intertwining,
+                             chain_maps_homotopic,
                              gaussian_reduce, iso_in_homotopy_category,
                              ladder_degrees, maps_agree_under_identification,
                              solve_chain_maps)
@@ -149,6 +150,17 @@ class TestIntertwining:
         assert found is not None
         for psi in found:
             assert is_chain_map(psi, (-8, 0))
+
+    def test_non_strict_solve_from_the_stored_left_edge(self):
+        # the homotopy family reaches one degree past the stored left edge
+        setup = Setup.create()
+        x = P_on_object(setup, projective(setup.B, "1"), depth=8)
+        idx = ProjChainMap.identity(x)
+        found = _solve_intertwining(idx, idx, (-8, 0), strict=False)
+        assert found is not None
+        for psi in found:
+            assert is_chain_map(psi, (-8, 0))
+            assert _chain_map_invertible(psi, (-8, 0))
 
     def test_agreement_up_to_homotopy(self, B):
         s1, s2 = cone(B, 1), cone(B, 2)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from jwcat.series import (LaurentPoly, NoInverseError, TruncatedSeries,
                           WindowError, quantum_two, series_invert, series_mul)
@@ -99,6 +101,25 @@ class TestTruncatedSeries:
             prod = x * y
             assert prod == TruncatedSeries.one(prod.order)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(st.integers(-4, 12),
+                           st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                           min_size=1, max_size=6),
+           st.integers(0, 3), st.integers(0, 12))
+    def test_invert_matches_the_dense_recurrence(self, coeffs, below, above):
+        coeffs = {e: c for e, c in coeffs.items() if c}
+        assume(coeffs)
+        lo, hi = min(coeffs) - below, max(coeffs) + above - 8
+        x = TruncatedSeries(coeffs, lo, max(hi, min(coeffs)))
+        y = x.invert()
+        ref = _dense_invert(x)
+        assert (y.coeffs, y.window()) == (ref.coeffs, ref.window())
+        if max(x.min_exp, y.min_exp) > min(x.order, y.order):
+            return      # the product is undefined on disjoint windows
+        prod = x * y
+        assert all(prod.coeff(e) == (1 if e == 0 else 0)
+                   for e in range(prod.min_exp, prod.order + 1))
+
     def test_disjoint_windows_error(self):
         x = TruncatedSeries({0: 1}, 0, 3)
         y = TruncatedSeries({5: 1}, 5, 9)
@@ -116,3 +137,17 @@ class TestTruncatedSeries:
         # product complete up to min(5+2, 4+0)
         assert (x * y).order == 4
         assert (x * y).min_exp == 2
+
+
+def _dense_invert(x):
+    """The inverse by the recurrence over every (k, j) pair, zeros included."""
+    v = min(x.coeffs)
+    lead = x.coeffs[v]
+    n_terms = x.order - v
+    out = {-v: 1 / lead}
+    for k in range(1, n_terms + 1):
+        s = Fraction(0)
+        for j in range(k):
+            s += x.coeffs.get(v + (k - j), Fraction(0)) * out.get(-v + j, Fraction(0))
+        out[-v + k] = -s / lead
+    return TruncatedSeries(out, -v, -v + n_terms)
