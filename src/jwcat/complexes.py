@@ -25,8 +25,8 @@ from fractions import Fraction
 
 from .linalg import (Matrix, kernel_from_columns, search_invertible,
                      solve_from_columns)
-from .modules import (GradedModule, ModuleHom, direct_sum,
-                      left_multiplication_hom, projective)
+from .modules import (GradedModule, ModuleHom, Summand, add_left_multiplication,
+                      projective_sum, sum_layout)
 from .quiver import AlgebraElement, ConstructionError, PathAlgebra
 
 
@@ -40,20 +40,6 @@ class WindowTooSmall(ValueError):
 
 LEFT_TAIL = "left"    # extends to -infinity homologically
 RIGHT_TAIL = "right"  # extends to +infinity homologically
-
-
-@dataclass(frozen=True)
-class Summand:
-    vertex: str
-    shift: int
-
-    def shifted(self, r: int) -> Summand:
-        return Summand(self.vertex, self.shift + r)
-
-    def label(self) -> str:
-        if self.shift == 0:
-            return f"P({self.vertex})"
-        return f"P({self.vertex})<{self.shift}>"
 
 
 def shift_summands(term: tuple[Summand, ...], r: int) -> tuple[Summand, ...]:
@@ -554,57 +540,27 @@ class Complex:
 
 def realize(pc: ProjComplex) -> Complex:
     """Module-level realization of a formal complex of projectives."""
-    cache: dict[Summand, GradedModule] = {}
-
-    def mod_of(s: Summand) -> GradedModule:
-        if s not in cache:
-            cache[s] = projective(pc.algebra, s.vertex).shift(s.shift)
-        return cache[s]
-
-    terms: dict[int, GradedModule] = {}
-    for i, t in pc.terms.items():
-        terms[i] = direct_sum([mod_of(s) for s in t], pc.algebra)
-    diffs: dict[int, ModuleHom] = {}
-    for i, d in pc.diffs.items():
-        if (i + 1) not in terms:
-            continue
-        diffs[i] = _alg_matrix_to_hom(d, terms[i], terms[i + 1], pc.algebra)
+    terms = {i: projective_sum(pc.algebra, t) for i, t in pc.terms.items()}
+    diffs = {i: _alg_matrix_to_hom(d, terms[i], terms[i + 1], pc.algebra)
+             for i, d in pc.diffs.items() if (i + 1) in terms}
     return Complex(pc.algebra, terms, diffs, pc.tail, pc.name, validate=False)
 
 
 def _alg_matrix_to_hom(d: AlgMatrix, src: GradedModule, tgt: GradedModule,
                        alg: PathAlgebra) -> ModuleHom:
-    src_mods = [projective(alg, s.vertex).shift(s.shift) for s in d.cols]
-    tgt_mods = [projective(alg, s.vertex).shift(s.shift) for s in d.rows]
-    src_off = _offsets(src_mods)
-    tgt_off = _offsets(tgt_mods)
+    """The degree-0 module map between the realized sums src = ⊕ d.cols and
+    tgt = ⊕ d.rows that left-multiplies by each entry of d, checked to
+    commute with the arrow actions."""
     mats: dict[int, Matrix] = {}
-    for bi, tm in enumerate(tgt_mods):
-        for bj, sm in enumerate(src_mods):
-            z = d.entries[bi][bj]
+    src_layout = sum_layout(alg, d.cols)
+    for row, t, tgt_positions in zip(d.entries, d.rows, sum_layout(alg, d.rows)):
+        for z, s, src_positions in zip(row, d.cols, src_layout):
             if z.is_zero():
                 continue
-            blk = left_multiplication_hom(sm, tm, z)
-            if blk.degree != 0:
+            if z.degree() + t.shift - s.shift != 0:
                 raise ConstructionError("differential block is not degree 0")
-            for deg, m in blk.mats.items():
-                big = mats.setdefault(deg, Matrix(tgt.dim(deg), src.dim(deg)))
-                ro = tgt_off[bi].get(deg, 0)
-                co = src_off[bj].get(deg, 0)
-                for r in range(m.nrows):
-                    for c in range(m.ncols):
-                        big.data[ro + r][co + c] += m.data[r][c]
-    return ModuleHom(src, tgt, 0, mats, "d", validate=False)
-
-
-def _offsets(mods: list[GradedModule]) -> list[dict[int, int]]:
-    offs: list[dict[int, int]] = []
-    running: dict[int, int] = {}
-    for m in mods:
-        offs.append(dict(running))
-        for dgr in m.degrees():
-            running[dgr] = running.get(dgr, 0) + m.dim(dgr)
-    return offs
+            add_left_multiplication(mats, z, src_positions, tgt_positions, src, tgt)
+    return ModuleHom(src, tgt, 0, mats, "d", validate=True)
 
 
 # ---------------------------------------------------------------------------

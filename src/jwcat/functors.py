@@ -464,10 +464,9 @@ def _theta_block(setup: Setup, z: AlgebraElement, src: Summand, tgt: Summand,
 
 
 def _pe2_basis(B: PathAlgebra, vertex: str):
-    """Basis of (paths into 2) within P(vertex): source-2 paths with the given
-    target, ordered low degree first."""
-    paths = [p for p in B.basis if B.target(p) == vertex and B.source(p) == "2"]
-    return sorted(paths, key=lambda p: (B.path_degree(p), p.word()))
+    """Basis of (paths into 2) within P(vertex): its source-2 paths, in the
+    canonical order of P(vertex)."""
+    return [p for p in B.projective_paths[vertex] if B.source(p) == "2"]
 
 
 def _ck_column_map(setup: Setup, s: Summand, k: int) -> AlgMatrix:

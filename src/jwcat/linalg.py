@@ -23,6 +23,13 @@ def _frac(x) -> Fraction:
     return Fraction(x)
 
 
+def unit_vector(n: int, k: int) -> list[Fraction]:
+    """The k-th standard basis vector of Q^n."""
+    v = [_ZERO] * n
+    v[k] = _ONE
+    return v
+
+
 class Matrix:
     """A rows x cols matrix of Fractions."""
 
@@ -188,8 +195,7 @@ class Matrix:
         free = [j for j in range(self.ncols) if j not in pivset]
         basis = []
         for j in free:
-            v = [Fraction(0)] * self.ncols
-            v[j] = Fraction(1)
+            v = unit_vector(self.ncols, j)
             for r, pc in enumerate(pivots):
                 v[pc] = -R.data[r][j]
             basis.append(v)
@@ -234,32 +240,30 @@ def affine_columns(residual, nuk: int):
     affine = any(rhs)
 
     def column_fn(k: int) -> list[Fraction]:
-        vec = [Fraction(0)] * nuk
-        vec[k] = Fraction(1)
-        col = residual(vec)
+        col = residual(unit_vector(nuk, k))
         return [a + b for a, b in zip(col, rhs)] if affine else col
 
     return column_fn, rhs
+
+
+def _matrix_from_columns(column_fn, nuk: int) -> Matrix:
+    cols = [column_fn(j) for j in range(nuk)]
+    nr = len(cols[0])
+    return Matrix(nr, nuk, [[cols[j][i] for j in range(nuk)] for i in range(nr)])
 
 
 def solve_from_columns(column_fn, nuk: int, rhs: list[Fraction]):
     """Solve A x = rhs where column j of A is column_fn(j); returns x or None."""
     if nuk == 0:
         return [] if all(c == 0 for c in rhs) else None
-    cols = [column_fn(j) for j in range(nuk)]
-    nr = len(cols[0])
-    A = Matrix(nr, nuk, [[cols[j][i] for j in range(nuk)] for i in range(nr)])
-    return A.solve(rhs)
+    return _matrix_from_columns(column_fn, nuk).solve(rhs)
 
 
 def kernel_from_columns(column_fn, nuk: int) -> list[list[Fraction]]:
     """Kernel basis of the linear map whose j-th column is column_fn(j)."""
     if nuk == 0:
         return []
-    cols = [column_fn(j) for j in range(nuk)]
-    nr = len(cols[0])
-    A = Matrix(nr, nuk, [[cols[j][i] for j in range(nuk)] for i in range(nr)])
-    return A.nullspace()
+    return _matrix_from_columns(column_fn, nuk).nullspace()
 
 
 def search_invertible(basis: list, is_invertible, combine=None):

@@ -5,16 +5,47 @@ A basis vector of a right module carries the vertex label v with m·e(v) = m
 an arrow g: u -> v is therefore a map from label-v vectors to label-u vectors
 raising internal degree by deg g, and relations must act as zero; both are
 checked at construction time.
+
+The realized basis of a sum of shifted projectives ⊕ P(v_k)<r_k> is fixed
+once, here:
+
+* P(v) = e(v)·A has the paths with target v as basis, ordered by degree and
+  then by word (``PathAlgebra.projective_paths``); the path p sits in
+  internal degree deg p + r of P(v)<r>;
+* in the sum, each degree lists the summands' blocks in summand order.
+
+``sum_layout`` maps each (summand k, path p) to its (degree, index) under
+these rules, and everything that crosses between formal sums of summands and
+realized modules reads it: ``projective_sum`` realizes the sum as a module,
+``projective`` stores P(v) once per algebra and vertex, and the left
+multiplication maps, covers and differentials place their entries by it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (Matrix, affine_columns, kernel_from_columns,
-                     search_invertible)
-from .quiver import (AlgebraElement, ConstructionError, GradedBimodule,
-                     PathAlgebra, Path)
+from .linalg import (_ONE, Matrix, affine_columns, kernel_from_columns,
+                     search_invertible, unit_vector)
+from .quiver import (AlgebraElement, BimodBasisVector, ConstructionError,
+                     GradedBimodule, PathAlgebra, Path, generator_matrices,
+                     multiplication_matrix)
+
+
+@dataclass(frozen=True)
+class Summand:
+    """The shifted indecomposable projective P(vertex)<shift>."""
+    vertex: str
+    shift: int
+
+    def shifted(self, r: int) -> Summand:
+        return Summand(self.vertex, self.shift + r)
+
+    def label(self) -> str:
+        if self.shift == 0:
+            return f"P({self.vertex})"
+        return f"P({self.vertex})<{self.shift}>"
 
 
 class GradedModule:
@@ -170,36 +201,60 @@ class GradedModule:
 # standard modules
 # ---------------------------------------------------------------------------
 
-def projective(algebra: PathAlgebra, v: str) -> GradedModule:
-    """P(v) = e(v)·(algebra): path basis, canonical ordering by (degree, word)."""
-    if v not in algebra.quiver.vertices:
-        raise ConstructionError(f"unknown vertex {v!r}")
-    paths = [p for p in algebra.basis if algebra.target(p) == v]
-    by_deg: dict[int, list[Path]] = {}
-    for p in paths:
-        by_deg.setdefault(algebra.path_degree(p), []).append(p)
-    index: dict[Path, tuple[int, int]] = {}
-    basis: dict[int, tuple[str, ...]] = {}
-    for d, ps in sorted(by_deg.items()):
-        ps.sort(key=lambda p: p.word())
-        basis[d] = tuple(algebra.source(p) for p in ps)
-        for i, p in enumerate(ps):
-            index[p] = (d, i)
+def sum_layout(algebra: PathAlgebra, summands) -> list[dict[Path, tuple[int, int]]]:
+    """Where the basis paths of each summand P(v)<r> sit in the realized sum:
+    entry k maps each path p of summand k to its (degree, index). Walking the
+    summands in order, and each P(v) in its canonical path order, every path
+    takes the next free index of its degree."""
+    filled: dict[int, int] = {}
+    layout = []
+    for s in summands:
+        positions = {}
+        for p in algebra.projective_paths[s.vertex]:
+            d = algebra.path_degree(p) + s.shift
+            positions[p] = (d, filled.get(d, 0))
+            filled[d] = positions[p][1] + 1
+        layout.append(positions)
+    return layout
+
+
+def projective_sum(algebra: PathAlgebra, summands) -> GradedModule:
+    """The sum ⊕ P(v)<r> of a summand tuple as a module, on the basis that
+    ``sum_layout`` lays out: basis path p carries the label source(p), and
+    an arrow g sends it to p·g."""
+    layout = sum_layout(algebra, summands)
+    labels: dict[int, list[str]] = {}
+    for positions in layout:
+        for p, (d, _i) in positions.items():   # indices come in walking order
+            labels.setdefault(d, []).append(algebra.source(p))
     action: dict[str, dict[int, Matrix]] = {}
     for arrow in algebra.quiver.arrows:
+        g = Path((arrow.name,))
         mats: dict[int, Matrix] = {}
-        for d, ps in sorted(by_deg.items()):
-            tgt_d = d + arrow.degree
-            m = Matrix(len(by_deg.get(tgt_d, [])), len(ps))
-            for j, p in enumerate(sorted(ps, key=lambda p: p.word())):
-                r = algebra.mul_paths(p, Path((arrow.name,)))
-                if r is not None and r in index:
-                    m.data[index[r][1]][j] = Fraction(1)
-            if not m.is_zero():
-                mats[d] = m
-        if mats:
-            action[arrow.name] = mats
-    return GradedModule(algebra, basis, action, name=f"P({v})")
+        for positions in layout:
+            for p, (d, i) in positions.items():
+                hit = positions.get(algebra.mul_paths(p, g))
+                if hit is not None:
+                    if d not in mats:
+                        mats[d] = Matrix(len(labels[hit[0]]), len(labels[d]))
+                    mats[d].data[hit[1]][i] = _ONE
+        action[arrow.name] = {d: mats[d] for d in sorted(mats)}
+    basis = {d: tuple(labels[d]) for d in sorted(labels)}
+    name = " ⊕ ".join(s.label() for s in summands) or "0"
+    return GradedModule(algebra, basis, action, name=name, validate=False)
+
+
+def projective(algebra: PathAlgebra, v: str) -> GradedModule:
+    """P(v) = e(v)·(algebra), built and checked once per algebra and vertex;
+    every call returns the stored module, which nothing may mutate."""
+    P = algebra._projectives.get(v)
+    if P is None:
+        if v not in algebra.quiver.vertices:
+            raise ConstructionError(f"unknown vertex {v!r}")
+        P = projective_sum(algebra, (Summand(v, 0),))
+        P._validate()
+        algebra._projectives[v] = P
+    return P
 
 
 def simple(algebra: PathAlgebra, v: str) -> GradedModule:
@@ -353,53 +408,50 @@ class ModuleHom:
         return f"ModuleHom({self.name}: {self.source.name} -> {self.target.name}, deg={self.degree})"
 
 
+def add_left_multiplication(mats: dict[int, Matrix], z: AlgebraElement,
+                            src_positions: dict[Path, tuple[int, int]],
+                            tgt_positions: dict[Path, tuple[int, int]],
+                            source: GradedModule, target: GradedModule) -> None:
+    """Add the block p -> z·p into the degree-wise matrices ``mats`` of a
+    homogeneous map source -> target: p runs over the paths of one source
+    summand and z·p lands in one target summand, both placed by their
+    ``sum_layout`` positions; a product outside the target summand is zero."""
+    products = source.algebra._products
+    for p, (d, col) in src_positions.items():
+        for q, c in z.terms.items():
+            hit = tgt_positions.get(products[q].get(p))
+            if hit is not None:
+                if d not in mats:
+                    mats[d] = Matrix(target.dim(hit[0]), source.dim(d))
+                mats[d].data[hit[1]][col] += c
+
+
 def left_multiplication_hom(P_source: GradedModule, P_target: GradedModule,
                             elem: AlgebraElement, name: str | None = None) -> ModuleHom:
     """Left multiplication by a homogeneous element between cyclic projectives.
 
-    Sources/targets must be shifts of P(v)-type modules whose basis vectors
-    are paths in canonical order; the map sends each basis path p to elem·p.
+    Sources/targets must be shifts of P(v) on its canonical path basis; the
+    map sends each basis path p to elem·p.
     """
     alg = P_source.algebra
     dz = elem.degree()
-    src_shift = min(P_source.degrees())
-    tgt_shift = min(P_target.degrees())
     if dz is None:
         return ModuleHom(P_source, P_target, 0, {}, name or "0", validate=False)
-    src_paths = _projective_paths(P_source)
-    tgt_paths = _projective_paths(P_target)
-    # a path p at degree (deg p + src_shift) maps to z·p at (deg zp + tgt_shift)
-    j = dz + tgt_shift - src_shift
+    src, tgt = _cyclic_summand(P_source), _cyclic_summand(P_target)
     mats: dict[int, Matrix] = {}
-    for d, ps in src_paths.items():
-        td = d + j
-        if td not in tgt_paths:
-            continue
-        m = Matrix(len(tgt_paths[td]), len(ps))
-        for col, p in enumerate(ps):
-            for q, c in elem.terms.items():
-                r = alg.mul_paths(q, p)
-                if r is not None and r in tgt_paths[td]:
-                    m.data[tgt_paths[td].index(r)][col] += c
-        if not m.is_zero():
-            mats[d] = m
-    return ModuleHom(P_source, P_target, j, mats, name or f"{elem.word()}·", validate=True)
+    add_left_multiplication(mats, elem, sum_layout(alg, (src,))[0],
+                            sum_layout(alg, (tgt,))[0], P_source, P_target)
+    return ModuleHom(P_source, P_target, dz + tgt.shift - src.shift, mats,
+                     name or f"{elem.word()}·", validate=True)
 
 
-def _projective_paths(P: GradedModule) -> dict[int, list[Path]]:
-    """Recover the canonical path basis of a (possibly shifted) cyclic projective."""
-    alg = P.algebra
-    # the generator is the unique lowest-degree basis vector; its label is the
-    # cyclic vertex
+def _cyclic_summand(P: GradedModule) -> Summand:
+    """The summand P(v)<r> that a shifted projective realizes: its generator
+    is the unique lowest-degree basis vector, labelled by the vertex v."""
     lo = min(P.degrees())
     if P.dim(lo) != 1:
         raise ConstructionError("not a cyclic projective")
-    v = P.label(lo, 0)
-    paths = [p for p in alg.basis if alg.target(p) == v]
-    by_deg: dict[int, list[Path]] = {}
-    for p in paths:
-        by_deg.setdefault(alg.path_degree(p) + lo, []).append(p)
-    return {d: sorted(ps, key=lambda p: p.word()) for d, ps in by_deg.items()}
+    return Summand(P.label(lo, 0), lo)
 
 
 def hom_space(M: GradedModule, N: GradedModule, degree: int | None = None
@@ -512,9 +564,7 @@ def tensor_with_bimodule(M: GradedModule, W: GradedBimodule,
                 for r in range(mg.nrows):
                     if mg.data[r][i2] != 0:
                         row[pos[pair_pos[(d2 + dg, r, k2)]]] += mg.data[r][i2]
-                gv = [Fraction(0)] * W.dim()
-                gv[k2] = Fraction(1)
-                gw = W.left_act(A.element({g: Fraction(1)}), gv)
+                gw = W.left_act(A.element({g: Fraction(1)}), unit_vector(W.dim(), k2))
                 for kk, c in enumerate(gw):
                     if c != 0:
                         row[pos[pair_pos[(d2, i2, kk)]]] -= c
@@ -559,9 +609,7 @@ def tensor_with_bimodule(M: GradedModule, W: GradedBimodule,
             cols = []
             for p in free:
                 d, i, k = pairs[idxs[p]]
-                wv = [Fraction(0)] * W.dim()
-                wv[k] = Fraction(1)
-                wimg = W.right_act(wv, gelem)
+                wimg = W.right_act(unit_vector(W.dim(), k), gelem)
                 tvec = [Fraction(0)] * len(by_total[tgt_total])
                 for kk, c in enumerate(wimg):
                     if c != 0:
@@ -580,43 +628,15 @@ def tensor_with_bimodule(M: GradedModule, W: GradedBimodule,
 
 def p2_as_left_c_bimodule(B: PathAlgebra, C: PathAlgebra) -> GradedBimodule:
     """P(2) as a bimodule over (endomorphisms, B): x acts on the left as
-    multiplication by ab."""
-    from .quiver import BimodBasisVector
-    P2 = projective(B, "2")
-    paths = _projective_paths(P2)
-    flat: list[tuple[int, int]] = [(d, i) for d in P2.degrees() for i in range(P2.dim(d))]
-    labels = [BimodBasisVector(paths[d][i].word(), d, "*", P2.label(d, i))
-              for (d, i) in flat]
-    n = len(flat)
-    pos = {di: k for k, di in enumerate(flat)}
-
-    def left_mat(elem: AlgebraElement) -> Matrix:
-        m = Matrix(n, n)
-        for k, (d, i) in enumerate(flat):
-            p = paths[d][i]
-            for q, cc in elem.terms.items():
-                r = B.mul_paths(q, p)
-                if r is not None:
-                    rd = B.path_degree(r)
-                    m.data[pos[(rd, paths[rd].index(r))]][k] += cc
-        return m
-
-    def right_mat(elem: AlgebraElement) -> Matrix:
-        m = Matrix(n, n)
-        for k, (d, i) in enumerate(flat):
-            p = paths[d][i]
-            for q, cc in elem.terms.items():
-                r = B.mul_paths(p, q)
-                if r is not None:
-                    rd = B.path_degree(r)
-                    m.data[pos[(rd, paths[rd].index(r))]][k] += cc
-        return m
-
-    left_action = {"x": left_mat(B.path_element(("a", "b"))),
-                   "e(*)": Matrix.identity(n)}
-    right_action = {a.name: right_mat(B.arrow_element(a.name)) for a in B.quiver.arrows}
-    for v in B.quiver.vertices:
-        right_action[f"e({v})"] = right_mat(B.idempotent(v))
+    multiplication by ab. The basis is P(2)'s canonical path basis."""
+    paths = B.projective_paths["2"]
+    index = {p: k for k, p in enumerate(paths)}
+    labels = [BimodBasisVector(p.word(), B.path_degree(p), "*", B.source(p))
+              for p in paths]
+    left_action = {"x": multiplication_matrix(index, B.path_element(("a", "b")),
+                                              lambda p, q: B.mul_paths(q, p)),
+                   "e(*)": Matrix.identity(len(paths))}
+    right_action = generator_matrices(B, index, B.mul_paths)
     return GradedBimodule(C, B, labels, left_action, right_action, name="P(2)bim")
 
 

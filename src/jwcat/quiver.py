@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, _frac
+from .linalg import _ONE, Matrix, _frac, unit_vector
 
 
 class ConstructionError(ValueError):
@@ -109,7 +109,19 @@ class PathAlgebra:
         self._products = {p: {q: r for q in self.basis
                               if (r := self.mul_paths(p, q)) is not None}
                           for p in self.basis}
+        # projective_paths[v] is the basis of P(v) = e(v)·A in its canonical
+        # order: the paths with target v, by degree, then by word
+        self.projective_paths = {
+            v: tuple(sorted((p for p in self.basis if self.target(p) == v),
+                            key=lambda p: (self.path_degree(p), p.word())))
+            for v in quiver.vertices}
+        self._projectives: dict = {}   # v -> P(v), stored by modules.projective
         self._zero = AlgebraElement(self, {})
+        self._idempotents = {v: AlgebraElement(self, {Path((), v): _ONE})
+                             for v in quiver.vertices}
+        self._arrow_elements = {a.name: AlgebraElement(self, {p: _ONE})
+                                for a in quiver.arrows
+                                if (p := Path((a.name,))) in self._index}
 
     # --- basis enumeration ---
 
@@ -187,13 +199,15 @@ class PathAlgebra:
         return self._zero
 
     def idempotent(self, v: str) -> AlgebraElement:
-        if v not in self.quiver.vertices:
+        if v not in self._idempotents:
             raise KeyError(f"unknown vertex {v!r}")
-        return AlgebraElement(self, {Path((), v): Fraction(1)})
+        return self._idempotents[v]
 
     def arrow_element(self, name: str) -> AlgebraElement:
-        self.quiver.arrow(name)
-        return AlgebraElement(self, {Path((name,)): Fraction(1)})
+        if name not in self._arrow_elements:
+            self.quiver.arrow(name)   # KeyError for an unknown arrow
+            raise ConstructionError(f"{name} is not a basis path of {self.name}")
+        return self._arrow_elements[name]
 
     def path_element(self, word: str | tuple) -> AlgebraElement:
         if isinstance(word, str):
@@ -509,28 +523,23 @@ class GradedBimodule:
     def _apply(mat: Matrix, vec: list[Fraction]) -> list[Fraction]:
         return mat.apply(vec)
 
-    def _unit_vec(self, i: int) -> list[Fraction]:
-        v = [Fraction(0)] * self.dim()
-        v[i] = Fraction(1)
-        return v
-
     def _validate(self) -> None:
         # idempotent left/right actions are the vertex-label projections
         for v in self.left_algebra.quiver.vertices:
             key = f"e({v})"
             mat = self.left_action[key]
             for i, bv in enumerate(self.basis):
-                img = self._apply(mat, self._unit_vec(i))
-                want = self._unit_vec(i) if bv.left_vertex == v else [Fraction(0)] * self.dim()
-                if img != want:
+                e = unit_vector(self.dim(), i)
+                want = e if bv.left_vertex == v else [Fraction(0)] * self.dim()
+                if self._apply(mat, e) != want:
                     raise ConstructionError(f"left idempotent {key} is not the label projection")
         for v in self.right_algebra.quiver.vertices:
             key = f"e({v})"
             mat = self.right_action[key]
             for i, bv in enumerate(self.basis):
-                img = self._apply(mat, self._unit_vec(i))
-                want = self._unit_vec(i) if bv.right_vertex == v else [Fraction(0)] * self.dim()
-                if img != want:
+                e = unit_vector(self.dim(), i)
+                want = e if bv.right_vertex == v else [Fraction(0)] * self.dim()
+                if self._apply(mat, e) != want:
                     raise ConstructionError(f"right idempotent {key} is not the label projection")
         # left and right actions commute on (generator, basis, generator)
         for a in self.left_algebra.quiver.arrows:
@@ -550,11 +559,32 @@ class GradedBimodule:
                 raise ConstructionError(f"right relation {r1}{r2} does not act as zero")
 
 
+def multiplication_matrix(index: dict, elem: AlgebraElement, product) -> Matrix:
+    """Matrix of multiplication by elem on a basis numbered by ``index``:
+    basis vector k goes to the sum of c·product(k, q) over the terms c·q of
+    elem, where a product that is None or off the basis counts as zero."""
+    m = Matrix(len(index), len(index))
+    for key, i in index.items():
+        for q, c in elem.terms.items():
+            j = index.get(product(key, q))
+            if j is not None:
+                m.data[j][i] += c
+    return m
+
+
+def generator_matrices(alg: PathAlgebra, index: dict, product) -> dict[str, Matrix]:
+    """``multiplication_matrix`` of each generator of alg: the arrows, then
+    the idempotents e(v), keyed by name."""
+    gens = {a.name: alg.arrow_element(a.name) for a in alg.quiver.arrows}
+    gens.update((f"e({v})", alg.idempotent(v)) for v in alg.quiver.vertices)
+    return {g: multiplication_matrix(index, z, product) for g, z in gens.items()}
+
+
 def build_theta(B: PathAlgebra) -> GradedBimodule:
     """The translation bimodule: (paths into 2) ⊗ (paths out of 2), graded so
     the tensor of the two trivial paths sits in degree -1."""
     into2 = [p for p in B.basis if B.source(p) == "2"]   # p·e(2) = p
-    outof2 = [p for p in B.basis if B.target(p) == "2"]  # e(2)·q = q
+    outof2 = B.projective_paths["2"]                     # e(2)·q = q
     basis: list[BimodBasisVector] = []
     index: dict[tuple[Path, Path], int] = {}
     for p in into2:
@@ -564,31 +594,10 @@ def build_theta(B: PathAlgebra) -> GradedBimodule:
                 label=f"{p.word()}⊗{q.word()}",
                 degree=B.path_degree(p) + B.path_degree(q) - 1,
                 left_vertex=B.target(p), right_vertex=B.source(q)))
-    n = len(basis)
-
-    def left_mat(elem: AlgebraElement) -> Matrix:
-        m = Matrix(n, n)
-        for (p, q), i in index.items():
-            for pp, c in elem.terms.items():
-                r = B.mul_paths(pp, p)
-                if r is not None and (r, q) in index:
-                    m.data[index[(r, q)]][i] += c
-        return m
-
-    def right_mat(elem: AlgebraElement) -> Matrix:
-        m = Matrix(n, n)
-        for (p, q), i in index.items():
-            for qq, c in elem.terms.items():
-                r = B.mul_paths(q, qq)
-                if r is not None and (p, r) in index:
-                    m.data[index[(p, r)]][i] += c
-        return m
-
-    left_action = {a.name: left_mat(B.arrow_element(a.name)) for a in B.quiver.arrows}
-    right_action = {a.name: right_mat(B.arrow_element(a.name)) for a in B.quiver.arrows}
-    for v in B.quiver.vertices:
-        left_action[f"e({v})"] = left_mat(B.idempotent(v))
-        right_action[f"e({v})"] = right_mat(B.idempotent(v))
+    left_action = generator_matrices(
+        B, index, lambda pq, g: (B.mul_paths(g, pq[0]), pq[1]))
+    right_action = generator_matrices(
+        B, index, lambda pq, g: (pq[0], B.mul_paths(pq[1], g)))
     theta = GradedBimodule(B, B, basis, left_action, right_action, name="theta")
     theta.pair_index = index  # type: ignore[attr-defined]
     return theta
@@ -621,32 +630,9 @@ def algebra_as_bimodule(B: PathAlgebra) -> GradedBimodule:
     """B as the regular (B, B)-bimodule."""
     basis = [BimodBasisVector(p.word(), B.path_degree(p), B.target(p), B.source(p))
              for p in B.basis]
-    n = len(basis)
     idx = {p: i for i, p in enumerate(B.basis)}
-
-    def left_mat(elem):
-        m = Matrix(n, n)
-        for p, i in idx.items():
-            for pp, c in elem.terms.items():
-                r = B.mul_paths(pp, p)
-                if r is not None:
-                    m.data[idx[r]][i] += c
-        return m
-
-    def right_mat(elem):
-        m = Matrix(n, n)
-        for p, i in idx.items():
-            for qq, c in elem.terms.items():
-                r = B.mul_paths(p, qq)
-                if r is not None:
-                    m.data[idx[r]][i] += c
-        return m
-
-    left_action = {a.name: left_mat(B.arrow_element(a.name)) for a in B.quiver.arrows}
-    right_action = {a.name: right_mat(B.arrow_element(a.name)) for a in B.quiver.arrows}
-    for v in B.quiver.vertices:
-        left_action[f"e({v})"] = left_mat(B.idempotent(v))
-        right_action[f"e({v})"] = right_mat(B.idempotent(v))
+    left_action = generator_matrices(B, idx, lambda p, g: B.mul_paths(g, p))
+    right_action = generator_matrices(B, idx, B.mul_paths)
     reg = GradedBimodule(B, B, basis, left_action, right_action, name="B")
     reg.path_index = idx  # type: ignore[attr-defined]
     return reg
@@ -681,7 +667,7 @@ def _bimodule_map_from_generator_images(source: GradedBimodule, target: GradedBi
             for a in B.quiver.arrows:
                 src_img = source.left_action[a.name]
                 tgt_la = target.left_action[a.name]
-                moved = src_img.apply(_unit(n_src, i))
+                moved = src_img.apply(unit_vector(n_src, i))
                 j = _single_index(moved)
                 if j is not None and not assigned[j]:
                     mat = _assign(mat, j, tgt_la.apply(col))
@@ -689,7 +675,7 @@ def _bimodule_map_from_generator_images(source: GradedBimodule, target: GradedBi
                     changed = True
                 src_img = source.right_action[a.name]
                 tgt_ra = target.right_action[a.name]
-                moved = src_img.apply(_unit(n_src, i))
+                moved = src_img.apply(unit_vector(n_src, i))
                 j = _single_index(moved)
                 if j is not None and not assigned[j]:
                     mat = _assign(mat, j, tgt_ra.apply(col))
@@ -700,12 +686,6 @@ def _bimodule_map_from_generator_images(source: GradedBimodule, target: GradedBi
     f = BimoduleMap(source, target, mat, degree, name)
     verify_bimodule_map(f)
     return f
-
-
-def _unit(n, i):
-    v = [Fraction(0)] * n
-    v[i] = Fraction(1)
-    return v
 
 
 def _single_index(vec) -> int | None:

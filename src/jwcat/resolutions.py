@@ -16,8 +16,9 @@ from fractions import Fraction
 
 from .complexes import (LEFT_TAIL, AlgMatrix, Complex, ProjComplex, Summand,
                         WindowTooSmall, detect_tail)
-from .linalg import Matrix
-from .modules import GradedModule, ModuleHom, direct_sum, projective
+from .linalg import Matrix, unit_vector
+from .modules import (GradedModule, ModuleHom, direct_sum, projective_sum,
+                      sum_layout)
 from .quiver import ConstructionError, PathAlgebra, Path
 
 
@@ -145,8 +146,7 @@ def minimal_generators(M: GradedModule) -> list[tuple[int, int, list[Fraction]]]
         for k in order:
             if rank + len(chosen) >= n:
                 break
-            cand = [Fraction(0)] * n
-            cand[k] = Fraction(1)
+            cand = unit_vector(n, k)
             trial = span_rows + [c[:] for c in chosen] + [cand]
             if Matrix.from_rows(trial).rank() == rank + len(chosen) + 1:
                 chosen.append(cand)
@@ -161,8 +161,7 @@ def projective_cover(M: GradedModule) -> tuple[tuple[Summand, ...], ModuleHom]:
     alg = M.algebra
     gens = minimal_generators(M)
     summands = tuple(Summand(M.label(d, lab_idx), d) for (d, lab_idx, _vec) in gens)
-    cover = direct_sum([projective(alg, s.vertex).shift(s.shift) for s in summands],
-                       alg)
+    cover = projective_sum(alg, summands)
     mats = _extend_generators_to_hom(cover, summands, M,
                                      [vec for (_d, _i, vec) in gens])
     eps = ModuleHom(cover, M, 0, mats, "cover")
@@ -174,42 +173,15 @@ def _extend_generators_to_hom(cover: GradedModule, summands: tuple[Summand, ...]
                               gen_images: list[list[Fraction]]) -> dict[int, Matrix]:
     """Module map on a sum of cyclic projectives from its generator images:
     the basis path q in summand s goes to (image of the s-generator)·q."""
-    alg = target.algebra
     mats: dict[int, Matrix] = {}
-    col_pos: dict[int, int] = {}
-    for s_idx, s in enumerate(summands):
-        paths = [p for p in alg.basis if alg.target(p) == s.vertex]
-        paths_by_deg: dict[int, list[Path]] = {}
-        for p in paths:
-            paths_by_deg.setdefault(alg.path_degree(p) + s.shift, []).append(p)
-        img0 = gen_images[s_idx]
-        for d, ps in sorted(paths_by_deg.items()):
-            for p in sorted(ps, key=lambda p: p.word()):
-                col = _summand_path_column(cover, summands, s_idx, d)
-                # position of this path within the summand's degree-d block
-                loc = sorted(ps, key=lambda p: p.word()).index(p)
-                col += loc
-                vec = img0
-                if not p.is_trivial():
-                    mat = target.act_path(p, s.shift)
-                    vec = mat.apply(img0)
-                m = mats.setdefault(d, Matrix(target.dim(d), cover.dim(d)))
-                for r, x in enumerate(vec):
-                    m.data[r][col] = x
+    for s, positions, img0 in zip(summands, sum_layout(target.algebra, summands),
+                                  gen_images):
+        for p, (d, col) in positions.items():
+            vec = img0 if p.is_trivial() else target.act_path(p, s.shift).apply(img0)
+            m = mats.setdefault(d, Matrix(target.dim(d), cover.dim(d)))
+            for r, x in enumerate(vec):
+                m.data[r][col] = x
     return {d: m for d, m in mats.items() if not m.is_zero()}
-
-
-def _summand_path_column(cover: GradedModule, summands: tuple[Summand, ...],
-                         s_idx: int, d: int) -> int:
-    """Offset of summand s_idx within the degree-d block of the cover."""
-    alg = cover.algebra
-    off = 0
-    for k in range(s_idx):
-        s = summands[k]
-        cnt = sum(1 for p in alg.basis
-                  if alg.target(p) == s.vertex and alg.path_degree(p) + s.shift == d)
-        off += cnt
-    return off
 
 
 # ---------------------------------------------------------------------------
@@ -227,37 +199,22 @@ def _hom_to_alg_matrix(f: ModuleHom, src_summands: tuple[Summand, ...],
                        tgt_summands: tuple[Summand, ...],
                        alg: PathAlgebra) -> AlgMatrix:
     """Recover left-multiplication entries of a degree-0 map between sums of
-    cyclic projectives from the images of the summand generators."""
+    cyclic projectives from the images of the summand generators: the image
+    of summand j's generator e(v) has, at target basis path p of summand b,
+    the coefficient of p in entry (b, j)."""
     out = AlgMatrix.zero(alg, tgt_summands, src_summands)
-    tgt_mods = [projective(alg, s.vertex).shift(s.shift) for s in tgt_summands]
-    tgt_offs: dict[int, list[tuple[int, Path]]] = {}
-    for b_idx, (s, mod) in enumerate(zip(tgt_summands, tgt_mods)):
-        paths = [p for p in alg.basis if alg.target(p) == s.vertex]
-        for p in paths:
-            d = alg.path_degree(p) + s.shift
-            tgt_offs.setdefault(d, []).append((b_idx, p))
-    for d in tgt_offs:
-        tgt_offs[d].sort(key=lambda t: (t[0], t[1].word()))
-    for j, s in enumerate(src_summands):
-        d = s.shift
-        col = _summand_generator_column(src_summands, j, alg)
-        img = [f.mat(d).data[r][col] for r in range(f.target.dim(d))] \
-            if f.mats.get(d) is not None else [Fraction(0)] * f.target.dim(d)
-        for (b_idx, p), x in zip(tgt_offs.get(d, []), img):
-            if x != 0:
-                out.entries[b_idx][j] = out.entries[b_idx][j] + alg.element({p: x})
+    at = {dr: (b, p) for b, positions in enumerate(sum_layout(alg, tgt_summands))
+          for p, dr in positions.items()}
+    for j, (s, positions) in enumerate(zip(src_summands, sum_layout(alg, src_summands))):
+        d, col = positions[Path((), s.vertex)]
+        m = f.mats.get(d)
+        if m is None:
+            continue
+        for r in range(m.nrows):
+            if m.data[r][col] != 0:
+                b, p = at[(d, r)]
+                out.entries[b][j] = out.entries[b][j] + alg.element({p: m.data[r][col]})
     return out
-
-
-def _summand_generator_column(summands: tuple[Summand, ...], j: int,
-                              alg: PathAlgebra) -> int:
-    d = summands[j].shift
-    off = 0
-    for k in range(j):
-        s = summands[k]
-        off += sum(1 for p in alg.basis
-                   if alg.target(p) == s.vertex and alg.path_degree(p) + s.shift == d)
-    return off
 
 
 def resolve_complex(Y: Complex, depth: int
@@ -286,7 +243,7 @@ def resolve_complex(Y: Complex, depth: int
         if P_next.is_zero():
             Z, z_incl = zero_mod, None
         elif dmats.get(i + 1) is None:
-            vec_all = {d: [_unit(P_next.dim(d), k) for k in range(P_next.dim(d))]
+            vec_all = {d: [unit_vector(P_next.dim(d), k) for k in range(P_next.dim(d))]
                        for d in P_next.degrees()}
             Z, z_incl = submodule_from_vectors(P_next, vec_all, name="Z")
         else:
@@ -314,12 +271,13 @@ def resolve_complex(Y: Complex, depth: int
                     b = [Fraction(0)] * n_t
                 return [x - y for x, y in zip(a, b)]
 
-            cols = [constraint(_unit(ny, k), _unit(nz, k - ny))
-                    for k in range(ny + nz)]
+            # a unit vector of Y^i ⊕ Z splits into its Y part and its Z part
+            units = [unit_vector(ny + nz, k) for k in range(ny + nz)]
+            cols = [constraint(e[:ny], e[ny:]) for e in units]
             if not cols:
                 continue
             if not cols[0]:
-                vecs = [_unit(ny + nz, k) for k in range(ny + nz)]
+                vecs = units
             else:
                 A = Matrix(len(cols[0]), len(cols),
                            [[cols[j][r] for j in range(len(cols))]
@@ -342,8 +300,7 @@ def resolve_complex(Y: Complex, depth: int
             continue
         summands, epsW = projective_cover(W)
         terms[i] = summands
-        realized[i] = direct_sum([projective(alg, s.vertex).shift(s.shift)
-                                  for s in summands], alg)
+        realized[i] = epsW.source
         full = w_incl.compose(epsW)
         # split into the Y-component (augmentation) and Z-component (differential)
         y_mats: dict[int, Matrix] = {}
@@ -374,13 +331,6 @@ def resolve_complex(Y: Complex, depth: int
                 f"resolution of {Y.name} neither terminates nor stabilizes at depth {depth}")
         pc = ProjComplex(alg, terms, diffs, tail, pc.name, validate=True)
     return pc, augment
-
-
-def _unit(n: int, k: int) -> list[Fraction]:
-    v = [Fraction(0)] * n
-    if 0 <= k < n:
-        v[k] = Fraction(1)
-    return v
 
 
 def _amb_label(Yi: GradedModule, Z: GradedModule, d: int, j: int) -> str:
