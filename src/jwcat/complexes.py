@@ -11,10 +11,11 @@ algebra elements.
 functor consumes and what homology is computed from.
 
 Cohomological indexing throughout: differentials raise the homological
-degree. Semi-infinite complexes carry an eventually-periodic tail descriptor:
-for a right tail, term(i) = term(i - period) internally shifted by ``shift``
-for every i >= start (symmetrically on the left), and the stored window must
-exhibit the pattern over two periods.
+degree. Semi-infinite complexes carry an eventually-periodic tail descriptor
+(``TailSpec``). Its direction ``outward`` is +1 on a right tail and -1 on a
+left one, and for every degree i from ``start`` outward
+term(i) = term(i - outward·period) internally shifted by ``shift``, and so is
+d(i). The stored window must exhibit the pattern over two periods.
 """
 
 from __future__ import annotations
@@ -178,6 +179,15 @@ class TailSpec:
     period: int
     shift: int      # internal shift per period step, moving outward
 
+    @property
+    def outward(self) -> int:
+        """The direction the tail runs in: +1 on a right tail, -1 on a left."""
+        return 1 if self.side == RIGHT_TAIL else -1
+
+    def edge(self, window: tuple[int, int]) -> int:
+        """The end of ``window`` on the tail side."""
+        return window[1] if self.outward > 0 else window[0]
+
 
 class ProjComplex:
     """Complex of formal sums of shifted projectives over one algebra."""
@@ -226,59 +236,30 @@ class ProjComplex:
             self.check_tail_seam()
 
     def check_tail_seam(self) -> None:
-        """The stored window must exhibit the tail pattern over two periods:
-        right tail: term(i) = term(i-p)<s> for all stored i >= start."""
+        """The stored window must exhibit the tail pattern over two periods,
+        and every stored degree from ``start`` outward must follow it."""
         t = self.tail
-        lo, hi = self.window()
-        p, s = t.period, t.shift
-        if t.side == RIGHT_TAIL:
-            if hi < t.start + 2 * p - 1:
-                raise WindowTooSmall(
-                    f"window {self.window()} cannot exhibit tail of {self.name}")
-            for i in range(t.start, hi + 1):
-                if self.term(i) != shift_summands(self.term(i - p), s):
-                    raise ConstructionError(f"tail term pattern broken at {i} in {self.name}")
-                if i < hi and not (self.diff(i) == self.diff(i - p).shifted(s)):
-                    raise ConstructionError(f"tail diff pattern broken at {i} in {self.name}")
-        else:
-            if lo > t.start - 2 * p + 1:
-                raise WindowTooSmall(
-                    f"window {self.window()} cannot exhibit tail of {self.name}")
-            for i in range(t.start, lo - 1, -1):
-                if self.term(i) != shift_summands(self.term(i + p), s):
-                    raise ConstructionError(f"tail term pattern broken at {i} in {self.name}")
-                if not (self.diff(i) == self.diff(i + p).shifted(s)):
-                    raise ConstructionError(f"tail diff pattern broken at {i} in {self.name}")
+        if t.outward * (t.edge(self.window()) - t.start) < 2 * t.period - 1:
+            raise WindowTooSmall(
+                f"window {self.window()} cannot exhibit tail of {self.name}")
+        broken = _tail_break(self, t)
+        if broken is not None:
+            kind, i = broken
+            raise ConstructionError(f"tail {kind} pattern broken at {i} in {self.name}")
 
     # --- materialization ---
 
     def materialize(self, lo: int, hi: int) -> ProjComplex:
         """Extend the stored window to cover [lo, hi] using the tail rule."""
-        terms = dict(self.terms)
-        diffs = dict(self.diffs)
-        t = self.tail
-        if t is not None:
-            p, s = t.period, t.shift
-            if t.side == RIGHT_TAIL:
-                i = self.window()[1] + 1
-                while i <= hi:
-                    terms[i] = shift_summands(terms[i - p], s)
-                    if (i - 1) not in diffs and (i - 1 - p) in diffs:
-                        diffs[i - 1] = diffs[i - 1 - p].shifted(s)
-                    i += 1
-            else:
-                i = self.window()[0] - 1
-                while i >= lo:
-                    terms[i] = shift_summands(terms[i + p], s)
-                    if i not in diffs and (i + p) in diffs:
-                        diffs[i] = diffs[i + p].shifted(s)
-                    i -= 1
-        return ProjComplex(self.algebra, terms, diffs, t, self.name, validate=False)
+        terms, diffs = _periodic_extension(self, lo, hi, shift_summands,
+                                           AlgMatrix.shifted)
+        return ProjComplex(self.algebra, terms, diffs, self.tail, self.name,
+                           validate=False)
 
-    def clip(self, lo: int, hi: int, tail: TailSpec | None = None) -> ProjComplex:
+    def clip(self, lo: int, hi: int) -> ProjComplex:
         terms = {i: t for i, t in self.terms.items() if lo <= i <= hi}
         diffs = {i: d for i, d in self.diffs.items() if lo <= i and i + 1 <= hi}
-        return ProjComplex(self.algebra, terms, diffs, tail, self.name, validate=False)
+        return ProjComplex(self.algebra, terms, diffs, None, self.name, validate=False)
 
     # --- constructions ---
 
@@ -344,48 +325,75 @@ class ProjComplex:
         return f"ProjComplex({self.name}, window={self.window()}, tail={self.tail})"
 
 
+def _tail_break(c: ProjComplex, t: TailSpec) -> tuple[str, int] | None:
+    """The first break of the pattern ``t`` in the stored window of ``c``.
+
+    Walks from ``t.start`` outward to the window's edge and checks
+    term(i) = term(i - outward·period)<shift>, then d(i) likewise while i + 1
+    is stored. Returns ("term", i) or ("diff", i) at the first failure, or
+    None when the stored degrees follow the pattern."""
+    o, p, s = t.outward, t.period, t.shift
+    hi = c.window()[1]
+    for i in range(t.start, t.edge(c.window()) + o, o):
+        if c.term(i) != shift_summands(c.term(i - o * p), s):
+            return "term", i
+        if i < hi and c.diff(i) != c.diff(i - o * p).shifted(s):
+            return "diff", i
+    return None
+
+
+def _periodic_extension(c, lo: int, hi: int, shift_term, shift_diff):
+    """The terms and differentials of ``c`` (a ``ProjComplex`` or a
+    ``Complex``) extended over [lo, hi] by its tail rule, degree by degree
+    outward from the stored edge. Only the tail side is extended; without a
+    tail they are copies of the stored ones."""
+    terms, diffs = dict(c.terms), dict(c.diffs)
+    t = c.tail
+    if t is not None:
+        o, step = t.outward, t.outward * t.period
+        for i in range(t.edge(c.window()) + o, t.edge((lo, hi)) + o, o):
+            terms[i] = shift_term(terms[i - step], t.shift)
+            j = min(i, i - o)   # the differential joining i to the stored side
+            if j not in diffs and (j - step) in diffs:
+                diffs[j] = shift_diff(diffs[j - step], t.shift)
+    return terms, diffs
+
+
 def detect_tail(c: ProjComplex, side: str) -> TailSpec | None:
     """Smallest periodic pattern, of period at most 4, visible over two
-    periods at the outward end."""
+    periods at the outward end. A found tail passes ``check_tail_seam``:
+    it is accepted by the same walk."""
     if c.is_zero():
         return None
     lo, hi = c.window()
+    direction = TailSpec(side, 0, 0, 0)
+    o, edge = direction.outward, direction.edge((lo, hi))
     for p in range(1, 5):
-        if side == RIGHT_TAIL:
-            if hi - 3 * p + 1 < lo:
-                continue
-            ref_out, ref_in = c.term(hi), c.term(hi - p)
-            if not ref_out or len(ref_out) != len(ref_in):
-                continue
-            s = ref_out[0].shift - ref_in[0].shift
-            ok = True
-            for i in range(hi - 2 * p + 1, hi + 1):
-                if c.term(i) != shift_summands(c.term(i - p), s):
-                    ok = False
-                    break
-                if i < hi and not (c.diff(i) == c.diff(i - p).shifted(s)):
-                    ok = False
-                    break
-            if ok:
-                return TailSpec(side, hi - 2 * p + 1, p, s)
-        else:
-            if lo + 3 * p - 1 > hi:
-                continue
-            ref_out, ref_in = c.term(lo), c.term(lo + p)
-            if not ref_out or len(ref_out) != len(ref_in):
-                continue
-            s = ref_out[0].shift - ref_in[0].shift
-            ok = True
-            for i in range(lo + 2 * p - 1, lo - 1, -1):
-                if c.term(i) != shift_summands(c.term(i + p), s):
-                    ok = False
-                    break
-                if not (c.diff(i) == c.diff(i + p).shifted(s)):
-                    ok = False
-                    break
-            if ok:
-                return TailSpec(side, lo + 2 * p - 1, p, s)
+        if hi - lo + 1 < 3 * p:
+            continue
+        ref_out, ref_in = c.term(edge), c.term(edge - o * p)
+        if len(ref_out) != len(ref_in):
+            continue
+        t = TailSpec(side, edge - o * (2 * p - 1), p,
+                     ref_out[0].shift - ref_in[0].shift)
+        if _tail_break(c, t) is None:
+            return t
     return None
+
+
+def attach_tail(c: ProjComplex, window: tuple[int, int], side: str,
+                message: str) -> ProjComplex:
+    """``c`` clipped to ``window`` with the tail ``detect_tail`` finds there
+    on ``side``; ``WindowTooSmall(message)`` when it finds none.
+
+    ``c`` must have been validated: the clipped d∘d products are the ones
+    its validation checked, and ``detect_tail`` checked the seam, so the
+    result is not validated again."""
+    out = c.clip(*window)
+    tail = detect_tail(out, side)
+    if tail is None:
+        raise WindowTooSmall(message)
+    return ProjComplex(c.algebra, out.terms, out.diffs, tail, out.name, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +540,13 @@ class Complex:
             comp = self.diff(i + 1).compose(self.diff(i))
             if not comp.is_zero():
                 raise ConstructionError(f"d∘d != 0 at {i} of {self.name}")
+
+    def materialize(self, lo: int, hi: int) -> Complex:
+        """Extend the stored window to cover [lo, hi] using the tail rule."""
+        terms, diffs = _periodic_extension(self, lo, hi, GradedModule.shift,
+                                           ModuleHom.shift)
+        return Complex(self.algebra, terms, diffs, self.tail, self.name,
+                       validate=False)
 
     @classmethod
     def from_module(cls, M: GradedModule, degree: int = 0) -> Complex:
@@ -799,34 +814,27 @@ def gaussian_reduce(c: ProjComplex, keep_window: tuple[int, int] | None = None
                           f"min({c.name})", validate=True)
 
     if keep_window is not None:
-        lo, hi = keep_window
-        side = c.tail.side if c.tail is not None else None
-        reduced = reduced.clip(lo, hi)
+        reduced = reduced.clip(*keep_window)
         tail = None
-        if side is not None and not reduced.is_zero():
-            tail = detect_tail(reduced, side)
-            rlo, rhi = reduced.window()
-            if tail is not None:
-                # only claim a tail when the content actually reaches the clip
-                # boundary; otherwise the complex genuinely became bounded
-                at_edge = (rhi >= hi - tail.period if side == RIGHT_TAIL
-                           else rlo <= lo + tail.period)
-                if not at_edge:
-                    tail = None
-            else:
+        t = c.tail
+        if t is not None and not reduced.is_zero():
+            tail = detect_tail(reduced, t.side)
+            # degrees between the content's outward end and the kept edge
+            gap = t.outward * (t.edge(keep_window) - t.edge(reduced.window()))
+            if tail is None and gap <= 1:
                 # content touching the clip boundary without a visible
                 # pattern: the window cannot distinguish bounded from
                 # truncated; content ending strictly inside is trustworthy
                 # because those degrees were reduced with margin beyond them
-                near_edge = (rhi >= hi - 1 if side == RIGHT_TAIL else rlo <= lo + 1)
-                if near_edge:
-                    raise WindowTooSmall(
-                        f"reduction of {c.name} reaches the window edge without "
-                        f"a periodic pattern; enlarge the window")
+                raise WindowTooSmall(
+                    f"reduction of {c.name} reaches the window edge without "
+                    f"a periodic pattern; enlarge the window")
+            if tail is not None and gap > tail.period:
+                # only claim a tail when the content actually reaches the
+                # clip boundary; otherwise the complex genuinely became bounded
+                tail = None
         reduced = ProjComplex(st.algebra, reduced.terms, reduced.diffs, tail,
                               reduced.name, validate=False)
-        if tail is not None:
-            reduced.check_tail_seam()
 
     Fm = {i: m for i, m in st.F.items() if i in reduced.terms}
     Gm = {i: m for i, m in st.G.items() if i in reduced.terms}
@@ -968,13 +976,9 @@ class LadderSystem:
         t = fam.tail
         if t is None or not table:
             return
-        lo, hi = fam.window
-        if t.side == RIGHT_TAIL:
-            step, rest = -t.period, range(max(table) + 1, hi + 1)
-        else:
-            step, rest = t.period, range(min(table) - 1, lo - 1, -1)
-        for i in rest:
-            m = maps.get(i + step)
+        o, solved = t.outward, (min(table), max(table))
+        for i in range(t.edge(solved) + o, t.edge(fam.window) + o, o):
+            m = maps.get(i - o * t.period)
             if m is not None:
                 maps[i] = m.shifted(t.shift)
 
@@ -1134,11 +1138,7 @@ def reduce_on_window(c: ProjComplex, window: tuple[int, int]) -> Reduction:
     """
     if c.tail is not None:
         margin = 4 * c.tail.period + 4
-        lo, hi = window
-        if c.tail.side == LEFT_TAIL:
-            c = c.materialize(lo - margin, hi)
-        else:
-            c = c.materialize(lo, hi + margin)
+        c = c.materialize(window[0] - margin, window[1] + margin)
     return gaussian_reduce(c, keep_window=window)
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from .complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, Complex,
                         LadderFamily, LadderSystem, ProjBicomplex,
                         ProjChainMap, ProjComplex, Reduction, RegimeError,
-                        Summand, WindowTooSmall, detect_tail, gaussian_reduce,
+                        Summand, WindowTooSmall, attach_tail, gaussian_reduce,
                         realize, total_complex, total_layout)
 from .linalg import solve_from_columns
 from .modules import (GradedModule, ModuleHom, apply_pi, apply_pi_hom,
@@ -300,21 +300,15 @@ def _koszul_D(setup: Setup, x, out_window: tuple[int, int] | None,
 
     mat = Y
     p_safe = out_hi
-    if Y.tail is not None and Y.tail.side == LEFT_TAIL:
-        # extend until omitted terms can only hit degrees beyond out_hi
+    if Y.tail is not None:
+        # extend until omitted terms can only hit degrees beyond out_hi,
+        # materializing ahead of the scan by doubling the window
         lo, hi = Y.window()
-        while True:
-            smin = min(mat.term(lo).degrees())
-            if lo + smin > out_hi + 1:
-                break
+        while lo + min(mat.term(lo).degrees()) <= out_hi + 1:
             lo -= 1
-            prototype = mat.term(lo + mat.tail.period)
-            mat = Complex(
-                Y.algebra,
-                {**mat.terms, lo: prototype.shift(mat.tail.shift)},
-                {**mat.diffs,
-                 lo: mat.diff(lo + mat.tail.period).shift(mat.tail.shift)},
-                mat.tail, mat.name, validate=False)
+            if lo not in mat.terms:
+                mat = Y.materialize(2 * lo - hi, hi)
+        mat = Y.materialize(lo, hi)
         omit_min = min(mat.term(lo).degrees()) + mat.tail.shift
         p_safe = min(p_safe, (lo - 1) + omit_min - 1)
 
@@ -357,11 +351,8 @@ def _koszul_D(setup: Setup, x, out_window: tuple[int, int] | None,
 
     out = ProjComplex(B, terms, diffs, None, name or f"𝔻({Y.name})", validate=True)
     if Y.tail is not None:
-        out = out.clip(out_lo, min(out_hi, p_safe))
-        tail = detect_tail(out, RIGHT_TAIL)
-        if tail is None:
-            raise WindowTooSmall("duality output did not stabilize; enlarge the window")
-        out = ProjComplex(B, out.terms, out.diffs, tail, out.name, validate=True)
+        out = attach_tail(out, (out_lo, min(out_hi, p_safe)), RIGHT_TAIL,
+                          "duality output did not stabilize; enlarge the window")
     return out, index
 
 
@@ -551,25 +542,21 @@ def _ck_total(setup: Setup, x: ProjComplex, out_window: tuple[int, int]
     """``CK_on_object`` on a given window, together with the bicomplex it
     totalizes, whose ``total_layout`` the map functor reads."""
     out_lo, out_hi = out_window
-    if x.tail is not None and x.tail.side == RIGHT_TAIL:
-        x = x.materialize(x.window()[0], out_hi + 2)
+    x = x.materialize(x.window()[0], out_hi + 2)
     x_lo = x.window()[0]
     K = out_hi - x_lo + 2
     bc = ck_bicomplex(setup, x, K)
     if x.is_zero():
         return ProjComplex.zero_complex(setup.B), bc
     tot = total_complex(bc, name=f"ℂ𝕂({x.name})")
-    # total degree n is complete iff every contributing column k <= K was built
+    # total degree n is complete iff every contributing column k <= K was
+    # built; the raw tensor is always right-infinite for nonzero input, so a
+    # missing pattern means the window cannot certify the tail, never
+    # boundedness
     safe_hi = min(out_hi, K + x_lo - 1)
-    tot = tot.clip(out_lo, safe_hi)
-    # the raw tensor is always right-infinite for nonzero input, so a missing
-    # pattern means the window cannot certify the tail, never boundedness
-    tail = detect_tail(tot, RIGHT_TAIL)
-    if tail is None:
-        raise WindowTooSmall(
-            f"projector tensor output did not stabilize on window {out_window}")
-    return ProjComplex(setup.B, tot.terms, tot.diffs, tail, tot.name,
-                       validate=True), bc
+    return attach_tail(tot, (out_lo, safe_hi), RIGHT_TAIL,
+                       f"projector tensor output did not stabilize on window "
+                       f"{out_window}"), bc
 
 
 def CK_on_object(setup: Setup, x, out_window: tuple[int, int] | None = None

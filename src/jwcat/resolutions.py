@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .complexes import (LEFT_TAIL, AlgMatrix, Complex, ProjComplex, Summand,
-                        WindowTooSmall, detect_tail)
+                        attach_tail)
 from .linalg import Matrix, unit_vector
 from .modules import (GradedModule, ModuleHom, direct_sum, projective_sum,
                       sum_layout)
@@ -228,6 +228,10 @@ def resolve_complex(Y: Complex, depth: int
     if Y.is_zero():
         return ProjComplex.zero_complex(alg), {}
     ylo, yhi = Y.window()
+    floor = ylo - depth
+    # a left-tailed input is resolved through the floor on its materialized
+    # terms, so the resolution's tail is detected there
+    Y = Y.materialize(floor, yhi)
     terms: dict[int, tuple[Summand, ...]] = {}
     diffs: dict[int, AlgMatrix] = {}
     augment: dict[int, ModuleHom] = {}
@@ -235,7 +239,6 @@ def resolve_complex(Y: Complex, depth: int
     dmats: dict[int, ModuleHom] = {}
     zero_mod = GradedModule.zero_module(alg)
 
-    floor = ylo - depth
     for i in range(yhi, floor - 1, -1):
         Yi = Y.term(i)
         P_next = realized.get(i + 1, zero_mod)
@@ -325,11 +328,9 @@ def resolve_complex(Y: Complex, depth: int
 
     pc = ProjComplex(alg, terms, diffs, None, f"res({Y.name})")
     if not pc.is_zero() and min(terms) <= floor + 1:
-        tail = detect_tail(pc, LEFT_TAIL)
-        if tail is None:
-            raise WindowTooSmall(
-                f"resolution of {Y.name} neither terminates nor stabilizes at depth {depth}")
-        pc = ProjComplex(alg, terms, diffs, tail, pc.name, validate=True)
+        pc = attach_tail(pc, pc.window(), LEFT_TAIL,
+                         f"resolution of {Y.name} neither terminates nor "
+                         f"stabilizes at depth {depth}")
     return pc, augment
 
 

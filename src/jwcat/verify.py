@@ -548,13 +548,14 @@ class _Runner:
         idL = ProjChainMap.identity(left)
         idR = ProjChainMap.identity(right)
         idM = ProjChainMap.identity(mid)
+        LJ, KM, KJ, LM = L.compose(J), Km.compose(M), Km.compose(J), L.compose(M)
+        split = J.compose(L) + M.compose(Km)
         for i in range(win[0], win[1] + 1):
-            assert (L.compose(J)).component(i) == idL.component(i), "L∘J = id"
-            assert (Km.compose(M)).component(i) == idR.component(i), "K∘M = id"
-            assert (Km.compose(J)).component(i).is_zero(), "K∘J = 0"
-            assert (L.compose(M)).component(i).is_zero(), "L∘M = 0"
-            got = (J.compose(L) + M.compose(Km)).component(i)
-            assert got == idM.component(i), "J∘L + M∘K = id"
+            assert LJ.component(i) == idL.component(i), "L∘J = id"
+            assert KM.component(i) == idR.component(i), "K∘M = id"
+            assert KJ.component(i).is_zero(), "K∘J = 0"
+            assert LM.component(i).is_zero(), "L∘M = 0"
+            assert split.component(i) == idM.component(i), "J∘L + M∘K = id"
         red_left = reduce_on_window(left, (-2, K - 3))
         assert red_left.reduced.is_zero(), "left column is contractible"
         # the staircase bicomplex totalizes to the middle column

@@ -1,0 +1,380 @@
+"""The periodic tail rule has one owner: ``TailSpec.outward`` gives the
+direction, one walk checks the pattern (``detect_tail`` and
+``check_tail_seam``), one extension materializes it (both ``materialize``s),
+and one function attaches a detected tail (``attach_tail``). The mirrored
+per-side code they replaced is kept here as the reference."""
+
+from functools import cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jwcat import functors, resolutions
+from jwcat.complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, ProjBicomplex,
+                             ProjComplex, Summand, TailSpec, WindowTooSmall,
+                             detect_tail, realize, shift_summands)
+from jwcat.functors import (CK_on_object, P_on_object, Setup,
+                            koszul_D_on_object)
+from jwcat.modules import projective, simple
+from jwcat.quiver import ConstructionError
+from test_complexes import ck_p2_complex
+
+SETUP = Setup.create()
+B = SETUP.B
+WINDOW = (0, 8)
+
+
+# ---------------------------------------------------------------------------
+# the mirrored per-side code, as reference
+# ---------------------------------------------------------------------------
+
+def ref_detect_tail(c, side):
+    if c.is_zero():
+        return None
+    lo, hi = c.window()
+    for p in range(1, 5):
+        if side == RIGHT_TAIL:
+            if hi - 3 * p + 1 < lo:
+                continue
+            ref_out, ref_in = c.term(hi), c.term(hi - p)
+            if not ref_out or len(ref_out) != len(ref_in):
+                continue
+            s = ref_out[0].shift - ref_in[0].shift
+            ok = True
+            for i in range(hi - 2 * p + 1, hi + 1):
+                if c.term(i) != shift_summands(c.term(i - p), s):
+                    ok = False
+                    break
+                if i < hi and not (c.diff(i) == c.diff(i - p).shifted(s)):
+                    ok = False
+                    break
+            if ok:
+                return (side, hi - 2 * p + 1, p, s)
+        else:
+            if lo + 3 * p - 1 > hi:
+                continue
+            ref_out, ref_in = c.term(lo), c.term(lo + p)
+            if not ref_out or len(ref_out) != len(ref_in):
+                continue
+            s = ref_out[0].shift - ref_in[0].shift
+            ok = True
+            for i in range(lo + 2 * p - 1, lo - 1, -1):
+                if c.term(i) != shift_summands(c.term(i + p), s):
+                    ok = False
+                    break
+                if not (c.diff(i) == c.diff(i + p).shifted(s)):
+                    ok = False
+                    break
+            if ok:
+                return (side, lo + 2 * p - 1, p, s)
+    return None
+
+
+def ref_check_tail_seam(c):
+    t = c.tail
+    lo, hi = c.window()
+    p, s = t.period, t.shift
+    if t.side == RIGHT_TAIL:
+        if hi < t.start + 2 * p - 1:
+            raise WindowTooSmall(
+                f"window {c.window()} cannot exhibit tail of {c.name}")
+        for i in range(t.start, hi + 1):
+            if c.term(i) != shift_summands(c.term(i - p), s):
+                raise ConstructionError(f"tail term pattern broken at {i} in {c.name}")
+            if i < hi and not (c.diff(i) == c.diff(i - p).shifted(s)):
+                raise ConstructionError(f"tail diff pattern broken at {i} in {c.name}")
+    else:
+        if lo > t.start - 2 * p + 1:
+            raise WindowTooSmall(
+                f"window {c.window()} cannot exhibit tail of {c.name}")
+        for i in range(t.start, lo - 1, -1):
+            if c.term(i) != shift_summands(c.term(i + p), s):
+                raise ConstructionError(f"tail term pattern broken at {i} in {c.name}")
+            if not (c.diff(i) == c.diff(i + p).shifted(s)):
+                raise ConstructionError(f"tail diff pattern broken at {i} in {c.name}")
+
+
+def ref_materialize(c, lo, hi):
+    terms = dict(c.terms)
+    diffs = dict(c.diffs)
+    t = c.tail
+    if t is not None:
+        p, s = t.period, t.shift
+        if t.side == RIGHT_TAIL:
+            i = c.window()[1] + 1
+            while i <= hi:
+                terms[i] = shift_summands(terms[i - p], s)
+                if (i - 1) not in diffs and (i - 1 - p) in diffs:
+                    diffs[i - 1] = diffs[i - 1 - p].shifted(s)
+                i += 1
+        else:
+            i = c.window()[0] - 1
+            while i >= lo:
+                terms[i] = shift_summands(terms[i + p], s)
+                if i not in diffs and (i + p) in diffs:
+                    diffs[i] = diffs[i + p].shifted(s)
+                i -= 1
+    return ProjComplex(c.algebra, terms, diffs, t, c.name, validate=False)
+
+
+# ---------------------------------------------------------------------------
+# the corpus: left- and right-tailed functor outputs and fixtures
+# ---------------------------------------------------------------------------
+
+CORPUS_NAMES = ("P(P(1))", "P(L(2))", "CK(P(1))", "D(P(P(1)))", "nu-eta-zeta",
+                "cones-3", "cones-4")
+
+
+def spaced_cones(period, hi=13):
+    """Cones P(2)<-2k> --e(2)--> P(2)<-2k> starting in each degree
+    period·k, with P(2)<-2k> alone in the degrees between: a right tail
+    of the given period and shift -2, stored on degrees 0..hi."""
+    e2 = B.idempotent("2")
+    terms = {i: (Summand("2", -2 * (i // period)),) for i in range(hi + 1)}
+    diffs = {i: AlgMatrix(B, terms[i + 1], terms[i], [[e2]])
+             for i in range(0, hi, period)}
+    return ProjComplex(B, terms, diffs, TailSpec(RIGHT_TAIL, period, period, -2),
+                       f"cones-{period}")
+
+
+@cache
+def corpus() -> dict[str, ProjComplex]:
+    """Built on first use, so that a construction broken by a change fails
+    the tests that read the corpus rather than the module's import."""
+    depth = WINDOW[1] - WINDOW[0] + 6
+    pp1 = P_on_object(SETUP, P_on_object(SETUP, projective(B, "1"), depth=depth),
+                      depth=depth)
+    return {
+        "P(P(1))": pp1,
+        "P(L(2))": P_on_object(SETUP, simple(B, "2"), depth=depth),
+        "CK(P(1))": CK_on_object(SETUP, ProjComplex.from_summand(B, "1"),
+                                 out_window=WINDOW),
+        "D(P(P(1)))": koszul_D_on_object(SETUP, pp1, out_window=WINDOW),
+        "nu-eta-zeta": ck_p2_complex(B, 8),
+        "cones-3": spaced_cones(3),
+        "cones-4": spaced_cones(4),
+    }
+
+
+def with_tail(c, tail):
+    return ProjComplex(c.algebra, c.terms, c.diffs, tail, c.name, validate=False)
+
+
+def outcome(fn, *args):
+    """What a call gives: its value, or the type and text of what it raised."""
+    try:
+        return "value", fn(*args)
+    except Exception as exc:   # noqa: BLE001 - the exception is the outcome
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def tailed_complexes(draw, corrupt=True):
+    """A corpus complex, shifted, possibly clipped (keeping its tail), and
+    possibly with one term or differential entry corrupted."""
+    c = corpus()[draw(st.sampled_from(CORPUS_NAMES))]
+    c = c.shift(draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+    tail = c.tail
+    lo, hi = c.window()
+    if draw(st.booleans()):
+        a = draw(st.integers(lo, hi))
+        c = with_tail(c.clip(a, draw(st.integers(a, hi))), tail)
+    kind = draw(st.sampled_from(["term", "diff", None])) if corrupt else None
+    if kind == "term" and c.terms:
+        i = draw(st.sampled_from(sorted(c.terms)))
+        k = draw(st.integers(0, len(c.term(i)) - 1))
+        term = list(c.term(i))
+        term[k] = term[k].shifted(1)
+        c = ProjComplex(c.algebra, {**c.terms, i: tuple(term)}, c.diffs, tail,
+                        c.name, validate=False)
+    elif kind == "diff" and c.diffs:
+        i = draw(st.sampled_from(sorted(c.diffs)))
+        d = c.diffs[i]
+        r = draw(st.integers(0, len(d.rows) - 1))
+        k = draw(st.integers(0, len(d.cols) - 1))
+        bad = AlgMatrix(c.algebra, d.rows, d.cols, d.entries, validate=False)
+        e = bad.entries[r][k]
+        bad.entries[r][k] = e.scale(2) if e.terms else c.algebra.idempotent(d.rows[r].vertex)
+        c = ProjComplex(c.algebra, c.terms, {**c.diffs, i: bad}, tail, c.name,
+                        validate=False)
+    return c
+
+
+class TestOneRuleBothSides:
+    def test_outward_is_the_direction_of_each_side(self):
+        assert corpus()["P(L(2))"].tail.outward == -1
+        assert corpus()["CK(P(1))"].tail.outward == 1
+        assert {c.tail.side for c in corpus().values()} == {LEFT_TAIL, RIGHT_TAIL}
+
+    @settings(max_examples=150, deadline=None)
+    @given(c=tailed_complexes(), side=st.sampled_from([LEFT_TAIL, RIGHT_TAIL]))
+    def test_detect_tail_matches_the_mirrored_code(self, c, side):
+        t = detect_tail(c, side)
+        want = ref_detect_tail(c, side)
+        assert (None if t is None else (t.side, t.start, t.period, t.shift)) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(c=tailed_complexes())
+    def test_seam_check_matches_the_mirrored_code(self, c):
+        assert outcome(c.check_tail_seam) == outcome(ref_check_tail_seam, c)
+
+    @settings(max_examples=150, deadline=None)
+    @given(c=tailed_complexes(), below=st.integers(0, 6), above=st.integers(0, 6))
+    def test_materialize_matches_the_mirrored_code(self, c, below, above):
+        lo, hi = c.window()
+        got = outcome(c.materialize, lo - below, hi + above)
+        want = outcome(ref_materialize, c, lo - below, hi + above)
+        if got[0] == "value" and want[0] == "value":
+            got = "value", (got[1].terms, got[1].diffs, got[1].tail)
+            want = "value", (want[1].terms, want[1].diffs, want[1].tail)
+        assert got == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(c=tailed_complexes(corrupt=False), side=st.sampled_from([LEFT_TAIL, RIGHT_TAIL]))
+    def test_a_detected_tail_passes_the_seam_check(self, c, side):
+        t = detect_tail(c, side)
+        if t is not None:
+            with_tail(c, t).check_tail_seam()
+
+    @settings(max_examples=12, deadline=None)
+    @given(name=st.sampled_from(CORPUS_NAMES), below=st.integers(0, 3),
+           above=st.integers(0, 3))
+    def test_realize_commutes_with_materialize(self, name, below, above):
+        pc = corpus()[name]
+        lo, hi = pc.window()
+        lo, hi = lo - below, hi + above
+        a, b = realize(pc.materialize(lo, hi)), realize(pc).materialize(lo, hi)
+        assert a.window() == b.window() and a.tail == b.tail
+        assert a.terms == b.terms
+        assert set(a.diffs) == set(b.diffs)
+        for i, d in a.diffs.items():
+            e = b.diffs[i]
+            assert d == e and d.source == e.source and d.target == e.target
+
+
+class TestGeneralProjectorKeepsTheTail:
+    def test_general_path_equals_the_vertex_two_shortcut(self):
+        x = P_on_object(SETUP, simple(B, "2"), depth=12)
+        fast = P_on_object(SETUP, x)                 # all summands at vertex 2
+        general = P_on_object(SETUP, realize(x))     # through resolve_complex
+        assert general.tail is not None and fast.tail is not None
+        assert general.tail.side == LEFT_TAIL
+        assert (general.tail.period, general.tail.shift) == \
+            (fast.tail.period, fast.tail.shift)
+        lo = max(fast.window()[0], general.window()[0])
+        hi = min(fast.window()[1], general.window()[1])
+        assert (lo, hi) == fast.window()
+        for i in range(lo, hi + 1):
+            assert general.term(i) == fast.term(i)
+        for i in range(lo, hi):
+            assert general.diff(i) == fast.diff(i)
+        general.check_tail_seam()
+
+
+# ---------------------------------------------------------------------------
+# corrupted blocks are still caught where each tail is attached
+# ---------------------------------------------------------------------------
+
+def break_dd(diffs):
+    """``diffs`` with one entry changed so that d(p+1)∘d(p) != 0."""
+    for p in sorted(diffs):
+        after = diffs.get(p + 1)
+        if after is None:
+            continue
+        d = diffs[p]
+        for r, row in enumerate(d.rows):
+            for k, col in enumerate(d.cols):
+                if row.vertex != col.vertex:
+                    continue
+                bad = AlgMatrix(d.algebra, d.rows, d.cols, d.entries, validate=False)
+                bad.entries[r][k] = bad.entries[r][k] + d.algebra.idempotent(row.vertex)
+                if not (after * bad).is_zero():
+                    return {**diffs, p: bad}
+    raise AssertionError("no entry breaks d∘d")
+
+
+def break_seam(diffs, degree=lambda key: key):
+    """``diffs`` with the differential out of each degree n scaled by n + 100:
+    still d∘d = 0, but no two degrees repeat."""
+    return {key: d.scale(degree(key) + 100) for key, d in diffs.items()}
+
+
+def corrupting(breaker):
+    """A ``ProjComplex`` whose raw (tailless, validated) construction passes
+    its differentials through ``breaker`` first."""
+    class Corrupted(ProjComplex):
+        def __init__(self, algebra, terms, diffs, tail=None, name="X", validate=True):
+            if tail is None and validate and diffs:
+                diffs = breaker(diffs)
+            super().__init__(algebra, terms, diffs, tail, name, validate)
+    return Corrupted
+
+
+def corrupt_bicomplex(monkeypatch, breaker):
+    real = functors.ck_bicomplex
+
+    def ck_bicomplex(setup, x, K):
+        bc = real(setup, x, K)
+        d1, d2 = breaker(bc.d1, bc.d2)
+        return ProjBicomplex(bc.algebra, bc.terms, d1, d2, bc.name, validate=False)
+
+    monkeypatch.setattr(functors, "ck_bicomplex", ck_bicomplex)
+
+
+def run_ck():
+    return CK_on_object(SETUP, ProjComplex.from_summand(B, "2"), out_window=WINDOW)
+
+
+def run_d():
+    return koszul_D_on_object(SETUP, realize(corpus()["P(P(1))"]), out_window=WINDOW)
+
+
+def run_p():
+    return P_on_object(SETUP, simple(B, "2"), depth=10)
+
+
+class TestCorruptionIsCaughtAtEveryAttachment:
+    def test_uncorrupted_sites_attach_their_tails(self):
+        assert run_ck().tail.side == RIGHT_TAIL
+        assert run_d().tail.side == RIGHT_TAIL
+        assert run_p().tail.side == LEFT_TAIL
+
+    def test_duality_dd(self, monkeypatch):
+        monkeypatch.setattr(functors, "ProjComplex", corrupting(break_dd))
+        with pytest.raises(ConstructionError, match="d∘d"):
+            run_d()
+
+    def test_duality_seam(self, monkeypatch):
+        monkeypatch.setattr(functors, "ProjComplex", corrupting(break_seam))
+        with pytest.raises(WindowTooSmall, match="duality output did not stabilize"):
+            run_d()
+
+    def test_resolution_dd(self, monkeypatch):
+        monkeypatch.setattr(resolutions, "ProjComplex", corrupting(break_dd))
+        with pytest.raises(ConstructionError, match="d∘d"):
+            run_p()
+
+    def test_resolution_seam(self, monkeypatch):
+        monkeypatch.setattr(resolutions, "ProjComplex", corrupting(break_seam))
+        with pytest.raises(WindowTooSmall, match="neither terminates nor stabilizes"):
+            run_p()
+
+    def test_topological_projector_dd(self, monkeypatch):
+        def breaker(d1, d2):
+            # one horizontal block, checked by its bicomplex before
+            k, i = min(key for key in d1 if (key[0] + 1, key[1]) in d1)
+            bad = break_dd({k: d1[(k, i)], k + 1: d1[(k + 1, i)]})[k]
+            return {**d1, (k, i): bad}, d2
+        corrupt_bicomplex(monkeypatch, breaker)
+        with pytest.raises(ConstructionError, match="d∘d"):
+            run_ck()
+
+    def test_topological_projector_seam(self, monkeypatch):
+        def breaker(d1, d2):
+            def total(cell):
+                return cell[0] + cell[1]
+            return break_seam(d1, degree=total), break_seam(d2, degree=total)
+        corrupt_bicomplex(monkeypatch, breaker)
+        with pytest.raises(WindowTooSmall, match="projector tensor output did not stabilize"):
+            run_ck()
