@@ -346,12 +346,18 @@ def _periodic_extension(c, lo: int, hi: int, shift_term, shift_diff):
     """The terms and differentials of ``c`` (a ``ProjComplex`` or a
     ``Complex``) extended over [lo, hi] by its tail rule, degree by degree
     outward from the stored edge. Only the tail side is extended; without a
-    tail they are copies of the stored ones."""
+    tail they are copies of the stored ones. A stored window shorter than
+    one period cannot seed the extension: ``WindowTooSmall``, with the
+    text of ``check_tail_seam``."""
     terms, diffs = dict(c.terms), dict(c.diffs)
     t = c.tail
     if t is not None:
         o, step = t.outward, t.outward * t.period
-        for i in range(t.edge(c.window()) + o, t.edge((lo, hi)) + o, o):
+        stored = c.window()
+        new = range(t.edge(stored) + o, t.edge((lo, hi)) + o, o)
+        if new and stored[1] - stored[0] + 1 < t.period:
+            raise WindowTooSmall(f"window {stored} cannot exhibit tail of {c.name}")
+        for i in new:
             terms[i] = shift_term(terms[i - step], t.shift)
             j = min(i, i - o)   # the differential joining i to the stored side
             if j not in diffs and (j - step) in diffs:
@@ -640,11 +646,17 @@ def total_layout(bc: ProjBicomplex) -> dict[int, dict[tuple[int, int], int]]:
     return layout
 
 
+def total_terms(bc: ProjBicomplex) -> dict[int, tuple[Summand, ...]]:
+    """The terms of the total complex: for each total degree, the summands
+    of its cells in ``total_layout`` order."""
+    return {n: tuple(s for cell in cells for s in bc.term(*cell))
+            for n, cells in sorted(total_layout(bc).items())}
+
+
 def total_complex(bc: ProjBicomplex, name: str | None = None) -> ProjComplex:
     """Antidiagonal direct sums, differential d1 + (-1)^p d2."""
     layout = total_layout(bc)
-    terms = {n: tuple(s for cell in cells for s in bc.term(*cell))
-             for n, cells in sorted(layout.items())}
+    terms = total_terms(bc)
     diffs: dict[int, AlgMatrix] = {}
     for n, cells in sorted(layout.items()):
         up = layout.get(n + 1)
@@ -708,7 +720,15 @@ class _Eliminator:
 
     def eliminate(self, i: int, r: int, col: int):
         """Cancel target summand r of degree i+1 against source summand col
-        of degree i along the unit entry; Bar-Natan style correction."""
+        of degree i along the unit entry λ; Bar-Natan style correction.
+
+        With κ = d[:, col] and β = d[r, :], the witnesses change in place by
+        one row or column operation each, which is what composing them with
+        the step maps of the cancellation amounts to: F[i] drops row col;
+        F[i+1] adds -κₖλ⁻¹·F[i+1][r] to each kept row k, then drops row r;
+        G[i] adds G[i][:, col]·(-βⱼλ⁻¹) to each kept column j, then drops
+        column col; G[i+1] drops column r; H[i+1] gains the rank-one
+        (G[i][:, col]·λ⁻¹) ⊗ F[i+1][r]. Only nonzero entries are visited."""
         alg = self.algebra
         d = self.diff_mat(i)
         src, tgt = list(d.cols), list(d.rows)
@@ -716,42 +736,46 @@ class _Eliminator:
         lam_inv = Fraction(1) / lam
         keep_src = [j for j in range(len(src)) if j != col]
         keep_tgt = [k for k in range(len(tgt)) if k != r]
+        kappa = [row[col] for row in d.entries]
+        beta = d.entries[r]
 
         new_src = tuple(src[j] for j in keep_src)
         new_tgt = tuple(tgt[k] for k in keep_tgt)
-        new_d = [[d.entries[k][j] - (d.entries[k][col] * d.entries[r][j]).scale(lam_inv)
+        new_d = [[d.entries[k][j] if not (kappa[k].terms and beta[j].terms)
+                  else d.entries[k][j] - (kappa[k] * beta[j]).scale(lam_inv)
                   for j in keep_src] for k in keep_tgt]
 
-        # step witnesses on the current complex
-        cur_i, cur_i1 = tuple(src), tuple(tgt)
-        f_i = AlgMatrix.zero(alg, new_src, cur_i)
-        for a, j in enumerate(keep_src):
-            f_i.entries[a][j] = alg.idempotent(src[j].vertex)
-        f_i1 = AlgMatrix.zero(alg, new_tgt, cur_i1)
-        for a, k in enumerate(keep_tgt):
-            f_i1.entries[a][k] = alg.idempotent(tgt[k].vertex)
-            # y' - kappa lam^{-1} b correction on the cancelled target
-            f_i1.entries[a][r] = -(d.entries[k][col]).scale(lam_inv)
-        g_i = AlgMatrix.zero(alg, cur_i, new_src)
-        for a, j in enumerate(keep_src):
-            g_i.entries[j][a] = alg.idempotent(src[j].vertex)
-            g_i.entries[col][a] = -(d.entries[r][j]).scale(lam_inv)
-        g_i1 = AlgMatrix.zero(alg, cur_i1, new_tgt)
-        for a, k in enumerate(keep_tgt):
-            g_i1.entries[k][a] = alg.idempotent(tgt[k].vertex)
-        h_i1 = AlgMatrix.zero(alg, cur_i, cur_i1)   # X^{i+1} -> X^i
-        h_i1.entries[col][r] = alg.idempotent(src[col].vertex).scale(lam_inv)
-
-        # compose with accumulated witnesses: F = f∘F, G = G∘g, H += G h F
-        Fprev_i, Fprev_i1 = self.F[i], self.F[i + 1]
-        Gprev_i, Gprev_i1 = self.G[i], self.G[i + 1]
-        self.H[i + 1] = (self.H.get(i + 1,
-                                    AlgMatrix.zero(alg, self.orig.term(i), self.orig.term(i + 1)))
-                         + Gprev_i * h_i1 * Fprev_i1)
-        self.F[i] = f_i * Fprev_i
-        self.F[i + 1] = f_i1 * Fprev_i1
-        self.G[i] = Gprev_i * g_i
-        self.G[i + 1] = Gprev_i1 * g_i1
+        F_i, F_i1, G_i, G_i1 = self.F[i], self.F[i + 1], self.G[i], self.G[i + 1]
+        H = self.H.get(i + 1)
+        if H is None:
+            H = self.H[i + 1] = AlgMatrix.zero(alg, self.orig.term(i),
+                                               self.orig.term(i + 1))
+        f_row = [(n, z) for n, z in enumerate(F_i1.entries[r]) if z.terms]
+        for g_row, h_row in zip(G_i.entries, H.entries):
+            u = g_row[col]
+            if u.terms:
+                u = u.scale(lam_inv)
+                for n, z in f_row:
+                    h_row[n] = h_row[n] + u * z
+        for k in keep_tgt:
+            if kappa[k].terms:
+                c = -(kappa[k].scale(lam_inv))
+                row = F_i1.entries[k]
+                for n, z in f_row:
+                    row[n] = row[n] + c * z
+        betas = [(j, -(beta[j].scale(lam_inv))) for j in keep_src if beta[j].terms]
+        for g_row in G_i.entries:
+            u = g_row[col]
+            if u.terms:
+                for j, c in betas:
+                    g_row[j] = g_row[j] + u * c
+            del g_row[col]
+        del F_i.entries[col]
+        del F_i1.entries[r]
+        for g_row in G_i1.entries:
+            del g_row[r]
+        F_i.rows, F_i1.rows = new_src, new_tgt
+        G_i.cols, G_i1.cols = new_src, new_tgt
 
         # mutate complex data
         if (i - 1) in self.diffs:
@@ -787,9 +811,12 @@ def gaussian_reduce(c: ProjComplex, keep_window: tuple[int, int] | None = None
 
     Returns the minimal complex (all remaining entries in the radical) plus
     homotopy-equivalence witnesses F, G, h with F∘G = id and
-    id - G∘F = d∘h + h∘d. With a periodic tail the caller supplies a
-    materialized window with margin; the result is clipped to ``keep_window``
-    and the tail is re-detected there.
+    id - G∘F = d∘h + h∘d. They start as identities and zero, and each
+    cancellation updates them in place (``_Eliminator.eliminate``): one
+    row operation on F, one column operation on G and a rank-one term on
+    h, with no whole-matrix products. With a periodic tail the caller
+    supplies a materialized window with margin; the result is clipped to
+    ``keep_window`` and the tail is re-detected there.
     """
     st = _Eliminator(c)
     budget = c.summand_count() + 8

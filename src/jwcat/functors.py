@@ -25,7 +25,8 @@ from .complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, Complex,
                         LadderFamily, LadderSystem, ProjBicomplex,
                         ProjChainMap, ProjComplex, Reduction, RegimeError,
                         Summand, WindowTooSmall, attach_tail, gaussian_reduce,
-                        realize, total_complex, total_layout)
+                        realize, total_complex, total_layout,
+                        total_terms)
 from .linalg import solve_from_columns
 from .modules import (GradedModule, ModuleHom, apply_pi, apply_pi_hom,
                       projective, simple, injective2)
@@ -511,17 +512,28 @@ def _ck_tensor(setup: Setup, m: AlgMatrix, k: int) -> AlgMatrix:
     return out
 
 
+def _ck_cells(setup: Setup, x: ProjComplex, K: int
+              ) -> dict[tuple[int, int], tuple[Summand, ...]]:
+    """The cells (k, i) of X ⊗ projector complex with columns k <= K whose
+    total degree k + i is complete: every column k <= K that meets it is
+    built, which holds for k + i <= x_lo + K. Cell (k, i) is X^i on column
+    0 and the theta-parts of its summands on column k >= 1."""
+    top = x.window()[0] + K
+    return {(k, i): t if k == 0 else sum((_theta_parts(setup, s, k) for s in t), ())
+            for i, t in x.terms.items() for k in range(top - i + 1)}
+
+
 def ck_bicomplex(setup: Setup, x: ProjComplex, K: int) -> ProjBicomplex:
-    """X ⊗ projector complex, horizontal = projector column index."""
-    if x.tail is not None and x.tail.side == LEFT_TAIL:
-        raise RegimeError("topological projector input must be bounded below")
+    """X ⊗ projector complex, horizontal = projector column index, built
+    only on the complete total degrees of ``_ck_cells``: nothing totalized
+    from it reads a cell beyond them, and it is validated on those cells."""
     B = setup.B
-    terms = {(k, i): t if k == 0 else sum((_theta_parts(setup, s, k) for s in t), ())
-             for i, t in x.terms.items() for k in range(K + 1)}
+    terms = _ck_cells(setup, x, K)
     d1: dict[tuple[int, int], AlgMatrix] = {}
     d2: dict[tuple[int, int], AlgMatrix] = {}
-    for i, t in x.terms.items():
-        for k in range(K):
+    for (k, i) in terms:
+        t = x.terms[i]
+        if (k + 1, i) in terms:
             m = AlgMatrix.zero(B, terms[(k + 1, i)], terms[(k, i)])
             ro = co = 0
             for s in t:
@@ -530,33 +542,42 @@ def ck_bicomplex(setup: Setup, x: ProjComplex, K: int) -> ProjBicomplex:
                 ro += len(blk.rows)
                 co += len(blk.cols)
             d1[(k, i)] = m
-        if (i + 1) in x.terms:
-            dx = x.diff(i)
-            for k in range(K + 1):
-                d2[(k, i)] = _ck_tensor(setup, dx, k)
+        if (k, i + 1) in terms:
+            d2[(k, i)] = _ck_tensor(setup, x.diff(i), k)
     return ProjBicomplex(B, terms, d1, d2, name=f"{x.name}⊗CK")
 
 
 def _ck_total(setup: Setup, x: ProjComplex, out_window: tuple[int, int]
               ) -> tuple[ProjComplex, ProjBicomplex]:
     """``CK_on_object`` on a given window, together with the bicomplex it
-    totalizes, whose ``total_layout`` the map functor reads."""
+    totalizes, whose ``total_layout`` the map functor reads.
+
+    Projector columns run to K = out_hi - x_lo + 2, so every total degree
+    through out_hi + 2 is complete (``_ck_cells``) and the output window
+    reads complete degrees only. Before any matrix is built, the tail is
+    looked for on the cell terms alone: ``attach_tail`` on their
+    totalization without differentials, where each differential comparison
+    of the tail walk compares only shapes that its term comparisons already
+    fix. A window that fails there fails the full walk too, with the same
+    text, and is rejected without building the bicomplex."""
+    if x.tail is not None and x.tail.side == LEFT_TAIL:
+        raise RegimeError("topological projector input must be bounded below")
     out_lo, out_hi = out_window
     x = x.materialize(x.window()[0], out_hi + 2)
     x_lo = x.window()[0]
     K = out_hi - x_lo + 2
-    bc = ck_bicomplex(setup, x, K)
     if x.is_zero():
-        return ProjComplex.zero_complex(setup.B), bc
-    tot = total_complex(bc, name=f"ℂ𝕂({x.name})")
-    # total degree n is complete iff every contributing column k <= K was
-    # built; the raw tensor is always right-infinite for nonzero input, so a
+        return ProjComplex.zero_complex(setup.B), ck_bicomplex(setup, x, K)
+    # the raw tensor is always right-infinite for nonzero input, so a
     # missing pattern means the window cannot certify the tail, never
     # boundedness
-    safe_hi = min(out_hi, K + x_lo - 1)
-    return attach_tail(tot, (out_lo, safe_hi), RIGHT_TAIL,
-                       f"projector tensor output did not stabilize on window "
-                       f"{out_window}"), bc
+    message = f"projector tensor output did not stabilize on window {out_window}"
+    shape = ProjBicomplex(setup.B, _ck_cells(setup, x, K), {}, {}, validate=False)
+    attach_tail(ProjComplex(setup.B, total_terms(shape), {}, validate=False),
+                out_window, RIGHT_TAIL, message)
+    bc = ck_bicomplex(setup, x, K)
+    tot = total_complex(bc, name=f"ℂ𝕂({x.name})")
+    return attach_tail(tot, out_window, RIGHT_TAIL, message), bc
 
 
 def CK_on_object(setup: Setup, x, out_window: tuple[int, int] | None = None

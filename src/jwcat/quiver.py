@@ -70,9 +70,22 @@ class Quiver:
 
 @dataclass(frozen=True)
 class Path:
-    """arrows applied right-to-left; length 0 = trivial path at ``vertex``."""
+    """arrows applied right-to-left; length 0 = trivial path at ``vertex``.
+
+    Paths key every element's ``terms`` dict, so the hash is computed once,
+    at construction, rather than on every lookup."""
     arrows: tuple[str, ...]
     vertex: str | None = None  # only for length 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.arrows, self.vertex)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt, not copied: string hashes differ between processes
+        return Path, (self.arrows, self.vertex)
 
     def is_trivial(self) -> bool:
         return not self.arrows

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,15 @@ class TestPathAlgebraB:
             for y in rad:
                 for z in rad:
                     assert (x * y * z).is_zero()
+
+    def test_paths_hash_and_compare_by_value(self, B):
+        p, q = Path(("a", "b")), Path(tuple("ab"))
+        assert p is not q and p == q and hash(p) == hash(q)
+        assert {p: 1}[q] == 1 and Path((), "1") != Path((), "2")
+        assert repr(p) == "Path(arrows=('a', 'b'), vertex=None)"
+        assert pickle.loads(pickle.dumps(p)) == p
+        assert all(B.element({path: 1}).terms == {Path(path.arrows, path.vertex): 1}
+                   for path in B.basis)
 
     def test_json_roundtrip(self, B):
         import json

@@ -101,6 +101,11 @@ def ref_materialize(c, lo, hi):
     t = c.tail
     if t is not None:
         p, s = t.period, t.shift
+        stored_lo, stored_hi = c.window()
+        extends = hi > stored_hi if t.side == RIGHT_TAIL else lo < stored_lo
+        if extends and stored_hi - stored_lo + 1 < p:
+            raise WindowTooSmall(
+                f"window {c.window()} cannot exhibit tail of {c.name}")
         if t.side == RIGHT_TAIL:
             i = c.window()[1] + 1
             while i <= hi:
@@ -230,6 +235,16 @@ class TestOneRuleBothSides:
             want = "value", (want[1].terms, want[1].diffs, want[1].tail)
         assert got == want
 
+    def test_a_window_shorter_than_one_period_cannot_be_extended(self):
+        c = ck_p2_complex(B, 8)
+        short = with_tail(c.clip(8, 8), c.tail)
+        with pytest.raises(WindowTooSmall,
+                           match=r"window \(8, 8\) cannot exhibit tail of nu-eta-zeta"):
+            short.materialize(0, 12)
+        with pytest.raises(WindowTooSmall, match="cannot exhibit tail"):
+            realize(short).materialize(0, 12)
+        assert short.materialize(8, 8).terms == short.terms
+
     @settings(max_examples=150, deadline=None)
     @given(c=tailed_complexes(corrupt=False), side=st.sampled_from([LEFT_TAIL, RIGHT_TAIL]))
     def test_a_detected_tail_passes_the_seam_check(self, c, side):
@@ -335,6 +350,12 @@ def run_p():
 
 
 class TestCorruptionIsCaughtAtEveryAttachment:
+    @pytest.fixture(autouse=True)
+    def unpatched_corpus(self):
+        """The cached corpus is built before a test patches a constructor,
+        whichever test runs first."""
+        corpus()
+
     def test_uncorrupted_sites_attach_their_tails(self):
         assert run_ck().tail.side == RIGHT_TAIL
         assert run_d().tail.side == RIGHT_TAIL

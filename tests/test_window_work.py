@@ -1,0 +1,306 @@
+"""The topological projector and Gaussian reduction do only the work their
+outputs read: CK builds only the cells of complete total degrees and rejects
+a window whose terms alone show no tail before building any matrix, and each
+cancellation updates the reduction witnesses by row and column operations.
+The full-work code they replaced is kept here as the reference."""
+
+import json
+from fractions import Fraction
+from pathlib import Path
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jwcat import complexes, functors
+from jwcat.complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, ProjBicomplex,
+                             ProjChainMap, ProjComplex, RegimeError, Summand,
+                             _allowed_paths, attach_tail, gaussian_reduce,
+                             total_complex)
+from jwcat.exprs import _eval, evaluate, parse, render_value
+from jwcat.functors import (Setup, _ck_column_map, _ck_tensor, _theta_parts,
+                            koszul_D_on_object)
+from jwcat.modules import projective, simple
+from jwcat.resolutions import projective_resolution
+from test_complexes import ck_p2_complex
+from test_tails import outcome
+
+SETUP = Setup.create()
+B = SETUP.B
+EVAL_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference" \
+    / "eval-N24.json"
+
+
+# ---------------------------------------------------------------------------
+# the witnesses of a cancellation: composed step matrices, as reference
+# ---------------------------------------------------------------------------
+
+class RefEliminator(complexes._Eliminator):
+    """Every cancellation builds its step maps f, g, h on the current complex
+    and composes them with the accumulated witnesses: F = f∘F, G = G∘g,
+    H += G∘h∘F. The complex itself changes as in the production code."""
+
+    def eliminate(self, i, r, col):
+        alg = self.algebra
+        d = self.diff_mat(i)
+        src, tgt = d.cols, d.rows
+        lam_inv = Fraction(1) / d.entries[r][col].scalar_part()
+        keep_src = [j for j in range(len(src)) if j != col]
+        keep_tgt = [k for k in range(len(tgt)) if k != r]
+        new_src = tuple(src[j] for j in keep_src)
+        new_tgt = tuple(tgt[k] for k in keep_tgt)
+
+        f_i = AlgMatrix.zero(alg, new_src, src)
+        for a, j in enumerate(keep_src):
+            f_i.entries[a][j] = alg.idempotent(src[j].vertex)
+        f_i1 = AlgMatrix.zero(alg, new_tgt, tgt)
+        for a, k in enumerate(keep_tgt):
+            f_i1.entries[a][k] = alg.idempotent(tgt[k].vertex)
+            f_i1.entries[a][r] = -(d.entries[k][col]).scale(lam_inv)
+        g_i = AlgMatrix.zero(alg, src, new_src)
+        for a, j in enumerate(keep_src):
+            g_i.entries[j][a] = alg.idempotent(src[j].vertex)
+            g_i.entries[col][a] = -(d.entries[r][j]).scale(lam_inv)
+        g_i1 = AlgMatrix.zero(alg, tgt, new_tgt)
+        for a, k in enumerate(keep_tgt):
+            g_i1.entries[k][a] = alg.idempotent(tgt[k].vertex)
+        h_i1 = AlgMatrix.zero(alg, src, tgt)
+        h_i1.entries[col][r] = alg.idempotent(src[col].vertex).scale(lam_inv)
+
+        zero_h = AlgMatrix.zero(alg, self.orig.term(i), self.orig.term(i + 1))
+        H = self.H.get(i + 1, zero_h) + self.G[i] * h_i1 * self.F[i + 1]
+        F = f_i * self.F[i], f_i1 * self.F[i + 1]
+        G = self.G[i] * g_i, self.G[i + 1] * g_i1
+        super().eliminate(i, r, col)
+        self.H[i + 1] = H
+        self.F[i], self.F[i + 1] = F
+        self.G[i], self.G[i + 1] = G
+
+
+def bases():
+    return [projective_resolution(simple(B, "1"), 4),
+            projective_resolution(simple(B, "2"), 3),
+            ck_p2_complex(B, 8).clip(0, 5),
+            koszul_D_on_object(SETUP, projective(B, "1")),
+            ProjComplex.from_summand(B, "1"),
+            ProjComplex.zero_complex(B)]
+
+
+BASES = bases()
+
+
+def elementary(term, a, b, z):
+    """I + z·e_ab on ``term`` and its inverse I - z·e_ab (a != b)."""
+    e, e_inv = AlgMatrix.identity(B, term), AlgMatrix.identity(B, term)
+    e.entries[a][b], e_inv.entries[a][b] = z, -z
+    return e, e_inv
+
+
+@st.composite
+def cluttered_complexes(draw):
+    """A small complex, shifted, plus contractible cones P(v)<r> --λ·e(v)-->
+    P(v)<r> with λ in {1, -1, 2, -3}, then hidden by elementary changes of
+    basis X^i -> X^i, so that cancellations meet nonzero κ and β."""
+    base = draw(st.sampled_from(BASES)).shift(draw(st.integers(-2, 2)),
+                                             draw(st.integers(-2, 2)))
+    terms = {i: list(t) for i, t in base.terms.items()}
+    cones = []
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(-3, 3))
+        s = Summand(draw(st.sampled_from("12")), draw(st.integers(-3, 3)))
+        if terms.get(i) and draw(st.booleans()):
+            # next to a summand already there, so that maps join them
+            s = draw(st.sampled_from(terms[i])).shifted(draw(st.integers(-2, 2)))
+        lam = draw(st.sampled_from([1, -1, 2, -3]))
+        terms.setdefault(i, []).append(s)
+        terms.setdefault(i + 1, []).append(s)
+        cones.append((i, len(terms[i]) - 1, len(terms[i + 1]) - 1, s, lam))
+    terms = {i: tuple(t) for i, t in terms.items()}
+    diffs = {}
+    for i in terms:
+        if i + 1 not in terms:
+            continue
+        d = AlgMatrix.zero(B, terms[i + 1], terms[i])
+        if i in base.diffs:
+            d.place(base.diffs[i], 0, 0)
+        diffs[i] = d
+    for i, col, row, s, lam in cones:
+        diffs[i].entries[row][col] = B.idempotent(s.vertex).scale(lam)
+    # changes of basis I + z·e_ab on X^i; those that mix a cone's source
+    # into another summand give its pivot row other entries (β), those that
+    # mix another summand into a cone's target give its pivot column more (κ)
+    moves = [(i, a, b) for i, t in terms.items() for a in range(len(t))
+             for b in range(len(t)) if a != b and _allowed_paths(B, t[a], t[b])]
+    at_cones = [(i, a, b) for i, a, b in moves
+                if any((i, a) == (c[0], c[1]) or (i, b) == (c[0] + 1, c[2]) for c in cones)]
+    chosen = draw(st.lists(st.sampled_from(at_cones), max_size=4)) if at_cones else []
+    chosen += draw(st.lists(st.sampled_from(moves), max_size=4)) if moves else []
+    for i, a, b in chosen:
+        t = terms[i]
+        path = draw(st.sampled_from(_allowed_paths(B, t[a], t[b])))
+        z = B.element({path: draw(st.sampled_from([1, -1, 2]))})
+        e, e_inv = elementary(t, a, b, z)
+        if i - 1 in diffs:
+            diffs[i - 1] = e * diffs[i - 1]
+        if i in diffs:
+            diffs[i] = diffs[i] * e_inv
+    return ProjComplex(B, terms, diffs, name="cluttered")
+
+
+def witness_data(red):
+    return (red.reduced.terms, red.reduced.diffs, red.to_reduced.maps,
+            red.from_reduced.maps, red.homotopy.maps)
+
+
+class TestWitnessUpdates:
+    @settings(max_examples=120, deadline=None)
+    @given(c=cluttered_complexes())
+    def test_row_operations_equal_composed_step_matrices(self, c):
+        red = gaussian_reduce(c)
+        with mock.patch.object(complexes, "_Eliminator", RefEliminator):
+            ref = gaussian_reduce(c)
+        assert witness_data(red) == witness_data(ref)
+
+    @settings(max_examples=120, deadline=None)
+    @given(c=cluttered_complexes())
+    def test_witnesses_form_a_homotopy_equivalence(self, c):
+        red = gaussian_reduce(c)
+        F, G, h = red.to_reduced, red.from_reduced, red.homotopy
+        ProjChainMap(F.source, F.target, F.maps, validate=True)
+        ProjChainMap(G.source, G.target, G.maps, validate=True)
+        for i, t in red.reduced.terms.items():
+            assert F.component(i) * G.component(i) == AlgMatrix.identity(B, t)
+        lo, hi = c.window()
+        assert h.witnesses(ProjChainMap.identity(c), G.compose(F), (lo - 1, hi + 1))
+
+    def test_a_non_unit_pivot_gives_fraction_witnesses(self):
+        t = (Summand("2", 0),)
+        c = ProjComplex(B, {0: t, 1: t}, {0: AlgMatrix(B, t, t, [[B.idempotent("2").scale(-3)]])})
+        red = gaussian_reduce(c)
+        assert red.reduced.is_zero()
+        assert red.homotopy.component(1).entries[0][0] == \
+            B.idempotent("2").scale(Fraction(-1, 3))
+
+
+# ---------------------------------------------------------------------------
+# the topological projector: the full rectangle of cells, as reference
+# ---------------------------------------------------------------------------
+
+def ref_ck_bicomplex(setup, x, K):
+    """Every cell (k, i) with 0 <= k <= K and X^i stored."""
+    if x.tail is not None and x.tail.side == LEFT_TAIL:
+        raise RegimeError("topological projector input must be bounded below")
+    terms = {(k, i): t if k == 0 else sum((_theta_parts(setup, s, k) for s in t), ())
+             for i, t in x.terms.items() for k in range(K + 1)}
+    d1, d2 = {}, {}
+    for i, t in x.terms.items():
+        for k in range(K):
+            m = AlgMatrix.zero(B, terms[(k + 1, i)], terms[(k, i)])
+            ro = co = 0
+            for s in t:
+                blk = _ck_column_map(setup, s, k)
+                m.place(blk, ro, co)
+                ro += len(blk.rows)
+                co += len(blk.cols)
+            d1[(k, i)] = m
+        if (i + 1) in x.terms:
+            for k in range(K + 1):
+                d2[(k, i)] = _ck_tensor(setup, x.diff(i), k)
+    return ProjBicomplex(B, terms, d1, d2, name=f"{x.name}⊗CK")
+
+
+def ref_ck_total(setup, x, out_window):
+    """The bicomplex, its total complex and the tail, with no precheck."""
+    out_lo, out_hi = out_window
+    x = x.materialize(x.window()[0], out_hi + 2)
+    x_lo = x.window()[0]
+    K = out_hi - x_lo + 2
+    bc = ref_ck_bicomplex(setup, x, K)
+    if x.is_zero():
+        return ProjComplex.zero_complex(setup.B), bc
+    tot = total_complex(bc, name=f"ℂ𝕂({x.name})")
+    safe_hi = min(out_hi, K + x_lo - 1)
+    return attach_tail(tot, (out_lo, safe_hi), RIGHT_TAIL,
+                       f"projector tensor output did not stabilize on window "
+                       f"{out_window}"), bc
+
+
+def complex_data(c):
+    return c.terms, c.diffs, c.tail
+
+
+def value_data(value):
+    """An evaluated object, or the source, target and components of a map."""
+    if isinstance(value, tuple):
+        f = value[1]
+        return complex_data(f.source), complex_data(f.target), f.maps
+    return complex_data(value)
+
+
+def eval_reference():
+    return json.loads(EVAL_REFERENCE.read_text())
+
+
+# every expression of the eval pool whose outermost functor is CK: on
+# generators, P and D images, shifts, and CK outputs; objects and maps; and
+# the left-tailed inputs it rejects with RegimeError
+CK_EXPRESSIONS = sorted(
+    [e for e in eval_reference()["expressions"] if e.startswith("CK(")]
+    + [e for e, why in eval_reference()["rejected"].items()
+       if e.startswith("CK(") and why.startswith("RegimeError")])
+
+
+class TestProjectorBuildsOnlyWhatTheWindowReads:
+    def test_the_pool_has_every_kind_of_input(self):
+        for expr in ("CK(P(1))", "CK(CK(P(1)))", "CK(D(L(2)))", "CK(P(P(2)))",
+                     "CK(P(c))", "CK(D(a))", "CK(P(2)<1>)", "CK(CK(L(1))[1])",
+                     "CK(P(L(2)))"):
+            assert expr in CK_EXPRESSIONS
+
+    @settings(max_examples=40, deadline=None)
+    @given(expr=st.sampled_from(CK_EXPRESSIONS), n=st.integers(4, 24))
+    def test_same_verdict_and_output_as_the_full_rectangle(self, expr, n):
+        node = parse(expr)
+        got = outcome(_eval, SETUP, node, (0, n))
+        with mock.patch.object(functors, "_ck_total", ref_ck_total):
+            want = outcome(_eval, SETUP, node, (0, n))
+        assert got[0] == want[0]
+        if got[0] == "value":
+            assert value_data(got[1]) == value_data(want[1])
+        else:
+            assert got == want
+
+    def test_cells_are_the_complete_part_of_the_rectangle(self):
+        x = projective_resolution(simple(B, "1"), 4)
+        K = 5
+        top = x.window()[0] + K
+        bc, ref = functors.ck_bicomplex(SETUP, x, K), ref_ck_bicomplex(SETUP, x, K)
+        assert bc.terms == {c: t for c, t in ref.terms.items() if sum(c) <= top}
+        assert bc.d1 == {c: m for c, m in ref.d1.items() if sum(c) < top}
+        assert bc.d2 == {c: m for c, m in ref.d2.items() if sum(c) < top}
+        assert len(bc.terms) < len(ref.terms)
+
+    def test_a_hopeless_window_builds_no_bicomplex(self):
+        inner = functors.CK_on_object(SETUP, ProjComplex.from_summand(B, "1"),
+                                      out_window=(0, 12))
+        want = outcome(ref_ck_total, SETUP, inner, (0, 12))
+        assert want[0] == "WindowTooSmall"
+        with mock.patch.object(functors, "ck_bicomplex",
+                               side_effect=AssertionError("bicomplex built")):
+            assert outcome(functors.CK_on_object, SETUP, inner, (0, 12)) == want
+
+
+class TestNestedProjectorVerdicts:
+    def test_every_nested_expression_matches_the_eval_reference(self):
+        ref = eval_reference()
+        nested = {e: entry for e, entry in ref["expressions"].items()
+                  if entry["base"].startswith("CK(CK(")}
+        assert len(nested) == 65
+        window = (0, ref["window"])
+        for expr, entry in sorted(nested.items()):
+            got = outcome(evaluate, SETUP, parse(expr), window, ref["order"])
+            if got[0] == "value":
+                got = "value", render_value(got[1])
+            else:
+                got = ("inconclusive" if got[0] == "WindowTooSmall" else got[0]), got[1]
+            assert got == (entry["outcome"], entry["text"]), expr
