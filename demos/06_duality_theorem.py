@@ -7,21 +7,23 @@ from jwcat.complexes import (Complex, iso_in_homotopy_category,
 from jwcat.functors import (CK_on_map, CK_on_object, ModChainMap,
                             P_on_module_map, P_on_object, Setup,
                             koszul_D_on_map, koszul_D_on_object,
-                            realize_chain_map)
+                            projector_depth, realize_chain_map)
 from jwcat.modules import left_multiplication_hom, projective
 
 setup = Setup.create()
 B = setup.B
 N = 12
+w, cmp_w = (0, N), (0, N - 2)
 
 
 # objects
 for v in ("2", "1"):
-    dp = koszul_D_on_object(setup, P_on_object(setup, projective(B, v), depth=N + 8),
-                            out_window=(0, N))
+    dp = koszul_D_on_object(setup, P_on_object(setup, projective(B, v),
+                                               depth=projector_depth(w)),
+                            out_window=w)
     ckd = CK_on_object(setup, koszul_D_on_object(setup, projective(B, v)),
-                       out_window=(0, N))
-    verdict = iso_in_homotopy_category(dp, ckd, window=(0, N))
+                       out_window=w)
+    verdict = iso_in_homotopy_category(dp, ckd, window=w)
     print(f"dual∘projector(P({v})) ≅ projector∘dual(P({v})):", verdict.value)
 
 # maps
@@ -31,10 +33,9 @@ cases = {
     "a": (B.arrow_element("a"), P1.shift(1), P2),
     "b": (B.arrow_element("b"), P2.shift(1), P1),
 }
-w, cmp_w = (0, N), (0, N - 2)
 for name, (z, src, tgt) in cases.items():
     Pz, _, _ = P_on_module_map(setup, left_multiplication_hom(src, tgt, z, name),
-                               depth=N + 6)
+                               depth=projector_depth(w))
     DPz, DPsrc, DPtgt = koszul_D_on_map(setup, realize_chain_map(Pz), out_window=w)
     f0 = left_multiplication_hom(src, tgt, z, name)
     fc = ModChainMap(Complex.from_module(src), Complex.from_module(tgt), {0: f0}, name)

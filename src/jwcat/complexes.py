@@ -16,6 +16,83 @@ degree. Semi-infinite complexes carry an eventually-periodic tail descriptor
 left one, and for every degree i from ``start`` outward
 term(i) = term(i - outward·period) internally shifted by ``shift``, and so is
 d(i). The stored window must exhibit the pattern over two periods.
+
+Windows and margins
+-------------------
+Every verdict is certified on a finite window (lo, hi), and a construction
+that works on a window may have to reach degrees past it. Each such reach
+is owned by one construction, written there once, and derived here. A
+caller passes only the window it works at. Below, a tail has direction o
+(``outward``), period p and shift s.
+
+* Two-period seam (``check_tail_seam``, ``detect_tail``). A stored tail is
+  accepted only when every stored degree from ``start`` outward follows
+  term(i) = term(i - o·p)<s> and d(i) likewise, and the window reaches
+  2p - 1 degrees past ``start``: the repeated period shows twice.
+  ``detect_tail`` puts ``start`` 2p - 1 degrees in from the outward edge,
+  so it needs 3p stored degrees, the two repeats and the period they are
+  compared with. Periods up to 4 are tried.
+* Ladder seam (``ladder_degrees``). A ladder family φ_i: A^i -> B^{i+offset}
+  with a common tail repeats from the seam σ, where both A^i and
+  B^{i+offset} lie in the tail: the later of ``start`` and
+  ``start - offset`` on a right tail, the earlier on a left tail, taken
+  inside the window. From one period past σ the identification
+  φ_i = φ_{i-o·p}<s> is well typed, so the unknowns stop one period past σ
+  and ``LadderSystem.build`` fills the rest of the window from them. An
+  equation at least one period past σ reads only identified components and
+  periodic differentials, so it is the shifted copy of the equation one
+  period nearer σ, and a windowed solution extends to the semi-infinite
+  complexes. The equations still run two periods past σ, which checks one
+  repeated period explicitly, as the seam check does on the terms.
+* Reduction margin (``reduce_on_window``): 2p + 2 degrees on the tail
+  side. ``gaussian_reduce`` always cancels at the lowest degree whose
+  differential has a unit. A cancellation at i rewrites d(i), drops a row
+  of d(i - 1) and a column of d(i + 1), and none of these creates a unit
+  below d(i), so degrees the sweep has passed are final. On a right tail
+  this makes the cut at the materialized top M invisible below it: every
+  degree through M - 1 and every differential through d(M - 2) comes out as
+  in any longer materialization, and one degree of margin would do. On a
+  left tail the sweep starts at the cut. The materialized complex repeats,
+  so the sweep from one period further out is this sweep moved by one
+  period, and within the tail the reduced complex at distance m from the
+  cut depends on m only. Near the cut it differs from the interior: a contractible pair
+  P -> P straddling the cut leaves a stray summand at the cut, and the next
+  cancellations can choose other pivots until the reduced complex turns
+  periodic. The kept window is read as exact matrices (``detect_tail``
+  compares three periods at the kept edge, the ladder solvers read every
+  kept degree), so it must start past that transient. No formula bounds
+  it; 2p + 2 allows the stray degree at the cut, the differential into it
+  and two periods more. A longer transient leaves the kept edge without a
+  periodic pattern unless it repeats for three periods, and there
+  ``gaussian_reduce`` raises ``WindowTooSmall``. Over the suite at
+  N = 4…16 and the eval pool at N = 12 no reduction needed more than one
+  degree: right tails one, left tails none.
+* Complete CK degrees (``functors._ck_cells``, ``functors._ck_total``).
+  Cell (k, i) of X ⊗ CK, projector column k and X^i, lies in total degree
+  k + i. With columns k <= K and X starting at x_lo, total degree n is
+  complete, every cell of it built, exactly when n <= x_lo + K. The output
+  window reads degrees through out_hi, so K = out_hi - x_lo, and X is
+  materialized through out_hi: X^i with i > out_hi meets only degrees past
+  out_hi.
+* D's degree scan (``functors._koszul_D``). A basis vector of bidegree
+  (r, s) lands in degree r + s. On a left-tailed input the scan walks r
+  down until the lowest scanned term lands wholly above out_hi + 1; the
+  output is then clipped below the lowest degree the next term out, the
+  lowest one shifted by s, could reach, so no kept degree misses a
+  contribution.
+* P's depth (``functors.projector_depth``): hi - lo + 6. P resolves its
+  input that many degrees down. D sends P's homological degree r and
+  internal degree s to r + s, and down P's resolutions s grows by 2 per
+  degree (their tails have period 1 and shift 2), so each degree of depth
+  carries D∘P one degree further up: reading D∘P on (lo, hi) takes about
+  hi - lo degrees. The suite gives the same reports from depth hi - lo on
+  and fails a check at hi - lo - 1 (N = 8, 12, 16). The other 6 degrees
+  are kept because the eval language prints P's resolution window, so the
+  value is part of its output.
+* Homotopy reach (``solve_homotopy``): ±1. The homotopy equation at
+  degree i reads h_i: X^i -> Y^(i-1) and h_(i+1), so on (lo, hi) the
+  unknowns run over lo..hi + 1 and read X through hi + 1 and Y from
+  lo - 1; both are materialized one degree past each side.
 """
 
 from __future__ import annotations
@@ -159,14 +236,6 @@ class AlgMatrix:
     def all_entries_in_radical(self) -> bool:
         return all(e.scalar_part() == 0 for row in self.entries for e in row)
 
-    def find_unit(self) -> tuple[int, int] | None:
-        """A (row, col) whose entry has an invertible degree-0 part."""
-        for i, srow in enumerate(self.rows):
-            for j, scol in enumerate(self.cols):
-                if srow == scol and self.entries[i][j].scalar_part() != 0:
-                    return (i, j)
-        return None
-
     def __repr__(self):
         body = "; ".join(" ".join(e.word() for e in row) for row in self.entries)
         return f"AlgMatrix[{body}]"
@@ -237,7 +306,8 @@ class ProjComplex:
 
     def check_tail_seam(self) -> None:
         """The stored window must exhibit the tail pattern over two periods,
-        and every stored degree from ``start`` outward must follow it."""
+        and every stored degree from ``start`` outward must follow it: the
+        two-period seam of "Windows and margins" in the module docstring."""
         t = self.tail
         if t.outward * (t.edge(self.window()) - t.start) < 2 * t.period - 1:
             raise WindowTooSmall(
@@ -367,8 +437,9 @@ def _periodic_extension(c, lo: int, hi: int, shift_term, shift_diff):
 
 def detect_tail(c: ProjComplex, side: str) -> TailSpec | None:
     """Smallest periodic pattern, of period at most 4, visible over two
-    periods at the outward end. A found tail passes ``check_tail_seam``:
-    it is accepted by the same walk."""
+    periods at the outward end (the two-period seam of "Windows and
+    margins" in the module docstring). A found tail passes
+    ``check_tail_seam``: it is accepted by the same walk."""
     if c.is_zero():
         return None
     lo, hi = c.window()
@@ -711,11 +782,21 @@ class _Eliminator:
             return AlgMatrix.zero(self.algebra, rows, cols)
         return AlgMatrix(self.algebra, rows, cols, ent, validate=False)
 
-    def find_pivot(self):
-        for i in sorted(self.terms):
-            u = self.diff_mat(i).find_unit()
-            if u is not None:
-                return (i, u)
+    def find_pivot(self, start: int):
+        """(i, (row, col)): the first entry, row by row, with an invertible
+        degree-0 part between equal summands in the lowest differential
+        d(i), i >= ``start``, that has one; None when no d(i) does.
+
+        Read from the stored rows. ``gaussian_reduce`` passes the degree of
+        the last cancellation as ``start``: below it no differential had a
+        unit, and a cancellation at i only rewrites d(i), drops a row of
+        d(i - 1) and a column of d(i + 1), so none can have gained one."""
+        for i in sorted(k for k in self.diffs if k >= start):
+            rows, cols = self.terms.get(i + 1, ()), self.terms.get(i, ())
+            for r, (srow, row) in enumerate(zip(rows, self.diffs[i])):
+                for col, (scol, z) in enumerate(zip(cols, row)):
+                    if z.terms and srow == scol and z.scalar_part() != 0:
+                        return i, (r, col)
         return None
 
     def eliminate(self, i: int, r: int, col: int):
@@ -821,8 +902,9 @@ def gaussian_reduce(c: ProjComplex, keep_window: tuple[int, int] | None = None
     st = _Eliminator(c)
     budget = c.summand_count() + 8
     steps = 0
+    i = c.window()[0]
     while True:
-        piv = st.find_pivot()
+        piv = st.find_pivot(i)
         if piv is None:
             break
         steps += 1
@@ -916,24 +998,12 @@ def ladder_degrees(window: tuple[int, int], offset: int,
     Those equations involve φ_i and φ_{i+1}, so without a tail they run over
     window[0] .. window[1] - 1 and every component in the window is unknown.
 
-    With a common tail of A and B (side, start, period p, internal shift s):
-    A^i lies in the tail for i at or beyond ``start`` and B^{i+offset} for i
-    at or beyond ``start - offset``. Both do from the seam σ, the later of
-    the two on a right tail and the earlier on a left tail (taken inside the
-    window). Beyond σ both complexes repeat with period p up to the shift s,
-    so the identification φ_i = φ_{i-p}<s> (right) or φ_i = φ_{i+p}<s> (left)
-    is well typed for every i at least one period past σ. The unknowns are
-    the window's components up to one period past the seam, that is through
-    σ + p - 1 on a right tail and from σ - p + 1 on a left tail; ``build``
-    fills the rest of the window by the identification.
-
-    An equation at least one period past σ involves only identified
-    components and periodic differentials, so it is the shifted copy of the
-    equation one period nearer the seam. Solutions of the windowed system
-    therefore extend to the semi-infinite complexes. The equations run two
-    periods past the seam on the tail side, which checks one repeated period
-    explicitly as the seam check on the terms does, and to the window edge
-    on the other side.
+    With a common tail of A and B (period p) the unknowns stop one period
+    past the seam σ, through σ + p - 1 on a right tail and from σ - p + 1 on
+    a left tail, and ``build`` fills the rest of the window by the periodic
+    identification. The equations run two periods past σ on the tail side
+    and to the window edge on the other. The derivation is the ladder seam
+    of "Windows and margins" in the module docstring.
     """
     lo, hi = window
     if tail is None:
@@ -1109,10 +1179,11 @@ def solve_chain_maps(X: ProjComplex, Y: ProjComplex,
 def solve_homotopy(X: ProjComplex, Y: ProjComplex, f_minus_g: ProjChainMap,
                    window: tuple[int, int], periodic: bool = True
                    ) -> ProjHomotopy | None:
-    """h: X^i -> Y^{i-1} with (f-g) = d∘h + h∘d on the window, or None."""
+    """h: X^i -> Y^{i-1} with (f-g) = d∘h + h∘d on the window, or None.
+    X and Y are read one degree past the window on each side (the homotopy
+    reach of "Windows and margins" in the module docstring)."""
     lo, hi = window
     tail = _common_tail(X, Y) if periodic else None
-    # h_i for i in lo..hi+1 reaches X^{hi+1} and Y^{lo-1}
     X, Y = X.materialize(lo - 1, hi + 1), Y.materialize(lo - 1, hi + 1)
     ladder = LadderSystem([LadderFamily(X, Y, -1, (lo, hi + 1), tail)])
     column, rhs = ladder.probe(ladder.chain_blocks(0, f_minus_g))
@@ -1149,22 +1220,14 @@ def _summand_multisets_match(X: ProjComplex, Y: ProjComplex,
 def reduce_on_window(c: ProjComplex, window: tuple[int, int]) -> Reduction:
     """Gaussian-reduce ``c`` and keep the degrees in ``window``.
 
-    A periodic tail is first materialized 4·period + 4 degrees past the
-    window on its side, one margin for every caller. The cut at the
-    materialized edge is not an edge of the complex. Up to isomorphism it
-    changes only the last materialized degree: c ≅ minimal ⊕ contractible,
-    truncation respects that splitting, and only a contractible pair P → P
-    that straddles the cut leaves a stray summand. But the reduced matrices
-    near the cut can differ from the interior ones, and the kept window is
-    read as exact matrices: ``detect_tail`` compares three periods at the
-    kept edge, and the ladder solvers read every kept degree. A margin of
-    2·period + 2 already gives the same verification reports (N = 8…32) and
-    expression outputs (N = 12, 24); the margin is twice that. When the
+    A periodic tail is first materialized 2·period + 2 degrees past the
+    window on its side, one margin for every caller; the reduction margin
+    of "Windows and margins" in the module docstring derives it. When the
     reduced complex reaches the kept edge without a periodic pattern,
     ``gaussian_reduce`` raises ``WindowTooSmall``.
     """
     if c.tail is not None:
-        margin = 4 * c.tail.period + 4
+        margin = 2 * c.tail.period + 2
         c = c.materialize(window[0] - margin, window[1] + margin)
     return gaussian_reduce(c, keep_window=window)
 

@@ -17,7 +17,7 @@ from .complexes import (RIGHT_TAIL, Complex, ProjComplex, ProjChainMap,
                         gaussian_reduce, reduce_on_window)
 from .functors import (CK_on_map, CK_on_object, ModChainMap, P_on_module_map,
                        P_on_object, Setup, koszul_D_on_map, koszul_D_on_object,
-                       realize_chain_map)
+                       projector_depth, realize_chain_map)
 from .kclass import KClass, euler_class
 from .modules import GradedModule, left_multiplication_hom, projective
 
@@ -226,9 +226,8 @@ def ProjComplexify(setup: Setup, m: GradedModule) -> ProjComplex:
 
 
 def _apply_functor_to_object(setup: Setup, fname: str, inner, window, shifts):
-    lo, hi = window
     if fname == "P":
-        out = P_on_object(setup, inner, depth=hi - lo + 6)
+        out = P_on_object(setup, inner, depth=projector_depth(window))
     elif fname == "D":
         out = koszul_D_on_object(setup, inner, out_window=window) \
             if _needs_window(inner) else koszul_D_on_object(setup, inner)
@@ -249,12 +248,11 @@ def _apply_functor_to_map(setup: Setup, fname: str, inner, window, shifts):
     kind, payload = inner
     if shifts:
         raise ParseError("shift suffixes apply to objects, not morphisms", 0)
-    lo, hi = window
     if fname == "P":
         if kind != "modmap":
             raise ParseError("the projector acts on module maps", 0)
         f0 = payload.comps[0]
-        fmap, _, _ = P_on_module_map(setup, f0, depth=hi - lo + 6)
+        fmap, _, _ = P_on_module_map(setup, f0, depth=projector_depth(window))
         return ("projmap", fmap)
     if fname == "D":
         if kind == "projmap":

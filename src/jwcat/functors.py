@@ -166,13 +166,22 @@ def _as_module_complex(setup: Setup, x) -> Complex:
     raise TypeError(f"cannot interpret {x!r} as a complex")
 
 
+def projector_depth(window: tuple[int, int]) -> int:
+    """How far ``P_on_object`` and ``P_on_module_map`` resolve for a caller
+    that reads P on ``window``: hi - lo + 6, the projector depth of
+    "Windows and margins" in the ``complexes`` module docstring."""
+    lo, hi = window
+    return hi - lo + 6
+
+
 def P_on_object(setup: Setup, x, depth: int = 16) -> ProjComplex:
     """The categorified projector on objects.
 
     Applies the section functor termwise (exact), replaces the result by a
-    termwise-surjective free resolution, and applies the inclusion functor
-    termwise (exact on frees). Complexes whose section image is already
-    termwise free skip the resolution step.
+    termwise-surjective free resolution ``depth`` degrees deep, and applies
+    the inclusion functor termwise (exact on frees). Complexes whose section
+    image is already termwise free skip the resolution step. A caller that
+    reads the result on a window passes ``projector_depth(window)``.
     """
     if isinstance(x, ProjComplex):
         if x.tail is not None and x.tail.side == RIGHT_TAIL:
@@ -263,7 +272,9 @@ def koszul_D_on_object(setup: Setup, x, out_window: tuple[int, int] | None = Non
                        name: str | None = None) -> ProjComplex:
     """Bigraded construction: each basis vector of bidegree (r, s) and label v
     gives a summand P(swap v)<-s> at homological degree r+s, with the scalar
-    part of d plus the signed staircase arrows as differential."""
+    part of d plus the signed staircase arrows as differential. A
+    left-tailed input is scanned as far as D's degree scan of "Windows and
+    margins" in the ``complexes`` module docstring says."""
     return _koszul_D(setup, x, out_window, name)[0]
 
 
@@ -302,8 +313,8 @@ def _koszul_D(setup: Setup, x, out_window: tuple[int, int] | None,
     mat = Y
     p_safe = out_hi
     if Y.tail is not None:
-        # extend until omitted terms can only hit degrees beyond out_hi,
-        # materializing ahead of the scan by doubling the window
+        # D's degree scan (complexes module docstring), materializing ahead
+        # of the scan by doubling the window
         lo, hi = Y.window()
         while lo + min(mat.term(lo).degrees()) <= out_hi + 1:
             lo -= 1
@@ -515,9 +526,10 @@ def _ck_tensor(setup: Setup, m: AlgMatrix, k: int) -> AlgMatrix:
 def _ck_cells(setup: Setup, x: ProjComplex, K: int
               ) -> dict[tuple[int, int], tuple[Summand, ...]]:
     """The cells (k, i) of X ⊗ projector complex with columns k <= K whose
-    total degree k + i is complete: every column k <= K that meets it is
-    built, which holds for k + i <= x_lo + K. Cell (k, i) is X^i on column
-    0 and the theta-parts of its summands on column k >= 1."""
+    total degree k + i is complete, k + i <= x_lo + K (complete CK degrees
+    in "Windows and margins" of the ``complexes`` module docstring). Cell
+    (k, i) is X^i on column 0 and the theta-parts of its summands on column
+    k >= 1."""
     top = x.window()[0] + K
     return {(k, i): t if k == 0 else sum((_theta_parts(setup, s, k) for s in t), ())
             for i, t in x.terms.items() for k in range(top - i + 1)}
@@ -552,9 +564,10 @@ def _ck_total(setup: Setup, x: ProjComplex, out_window: tuple[int, int]
     """``CK_on_object`` on a given window, together with the bicomplex it
     totalizes, whose ``total_layout`` the map functor reads.
 
-    Projector columns run to K = out_hi - x_lo + 2, so every total degree
-    through out_hi + 2 is complete (``_ck_cells``) and the output window
-    reads complete degrees only. Before any matrix is built, the tail is
+    Projector columns run to K = out_hi - x_lo, so the total degrees
+    through out_hi, all the output window reads, are complete (complete CK
+    degrees in "Windows and margins" of the ``complexes`` module
+    docstring). Before any matrix is built, the tail is
     looked for on the cell terms alone: ``attach_tail`` on their
     totalization without differentials, where each differential comparison
     of the tail walk compares only shapes that its term comparisons already
@@ -563,9 +576,9 @@ def _ck_total(setup: Setup, x: ProjComplex, out_window: tuple[int, int]
     if x.tail is not None and x.tail.side == LEFT_TAIL:
         raise RegimeError("topological projector input must be bounded below")
     out_lo, out_hi = out_window
-    x = x.materialize(x.window()[0], out_hi + 2)
+    x = x.materialize(x.window()[0], out_hi)
     x_lo = x.window()[0]
-    K = out_hi - x_lo + 2
+    K = out_hi - x_lo
     if x.is_zero():
         return ProjComplex.zero_complex(setup.B), ck_bicomplex(setup, x, K)
     # the raw tensor is always right-infinite for nonzero input, so a
@@ -580,14 +593,11 @@ def _ck_total(setup: Setup, x: ProjComplex, out_window: tuple[int, int]
     return attach_tail(tot, out_window, RIGHT_TAIL, message), bc
 
 
-def CK_on_object(setup: Setup, x, out_window: tuple[int, int] | None = None
-                 ) -> ProjComplex:
-    """Total complex of the tensor with the semi-infinite projector complex."""
+def CK_on_object(setup: Setup, x, out_window: tuple[int, int]) -> ProjComplex:
+    """Total complex of the tensor with the semi-infinite projector complex,
+    on ``out_window``."""
     if not isinstance(x, ProjComplex):
         raise TypeError("topological projector consumes formal complexes of projectives")
-    if out_window is None:
-        lo, hi = x.window()
-        out_window = (lo, hi + 8)
     return _ck_total(setup, x, out_window)[0]
 
 

@@ -22,7 +22,7 @@ from .complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, Complex,
                         total_complex)
 from .functors import (CK_on_map, CK_on_object, ModChainMap, P_on_module_map,
                        P_on_object, Setup, koszul_D_on_map, koszul_D_on_object,
-                       realize_chain_map, two_term_dual_model)
+                       projector_depth, realize_chain_map, two_term_dual_model)
 from .kclass import (REVERSED, STANDARD, KClass, apply_jw_reference,
                      class_of_module, euler_class, jones_wenzl_reference,
                      jw_matrix_square, projective_class)
@@ -175,9 +175,10 @@ class _Runner:
 
         def make():
             B = self.B()
-            N = self.cfg.window
-            pp = P_on_object(self.setup, projective(B, vertex), depth=N + 8)
-            return koszul_D_on_object(self.setup, pp, out_window=(0, N))
+            w = (0, self.cfg.window)
+            pp = P_on_object(self.setup, projective(B, vertex),
+                             depth=projector_depth(w))
+            return koszul_D_on_object(self.setup, pp, out_window=w)
         return self.cached(key, make)
 
     def ckd_side(self, vertex: str):
@@ -389,10 +390,11 @@ class _Runner:
         setup = self.setup
         B = self.B()
         N = self.cfg.window
-        pP2 = P_on_object(setup, projective(B, "2"), depth=N)
+        depth = projector_depth((-N, 0))
+        pP2 = P_on_object(setup, projective(B, "2"), depth=depth)
         assert pP2.terms == {0: (Summand("2", 0),)} and not pP2.diffs, \
             "projector fixes the big projective"
-        pP1 = P_on_object(setup, projective(B, "1"), depth=N + 4)
+        pP1 = P_on_object(setup, projective(B, "1"), depth=depth)
         c_el = B.path_element(("a", "b"))
         for i in range(-N, 1):
             assert pP1.term(i) == (Summand("2", -2 * i + 1),), f"term at {i}"
@@ -403,7 +405,7 @@ class _Runner:
             and pP1.tail.period * 2 == abs(pP1.tail.shift) * 1, "2-periodicity"
         assert P_on_object(setup, ProjComplex.zero_complex(B)).is_zero()
         # idempotency within the window
-        ppP1 = P_on_object(setup, pP1, depth=N + 4)
+        ppP1 = P_on_object(setup, pP1, depth=depth)
         v = iso_in_homotopy_category(ppP1, pP1, window=(-N + 2, 0))
         assert v.value == "true", "projector is idempotent on the window"
         details.append("projector of the projector equals the projector "
@@ -666,7 +668,7 @@ class _Runner:
         for zname, (z, src, tgt) in self.generators().items():
             Pz, _, _ = P_on_module_map(setup,
                                        left_multiplication_hom(src, tgt, z, zname),
-                                       depth=N + 6)
+                                       depth=projector_depth(w))
             mz = realize_chain_map(Pz)
             DPz, DPsrc, DPtgt = koszul_D_on_map(setup, mz, out_window=w)
             f0 = left_multiplication_hom(src, tgt, z, zname)
@@ -710,7 +712,10 @@ class _Runner:
         setup = self.setup
         B = self.B()
         N, order = self.cfg.window, self.cfg.order
-        pP1 = P_on_object(setup, projective(B, "1"), depth=max(N + 4, order))
+        # P is read on -N..0 as in projector-fixtures; euler_class sums its
+        # tail exactly, so the depth does not depend on the order
+        depth = projector_depth((-N, 0))
+        pP1 = P_on_object(setup, projective(B, "1"), depth=depth)
         e = euler_class(pP1, order)
         two = TruncatedSeries.from_laurent(LaurentPoly({1: 1, -1: 1}), order)
         ref = projective_class("2", order).scale_series(
@@ -729,7 +734,7 @@ class _Runner:
         # the projector decategorifies to the reference on the module corpus
         for name in ("P(1)", "P(2)", "L(1)", "L(2)"):
             M = self.modules()[name]
-            img = P_on_object(setup, M, depth=max(N + 4, order))
+            img = P_on_object(setup, M, depth=depth)
             got = euler_class(img, order)
             want = apply_jw_reference(jw, class_of_module(M, order))
             o = min(order, 2 * N - 3)

@@ -2,6 +2,7 @@
 N = 16 with exact arithmetic and zero tolerance throughout. Each test prints
 one pass/fail line (visible with pytest -s or on failure)."""
 
+import hashlib
 import time
 from pathlib import Path
 
@@ -273,9 +274,28 @@ def test_small_window_degrades_to_inconclusive():
     assert counts["fail"] == 0
 
 
+# sha256 of run_suite(VerificationConfig(window=N)).to_json(with_timings=False)
+# for N = 4..14, pinned so that a window or margin change that moves any
+# verdict or detail at a small window fails here
+SWEEP_DIGESTS = {
+    4: "67bdabec37a333921c389b9b54fc45ed2241f84897c82cda33529f9c4030e8c7",
+    5: "eeb2a83fe635de0af075d7e88b0b7decd1cda933857bae2d72f961a6c380e81e",
+    6: "a3e4c13c749e673963a1e3b5871bbe1f87c9a7bb8607f03f7c3f9ce9d70cc00a",
+    7: "6ba0f9f22c3a6e92681b46816413711a1f85bbee36e78af3770cd1778ad29561",
+    8: "dfa61b5ee27c6aeb984c2f1618c16c0252a49ef2f293c89a05dafc9645a59833",
+    9: "e16d3d75056451445f91ff5478698d5c2d693731154acff00c3cc20fec876546",
+    10: "d2e351ce25ebb26eb5d2a649a47f560cb9ebe12cf0f2402c0b9b5da5854c6b5b",
+    11: "e7c93f592cb2928a0e9f99ad70a7ad87daa51a9e15f68dbf640d8666eae0f9b4",
+    12: "4ac714e11635e67203b563d59736f9fdce83f4613d7b73ae73a4f83b72c4b091",
+    13: "5403f78d1453d0a169381be2f8294d1b09a053f119c5aa4f3ffe2bb6d7686829",
+    14: "b35ff6732e5577105e619b56a14fed68d786ca481c53adedcd6d808a5d4845d6",
+}
+
+
 def test_verdicts_are_monotone_in_the_window():
     """Over N = 4..14 no check fails, a check that passes keeps passing at
-    every larger window, and all checks pass from N = 10."""
+    every larger window, all checks pass from N = 10, and each report is
+    byte for byte the pinned one."""
     passed_before: set[str] = set()
     for n in range(4, 15):
         report = run_suite(VerificationConfig(window=n))
@@ -286,4 +306,6 @@ def test_verdicts_are_monotone_in_the_window():
         assert passed_before <= passed, n
         if n >= 10:
             assert passed == set(verdicts), n
+        digest = hashlib.sha256(report.to_json(with_timings=False).encode()).hexdigest()
+        assert digest == SWEEP_DIGESTS[n], n
         passed_before = passed

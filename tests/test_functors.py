@@ -273,7 +273,8 @@ class TestTopologicalProjector:
             assert ck.diff(i).entries == [[c.scale(sign)]]
 
     def test_zero(self, setup):
-        assert CK_on_object(setup, ProjComplex.zero_complex(setup.B)).is_zero()
+        assert CK_on_object(setup, ProjComplex.zero_complex(setup.B),
+                            out_window=(0, 8)).is_zero()
 
     def test_identity_map(self, setup):
         x = ProjComplex.from_summand(setup.B, "1", 0)

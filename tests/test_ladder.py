@@ -18,6 +18,7 @@ from jwcat.linalg import affine_columns
 from jwcat.modules import projective, simple
 from jwcat.quiver import build_B
 from jwcat.resolutions import projective_resolution
+from test_window_work import cluttered, small_complexes
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +182,30 @@ class TestIntertwining:
         F = ProjChainMap.identity(s1)
         G = ProjChainMap(s2, s1, {})
         assert maps_agree_under_identification(F, G, (0, 1)).value == "inconclusive"
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_cluttered_models_of_the_same_map_are_never_false(self, data):
+        """F maps between the minimal models of two cluttered complexes S, T
+        and G = G_T∘F∘F_S is F moved onto S and T by the reduction
+        witnesses. The objects are isomorphic and the maps correspond, so
+        the verdict may be "inconclusive" (the models differ) but never
+        "false"."""
+        base = data.draw(small_complexes())
+        S = data.draw(cluttered(base))
+        T = data.draw(cluttered(data.draw(st.one_of(st.just(base), small_complexes()))))
+        rS, rT = gaussian_reduce(S), gaussian_reduce(T)
+        window = (min(S.window()[0], T.window()[0]) - 1,
+                  max(S.window()[1], T.window()[1]) + 1)
+        F = ProjChainMap(rS.reduced, rT.reduced, {})
+        for f in solve_chain_maps(rS.reduced, rT.reduced, window):
+            c = data.draw(st.integers(-2, 2))
+            if c:
+                F = F + f.scale(c)
+        G = rT.from_reduced.compose(F.compose(rS.to_reduced))
+        assert is_chain_map(G, window)
+        v = maps_agree_under_identification(F, G, window)
+        assert v.value in ("true", "inconclusive"), v.reason
 
 
 def assert_local_columns_match(ladder, blocks):

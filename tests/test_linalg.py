@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jwcat.linalg import Matrix
+from jwcat.linalg import Matrix, search_invertible
 
 
 def rand_matrix(rng, n, m, lo=-5, hi=5):
@@ -140,3 +141,67 @@ def test_sparse_kernels_and_solutions(a, data):
         assert sol == inv.apply(b)
     elif a.nrows == a.ncols:
         assert a.rank() < a.nrows
+
+
+# ---------------------------------------------------------------------------
+# search_invertible: basis elements first, then small combinations
+# ---------------------------------------------------------------------------
+
+COEFFS = (0, 1, -1, 2)
+
+
+def diagonal(*entries):
+    n = len(entries)
+    return Matrix(n, n, [[Fraction(entries[i]) if i == j else Fraction(0)
+                          for j in range(n)] for i in range(n)])
+
+
+def test_search_invertible_combines_singular_basis_elements():
+    """Neither diagonal unit is invertible; the first combination that is,
+    in product order, is their sum, with coefficients (1, 1)."""
+    basis = [diagonal(1, 0), diagonal(0, 1)]
+    tried = []
+
+    def accept(m):
+        tried.append(m)
+        return m.is_invertible()
+
+    assert search_invertible(basis, accept) == Matrix.identity(2)
+    combos = [c for c in itertools.product(COEFFS, repeat=2) if any(c)]
+    want = basis + [sum((b.scale(x) for x, b in zip(c, basis) if x),
+                        Matrix(2, 2)) for c in combos[:combos.index((1, 1)) + 1]]
+    assert tried == want
+
+
+def test_search_invertible_with_a_custom_combine_follows_product_order():
+    """The custom ``combine`` receives every coefficient tuple but all-zero,
+    in ``itertools.product`` order over (0, 1, -1, 2), until one passes."""
+    basis = [diagonal(1, 0, 0), diagonal(0, 1, 0), diagonal(0, 0, 1)]
+    seen = []
+
+    def combine(coeffs):
+        seen.append(coeffs)
+        return diagonal(*coeffs)
+
+    # invertible only with every coefficient nonzero and the last one 2
+    def accept(m):
+        return m.is_invertible() and m.data[2][2] == 2
+
+    got = search_invertible(basis, accept, combine)
+    assert got == diagonal(1, 1, 2)
+    combos = [c for c in itertools.product(COEFFS, repeat=3) if any(c)]
+    assert seen == combos[:combos.index((1, 1, 2)) + 1]
+
+
+def test_search_invertible_combines_at_most_four_basis_elements():
+    singular = [diagonal(*(1 if j == i else 0 for j in range(5))) for i in range(5)]
+    calls = []
+
+    def combine(coeffs):
+        calls.append(coeffs)
+        return diagonal(*coeffs)
+
+    assert search_invertible(singular, Matrix.is_invertible, combine) is None
+    assert calls == []
+    assert search_invertible(singular[:4], lambda m: False, combine) is None
+    assert len(calls) == len(COEFFS) ** 4 - 1

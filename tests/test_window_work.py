@@ -1,10 +1,13 @@
 """The topological projector and Gaussian reduction do only the work their
 outputs read: CK builds only the cells of complete total degrees and rejects
-a window whose terms alone show no tail before building any matrix, and each
-cancellation updates the reduction witnesses by row and column operations.
-The full-work code they replaced is kept here as the reference."""
+a window whose terms alone show no tail before building any matrix, each
+cancellation updates the reduction witnesses by row and column operations,
+and the pivot scan resumes at the last cancellation. The full-work code they
+replaced is kept here as the reference. The eval pool's nested-CK and
+P expressions are pinned against the benchmark's reference outputs."""
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -77,6 +80,35 @@ class RefEliminator(complexes._Eliminator):
         self.G[i], self.G[i + 1] = G
 
 
+class RescanEliminator(complexes._Eliminator):
+    """``find_pivot`` as a full rescan: every differential from the lowest
+    degree up, wrapped as a matrix and searched row by row."""
+
+    def find_pivot(self, start):
+        for i in sorted(self.terms):
+            d = self.diff_mat(i)
+            for r, srow in enumerate(d.rows):
+                for col, scol in enumerate(d.cols):
+                    if srow == scol and d.entries[r][col].scalar_part() != 0:
+                        return i, (r, col)
+        return None
+
+
+def pivots(c, eliminator):
+    """The cancellations (i, row, col) of ``gaussian_reduce(c)`` in order,
+    with ``eliminator`` in place of ``_Eliminator``, and its witnesses."""
+    seen = []
+
+    class Recording(eliminator):
+        def eliminate(self, i, r, col):
+            seen.append((i, r, col))
+            super().eliminate(i, r, col)
+
+    with mock.patch.object(complexes, "_Eliminator", Recording):
+        red = gaussian_reduce(c)
+    return seen, witness_data(red)
+
+
 def bases():
     return [projective_resolution(simple(B, "1"), 4),
             projective_resolution(simple(B, "2"), 3),
@@ -96,13 +128,17 @@ def elementary(term, a, b, z):
     return e, e_inv
 
 
+def small_complexes():
+    """One of ``BASES``, shifted."""
+    return st.builds(lambda base, r, h: base.shift(r, h), st.sampled_from(BASES),
+                     st.integers(-2, 2), st.integers(-2, 2))
+
+
 @st.composite
-def cluttered_complexes(draw):
-    """A small complex, shifted, plus contractible cones P(v)<r> --λ·e(v)-->
-    P(v)<r> with λ in {1, -1, 2, -3}, then hidden by elementary changes of
-    basis X^i -> X^i, so that cancellations meet nonzero κ and β."""
-    base = draw(st.sampled_from(BASES)).shift(draw(st.integers(-2, 2)),
-                                             draw(st.integers(-2, 2)))
+def cluttered(draw, base):
+    """``base`` plus contractible cones P(v)<r> --λ·e(v)--> P(v)<r> with λ
+    in {1, -1, 2, -3}, then hidden by elementary changes of basis
+    X^i -> X^i, so that cancellations meet nonzero κ and β."""
     terms = {i: list(t) for i, t in base.terms.items()}
     cones = []
     for _ in range(draw(st.integers(0, 4))):
@@ -147,6 +183,10 @@ def cluttered_complexes(draw):
     return ProjComplex(B, terms, diffs, name="cluttered")
 
 
+def cluttered_complexes():
+    return small_complexes().flatmap(cluttered)
+
+
 def witness_data(red):
     return (red.reduced.terms, red.reduced.diffs, red.to_reduced.maps,
             red.from_reduced.maps, red.homotopy.maps)
@@ -172,6 +212,11 @@ class TestWitnessUpdates:
             assert F.component(i) * G.component(i) == AlgMatrix.identity(B, t)
         lo, hi = c.window()
         assert h.witnesses(ProjChainMap.identity(c), G.compose(F), (lo - 1, hi + 1))
+
+    @settings(max_examples=120, deadline=None)
+    @given(c=cluttered_complexes())
+    def test_resumed_scan_finds_the_pivots_of_a_full_rescan(self, c):
+        assert pivots(c, complexes._Eliminator) == pivots(c, RescanEliminator)
 
     def test_a_non_unit_pivot_gives_fraction_witnesses(self):
         t = (Summand("2", 0),)
@@ -290,17 +335,34 @@ class TestProjectorBuildsOnlyWhatTheWindowReads:
             assert outcome(functors.CK_on_object, SETUP, inner, (0, 12)) == want
 
 
+def reproduce_eval_reference(pick) -> int:
+    """Evaluate the pool expressions that ``pick`` accepts at the reference
+    window and order, check each outcome and text against the reference,
+    and return how many there were."""
+    ref = eval_reference()
+    chosen = {e: entry for e, entry in ref["expressions"].items() if pick(e)}
+    window = (0, ref["window"])
+    for expr, entry in sorted(chosen.items()):
+        got = outcome(evaluate, SETUP, parse(expr), window, ref["order"])
+        if got[0] == "value":
+            got = "value", render_value(got[1])
+        else:
+            got = ("inconclusive" if got[0] == "WindowTooSmall" else got[0]), got[1]
+        assert got == (entry["outcome"], entry["text"]), expr
+    return len(chosen)
+
+
 class TestNestedProjectorVerdicts:
     def test_every_nested_expression_matches_the_eval_reference(self):
-        ref = eval_reference()
-        nested = {e: entry for e, entry in ref["expressions"].items()
-                  if entry["base"].startswith("CK(CK(")}
-        assert len(nested) == 65
-        window = (0, ref["window"])
-        for expr, entry in sorted(nested.items()):
-            got = outcome(evaluate, SETUP, parse(expr), window, ref["order"])
-            if got[0] == "value":
-                got = "value", render_value(got[1])
-            else:
-                got = ("inconclusive" if got[0] == "WindowTooSmall" else got[0]), got[1]
-            assert got == (entry["outcome"], entry["text"]), expr
+        assert reproduce_eval_reference(lambda e: e.startswith("CK(CK(")) == 65
+
+
+# the functor P, not the atoms P(1) and P(2)
+APPLIES_P = re.compile(r"P\((?![12]\))")
+
+
+class TestProjectorDepth:
+    def test_every_projector_expression_matches_the_eval_reference(self):
+        """P prints its resolution window, so these pin ``projector_depth``
+        as well as the values, on objects and on maps."""
+        assert reproduce_eval_reference(APPLIES_P.search) == 291
