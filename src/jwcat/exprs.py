@@ -20,6 +20,7 @@ from .functors import (CK_on_map, CK_on_object, ModChainMap, P_on_module_map,
                        projector_depth, realize_chain_map)
 from .kclass import KClass, euler_class
 from .modules import GradedModule, left_multiplication_hom, projective
+from .series import WindowError
 
 
 class ParseError(ValueError):
@@ -135,16 +136,6 @@ class MapValue:
     description: str
 
 
-_GENERATOR_MAPS = {
-    # name: (word, source module factory, source shift, target factory)
-    "c": (("a", "b"), "2", 2, "2"),
-    "a": (("a",), "1", 1, "2"),
-    "b": (("b",), "2", 1, "1"),
-    "e(1)": ((), "1", 0, "1"),
-    "e(2)": ((), "2", 0, "2"),
-}
-
-
 def _object_to_projcomplex(setup: Setup, name: str) -> ProjComplex | GradedModule:
     if name in ("P(1)", "P(2)"):
         return ProjComplex.from_summand(setup.B, name[2], 0, name=name)
@@ -174,22 +165,17 @@ def evaluate(setup: Setup, node: Node, window: tuple[int, int],
         red = reduce_on_window(pc, (-window[1], pc.window()[1])).reduced
     try:
         kc = euler_class(pc, order)
-    except Exception:
+    except WindowError:   # the order leaves the class no validity window
         kc = None
     return ObjectValue(pc, red, kc, pc.name)
 
 
 def _eval(setup: Setup, node: Node, window: tuple[int, int]):
-    B = setup.B
-    lo, hi = window
     if node.kind == "obj":
         base = _object_to_projcomplex(setup, node.name)
         return _apply_shifts(setup, base, node.shifts)
     if node.kind == "map":
-        word, sv, sshift, tv = _GENERATOR_MAPS[node.name]
-        src = projective(B, sv).shift(sshift)
-        tgt = projective(B, tv)
-        z = B.idempotent(sv) if not word else B.path_element(word)
+        z, src, tgt = setup.generator_maps()[node.name]
         f = left_multiplication_hom(src, tgt, z, node.name)
         mm = ModChainMap(Complex.from_module(src), Complex.from_module(tgt),
                          {0: f}, node.name)

@@ -30,17 +30,24 @@ from .complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, Complex,
 from .linalg import solve_from_columns
 from .modules import (GradedModule, ModuleHom, apply_pi, apply_pi_hom,
                       projective, simple, injective2)
-from .quiver import (AlgebraElement, ConstructionError, Path, PathAlgebra,
-                     build_B, build_C)
+from .quiver import (STRUCTURE_MAPS, AlgebraElement, ConstructionError, Path,
+                     PathAlgebra, build_B, build_C, structure_map_on_column)
 from .resolutions import resolve_complex
 
 
 @dataclass
 class Setup:
     """The fixed ambient data: the two-vertex algebra, its small quotient
-    endomorphism algebra, and the vertex swap of the duality functor."""
+    endomorphism algebra, the vertex swap of the duality functor, and the
+    formal columns of the projector complex, derived once (``_ck_columns``)."""
     B: PathAlgebra
     C: PathAlgebra
+    ck_parts: dict = field(init=False, repr=False, compare=False)
+    ck_degrees: dict = field(init=False, repr=False, compare=False)
+    ck_blocks: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.ck_parts, self.ck_degrees, self.ck_blocks = _ck_columns(self.B)
 
     @classmethod
     def create(cls, d_max: int = 4) -> Setup:
@@ -49,18 +56,30 @@ class Setup:
     def swap(self, v: str) -> str:
         return "2" if v == "1" else "1"
 
+    def standard_modules(self) -> dict[str, GradedModule]:
+        """The five standard modules, in the order reports list them."""
+        B = self.B
+        return {"P(1)": projective(B, "1"), "P(2)": projective(B, "2"),
+                "L(1)": simple(B, "1"), "L(2)": simple(B, "2"),
+                "I(2)": injective2(B)}
+
     def standard_module(self, name: str) -> GradedModule:
-        if name == "P(1)":
-            return projective(self.B, "1")
-        if name == "P(2)":
-            return projective(self.B, "2")
-        if name == "L(1)":
-            return simple(self.B, "1")
-        if name == "L(2)":
-            return simple(self.B, "2")
-        if name == "I(2)":
-            return injective2(self.B)
-        raise KeyError(name)
+        return self.standard_modules()[name]
+
+    def generator_maps(self) -> dict[str, tuple[AlgebraElement, GradedModule,
+                                                GradedModule]]:
+        """The five generator maps, left multiplication between shifted
+        projectives, as (element, source, target) in the order reports list
+        them."""
+        B = self.B
+        P1, P2 = projective(B, "1"), projective(B, "2")
+        return {
+            "c": (B.path_element(("a", "b")), P2.shift(2), P2),
+            "a": (B.arrow_element("a"), P1.shift(1), P2),
+            "b": (B.arrow_element("b"), P2.shift(1), P1),
+            "e(1)": (B.idempotent("1"), P1, P1),
+            "e(2)": (B.idempotent("2"), P2, P2),
+        }
 
 
 @dataclass
@@ -427,79 +446,80 @@ def ck_bimodule_complex(setup: Setup, depth: int = 6) -> CKComplex:
                          build_theta)
     B = setup.B
     theta = build_theta(B)
-    alpha, beta, gamma = bimodule_maps_alpha_beta_gamma(B, theta)
+    by_name = {f.name: f for f in bimodule_maps_alpha_beta_gamma(B, theta)}
     terms = [algebra_as_bimodule(B)] + [theta] * depth
-    maps = [alpha]
-    for k in range(1, depth):
-        maps.append(beta if k % 2 == 1 else gamma)
+    maps = [by_name[structure_map_on_column(k)] for k in range(depth)]
     ck = CKComplex(terms, maps)
     if not ck.check_composites_vanish():
         raise ConstructionError("consecutive structure maps do not compose to zero")
     return ck
 
 
+def _ck_columns(B: PathAlgebra) -> tuple[dict, dict, dict]:
+    """The formal columns of the projector complex, derived from the
+    structure-map table ``quiver.STRUCTURE_MAPS``.
+
+    P(v) ⊗ θ is free over θ's left-factor paths that end at v, the paths p
+    of e(v)·B·e(2) (the paths into 2 of ``build_theta``): one summand P(2)
+    per p, generated by p⊗e(2) and shifted by the degree of p. A structure
+    map sends p⊗e(2) = p·(e(2)⊗e(2)) to the sum of c·(p·x)⊗y over the terms
+    (c, x, y) of its image of e(2)⊗e(2): the entry c·y at the part of p·x.
+    On column 0, P(v) ⊗ B = P(v) is the one part e(v), sent by alpha to its
+    image of e(v). Returns, by vertex, the parts and their degrees, and, by
+    (vertex, structure map), the entries of the map on P(v), which
+    ``_ck_column_map`` places between shifted parts.
+    """
+    parts = {v: tuple(p for p in B.projective_paths[v] if B.source(p) == "2")
+             for v in B.quiver.vertices}
+    degrees = {v: tuple(B.path_degree(p) for p in ps) for v, ps in parts.items()}
+    blocks = {}
+    for name, images in STRUCTURE_MAPS.items():
+        for v, rows in parts.items():
+            if name == "alpha":
+                sources = [(Path((), v), images[Path((), v)])]
+            else:
+                (terms,) = images.values()
+                sources = [(p, terms) for p in rows]
+            entries = [[B.zero()] * len(sources) for _ in rows]
+            for j, (p, terms) in enumerate(sources):
+                for coef, x, y in terms:
+                    px = B.mul_paths(p, x)
+                    if px is not None:
+                        i = rows.index(px)
+                        entries[i][j] = entries[i][j] + B.element({y: coef})
+            blocks[(v, name)] = entries
+    return parts, degrees, blocks
+
+
 def _theta_parts(setup: Setup, s: Summand, k: int) -> tuple[Summand, ...]:
-    """Summands of (one projective) ⊗ theta<-(2k-1)>: at vertex 2 the low and
-    high copies, at vertex 1 a single copy."""
-    if s.vertex == "2":
-        return (Summand("2", s.shift - 2 * k), Summand("2", s.shift - 2 * k + 2))
-    return (Summand("2", s.shift - 2 * k + 1),)
+    """Summands of (one projective) ⊗ theta<1-2k>: one P(2) per part of
+    ``_ck_columns``."""
+    return tuple(Summand("2", s.shift - 2 * k + d) for d in setup.ck_degrees[s.vertex])
 
 
 def _theta_block(setup: Setup, z: AlgebraElement, src: Summand, tgt: Summand,
                  k: int) -> AlgMatrix:
-    """Induced scalar block of z ⊗ id between theta-parts at column k >= 1."""
+    """Induced scalar block of z ⊗ id between theta-parts at column k >= 1:
+    the part p of src goes to the part z·p of tgt."""
     B = setup.B
-    rows = _theta_parts(setup, tgt, k)
-    cols = _theta_parts(setup, src, k)
-    out = AlgMatrix.zero(B, rows, cols)
-    src_basis = _pe2_basis(B, src.vertex)
-    tgt_basis = _pe2_basis(B, tgt.vertex)
-    for j, p in enumerate(src_basis):
+    out = AlgMatrix.zero(B, _theta_parts(setup, tgt, k), _theta_parts(setup, src, k))
+    tgt_basis = setup.ck_parts[tgt.vertex]
+    for j, p in enumerate(setup.ck_parts[src.vertex]):
         for q, coef in z.terms.items():
             r = B.mul_paths(q, p)
-            if r is None:
-                continue
-            if r in tgt_basis:
+            if r is not None and r in tgt_basis:
                 i = tgt_basis.index(r)
                 out.entries[i][j] = out.entries[i][j] + B.idempotent("2").scale(coef)
     return out
 
 
-def _pe2_basis(B: PathAlgebra, vertex: str):
-    """Basis of (paths into 2) within P(vertex): its source-2 paths, in the
-    canonical order of P(vertex)."""
-    return [p for p in B.projective_paths[vertex] if B.source(p) == "2"]
-
-
 def _ck_column_map(setup: Setup, s: Summand, k: int) -> AlgMatrix:
     """The structure map of the projector complex on one projective summand,
-    from column k to k+1."""
-    B = setup.B
-    c = B.path_element(("a", "b"))
-    e2 = B.idempotent("2")
-    a = B.arrow_element("a")
-    if k == 0:
-        rows = _theta_parts(setup, s, 1)
-        cols = (s,)
-        m = AlgMatrix.zero(B, rows, cols)
-        if s.vertex == "2":
-            m.entries[0][0] = c
-            m.entries[1][0] = e2
-        else:
-            m.entries[0][0] = a
-        return m
-    rows = _theta_parts(setup, s, k + 1)
-    cols = _theta_parts(setup, s, k)
-    sign = -1 if k % 2 == 1 else 1   # beta on odd columns, gamma on even
-    m = AlgMatrix.zero(B, rows, cols)
-    if s.vertex == "2":
-        m.entries[0][0] = c.scale(sign)
-        m.entries[1][0] = e2
-        m.entries[1][1] = c.scale(sign)
-    else:
-        m.entries[0][0] = c.scale(sign)
-    return m
+    from column k to k+1: its ``_ck_columns`` block between the parts of s."""
+    cols = (s,) if k == 0 else _theta_parts(setup, s, k)
+    return AlgMatrix(setup.B, _theta_parts(setup, s, k + 1), cols,
+                     setup.ck_blocks[(s.vertex, structure_map_on_column(k))],
+                     validate=False)
 
 
 def _ck_tensor(setup: Setup, m: AlgMatrix, k: int) -> AlgMatrix:

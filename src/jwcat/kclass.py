@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import (LEFT_TAIL, RIGHT_TAIL, Complex, ProjComplex, Summand,
-                        RegimeError)
+from .complexes import (LEFT_TAIL, RIGHT_TAIL, ProjComplex, RegimeError,
+                        Summand)
 from .modules import GradedModule
 from .series import LaurentPoly, TruncatedSeries
 
@@ -100,18 +100,9 @@ def _term_class(term: tuple[Summand, ...], order: int, reversed_q: bool) -> KCla
 
 
 def euler_class(x, order: int) -> KClass:
-    """Alternating sum of term classes; periodic tails are summed exactly as
-    geometric series in the appropriate completion."""
-    if isinstance(x, GradedModule):
-        return class_of_module(x, order)
-    if isinstance(x, Complex):
-        if x.tail is not None:
-            raise RegimeError("module-level tails are not summed; use the formal complex")
-        out = KClass.zero(order)
-        for i, m in x.terms.items():
-            c = class_of_module(m, order)
-            out = out + (c if i % 2 == 0 else -c)
-        return out
+    """Alternating sum of the term classes of a formal complex of
+    projectives; periodic tails are summed exactly as geometric series in the
+    appropriate completion. Modules go through ``class_of_module``."""
     if not isinstance(x, ProjComplex):
         raise TypeError(f"cannot decategorify {x!r}")
     if x.is_zero():

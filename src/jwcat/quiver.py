@@ -729,51 +729,50 @@ def verify_bimodule_map(f: BimoduleMap) -> None:
             raise ConstructionError(f"{f.name} fails right {key}-equivariance")
 
 
-def bimodule_maps_alpha_beta_gamma(B: PathAlgebra, theta: GradedBimodule):
-    """The three structure maps of the topological projector complex.
+# The structure maps of the topological projector complex, by their images
+# of generators: structure map -> {generator: terms (coefficient, x, y) of
+# the image, the element Σ coefficient·x⊗y of θ}, where x is a path into 2
+# (θ's left factor) and y a path out of 2 (its right factor). alpha leaves
+# the regular bimodule, generated by the idempotents; beta and gamma are
+# endomorphisms of θ, generated by e(2)⊗e(2). This table is the one place
+# they are stated: the bimodule maps below and the formal columns of
+# ``functors.CK_on_object`` are both derived from it.
+_E1, _E2, _AB = Path((), "1"), Path((), "2"), Path(("a", "b"))
+STRUCTURE_MAPS = {
+    "alpha": {_E2: ((1, _AB, _E2), (1, _E2, _AB)),
+              _E1: ((1, Path(("b",)), Path(("a",))),)},
+    "beta": {(_E2, _E2): ((1, _AB, _E2), (-1, _E2, _AB))},
+    "gamma": {(_E2, _E2): ((1, _AB, _E2), (1, _E2, _AB))},
+}
 
-    alpha sends the vertex idempotents into the translation bimodule
-    (e(2) to c⊗e(2) + e(2)⊗c, e(1) to b⊗a); beta and gamma are the degree-2
-    endomorphisms sending e(2)⊗e(2) to c⊗e(2) ∓ e(2)⊗c respectively.
-    """
+
+def structure_map_on_column(k: int) -> str:
+    """The structure map from column k to column k + 1 of the projector
+    complex: alpha out of the regular bimodule, then beta on odd columns and
+    gamma on even ones."""
+    if k == 0:
+        return "alpha"
+    return "beta" if k % 2 == 1 else "gamma"
+
+
+def bimodule_maps_alpha_beta_gamma(B: PathAlgebra, theta: GradedBimodule):
+    """The three structure maps of ``STRUCTURE_MAPS`` as bimodule maps into
+    theta, each of the degree its generator images have."""
     reg = algebra_as_bimodule(B)
     pair_index = theta.pair_index  # type: ignore[attr-defined]
-    path_index = reg.path_index    # type: ignore[attr-defined]
-    n_t = theta.dim()
-
-    def theta_vec(pairs: list[tuple[str, str, int]]) -> list[Fraction]:
-        v = [Fraction(0)] * n_t
-        for pw, qw, coef in pairs:
-            key = None
-            for (p, q), i in pair_index.items():
-                if p.word() == pw and q.word() == qw:
-                    key = i
-                    break
-            if key is None:
-                raise ConstructionError(f"no basis pair {pw}⊗{qw}")
-            v[key] += coef
-        return v
-
-    e1_idx = path_index[Path((), "1")]
-    e2_idx = path_index[Path((), "2")]
-    # c = ab has path word "ab"; the e(1)-image is the unique degree-matching
-    # element with e(1) sandwiches, b⊗a
-    alpha = _bimodule_map_from_generator_images(
-        reg, theta,
-        {e2_idx: theta_vec([("ab", "e(2)", 1), ("e(2)", "ab", 1)]),
-         e1_idx: theta_vec([("b", "a", 1)])},
-        degree=1, name="alpha")
-
-    e2e2 = None
-    for (p, q), i in pair_index.items():
-        if p.is_trivial() and q.is_trivial() and p.vertex == "2" and q.vertex == "2":
-            e2e2 = i
-    beta = _bimodule_map_from_generator_images(
-        theta, theta,
-        {e2e2: theta_vec([("ab", "e(2)", 1), ("e(2)", "ab", -1)])},
-        degree=2, name="beta")
-    gamma = _bimodule_map_from_generator_images(
-        theta, theta,
-        {e2e2: theta_vec([("ab", "e(2)", 1), ("e(2)", "ab", 1)])},
-        degree=2, name="gamma")
-    return alpha, beta, gamma
+    maps = []
+    for name, images in STRUCTURE_MAPS.items():
+        if name == "alpha":
+            source, index = reg, reg.path_index  # type: ignore[attr-defined]
+        else:
+            source, index = theta, pair_index
+        gen_images = {}
+        for g, terms in images.items():
+            img = [Fraction(0)] * theta.dim()
+            for coef, x, y in terms:
+                img[pair_index[(x, y)]] += coef
+            gen_images[index[g]] = img
+            degree = theta.basis[pair_index[(x, y)]].degree - source.basis[index[g]].degree
+        maps.append(_bimodule_map_from_generator_images(source, theta, gen_images,
+                                                        degree, name))
+    return tuple(maps)

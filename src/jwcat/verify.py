@@ -28,7 +28,7 @@ from .kclass import (REVERSED, STANDARD, KClass, apply_jw_reference,
                      jw_matrix_square, projective_class)
 from .modules import (GradedModule, ModuleHom, apply_iota, apply_pi,
                       apply_pi_hom, direct_sum, find_module_iso, hom_space,
-                      injective2, left_multiplication_hom, projective, simple,
+                      left_multiplication_hom, projective, simple,
                       tensor_with_bimodule)
 from .quiver import (bimodule_maps_alpha_beta_gamma, build_theta, koszul_dual)
 from .resolutions import projective_resolution
@@ -150,25 +150,6 @@ class _Runner:
 
     def B(self):
         return self.setup.B
-
-    def modules(self):
-        B = self.B()
-        return {
-            "P(1)": projective(B, "1"), "P(2)": projective(B, "2"),
-            "L(1)": simple(B, "1"), "L(2)": simple(B, "2"),
-            "I(2)": injective2(B),
-        }
-
-    def generators(self):
-        B = self.B()
-        P1, P2 = projective(B, "1"), projective(B, "2")
-        return {
-            "c": (B.path_element(("a", "b")), P2.shift(2), P2),
-            "a": (B.arrow_element("a"), P1.shift(1), P2),
-            "b": (B.arrow_element("b"), P2.shift(1), P1),
-            "e(1)": (B.idempotent("1"), P1, P1),
-            "e(2)": (B.idempotent("2"), P2, P2),
-        }
 
     def dp_side(self, vertex: str):
         key = ("dp", vertex)
@@ -298,7 +279,7 @@ class _Runner:
 
     def _module_fixtures(self, details):
         B, C = self.B(), self.setup.C
-        mods = self.modules()
+        mods = self.setup.standard_modules()
         P1, P2, L1, L2 = mods["P(1)"], mods["P(2)"], mods["L(1)"], mods["L(2)"]
         assert P1.graded_dims_by_vertex() == {(0, "1"): 1, (1, "2"): 1}
         assert P2.graded_dims_by_vertex() == {(0, "2"): 1, (1, "1"): 1, (2, "2"): 1}
@@ -368,7 +349,7 @@ class _Runner:
     def _module_duals(self, details):
         setup = self.setup
         B = self.B()
-        mods = self.modules()
+        mods = self.setup.standard_modules()
         DL1 = koszul_D_on_object(setup, mods["L(1)"])
         assert DL1.terms == {0: (Summand("2", 0),)} and not DL1.diffs, \
             "dual of the vertex-1 simple"
@@ -665,7 +646,7 @@ class _Runner:
         N = self.cfg.window
         w = (0, N)
         cmp_w = (0, N - 2)
-        for zname, (z, src, tgt) in self.generators().items():
+        for zname, (z, src, tgt) in self.setup.generator_maps().items():
             Pz, _, _ = P_on_module_map(setup,
                                        left_multiplication_hom(src, tgt, z, zname),
                                        depth=projector_depth(w))
@@ -686,7 +667,7 @@ class _Runner:
 
     def _shift_laws(self, details):
         setup = self.setup
-        mods = self.modules()
+        mods = self.setup.standard_modules()
         for name in ("P(1)", "P(2)", "L(1)", "L(2)", "I(2)"):
             M = mods[name]
             DM = koszul_D_on_object(setup, M)
@@ -733,7 +714,7 @@ class _Runner:
                 assert sq[colk][rowk] == jw[colk][rowk], "reference idempotent squares"
         # the projector decategorifies to the reference on the module corpus
         for name in ("P(1)", "P(2)", "L(1)", "L(2)"):
-            M = self.modules()[name]
+            M = self.setup.standard_modules()[name]
             img = P_on_object(setup, M, depth=depth)
             got = euler_class(img, order)
             want = apply_jw_reference(jw, class_of_module(M, order))
@@ -742,8 +723,8 @@ class _Runner:
         # reduction invariance over the corpus
         corpus = [pP1, self.dp_side("1"), self.dp_side("2"),
                   self.ckd_side("1"), self.ckd_side("2"),
-                  koszul_D_on_object(setup, self.modules()["I(2)"]),
-                  koszul_D_on_object(setup, self.modules()["P(2)"])]
+                  koszul_D_on_object(setup, self.setup.standard_modules()["I(2)"]),
+                  koszul_D_on_object(setup, self.setup.standard_modules()["P(2)"])]
         for c in corpus:
             red = reduce_on_window(c, (min(0, c.window()[0]), N))
             e1 = euler_class(red.original, order)
@@ -753,7 +734,7 @@ class _Runner:
         # duality law on the bounded corpus
         from .kclass import duality_on_class
         for name in ("L(1)", "L(2)", "I(2)", "P(1)", "P(2)"):
-            M = self.modules()[name]
+            M = self.setup.standard_modules()[name]
             DM = koszul_D_on_object(setup, M)
             got = euler_class(DM, order)
             want = duality_on_class(class_of_module(M, order))

@@ -62,7 +62,7 @@ def test_criterion_1_theorem_reproduction(runner):
         assert time.time() - t < 5.0, f"object check for P({vertex}) too slow"
     setup = runner.setup
     w, cmp_w = (0, N), (0, N - 2)
-    for zname, (z, src, tgt) in runner.generators().items():
+    for zname, (z, src, tgt) in setup.generator_maps().items():
         t = time.time()
         Pz, _, _ = P_on_module_map(
             setup, left_multiplication_hom(src, tgt, z, zname), depth=N + 6)

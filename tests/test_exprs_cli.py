@@ -1,7 +1,9 @@
 import json
+from unittest import mock
 
 import pytest
 
+from jwcat import exprs
 from jwcat.cli import main
 from jwcat.exprs import ParseError, evaluate, parse, render_value
 from jwcat.functors import Setup
@@ -68,6 +70,17 @@ class TestEvaluate:
         val = evaluate(setup, parse("D(P(c))"), (0, 8), 17)
         text = render_value(val)
         assert "component" in text
+
+    def test_an_order_with_no_validity_window_renders_without_a_class(self, setup):
+        val = evaluate(setup, parse("P(1)"), (0, 8), -1)
+        assert val.kclass is None
+        assert render_value(val) == "complex: [0] P(1)"
+
+    def test_any_other_class_error_propagates(self, setup):
+        with mock.patch.object(exprs, "euler_class",
+                               side_effect=ZeroDivisionError("not a window")):
+            with pytest.raises(ZeroDivisionError, match="not a window"):
+                evaluate(setup, parse("P(1)"), (0, 8), 17)
 
 
 class TestCli:

@@ -21,18 +21,33 @@ def setup():
 
 def generator_maps(setup):
     """The five generator maps as one-term module-level chain maps."""
-    B = setup.B
-    P1, P2 = projective(B, "1"), projective(B, "2")
-    cases = {
-        "c": (B.path_element(("a", "b")), P2.shift(2), P2),
-        "a": (B.arrow_element("a"), P1.shift(1), P2),
-        "b": (B.arrow_element("b"), P2.shift(1), P1),
-        "e(1)": (B.idempotent("1"), P1, P1),
-        "e(2)": (B.idempotent("2"), P2, P2),
-    }
     return {name: ModChainMap(Complex.from_module(src), Complex.from_module(tgt),
                               {0: left_multiplication_hom(src, tgt, z, name)}, name)
-            for name, (z, src, tgt) in cases.items()}
+            for name, (z, src, tgt) in setup.generator_maps().items()}
+
+
+class TestAtoms:
+    """The standard modules and generator maps that the suite and the
+    expression language share, in the order reports list them."""
+
+    def test_standard_modules(self, setup):
+        B = setup.B
+        assert list(setup.standard_modules().items()) == [
+            ("P(1)", projective(B, "1")), ("P(2)", projective(B, "2")),
+            ("L(1)", simple(B, "1")), ("L(2)", simple(B, "2")),
+            ("I(2)", injective2(B))]
+        with pytest.raises(KeyError):
+            setup.standard_module("L(3)")
+
+    def test_generator_maps(self, setup):
+        B = setup.B
+        P1, P2 = projective(B, "1"), projective(B, "2")
+        assert list(setup.generator_maps().items()) == [
+            ("c", (B.path_element(("a", "b")), P2.shift(2), P2)),
+            ("a", (B.arrow_element("a"), P1.shift(1), P2)),
+            ("b", (B.arrow_element("b"), P2.shift(1), P1)),
+            ("e(1)", (B.idempotent("1"), P1, P1)),
+            ("e(2)", (B.idempotent("2"), P2, P2))]
 
 
 def assert_same_complex(x, y):

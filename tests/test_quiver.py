@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from jwcat.quiver import (ConstructionError, PathAlgebra, Path, Quiver,
+                          _bimodule_map_from_generator_images,
                           algebra_as_bimodule, bimodule_maps_alpha_beta_gamma,
                           build_B, build_C, build_path_algebra, build_theta,
-                          koszul_dual, zigzag_quiver)
+                          koszul_dual, structure_map_on_column, zigzag_quiver)
 
 
 @pytest.fixture(scope="module")
@@ -240,3 +241,42 @@ class TestAlphaBetaGamma:
         assert beta.compose(alpha).is_zero()
         assert gamma.compose(beta).is_zero()
         assert beta.compose(gamma).is_zero()
+
+    def test_table_built_maps_equal_the_word_pair_maps(self, B, theta, maps):
+        ref = ref_bimodule_maps_alpha_beta_gamma(B, theta)
+        for got, want in zip(maps, ref):
+            assert (got.name, got.degree) == (want.name, want.degree)
+            assert (got.source is theta) == (want.source is theta)
+            assert got.matrix == want.matrix
+
+    def test_one_rule_places_the_maps_on_the_columns(self):
+        assert [structure_map_on_column(k) for k in range(6)] == \
+            ["alpha", "beta", "gamma", "beta", "gamma", "beta"]
+
+
+def ref_bimodule_maps_alpha_beta_gamma(B, theta):
+    """The structure maps from their generator images spelled as word pairs,
+    as they were stated before the structure-map table: alpha sends e(2) to
+    ab⊗e(2) + e(2)⊗ab and e(1) to b⊗a, beta and gamma send e(2)⊗e(2) to
+    ab⊗e(2) ∓ e(2)⊗ab."""
+    reg = algebra_as_bimodule(B)
+
+    def theta_vec(pairs):
+        v = [Fraction(0)] * theta.dim()
+        for pw, qw, coef in pairs:
+            v[next(i for (p, q), i in theta.pair_index.items()
+                   if p.word() == pw and q.word() == qw)] += coef
+        return v
+
+    e1, e2 = reg.path_index[Path((), "1")], reg.path_index[Path((), "2")]
+    e2e2 = theta.pair_index[(Path((), "2"), Path((), "2"))]
+    alpha = _bimodule_map_from_generator_images(
+        reg, theta, {e2: theta_vec([("ab", "e(2)", 1), ("e(2)", "ab", 1)]),
+                     e1: theta_vec([("b", "a", 1)])}, degree=1, name="alpha")
+    beta = _bimodule_map_from_generator_images(
+        theta, theta, {e2e2: theta_vec([("ab", "e(2)", 1), ("e(2)", "ab", -1)])},
+        degree=2, name="beta")
+    gamma = _bimodule_map_from_generator_images(
+        theta, theta, {e2e2: theta_vec([("ab", "e(2)", 1), ("e(2)", "ab", 1)])},
+        degree=2, name="gamma")
+    return alpha, beta, gamma

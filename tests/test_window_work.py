@@ -3,8 +3,9 @@ outputs read: CK builds only the cells of complete total degrees and rejects
 a window whose terms alone show no tail before building any matrix, each
 cancellation updates the reduction witnesses by row and column operations,
 and the pivot scan resumes at the last cancellation. The full-work code they
-replaced is kept here as the reference. The eval pool's nested-CK and
-P expressions are pinned against the benchmark's reference outputs."""
+replaced is kept here as the reference, and so are the hand-coded projector
+columns that the structure-map table replaced. The eval pool's CK and P
+expressions are pinned against the benchmark's reference outputs."""
 
 import json
 import re
@@ -24,6 +25,7 @@ from jwcat.exprs import _eval, evaluate, parse, render_value
 from jwcat.functors import (Setup, _ck_column_map, _ck_tensor, _theta_parts,
                             koszul_D_on_object)
 from jwcat.modules import projective, simple
+from jwcat.quiver import build_theta
 from jwcat.resolutions import projective_resolution
 from test_complexes import ck_p2_complex
 from test_tails import outcome
@@ -228,14 +230,66 @@ class TestWitnessUpdates:
 
 
 # ---------------------------------------------------------------------------
-# the topological projector: the full rectangle of cells, as reference
+# the topological projector: hand-coded columns and the full rectangle of
+# cells, as reference
 # ---------------------------------------------------------------------------
+
+def ref_theta_parts(s, k):
+    """Summands of (one projective) ⊗ theta<-(2k-1)>: at vertex 2 the low and
+    high copies, at vertex 1 a single copy."""
+    if s.vertex == "2":
+        return (Summand("2", s.shift - 2 * k), Summand("2", s.shift - 2 * k + 2))
+    return (Summand("2", s.shift - 2 * k + 1),)
+
+
+def ref_ck_column_map(s, k):
+    """The structure map of the projector complex on one projective summand,
+    from column k to k+1, entry by entry."""
+    c = B.path_element(("a", "b"))
+    e2 = B.idempotent("2")
+    a = B.arrow_element("a")
+    if k == 0:
+        m = AlgMatrix.zero(B, ref_theta_parts(s, 1), (s,))
+        if s.vertex == "2":
+            m.entries[0][0] = c
+            m.entries[1][0] = e2
+        else:
+            m.entries[0][0] = a
+        return m
+    m = AlgMatrix.zero(B, ref_theta_parts(s, k + 1), ref_theta_parts(s, k))
+    sign = -1 if k % 2 == 1 else 1   # beta on odd columns, gamma on even
+    if s.vertex == "2":
+        m.entries[0][0] = c.scale(sign)
+        m.entries[1][0] = e2
+        m.entries[1][1] = c.scale(sign)
+    else:
+        m.entries[0][0] = c.scale(sign)
+    return m
+
+
+class TestColumnsDeriveFromTheStructureMapTable:
+    def test_parts_and_column_maps_equal_the_hand_coded_ones(self):
+        for v in ("1", "2"):
+            for shift in range(-6, 7):
+                s = Summand(v, shift)
+                for k in range(9):
+                    assert _theta_parts(SETUP, s, k + 1) == ref_theta_parts(s, k + 1)
+                    got, want = _ck_column_map(SETUP, s, k), ref_ck_column_map(s, k)
+                    assert got == want, (v, shift, k)
+                    got._validate()
+
+    def test_parts_are_the_paths_into_2_of_theta(self):
+        into2 = {p for p, _ in build_theta(B).pair_index}
+        assert set(sum(SETUP.ck_parts.values(), ())) == into2
+        for v, parts in SETUP.ck_parts.items():
+            assert all(B.target(p) == v and B.source(p) == "2" for p in parts)
+
 
 def ref_ck_bicomplex(setup, x, K):
     """Every cell (k, i) with 0 <= k <= K and X^i stored."""
     if x.tail is not None and x.tail.side == LEFT_TAIL:
         raise RegimeError("topological projector input must be bounded below")
-    terms = {(k, i): t if k == 0 else sum((_theta_parts(setup, s, k) for s in t), ())
+    terms = {(k, i): t if k == 0 else sum((ref_theta_parts(s, k) for s in t), ())
              for i, t in x.terms.items() for k in range(K + 1)}
     d1, d2 = {}, {}
     for i, t in x.terms.items():
@@ -243,7 +297,7 @@ def ref_ck_bicomplex(setup, x, K):
             m = AlgMatrix.zero(B, terms[(k + 1, i)], terms[(k, i)])
             ro = co = 0
             for s in t:
-                blk = _ck_column_map(setup, s, k)
+                blk = ref_ck_column_map(s, k)
                 m.place(blk, ro, co)
                 ro += len(blk.rows)
                 co += len(blk.cols)
@@ -359,6 +413,15 @@ class TestNestedProjectorVerdicts:
 
 # the functor P, not the atoms P(1) and P(2)
 APPLIES_P = re.compile(r"P\((?![12]\))")
+
+
+class TestProjectorRenders:
+    def test_every_other_projector_expression_matches_the_eval_reference(self):
+        """With the nested-CK and P pins, every pool expression that applies
+        CK is pinned; these print the columns of ``_ck_columns``."""
+        assert reproduce_eval_reference(
+            lambda e: "CK(" in e and not e.startswith("CK(CK(")
+            and not APPLIES_P.search(e)) == 115
 
 
 class TestProjectorDepth:
