@@ -80,8 +80,25 @@ caller passes only the window it works at. Below, a tail has direction o
   output is then clipped below the lowest degree the next term out, the
   lowest one shifted by s, could reach, so no kept degree misses a
   contribution.
-* P's depth (``functors.projector_depth``): hi - lo + 6. P resolves its
-  input that many degrees down. D sends P's homological degree r and
+* Resolution repeat (``resolutions.resolve_complex``). The step that
+  computes degree k of a resolution of Y covers the pairs (y, z), y in Y^k
+  and z a cycle of P^(k+1), with d_Y(y) equal to the augmentation of z.
+  Below the lowest term ylo of a bounded Y, for k <= ylo - 2, Y^k and
+  Y^(k+1) are zero and the step reads only d(k + 1): a minimal cover of
+  its kernel. Shift by s moves each basis vector of P^(k+1) s degrees up
+  and keeps the order within a degree, from which the kernel and the
+  cover's generators are chosen, so d(k + 1)<s> gives d(k)<s>. If
+  d(i) = d(i + p)<s>, terms included, with i + p <= ylo - 1, the step at
+  i - 1 thus repeats the step at i + p - 1 <= ylo - 2 shifted, and by
+  induction every degree below i is the copy of the one p above. The
+  descent stops there, p <= 4 as in the seam, and the tail rule extends it
+  to the floor, where d∘d and the tail seam are checked as on computed
+  degrees. The bound is tight: the step at ylo - 1 reads the augmentation.
+  A left-tailed input has terms down to the floor and is resolved in full.
+* P's depth (``functors.projector_depth``): hi - lo + 6. P's resolution is
+  stored that many degrees down. Below a bounded input the covers stop at
+  the resolution repeat, so the depth sets the stored window, not the
+  number of covers computed. D sends P's homological degree r and
   internal degree s to r + s, and down P's resolutions s grows by 2 per
   degree (their tails have period 1 and shift 2), so each degree of depth
   carries D∘P one degree further up: reading D∘P on (lo, hi) takes about
@@ -1306,7 +1323,6 @@ def maps_agree_under_identification(F: ProjChainMap, G: ProjChainMap,
     """
     S1, T1 = F.source, F.target
     S2, T2 = G.source, G.target
-    lo, hi = window
     if S1.terms == S2.terms and T1.terms == T2.terms and \
        {i: d.entries for i, d in S1.diffs.items()} == {i: d.entries for i, d in S2.diffs.items()} and \
        {i: d.entries for i, d in T1.diffs.items()} == {i: d.entries for i, d in T2.diffs.items()}:

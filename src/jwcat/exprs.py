@@ -146,7 +146,7 @@ def evaluate(setup: Setup, node: Node, window: tuple[int, int],
              order: int) -> ObjectValue | MapValue:
     val = _eval(setup, node, window)
     if isinstance(val, tuple):   # (kind, chain map)
-        kind, payload = val
+        payload = val[1]
         return MapValue(payload, getattr(payload, "name", "map"))
     if isinstance(val, GradedModule):
         from .kclass import class_of_module

@@ -595,7 +595,7 @@ def _ck_total(setup: Setup, x: ProjComplex, out_window: tuple[int, int]
     text, and is rejected without building the bicomplex."""
     if x.tail is not None and x.tail.side == LEFT_TAIL:
         raise RegimeError("topological projector input must be bounded below")
-    out_lo, out_hi = out_window
+    out_hi = out_window[1]
     x = x.materialize(x.window()[0], out_hi)
     x_lo = x.window()[0]
     K = out_hi - x_lo

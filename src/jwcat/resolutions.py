@@ -7,7 +7,8 @@ minimal cover of the fiber product {(y, p) : p a cycle one degree up,
 augmentation(p) = d(y)}, which simultaneously fixes surjectivity of the
 augmentation, the cycle-lifting property, and the cohomology comparison.
 For a single module this degenerates to the usual minimal resolution by
-iterated projective covers.
+iterated projective covers. Below a bounded input the descent stops at the
+resolution repeat of "Windows and margins" in the ``complexes`` docstring.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .complexes import (LEFT_TAIL, AlgMatrix, Complex, ProjComplex, Summand,
-                        attach_tail)
+                        TailSpec, attach_tail)
 from .linalg import Matrix, unit_vector
 from .modules import (GradedModule, ModuleHom, direct_sum, projective_sum,
                       sum_layout)
@@ -134,9 +135,8 @@ def minimal_generators(M: GradedModule) -> list[tuple[int, int, list[Fraction]]]
                 rad_rows.append([mat.data[r][j] for r in range(n)])
         if rad_rows:
             R, piv = Matrix.from_rows(rad_rows).rref()
-            pivset = set(piv)
         else:
-            R, piv, pivset = Matrix(0, n), [], set()
+            R, piv = Matrix(0, n), []
         # complement of the radical part: unit vectors at non-pivot positions,
         # in vertex order then position order
         order = sorted(range(n), key=lambda k: (M.algebra.quiver.vertices.index(M.label(d, k)), k))
@@ -189,9 +189,9 @@ def _extend_generators_to_hom(cover: GradedModule, summands: tuple[Summand, ...]
 # ---------------------------------------------------------------------------
 
 def projective_resolution(M: GradedModule, depth: int) -> ProjComplex:
-    """Minimal resolution by iterated covers, truncated at ``depth`` steps;
-    attaches a left tail when the syzygy pattern becomes periodic. This is
-    ``resolve_complex`` on the complex with M in degree 0."""
+    """Minimal resolution by iterated covers up to their repeat, stored to
+    ``depth`` steps; attaches a left tail when the syzygy pattern becomes
+    periodic. This is ``resolve_complex`` on the complex with M in degree 0."""
     return resolve_complex(Complex.from_module(M), depth)[0]
 
 
@@ -222,7 +222,8 @@ def resolve_complex(Y: Complex, depth: int
     """Termwise-surjective quasi-isomorphism from a complex of projectives.
 
     Returns the resolution (descending to ``window_lo - depth``) and the
-    augmentation maps from the realized terms onto the input terms.
+    augmentation maps from the computed terms onto the input terms: below a
+    bounded input, where it is zero, only down to the resolution repeat.
     """
     alg = Y.algebra
     if Y.is_zero():
@@ -232,6 +233,10 @@ def resolve_complex(Y: Complex, depth: int
     # a left-tailed input is resolved through the floor on its materialized
     # terms, so the resolution's tail is detected there
     Y = Y.materialize(floor, yhi)
+    # the steps below this degree read only the differential one degree up;
+    # a left-tailed input has terms down to the floor and is resolved in full
+    pure_below = Y.window()[0] - 1
+    repeat = None
     terms: dict[int, tuple[Summand, ...]] = {}
     diffs: dict[int, AlgMatrix] = {}
     augment: dict[int, ModuleHom] = {}
@@ -325,13 +330,32 @@ def resolve_complex(Y: Complex, depth: int
             into_P = z_incl.compose(z_hom)
             dmats[i] = into_P
             diffs[i] = _hom_to_alg_matrix(into_P, summands, terms[i + 1], alg)
+            repeat = _resolution_repeat(terms, diffs, i, pure_below)
+            if repeat is not None:
+                break
 
+    if repeat is not None:
+        part = ProjComplex(alg, terms, diffs, repeat, validate=False)
+        extended = part.materialize(floor, yhi)
+        terms, diffs = extended.terms, extended.diffs
     pc = ProjComplex(alg, terms, diffs, None, f"res({Y.name})")
     if not pc.is_zero() and min(terms) <= floor + 1:
         pc = attach_tail(pc, pc.window(), LEFT_TAIL,
                          f"resolution of {Y.name} neither terminates nor "
                          f"stabilizes at depth {depth}")
     return pc, augment
+
+
+def _resolution_repeat(terms: dict[int, tuple[Summand, ...]],
+                       diffs: dict[int, AlgMatrix], i: int,
+                       pure_below: int) -> TailSpec | None:
+    """The left tail from degree i on when d(i) = d(i + p)<s> for some
+    p <= 4 with i + p <= ``pure_below``: the resolution repeat."""
+    for p in range(1, min(4, pure_below - i) + 1):
+        s = terms[i][0].shift - terms[i + p][0].shift
+        if diffs[i] == diffs[i + p].shifted(s):
+            return TailSpec(LEFT_TAIL, i, p, s)
+    return None
 
 
 def _amb_label(Yi: GradedModule, Z: GradedModule, d: int, j: int) -> str:

@@ -348,7 +348,6 @@ class _Runner:
 
     def _module_duals(self, details):
         setup = self.setup
-        B = self.B()
         mods = self.setup.standard_modules()
         DL1 = koszul_D_on_object(setup, mods["L(1)"])
         assert DL1.terms == {0: (Summand("2", 0),)} and not DL1.diffs, \
@@ -426,7 +425,7 @@ class _Runner:
     def _middle_fixture(self, K: int) -> ProjComplex:
         B = self.B()
         a, b = B.arrow_element("a"), B.arrow_element("b")
-        e1, e2 = B.idempotent("1"), B.idempotent("2")
+        e1 = B.idempotent("1")
         z = B.zero()
         terms: dict[int, tuple[Summand, ...]] = {-2: (Summand("1", 2),),
                                                  -1: (Summand("2", 1), Summand("1", 0))}
@@ -522,7 +521,6 @@ class _Runner:
         return ProjBicomplex(B, terms, d1, d2, name="staircase")
 
     def _total_model(self, details):
-        setup = self.setup
         N = self.cfg.window
         K = N
         mid, left, right, J, Km, L, M = self._split_fixtures(K)
@@ -545,7 +543,7 @@ class _Runner:
         bc = self._staircase_bicomplex(K)
         tot = total_complex(bc)
         tot_w = (-2, K - 3)
-        perm = _sort_by_shift_desc(tot, tot_w)
+        perm = _sort_by_shift_desc(tot)
         ok, signs = match_up_to_diagonal_signs(perm, mid, tot_w)
         assert ok, "totalization matches the middle column (up to diagonal signs)"
         if signs and any(s == -1 for row in signs.values() for s in row):
@@ -790,10 +788,9 @@ def _ck_p1_reference_class(order: int) -> KClass:
     return acc
 
 
-def _sort_by_shift_desc(c: ProjComplex, window: tuple[int, int]) -> ProjComplex:
+def _sort_by_shift_desc(c: ProjComplex) -> ProjComplex:
     """Reorder summands per degree by descending internal shift (then vertex),
     conjugating the differentials accordingly."""
-    lo, hi = window
     perms: dict[int, list[int]] = {}
     terms = {}
     for i, t in c.terms.items():

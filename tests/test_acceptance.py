@@ -292,6 +292,22 @@ SWEEP_DIGESTS = {
 }
 
 
+# the same digests at the larger windows a performance change must keep
+# byte-identical, next to N = 16 (REFERENCE_N16) and 48 (perfbench/reference)
+WIDE_DIGESTS = {
+    20: "952ef6caae62cbd0fafdc1860632be146a1a0e6cec54ee4e4739d5ad2cf75d33",
+    24: "81a84b4575aadd4ce80c7700ffddd99fc62eea0db5fa37a358b4ed65d72518e6",
+    32: "c5ee5735720e098e36982fbba740a8f5acfc210e006ec82a566f9e09793246e8",
+}
+
+
+@pytest.mark.parametrize("n", sorted(WIDE_DIGESTS))
+def test_wide_window_reports_are_pinned(n):
+    report = run_suite(VerificationConfig(window=n))
+    digest = hashlib.sha256(report.to_json(with_timings=False).encode()).hexdigest()
+    assert digest == WIDE_DIGESTS[n], n
+
+
 def test_verdicts_are_monotone_in_the_window():
     """Over N = 4..14 no check fails, a check that passes keeps passing at
     every larger window, all checks pass from N = 10, and each report is
