@@ -3,7 +3,7 @@
 projectives: contractible on the big projective, the signed 2-periodic tower
 on the other."""
 
-from jwcat.complexes import ProjComplex, gaussian_reduce
+from jwcat.complexes import ProjComplex, reduce_on_window
 from jwcat.functors import CK_on_object, Setup, ck_bimodule_complex
 from jwcat.kclass import euler_class
 
@@ -18,7 +18,7 @@ print()
 
 ck2 = CK_on_object(setup, ProjComplex.from_summand(B, "2"), out_window=(0, 12))
 print("on P(2), raw:", ck2.pretty()[:90], "...")
-red = gaussian_reduce(ck2.materialize(0, 18), keep_window=(0, 10))
+red = reduce_on_window(ck2, (0, 10))
 print("on P(2), reduced:", red.reduced.pretty(), "(contractible)")
 print()
 

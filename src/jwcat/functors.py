@@ -126,34 +126,9 @@ class FunctorReport:
 # the projector: section functor, derived inclusion
 # ---------------------------------------------------------------------------
 
-# Entry translation, both ways, between vertex-2 summands P(2)<r+1> over B
-# and free summands <r> over C: e(2)·B·e(2) has basis e(2), ab and C has
-# basis 1, x.
-_B_TO_C = ((Path((), "2"), Path((), "*")), (Path(("a", "b")), Path(("x",))))
-_C_TO_B = tuple((c, b) for b, c in _B_TO_C)
-
-
-def _translate_matrix(m: AlgMatrix, alg: PathAlgebra, pairs,
-                      rows: tuple[Summand, ...], cols: tuple[Summand, ...]
-                      ) -> AlgMatrix:
-    """Entrywise change of algebra along (source path, target path) pairs."""
-    return AlgMatrix(alg, rows, cols,
-                     [[alg.element({dst: z.coefficient(src) for src, dst in pairs})
-                       for z in row] for row in m.entries], validate=False)
-
-
-def _pi_fast(setup: Setup, x: ProjComplex) -> ProjComplex | None:
-    """Translate a complex all of whose summands sit at vertex 2 directly to
-    the quotient algebra: P(2)<r> becomes a free summand <r-1>, the loop ab
-    becomes the degree-2 generator."""
-    for t in x.terms.values():
-        if any(s.vertex != "2" for s in t):
-            return None
-    terms = {i: tuple(Summand("*", s.shift - 1) for s in t)
-             for i, t in x.terms.items()}
-    diffs = {i: _translate_matrix(d, setup.C, _B_TO_C, terms[i + 1], terms[i])
-             for i, d in x.diffs.items()}
-    return ProjComplex(setup.C, terms, diffs, x.tail, f"π({x.name})", validate=True)
+# Entry translation from free summands <r> over C to vertex-2 summands
+# P(2)<r+1> over B: C has basis 1, x and e(2)·B·e(2) has basis e(2), ab.
+_C_TO_B = ((Path((), "*"), Path((), "2")), (Path(("x",)), Path(("a", "b"))))
 
 
 def iota_translate(setup: Setup, freeC: ProjComplex) -> ProjComplex:
@@ -171,8 +146,10 @@ def _iota_summands(term: tuple[Summand, ...]) -> tuple[Summand, ...]:
 
 def _iota_translate_matrix(setup: Setup, m: AlgMatrix) -> AlgMatrix:
     """Entrywise C -> B translation: scalar part onto e(2), x onto the loop."""
-    return _translate_matrix(m, setup.B, _C_TO_B, _iota_summands(m.rows),
-                             _iota_summands(m.cols))
+    B = setup.B
+    return AlgMatrix(B, _iota_summands(m.rows), _iota_summands(m.cols),
+                     [[B.element({dst: z.coefficient(src) for src, dst in _C_TO_B})
+                       for z in row] for row in m.entries], validate=False)
 
 
 def _as_module_complex(setup: Setup, x) -> Complex:
@@ -198,22 +175,23 @@ def P_on_object(setup: Setup, x, depth: int = 16) -> ProjComplex:
 
     Applies the section functor termwise (exact), replaces the result by a
     termwise-surjective free resolution ``depth`` degrees deep, and applies
-    the inclusion functor termwise (exact on frees). Complexes whose section
-    image is already termwise free skip the resolution step. A caller that
-    reads the result on a window passes ``projector_depth(window)``.
+    the inclusion functor termwise (exact on frees). A caller that reads the
+    result on a window passes ``projector_depth(window)``.
+
+    On a complex of P(2)'s, ι∘π is the identity: π sends P(2)<r> to the free
+    summand <r-1>, ι sends that back to P(2)<r>, and the entry table
+    e(2) ↔ 1, ab ↔ x is a ring isomorphism e(2)·B·e(2) ≅ C. Such a complex
+    is termwise free after π and needs no resolution, so P returns its
+    terms, entries and tail as they are, validated once (d∘d and the tail
+    seam).
     """
-    if isinstance(x, ProjComplex):
-        if x.tail is not None and x.tail.side == RIGHT_TAIL:
-            raise RegimeError("projector input must be bounded above")
-        fast = _pi_fast(setup, x)
-        if fast is not None:
-            out = iota_translate(setup, fast)
-            out.name = f"ℙ({x.name})"
-            return out
-        x = realize(x)
-    Y = _as_module_complex(setup, x)
+    Y = x if isinstance(x, ProjComplex) else _as_module_complex(setup, x)
     if Y.tail is not None and Y.tail.side == RIGHT_TAIL:
         raise RegimeError("projector input must be bounded above")
+    if isinstance(Y, ProjComplex):
+        if all(s.vertex == "2" for t in Y.terms.values() for s in t):
+            return ProjComplex(Y.algebra, Y.terms, Y.diffs, Y.tail, f"ℙ({Y.name})")
+        Y = realize(Y)
     piY = Complex(setup.C,
                   {i: apply_pi(m, setup.C) for i, m in Y.terms.items()},
                   {i: apply_pi_hom(d, setup.C) for i, d in Y.diffs.items()},
@@ -558,7 +536,11 @@ def _ck_cells(setup: Setup, x: ProjComplex, K: int
 def ck_bicomplex(setup: Setup, x: ProjComplex, K: int) -> ProjBicomplex:
     """X ⊗ projector complex, horizontal = projector column index, built
     only on the complete total degrees of ``_ck_cells``: nothing totalized
-    from it reads a cell beyond them, and it is validated on those cells."""
+    from it reads a cell beyond them. Its identities are checked once, when
+    ``total_complex`` validates its totalization: Tot's d∘d has the blocks
+    d1∘d1, d2∘d2 and ±(d1∘d2 - d2∘d1) in three distinct cells
+    (``ProjBicomplex``). From the top total degree, the cell identities and
+    Tot's d∘d alike read only maps into cells that were never built."""
     B = setup.B
     terms = _ck_cells(setup, x, K)
     d1: dict[tuple[int, int], AlgMatrix] = {}
@@ -605,7 +587,7 @@ def _ck_total(setup: Setup, x: ProjComplex, out_window: tuple[int, int]
     # missing pattern means the window cannot certify the tail, never
     # boundedness
     message = f"projector tensor output did not stabilize on window {out_window}"
-    shape = ProjBicomplex(setup.B, _ck_cells(setup, x, K), {}, {}, validate=False)
+    shape = ProjBicomplex(setup.B, _ck_cells(setup, x, K), {}, {})
     attach_tail(ProjComplex(setup.B, total_terms(shape), {}, validate=False),
                 out_window, RIGHT_TAIL, message)
     bc = ck_bicomplex(setup, x, K)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .complexes import (LEFT_TAIL, RIGHT_TAIL, ProjComplex, RegimeError,
                         Summand)
 from .modules import GradedModule
-from .series import LaurentPoly, TruncatedSeries
+from .series import LaurentPoly, TruncatedSeries, quantum_two
 
 VERTICES = ("1", "2")
 STANDARD = "standard"
@@ -168,8 +168,7 @@ def jones_wenzl_reference(order: int) -> dict[str, dict[str, TruncatedSeries]]:
     in the completion."""
     zero = TruncatedSeries.zero(order)
     one = TruncatedSeries.one(order)
-    two = TruncatedSeries.from_laurent(LaurentPoly({1: 1, -1: 1}), order)
-    col1 = two.invert().truncate(order)
+    col1 = quantum_two(order).invert().truncate(order)
     return {
         "P(1)": {"P(1)": zero, "P(2)": col1},
         "P(2)": {"P(1)": zero, "P(2)": one},

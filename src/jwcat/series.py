@@ -269,11 +269,3 @@ class TruncatedSeries:
 def quantum_two(order: int) -> TruncatedSeries:
     """[2] = q + q^-1 as a truncated series."""
     return TruncatedSeries({1: 1, -1: 1}, -1, order)
-
-
-def series_mul(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
-    return x * y
-
-
-def series_invert(x: TruncatedSeries) -> TruncatedSeries:
-    return x.invert()

@@ -32,7 +32,7 @@ from .modules import (GradedModule, ModuleHom, apply_iota, apply_pi,
                       tensor_with_bimodule)
 from .quiver import (bimodule_maps_alpha_beta_gamma, build_theta, koszul_dual)
 from .resolutions import projective_resolution
-from .series import LaurentPoly, TruncatedSeries
+from .series import TruncatedSeries, quantum_two
 
 
 @dataclass
@@ -696,9 +696,8 @@ class _Runner:
         depth = projector_depth((-N, 0))
         pP1 = P_on_object(setup, projective(B, "1"), depth=depth)
         e = euler_class(pP1, order)
-        two = TruncatedSeries.from_laurent(LaurentPoly({1: 1, -1: 1}), order)
         ref = projective_class("2", order).scale_series(
-            two.invert().truncate(order))
+            quantum_two(order).invert().truncate(order))
         assert e == ref, "projector class equals the inverted quantum integer " \
                          "times the big projective class"
         details.append(f"observed series: {e.series['1'].render()} on the "

@@ -9,7 +9,7 @@ from jwcat.complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, ProjBicomplex,
                              match_up_to_diagonal_signs, realize,
                              solve_chain_maps, total_complex)
 from jwcat.modules import projective, simple
-from jwcat.quiver import build_B
+from jwcat.quiver import ConstructionError, build_B
 from jwcat.resolutions import projective_resolution
 
 
@@ -107,6 +107,97 @@ class TestTotalization:
             bc = ProjBicomplex(B, terms, d1, d2)
             tot = total_complex(bc)   # construction validates d∘d = 0
             assert tot is not None
+
+
+def cell_failures(bc):
+    """The cell identities of ``bc`` that fail, as (identity, cell): the
+    cell-by-cell check that the totalization's d∘d replaces, kept as the
+    reference."""
+    out = []
+    for (p, q) in sorted(bc.terms):
+        if not (bc.D1(p + 1, q) * bc.D1(p, q)).is_zero():
+            out.append(("d1∘d1", (p, q)))
+        if not (bc.D2(p, q + 1) * bc.D2(p, q)).is_zero():
+            out.append(("d2∘d2", (p, q)))
+        if bc.D2(p + 1, q) * bc.D1(p, q) != bc.D1(p, q + 1) * bc.D2(p, q):
+            out.append(("square", (p, q)))
+    return out
+
+
+def bumped(m):
+    """For each entry of ``m`` between summands at one vertex v, ``m`` with
+    e(v) added to that entry."""
+    for r, row in enumerate(m.rows):
+        for k, col in enumerate(m.cols):
+            if row.vertex == col.vertex:
+                bad = AlgMatrix(m.algebra, m.rows, m.cols, m.entries, validate=False)
+                bad.entries[r][k] = bad.entries[r][k] + m.algebra.idempotent(row.vertex)
+                yield bad
+
+
+def corruptions(bc):
+    """Each bicomplex that differs from ``bc`` in one entry of one block."""
+    for cell, m in sorted(bc.d1.items()):
+        for bad in bumped(m):
+            yield ProjBicomplex(bc.algebra, bc.terms, {**bc.d1, cell: bad}, bc.d2)
+    for cell, m in sorted(bc.d2.items()):
+        for bad in bumped(m):
+            yield ProjBicomplex(bc.algebra, bc.terms, bc.d1, {**bc.d2, cell: bad})
+
+
+class TestTotalizationChecksTheBicomplex:
+    """A bicomplex is checked once, by its totalization's d∘d: every broken
+    cell identity is caught, at the lowest total degree where one breaks."""
+
+    @pytest.fixture(scope="class")
+    def bc(self):
+        """X ⊗ CK for a three-term X, on five projector columns."""
+        from jwcat.functors import Setup, ck_bicomplex
+        setup = Setup.create()
+        x = projective_resolution(simple(setup.B, "1"), 4).clip(-2, 0)
+        bc = ck_bicomplex(setup, x, 4)
+        assert cell_failures(bc) == []
+        return bc
+
+    @pytest.fixture(scope="class")
+    def column(self, bc):
+        """Column 1 of ``bc`` on its own, where no square meets d2."""
+        return ProjBicomplex(bc.algebra,
+                             {(0, q): t for (p, q), t in bc.terms.items() if p == 1},
+                             {}, {(0, q): m for (p, q), m in bc.d2.items() if p == 1})
+
+    def test_every_corrupted_entry_is_caught_where_it_breaks(self, bc, column):
+        for bad in [*corruptions(bc), *corruptions(column)]:
+            failures = cell_failures(bad)
+            if not failures:
+                total_complex(bad)
+                continue
+            lowest = min(p + q for _, (p, q) in failures)
+            with pytest.raises(ConstructionError, match=f"d∘d != 0 at degree {lowest} "):
+                total_complex(bad)
+
+    @pytest.mark.parametrize("identity", ["d1∘d1", "d2∘d2", "square"])
+    def test_each_identity_broken_alone_is_caught(self, bc, column, identity):
+        for bad in [*corruptions(bc), *corruptions(column)]:
+            failures = cell_failures(bad)
+            if len(failures) == 1 and failures[0][0] == identity:
+                p, q = failures[0][1]
+                with pytest.raises(ConstructionError, match=f"d∘d != 0 at degree {p + q} "):
+                    total_complex(bad)
+                return
+        pytest.fail(f"no single-entry corruption breaks {identity} alone")
+
+    def test_corrupted_total_block_is_caught(self, bc):
+        tot = total_complex(bc)
+        n = max(tot.diffs)
+        caught = 0
+        for bad in bumped(tot.diffs[n]):
+            if (bad * tot.diff(n - 1)).is_zero():
+                continue
+            with pytest.raises(ConstructionError, match=f"d∘d != 0 at degree {n - 1} "):
+                ProjComplex(tot.algebra, tot.terms, {**tot.diffs, n: bad}, None, tot.name)
+            caught += 1
+        assert caught
 
 
 class TestGaussianReduce:

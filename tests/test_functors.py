@@ -1,8 +1,9 @@
 import pytest
 
-from jwcat.complexes import (AlgMatrix, Complex, ProjChainMap, ProjComplex,
-                             Summand, WindowTooSmall, gaussian_reduce,
-                             homology, iso_in_homotopy_category,
+from jwcat.complexes import (LEFT_TAIL, AlgMatrix, Complex, ProjChainMap,
+                             ProjComplex, Summand, WindowTooSmall,
+                             gaussian_reduce, homology,
+                             iso_in_homotopy_category,
                              maps_agree_under_identification, realize,
                              reduce_on_window)
 from jwcat.functors import (CK_on_map, CK_on_object, ModChainMap,
@@ -11,6 +12,7 @@ from jwcat.functors import (CK_on_map, CK_on_object, ModChainMap,
                             realize_chain_map, two_term_dual_model)
 from jwcat.modules import (injective2, left_multiplication_hom, projective,
                            simple)
+from jwcat.quiver import ConstructionError
 from jwcat.resolutions import projective_resolution
 
 
@@ -68,6 +70,17 @@ def vertex2_complex(B, terms, diffs):
                     for src, x in zip(t[i], row)] for tgt, row in zip(t[i + 1], rows)]
         d[i] = AlgMatrix(B, t[i + 1], t[i], entries)
     return ProjComplex(B, t, d)
+
+
+VERTEX2_CASES = [
+    ({0: (0,)}, {}),
+    ({2: (3,)}, {}),
+    ({0: (0, 2)}, {}),
+    ({-1: (2,), 0: (0,)}, {-1: [[-3]]}),
+    ({-2: (4,), -1: (2,), 0: (0,)}, {-2: [[1]], -1: [[1]]}),
+    ({-1: (0,), 0: (0,)}, {-1: [[1]]}),
+    ({-1: (2,), 0: (0, 2)}, {-1: [[1], [2]]}),
+]
 
 
 class TestProjector:
@@ -135,20 +148,44 @@ class TestProjector:
         comp = fa.compose(fb)
         assert comp.component(0).entries == fc.component(0).entries
 
-    @pytest.mark.parametrize("terms, diffs", [
-        ({0: (0,)}, {}),
-        ({2: (3,)}, {}),
-        ({0: (0, 2)}, {}),
-        ({-1: (2,), 0: (0,)}, {-1: [[-3]]}),
-        ({-2: (4,), -1: (2,), 0: (0,)}, {-2: [[1]], -1: [[1]]}),
-        ({-1: (0,), 0: (0,)}, {-1: [[1]]}),
-        ({-1: (2,), 0: (0, 2)}, {-1: [[1], [2]]}),
-    ])
+    @pytest.mark.parametrize("terms, diffs", VERTEX2_CASES)
     def test_vertex2_shortcut_equals_general_path(self, setup, terms, diffs):
-        # a formal complex takes the entry-translation shortcut, its
-        # module-level realization the section functor and resolve_complex
+        # a formal complex of P(2)'s is returned as it is, its module-level
+        # realization goes through the section functor and resolve_complex
         x = vertex2_complex(setup.B, terms, diffs)
         assert_same_complex(P_on_object(setup, x), P_on_object(setup, realize(x)))
+
+    @pytest.mark.parametrize("terms, diffs", VERTEX2_CASES)
+    def test_vertex2_complex_is_returned_as_it_is(self, setup, terms, diffs):
+        x = vertex2_complex(setup.B, terms, diffs)
+        out = P_on_object(setup, x)
+        assert_same_complex(out, x)
+        assert out.name == f"ℙ({x.name})"
+
+    def test_left_tailed_and_zero_vertex2_complexes_are_returned_as_they_are(self, setup):
+        tailed = P_on_object(setup, simple(setup.B, "2"), depth=12)
+        assert tailed.tail.side == LEFT_TAIL
+        for x in (tailed, ProjComplex.zero_complex(setup.B)):
+            out = P_on_object(setup, x)
+            assert_same_complex(out, x)
+            assert out.name == f"ℙ({x.name})"
+
+    def test_vertex2_complex_is_validated(self, setup):
+        B = setup.B
+        e2 = B.idempotent("2")
+        t = (Summand("2", 0),)
+        broken = ProjComplex(B, {-1: t, 0: t, 1: t},
+                             {-1: AlgMatrix(B, t, t, [[e2]]),
+                              0: AlgMatrix(B, t, t, [[e2]])}, validate=False)
+        with pytest.raises(ConstructionError, match="d∘d != 0 at degree -1"):
+            P_on_object(setup, broken)
+        # a tail whose stored pattern breaks: d∘d still vanishes
+        tailed = P_on_object(setup, simple(B, "2"), depth=12)
+        lo = tailed.window()[0]
+        diffs = {**tailed.diffs, lo: tailed.diffs[lo].scale(2)}
+        seam = ProjComplex(B, tailed.terms, diffs, tailed.tail, validate=False)
+        with pytest.raises(ConstructionError, match="tail diff pattern broken"):
+            P_on_object(setup, seam)
 
 
 class TestDuality:

@@ -332,7 +332,7 @@ def corrupt_bicomplex(monkeypatch, breaker):
     def ck_bicomplex(setup, x, K):
         bc = real(setup, x, K)
         d1, d2 = breaker(bc.d1, bc.d2)
-        return ProjBicomplex(bc.algebra, bc.terms, d1, d2, bc.name, validate=False)
+        return ProjBicomplex(bc.algebra, bc.terms, d1, d2, bc.name)
 
     monkeypatch.setattr(functors, "ck_bicomplex", ck_bicomplex)
 
@@ -383,7 +383,7 @@ class TestCorruptionIsCaughtAtEveryAttachment:
 
     def test_topological_projector_dd(self, monkeypatch):
         def breaker(d1, d2):
-            # one horizontal block, checked by its bicomplex before
+            # one horizontal block, checked by the totalization
             k, i = min(key for key in d1 if (key[0] + 1, key[1]) in d1)
             bad = break_dd({k: d1[(k, i)], k + 1: d1[(k + 1, i)]})[k]
             return {**d1, (k, i): bad}, d2
