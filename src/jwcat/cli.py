@@ -35,9 +35,10 @@ def build_parser() -> argparse.ArgumentParser:
                                     "categorified degree-two projectors")
     sub = p.add_subparsers(dest="command", required=True)
 
+    # a string default goes through type=int, so a bad value is a usage error
+    window = os.environ.get("JWCAT_WINDOW", "16")
     v = sub.add_parser("verify", help="run the verification suite")
-    v.add_argument("--window", type=int,
-                   default=int(os.environ.get("JWCAT_WINDOW", "16")),
+    v.add_argument("--window", type=int, default=window,
                    help="homological window size N (default 16; env JWCAT_WINDOW)")
     v.add_argument("--order", type=int, default=None,
                    help="series truncation order (default 2N+1)")
@@ -47,8 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("eval", help="evaluate a functor expression")
     e.add_argument("expr", type=str)
-    e.add_argument("--window", type=int,
-                   default=int(os.environ.get("JWCAT_WINDOW", "16")))
+    e.add_argument("--window", type=int, default=window)
     e.add_argument("--order", type=int, default=None)
 
     s = sub.add_parser("show", help="load, validate, and pretty-print a fixture")

@@ -25,8 +25,8 @@ from .complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, Complex,
                         LadderFamily, LadderSystem, ProjBicomplex,
                         ProjChainMap, ProjComplex, Reduction, RegimeError,
                         Summand, WindowTooSmall, attach_tail, gaussian_reduce,
-                        realize, total_complex, total_layout,
-                        total_terms)
+                        realize, total_complex, total_layout, total_terms,
+                        _alg_matrix_to_hom, _mat_coords)
 from .linalg import solve_from_columns
 from .modules import (GradedModule, ModuleHom, apply_pi, apply_pi_hom,
                       projective, simple, injective2)
@@ -50,8 +50,8 @@ class Setup:
         self.ck_parts, self.ck_degrees, self.ck_blocks = _ck_columns(self.B)
 
     @classmethod
-    def create(cls, d_max: int = 4) -> Setup:
-        return cls(B=build_B(d_max), C=build_C(d_max))
+    def create(cls) -> Setup:
+        return cls(B=build_B(), C=build_C())
 
     def swap(self, v: str) -> str:
         return "2" if v == "1" else "1"
@@ -100,7 +100,6 @@ class ModChainMap:
 
 def realize_chain_map(f: ProjChainMap) -> ModChainMap:
     """Module-level realization of a formal chain map."""
-    from .complexes import _alg_matrix_to_hom
     src = realize(f.source)
     tgt = realize(f.target)
     comps = {}
@@ -119,7 +118,6 @@ class FunctorReport:
     raw: ProjComplex
     reduced: ProjComplex
     reduction: Reduction
-    notes: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +131,13 @@ _C_TO_B = ((Path((), "*"), Path((), "2")), (Path(("x",)), Path(("a", "b"))))
 
 def iota_translate(setup: Setup, freeC: ProjComplex) -> ProjComplex:
     """The inclusion functor on free complexes: each free summand <r> becomes
-    P(2)<r+1>, the degree-2 generator becomes the loop."""
+    P(2)<r+1>, the degree-2 generator becomes the loop. Unchecked: across the
+    ring isomorphism e(2)·B·e(2) ≅ C, d∘d and the tail seam hold over B
+    exactly when they hold on ``freeC``, where ``resolve_complex`` checked them."""
     terms = {i: _iota_summands(t) for i, t in freeC.terms.items()}
     diffs = {i: _iota_translate_matrix(setup, d) for i, d in freeC.diffs.items()}
     return ProjComplex(setup.B, terms, diffs, freeC.tail, f"ι({freeC.name})",
-                       validate=True)
+                       validate=False)
 
 
 def _iota_summands(term: tuple[Summand, ...]) -> tuple[Summand, ...]:
@@ -170,7 +170,18 @@ def projector_depth(window: tuple[int, int]) -> int:
     return hi - lo + 6
 
 
-def P_on_object(setup: Setup, x, depth: int = 16) -> ProjComplex:
+def _section_resolution(setup: Setup, Y: Complex, depth: int
+                        ) -> tuple[ProjComplex, dict[int, ModuleHom]] | None:
+    """P's section-and-resolve step for objects and maps alike: π termwise,
+    then ``resolve_complex`` over C; None when π(Y) is zero."""
+    piY = Complex(setup.C,
+                  {i: apply_pi(m, setup.C) for i, m in Y.terms.items()},
+                  {i: apply_pi_hom(d, setup.C) for i, d in Y.diffs.items()},
+                  Y.tail, f"π({Y.name})", validate=True)
+    return None if piY.is_zero() else resolve_complex(piY, depth)
+
+
+def P_on_object(setup: Setup, x, depth: int) -> ProjComplex:
     """The categorified projector on objects.
 
     Applies the section functor termwise (exact), replaces the result by a
@@ -192,29 +203,23 @@ def P_on_object(setup: Setup, x, depth: int = 16) -> ProjComplex:
         if all(s.vertex == "2" for t in Y.terms.values() for s in t):
             return ProjComplex(Y.algebra, Y.terms, Y.diffs, Y.tail, f"ℙ({Y.name})")
         Y = realize(Y)
-    piY = Complex(setup.C,
-                  {i: apply_pi(m, setup.C) for i, m in Y.terms.items()},
-                  {i: apply_pi_hom(d, setup.C) for i, d in Y.diffs.items()},
-                  Y.tail, f"π({Y.name})", validate=True)
-    if piY.is_zero():
+    resolved = _section_resolution(setup, Y, depth)
+    if resolved is None:
         return ProjComplex.zero_complex(setup.B)
-    res, _aug = resolve_complex(piY, depth)
-    out = iota_translate(setup, res)
+    out = iota_translate(setup, resolved[0])
     out.name = f"ℙ({Y.name})"
     return out
 
 
-def P_on_module_map(setup: Setup, f: ModuleHom, depth: int = 16
+def P_on_module_map(setup: Setup, f: ModuleHom, depth: int
                     ) -> tuple[ProjChainMap, ProjComplex, ProjComplex]:
+    """ℙ(f) for a degree-0 module map f, with its source and target: ι of the
+    comparison lift of π(f), checked once, as a chain map over B."""
     if f.degree != 0:
         raise ConstructionError("shift the source so the map has degree 0")
-    C = setup.C
-    piM = Complex.from_module(apply_pi(f.source, C))
-    piN = Complex.from_module(apply_pi(f.target, C))
-    pif = apply_pi_hom(f, C)
-    resM, augM = resolve_complex(piM, depth)
-    resN, augN = resolve_complex(piN, depth)
-    lift = lift_through_resolutions(setup.C, resM, augM, resN, augN, pif)
+    resM, augM = _section_resolution(setup, Complex.from_module(f.source), depth)
+    resN, augN = _section_resolution(setup, Complex.from_module(f.target), depth)
+    lift = lift_through_resolutions(resM, augM, resN, augN, apply_pi_hom(f, setup.C))
     srcB = iota_translate(setup, resM)
     tgtB = iota_translate(setup, resN)
     comps = {i: _iota_translate_matrix(setup, m) for i, m in lift.items()}
@@ -222,36 +227,31 @@ def P_on_module_map(setup: Setup, f: ModuleHom, depth: int = 16
     return fmap, srcB, tgtB
 
 
-def lift_through_resolutions(alg: PathAlgebra, resM: ProjComplex,
-                             augM: dict[int, ModuleHom], resN: ProjComplex,
-                             augN: dict[int, ModuleHom], f0: ModuleHom
-                             ) -> dict[int, AlgMatrix]:
-    """Comparison lift: chain map between resolutions covering a single
-    module map (concentrated in homological degree 0). Solved one degree at
-    a time from 0 downward, since each degree's solution enters the next."""
-    from .complexes import _alg_matrix_to_hom
+def lift_through_resolutions(resM: ProjComplex, augM: dict[int, ModuleHom],
+                             resN: ProjComplex, augN: dict[int, ModuleHom],
+                             f0: ModuleHom) -> dict[int, AlgMatrix]:
+    """Comparison lift: the chain map between resolutions that covers f0 in
+    degree 0, solved from degree 0 down, each solution entering the next;
+    below degree 0 on the formal matrices. Realization is faithful and
+    respects composition, so each system keeps its solution set, and that
+    set alone fixes the reduced echelon form ``solve_from_columns`` reads."""
     lift: dict[int, AlgMatrix] = {}
-    srcR = realize(resM)
-    tgtR = realize(resN)
     for i in range(0, resM.window()[0] - 1, -1):
         ladder = LadderSystem([LadderFamily(resM, resN, 0, (i, i))])
-        if i == 0:
-            # augN ∘ phi_0 = f0 ∘ augM
-            after, want = augN[0], f0.compose(augM[0])
-        else:
-            # d_N ∘ phi_i = phi_{i+1} ∘ d_M
-            after = _alg_matrix_to_hom(resN.diff(i), tgtR.term(i), tgtR.term(i + 1), alg)
-            dM = _alg_matrix_to_hom(resM.diff(i), srcR.term(i), srcR.term(i + 1), alg)
-            prev = _alg_matrix_to_hom(lift[i + 1], srcR.term(i + 1),
-                                      tgtR.term(i + 1), alg)
-            want = prev.compose(dM)
-        degrees = sorted(set(srcR.term(i).degrees()))
+        if i == 0:   # augN∘φ_0 = f0∘augM on the realized degree-0 covers
+            cover, want = augM[0].source, f0.compose(augM[0])
 
-        def residual(maps) -> list[Fraction]:
-            hom = _alg_matrix_to_hom(ladder.component(maps, 0, i), srcR.term(i),
-                                     tgtR.term(i), alg)
-            diff = after.compose(hom) - want
-            return [x for d in degrees for row in diff.mat(d).data for x in row]
+            def residual(maps) -> list[Fraction]:
+                hom = _alg_matrix_to_hom(ladder.component(maps, 0, 0), cover,
+                                         augN[0].source, resM.algebra)
+                diff = augN[0].compose(hom) - want
+                return [x for d in cover.degrees()
+                        for row in diff.mat(d).data for x in row]
+        else:        # d_N∘φ_i = φ_(i+1)∘d_M on the formal matrices
+            back = lift[i + 1] * resM.diff(i)
+
+            def residual(maps) -> list[Fraction]:
+                return _mat_coords(resN.diff(i) * ladder.component(maps, 0, i) - back)
 
         column, rhs = ladder.probe([(((0, i),), residual)])
         sol = solve_from_columns(column, ladder.n, rhs)

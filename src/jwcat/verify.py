@@ -383,7 +383,7 @@ class _Runner:
                 assert d.entries[0][0] == c_el, f"differential at {i} is the loop"
         assert pP1.tail is not None and pP1.tail.side == LEFT_TAIL \
             and pP1.tail.period * 2 == abs(pP1.tail.shift) * 1, "2-periodicity"
-        assert P_on_object(setup, ProjComplex.zero_complex(B)).is_zero()
+        assert P_on_object(setup, ProjComplex.zero_complex(B), depth=depth).is_zero()
         # idempotency within the window
         ppP1 = P_on_object(setup, pP1, depth=depth)
         v = iso_in_homotopy_category(ppP1, pP1, window=(-N + 2, 0))
@@ -645,12 +645,10 @@ class _Runner:
         w = (0, N)
         cmp_w = (0, N - 2)
         for zname, (z, src, tgt) in self.setup.generator_maps().items():
-            Pz, _, _ = P_on_module_map(setup,
-                                       left_multiplication_hom(src, tgt, z, zname),
-                                       depth=projector_depth(w))
+            f0 = left_multiplication_hom(src, tgt, z, zname)
+            Pz, _, _ = P_on_module_map(setup, f0, depth=projector_depth(w))
             mz = realize_chain_map(Pz)
             DPz, DPsrc, DPtgt = koszul_D_on_map(setup, mz, out_window=w)
-            f0 = left_multiplication_hom(src, tgt, z, zname)
             fc = ModChainMap(Complex.from_module(src), Complex.from_module(tgt),
                              {0: f0}, zname)
             Dz, _, _ = koszul_D_on_map(setup, fc, out_window=w)

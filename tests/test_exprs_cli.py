@@ -141,6 +141,23 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["config"]["window"] == 6
 
+    def test_malformed_env_window_is_a_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("JWCAT_WINDOW", "abc")
+        assert main(["verify", "--only", "algebra-sanity"]) == 3
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
+        assert main(["eval", "P(1)"]) == 3
+
+    def test_malformed_env_window_is_read_only_by_verify_and_eval(self, monkeypatch):
+        monkeypatch.setenv("JWCAT_WINDOW", "abc")
+        assert main(["show", "list"]) == 0
+
+    def test_window_option_overrides_a_malformed_env_window(self, monkeypatch, capsys):
+        monkeypatch.setenv("JWCAT_WINDOW", "abc")
+        code = main(["verify", "--window", "8", "--only", "algebra-sanity",
+                     "--format", "json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["config"]["window"] == 8
+
 
 class TestFixtureRoundTrip:
     def test_bit_exact_roundtrip(self, tmp_path):

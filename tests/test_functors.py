@@ -99,7 +99,7 @@ class TestProjector:
         assert out.tail is not None and out.tail.side == "left"
 
     def test_zero(self, setup):
-        assert P_on_object(setup, ProjComplex.zero_complex(setup.B)).is_zero()
+        assert P_on_object(setup, ProjComplex.zero_complex(setup.B), depth=16).is_zero()
 
     def test_identity_map(self, setup):
         e2 = setup.B.idempotent("2")
@@ -153,12 +153,13 @@ class TestProjector:
         # a formal complex of P(2)'s is returned as it is, its module-level
         # realization goes through the section functor and resolve_complex
         x = vertex2_complex(setup.B, terms, diffs)
-        assert_same_complex(P_on_object(setup, x), P_on_object(setup, realize(x)))
+        assert_same_complex(P_on_object(setup, x, depth=16),
+                            P_on_object(setup, realize(x), depth=16))
 
     @pytest.mark.parametrize("terms, diffs", VERTEX2_CASES)
     def test_vertex2_complex_is_returned_as_it_is(self, setup, terms, diffs):
         x = vertex2_complex(setup.B, terms, diffs)
-        out = P_on_object(setup, x)
+        out = P_on_object(setup, x, depth=16)
         assert_same_complex(out, x)
         assert out.name == f"ℙ({x.name})"
 
@@ -166,7 +167,7 @@ class TestProjector:
         tailed = P_on_object(setup, simple(setup.B, "2"), depth=12)
         assert tailed.tail.side == LEFT_TAIL
         for x in (tailed, ProjComplex.zero_complex(setup.B)):
-            out = P_on_object(setup, x)
+            out = P_on_object(setup, x, depth=16)
             assert_same_complex(out, x)
             assert out.name == f"ℙ({x.name})"
 
@@ -178,14 +179,14 @@ class TestProjector:
                              {-1: AlgMatrix(B, t, t, [[e2]]),
                               0: AlgMatrix(B, t, t, [[e2]])}, validate=False)
         with pytest.raises(ConstructionError, match="d∘d != 0 at degree -1"):
-            P_on_object(setup, broken)
+            P_on_object(setup, broken, depth=16)
         # a tail whose stored pattern breaks: d∘d still vanishes
         tailed = P_on_object(setup, simple(B, "2"), depth=12)
         lo = tailed.window()[0]
         diffs = {**tailed.diffs, lo: tailed.diffs[lo].scale(2)}
         seam = ProjComplex(B, tailed.terms, diffs, tailed.tail, validate=False)
         with pytest.raises(ConstructionError, match="tail diff pattern broken"):
-            P_on_object(setup, seam)
+            P_on_object(setup, seam, depth=16)
 
 
 class TestDuality:

@@ -271,8 +271,8 @@ class TestOneRuleBothSides:
 class TestGeneralProjectorKeepsTheTail:
     def test_general_path_equals_the_vertex_two_shortcut(self):
         x = P_on_object(SETUP, simple(B, "2"), depth=12)
-        fast = P_on_object(SETUP, x)                 # all summands at vertex 2
-        general = P_on_object(SETUP, realize(x))     # through resolve_complex
+        fast = P_on_object(SETUP, x, depth=16)              # all summands at vertex 2
+        general = P_on_object(SETUP, realize(x), depth=16)  # through resolve_complex
         assert general.tail is not None and fast.tail is not None
         assert general.tail.side == LEFT_TAIL
         assert (general.tail.period, general.tail.shift) == \
