@@ -4,16 +4,22 @@ projectives: contractible on the big projective, the signed 2-periodic tower
 on the other."""
 
 from jwcat.complexes import ProjComplex, reduce_on_window
-from jwcat.functors import CK_on_object, Setup, ck_bimodule_complex
+from jwcat.functors import CK_on_object, Setup
 from jwcat.kclass import euler_class
+from jwcat.quiver import (bimodule_maps_alpha_beta_gamma, build_theta,
+                          structure_map_on_column)
 
 setup = Setup.create()
 B = setup.B
 
-ck = ck_bimodule_complex(setup, depth=6)
-print("bimodule complex: regular bimodule, then", len(ck.terms) - 1,
+# the structure maps on the first six projector columns: alpha, then beta
+# and gamma alternating
+by_name = {f.name: f for f in bimodule_maps_alpha_beta_gamma(B, build_theta(B))}
+maps = [by_name[structure_map_on_column(k)] for k in range(6)]
+print("bimodule complex: regular bimodule, then", len(maps),
       "shifted translation bimodules")
-print("consecutive composites vanish:", ck.check_composites_vanish())
+print("consecutive composites vanish:",
+      all(g.compose(f).is_zero() for f, g in zip(maps, maps[1:])))
 print()
 
 ck2 = CK_on_object(setup, ProjComplex.from_summand(B, "2"), out_window=(0, 12))

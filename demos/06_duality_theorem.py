@@ -2,12 +2,11 @@
 """The headline comparison: the duality functor intertwines the two projector
 constructions, on objects and on the generator maps."""
 
-from jwcat.complexes import (Complex, iso_in_homotopy_category,
+from jwcat.complexes import (iso_in_homotopy_category,
                              maps_agree_under_identification, reduce_on_window)
-from jwcat.functors import (CK_on_map, CK_on_object, ModChainMap,
-                            P_on_module_map, P_on_object, Setup,
-                            koszul_D_on_map, koszul_D_on_object,
-                            projector_depth, realize_chain_map)
+from jwcat.functors import (CK_on_map, CK_on_object, P_on_module_map,
+                            P_on_object, Setup, koszul_D_on_map,
+                            koszul_D_on_object, projector_depth)
 from jwcat.modules import left_multiplication_hom, projective
 
 setup = Setup.create()
@@ -34,14 +33,13 @@ cases = {
     "b": (B.arrow_element("b"), P2.shift(1), P1),
 }
 for name, (z, src, tgt) in cases.items():
-    Pz, _, _ = P_on_module_map(setup, left_multiplication_hom(src, tgt, z, name),
-                               depth=projector_depth(w))
-    DPz, DPsrc, DPtgt = koszul_D_on_map(setup, realize_chain_map(Pz), out_window=w)
     f0 = left_multiplication_hom(src, tgt, z, name)
-    fc = ModChainMap(Complex.from_module(src), Complex.from_module(tgt), {0: f0}, name)
-    Dz, _, _ = koszul_D_on_map(setup, fc, out_window=w)
-    CKDz, CKsrc, CKtgt = CK_on_map(setup, Dz, out_window=w)
-    red = [reduce_on_window(c, cmp_w) for c in (DPsrc, DPtgt, CKsrc, CKtgt)]
+    Pz = P_on_module_map(setup, f0, depth=projector_depth(w))
+    DPz = koszul_D_on_map(setup, Pz, out_window=w)
+    Dz = koszul_D_on_map(setup, f0, out_window=w)
+    CKDz = CK_on_map(setup, Dz, out_window=w)
+    red = [reduce_on_window(c, cmp_w)
+           for c in (DPz.source, DPz.target, CKDz.source, CKDz.target)]
     lhs = red[1].to_reduced.compose(DPz).compose(red[0].from_reduced)
     rhs = red[3].to_reduced.compose(CKDz).compose(red[2].from_reduced)
     verdict = maps_agree_under_identification(lhs, rhs, cmp_w)

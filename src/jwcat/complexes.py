@@ -95,6 +95,10 @@ caller passes only the window it works at. Below, a tail has direction o
   to the floor, where d∘d and the tail seam are checked as on computed
   degrees. The bound is tight: the step at ylo - 1 reads the augmentation.
   A left-tailed input has terms down to the floor and is resolved in full.
+  Below a bounded input a descent that reaches the floor with no repeat
+  takes the step past it as well: only when that step is nonzero does the
+  resolution go on, and only then is it cut at the floor and must show its
+  tail; otherwise it is finite and ends where its last term stands.
 * P's depth (``functors.projector_depth``): hi - lo + 6. P's resolution is
   stored that many degrees down. Below a bounded input the covers stop at
   the resolution repeat, so the depth sets the stored window, not the

@@ -13,13 +13,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .complexes import (RIGHT_TAIL, Complex, ProjComplex, ProjChainMap,
+from .complexes import (RIGHT_TAIL, ProjComplex, ProjChainMap,
                         gaussian_reduce, reduce_on_window)
-from .functors import (CK_on_map, CK_on_object, ModChainMap, P_on_module_map,
-                       P_on_object, Setup, koszul_D_on_map, koszul_D_on_object,
-                       projector_depth, realize_chain_map)
+from .functors import (CK_on_map, CK_on_object, P_on_module_map, P_on_object,
+                       Setup, koszul_D_on_map, koszul_D_on_object,
+                       projector_depth)
 from .kclass import KClass, euler_class
-from .modules import GradedModule, left_multiplication_hom, projective
+from .modules import (GradedModule, ModuleHom, left_multiplication_hom,
+                      projective)
 from .series import WindowError
 
 
@@ -132,7 +133,7 @@ class ObjectValue:
 
 @dataclass
 class MapValue:
-    chain_map: object           # ProjChainMap or ModChainMap
+    chain_map: ProjChainMap | ModuleHom
     description: str
 
 
@@ -145,9 +146,8 @@ def _object_to_projcomplex(setup: Setup, name: str) -> ProjComplex | GradedModul
 def evaluate(setup: Setup, node: Node, window: tuple[int, int],
              order: int) -> ObjectValue | MapValue:
     val = _eval(setup, node, window)
-    if isinstance(val, tuple):   # (kind, chain map)
-        payload = val[1]
-        return MapValue(payload, getattr(payload, "name", "map"))
+    if isinstance(val, (ProjChainMap, ModuleHom)):
+        return MapValue(val, val.name)
     if isinstance(val, GradedModule):
         from .kclass import class_of_module
         kc = class_of_module(val, order)
@@ -176,13 +176,10 @@ def _eval(setup: Setup, node: Node, window: tuple[int, int]):
         return _apply_shifts(setup, base, node.shifts)
     if node.kind == "map":
         z, src, tgt = setup.generator_maps()[node.name]
-        f = left_multiplication_hom(src, tgt, z, node.name)
-        mm = ModChainMap(Complex.from_module(src), Complex.from_module(tgt),
-                         {0: f}, node.name)
-        return ("modmap", mm)
+        return left_multiplication_hom(src, tgt, z, node.name)
     if node.kind == "apply":
         inner = _eval(setup, node.child, window)
-        if isinstance(inner, tuple):
+        if isinstance(inner, (ProjChainMap, ModuleHom)):
             return _apply_functor_to_map(setup, node.name, inner, window, node.shifts)
         return _apply_functor_to_object(setup, node.name, inner, window, node.shifts)
     raise ParseError(f"unknown node kind {node.kind}", 0)
@@ -230,26 +227,19 @@ def _needs_window(inner) -> bool:
     return tail is not None
 
 
-def _apply_functor_to_map(setup: Setup, fname: str, inner, window, shifts):
-    kind, payload = inner
+def _apply_functor_to_map(setup: Setup, fname: str, f, window, shifts):
     if shifts:
         raise ParseError("shift suffixes apply to objects, not morphisms", 0)
     if fname == "P":
-        if kind != "modmap":
+        if not isinstance(f, ModuleHom):
             raise ParseError("the projector acts on module maps", 0)
-        f0 = payload.comps[0]
-        fmap, _, _ = P_on_module_map(setup, f0, depth=projector_depth(window))
-        return ("projmap", fmap)
+        return P_on_module_map(setup, f, depth=projector_depth(window))
     if fname == "D":
-        if kind == "projmap":
-            payload = realize_chain_map(payload)
-        out, _, _ = koszul_D_on_map(setup, payload, out_window=window)
-        return ("projmap", out)
+        return koszul_D_on_map(setup, f, out_window=window)
     if fname == "CK":
-        if kind != "projmap":
+        if not isinstance(f, ProjChainMap):
             raise ParseError("the topological projector acts on formal chain maps", 0)
-        out, _, _ = CK_on_map(setup, payload, out_window=window)
-        return ("projmap", out)
+        return CK_on_map(setup, f, out_window=window)
     raise ParseError(f"unknown functor {fname}", 0)
 
 

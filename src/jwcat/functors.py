@@ -13,7 +13,12 @@ Conventions carried over from the rest of the package:
   arrows, weighted by (-1)^(r+s);
 * tensoring with the translation bimodule never needs resolutions (it is
   exact), so the topological projector is a totalization of an explicitly
-  built bicomplex.
+  built bicomplex;
+* a map enters each functor as itself and leaves it as one ``ProjChainMap``,
+  whose ``source`` and ``target`` are the object functor's images: the
+  projector takes a degree-0 ``ModuleHom``, the duality functor a degree-0
+  ``ModuleHom`` or a ``ProjChainMap`` (as it takes a module or a formal
+  complex on objects), the topological projector a ``ProjChainMap``.
 """
 
 from __future__ import annotations
@@ -80,34 +85,6 @@ class Setup:
             "e(1)": (B.idempotent("1"), P1, P1),
             "e(2)": (B.idempotent("2"), P2, P2),
         }
-
-
-@dataclass
-class ModChainMap:
-    """Module-level chain map: one degree-0 ModuleHom per homological degree."""
-    source: Complex
-    target: Complex
-    comps: dict[int, ModuleHom]
-    name: str = "f"
-
-    def comp(self, i: int) -> ModuleHom:
-        h = self.comps.get(i)
-        if h is None:
-            return ModuleHom(self.source.term(i), self.target.term(i), 0, {},
-                             "0", validate=False)
-        return h
-
-
-def realize_chain_map(f: ProjChainMap) -> ModChainMap:
-    """Module-level realization of a formal chain map."""
-    src = realize(f.source)
-    tgt = realize(f.target)
-    comps = {}
-    for i, m in f.maps.items():
-        if i in src.terms and i in tgt.terms:
-            comps[i] = _alg_matrix_to_hom(m, src.term(i), tgt.term(i),
-                                          f.source.algebra)
-    return ModChainMap(src, tgt, comps, f.name)
 
 
 @dataclass
@@ -211,20 +188,25 @@ def P_on_object(setup: Setup, x, depth: int) -> ProjComplex:
     return out
 
 
-def P_on_module_map(setup: Setup, f: ModuleHom, depth: int
-                    ) -> tuple[ProjChainMap, ProjComplex, ProjComplex]:
-    """ℙ(f) for a degree-0 module map f, with its source and target: ι of the
-    comparison lift of π(f), checked once, as a chain map over B."""
+def _check_degree_zero(f: ModuleHom) -> None:
     if f.degree != 0:
         raise ConstructionError("shift the source so the map has degree 0")
-    resM, augM = _section_resolution(setup, Complex.from_module(f.source), depth)
-    resN, augN = _section_resolution(setup, Complex.from_module(f.target), depth)
-    lift = lift_through_resolutions(resM, augM, resN, augN, apply_pi_hom(f, setup.C))
-    srcB = iota_translate(setup, resM)
-    tgtB = iota_translate(setup, resN)
-    comps = {i: _iota_translate_matrix(setup, m) for i, m in lift.items()}
-    fmap = ProjChainMap(srcB, tgtB, comps, f"ℙ({f.name})", validate=True)
-    return fmap, srcB, tgtB
+
+
+def P_on_module_map(setup: Setup, f: ModuleHom, depth: int) -> ProjChainMap:
+    """ℙ(f) for a degree-0 module map f: ι of the comparison lift of π(f),
+    checked once, as a chain map over B. A side whose π is zero is
+    ``ProjComplex.zero_complex``, and ℙ(f) then has no components."""
+    _check_degree_zero(f)
+    resM = _section_resolution(setup, Complex.from_module(f.source), depth)
+    resN = _section_resolution(setup, Complex.from_module(f.target), depth)
+    comps = {}
+    if resM is not None and resN is not None:
+        lift = lift_through_resolutions(*resM, *resN, apply_pi_hom(f, setup.C))
+        comps = {i: _iota_translate_matrix(setup, m) for i, m in lift.items()}
+    srcB, tgtB = (ProjComplex.zero_complex(setup.B) if res is None
+                  else iota_translate(setup, res[0]) for res in (resM, resN))
+    return ProjChainMap(srcB, tgtB, comps, f"ℙ({f.name})", validate=True)
 
 
 def lift_through_resolutions(resM: ProjComplex, augM: dict[int, ModuleHom],
@@ -265,14 +247,14 @@ def lift_through_resolutions(resM: ProjComplex, augM: dict[int, ModuleHom],
 # the duality functor
 # ---------------------------------------------------------------------------
 
-def koszul_D_on_object(setup: Setup, x, out_window: tuple[int, int] | None = None,
-                       name: str | None = None) -> ProjComplex:
+def koszul_D_on_object(setup: Setup, x, out_window: tuple[int, int] | None = None
+                       ) -> ProjComplex:
     """Bigraded construction: each basis vector of bidegree (r, s) and label v
     gives a summand P(swap v)<-s> at homological degree r+s, with the scalar
     part of d plus the signed staircase arrows as differential. A
     left-tailed input is scanned as far as D's degree scan of "Windows and
     margins" in the ``complexes`` module docstring says."""
-    return _koszul_D(setup, x, out_window, name)[0]
+    return _koszul_D(setup, x, out_window)[0]
 
 
 def _dual_index(c: Complex, out_window: tuple[int, int]
@@ -292,8 +274,7 @@ def _dual_index(c: Complex, out_window: tuple[int, int]
             for p, v in vecs.items()}
 
 
-def _koszul_D(setup: Setup, x, out_window: tuple[int, int] | None,
-              name: str | None = None):
+def _koszul_D(setup: Setup, x, out_window: tuple[int, int] | None):
     """``koszul_D_on_object`` together with the ``_dual_index`` of its
     summands, which the map functor reads."""
     B = setup.B
@@ -358,24 +339,34 @@ def _koszul_D(setup: Setup, x, out_window: tuple[int, int] | None,
                             arrow_el.scale(sign * coef)
         diffs[p] = d
 
-    out = ProjComplex(B, terms, diffs, None, name or f"𝔻({Y.name})", validate=True)
+    out = ProjComplex(B, terms, diffs, None, f"𝔻({Y.name})", validate=True)
     if Y.tail is not None:
         out = attach_tail(out, (out_lo, min(out_hi, p_safe)), RIGHT_TAIL,
                           "duality output did not stabilize; enlarge the window")
     return out, index
 
 
-def koszul_D_on_map(setup: Setup, f: ModChainMap, out_window: tuple[int, int]
-                    ) -> tuple[ProjChainMap, ProjComplex, ProjComplex]:
+def koszul_D_on_map(setup: Setup, f: ModuleHom | ProjChainMap,
+                    out_window: tuple[int, int]) -> ProjChainMap:
     """Induced map m⊗g -> f(m)⊗g: entries are the scalar coefficients of f
     placed between matching summands.
 
-    The object construction extends a left-tailed source or target past its
-    stored degrees; f has no component there, so when an output degree reads
-    such a degree this raises ``WindowTooSmall`` naming it."""
+    f is a degree-0 module map, read in homological degree 0, or a formal
+    chain map, realized here, as ``koszul_D_on_object`` reads a module or a
+    formal complex. The object construction extends a left-tailed source or
+    target past its stored degrees; f has no component there, so when an
+    output degree reads such a degree this raises ``WindowTooSmall`` naming
+    it."""
     B = setup.B
-    DX, vx = _koszul_D(setup, f.source, out_window)
-    DY, vy = _koszul_D(setup, f.target, out_window)
+    X, Y = _as_module_complex(setup, f.source), _as_module_complex(setup, f.target)
+    if isinstance(f, ModuleHom):
+        _check_degree_zero(f)
+        homs = {0: f}
+    else:
+        homs = {i: _alg_matrix_to_hom(m, X.term(i), Y.term(i), f.source.algebra)
+                for i, m in f.maps.items() if i in X.terms and i in Y.terms}
+    DX, vx = _koszul_D(setup, X, out_window)
+    DY, vy = _koszul_D(setup, Y, out_window)
     hi = min(DX.window()[1], DY.window()[1])
     comps: dict[int, AlgMatrix] = {}
     for p in sorted(set(vx) & set(vy)):
@@ -384,54 +375,26 @@ def koszul_D_on_map(setup: Setup, f: ModChainMap, out_window: tuple[int, int]
         m = AlgMatrix.zero(B, DY.term(p), DX.term(p))
         target_rs = {(r, s) for (r, s, _) in vy[p]}
         for (r, s, idx), (col, lab) in vx[p].items():
-            if (r, s) in target_rs and not (r in f.source.terms
-                                            and r in f.target.terms):
+            if (r, s) in target_rs and not (r in X.terms and r in Y.terms):
                 raise WindowTooSmall(
                     f"𝔻({f.name}) at degree {p} needs the component of "
                     f"{f.name} at degree {r}, past its stored degrees; "
                     f"resolve it deeper")
-            fm = f.comp(r).mat(s)
+            if r not in homs:
+                continue
+            fm = homs[r].mat(s)
             for ridx in range(fm.nrows):
                 coef = fm.data[ridx][idx]
                 hit = vy[p].get((r, s, ridx))
                 if coef != 0 and hit is not None:
                     m.entries[hit[0]][col] = B.idempotent(setup.swap(lab)).scale(coef)
         comps[p] = m
-    return ProjChainMap(DX, DY, comps, f"𝔻({f.name})", validate=True), DX, DY
+    return ProjChainMap(DX, DY, comps, f"𝔻({f.name})", validate=True)
 
 
 # ---------------------------------------------------------------------------
 # the topological projector
 # ---------------------------------------------------------------------------
-
-@dataclass
-class CKComplex:
-    """The semi-infinite complex of bimodules: the regular bimodule, then
-    shifted copies of the translation bimodule with the three structure maps
-    alternating; 2-periodic after the first step."""
-    terms: list            # [regular bimodule, theta<-1>, theta<-3>, ...]
-    maps: list             # [alpha, beta, gamma, beta, gamma, ...]
-    period: int = 2
-    shift_per_period: int = -4
-
-    def check_composites_vanish(self) -> bool:
-        return all(self.maps[i + 1].compose(self.maps[i]).is_zero()
-                   for i in range(len(self.maps) - 1))
-
-
-def ck_bimodule_complex(setup: Setup, depth: int = 6) -> CKComplex:
-    from .quiver import (algebra_as_bimodule, bimodule_maps_alpha_beta_gamma,
-                         build_theta)
-    B = setup.B
-    theta = build_theta(B)
-    by_name = {f.name: f for f in bimodule_maps_alpha_beta_gamma(B, theta)}
-    terms = [algebra_as_bimodule(B)] + [theta] * depth
-    maps = [by_name[structure_map_on_column(k)] for k in range(depth)]
-    ck = CKComplex(terms, maps)
-    if not ck.check_composites_vanish():
-        raise ConstructionError("consecutive structure maps do not compose to zero")
-    return ck
-
 
 def _ck_columns(B: PathAlgebra) -> tuple[dict, dict, dict]:
     """The formal columns of the projector complex, derived from the
@@ -604,7 +567,7 @@ def CK_on_object(setup: Setup, x, out_window: tuple[int, int]) -> ProjComplex:
 
 
 def CK_on_map(setup: Setup, f: ProjChainMap, out_window: tuple[int, int]
-              ) -> tuple[ProjChainMap, ProjComplex, ProjComplex]:
+              ) -> ProjChainMap:
     """Termwise f ⊗ id through the totalization: on each total degree, the
     cell (k, i) of the source goes to the same cell of the target by
     f^i ⊗ id on projector column k."""
@@ -619,7 +582,7 @@ def CK_on_map(setup: Setup, f: ProjChainMap, out_window: tuple[int, int]
             if (k, i) in cells_y:
                 m.place(_ck_tensor(setup, f.component(i), k), cells_y[(k, i)], co)
         comps[n] = m
-    return ProjChainMap(CX, CY, comps, f"ℂ𝕂({f.name})", validate=True), CX, CY
+    return ProjChainMap(CX, CY, comps, f"ℂ𝕂({f.name})", validate=True)
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +593,7 @@ def D_of_P1(setup: Setup) -> FunctorReport:
     """The duality functor on the big projective's partner: computed from the
     bigraded formula, reduced, and checked against the two-term model."""
     P1 = projective(setup.B, "1")
-    raw = koszul_D_on_object(setup, P1, name="𝔻(P(1))")
+    raw = koszul_D_on_object(setup, P1)
     red = gaussian_reduce(raw)
     model = two_term_dual_model(setup)
     if not (red.reduced.terms == model.terms and red.reduced.diffs == model.diffs):

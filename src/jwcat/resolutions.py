@@ -224,6 +224,10 @@ def resolve_complex(Y: Complex, depth: int
     Returns the resolution (descending to ``window_lo - depth``) and the
     augmentation maps from the computed terms onto the input terms: below a
     bounded input, where it is zero, only down to the resolution repeat.
+    The floor cuts the resolution, which must then show a left tail, only
+    where it goes on below: for a left-tailed input, at a repeat, or when
+    the step past the floor is nonzero ("Resolution repeat" in the
+    ``complexes`` module docstring).
     """
     alg = Y.algebra
     if Y.is_zero():
@@ -236,7 +240,11 @@ def resolve_complex(Y: Complex, depth: int
     # the steps below this degree read only the differential one degree up;
     # a left-tailed input has terms down to the floor and is resolved in full
     pure_below = Y.window()[0] - 1
+    # below a bounded input the step past the floor is taken only to see
+    # whether the resolution goes on there
+    last = floor if Y.tail is not None else floor - 1
     repeat = None
+    past_floor = False
     terms: dict[int, tuple[Summand, ...]] = {}
     diffs: dict[int, AlgMatrix] = {}
     augment: dict[int, ModuleHom] = {}
@@ -244,7 +252,7 @@ def resolve_complex(Y: Complex, depth: int
     dmats: dict[int, ModuleHom] = {}
     zero_mod = GradedModule.zero_module(alg)
 
-    for i in range(yhi, floor - 1, -1):
+    for i in range(yhi, last - 1, -1):
         Yi = Y.term(i)
         P_next = realized.get(i + 1, zero_mod)
         # cycles one degree up: kernel of the differential out of P^{i+1}
@@ -306,6 +314,9 @@ def resolve_complex(Y: Complex, depth: int
         W, w_incl = submodule_from_vectors(amb, vectors, name="W")
         if W.is_zero():
             continue
+        if i < floor:
+            past_floor = True
+            break
         summands, epsW = projective_cover(W)
         terms[i] = summands
         realized[i] = epsW.source
@@ -339,7 +350,7 @@ def resolve_complex(Y: Complex, depth: int
         extended = part.materialize(floor, yhi)
         terms, diffs = extended.terms, extended.diffs
     pc = ProjComplex(alg, terms, diffs, None, f"res({Y.name})")
-    if not pc.is_zero() and min(terms) <= floor + 1:
+    if not pc.is_zero() and (Y.tail is not None or repeat is not None or past_floor):
         pc = attach_tail(pc, pc.window(), LEFT_TAIL,
                          f"resolution of {Y.name} neither terminates nor "
                          f"stabilizes at depth {depth}")

@@ -20,9 +20,9 @@ from .complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, Complex,
                         iso_in_homotopy_category, maps_agree_under_identification,
                         match_up_to_diagonal_signs, realize, reduce_on_window,
                         total_complex)
-from .functors import (CK_on_map, CK_on_object, ModChainMap, P_on_module_map,
-                       P_on_object, Setup, koszul_D_on_map, koszul_D_on_object,
-                       projector_depth, realize_chain_map, two_term_dual_model)
+from .functors import (CK_on_map, CK_on_object, P_on_module_map, P_on_object,
+                       Setup, koszul_D_on_map, koszul_D_on_object,
+                       projector_depth, two_term_dual_model)
 from .kclass import (REVERSED, STANDARD, KClass, apply_jw_reference,
                      class_of_module, euler_class, jones_wenzl_reference,
                      jw_matrix_square, projective_class)
@@ -646,15 +646,12 @@ class _Runner:
         cmp_w = (0, N - 2)
         for zname, (z, src, tgt) in self.setup.generator_maps().items():
             f0 = left_multiplication_hom(src, tgt, z, zname)
-            Pz, _, _ = P_on_module_map(setup, f0, depth=projector_depth(w))
-            mz = realize_chain_map(Pz)
-            DPz, DPsrc, DPtgt = koszul_D_on_map(setup, mz, out_window=w)
-            fc = ModChainMap(Complex.from_module(src), Complex.from_module(tgt),
-                             {0: f0}, zname)
-            Dz, _, _ = koszul_D_on_map(setup, fc, out_window=w)
-            CKDz, CKsrc, CKtgt = CK_on_map(setup, Dz, out_window=w)
-            red = [reduce_on_window(c, cmp_w)
-                   for c in (DPsrc, DPtgt, CKsrc, CKtgt)]
+            Pz = P_on_module_map(setup, f0, depth=projector_depth(w))
+            DPz = koszul_D_on_map(setup, Pz, out_window=w)
+            Dz = koszul_D_on_map(setup, f0, out_window=w)
+            CKDz = CK_on_map(setup, Dz, out_window=w)
+            red = [reduce_on_window(c, cmp_w) for c in
+                   (DPz.source, DPz.target, CKDz.source, CKDz.target)]
             lhs = red[1].to_reduced.compose(DPz).compose(red[0].from_reduced)
             rhs = red[3].to_reduced.compose(CKDz).compose(red[2].from_reduced)
             v = maps_agree_under_identification(lhs, rhs, cmp_w)

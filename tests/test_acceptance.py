@@ -14,10 +14,9 @@ from jwcat.complexes import (Complex, ProjChainMap, ProjComplex, Summand,
                              maps_agree_under_identification,
                              match_up_to_diagonal_signs, realize,
                              reduce_on_window)
-from jwcat.functors import (CK_on_map, CK_on_object, ModChainMap,
-                            P_on_module_map, P_on_object, Setup,
-                            koszul_D_on_map, koszul_D_on_object,
-                            realize_chain_map, two_term_dual_model)
+from jwcat.functors import (CK_on_map, CK_on_object, P_on_module_map,
+                            P_on_object, Setup, koszul_D_on_map,
+                            koszul_D_on_object, two_term_dual_model)
 from jwcat.kclass import (euler_class, jones_wenzl_reference,
                           jw_matrix_square, projective_class)
 from jwcat.modules import (find_module_iso, injective2,
@@ -64,16 +63,13 @@ def test_criterion_1_theorem_reproduction(runner):
     w, cmp_w = (0, N), (0, N - 2)
     for zname, (z, src, tgt) in setup.generator_maps().items():
         t = time.time()
-        Pz, _, _ = P_on_module_map(
-            setup, left_multiplication_hom(src, tgt, z, zname), depth=N + 6)
-        DPz, DPsrc, DPtgt = koszul_D_on_map(setup, realize_chain_map(Pz),
-                                            out_window=w)
         f0 = left_multiplication_hom(src, tgt, z, zname)
-        fc = ModChainMap(Complex.from_module(src), Complex.from_module(tgt),
-                         {0: f0}, zname)
-        Dz, _, _ = koszul_D_on_map(setup, fc, out_window=w)
-        CKDz, CKsrc, CKtgt = CK_on_map(setup, Dz, out_window=w)
-        red = [reduce_on_window(c, cmp_w) for c in (DPsrc, DPtgt, CKsrc, CKtgt)]
+        DPz = koszul_D_on_map(setup, P_on_module_map(setup, f0, depth=N + 6),
+                              out_window=w)
+        CKDz = CK_on_map(setup, koszul_D_on_map(setup, f0, out_window=w),
+                         out_window=w)
+        red = [reduce_on_window(c, cmp_w) for c in
+               (DPz.source, DPz.target, CKDz.source, CKDz.target)]
         lhs = red[1].to_reduced.compose(DPz).compose(red[0].from_reduced)
         rhs = red[3].to_reduced.compose(CKDz).compose(red[2].from_reduced)
         v = maps_agree_under_identification(lhs, rhs, cmp_w)

@@ -1,8 +1,11 @@
-"""No function in ``src/jwcat`` assigns a local name that nothing reads.
+"""No function in ``src/jwcat`` assigns a local name that nothing reads, and
+no import, at module level or in a function, binds a name that nothing reads.
 
-A name counts as read when the function, or a function or comprehension
-nested in it, loads it. Names declared ``global`` or ``nonlocal`` belong to
-another scope, and ``_``-prefixed names are deliberately unused."""
+A name counts as read when its scope, or a function or comprehension nested
+in it, loads it. Names declared ``global`` or ``nonlocal`` belong to another
+scope, and ``_``-prefixed locals are deliberately unused. A module's
+``__all__`` names and ``from __future__`` imports are read by their
+definition."""
 
 import ast
 from pathlib import Path
@@ -40,6 +43,39 @@ def dead_locals(tree):
     return found
 
 
+def loaded_names(scope):
+    return {node.id for node in ast.walk(scope)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def exported_names(tree):
+    """The strings of the module's ``__all__``."""
+    return {elt.value for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name) and target.id == "__all__"
+            for elt in node.value.elts}
+
+
+def unread_imports(tree):
+    """(scope name, line, bound name) for each name an import binds in the
+    module's own scope or a function's that the scope never loads."""
+    scopes = [("<module>", tree, exported_names(tree))]
+    scopes += [(fn.name, fn, set()) for fn in ast.walk(tree)
+               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    found = []
+    for name, scope, exported in scopes:
+        loaded = loaded_names(scope) | exported
+        for node in own_nodes(scope):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                    (isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound != "*" and bound not in loaded:
+                    found.append((name, node.lineno, bound))
+    return found
+
+
 def test_the_scan_finds_a_dead_local():
     tree = ast.parse("def f(x):\n"
                      "    y = x + 1\n"
@@ -53,4 +89,25 @@ def test_the_scan_finds_a_dead_local():
 def test_no_dead_locals_in_the_package():
     found = [(path.name, *hit) for path in sorted(SRC.glob("*.py"))
              for hit in dead_locals(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+
+
+def test_the_scan_finds_an_unread_import():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path\n"
+                     "from .complexes import Complex, ProjComplex as PC\n"
+                     "from .linalg import Matrix\n"
+                     "__all__ = ['Matrix']\n"
+                     "def f():\n"
+                     "    import json\n"
+                     "    from .series import quantum_two\n"
+                     "    def g():\n"
+                     "        return quantum_two, os\n"
+                     "    return g, PC\n")
+    assert unread_imports(tree) == [("<module>", 3, "Complex"), ("f", 7, "json")]
+
+
+def test_no_unread_imports_in_the_package():
+    found = [(path.name, *hit) for path in sorted(SRC.glob("*.py"))
+             for hit in unread_imports(ast.parse(path.read_text(), str(path)))]
     assert found == []

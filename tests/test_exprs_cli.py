@@ -71,6 +71,13 @@ class TestEvaluate:
         text = render_value(val)
         assert "component" in text
 
+    def test_shifts_on_a_map_are_rejected(self, setup):
+        for expr in ("D(c)<1>", "P(a)[1]", "CK(D(b))<-1>"):
+            with pytest.raises(ParseError) as exc:
+                evaluate(setup, parse(expr), (0, 8), 17)
+            assert str(exc.value) == ("shift suffixes apply to objects, not "
+                                      "morphisms (at position 0)")
+
     def test_an_order_with_no_validity_window_renders_without_a_class(self, setup):
         val = evaluate(setup, parse("P(1)"), (0, 8), -1)
         assert val.kclass is None

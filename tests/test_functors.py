@@ -6,12 +6,11 @@ from jwcat.complexes import (LEFT_TAIL, AlgMatrix, Complex, ProjChainMap,
                              iso_in_homotopy_category,
                              maps_agree_under_identification, realize,
                              reduce_on_window)
-from jwcat.functors import (CK_on_map, CK_on_object, ModChainMap,
-                            P_on_module_map, P_on_object, Setup, D_of_P1,
-                            koszul_D_on_map, koszul_D_on_object,
-                            realize_chain_map, two_term_dual_model)
-from jwcat.modules import (injective2, left_multiplication_hom, projective,
-                           simple)
+from jwcat.functors import (CK_on_map, CK_on_object, P_on_module_map,
+                            P_on_object, Setup, D_of_P1, koszul_D_on_map,
+                            koszul_D_on_object, two_term_dual_model)
+from jwcat.modules import (hom_space, injective2, left_multiplication_hom,
+                           projective, simple)
 from jwcat.quiver import ConstructionError
 from jwcat.resolutions import projective_resolution
 
@@ -22,9 +21,8 @@ def setup():
 
 
 def generator_maps(setup):
-    """The five generator maps as one-term module-level chain maps."""
-    return {name: ModChainMap(Complex.from_module(src), Complex.from_module(tgt),
-                              {0: left_multiplication_hom(src, tgt, z, name)}, name)
+    """The five generator maps as degree-0 module maps."""
+    return {name: left_multiplication_hom(src, tgt, z, name)
             for name, (z, src, tgt) in setup.generator_maps().items()}
 
 
@@ -104,45 +102,44 @@ class TestProjector:
     def test_identity_map(self, setup):
         e2 = setup.B.idempotent("2")
         P2 = projective(setup.B, "2")
-        f, src, tgt = P_on_module_map(
-            setup, left_multiplication_hom(P2, P2, e2), depth=6)
+        f = P_on_module_map(setup, left_multiplication_hom(P2, P2, e2), depth=6)
         assert f.component(0).entries[0][0] == e2
 
     def test_on_loop_map(self, setup):
         B = setup.B
         c = B.path_element(("a", "b"))
         P2 = projective(B, "2")
-        f, src, tgt = P_on_module_map(
+        f = P_on_module_map(
             setup, left_multiplication_hom(P2.shift(2), P2, c), depth=6)
         # the projector fixes shifted big projectives, and the image of the
         # loop map is the loop map again (the shift-by-two inclusion)
-        assert src.terms == {0: (Summand("2", 2),)}
-        assert tgt.terms == {0: (Summand("2", 0),)}
+        assert f.source.terms == {0: (Summand("2", 2),)}
+        assert f.target.terms == {0: (Summand("2", 0),)}
         assert f.component(0).entries[0][0] == c
 
     def test_on_inclusion_map(self, setup):
         B = setup.B
-        f, src, tgt = P_on_module_map(
+        f = P_on_module_map(
             setup,
             left_multiplication_hom(projective(B, "2").shift(1),
                                     projective(B, "1"), B.arrow_element("b")),
             depth=8)
         # hits the degree-zero term of the periodic model by the identity
-        assert src.terms == {0: (Summand("2", 1),)}
-        assert tgt.term(0) == (Summand("2", 1),)
+        assert f.source.terms == {0: (Summand("2", 1),)}
+        assert f.target.term(0) == (Summand("2", 1),)
         assert f.component(0).entries[0][0] == B.idempotent("2")
 
     def test_functoriality_composition(self, setup):
         B = setup.B
         P1, P2 = projective(B, "1"), projective(B, "2")
-        fa, sa, ta = P_on_module_map(
+        fa = P_on_module_map(
             setup, left_multiplication_hom(P1.shift(1), P2, B.arrow_element("a")),
             depth=8)
-        fb, sb, tb = P_on_module_map(
+        fb = P_on_module_map(
             setup,
             left_multiplication_hom(P2.shift(2), P1.shift(1),
                                     B.arrow_element("b")), depth=8)
-        fc, sc, tc = P_on_module_map(
+        fc = P_on_module_map(
             setup, left_multiplication_hom(P2.shift(2), P2,
                                            B.path_element(("a", "b"))), depth=8)
         comp = fa.compose(fb)
@@ -238,9 +235,7 @@ class TestDuality:
         B = setup.B
         P2 = projective(B, "2")
         f0 = left_multiplication_hom(P2.shift(2), P2, B.path_element(("a", "b")), "c")
-        fc = ModChainMap(Complex.from_module(P2.shift(2)),
-                         Complex.from_module(P2), {0: f0}, "c")
-        Dc, DX, DY = koszul_D_on_map(setup, fc, out_window=(-2, 5))
+        Dc = koszul_D_on_map(setup, f0, out_window=(-2, 5))
         nonzero = {i: m for i, m in Dc.maps.items() if not m.is_zero()}
         assert list(nonzero) == [2]
         assert nonzero[2].entries[0][0] == B.idempotent("1")
@@ -252,14 +247,12 @@ class TestDuality:
         w = (-2, 6)
 
         def dual_of(z, src, tgt, name):
-            f0 = left_multiplication_hom(src, tgt, z, name)
-            fc = ModChainMap(Complex.from_module(src), Complex.from_module(tgt),
-                             {0: f0}, name)
-            return koszul_D_on_map(setup, fc, out_window=w)
+            return koszul_D_on_map(setup, left_multiplication_hom(src, tgt, z, name),
+                                   out_window=w)
 
-        Dc, DXc, DYc = dual_of(B.path_element(("a", "b")), P2.shift(2), P2, "c")
-        Da, DXa, DYa = dual_of(B.arrow_element("a"), P1.shift(1), P2, "a")
-        Db, DXb, DYb = dual_of(B.arrow_element("b"), P2.shift(2), P1.shift(1), "b")
+        Dc = dual_of(B.path_element(("a", "b")), P2.shift(2), P2, "c")
+        Da = dual_of(B.arrow_element("a"), P1.shift(1), P2, "a")
+        Db = dual_of(B.arrow_element("b"), P2.shift(2), P1.shift(1), "b")
         comp = Da.compose(Db)
         for i in set(Dc.maps) | set(comp.maps):
             assert Dc.component(i).entries == comp.component(i).entries
@@ -278,32 +271,30 @@ class TestDuality:
     def test_map_source_and_target_are_the_object_images(self, setup):
         w = (0, 12)
         maps = dict(generator_maps(setup))
-        for name, fc in generator_maps(setup).items():
-            Pz, _, _ = P_on_module_map(setup, fc.comps[0], depth=18)
-            maps[f"P({name})"] = realize_chain_map(Pz)
+        for name, f0 in generator_maps(setup).items():
+            maps[f"P({name})"] = P_on_module_map(setup, f0, depth=18)
         for name, f in maps.items():
-            _, DX, DY = koszul_D_on_map(setup, f, out_window=w)
-            assert_same_complex(DX, koszul_D_on_object(setup, f.source, w))
-            assert_same_complex(DY, koszul_D_on_object(setup, f.target, w))
+            Df = koszul_D_on_map(setup, f, out_window=w)
+            assert_same_complex(Df.source, koszul_D_on_object(setup, f.source, w))
+            assert_same_complex(Df.target, koszul_D_on_object(setup, f.target, w))
 
     def test_map_past_its_stored_degrees_is_window_too_small(self, setup):
         # 𝔻 extends the left-tailed source and target of ℙ(e(1)) by their
         # tails; a short lift has no components there
-        fc = generator_maps(setup)["e(1)"]
-        short = realize_chain_map(P_on_module_map(setup, fc.comps[0], depth=3)[0])
+        f0 = generator_maps(setup)["e(1)"]
+        short = P_on_module_map(setup, f0, depth=3)
         with pytest.raises(WindowTooSmall, match="at degree 5 .* at degree -4"):
             koszul_D_on_map(setup, short, out_window=(0, 12))
-        long = realize_chain_map(P_on_module_map(setup, fc.comps[0], depth=18)[0])
-        Df, DX, DY = koszul_D_on_map(setup, long, out_window=(0, 12))
-        assert DX.window() == DY.window() == (1, 12)
-        assert Df.source is DX and Df.target is DY
+        Df = koszul_D_on_map(setup, P_on_module_map(setup, f0, depth=18),
+                             out_window=(0, 12))
+        assert Df.source.window() == Df.target.window() == (1, 12)
 
-    def test_ck_bimodule_complex_surface(self, setup):
-        from jwcat.functors import ck_bimodule_complex
-        ck = ck_bimodule_complex(setup, depth=6)
-        assert ck.check_composites_vanish()
-        assert ck.period == 2 and ck.shift_per_period == -4
-        assert len(ck.terms) == 7
+    def test_map_of_nonzero_degree_is_rejected(self, setup):
+        B = setup.B
+        (f,) = hom_space(projective(B, "1"), projective(B, "2"), 1)
+        with pytest.raises(ConstructionError,
+                           match="shift the source so the map has degree 0"):
+            koszul_D_on_map(setup, f, out_window=(0, 8))
 
 
 class TestTopologicalProjector:
@@ -331,8 +322,7 @@ class TestTopologicalProjector:
 
     def test_identity_map(self, setup):
         x = ProjComplex.from_summand(setup.B, "1", 0)
-        f = CK_on_map(setup, __import__("jwcat.complexes", fromlist=["ProjChainMap"])
-                      .ProjChainMap.identity(x), out_window=(0, 8))[0]
+        f = CK_on_map(setup, ProjChainMap.identity(x), out_window=(0, 8))
         for i, m in f.maps.items():
             for k in range(len(m.rows)):
                 assert m.entries[k][k].scalar_part() == 1
@@ -340,17 +330,17 @@ class TestTopologicalProjector:
     def test_map_source_and_target_are_the_object_images(self, setup):
         w = (0, 12)
         maps = {}
-        for name, fc in generator_maps(setup).items():
-            maps[f"D({name})"] = koszul_D_on_map(setup, fc, out_window=w)[0]
+        for name, f0 in generator_maps(setup).items():
+            maps[f"D({name})"] = koszul_D_on_map(setup, f0, out_window=w)
         B = setup.B
         x = ProjComplex.from_summand(B, "2", 2)
         y = ProjComplex.from_summand(B, "2", 0)
         maps["c"] = ProjChainMap(x, y, {0: AlgMatrix(B, y.term(0), x.term(0),
                                                      [[B.path_element(("a", "b"))]])})
         for name, f in maps.items():
-            _, CX, CY = CK_on_map(setup, f, out_window=w)
-            assert_same_complex(CX, CK_on_object(setup, f.source, w))
-            assert_same_complex(CY, CK_on_object(setup, f.target, w))
+            CKf = CK_on_map(setup, f, out_window=w)
+            assert_same_complex(CKf.source, CK_on_object(setup, f.source, w))
+            assert_same_complex(CKf.target, CK_on_object(setup, f.target, w))
 
 
 class TestComposites:
@@ -378,16 +368,13 @@ class TestComposites:
             "b": (B.arrow_element("b"), P2.shift(1), P1),
         }
         for name, (z, src, tgt) in cases.items():
-            Pz, _, _ = P_on_module_map(
-                setup, left_multiplication_hom(src, tgt, z, name), depth=N + 6)
-            DPz, DPsrc, DPtgt = koszul_D_on_map(setup, realize_chain_map(Pz),
-                                                out_window=w)
             f0 = left_multiplication_hom(src, tgt, z, name)
-            fc = ModChainMap(Complex.from_module(src), Complex.from_module(tgt),
-                             {0: f0}, name)
-            Dz, _, _ = koszul_D_on_map(setup, fc, out_window=w)
-            CKDz, CKsrc, CKtgt = CK_on_map(setup, Dz, out_window=w)
-            red = [reduce_on_window(c, cmp_w) for c in (DPsrc, DPtgt, CKsrc, CKtgt)]
+            DPz = koszul_D_on_map(setup, P_on_module_map(setup, f0, depth=N + 6),
+                                  out_window=w)
+            CKDz = CK_on_map(setup, koszul_D_on_map(setup, f0, out_window=w),
+                             out_window=w)
+            red = [reduce_on_window(c, cmp_w) for c in
+                   (DPz.source, DPz.target, CKDz.source, CKDz.target)]
             lhs = red[1].to_reduced.compose(DPz).compose(red[0].from_reduced)
             rhs = red[3].to_reduced.compose(CKDz).compose(red[2].from_reduced)
             verdict = maps_agree_under_identification(lhs, rhs, cmp_w)

@@ -177,3 +177,21 @@ class TestEachIdentityCheckedOnce:
                                match=re.escape("ℙ(e(1)) does not commute with "
                                                "differentials at -2")):
                 P_on_module_map(SETUP, f, depth=8)
+
+
+class TestZeroPiSide:
+    def test_a_map_with_a_zero_pi_side_has_no_components(self):
+        """π(L(1)) is zero, so ℙ of a map from or to L(1) is the zero chain
+        map: that side is the zero complex, the other side is P's image. The
+        five generator maps keep their renders, which ``TestProjectorDepth``
+        pins with every other P expression of the eval pool."""
+        L1, P1 = SETUP.standard_module("L(1)"), SETUP.standard_module("P(1)")
+        zero = ProjComplex.zero_complex(B)
+        (identity,) = hom_space(L1, L1, 0)
+        (onto,) = hom_space(P1, L1, 0)
+        for f, source in ((identity, zero), (onto, P_on_object(SETUP, P1, depth=8))):
+            Pf = P_on_module_map(SETUP, f, depth=8)
+            assert Pf.maps == {} and Pf.name == f"ℙ({f.name})"
+            for side, want in ((Pf.source, source), (Pf.target, zero)):
+                assert (side.terms, side.diffs, side.tail) == \
+                    (want.terms, want.diffs, want.tail)

@@ -330,9 +330,8 @@ def complex_data(c):
 
 def value_data(value):
     """An evaluated object, or the source, target and components of a map."""
-    if isinstance(value, tuple):
-        f = value[1]
-        return complex_data(f.source), complex_data(f.target), f.maps
+    if isinstance(value, ProjChainMap):
+        return complex_data(value.source), complex_data(value.target), value.maps
     return complex_data(value)
 
 
@@ -404,6 +403,19 @@ def reproduce_eval_reference(pick) -> int:
             got = ("inconclusive" if got[0] == "WindowTooSmall" else got[0]), got[1]
         assert got == (entry["outcome"], entry["text"]), expr
     return len(chosen)
+
+
+class TestRejectedExpressions:
+    def test_every_rejected_expression_raises_its_recorded_error(self):
+        """The typing rules of the expression language: every expression
+        the reference lists as rejected raises the recorded type and text,
+        map and object values alike."""
+        ref = eval_reference()
+        window = (0, ref["window"])
+        for expr, want in sorted(ref["rejected"].items()):
+            kind, text = outcome(evaluate, SETUP, parse(expr), window, ref["order"])
+            assert f"{kind}: {text}" == want, expr
+        assert len(ref["rejected"]) == 189
 
 
 class TestNestedProjectorVerdicts:
