@@ -128,13 +128,11 @@ class ObjectValue:
     complex: ProjComplex
     reduced: ProjComplex
     kclass: KClass | None
-    description: str
 
 
 @dataclass
 class MapValue:
     chain_map: ProjChainMap | ModuleHom
-    description: str
 
 
 def _object_to_projcomplex(setup: Setup, name: str) -> ProjComplex | GradedModule:
@@ -147,13 +145,13 @@ def evaluate(setup: Setup, node: Node, window: tuple[int, int],
              order: int) -> ObjectValue | MapValue:
     val = _eval(setup, node, window)
     if isinstance(val, (ProjChainMap, ModuleHom)):
-        return MapValue(val, val.name)
+        return MapValue(val)
     if isinstance(val, GradedModule):
         from .kclass import class_of_module
         kc = class_of_module(val, order)
         single = ProjComplexify(setup, val)
         red = gaussian_reduce(single).reduced
-        return ObjectValue(single, red, kc, val.name)
+        return ObjectValue(single, red, kc)
     pc = val
     if pc.is_zero():
         red = pc
@@ -167,7 +165,7 @@ def evaluate(setup: Setup, node: Node, window: tuple[int, int],
         kc = euler_class(pc, order)
     except WindowError:   # the order leaves the class no validity window
         kc = None
-    return ObjectValue(pc, red, kc, pc.name)
+    return ObjectValue(pc, red, kc)
 
 
 def _eval(setup: Setup, node: Node, window: tuple[int, int]):

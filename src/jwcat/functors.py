@@ -91,7 +91,6 @@ class Setup:
 class FunctorReport:
     """What a functor application produced: the raw output, its minimal
     form, and the reduction witnesses relating them."""
-    input_desc: str
     raw: ProjComplex
     reduced: ProjComplex
     reduction: Reduction
@@ -129,7 +128,7 @@ def _iota_translate_matrix(setup: Setup, m: AlgMatrix) -> AlgMatrix:
                        for z in row] for row in m.entries], validate=False)
 
 
-def _as_module_complex(setup: Setup, x) -> Complex:
+def _as_module_complex(x) -> Complex:
     if isinstance(x, GradedModule):
         return Complex.from_module(x)
     if isinstance(x, ProjComplex):
@@ -173,7 +172,7 @@ def P_on_object(setup: Setup, x, depth: int) -> ProjComplex:
     terms, entries and tail as they are, validated once (d∘d and the tail
     seam).
     """
-    Y = x if isinstance(x, ProjComplex) else _as_module_complex(setup, x)
+    Y = x if isinstance(x, ProjComplex) else _as_module_complex(x)
     if Y.tail is not None and Y.tail.side == RIGHT_TAIL:
         raise RegimeError("projector input must be bounded above")
     if isinstance(Y, ProjComplex):
@@ -278,7 +277,7 @@ def _koszul_D(setup: Setup, x, out_window: tuple[int, int] | None):
     """``koszul_D_on_object`` together with the ``_dual_index`` of its
     summands, which the map functor reads."""
     B = setup.B
-    Y = _as_module_complex(setup, x)
+    Y = _as_module_complex(x)
     if Y.tail is not None and Y.tail.side == RIGHT_TAIL:
         raise RegimeError("duality input must be bounded above")
     if out_window is None:
@@ -358,7 +357,7 @@ def koszul_D_on_map(setup: Setup, f: ModuleHom | ProjChainMap,
     output degree reads such a degree this raises ``WindowTooSmall`` naming
     it."""
     B = setup.B
-    X, Y = _as_module_complex(setup, f.source), _as_module_complex(setup, f.target)
+    X, Y = _as_module_complex(f.source), _as_module_complex(f.target)
     if isinstance(f, ModuleHom):
         _check_degree_zero(f)
         homs = {0: f}
@@ -598,7 +597,7 @@ def D_of_P1(setup: Setup) -> FunctorReport:
     model = two_term_dual_model(setup)
     if not (red.reduced.terms == model.terms and red.reduced.diffs == model.diffs):
         raise ConstructionError("duality image of P(1) does not match the two-term model")
-    return FunctorReport("P(1)", raw, red.reduced, red)
+    return FunctorReport(raw, red.reduced, red)
 
 
 def two_term_dual_model(setup: Setup) -> ProjComplex:

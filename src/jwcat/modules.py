@@ -545,42 +545,39 @@ def tensor_with_bimodule(M: GradedModule, W: GradedBimodule,
                 pair_pos[(d, i, k)] = len(pairs)
                 pairs.append((d, i, k))
     by_total: dict[int, list[int]] = {}
+    pos: dict[int, int] = {}                 # pair index -> place in its total degree
     for idx, (d, i, k) in enumerate(pairs):
-        by_total.setdefault(d + W.basis[k].degree, []).append(idx)
+        idxs = by_total.setdefault(d + W.basis[k].degree, [])
+        pos[idx] = len(idxs)
+        idxs.append(idx)
 
-    # relation rows (m·g)⊗w − m⊗(g·w) in each total degree, reduced
+    # relation rows (m·g)⊗w − m⊗(g·w), each built once in its total degree;
+    # a total degree without pairs gets none, since both terms vanish there
+    left = {(g, k): W.left_act(A.element({g: Fraction(1)}), unit_vector(W.dim(), k))
+            for g in A.basis for k in range(W.dim())}
+    rel_rows: dict[int, list[list[Fraction]]] = {}
+    for (d2, i2, k2) in pairs:
+        for g in A.basis:
+            dg = A.path_degree(g)
+            total = d2 + dg + W.basis[k2].degree
+            if total not in by_total:
+                continue
+            row = [Fraction(0)] * len(by_total[total])
+            mg = M.act_path(g, d2)
+            for r in range(mg.nrows):
+                if mg.data[r][i2] != 0:
+                    row[pos[pair_pos[(d2 + dg, r, k2)]]] += mg.data[r][i2]
+            for kk, c in enumerate(left[(g, k2)]):
+                if c != 0:
+                    row[pos[pair_pos[(d2, i2, kk)]]] -= c
+            if any(x != 0 for x in row):
+                rel_rows.setdefault(total, []).append(row)
     reducers: dict[int, tuple[Matrix, list[int]]] = {}
-    for total, idxs in sorted(by_total.items()):
-        n = len(idxs)
-        pos = {idx: p for p, idx in enumerate(idxs)}
-        rel_rows: list[list[Fraction]] = []
-        for (d2, i2, k2) in pairs:
-            for g in A.basis:
-                dg = A.path_degree(g)
-                if d2 + dg + W.basis[k2].degree != total:
-                    continue
-                row = [Fraction(0)] * n
-                mg = M.act_path(g, d2)
-                for r in range(mg.nrows):
-                    if mg.data[r][i2] != 0:
-                        row[pos[pair_pos[(d2 + dg, r, k2)]]] += mg.data[r][i2]
-                gw = W.left_act(A.element({g: Fraction(1)}), unit_vector(W.dim(), k2))
-                for kk, c in enumerate(gw):
-                    if c != 0:
-                        row[pos[pair_pos[(d2, i2, kk)]]] -= c
-                if any(x != 0 for x in row):
-                    rel_rows.append(row)
-        if rel_rows:
-            R, piv = Matrix.from_rows(rel_rows).rref()
-        else:
-            R, piv = Matrix(0, n), []
-        reducers[total] = (R, piv)
-
     quot_free: dict[int, list[int]] = {}   # positions (within by_total) kept
     basis: dict[int, tuple[str, ...]] = {}
     for total, idxs in sorted(by_total.items()):
-        piv = reducers[total][1]
-        free = [p for p in range(len(idxs)) if p not in piv]
+        reducers[total] = Matrix.from_rows(rel_rows.get(total, [])).rref()
+        free = [p for p in range(len(idxs)) if p not in reducers[total][1]]
         quot_free[total] = free
         labels = [W.basis[pairs[idxs[p]][2]].right_vertex for p in free]
         if labels:
@@ -605,7 +602,6 @@ def tensor_with_bimodule(M: GradedModule, W: GradedBimodule,
             if not free or tgt_total not in quot_free or not quot_free[tgt_total]:
                 continue
             idxs = by_total[total]
-            tpos = {idx: pp for pp, idx in enumerate(by_total[tgt_total])}
             cols = []
             for p in free:
                 d, i, k = pairs[idxs[p]]
@@ -613,7 +609,7 @@ def tensor_with_bimodule(M: GradedModule, W: GradedBimodule,
                 tvec = [Fraction(0)] * len(by_total[tgt_total])
                 for kk, c in enumerate(wimg):
                     if c != 0:
-                        tvec[tpos[pair_pos[(d, i, kk)]]] += c
+                        tvec[pos[pair_pos[(d, i, kk)]]] += c
                 cols.append(reduce_vec(tgt_total, tvec))
             m = Matrix(len(quot_free[tgt_total]), len(free),
                        [[cols[j][i] for j in range(len(free))]

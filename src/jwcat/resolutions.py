@@ -9,6 +9,12 @@ augmentation, the cycle-lifting property, and the cohomology comparison.
 For a single module this degenerates to the usual minimal resolution by
 iterated projective covers. Below a bounded input the descent stops at the
 resolution repeat of "Windows and margins" in the ``complexes`` docstring.
+
+Every span, kernel and complement comes from one reduced echelon form: the
+cycles and the fiber product are kernels of module maps, taken per (degree,
+vertex label) block; a submodule's basis is the reduced form of its span and
+its action is read at that basis's pivots; a cover's generators are the
+positions that are not pivots of the radical reduced once.
 """
 
 from __future__ import annotations
@@ -32,61 +38,49 @@ def submodule_from_vectors(ambient: GradedModule,
                            name: str = "K") -> tuple[GradedModule, ModuleHom]:
     """The submodule spanned by label-homogeneous vectors, with inclusion.
 
-    Vectors are given per internal degree in ambient coordinates; each must
-    be supported on basis vectors of a single vertex label, and the span must
-    be closed under the algebra action (checked exactly).
+    Vectors are given per internal degree in ambient coordinates. The basis
+    of each degree is the reduced echelon form of their span, so it depends
+    on the span alone, and each basis vector must be supported on basis
+    vectors of a single vertex label. An arrow's image of the basis has its
+    coordinates at the pivots of the target degree's basis, and the span
+    must be closed under the algebra action: the image must equal the
+    recombination of those coordinates (checked exactly).
     """
-    alg = ambient.algebra
-    bases: dict[int, list[list[Fraction]]] = {}
-    labels: dict[int, list[str]] = {}
+    span: dict[int, Matrix] = {}      # columns: the reduced basis of a degree
+    pivots: dict[int, list[int]] = {}
+    labels: dict[int, tuple[str, ...]] = {}
     for d, vecs in sorted(vectors.items()):
-        if not vecs:
-            continue
         R, piv = Matrix.from_rows(vecs).rref()
-        basis_rows = [R.data[r] for r in range(len(piv))]
+        if not piv:
+            continue
+        rows = R.data[:len(piv)]
         labs = []
-        for row in basis_rows:
+        for row in rows:
             support_labels = {ambient.label(d, j) for j, x in enumerate(row) if x != 0}
             if len(support_labels) != 1:
                 raise ConstructionError("submodule basis vector is not label-homogeneous")
             labs.append(support_labels.pop())
-        bases[d] = basis_rows
-        labels[d] = labs
-    basis = {d: tuple(labels[d]) for d in bases}
+        span[d] = Matrix(ambient.dim(d), len(rows), list(zip(*rows)))
+        pivots[d] = piv
+        labels[d] = tuple(labs)
     action: dict[str, dict[int, Matrix]] = {}
-    for arrow in alg.quiver.arrows:
-        g, dg = arrow.name, arrow.degree
+    for arrow in ambient.algebra.quiver.arrows:
         mats: dict[int, Matrix] = {}
-        for d, rows in bases.items():
-            td = d + dg
-            tgt_rows = bases.get(td, [])
-            m = Matrix(len(tgt_rows), len(rows))
-            amb = ambient.act_arrow(g, d)
-            for j, vec in enumerate(rows):
-                img = amb.apply(vec)
-                if all(x == 0 for x in img):
-                    continue
-                if not tgt_rows:
-                    raise ConstructionError("submodule is not action-closed")
-                T = Matrix(len(img), len(tgt_rows),
-                           [[tgt_rows[c][rr] for c in range(len(tgt_rows))]
-                            for rr in range(len(img))])
-                sol = T.solve(img)
-                if sol is None:
-                    raise ConstructionError("submodule is not action-closed")
-                for r, x in enumerate(sol):
-                    m.data[r][j] = x
+        for d, S in span.items():
+            act = ambient.action.get(arrow.name, {}).get(d)
+            if act is None:     # the arrow is zero on this degree
+                continue
+            td = d + arrow.degree
+            img = act * S
+            m = img.submatrix(pivots.get(td, []), range(S.ncols))
+            if span.get(td, Matrix(ambient.dim(td), 0)) * m != img:
+                raise ConstructionError("submodule is not action-closed")
             if not m.is_zero():
                 mats[d] = m
         if mats:
-            action[g] = mats
-    sub = GradedModule(alg, basis, action, name=name)
-    incl_mats = {d: Matrix(len(ambient.basis.get(d, ())), len(rows),
-                           [[rows[j][i] for j in range(len(rows))]
-                            for i in range(len(ambient.basis.get(d, ())))])
-                 for d, rows in bases.items()}
-    incl = ModuleHom(sub, ambient, 0, incl_mats, f"incl({name})")
-    return sub, incl
+            action[arrow.name] = mats
+    sub = GradedModule(ambient.algebra, labels, action, name=name)
+    return sub, ModuleHom(sub, ambient, 0, span, f"incl({name})")
 
 
 def kernel_submodule(f: ModuleHom, name: str = "ker") -> tuple[GradedModule, ModuleHom]:
@@ -94,21 +88,17 @@ def kernel_submodule(f: ModuleHom, name: str = "ker") -> tuple[GradedModule, Mod
     M = f.source
     vectors: dict[int, list[list[Fraction]]] = {}
     for d in M.degrees():
-        mat = f.mat(d)
-        vecs: list[list[Fraction]] = []
-        for v in sorted(set(M.basis.get(d, ()))):
-            cols = [k for k in range(M.dim(d)) if M.label(d, k) == v]
-            tgt = f.target
-            rows = [k for k in range(tgt.dim(d + f.degree))
-                    if tgt.label(d + f.degree, k) == v]
-            blk = mat.submatrix(rows, cols) if rows else Matrix(0, len(cols))
-            for kv in blk.nullspace():
-                full = [Fraction(0)] * M.dim(d)
+        mat, src_labels = f.mat(d), M.basis[d]
+        tgt_labels = f.target.basis.get(d + f.degree, ())
+        vectors[d] = []
+        for v in sorted(set(src_labels)):
+            cols = [k for k, lab in enumerate(src_labels) if lab == v]
+            rows = [k for k, lab in enumerate(tgt_labels) if lab == v]
+            for kv in mat.submatrix(rows, cols).nullspace():
+                full = [Fraction(0)] * len(src_labels)
                 for c, x in zip(cols, kv):
                     full[c] = x
-                vecs.append(full)
-        if vecs:
-            vectors[d] = vecs
+                vectors[d].append(full)
     return submodule_from_vectors(M, vectors, name=name)
 
 
@@ -117,42 +107,28 @@ def kernel_submodule(f: ModuleHom, name: str = "ker") -> tuple[GradedModule, Mod
 # ---------------------------------------------------------------------------
 
 def minimal_generators(M: GradedModule) -> list[tuple[int, int, list[Fraction]]]:
-    """Representatives of a basis of M modulo M·radical: (degree, label-index
-    placeholder, coordinate vector). Ties broken by degree then vertex order
-    then position, which makes covers canonical."""
-    alg = M.algebra
+    """Representatives of a basis of M modulo M·radical: (degree, position,
+    unit vector). Ties are broken by degree, then vertex order, then
+    position, which makes covers canonical.
+
+    Taking a unit vector whenever it is independent of the radical and of
+    the ones taken before, in that order, takes the earliest complement of
+    the radical. A position is left out exactly when some radical vector is
+    zero at every later position and nonzero at it, that is when it is a
+    pivot of the radical's rows reduced with the positions in reversed
+    order; so one reduction per degree gives the generators."""
+    vertices = M.algebra.quiver.vertices
     gens = []
     for d in M.degrees():
-        n = M.dim(d)
-        rad_rows: list[list[Fraction]] = []
-        for arrow in alg.quiver.arrows:
-            g, dg = arrow.name, arrow.degree
-            src_d = d - dg
-            if M.dim(src_d) == 0:
-                continue
-            mat = M.act_arrow(g, src_d)
-            for j in range(mat.ncols):
-                rad_rows.append([mat.data[r][j] for r in range(n)])
-        if rad_rows:
-            R, piv = Matrix.from_rows(rad_rows).rref()
-        else:
-            R, piv = Matrix(0, n), []
-        # complement of the radical part: unit vectors at non-pivot positions,
-        # in vertex order then position order
-        order = sorted(range(n), key=lambda k: (M.algebra.quiver.vertices.index(M.label(d, k)), k))
-        chosen: list[list[Fraction]] = []
-        span_rows = [R.data[r][:] for r in range(len(piv))]
-        rank = len(piv)
-        for k in order:
-            if rank + len(chosen) >= n:
-                break
-            cand = unit_vector(n, k)
-            trial = span_rows + [c[:] for c in chosen] + [cand]
-            if Matrix.from_rows(trial).rank() == rank + len(chosen) + 1:
-                chosen.append(cand)
-        for vec in chosen:
-            lab_idx = next(j for j, x in enumerate(vec) if x != 0)
-            gens.append((d, lab_idx, vec))
+        order = sorted(range(M.dim(d)), key=lambda k: (vertices.index(M.label(d, k)), k))
+        rev = order[::-1]
+        rad_rows = []
+        for arrow in M.algebra.quiver.arrows:
+            if M.dim(d - arrow.degree):
+                mat = M.act_arrow(arrow.name, d - arrow.degree)
+                rad_rows += [[mat.data[k][j] for k in rev] for j in range(mat.ncols)]
+        spanned = {rev[c] for c in Matrix.from_rows(rad_rows).rref()[1]}
+        gens += [(d, k, unit_vector(M.dim(d), k)) for k in order if k not in spanned]
     return gens
 
 
@@ -253,65 +229,21 @@ def resolve_complex(Y: Complex, depth: int
     zero_mod = GradedModule.zero_module(alg)
 
     for i in range(yhi, last - 1, -1):
-        Yi = Y.term(i)
-        P_next = realized.get(i + 1, zero_mod)
-        # cycles one degree up: kernel of the differential out of P^{i+1}
-        if P_next.is_zero():
-            Z, z_incl = zero_mod, None
-        elif dmats.get(i + 1) is None:
-            vec_all = {d: [unit_vector(P_next.dim(d), k) for k in range(P_next.dim(d))]
-                       for d in P_next.degrees()}
-            Z, z_incl = submodule_from_vectors(P_next, vec_all, name="Z")
-        else:
-            Z, z_incl = kernel_submodule(dmats[i + 1], name="Z")
-
-        # W = {(y, z) : d_Y(y) = eps(z)} inside Y^i ⊕ Z; both constraints and
-        # labels are degreewise exact linear algebra
-        parts = [m for m in (Yi, Z) if not m.is_zero()]
-        if not parts:
+        Yi, P_next = Y.term(i), realized.get(i + 1, zero_mod)
+        if Yi.is_zero() and P_next.is_zero():    # then W ⊂ Y^i ⊕ Z is zero
             continue
-        amb = direct_sum(parts, alg)
-        dY = Y.diff(i)
-        eps_next = augment.get(i + 1)
-        vectors: dict[int, list[list[Fraction]]] = {}
-        for d in sorted(set(list(Yi.degrees()) + list(Z.degrees()))):
-            ny, nz = Yi.dim(d), Z.dim(d)
-            n_t = Y.term(i + 1).dim(d)
-
-            def constraint(vec_y, vec_z):
-                a = dY.mat(d).apply(vec_y) if ny else [Fraction(0)] * n_t
-                if nz and z_incl is not None:
-                    zc = z_incl.mat(d).apply(vec_z)
-                    b = eps_next.mat(d).apply(zc)
-                else:
-                    b = [Fraction(0)] * n_t
-                return [x - y for x, y in zip(a, b)]
-
-            # a unit vector of Y^i ⊕ Z splits into its Y part and its Z part
-            units = [unit_vector(ny + nz, k) for k in range(ny + nz)]
-            cols = [constraint(e[:ny], e[ny:]) for e in units]
-            if not cols:
-                continue
-            if not cols[0]:
-                vecs = units
-            else:
-                A = Matrix(len(cols[0]), len(cols),
-                           [[cols[j][r] for j in range(len(cols))]
-                            for r in range(len(cols[0]))])
-                vecs = A.nullspace()
-            split = []
-            for v in vecs:
-                for lab in sorted({_amb_label(Yi, Z, d, j)
-                                   for j, x in enumerate(v) if x != 0}):
-                    # label parts of a solution are solutions: the constraint
-                    # preserves vertex labels
-                    split.append([x if _amb_label(Yi, Z, d, j) == lab else Fraction(0)
-                                  for j, x in enumerate(v)])
-            if split:
-                vectors[d] = split
-        if not vectors:
-            continue
-        W, w_incl = submodule_from_vectors(amb, vectors, name="W")
+        Y_next = Y.term(i + 1)
+        # cycles one degree up: the kernel of the differential out of P^{i+1}
+        d_out = dmats.get(i + 1) or ModuleHom(P_next, zero_mod, 0, {}, validate=False)
+        Z, z_incl = kernel_submodule(d_out, name="Z")
+        # W = {(y, z) : d_Y(y) = eps(z)}: the kernel of (d_Y, -eps∘incl_Z)
+        # from Y^i ⊕ Z to Y^{i+1}
+        eps = augment.get(i + 1) or ModuleHom(P_next, Y_next, 0, {}, validate=False)
+        eps_z = eps.compose(z_incl)
+        amb, dY = direct_sum([Yi, Z]), Y.diff(i)
+        to_next = ModuleHom(amb, Y_next, 0, {d: dY.mat(d).hstack(-eps_z.mat(d))
+                                             for d in amb.degrees()}, validate=False)
+        W, w_incl = kernel_submodule(to_next, name="W")
         if W.is_zero():
             continue
         if i < floor:
@@ -368,9 +300,3 @@ def _resolution_repeat(terms: dict[int, tuple[Summand, ...]],
             return TailSpec(LEFT_TAIL, i, p, s)
     return None
 
-
-def _amb_label(Yi: GradedModule, Z: GradedModule, d: int, j: int) -> str:
-    ny = Yi.dim(d)
-    if j < ny:
-        return Yi.label(d, j)
-    return Z.label(d, j - ny)

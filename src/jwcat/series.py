@@ -248,7 +248,6 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_overlap(other)
-        lo = max(self.min_exp, other.min_exp)
         hi = min(self.order, other.order)
         # below both windows' min everything is exactly zero, so also compare
         # the region where one is exact-zero and the other stores data

@@ -1,17 +1,23 @@
-"""No function in ``src/jwcat`` assigns a local name that nothing reads, and
-no import, at module level or in a function, binds a name that nothing reads.
+"""No function in ``src/jwcat`` assigns a local name that nothing reads, takes
+a parameter that nothing reads, and no import, at module level or in a
+function, binds a name that nothing reads.
 
 A name counts as read when its scope, or a function or comprehension nested
 in it, loads it. Names declared ``global`` or ``nonlocal`` belong to another
 scope, and ``_``-prefixed locals are deliberately unused. A module's
 ``__all__`` names and ``from __future__`` imports are read by their
-definition."""
+definition. A parameter may go unread when it is ``self``, ``cls`` or
+``_``-prefixed, or when a caller fixes the signature (``FIXED_SIGNATURES``).
+"""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "jwcat"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+# (function, parameter) pairs whose signature a caller fixes: every check of
+# ``verify._Runner`` is called as ``fn(details)`` by ``_Runner.check``
+FIXED_SIGNATURES = {("_ck_after_duality", "details")}
 
 
 def own_nodes(fn):
@@ -40,6 +46,26 @@ def dead_locals(tree):
                     and not node.id.startswith("_")
                     and node.id not in loaded and node.id not in outer):
                 found.append((fn.name, node.lineno, node.id))
+    return found
+
+
+def unused_parameters(tree, fixed=frozenset()):
+    """(function name, line, parameter) for each parameter of a function
+    that neither the function nor a scope nested in it loads."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = fn.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        loaded = loaded_names(fn)
+        for arg in params:
+            name = arg.arg
+            if name in ("self", "cls") or name.startswith("_") \
+                    or (fn.name, name) in fixed or name in loaded:
+                continue
+            found.append((fn.name, arg.lineno, name))
     return found
 
 
@@ -89,6 +115,28 @@ def test_the_scan_finds_a_dead_local():
 def test_no_dead_locals_in_the_package():
     found = [(path.name, *hit) for path in sorted(SRC.glob("*.py"))
              for hit in dead_locals(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+
+
+def test_the_scan_finds_an_unused_parameter():
+    tree = ast.parse("class K:\n"
+                     "    def m(self, a, _b, *args, c, **kw):\n"
+                     "        return a, kw\n"
+                     "    @classmethod\n"
+                     "    def n(cls, d, fixed):\n"
+                     "        return [d for _ in ()]\n"
+                     "def f(x, y=1):\n"
+                     "    def g(z):\n"
+                     "        return x\n"
+                     "    return lambda w: g\n")
+    assert sorted(unused_parameters(tree, {("n", "fixed")})) == [
+        ("f", 7, "y"), ("g", 8, "z"), ("m", 2, "args"), ("m", 2, "c")]
+
+
+def test_no_unused_parameters_in_the_package():
+    found = [(path.name, *hit) for path in sorted(SRC.glob("*.py"))
+             for hit in unused_parameters(ast.parse(path.read_text(), str(path)),
+                                          FIXED_SIGNATURES)]
     assert found == []
 
 

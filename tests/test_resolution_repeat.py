@@ -17,7 +17,7 @@ from jwcat.functors import P_on_object, Setup
 from jwcat.linalg import Matrix, unit_vector
 from jwcat.modules import (GradedModule, ModuleHom, apply_pi, apply_pi_hom,
                            direct_sum, simple)
-from jwcat.resolutions import (_amb_label, _hom_to_alg_matrix, kernel_submodule,
+from jwcat.resolutions import (_hom_to_alg_matrix, kernel_submodule,
                                projective_cover, resolve_complex,
                                submodule_from_vectors)
 from test_tails import outcome
@@ -29,6 +29,12 @@ B, C = SETUP.B, SETUP.C
 # ---------------------------------------------------------------------------
 # the full-depth descent, as reference
 # ---------------------------------------------------------------------------
+
+def _amb_label(Yi, Z, d, j):
+    """The vertex label of coordinate j of (Y^i ⊕ Z) in internal degree d."""
+    ny = Yi.dim(d)
+    return Yi.label(d, j) if j < ny else Z.label(d, j - ny)
+
 
 def ref_resolve_complex(Y, depth):
     """Every degree from the input's top down to the floor is computed as a
