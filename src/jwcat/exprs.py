@@ -27,7 +27,6 @@ from .series import WindowError
 class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
-        self.position = position
 
 
 OBJECT_ATOMS = ("P(1)", "P(2)", "L(1)", "L(2)", "I(2)")

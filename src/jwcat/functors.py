@@ -87,15 +87,6 @@ class Setup:
         }
 
 
-@dataclass
-class FunctorReport:
-    """What a functor application produced: the raw output, its minimal
-    form, and the reduction witnesses relating them."""
-    raw: ProjComplex
-    reduced: ProjComplex
-    reduction: Reduction
-
-
 # ---------------------------------------------------------------------------
 # the projector: section functor, derived inclusion
 # ---------------------------------------------------------------------------
@@ -588,16 +579,17 @@ def CK_on_map(setup: Setup, f: ProjChainMap, out_window: tuple[int, int]
 # named composite constructions
 # ---------------------------------------------------------------------------
 
-def D_of_P1(setup: Setup) -> FunctorReport:
+def D_of_P1(setup: Setup) -> Reduction:
     """The duality functor on the big projective's partner: computed from the
-    bigraded formula, reduced, and checked against the two-term model."""
+    bigraded formula, reduced, and checked against the two-term model. The
+    reduction's ``original`` is the raw complex."""
     P1 = projective(setup.B, "1")
     raw = koszul_D_on_object(setup, P1)
     red = gaussian_reduce(raw)
     model = two_term_dual_model(setup)
     if not (red.reduced.terms == model.terms and red.reduced.diffs == model.diffs):
         raise ConstructionError("duality image of P(1) does not match the two-term model")
-    return FunctorReport(raw, red.reduced, red)
+    return red
 
 
 def two_term_dual_model(setup: Setup) -> ProjComplex:

@@ -61,9 +61,6 @@ class Matrix:
             m.data[i][i] = Fraction(1)
         return m
 
-    def copy(self) -> Matrix:
-        return Matrix(self.nrows, self.ncols, [row[:] for row in self.data])
-
     def __getitem__(self, idx):
         i, j = idx
         return self.data[i][j]

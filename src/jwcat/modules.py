@@ -26,11 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (_ONE, Matrix, affine_columns, kernel_from_columns,
-                     search_invertible, unit_vector)
+from .linalg import _ONE, Matrix, affine_columns, kernel_from_columns, search_invertible
 from .quiver import (AlgebraElement, BimodBasisVector, ConstructionError,
-                     GradedBimodule, PathAlgebra, Path, generator_matrices,
-                     multiplication_matrix)
+                     GradedBimodule, PathAlgebra, Path)
 
 
 @dataclass(frozen=True)
@@ -127,7 +125,12 @@ class GradedModule:
 
     @classmethod
     def zero_module(cls, algebra: PathAlgebra) -> GradedModule:
-        return cls(algebra, {}, {}, name="0")
+        """The algebra's zero module, built and checked once, as ``projective``
+        stores P(v); every call returns the stored module, which nothing may
+        mutate."""
+        if algebra._zero_module is None:
+            algebra._zero_module = cls(algebra, {}, {}, name="0")
+        return algebra._zero_module
 
     def _validate(self) -> None:
         q = self.algebra.quiver
@@ -552,9 +555,9 @@ def tensor_with_bimodule(M: GradedModule, W: GradedBimodule,
         idxs.append(idx)
 
     # relation rows (m·g)⊗w − m⊗(g·w), each built once in its total degree;
-    # a total degree without pairs gets none, since both terms vanish there
-    left = {(g, k): W.left_act(A.element({g: Fraction(1)}), unit_vector(W.dim(), k))
-            for g in A.basis for k in range(W.dim())}
+    # a total degree without pairs gets none, since both terms vanish there.
+    # left[(g, k)] is the position of g·w_k, or None when it is zero
+    left = {(g, k): W.index.get(W.left(key, g)) for g in A.basis for key, k in W.index.items()}
     rel_rows: dict[int, list[list[Fraction]]] = {}
     for (d2, i2, k2) in pairs:
         for g in A.basis:
@@ -567,9 +570,9 @@ def tensor_with_bimodule(M: GradedModule, W: GradedBimodule,
             for r in range(mg.nrows):
                 if mg.data[r][i2] != 0:
                     row[pos[pair_pos[(d2 + dg, r, k2)]]] += mg.data[r][i2]
-            for kk, c in enumerate(left[(g, k2)]):
-                if c != 0:
-                    row[pos[pair_pos[(d2, i2, kk)]]] -= c
+            j = left[(g, k2)]
+            if j is not None:
+                row[pos[pair_pos[(d2, i2, j)]]] -= _ONE
             if any(x != 0 for x in row):
                 rel_rows.setdefault(total, []).append(row)
     reducers: dict[int, tuple[Matrix, list[int]]] = {}
@@ -594,22 +597,20 @@ def tensor_with_bimodule(M: GradedModule, W: GradedBimodule,
 
     action: dict[str, dict[int, Matrix]] = {}
     for arrow in right_alg.quiver.arrows:
-        gname, dg = arrow.name, arrow.degree
-        gelem = right_alg.arrow_element(gname)
+        g = Path((arrow.name,))
+        right = {k: W.index.get(W.right(key, g)) for key, k in W.index.items()}
         mats: dict[int, Matrix] = {}
         for total, free in quot_free.items():
-            tgt_total = total + dg
+            tgt_total = total + arrow.degree
             if not free or tgt_total not in quot_free or not quot_free[tgt_total]:
                 continue
             idxs = by_total[total]
             cols = []
             for p in free:
                 d, i, k = pairs[idxs[p]]
-                wimg = W.right_act(unit_vector(W.dim(), k), gelem)
                 tvec = [Fraction(0)] * len(by_total[tgt_total])
-                for kk, c in enumerate(wimg):
-                    if c != 0:
-                        tvec[pos[pair_pos[(d, i, kk)]]] += c
+                if right[k] is not None:
+                    tvec[pos[pair_pos[(d, i, right[k])]]] = _ONE
                 cols.append(reduce_vec(tgt_total, tvec))
             m = Matrix(len(quot_free[tgt_total]), len(free),
                        [[cols[j][i] for j in range(len(free))]
@@ -626,14 +627,13 @@ def p2_as_left_c_bimodule(B: PathAlgebra, C: PathAlgebra) -> GradedBimodule:
     """P(2) as a bimodule over (endomorphisms, B): x acts on the left as
     multiplication by ab. The basis is P(2)'s canonical path basis."""
     paths = B.projective_paths["2"]
-    index = {p: k for k, p in enumerate(paths)}
     labels = [BimodBasisVector(p.word(), B.path_degree(p), "*", B.source(p))
               for p in paths]
-    left_action = {"x": multiplication_matrix(index, B.path_element(("a", "b")),
-                                              lambda p, q: B.mul_paths(q, p)),
-                   "e(*)": Matrix.identity(len(paths))}
-    right_action = generator_matrices(B, index, B.mul_paths)
-    return GradedBimodule(C, B, labels, left_action, right_action, name="P(2)bim")
+    ab = Path(("a", "b"))
+    # C's basis paths are e(*), acting as 1, and x, acting as ab
+    return GradedBimodule(C, B, {p: k for k, p in enumerate(paths)}, labels,
+                          lambda p, q: B.mul_paths(ab, p) if q.arrows else p,
+                          B.mul_paths, name="P(2)bim")
 
 
 # ---------------------------------------------------------------------------

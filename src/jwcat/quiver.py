@@ -1,6 +1,12 @@
 """Quivers, graded path algebras with monomial quadratic relations, their
 elements, the quadratic-dual construction, and graded bimodules.
 
+A graded bimodule is its basis and two product rules: each basis key
+(a path, or a pair of paths for the translation bimodule θ) times a basis
+path of either algebra is a basis key or zero. The generator matrices, the
+action of any element, the balanced tensor of ``jwcat.modules`` and the
+structure maps α, β, γ all read those rules.
+
 Conventions, fixed once and used everywhere:
 
 * a path ``p = (α_1, ..., α_l)`` applies the rightmost arrow first; the
@@ -17,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import _ONE, Matrix, _frac, unit_vector
+from .linalg import _ONE, Matrix, _frac
 
 
 class ConstructionError(ValueError):
@@ -129,6 +135,7 @@ class PathAlgebra:
                             key=lambda p: (self.path_degree(p), p.word())))
             for v in quiver.vertices}
         self._projectives: dict = {}   # v -> P(v), stored by modules.projective
+        self._zero_module = None       # stored by GradedModule.zero_module
         self._zero = AlgebraElement(self, {})
         self._idempotents = {v: AlgebraElement(self, {Path((), v): _ONE})
                              for v in quiver.vertices}
@@ -475,22 +482,33 @@ class BimodBasisVector:
 
 
 class GradedBimodule:
-    """Finite graded (A, B)-bimodule with explicit basis and generator actions.
+    """Finite graded (A, B)-bimodule on a basis of keys, given by two product
+    rules.
 
-    Left actions are stored per left-algebra generator, right actions per
-    right-algebra generator, both as matrices on the full basis (entry [j][i]
-    = coefficient of basis j in the image of basis i).
+    ``index`` maps each basis key to its position and ``basis`` labels the
+    positions. ``left(key, q)`` is the key of q·key and ``right(key, q)``
+    the key of key·q, for a basis path q of the left or the right algebra;
+    a key that is not in ``index`` (None included) is zero. So the bimodule
+    is monomial: a basis path times a basis key is a basis key or zero.
+
+    ``left_action`` and ``right_action`` are the matrices of the generators
+    (the arrows, then the idempotents e(v), keyed by name; entry [j][i] =
+    coefficient of basis j in the image of basis i), built once from the
+    rules and checked at construction; ``act`` gives the matrix of any
+    element.
     """
 
     def __init__(self, left_algebra: PathAlgebra, right_algebra: PathAlgebra,
-                 basis: list[BimodBasisVector],
-                 left_action: dict[str, Matrix], right_action: dict[str, Matrix],
+                 index: dict, basis: list[BimodBasisVector], left, right,
                  name: str = "W"):
         self.left_algebra = left_algebra
         self.right_algebra = right_algebra
+        self.index = index
         self.basis = list(basis)
-        self.left_action = left_action
-        self.right_action = right_action
+        self.left = left
+        self.right = right
+        self.left_action = generator_matrices(left_algebra, index, left)
+        self.right_action = generator_matrices(right_algebra, index, right)
         self.name = name
         self._validate()
 
@@ -506,54 +524,31 @@ class GradedBimodule:
     def lowest_degree(self) -> int:
         return min(v.degree for v in self.basis)
 
-    def left_act(self, elem: AlgebraElement, vec: list[Fraction]) -> list[Fraction]:
-        out = [Fraction(0)] * self.dim()
-        for p, c in elem.terms.items():
-            img = vec
-            if p.is_trivial():
-                img = self._apply(self.left_action["e(%s)" % p.vertex], vec)
-            else:
-                for name in reversed(p.arrows):
-                    img = self._apply(self.left_action[name], img)
-                # no idempotent factor needed: arrows encode their sandwiches
-            out = [o + c * x for o, x in zip(out, img)]
-        return out
-
-    def right_act(self, vec: list[Fraction], elem: AlgebraElement) -> list[Fraction]:
-        out = [Fraction(0)] * self.dim()
-        for p, c in elem.terms.items():
-            img = vec
-            if p.is_trivial():
-                img = self._apply(self.right_action["e(%s)" % p.vertex], vec)
-            else:
-                # m·(α1...αl) = (m·α1)·α2... : α1 applies first
-                for name in p.arrows:
-                    img = self._apply(self.right_action[name], img)
-            out = [o + c * x for o, x in zip(out, img)]
-        return out
-
-    @staticmethod
-    def _apply(mat: Matrix, vec: list[Fraction]) -> list[Fraction]:
-        return mat.apply(vec)
+    def act(self, elem: AlgebraElement, left: bool) -> Matrix:
+        """Matrix of elem acting on the left (elem·m) or the right (m·elem)."""
+        return multiplication_matrix(self.index, elem, self.left if left else self.right)
 
     def _validate(self) -> None:
-        # idempotent left/right actions are the vertex-label projections
-        for v in self.left_algebra.quiver.vertices:
-            key = f"e({v})"
-            mat = self.left_action[key]
-            for i, bv in enumerate(self.basis):
-                e = unit_vector(self.dim(), i)
-                want = e if bv.left_vertex == v else [Fraction(0)] * self.dim()
-                if self._apply(mat, e) != want:
-                    raise ConstructionError(f"left idempotent {key} is not the label projection")
-        for v in self.right_algebra.quiver.vertices:
-            key = f"e({v})"
-            mat = self.right_action[key]
-            for i, bv in enumerate(self.basis):
-                e = unit_vector(self.dim(), i)
-                want = e if bv.right_vertex == v else [Fraction(0)] * self.dim()
-                if self._apply(mat, e) != want:
-                    raise ConstructionError(f"right idempotent {key} is not the label projection")
+        for side, alg, action, labels in (
+                ("left", self.left_algebra, self.left_action,
+                 [bv.left_vertex for bv in self.basis]),
+                ("right", self.right_algebra, self.right_action,
+                 [bv.right_vertex for bv in self.basis])):
+            # the idempotents act as the vertex-label projections
+            for v in alg.quiver.vertices:
+                want = Matrix(self.dim(), self.dim())
+                for i, label in enumerate(labels):
+                    if label == v:
+                        want.data[i][i] = _ONE
+                if action[f"e({v})"] != want:
+                    raise ConstructionError(
+                        f"{side} idempotent e({v}) is not the label projection")
+            # relations act as zero; on the right m·(r1 r2) = (m·r1)·r2
+            for (r1, r2) in alg.relations:
+                m = (action[r1] * action[r2] if side == "left"
+                     else action[r2] * action[r1])
+                if not m.is_zero():
+                    raise ConstructionError(f"{side} relation {r1}{r2} does not act as zero")
         # left and right actions commute on (generator, basis, generator)
         for a in self.left_algebra.quiver.arrows:
             for b in self.right_algebra.quiver.arrows:
@@ -561,15 +556,6 @@ class GradedBimodule:
                 if la * rb != rb * la:
                     raise ConstructionError(
                         f"left action of {a.name} and right action of {b.name} do not commute")
-        # relations act as zero on both sides
-        for (r1, r2) in self.left_algebra.relations:
-            m = self.left_action[r1] * self.left_action[r2]
-            if not m.is_zero():
-                raise ConstructionError(f"left relation {r1}{r2} does not act as zero")
-        for (r1, r2) in self.right_algebra.relations:
-            m = self.right_action[r2] * self.right_action[r1]
-            if not m.is_zero():
-                raise ConstructionError(f"right relation {r1}{r2} does not act as zero")
 
 
 def multiplication_matrix(index: dict, elem: AlgebraElement, product) -> Matrix:
@@ -595,7 +581,8 @@ def generator_matrices(alg: PathAlgebra, index: dict, product) -> dict[str, Matr
 
 def build_theta(B: PathAlgebra) -> GradedBimodule:
     """The translation bimodule: (paths into 2) ⊗ (paths out of 2), graded so
-    the tensor of the two trivial paths sits in degree -1."""
+    the tensor of the two trivial paths sits in degree -1. Its keys are the
+    pairs (p, q) for p⊗q; B acts on p from the left and on q from the right."""
     into2 = [p for p in B.basis if B.source(p) == "2"]   # p·e(2) = p
     outof2 = B.projective_paths["2"]                     # e(2)·q = q
     basis: list[BimodBasisVector] = []
@@ -607,13 +594,9 @@ def build_theta(B: PathAlgebra) -> GradedBimodule:
                 label=f"{p.word()}⊗{q.word()}",
                 degree=B.path_degree(p) + B.path_degree(q) - 1,
                 left_vertex=B.target(p), right_vertex=B.source(q)))
-    left_action = generator_matrices(
-        B, index, lambda pq, g: (B.mul_paths(g, pq[0]), pq[1]))
-    right_action = generator_matrices(
-        B, index, lambda pq, g: (pq[0], B.mul_paths(pq[1], g)))
-    theta = GradedBimodule(B, B, basis, left_action, right_action, name="theta")
-    theta.pair_index = index  # type: ignore[attr-defined]
-    return theta
+    return GradedBimodule(B, B, index, basis,
+                          lambda pq, g: (B.mul_paths(g, pq[0]), pq[1]),
+                          lambda pq, g: (pq[0], B.mul_paths(pq[1], g)), name="theta")
 
 
 class BimoduleMap:
@@ -640,79 +623,46 @@ class BimoduleMap:
 
 
 def algebra_as_bimodule(B: PathAlgebra) -> GradedBimodule:
-    """B as the regular (B, B)-bimodule."""
+    """B as the regular (B, B)-bimodule, keyed by its basis paths."""
     basis = [BimodBasisVector(p.word(), B.path_degree(p), B.target(p), B.source(p))
              for p in B.basis]
-    idx = {p: i for i, p in enumerate(B.basis)}
-    left_action = generator_matrices(B, idx, lambda p, g: B.mul_paths(g, p))
-    right_action = generator_matrices(B, idx, B.mul_paths)
-    reg = GradedBimodule(B, B, basis, left_action, right_action, name="B")
-    reg.path_index = idx  # type: ignore[attr-defined]
-    return reg
+    index = {p: i for i, p in enumerate(B.basis)}
+    return GradedBimodule(B, B, index, basis, lambda p, g: B.mul_paths(g, p),
+                          B.mul_paths, name="B")
 
 
 def _bimodule_map_from_generator_images(source: GradedBimodule, target: GradedBimodule,
-                                        gen_images: dict[int, list[Fraction]],
-                                        degree: int, name: str) -> BimoduleMap:
+                                        gen_images: dict, degree: int,
+                                        name: str) -> BimoduleMap:
     """Extend images of bimodule generators x·gen·y-linearly; verify welldefinedness.
 
-    ``gen_images`` maps a basis index of the source to its image vector. The
-    source must be generated by those vectors under the two actions; every
-    source basis vector p·gen·q gets the image p·img·q, and consistency across
-    different factorizations is checked by verifying the result commutes with
-    both actions.
+    ``gen_images`` maps basis keys of the source to their image vectors. The
+    source must be generated by those keys under the two actions: from each
+    key k reached, every arrow g reaches g·k, with image g·img(k), and k·g,
+    with image img(k)·g, until no new key appears. Consistency across
+    different factorizations is checked by verifying the result commutes
+    with both actions.
     """
-    B = source.left_algebra
-    n_src, n_tgt = source.dim(), target.dim()
-    mat = Matrix(n_tgt, n_src)
-    assigned = [False] * n_src
-    for gi, img in gen_images.items():
-        mat = _assign(mat, gi, img)
-        assigned[gi] = True
-    # saturate: apply generators on both sides until all basis vectors covered
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n_src):
-            if not assigned[i]:
-                continue
-            col = [mat.data[r][i] for r in range(n_tgt)]
-            for a in B.quiver.arrows:
-                src_img = source.left_action[a.name]
-                tgt_la = target.left_action[a.name]
-                moved = src_img.apply(unit_vector(n_src, i))
-                j = _single_index(moved)
-                if j is not None and not assigned[j]:
-                    mat = _assign(mat, j, tgt_la.apply(col))
-                    assigned[j] = True
-                    changed = True
-                src_img = source.right_action[a.name]
-                tgt_ra = target.right_action[a.name]
-                moved = src_img.apply(unit_vector(n_src, i))
-                j = _single_index(moved)
-                if j is not None and not assigned[j]:
-                    mat = _assign(mat, j, tgt_ra.apply(col))
-                    assigned[j] = True
-                    changed = True
-    if not all(assigned):
+    images = dict(gen_images)
+    todo = list(images)
+    while todo:
+        key = todo.pop()
+        for a in source.left_algebra.quiver.arrows:
+            g = Path((a.name,))
+            for moved, action in ((source.left(key, g), target.left_action),
+                                  (source.right(key, g), target.right_action)):
+                if moved in source.index and moved not in images:
+                    images[moved] = action[a.name].apply(images[key])
+                    todo.append(moved)
+    if len(images) < source.dim():
         raise ConstructionError(f"generators do not generate the bimodule for {name}")
+    mat = Matrix(target.dim(), source.dim())
+    for key, img in images.items():
+        for r, c in enumerate(img):
+            mat.data[r][source.index[key]] = c
     f = BimoduleMap(source, target, mat, degree, name)
     verify_bimodule_map(f)
     return f
-
-
-def _single_index(vec) -> int | None:
-    nz = [i for i, c in enumerate(vec) if c != 0]
-    if len(nz) == 1 and vec[nz[0]] == 1:
-        return nz[0]
-    return None
-
-
-def _assign(mat: Matrix, col: int, img: list[Fraction]) -> Matrix:
-    out = mat.copy()
-    for r in range(mat.nrows):
-        out.data[r][col] = img[r]
-    return out
 
 
 def verify_bimodule_map(f: BimoduleMap) -> None:
@@ -759,20 +709,17 @@ def bimodule_maps_alpha_beta_gamma(B: PathAlgebra, theta: GradedBimodule):
     """The three structure maps of ``STRUCTURE_MAPS`` as bimodule maps into
     theta, each of the degree its generator images have."""
     reg = algebra_as_bimodule(B)
-    pair_index = theta.pair_index  # type: ignore[attr-defined]
     maps = []
     for name, images in STRUCTURE_MAPS.items():
-        if name == "alpha":
-            source, index = reg, reg.path_index  # type: ignore[attr-defined]
-        else:
-            source, index = theta, pair_index
+        source = reg if name == "alpha" else theta
         gen_images = {}
         for g, terms in images.items():
             img = [Fraction(0)] * theta.dim()
             for coef, x, y in terms:
-                img[pair_index[(x, y)]] += coef
-            gen_images[index[g]] = img
-            degree = theta.basis[pair_index[(x, y)]].degree - source.basis[index[g]].degree
+                img[theta.index[(x, y)]] += coef
+            gen_images[g] = img
+            degree = (theta.basis[theta.index[(x, y)]].degree
+                      - source.basis[source.index[g]].degree)
         maps.append(_bimodule_map_from_generator_images(source, theta, gen_images,
                                                         degree, name))
     return tuple(maps)

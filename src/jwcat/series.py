@@ -35,8 +35,6 @@ class LaurentPoly:
     def __init__(self, coeffs: dict | None = None):
         self.coeffs = _clean(coeffs or {})
 
-    zero_ = None  # set after class definition
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -138,9 +136,6 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self.render()!r})"
-
-
-LaurentPoly.zero_ = LaurentPoly()
 
 
 class TruncatedSeries:

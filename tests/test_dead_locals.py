@@ -1,6 +1,9 @@
 """No function in ``src/jwcat`` assigns a local name that nothing reads, takes
 a parameter that nothing reads, and no import, at module level or in a
-function, binds a name that nothing reads.
+function, binds a name that nothing reads. No attribute is stored on an
+object from outside its class unless some class declares it, and no attribute
+a class declares goes unread in ``src``, ``tests``, ``demos`` or
+``perfbench``.
 
 A name counts as read when its scope, or a function or comprehension nested
 in it, loads it. Names declared ``global`` or ``nonlocal`` belong to another
@@ -13,7 +16,9 @@ definition. A parameter may go unread when it is ``self``, ``cls`` or
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "jwcat"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "jwcat"
+READERS = ("tests", "demos", "perfbench")
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 # (function, parameter) pairs whose signature a caller fixes: every check of
 # ``verify._Runner`` is called as ``fn(details)`` by ``_Runner.check``
@@ -159,3 +164,85 @@ def test_no_unread_imports_in_the_package():
     found = [(path.name, *hit) for path in sorted(SRC.glob("*.py"))
              for hit in unread_imports(ast.parse(path.read_text(), str(path)))]
     assert found == []
+
+
+def declared_attributes(trees):
+    """attribute -> the first class that declares it: a name its body
+    assigns, or an attribute a method stores on ``self`` or ``cls``."""
+    declared = {}
+    for tree in trees:
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target] if isinstance(node, ast.AnnAssign) else [])
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        declared.setdefault(target.id, cls.name)
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id in ("self", "cls")):
+                    declared.setdefault(node.attr, cls.name)
+    return declared
+
+
+def undeclared_attribute_stores(trees):
+    """(line, target) for each attribute stored that no class declares: a
+    store from outside the object's class, attached as a patch. Attributes
+    are matched by name, so a store of an attribute some class declares
+    passes whatever the object."""
+    declared = declared_attributes(trees)
+    return [(node.lineno, ast.unparse(node)) for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and node.attr not in declared]
+
+
+def unread_attributes(trees, readers):
+    """(class, attribute) for each attribute a class of ``trees`` declares
+    that no tree of ``trees`` or ``readers`` loads; dunder names are the
+    language's."""
+    loaded = {node.attr for tree in [*trees, *readers] for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted((cls, attr) for attr, cls in declared_attributes(trees).items()
+                  if attr not in loaded and not attr.startswith("__"))
+
+
+SYNTHETIC_ATTRIBUTES = ("class K:\n"
+                        "    __slots__ = ('s',)\n"
+                        "    level = 1\n"
+                        "    def __init__(self):\n"
+                        "        self.a, self.s = 1, 0\n"
+                        "    @classmethod\n"
+                        "    def make(cls):\n"
+                        "        cls.made = True\n"
+                        "def f(k, m):\n"
+                        "    k.a = 2\n"
+                        "    k.level = 3\n"
+                        "    m.patch = 4\n"
+                        "    return k.a, k.s, m.patch\n")
+
+
+def test_the_scan_finds_an_undeclared_attribute_store():
+    assert undeclared_attribute_stores([ast.parse(SYNTHETIC_ATTRIBUTES)]) == [(12, "m.patch")]
+
+
+def test_the_scan_finds_an_unread_attribute():
+    tree = ast.parse(SYNTHETIC_ATTRIBUTES)
+    assert unread_attributes([tree], []) == [("K", "level"), ("K", "made")]
+    assert unread_attributes([tree], [ast.parse("print(K.made, K().level)")]) == []
+
+
+def package_trees():
+    return [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
+
+
+def test_no_undeclared_attribute_stores_in_the_package():
+    assert undeclared_attribute_stores(package_trees()) == []
+
+
+def test_every_declared_attribute_is_read():
+    readers = [ast.parse(path.read_text(), str(path))
+               for folder in READERS for path in sorted((ROOT / folder).glob("*.py"))]
+    assert unread_attributes(package_trees(), readers) == []

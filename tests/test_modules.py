@@ -58,6 +58,16 @@ class TestStandardModules:
         assert find_module_iso(mods["P(2)"], mods["I(2)"].shift(2)) is not None
 
 
+    def test_one_zero_module_per_algebra(self, B, C, mods):
+        z = GradedModule.zero_module(B)
+        assert z.is_zero() and z.name == "0"
+        assert GradedModule.zero_module(B) is z and direct_sum([], B) is z
+        assert GradedModule.zero_module(C) is not z
+        assert z.shift(0) is z
+        X = realize(projective_resolution(mods["L(1)"], 4))
+        assert X.term(max(X.terms) + 1) is z and X.diff(max(X.terms)).target is z
+
+
 class TestHomSpaces:
     def test_endomorphisms_of_big_projective(self, mods):
         degrees = sorted(h.degree for h in hom_space(mods["P(2)"], mods["P(2)"]))

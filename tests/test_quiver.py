@@ -160,7 +160,7 @@ class TestTheta:
         assert theta.degrees() == {-1: 1, 0: 2, 1: 3, 2: 2, 3: 1}
 
     def test_outer_actions(self, B, theta):
-        idx = theta.pair_index
+        idx = theta.index
         n = theta.dim()
 
         def unit(i):
@@ -172,7 +172,7 @@ class TestTheta:
                     if p.word() == "e(2)" and q.word() == "e(2)")
         b_e2 = next(i for (p, q), i in idx.items()
                     if p.word() == "b" and q.word() == "e(2)")
-        img = theta.left_act(B.arrow_element("b"), unit(e2e2))
+        img = theta.act(B.arrow_element("b"), left=True).apply(unit(e2e2))
         assert img == unit(b_e2)
         # per the multiplication table, right-multiplication by b kills the
         # vectors whose right factor is e(2) or ab, and sends b⊗a to b⊗ab
@@ -180,13 +180,13 @@ class TestTheta:
                    if p.word() == "b" and q.word() == "a")
         b_ab = next(i for (p, q), i in idx.items()
                     if p.word() == "b" and q.word() == "ab")
-        img = theta.right_act(unit(b_a), B.arrow_element("b"))
+        img = theta.act(B.arrow_element("b"), left=False).apply(unit(b_a))
         assert img == unit(b_ab)
-        img = theta.right_act(unit(b_e2), B.arrow_element("b"))
+        img = theta.act(B.arrow_element("b"), left=False).apply(unit(b_e2))
         assert all(c == 0 for c in img)
         b_abab = next(i for (p, q), i in idx.items()
                       if p.word() == "b" and q.word() == "ab")
-        img = theta.right_act(unit(b_abab), B.arrow_element("b"))
+        img = theta.act(B.arrow_element("b"), left=False).apply(unit(b_abab))
         assert all(c == 0 for c in img)
 
     def test_actions_commute_exhaustive(self, B, theta):
@@ -208,9 +208,9 @@ class TestAlphaBetaGamma:
         alpha, _, _ = maps
         reg = algebra_as_bimodule(B)
         v = [Fraction(0)] * reg.dim()
-        v[reg.path_index[Path((), "1")]] = Fraction(1)
+        v[reg.index[Path((), "1")]] = Fraction(1)
         img = alpha(v)
-        ba = next(i for (p, q), i in theta.pair_index.items()
+        ba = next(i for (p, q), i in theta.index.items()
                   if p.word() == "b" and q.word() == "a")
         want = [Fraction(0)] * theta.dim()
         want[ba] = Fraction(1)
@@ -218,7 +218,7 @@ class TestAlphaBetaGamma:
 
     def test_beta_on_generator(self, B, theta, maps):
         _, beta, _ = maps
-        idx = theta.pair_index
+        idx = theta.index
         e2e2 = next(i for (p, q), i in idx.items()
                     if p.word() == "e(2)" and q.word() == "e(2)")
         c_e2 = next(i for (p, q), i in idx.items()
@@ -264,12 +264,12 @@ def ref_bimodule_maps_alpha_beta_gamma(B, theta):
     def theta_vec(pairs):
         v = [Fraction(0)] * theta.dim()
         for pw, qw, coef in pairs:
-            v[next(i for (p, q), i in theta.pair_index.items()
+            v[next(i for (p, q), i in theta.index.items()
                    if p.word() == pw and q.word() == qw)] += coef
         return v
 
-    e1, e2 = reg.path_index[Path((), "1")], reg.path_index[Path((), "2")]
-    e2e2 = theta.pair_index[(Path((), "2"), Path((), "2"))]
+    e1, e2 = Path((), "1"), Path((), "2")
+    e2e2 = (e2, e2)
     alpha = _bimodule_map_from_generator_images(
         reg, theta, {e2: theta_vec([("ab", "e(2)", 1), ("e(2)", "ab", 1)]),
                      e1: theta_vec([("b", "a", 1)])}, degree=1, name="alpha")

@@ -279,7 +279,7 @@ class TestColumnsDeriveFromTheStructureMapTable:
                     got._validate()
 
     def test_parts_are_the_paths_into_2_of_theta(self):
-        into2 = {p for p, _ in build_theta(B).pair_index}
+        into2 = {p for p, _ in build_theta(B).index}
         assert set(sum(SETUP.ck_parts.values(), ())) == into2
         for v, parts in SETUP.ck_parts.items():
             assert all(B.target(p) == v and B.source(p) == "2" for p in parts)
