@@ -1148,8 +1148,8 @@ class LadderSystem:
     def probe(self, blocks: list) -> tuple:
         """(column_fn, rhs) of the affine map r: vec -> the blocks'
         coordinates at build(vec), in block order, with column_fn(j) =
-        r(e_j) - r(0) and rhs = -r(0), as ``linalg.affine_columns`` defines
-        them.
+        r(e_j) - r(0) and rhs = -r(0), so that r(vec) = 0 exactly when
+        A·vec = rhs for the matrix A with those columns.
 
         r(0) is evaluated once. Column j evaluates only the blocks that read
         a component of ``_unit(j)``; every other block reads zeros only, so
@@ -1248,7 +1248,7 @@ def reduce_on_window(c: ProjComplex, window: tuple[int, int]) -> Reduction:
 
 
 def iso_in_homotopy_category(x: ProjComplex, y: ProjComplex,
-                             window: tuple[int, int] | None = None) -> Verdict:
+                             window: tuple[int, int]) -> Verdict:
     """Reduce both to minimal form and search for an invertible chain map.
 
     Minimal complexes over a finite-dimensional graded algebra are unique up
@@ -1256,11 +1256,6 @@ def iso_in_homotopy_category(x: ProjComplex, y: ProjComplex,
     a certified "false"; an invertible chain map is a certified "true"; a
     failed search on matching shapes is reported inconclusive, never false.
     """
-    if window is None:
-        lo = min(x.window()[0], y.window()[0])
-        hi = max(x.window()[1], y.window()[1])
-        window = (lo, hi)
-    lo, hi = window
     xm = reduce_on_window(x, window).reduced
     ym = reduce_on_window(y, window).reduced
     if xm.is_zero() and ym.is_zero():
@@ -1424,54 +1419,19 @@ def chain_maps_homotopic(f: ProjChainMap, g: ProjChainMap,
 # homology
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GradedVectorSpace:
-    dims: dict[tuple[int, str], int]   # (internal degree, vertex) -> dim
-
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
-    def is_zero(self) -> bool:
-        return self.total_dim() == 0
-
-    @classmethod
-    def of_module(cls, m: GradedModule) -> GradedVectorSpace:
-        return cls(dict(m.graded_dims_by_vertex()))
-
-    def __eq__(self, other):
-        if isinstance(other, GradedModule):
-            other = GradedVectorSpace.of_module(other)
-        if not isinstance(other, GradedVectorSpace):
-            return NotImplemented
-        a = {k: v for k, v in self.dims.items() if v}
-        b = {k: v for k, v in other.dims.items() if v}
-        return a == b
-
-
-def homology(c: Complex, i: int) -> GradedVectorSpace:
-    """ker/im by exact rank computation per internal degree and vertex."""
-    term = c.term(i)
-    d_in = c.diff(i - 1)
-    d_out = c.diff(i)
+def homology(c: Complex, i: int) -> dict[tuple[int, str], int]:
+    """The nonzero dimensions of ker/im per (internal degree, vertex), as
+    ``graded_dims_by_vertex`` gives them for a module: exact ranks of the
+    label blocks of the two differentials."""
+    term, d_in, d_out = c.term(i), c.diff(i - 1), c.diff(i)
     dims: dict[tuple[int, str], int] = {}
     for deg in term.degrees():
-        for v in sorted(set(term.basis.get(deg, ()))):
-            cols = [k for k in range(term.dim(deg)) if term.label(deg, k) == v]
-            if not cols:
-                continue
-            tgt = c.term(i + 1)
-            rows_out = [k for k in range(tgt.dim(deg)) if tgt.label(deg, k) == v]
-            blk_out = (d_out.mat(deg).submatrix(rows_out, cols)
-                       if rows_out else Matrix(0, len(cols)))
-            ker_dim = len(cols) - blk_out.rank()
-            src = c.term(i - 1)
-            cols_in = [k for k in range(src.dim(deg)) if src.label(deg, k) == v]
-            blk_in = (d_in.mat(deg).submatrix(cols, cols_in)
-                      if cols_in else Matrix(len(cols), 0))
-            h = ker_dim - blk_in.rank()
+        for v in sorted(set(term.basis[deg])):
+            h = len(term.positions(deg, v)) - d_out.block(deg, v).rank() \
+                - d_in.block(deg, v).rank()
             if h:
                 dims[(deg, v)] = h
-    return GradedVectorSpace(dims)
+    return dims
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,8 @@ from .complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, Complex,
                         realize, total_complex, total_layout, total_terms,
                         _alg_matrix_to_hom, _mat_coords)
 from .linalg import solve_from_columns
-from .modules import (GradedModule, ModuleHom, apply_pi, apply_pi_hom,
-                      projective, simple, injective2)
+from .modules import (C_TO_B, PI_SHIFT, GradedModule, ModuleHom, apply_pi,
+                      apply_pi_hom, projective, simple, injective2)
 from .quiver import (STRUCTURE_MAPS, AlgebraElement, ConstructionError, Path,
                      PathAlgebra, build_B, build_C, structure_map_on_column)
 from .resolutions import resolve_complex
@@ -91,16 +91,12 @@ class Setup:
 # the projector: section functor, derived inclusion
 # ---------------------------------------------------------------------------
 
-# Entry translation from free summands <r> over C to vertex-2 summands
-# P(2)<r+1> over B: C has basis 1, x and e(2)·B·e(2) has basis e(2), ab.
-_C_TO_B = ((Path((), "*"), Path((), "2")), (Path(("x",)), Path(("a", "b"))))
-
-
 def iota_translate(setup: Setup, freeC: ProjComplex) -> ProjComplex:
-    """The inclusion functor on free complexes: each free summand <r> becomes
-    P(2)<r+1>, the degree-2 generator becomes the loop. Unchecked: across the
-    ring isomorphism e(2)·B·e(2) ≅ C, d∘d and the tail seam hold over B
-    exactly when they hold on ``freeC``, where ``resolve_complex`` checked them."""
+    """The inclusion functor on free complexes, read off ``modules.C_TO_B``:
+    each free summand <r> becomes P(2)<r+1>, the degree-2 generator becomes
+    the loop. Unchecked: across the ring isomorphism e(2)·B·e(2) ≅ C, d∘d
+    and the tail seam hold over B exactly when they hold on ``freeC``, where
+    ``resolve_complex`` checked them."""
     terms = {i: _iota_summands(t) for i, t in freeC.terms.items()}
     diffs = {i: _iota_translate_matrix(setup, d) for i, d in freeC.diffs.items()}
     return ProjComplex(setup.B, terms, diffs, freeC.tail, f"ι({freeC.name})",
@@ -108,14 +104,15 @@ def iota_translate(setup: Setup, freeC: ProjComplex) -> ProjComplex:
 
 
 def _iota_summands(term: tuple[Summand, ...]) -> tuple[Summand, ...]:
-    return tuple(Summand("2", s.shift + 1) for s in term)
+    return tuple(Summand(C_TO_B[Path((), s.vertex)].vertex, s.shift + PI_SHIFT)
+                 for s in term)
 
 
 def _iota_translate_matrix(setup: Setup, m: AlgMatrix) -> AlgMatrix:
     """Entrywise C -> B translation: scalar part onto e(2), x onto the loop."""
     B = setup.B
     return AlgMatrix(B, _iota_summands(m.rows), _iota_summands(m.cols),
-                     [[B.element({dst: z.coefficient(src) for src, dst in _C_TO_B})
+                     [[B.element({dst: z.coefficient(src) for src, dst in C_TO_B.items()})
                        for z in row] for row in m.entries], validate=False)
 
 
@@ -296,7 +293,6 @@ def _koszul_D(setup: Setup, x, out_window: tuple[int, int] | None):
     terms = {p: tuple(Summand(setup.swap(lab), -s) for (_, s, _), (_, lab) in vecs.items())
              for p, vecs in sorted(index.items())}
 
-    a_el, b_el = B.arrow_element("a"), B.arrow_element("b")
     diffs: dict[int, AlgMatrix] = {}
     for p, vecs in sorted(index.items()):
         up = index.get(p + 1)
@@ -316,17 +312,17 @@ def _koszul_D(setup: Setup, x, out_window: tuple[int, int] | None):
                     d.entries[row][col] = d.entries[row][col] + \
                         B.idempotent(setup.swap(lab)).scale(coef)
             # staircase arrows, with the parity sign
-            for arrow_el, need_lab in ((a_el, "2"), (b_el, "1")):
+            for name, need_lab in (("a", "2"), ("b", "1")):
                 if lab != need_lab:
                     continue
-                act = M.act_element(arrow_el, s)
+                act = M.act_arrow(name, s)
                 for ridx in range(act.nrows):
                     coef = act.data[ridx][idx]
                     hit = up.get((r, s + 1, ridx))
                     if coef != 0 and hit is not None:
                         row = hit[0]
                         d.entries[row][col] = d.entries[row][col] + \
-                            arrow_el.scale(sign * coef)
+                            B.arrow_element(name).scale(sign * coef)
         diffs[p] = d
 
     out = ProjComplex(B, terms, diffs, None, f"𝔻({Y.name})", validate=True)

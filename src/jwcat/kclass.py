@@ -210,7 +210,7 @@ def duality_on_class(k: KClass) -> KClass:
     out = KClass.zero(order)
     for v, target_vertex in (("1", "2"), ("2", "1")):
         s = k.series[v]
-        twisted = LaurentPoly({-e: c * ((-1) ** e) for e, c in s.coeffs.items()})
+        twisted = LaurentPoly(s.coeffs).substitute_minus_qinv()
         out = out + projective_class(target_vertex, order).scale_series(
             TruncatedSeries.from_laurent(twisted, order))
     return out

@@ -224,25 +224,6 @@ class Matrix:
         return self.nrows == self.ncols and self.rank() == self.nrows
 
 
-def affine_columns(residual, nuk: int):
-    """Probe an affine map r on Q^nuk at the zero and unit vectors.
-
-    Returns (column_fn, rhs) with column_fn(k) = r(e_k) - r(0) and
-    rhs = -r(0), so r(x) = 0 exactly when A x = rhs for the matrix A with
-    those columns. For a linear r the right-hand side is zero and the
-    solutions are kernel_from_columns(column_fn, nuk).
-    """
-    base = residual([Fraction(0)] * nuk)
-    rhs = [-x for x in base]
-    affine = any(rhs)
-
-    def column_fn(k: int) -> list[Fraction]:
-        col = residual(unit_vector(nuk, k))
-        return [a + b for a, b in zip(col, rhs)] if affine else col
-
-    return column_fn, rhs
-
-
 def _matrix_from_columns(column_fn, nuk: int) -> Matrix:
     cols = [column_fn(j) for j in range(nuk)]
     nr = len(cols[0])

@@ -19,6 +19,18 @@ these rules, and everything that crosses between formal sums of summands and
 realized modules reads it: ``projective_sum`` realizes the sum as a module,
 ``projective`` stores P(v) once per algebra and vertex, and the left
 multiplication maps, covers and differentials place their entries by it.
+
+Every other computation reads what a module stores, its vertex labels and
+its arrow matrices, through two rules:
+
+* a module map is a matrix per degree whose nonzero entries join basis
+  vectors of the same label and which commutes with every arrow
+  (``ModuleHom.commutators``); validation compares the two sides and
+  ``hom_space`` solves for their difference being zero;
+* a block is the part of a degree that carries one label
+  (``GradedModule.positions``, ``ModuleHom.block``); a module map is the
+  sum of its blocks, so kernels, homology ranks and π read them one label
+  at a time.
 """
 
 from __future__ import annotations
@@ -26,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import _ONE, Matrix, affine_columns, kernel_from_columns, search_invertible
+from .linalg import _ONE, Matrix, kernel_from_columns, search_invertible, unit_vector
 from .quiver import (AlgebraElement, BimodBasisVector, ConstructionError,
                      GradedBimodule, PathAlgebra, Path)
 
@@ -83,6 +95,10 @@ class GradedModule:
     def label(self, d: int, i: int) -> str:
         return self.basis[d][i]
 
+    def positions(self, d: int, v: str) -> list[int]:
+        """The positions of the degree-d basis vectors labelled v."""
+        return [i for i, lab in enumerate(self.basis.get(d, ())) if lab == v]
+
     # --- action ---
 
     def act_arrow(self, name: str, d: int) -> Matrix:
@@ -96,11 +112,9 @@ class GradedModule:
     def act_path(self, p: Path, d: int) -> Matrix:
         """Matrix of the right action of a basis path on the degree-d slice."""
         if p.is_trivial():
-            n = self.dim(d)
-            m = Matrix(n, n)
-            for i, lab in enumerate(self.basis.get(d, ())):
-                if lab == p.vertex:
-                    m.data[i][i] = Fraction(1)
+            m = Matrix(self.dim(d), self.dim(d))
+            for i in self.positions(d, p.vertex):
+                m.data[i][i] = _ONE
             return m
         # m·(α1...αl) applies α1 first
         mat = None
@@ -110,16 +124,6 @@ class GradedModule:
             mat = step if mat is None else step * mat
             cur += self.algebra.quiver.arrow(name).degree
         return mat
-
-    def act_element(self, elem: AlgebraElement, d: int) -> Matrix:
-        deg = elem.degree()
-        if deg is None:
-            # zero element: need target dims; caller supplies homogeneous elems
-            raise ConstructionError("cannot act by the zero element without a degree")
-        out = Matrix(self.dim(d + deg), self.dim(d))
-        for p, c in elem.terms.items():
-            out = out + self.act_path(p, d).scale(c)
-        return out
 
     # --- constructors ---
 
@@ -338,18 +342,34 @@ class ModuleHom:
             return Matrix(self.target.dim(d + self.degree), self.source.dim(d))
         return m
 
-    def _validate(self) -> None:
-        for d, m in self.mats.items():
-            if m.nrows != self.target.dim(d + self.degree) or m.ncols != self.source.dim(d):
-                raise ConstructionError(f"hom matrix shape mismatch at degree {d}")
+    def block(self, d: int, v: str) -> Matrix:
+        """The part of the degree-d matrix from label-v to label-v vectors."""
+        return self.mat(d).submatrix(self.target.positions(d + self.degree, v),
+                                     self.source.positions(d, v))
+
+    def commutators(self):
+        """(g, d, f∘g, g∘f) for each arrow name g and source degree d: the
+        two ways round the square from degree d to d + deg g + deg f."""
         for arrow in self.source.algebra.quiver.arrows:
             g, dg = arrow.name, arrow.degree
             for d in self.source.degrees():
-                lhs = self.mat(d + dg) * self.source.act_arrow(g, d)
-                rhs = self.target.act_arrow(g, d + self.degree) * self.mat(d)
-                if lhs != rhs:
-                    raise ConstructionError(
-                        f"{self.name} does not commute with {g} at degree {d}")
+                yield (g, d, self.mat(d + dg) * self.source.act_arrow(g, d),
+                       self.target.act_arrow(g, d + self.degree) * self.mat(d))
+
+    def _validate(self) -> None:
+        """A module map commutes with the idempotents, so its nonzero
+        entries join basis vectors of one label, and with every arrow."""
+        for d, m in self.mats.items():
+            if m.nrows != self.target.dim(d + self.degree) or m.ncols != self.source.dim(d):
+                raise ConstructionError(f"hom matrix shape mismatch at degree {d}")
+            for r, row in enumerate(m.data):
+                for c, x in enumerate(row):
+                    if x and self.target.label(d + self.degree, r) != self.source.label(d, c):
+                        raise ConstructionError(
+                            f"{self.name} violates vertex labels at degree {d}")
+        for g, d, fg, gf in self.commutators():
+            if fg != gf:
+                raise ConstructionError(f"{self.name} does not commute with {g} at degree {d}")
 
     def is_zero(self) -> bool:
         return not self.mats
@@ -473,17 +493,13 @@ def hom_space(M: GradedModule, N: GradedModule, degree: int | None = None
 
 
 def _hom_space_degree(M: GradedModule, N: GradedModule, j: int) -> list[ModuleHom]:
-    # unknowns: entries (d, r, c) with matching vertex labels
-    slots: list[tuple[int, int, int]] = []
-    for d in M.degrees():
-        for c in range(M.dim(d)):
-            for r in range(N.dim(d + j)):
-                if N.label(d + j, r) == M.label(d, c):
-                    slots.append((d, r, c))
+    """The unknowns are the entries (d, r, c) that join equal labels; the
+    commutator difference is linear in them, so its column at an unknown is
+    the difference for that unit entry."""
+    slots = [(d, r, c) for d in M.degrees() for c, v in enumerate(M.basis[d])
+             for r in N.positions(d + j, v)]
     if not slots:
         return []
-
-    arrows = M.algebra.quiver.arrows
 
     def unknown_to_hom(vec) -> dict[int, Matrix]:
         mats: dict[int, Matrix] = {}
@@ -494,28 +510,13 @@ def _hom_space_degree(M: GradedModule, N: GradedModule, j: int) -> list[ModuleHo
             mats[d].data[r][c] += x
         return mats
 
-    def residual(vec) -> list[Fraction]:
-        mats = unknown_to_hom(vec)
+    def column(k: int) -> list[Fraction]:
+        f = ModuleHom(M, N, j, unknown_to_hom(unit_vector(len(slots), k)), validate=False)
+        return [x for _, _, fg, gf in f.commutators() for row in (fg - gf).data for x in row]
 
-        def mat(d):
-            return mats.get(d, Matrix(N.dim(d + j), M.dim(d)))
-
-        col: list[Fraction] = []
-        for arrow in arrows:
-            g, dg = arrow.name, arrow.degree
-            for d in M.degrees():
-                lhs = mat(d + dg) * M.act_arrow(g, d)
-                rhs = N.act_arrow(g, d + j) * mat(d)
-                diff = lhs - rhs
-                col.extend(x for row in diff.data for x in row)
-        return col
-
-    column, _ = affine_columns(residual, len(slots))
     kernel = kernel_from_columns(column, len(slots))
-    homs = []
-    for i, vec in enumerate(kernel):
-        homs.append(ModuleHom(M, N, j, unknown_to_hom(vec), name=f"h{j}_{i}"))
-    return homs
+    return [ModuleHom(M, N, j, unknown_to_hom(vec), name=f"h{j}_{i}")
+            for i, vec in enumerate(kernel)]
 
 
 def find_module_iso(M: GradedModule, N: GradedModule) -> ModuleHom | None:
@@ -554,19 +555,24 @@ def tensor_with_bimodule(M: GradedModule, W: GradedBimodule,
         pos[idx] = len(idxs)
         idxs.append(idx)
 
-    # relation rows (m·g)⊗w − m⊗(g·w), each built once in its total degree;
-    # a total degree without pairs gets none, since both terms vanish there.
-    # left[(g, k)] is the position of g·w_k, or None when it is zero
-    left = {(g, k): W.index.get(W.left(key, g)) for g in A.basis for key, k in W.index.items()}
+    # relation rows (m·g)⊗w − m⊗(g·w) for the generators g (idempotents and
+    # arrows), each built once in its total degree; a total degree without
+    # pairs gets none, since both terms vanish there. The row of a path g1g2
+    # is the sum of a g1-row and a g2-row of its total degree, so the
+    # generators span every relation. left[(g, k)] is the position of g·w_k,
+    # or None when it is zero; acts[(g, d)] is g's matrix on degree d of M.
+    gens = [g for g in A.basis if len(g.arrows) <= 1]
+    left = {(g, k): W.index.get(W.left(key, g)) for g in gens for key, k in W.index.items()}
+    acts = {(g, d): M.act_path(g, d) for g in gens for d in M.degrees()}
     rel_rows: dict[int, list[list[Fraction]]] = {}
     for (d2, i2, k2) in pairs:
-        for g in A.basis:
+        for g in gens:
             dg = A.path_degree(g)
             total = d2 + dg + W.basis[k2].degree
             if total not in by_total:
                 continue
             row = [Fraction(0)] * len(by_total[total])
-            mg = M.act_path(g, d2)
+            mg = acts[(g, d2)]
             for r in range(mg.nrows):
                 if mg.data[r][i2] != 0:
                     row[pos[pair_pos[(d2 + dg, r, k2)]]] += mg.data[r][i2]
@@ -623,70 +629,58 @@ def tensor_with_bimodule(M: GradedModule, W: GradedBimodule,
                         name=name or f"{M.name}⊗{W.name}")
 
 
-def p2_as_left_c_bimodule(B: PathAlgebra, C: PathAlgebra) -> GradedBimodule:
-    """P(2) as a bimodule over (endomorphisms, B): x acts on the left as
-    multiplication by ab. The basis is P(2)'s canonical path basis."""
-    paths = B.projective_paths["2"]
-    labels = [BimodBasisVector(p.word(), B.path_degree(p), "*", B.source(p))
-              for p in paths]
-    ab = Path(("a", "b"))
-    # C's basis paths are e(*), acting as 1, and x, acting as ab
-    return GradedBimodule(C, B, {p: k for k, p in enumerate(paths)}, labels,
-                          lambda p, q: B.mul_paths(ab, p) if q.arrows else p,
-                          B.mul_paths, name="P(2)bim")
-
-
 # ---------------------------------------------------------------------------
 # the Serre-quotient pair of functors at the module level
 # ---------------------------------------------------------------------------
+
+# π and ι cross the ring isomorphism C ≅ e(2)·B·e(2), shifted by one: the C
+# path q is the B path C_TO_B[q], and C-degree d is B-degree d + PI_SHIFT.
+C_TO_B = {Path((), "*"): Path((), "2"), Path(("x",)): Path(("a", "b"))}
+PI_SHIFT = 1
+_UNIT, _LOOP = C_TO_B.values()      # e(2), the image of e(*); ab, that of x
+
+
+def p2_as_left_c_bimodule(B: PathAlgebra, C: PathAlgebra) -> GradedBimodule:
+    """P(2) as a bimodule over (endomorphisms, B): a C path q acts on the
+    left as multiplication by C_TO_B[q]. The basis is P(2)'s canonical path
+    basis."""
+    paths = B.projective_paths[_UNIT.vertex]
+    labels = [BimodBasisVector(p.word(), B.path_degree(p), "*", B.source(p))
+              for p in paths]
+    return GradedBimodule(C, B, {p: k for k, p in enumerate(paths)}, labels,
+                          lambda p, q: B.mul_paths(C_TO_B[q], p),
+                          B.mul_paths, name="P(2)bim")
+
 
 def apply_pi(M: GradedModule, C: PathAlgebra) -> GradedModule:
     """Hom from the big projective, with its degree-2 endomorphism acting;
     realized as the vertex-2 weight space shifted down by one, with x acting
     as right multiplication by ab."""
-    if "2" not in M.algebra.quiver.vertices:
+    v = _UNIT.vertex
+    if v not in M.algebra.quiver.vertices:
         raise ConstructionError("apply_pi needs the two-vertex algebra")
-    B = M.algebra
-    sel: dict[int, list[int]] = {}
-    for d in M.degrees():
-        keep = [i for i in range(M.dim(d)) if M.label(d, i) == "2"]
-        if keep:
-            sel[d] = keep
-    basis = {d - 1: tuple("*" for _ in keep) for d, keep in sel.items()}
-    c_elem = B.path_element(("a", "b"))
+    sel = {d: keep for d in M.degrees() if (keep := M.positions(d, v))}
+    basis = {d - PI_SHIFT: ("*",) * len(keep) for d, keep in sel.items()}
+    dx = M.algebra.path_degree(_LOOP)
     mats: dict[int, Matrix] = {}
     for d, keep in sel.items():
-        if (d + 2) not in sel:
-            continue
-        full = M.act_element(c_elem, d)
-        sub = full.submatrix(sel[d + 2], keep)
-        if not sub.is_zero():
-            mats[d - 1] = sub
+        if d + dx in sel:
+            sub = M.act_path(_LOOP, d).submatrix(sel[d + dx], keep)
+            if not sub.is_zero():
+                mats[d - PI_SHIFT] = sub
     return GradedModule(C, basis, {"x": mats} if mats else {},
                         name=f"π({M.name})")
 
 
 def apply_pi_hom(f: ModuleHom, C: PathAlgebra) -> ModuleHom:
     """The weight-space restriction of a module map."""
-    M, N = f.source, f.target
-    piM, piN = apply_pi(M, C), apply_pi(N, C)
-    mats: dict[int, Matrix] = {}
-    for d in M.degrees():
-        rows = [i for i in range(N.dim(d + f.degree)) if N.label(d + f.degree, i) == "2"]
-        cols = [i for i in range(M.dim(d)) if M.label(d, i) == "2"]
-        if not rows or not cols:
-            continue
-        sub = f.mat(d).submatrix(rows, cols)
-        if not sub.is_zero():
-            mats[d - 1] = sub
-    return ModuleHom(piM, piN, f.degree, mats, f"π({f.name})", validate=True)
+    mats = {d - PI_SHIFT: f.block(d, _UNIT.vertex) for d in f.source.degrees()}
+    return ModuleHom(apply_pi(f.source, C), apply_pi(f.target, C), f.degree, mats,
+                     f"π({f.name})", validate=True)
 
 
 def apply_iota(M: GradedModule, B: PathAlgebra) -> GradedModule:
-    """Balanced tensor with the big projective, shifted up by one."""
-    C = M.algebra
-    W = p2_as_left_c_bimodule(B, C)
-    out = tensor_with_bimodule(M, W, name=f"ι({M.name})")
-    out = out.shift(1)
+    """Balanced tensor with the big projective, shifted up by PI_SHIFT."""
+    out = tensor_with_bimodule(M, p2_as_left_c_bimodule(B, M.algebra)).shift(PI_SHIFT)
     out.name = f"ι({M.name})"
     return out

@@ -406,15 +406,15 @@ def build_path_algebra(quiver: Quiver, relations: list[tuple[str, str]],
     return PathAlgebra(quiver, relations, d_max, name)
 
 
-def build_B(d_max: int = 4) -> PathAlgebra:
+def build_B() -> PathAlgebra:
     """The two-vertex algebra with arrows a, b and relation ba = 0."""
-    return PathAlgebra(zigzag_quiver(), [("b", "a")], d_max, name="B")
+    return PathAlgebra(zigzag_quiver(), [("b", "a")], name="B")
 
 
-def build_C(d_max: int = 4) -> PathAlgebra:
+def build_C() -> PathAlgebra:
     """Dual numbers with the generator in degree 2: one vertex, loop x, x^2 = 0."""
     q = Quiver(("*",), (Arrow("x", "*", "*", degree=2),))
-    return PathAlgebra(q, [("x", "x")], d_max, name="C")
+    return PathAlgebra(q, [("x", "x")], name="C")
 
 
 def koszul_dual(alg: PathAlgebra) -> tuple[PathAlgebra, dict]:

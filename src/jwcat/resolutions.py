@@ -88,14 +88,11 @@ def kernel_submodule(f: ModuleHom, name: str = "ker") -> tuple[GradedModule, Mod
     M = f.source
     vectors: dict[int, list[list[Fraction]]] = {}
     for d in M.degrees():
-        mat, src_labels = f.mat(d), M.basis[d]
-        tgt_labels = f.target.basis.get(d + f.degree, ())
         vectors[d] = []
-        for v in sorted(set(src_labels)):
-            cols = [k for k, lab in enumerate(src_labels) if lab == v]
-            rows = [k for k, lab in enumerate(tgt_labels) if lab == v]
-            for kv in mat.submatrix(rows, cols).nullspace():
-                full = [Fraction(0)] * len(src_labels)
+        for v in sorted(set(M.basis[d])):
+            cols = M.positions(d, v)
+            for kv in f.block(d, v).nullspace():
+                full = [Fraction(0)] * M.dim(d)
                 for c, x in zip(cols, kv):
                     full[c] = x
                 vectors[d].append(full)

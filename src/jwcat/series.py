@@ -68,7 +68,7 @@ class LaurentPoly:
 
     def substitute_minus_qinv(self) -> LaurentPoly:
         """q -> -q^{-1}; the decategorified shadow of the duality functor."""
-        return LaurentPoly({-e: c * ((-1) ** e) for e, c in self.coeffs.items()})
+        return LaurentPoly({-e: -c if e % 2 else c for e, c in self.coeffs.items()})
 
     def reverse(self) -> LaurentPoly:
         """q -> q^{-1}."""

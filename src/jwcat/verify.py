@@ -16,7 +16,7 @@ from fractions import Fraction
 from .complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, Complex,
                         ProjBicomplex, ProjChainMap, ProjComplex, Summand,
                         TailSpec, WindowTooSmall,
-                        gaussian_reduce, homology, GradedVectorSpace,
+                        gaussian_reduce, homology,
                         iso_in_homotopy_category, maps_agree_under_identification,
                         match_up_to_diagonal_signs, realize, reduce_on_window,
                         total_complex)
@@ -32,7 +32,7 @@ from .modules import (GradedModule, ModuleHom, apply_iota, apply_pi,
                       tensor_with_bimodule)
 from .quiver import (bimodule_maps_alpha_beta_gamma, build_theta, koszul_dual)
 from .resolutions import projective_resolution
-from .series import TruncatedSeries, quantum_two
+from .series import LaurentPoly, TruncatedSeries, quantum_two
 
 
 @dataclass
@@ -294,10 +294,7 @@ class _Runner:
                 got = {}
                 for h in homs:
                     got[h.degree] = got.get(h.degree, 0) + 1
-                want = {}
-                for (d, lab), k in M.graded_dims_by_vertex().items():
-                    if lab == v:
-                        want[d] = want.get(d, 0) + k
+                want = {d: n for d in M.degrees() if (n := len(M.positions(d, v)))}
                 assert got == want, f"weight-space count for Hom(P({v}), {name})"
         theta = build_theta(B)
         tP1 = tensor_with_bimodule(P1, theta)
@@ -337,9 +334,10 @@ class _Runner:
         resB = projective_resolution(L1, 6)
         assert [resB.term(i) for i in (-2, -1, 0)] == \
             [(Summand("1", 2),), (Summand("2", 1),), (Summand("1", 0),)]
-        assert homology(realize(resB), 0) == L1, "resolution resolves the simple"
+        assert homology(realize(resB), 0) == L1.graded_dims_by_vertex(), \
+            "resolution resolves the simple"
         for i in (-2, -1):
-            assert homology(realize(resB), i).is_zero()
+            assert not homology(realize(resB), i)
         resL2 = projective_resolution(simple(B, "2"), 6)
         assert [resL2.term(i) for i in (-1, 0)] == \
             [(Summand("1", 1),), (Summand("2", 0),)]
@@ -360,7 +358,7 @@ class _Runner:
         resL1 = projective_resolution(mods["L(1)"], 6)
         v = iso_in_homotopy_category(redI2, resL1, window=(-3, 1))
         assert v.value == "true", "dual of the injective is the simple's model"
-        assert homology(realize(DI2), 0) == mods["L(1)"]
+        assert homology(realize(DI2), 0) == mods["L(1)"].graded_dims_by_vertex()
         assert find_module_iso(mods["P(2)"], mods["I(2)"].shift(2)) is not None, \
             "projective-injective shift relation"
         details.append("dual of the injective computed from the raw bigraded "
@@ -402,17 +400,16 @@ class _Runner:
         b_hom = left_multiplication_hom(projective(self.B(), "2"),
                                         projective(self.B(), "1").shift(-1),
                                         self.B().arrow_element("b"))
+        # b_hom is a left multiplication, so it keeps labels: the rank of
+        # its label-v rows is the rank of its label-v block
         coker_dims = {}
         tgt = b_hom.target
         for d in tgt.degrees():
-            for v in sorted(set(tgt.basis.get(d, ()))):
-                rows = [k for k in range(tgt.dim(d)) if tgt.label(d, k) == v]
-                rk = b_hom.mat(d - b_hom.degree).submatrix(rows, range(b_hom.source.dim(d - b_hom.degree))).rank() \
-                    if b_hom.source.dim(d - b_hom.degree) else 0
-                dim = len(rows) - rk
+            for v in sorted(set(tgt.basis[d])):
+                dim = len(tgt.positions(d, v)) - b_hom.block(d - b_hom.degree, v).rank()
                 if dim:
                     coker_dims[(d, v)] = dim
-        assert h1 == GradedVectorSpace(coker_dims), \
+        assert h1 == coker_dims, \
             "degree-one homology is the cokernel of the length-one map"
         e_raw = euler_class(raw, self.cfg.order)
         e_model = euler_class(model, self.cfg.order)
@@ -764,8 +761,7 @@ def _classes_agree(x: KClass, y: KClass, order: int) -> bool:
 def _mirror_exact(k: KClass) -> KClass:
     out = {}
     for v, s in k.series.items():
-        coeffs = {-e: c for e, c in s.coeffs.items()}
-        out[v] = TruncatedSeries(coeffs, -s.order, s.order)
+        out[v] = TruncatedSeries(LaurentPoly(s.coeffs).reverse().coeffs, -s.order, s.order)
     return KClass(out, REVERSED if k.regime == STANDARD else STANDARD)
 
 

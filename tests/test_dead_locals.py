@@ -3,7 +3,7 @@ a parameter that nothing reads, and no import, at module level or in a
 function, binds a name that nothing reads. No attribute is stored on an
 object from outside its class unless some class declares it, and no attribute
 a class declares goes unread in ``src``, ``tests``, ``demos`` or
-``perfbench``.
+``perfbench``, and no function or method goes unreferenced there.
 
 A name counts as read when its scope, or a function or comprehension nested
 in it, loads it. Names declared ``global`` or ``nonlocal`` belong to another
@@ -23,6 +23,9 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 # (function, parameter) pairs whose signature a caller fixes: every check of
 # ``verify._Runner`` is called as ``fn(details)`` by ``_Runner.check``
 FIXED_SIGNATURES = {("_ck_after_duality", "details")}
+# (class, method) pairs that a framework calls by name: argparse calls
+# ``error`` on its parser
+FRAMEWORK_OVERRIDES = {("_ArgumentParser", "error")}
 
 
 def own_nodes(fn):
@@ -242,7 +245,60 @@ def test_no_undeclared_attribute_stores_in_the_package():
     assert undeclared_attribute_stores(package_trees()) == []
 
 
+def reader_trees():
+    return [ast.parse(path.read_text(), str(path))
+            for folder in READERS for path in sorted((ROOT / folder).glob("*.py"))]
+
+
 def test_every_declared_attribute_is_read():
-    readers = [ast.parse(path.read_text(), str(path))
-               for folder in READERS for path in sorted((ROOT / folder).glob("*.py"))]
-    assert unread_attributes(package_trees(), readers) == []
+    assert unread_attributes(package_trees(), reader_trees()) == []
+
+
+def unreferenced_functions(trees, readers, exempt=frozenset()):
+    """(scope name, function name) for each function or method of ``trees``
+    that no name or attribute loaded in ``trees`` or ``readers`` references;
+    dunder methods are the language's, and ``exempt`` (scope, function) pairs
+    a framework calls."""
+    loaded = {node.id if isinstance(node, ast.Name) else node.attr
+              for tree in [*trees, *readers] for node in ast.walk(tree)
+              if isinstance(node, (ast.Name, ast.Attribute))
+              and isinstance(node.ctx, ast.Load)}
+    found = []
+    for tree in trees:
+        for scope in ast.walk(tree):
+            if not isinstance(scope, (ast.Module, ast.ClassDef,
+                                      ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = getattr(scope, "name", "<module>")
+            for fn in scope.body:
+                if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and fn.name not in loaded
+                        and not fn.name.startswith("__") and (name, fn.name) not in exempt):
+                    found.append((name, fn.name))
+    return sorted(found)
+
+
+def test_the_scan_finds_an_unreferenced_function():
+    tree = ast.parse("def used():\n"
+                     "    return 1\n"
+                     "def unused():\n"
+                     "    return used()\n"
+                     "class K:\n"
+                     "    def __repr__(self):\n"
+                     "        return ''\n"
+                     "    def read(self):\n"
+                     "        return self\n"
+                     "    def hook(self):\n"
+                     "        return 0\n"
+                     "    def dead(self):\n"
+                     "        def inner():\n"
+                     "            return 0\n"
+                     "        return 0\n")
+    readers = [ast.parse("K().read()")]
+    assert unreferenced_functions([tree], readers, {("K", "hook")}) == [
+        ("<module>", "unused"), ("K", "dead"), ("dead", "inner")]
+
+
+def test_every_function_is_referenced():
+    assert unreferenced_functions(package_trees(), reader_trees(),
+                                  FRAMEWORK_OVERRIDES) == []

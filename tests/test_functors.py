@@ -199,7 +199,7 @@ class TestDuality:
         model = projective_resolution(simple(setup.B, "1"), 4)
         v = iso_in_homotopy_category(red, model, window=(-3, 1))
         assert v.value == "true"
-        assert homology(realize(DI2), 0) == simple(setup.B, "1")
+        assert homology(realize(DI2), 0) == simple(setup.B, "1").graded_dims_by_vertex()
 
     def test_two_term_model(self, setup):
         rep = D_of_P1(setup)

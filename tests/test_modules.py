@@ -163,9 +163,9 @@ class TestResolutions:
             (Summand("1", 2),), (Summand("2", 1),), (Summand("1", 0),)]
         assert res.diffs[-2].entries[0][0] == B.arrow_element("a")
         assert res.diffs[-1].entries[0][0] == B.arrow_element("b")
-        assert homology(realize(res), 0) == mods["L(1)"]
-        assert homology(realize(res), -1).is_zero()
-        assert homology(realize(res), -2).is_zero()
+        assert homology(realize(res), 0) == mods["L(1)"].graded_dims_by_vertex()
+        assert not homology(realize(res), -1)
+        assert not homology(realize(res), -2)
 
     def test_simple_two_has_length_one(self, B, mods):
         # the oracle: exact rank computation shows the kernel of the cover is
@@ -174,8 +174,8 @@ class TestResolutions:
         assert sorted(res.terms) == [-1, 0]
         assert res.term(-1) == (Summand("1", 1),)
         assert res.term(0) == (Summand("2", 0),)
-        assert homology(realize(res), 0) == mods["L(2)"]
-        assert homology(realize(res), -1).is_zero()
+        assert homology(realize(res), 0) == mods["L(2)"].graded_dims_by_vertex()
+        assert not homology(realize(res), -1)
 
     def test_projective_resolves_to_itself(self, B, mods):
         res = projective_resolution(mods["P(2)"], 4)
@@ -204,6 +204,6 @@ class TestResolutions:
         Y = Complex.from_module(mods["L(1)"])
         res, aug = resolve_complex(Y, 6)
         R = realize(res)
-        assert homology(R, 0) == mods["L(1)"]
+        assert homology(R, 0) == mods["L(1)"].graded_dims_by_vertex()
         for i in range(res.window()[0] + 1, 0):
-            assert homology(R, i).is_zero()
+            assert not homology(R, i)

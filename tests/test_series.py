@@ -61,6 +61,10 @@ class TestLaurentPoly:
         assert p.reverse() == L("q^-2 - q")
         assert p.substitute_minus_qinv() == L("q^-2 + q")
 
+    def test_substitution_stays_exact_at_negative_exponents(self):
+        p = LaurentPoly({-1: Fraction(1, 3), -2: Fraction(2, 7)})
+        assert p.substitute_minus_qinv().coeffs == {1: Fraction(-1, 3), 2: Fraction(2, 7)}
+
 
 class TestTruncatedSeries:
     def test_geometric_telescoping(self):
