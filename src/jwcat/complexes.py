@@ -64,7 +64,7 @@ caller passes only the window it works at. Below, a tail has direction o
   it; 2p + 2 allows the stray degree at the cut, the differential into it
   and two periods more. A longer transient leaves the kept edge without a
   periodic pattern unless it repeats for three periods, and there
-  ``gaussian_reduce`` raises ``WindowTooSmall``. Over the suite at
+  ``reduce_on_window`` raises ``WindowTooSmall``. Over the suite at
   N = 4…16 and the eval pool at N = 12 no reduction needed more than one
   degree: right tails one, left tails none.
 * Complete CK degrees (``functors._ck_cells``, ``functors._ck_total``).
@@ -224,6 +224,8 @@ class AlgMatrix:
         return out
 
     def __add__(self, other: AlgMatrix) -> AlgMatrix:
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ConstructionError("AlgMatrix sum shape mismatch")
         out = AlgMatrix.zero(self.algebra, self.rows, self.cols)
         for i in range(len(self.rows)):
             for j in range(len(self.cols)):
@@ -360,9 +362,10 @@ class ProjComplex:
 
     @classmethod
     def from_summand(cls, algebra: PathAlgebra, vertex: str, shift: int = 0,
-                     degree: int = 0, name: str | None = None) -> ProjComplex:
+                     name: str | None = None) -> ProjComplex:
+        """P(vertex)<shift> in homological degree 0."""
         s = Summand(vertex, shift)
-        return cls(algebra, {degree: (s,)}, {}, name=name or s.label())
+        return cls(algebra, {0: (s,)}, {}, name=name or s.label())
 
     def shift(self, internal: int = 0, homological: int = 0) -> ProjComplex:
         """<internal>[homological] with the sign (-1)^homological on d."""
@@ -414,6 +417,10 @@ class ProjComplex:
 
     def __repr__(self):
         return f"ProjComplex({self.name}, window={self.window()}, tail={self.tail})"
+
+
+def _has_tail(c: ProjComplex, side: str) -> bool:
+    return c.tail is not None and c.tail.side == side
 
 
 def _tail_break(c: ProjComplex, t: TailSpec) -> tuple[str, int] | None:
@@ -522,9 +529,12 @@ class ProjChainMap:
         for i, m in self.maps.items():
             if m.cols != self.source.term(i) or m.rows != self.target.term(i):
                 raise ConstructionError(f"chain map component at {i} has wrong shape")
-        lo = max(self.source.window()[0], self.target.window()[0])
-        hi = min(self.source.window()[1], self.target.window()[1])
-        for i in range(lo, hi):
+        # d∘f = f∘d at i reads source^i and target^(i+1); past a cut edge
+        # that has a tail the unstored degree is not zero, so not there
+        (s_lo, s_hi), (t_lo, t_hi) = self.source.window(), self.target.window()
+        lo = max(s_lo, t_lo if _has_tail(self.target, LEFT_TAIL) else t_lo - 1)
+        hi = min(s_hi - 1 if _has_tail(self.source, RIGHT_TAIL) else s_hi, t_hi - 1)
+        for i in range(lo, hi + 1):
             lhs = self.target.diff(i) * self.component(i)
             rhs = self.component(i + 1) * self.source.diff(i)
             if lhs != rhs:
@@ -775,41 +785,49 @@ class Reduction:
 
 class _Eliminator:
     """Mutable elimination state with homotopy-equivalence witnesses threaded
-    through every cancellation."""
+    through every cancellation. Differentials and witnesses are ``AlgMatrix``
+    copies; a cancelled summand leaves all of them through ``drop``."""
 
     def __init__(self, c: ProjComplex):
         self.algebra = c.algebra
         self.orig = c
-        self.terms = {i: list(t) for i, t in c.terms.items()}
-        self.diffs = {i: [row[:] for row in d.entries] for i, d in c.diffs.items()}
+        self.terms = dict(c.terms)
+        self.diffs = {i: AlgMatrix(c.algebra, d.rows, d.cols, d.entries, validate=False)
+                      for i, d in c.diffs.items()}
         # witnesses: original -> current (F), current -> original (G), h on original
-        self.F = {i: AlgMatrix.identity(c.algebra, c.term(i)) for i in c.terms}
-        self.G = {i: AlgMatrix.identity(c.algebra, c.term(i)) for i in c.terms}
+        self.F = {i: AlgMatrix.identity(c.algebra, t) for i, t in c.terms.items()}
+        self.G = {i: AlgMatrix.identity(c.algebra, t) for i, t in c.terms.items()}
         self.H: dict[int, AlgMatrix] = {}
 
-    def term(self, i):
-        return tuple(self.terms.get(i, []))
-
-    def diff_mat(self, i) -> AlgMatrix:
-        rows, cols = self.term(i + 1), self.term(i)
-        ent = self.diffs.get(i)
-        if ent is None or not rows or not cols:
-            return AlgMatrix.zero(self.algebra, rows, cols)
-        return AlgMatrix(self.algebra, rows, cols, ent, validate=False)
+    def drop(self, i: int, k: int) -> None:
+        """Delete summand k of degree i: row k of each map into degree i,
+        d(i - 1) and F[i], and column k of each map out of it, d(i) and
+        G[i]."""
+        t = self.terms[i]
+        t = self.terms[i] = t[:k] + t[k + 1:]
+        for m in (self.diffs.get(i - 1), self.F[i]):
+            if m is not None:
+                del m.entries[k]
+                m.rows = t
+        for m in (self.diffs.get(i), self.G[i]):
+            if m is not None:
+                for row in m.entries:
+                    del row[k]
+                m.cols = t
 
     def find_pivot(self, start: int):
         """(i, (row, col)): the first entry, row by row, with an invertible
         degree-0 part between equal summands in the lowest differential
         d(i), i >= ``start``, that has one; None when no d(i) does.
 
-        Read from the stored rows. ``gaussian_reduce`` passes the degree of
-        the last cancellation as ``start``: below it no differential had a
-        unit, and a cancellation at i only rewrites d(i), drops a row of
-        d(i - 1) and a column of d(i + 1), so none can have gained one."""
+        ``gaussian_reduce`` passes the degree of the last cancellation as
+        ``start``: below it no differential had a unit, and a cancellation
+        at i only rewrites d(i), drops a row of d(i - 1) and a column of
+        d(i + 1), so none can have gained one."""
         for i in sorted(k for k in self.diffs if k >= start):
-            rows, cols = self.terms.get(i + 1, ()), self.terms.get(i, ())
-            for r, (srow, row) in enumerate(zip(rows, self.diffs[i])):
-                for col, (scol, z) in enumerate(zip(cols, row)):
+            d = self.diffs[i]
+            for r, (srow, row) in enumerate(zip(d.rows, d.entries)):
+                for col, (scol, z) in enumerate(zip(d.cols, row)):
                     if z.terms and srow == scol and z.scalar_part() != 0:
                         return i, (r, col)
         return None
@@ -818,33 +836,29 @@ class _Eliminator:
         """Cancel target summand r of degree i+1 against source summand col
         of degree i along the unit entry λ; Bar-Natan style correction.
 
-        With κ = d[:, col] and β = d[r, :], the witnesses change in place by
-        one row or column operation each, which is what composing them with
-        the step maps of the cancellation amounts to: F[i] drops row col;
-        F[i+1] adds -κₖλ⁻¹·F[i+1][r] to each kept row k, then drops row r;
-        G[i] adds G[i][:, col]·(-βⱼλ⁻¹) to each kept column j, then drops
-        column col; G[i+1] drops column r; H[i+1] gains the rank-one
-        (G[i][:, col]·λ⁻¹) ⊗ F[i+1][r]. Only nonzero entries are visited."""
-        alg = self.algebra
-        d = self.diff_mat(i)
-        src, tgt = list(d.cols), list(d.rows)
-        lam = d.entries[r][col].scalar_part()
-        lam_inv = Fraction(1) / lam
-        keep_src = [j for j in range(len(src)) if j != col]
-        keep_tgt = [k for k in range(len(tgt)) if k != r]
-        kappa = [row[col] for row in d.entries]
-        beta = d.entries[r]
+        With κ = d(i)[:, col] and β = d(i)[r, :], d(i) gains the Schur
+        complement term -κₖλ⁻¹βⱼ at every kept (k, j) where κₖ and βⱼ are
+        both nonzero. The witnesses change in place by one row or column
+        operation each, which is what composing them with the step maps of
+        the cancellation amounts to: F[i+1] adds -κₖλ⁻¹·F[i+1][r] to each
+        kept row k, G[i] adds G[i][:, col]·(-βⱼλ⁻¹) to each kept column j,
+        and H[i+1] gains the rank-one (G[i][:, col]·λ⁻¹) ⊗ F[i+1][r]. Then
+        ``drop`` deletes summand col of degree i and summand r of degree
+        i + 1 from every map. Only nonzero entries are visited."""
+        d = self.diffs[i]
+        lam_inv = Fraction(1) / d.entries[r][col].scalar_part()
+        kappa = [(k, row[col]) for k, row in enumerate(d.entries)
+                 if k != r and row[col].terms]
+        beta = [(j, z) for j, z in enumerate(d.entries[r]) if j != col and z.terms]
+        for k, z in kappa:
+            row = d.entries[k]
+            for j, b in beta:
+                row[j] = row[j] - (z * b).scale(lam_inv)
 
-        new_src = tuple(src[j] for j in keep_src)
-        new_tgt = tuple(tgt[k] for k in keep_tgt)
-        new_d = [[d.entries[k][j] if not (kappa[k].terms and beta[j].terms)
-                  else d.entries[k][j] - (kappa[k] * beta[j]).scale(lam_inv)
-                  for j in keep_src] for k in keep_tgt]
-
-        F_i, F_i1, G_i, G_i1 = self.F[i], self.F[i + 1], self.G[i], self.G[i + 1]
+        F_i1, G_i = self.F[i + 1], self.G[i]
         H = self.H.get(i + 1)
         if H is None:
-            H = self.H[i + 1] = AlgMatrix.zero(alg, self.orig.term(i),
+            H = self.H[i + 1] = AlgMatrix.zero(self.algebra, self.orig.term(i),
                                                self.orig.term(i + 1))
         f_row = [(n, z) for n, z in enumerate(F_i1.entries[r]) if z.terms]
         for g_row, h_row in zip(G_i.entries, H.entries):
@@ -853,56 +867,22 @@ class _Eliminator:
                 u = u.scale(lam_inv)
                 for n, z in f_row:
                     h_row[n] = h_row[n] + u * z
-        for k in keep_tgt:
-            if kappa[k].terms:
-                c = -(kappa[k].scale(lam_inv))
-                row = F_i1.entries[k]
-                for n, z in f_row:
-                    row[n] = row[n] + c * z
-        betas = [(j, -(beta[j].scale(lam_inv))) for j in keep_src if beta[j].terms]
+        for k, z in kappa:
+            c = -(z.scale(lam_inv))
+            row = F_i1.entries[k]
+            for n, w in f_row:
+                row[n] = row[n] + c * w
+        betas = [(j, -(b.scale(lam_inv))) for j, b in beta]
         for g_row in G_i.entries:
             u = g_row[col]
             if u.terms:
                 for j, c in betas:
                     g_row[j] = g_row[j] + u * c
-            del g_row[col]
-        del F_i.entries[col]
-        del F_i1.entries[r]
-        for g_row in G_i1.entries:
-            del g_row[r]
-        F_i.rows, F_i1.rows = new_src, new_tgt
-        G_i.cols, G_i1.cols = new_src, new_tgt
-
-        # mutate complex data
-        if (i - 1) in self.diffs:
-            din = self.diffs[i - 1]
-            kept = [[row[m] for m in range(len(row))] for j, row in enumerate(din) if j != col]
-            if kept and kept[0]:
-                self.diffs[i - 1] = kept
-            else:
-                del self.diffs[i - 1]
-        if (i + 1) in self.diffs:
-            dout = self.diffs[i + 1]
-            kept = [[row[k] for k in range(len(row)) if k != r] for row in dout]
-            if kept and kept[0]:
-                self.diffs[i + 1] = kept
-            else:
-                del self.diffs[i + 1]
-        self.terms[i] = [s for j, s in enumerate(src) if j != col]
-        self.terms[i + 1] = [s for k, s in enumerate(tgt) if k != r]
-        if not self.terms[i]:
-            del self.terms[i]
-        if not self.terms[i + 1]:
-            del self.terms[i + 1]
-        nonzero = any(not e.is_zero() for row in new_d for e in row)
-        if new_d and new_d[0] and nonzero:
-            self.diffs[i] = new_d
-        elif i in self.diffs:
-            del self.diffs[i]
+        self.drop(i, col)
+        self.drop(i + 1, r)
 
 
-def gaussian_reduce(c: ProjComplex, keep_window: tuple[int, int] | None = None
-                    ) -> Reduction:
+def gaussian_reduce(c: ProjComplex) -> Reduction:
     """Cancel unit components of the differential until none remain.
 
     Returns the minimal complex (all remaining entries in the radical) plus
@@ -910,9 +890,9 @@ def gaussian_reduce(c: ProjComplex, keep_window: tuple[int, int] | None = None
     id - G∘F = d∘h + h∘d. They start as identities and zero, and each
     cancellation updates them in place (``_Eliminator.eliminate``): one
     row operation on F, one column operation on G and a rank-one term on
-    h, with no whole-matrix products. With a periodic tail the caller
-    supplies a materialized window with margin; the result is clipped to
-    ``keep_window`` and the tail is re-detected there.
+    h, with no whole-matrix products. The stored degrees are reduced as
+    they stand; a tailed complex is reduced on a window with margin by
+    ``reduce_on_window``.
     """
     st = _Eliminator(c)
     budget = c.summand_count() + 8
@@ -927,45 +907,11 @@ def gaussian_reduce(c: ProjComplex, keep_window: tuple[int, int] | None = None
             raise ConstructionError("reduction step budget exceeded")
         i, (r, col) = piv
         st.eliminate(i, r, col)
-
-    out_terms = {i: tuple(t) for i, t in st.terms.items() if t}
-    out_diffs = {}
-    for i in sorted(out_terms):
-        if (i + 1) in out_terms and i in st.diffs:
-            out_diffs[i] = AlgMatrix(st.algebra, out_terms[i + 1], out_terms[i],
-                                     st.diffs[i], validate=False)
-    reduced = ProjComplex(st.algebra, out_terms, out_diffs, None,
-                          f"min({c.name})", validate=True)
-
-    if keep_window is not None:
-        reduced = reduced.clip(*keep_window)
-        tail = None
-        t = c.tail
-        if t is not None and not reduced.is_zero():
-            tail = detect_tail(reduced, t.side)
-            # degrees between the content's outward end and the kept edge
-            gap = t.outward * (t.edge(keep_window) - t.edge(reduced.window()))
-            if tail is None and gap <= 1:
-                # content touching the clip boundary without a visible
-                # pattern: the window cannot distinguish bounded from
-                # truncated; content ending strictly inside is trustworthy
-                # because those degrees were reduced with margin beyond them
-                raise WindowTooSmall(
-                    f"reduction of {c.name} reaches the window edge without "
-                    f"a periodic pattern; enlarge the window")
-            if tail is not None and gap > tail.period:
-                # only claim a tail when the content actually reaches the
-                # clip boundary; otherwise the complex genuinely became bounded
-                tail = None
-        reduced = ProjComplex(st.algebra, reduced.terms, reduced.diffs, tail,
-                              reduced.name, validate=False)
-
-    Fm = {i: m for i, m in st.F.items() if i in reduced.terms}
-    Gm = {i: m for i, m in st.G.items() if i in reduced.terms}
-    F = ProjChainMap(c, reduced, Fm, "F", validate=False)
-    G = ProjChainMap(reduced, c, Gm, "G", validate=False)
-    h = ProjHomotopy(c, c, st.H)
-    return Reduction(c, reduced, F, G, h)
+    reduced = ProjComplex(c.algebra, st.terms, st.diffs, None, f"min({c.name})",
+                          validate=True)
+    return Reduction(c, reduced, ProjChainMap(c, reduced, st.F, "F", validate=False),
+                     ProjChainMap(reduced, c, st.G, "G", validate=False),
+                     ProjHomotopy(c, c, st.H))
 
 
 # ---------------------------------------------------------------------------
@@ -1237,14 +1183,39 @@ def reduce_on_window(c: ProjComplex, window: tuple[int, int]) -> Reduction:
 
     A periodic tail is first materialized 2·period + 2 degrees past the
     window on its side, one margin for every caller; the reduction margin
-    of "Windows and margins" in the module docstring derives it. When the
-    reduced complex reaches the kept edge without a periodic pattern,
-    ``gaussian_reduce`` raises ``WindowTooSmall``.
+    of "Windows and margins" in the module docstring derives it. The
+    reduction is clipped to ``window``, the tail is re-detected at the kept
+    edge, and F and G keep the kept degrees. When the reduced complex
+    reaches the kept edge without a periodic pattern, ``WindowTooSmall``.
     """
-    if c.tail is not None:
-        margin = 2 * c.tail.period + 2
+    t = c.tail
+    if t is not None:
+        margin = 2 * t.period + 2
         c = c.materialize(window[0] - margin, window[1] + margin)
-    return gaussian_reduce(c, keep_window=window)
+    red = gaussian_reduce(c)
+    kept = red.reduced.clip(*window)
+    tail = None
+    if t is not None and not kept.is_zero():
+        tail = detect_tail(kept, t.side)
+        # degrees between the content's outward end and the kept edge
+        gap = t.outward * (t.edge(window) - t.edge(kept.window()))
+        if tail is None and gap <= 1:
+            # content touching the clip boundary without a visible
+            # pattern: the window cannot distinguish bounded from
+            # truncated; content ending strictly inside is trustworthy
+            # because those degrees were reduced with margin beyond them
+            raise WindowTooSmall(
+                f"reduction of {c.name} reaches the window edge without "
+                f"a periodic pattern; enlarge the window")
+        if tail is not None and gap > tail.period:
+            # only claim a tail when the content actually reaches the
+            # clip boundary; otherwise the complex genuinely became bounded
+            tail = None
+    kept = ProjComplex(c.algebra, kept.terms, kept.diffs, tail, kept.name,
+                       validate=False)
+    F, G = ({i: w.maps[i] for i in kept.terms} for w in (red.to_reduced, red.from_reduced))
+    return Reduction(c, kept, ProjChainMap(c, kept, F, "F", validate=False),
+                     ProjChainMap(kept, c, G, "G", validate=False), red.homotopy)
 
 
 def iso_in_homotopy_category(x: ProjComplex, y: ProjComplex,
@@ -1255,7 +1226,15 @@ def iso_in_homotopy_category(x: ProjComplex, y: ProjComplex,
     to isomorphism in their homotopy class, so a summand-multiset mismatch is
     a certified "false"; an invertible chain map is a certified "true"; a
     failed search on matching shapes is reported inconclusive, never false.
+    An input with a stored term outside the window on a side where it has
+    no tail is inconclusive: the clip would drop that term unseen.
     """
+    for c in (x, y):
+        lo, hi = c.window()
+        if not c.is_zero() and (lo < window[0] and not _has_tail(c, LEFT_TAIL)
+                                or hi > window[1] and not _has_tail(c, RIGHT_TAIL)):
+            return Verdict("inconclusive",
+                           reason=f"{c.name} has terms outside the window {window}")
     xm = reduce_on_window(x, window).reduced
     ym = reduce_on_window(y, window).reduced
     if xm.is_zero() and ym.is_zero():

@@ -13,8 +13,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .complexes import (RIGHT_TAIL, ProjComplex, ProjChainMap,
-                        gaussian_reduce, reduce_on_window)
+from .complexes import (ProjComplex, ProjChainMap, gaussian_reduce,
+                        reduce_on_window)
 from .functors import (CK_on_map, CK_on_object, P_on_module_map, P_on_object,
                        Setup, koszul_D_on_map, koszul_D_on_object,
                        projector_depth)
@@ -152,14 +152,11 @@ def evaluate(setup: Setup, node: Node, window: tuple[int, int],
         red = gaussian_reduce(single).reduced
         return ObjectValue(single, red, kc)
     pc = val
-    if pc.is_zero():
-        red = pc
-    elif pc.tail is None:
-        red = gaussian_reduce(pc).reduced
-    elif pc.tail.side == RIGHT_TAIL:
-        red = reduce_on_window(pc, (pc.window()[0], window[1])).reduced
-    else:
-        red = reduce_on_window(pc, (-window[1], pc.window()[1])).reduced
+    # a bounded complex is kept on its own window, a tail side to ±window[1]
+    lo, hi = pc.window()
+    if pc.tail is not None:
+        lo, hi = (lo, window[1]) if pc.tail.outward > 0 else (-window[1], hi)
+    red = reduce_on_window(pc, (lo, hi)).reduced
     try:
         kc = euler_class(pc, order)
     except WindowError:   # the order leaves the class no validity window
@@ -209,19 +206,14 @@ def _apply_functor_to_object(setup: Setup, fname: str, inner, window, shifts):
     if fname == "P":
         out = P_on_object(setup, inner, depth=projector_depth(window))
     elif fname == "D":
-        out = koszul_D_on_object(setup, inner, out_window=window) \
-            if _needs_window(inner) else koszul_D_on_object(setup, inner)
+        tailed = isinstance(inner, ProjComplex) and inner.tail is not None
+        out = koszul_D_on_object(setup, inner, out_window=window if tailed else None)
     elif fname == "CK":
         pc = inner if isinstance(inner, ProjComplex) else ProjComplexify(setup, inner)
         out = CK_on_object(setup, pc, out_window=window)
     else:
         raise ParseError(f"unknown functor {fname}", 0)
     return _apply_shifts(setup, out, shifts)
-
-
-def _needs_window(inner) -> bool:
-    tail = getattr(inner, "tail", None)
-    return tail is not None
 
 
 def _apply_functor_to_map(setup: Setup, fname: str, f, window, shifts):

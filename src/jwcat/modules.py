@@ -533,8 +533,7 @@ def find_module_iso(M: GradedModule, N: GradedModule) -> ModuleHom | None:
 # balanced tensor with a bimodule
 # ---------------------------------------------------------------------------
 
-def tensor_with_bimodule(M: GradedModule, W: GradedBimodule,
-                         name: str | None = None) -> GradedModule:
+def tensor_with_bimodule(M: GradedModule, W: GradedBimodule) -> GradedModule:
     """M ⊗_A W for a right A-module M and (A, B)-bimodule W, as a right
     B-module: the degreewise quotient of M ⊗ W by the balancing relations."""
     A = W.left_algebra
@@ -626,7 +625,7 @@ def tensor_with_bimodule(M: GradedModule, W: GradedBimodule,
         if mats:
             action[arrow.name] = mats
     return GradedModule(right_alg, basis, action,
-                        name=name or f"{M.name}⊗{W.name}")
+                        name=f"{M.name}⊗{W.name}")
 
 
 # ---------------------------------------------------------------------------

@@ -152,12 +152,9 @@ class TruncatedSeries:
                        if c != 0 and min_exp <= e <= order}
 
     @classmethod
-    def from_laurent(cls, p: LaurentPoly, order: int, min_exp: int | None = None) -> TruncatedSeries:
+    def from_laurent(cls, p: LaurentPoly, order: int) -> TruncatedSeries:
         lo = p.valuation()
-        if min_exp is None:
-            min_exp = lo if lo is not None else 0
-            min_exp = min(min_exp, 0)
-        return cls(dict(p.coeffs), min_exp, order)
+        return cls(dict(p.coeffs), min(lo if lo is not None else 0, 0), order)
 
     @classmethod
     def zero(cls, order: int, min_exp: int = 0) -> TruncatedSeries:

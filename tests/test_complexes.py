@@ -7,7 +7,7 @@ from jwcat.complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, ProjBicomplex,
                              chain_maps_homotopic, detect_tail, gaussian_reduce,
                              homology, iso_in_homotopy_category,
                              match_up_to_diagonal_signs, realize,
-                             solve_chain_maps, total_complex)
+                             reduce_on_window, solve_chain_maps, total_complex)
 from jwcat.modules import projective, simple
 from jwcat.quiver import ConstructionError, build_B
 from jwcat.resolutions import projective_resolution
@@ -200,6 +200,55 @@ class TestTotalizationChecksTheBicomplex:
         assert caught
 
 
+class TestShapes:
+    def test_a_sum_of_unequal_shapes_raises(self, B):
+        one = AlgMatrix(B, (P2s(0),), (P2s(0),), [[B.idempotent("2")]])
+        two = AlgMatrix.identity(B, (P1s(0), P2s(0)))
+        other = AlgMatrix.identity(B, (P1s(0),))
+        for x, y in ((one, two), (two, one), (one, other)):
+            with pytest.raises(ConstructionError, match="sum shape"):
+                x + y
+
+
+class TestChainMapEdges:
+    """d∘f = f∘d is checked at every degree where source^i and
+    target^(i+1) are stored, past the overlap of the two windows."""
+
+    def test_the_lower_edge_is_checked(self, B):
+        a = B.arrow_element("a")
+        x = ProjComplex(B, {0: (P1s(1),), 1: (P2s(0),)},
+                        {0: AlgMatrix(B, (P2s(0),), (P1s(1),), [[a]])})
+        y = ProjComplex(B, {1: (P2s(0),)}, {})
+        with pytest.raises(ConstructionError, match="at 0"):
+            ProjChainMap(x, y, {1: AlgMatrix.identity(B, y.term(1))})
+
+    def test_the_upper_edge_is_checked(self, B):
+        b = B.arrow_element("b")
+        x = ProjComplex(B, {0: (P2s(0),)}, {})
+        y = ProjComplex(B, {0: (P2s(0),), 1: (P1s(-1),)},
+                        {0: AlgMatrix(B, (P1s(-1),), (P2s(0),), [[b]])})
+        with pytest.raises(ConstructionError, match="at 0"):
+            ProjChainMap(x, y, {0: AlgMatrix.identity(B, x.term(0))})
+
+    def test_a_tail_past_the_cut_is_not_read_as_zero(self, B):
+        # identities between a tailed complex and a longer window of it:
+        # past the tailed complex's cut its next term is not zero, so the
+        # equation there is not checked
+        right = ck_p2_complex(B, 8)
+        longer = right.materialize(0, 10)
+        ProjChainMap(right, longer, identities(B, right))
+        c = B.path_element(("a", "b"))
+        terms = {-k: (P2s(2 * k),) for k in range(4)}
+        left = ProjComplex(B, terms, {-k - 1: AlgMatrix(B, terms[-k], terms[-k - 1], [[c]])
+                                      for k in range(3)}, TailSpec(LEFT_TAIL, -2, 1, 2))
+        longer = left.materialize(-5, 0)
+        ProjChainMap(ProjComplex(B, longer.terms, longer.diffs), left, identities(B, left))
+
+
+def identities(B, c):
+    return {i: AlgMatrix.identity(B, t) for i, t in c.terms.items()}
+
+
 class TestGaussianReduce:
     def test_identity_pair_cancels(self, B):
         e2 = B.idempotent("2")
@@ -210,7 +259,7 @@ class TestGaussianReduce:
 
     def test_displayed_contractible_complex(self, B):
         ck = ck_p2_complex(B, 10)
-        red = gaussian_reduce(ck.materialize(0, 14), keep_window=(0, 8))
+        red = reduce_on_window(ck, (0, 8))
         assert red.reduced.is_zero()
 
     def test_minimality(self, B):
@@ -293,6 +342,19 @@ class TestHomotopyCategory:
         y = ProjComplex.from_summand(B, "2", 0)
         v = iso_in_homotopy_category(x, y, window=(0, 1))
         assert v.value == "false"
+
+    def test_a_window_cut_is_inconclusive(self, B):
+        # the clip would drop both inputs and leave two zero complexes
+        x = ProjComplex.from_summand(B, "1")
+        y = ProjComplex.from_summand(B, "2")
+        v = iso_in_homotopy_category(x, y, window=(1, 10))
+        assert v.value == "inconclusive"
+        assert v.reason == "P(1) has terms outside the window (1, 10)"
+
+    def test_terms_past_the_window_on_a_tail_side_are_reduced(self, B):
+        ck = ck_p2_complex(B, 10)
+        v = iso_in_homotopy_category(ck, ProjComplex.zero_complex(B), window=(0, 4))
+        assert v.value == "true"
 
     def test_homotopic_reflexive(self, B):
         res = projective_resolution(simple(B, "1"), 4)

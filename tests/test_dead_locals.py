@@ -3,7 +3,8 @@ a parameter that nothing reads, and no import, at module level or in a
 function, binds a name that nothing reads. No attribute is stored on an
 object from outside its class unless some class declares it, and no attribute
 a class declares goes unread in ``src``, ``tests``, ``demos`` or
-``perfbench``, and no function or method goes unreferenced there.
+``perfbench``, no function or method goes unreferenced there, and no
+defaulted parameter goes unset by every call there.
 
 A name counts as read when its scope, or a function or comprehension nested
 in it, loads it. Names declared ``global`` or ``nonlocal`` belong to another
@@ -26,6 +27,9 @@ FIXED_SIGNATURES = {("_ck_after_duality", "details")}
 # (class, method) pairs that a framework calls by name: argparse calls
 # ``error`` on its parser
 FRAMEWORK_OVERRIDES = {("_ArgumentParser", "error")}
+# (function, parameter) pairs set from outside the scanned code: the
+# ``jwcat`` console script calls ``cli.main()`` and leaves ``argv`` unset
+CALLED_FROM_OUTSIDE = {("main", "argv")}
 
 
 def own_nodes(fn):
@@ -302,3 +306,94 @@ def test_the_scan_finds_an_unreferenced_function():
 def test_every_function_is_referenced():
     assert unreferenced_functions(package_trees(), reader_trees(),
                                   FRAMEWORK_OVERRIDES) == []
+
+
+def call_settings(trees):
+    """called name -> (the most positional arguments of any call, the
+    keywords any call passes), or None when a call unpacks ``*`` or ``**``
+    and so may set any parameter. A call is named by its function: a bare
+    name, or the attribute of a method call."""
+    found = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if name is None or (name in found and found[name] is None):
+                continue
+            if any(isinstance(a, ast.Starred) for a in node.args) or \
+                    any(k.arg is None for k in node.keywords):
+                found[name] = None
+                continue
+            most, keywords = found.get(name, (0, set()))
+            found[name] = (max(most, len(node.args)), keywords | {k.arg for k in node.keywords})
+    return found
+
+
+def unset_defaults(trees, readers, exempt=frozenset()):
+    """(function name, parameter) for each defaulted parameter of a function
+    of ``trees`` that no call in ``trees`` or ``readers`` sets, by keyword or
+    positionally. Calls are matched by name (``call_settings``); a method's
+    positions start after ``self`` or ``cls``, and a class's ``__init__`` is
+    called by the class's name. ``exempt`` (function, parameter) pairs are
+    set from outside the scanned code."""
+    settings_by_name = call_settings([*trees, *readers])
+    found = []
+    for tree in trees:
+        for scope in ast.walk(tree):
+            if not isinstance(scope, (ast.Module, ast.ClassDef,
+                                      ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            in_class = isinstance(scope, ast.ClassDef)
+            for fn in scope.body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in fn.decorator_list)
+                offset = 1 if in_class and not static else 0
+                called = scope.name if in_class and fn.name == "__init__" else fn.name
+                setting = settings_by_name.get(called, (0, set()))
+                if setting is None:
+                    continue
+                most, keywords = setting
+                positional = fn.args.posonlyargs + fn.args.args
+                defaulted = [(arg, pos - offset) for pos, arg in enumerate(positional)
+                             ][len(positional) - len(fn.args.defaults):]
+                defaulted += [(arg, None) for arg, default
+                              in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                              if default is not None]
+                for arg, pos in defaulted:
+                    if (arg.arg not in keywords and (pos is None or most <= pos)
+                            and (fn.name, arg.arg) not in exempt):
+                        found.append((fn.name, arg.arg))
+    return sorted(found)
+
+
+def test_the_scan_finds_an_unset_default():
+    tree = ast.parse("def f(x, y=1, z=2, *, w=3):\n"
+                     "    return x, y, z, w\n"
+                     "def g(a=0):\n"
+                     "    return a\n"
+                     "def h(b=0):\n"
+                     "    return b\n"
+                     "class K:\n"
+                     "    def __init__(self, k=0):\n"
+                     "        self.k = k\n"
+                     "    def m(self, u, v=0):\n"
+                     "        return u, v\n"
+                     "    @staticmethod\n"
+                     "    def s(p, q=0):\n"
+                     "        return p, q\n"
+                     "f(1, 2)\n"
+                     "h(*[])\n"
+                     "K().m(1)\n"
+                     "K.s(1, 2)\n")
+    readers = [ast.parse("from m import K\nK(k=1)\nf(0, w=1)\n")]
+    assert unset_defaults([tree], readers) == [("f", "z"), ("g", "a"), ("m", "v")]
+    assert unset_defaults([tree], readers, {("g", "a")}) == [("f", "z"), ("m", "v")]
+
+
+def test_every_default_is_set_by_some_call():
+    assert unset_defaults(package_trees(), reader_trees(), CALLED_FROM_OUTSIDE) == []

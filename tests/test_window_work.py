@@ -47,7 +47,7 @@ class RefEliminator(complexes._Eliminator):
 
     def eliminate(self, i, r, col):
         alg = self.algebra
-        d = self.diff_mat(i)
+        d = self.diffs[i]
         src, tgt = d.cols, d.rows
         lam_inv = Fraction(1) / d.entries[r][col].scalar_part()
         keep_src = [j for j in range(len(src)) if j != col]
@@ -87,8 +87,8 @@ class RescanEliminator(complexes._Eliminator):
     degree up, wrapped as a matrix and searched row by row."""
 
     def find_pivot(self, start):
-        for i in sorted(self.terms):
-            d = self.diff_mat(i)
+        for i in sorted(self.diffs):
+            d = self.diffs[i]
             for r, srow in enumerate(d.rows):
                 for col, scol in enumerate(d.cols):
                     if srow == scol and d.entries[r][col].scalar_part() != 0:
