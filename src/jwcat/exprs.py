@@ -18,7 +18,7 @@ from .complexes import (ProjComplex, ProjChainMap, gaussian_reduce,
 from .functors import (CK_on_map, CK_on_object, P_on_module_map, P_on_object,
                        Setup, koszul_D_on_map, koszul_D_on_object,
                        projector_depth)
-from .kclass import KClass, euler_class
+from .kclass import KClass, class_of_module, euler_class
 from .modules import (GradedModule, ModuleHom, left_multiplication_hom,
                       projective)
 from .series import WindowError
@@ -146,19 +146,19 @@ def evaluate(setup: Setup, node: Node, window: tuple[int, int],
     if isinstance(val, (ProjChainMap, ModuleHom)):
         return MapValue(val)
     if isinstance(val, GradedModule):
-        from .kclass import class_of_module
-        kc = class_of_module(val, order)
-        single = ProjComplexify(setup, val)
-        red = gaussian_reduce(single).reduced
-        return ObjectValue(single, red, kc)
-    pc = val
-    # a bounded complex is kept on its own window, a tail side to ±window[1]
-    lo, hi = pc.window()
-    if pc.tail is not None:
-        lo, hi = (lo, window[1]) if pc.tail.outward > 0 else (-window[1], hi)
-    red = reduce_on_window(pc, (lo, hi)).reduced
+        pc = ProjComplexify(setup, val)
+        red = gaussian_reduce(pc).reduced
+        decategorify = class_of_module
+    else:
+        pc = val
+        # a bounded complex is kept on its own window, a tail side to ±window[1]
+        lo, hi = pc.window()
+        if pc.tail is not None:
+            lo, hi = (lo, window[1]) if pc.tail.outward > 0 else (-window[1], hi)
+        red = reduce_on_window(pc, (lo, hi)).reduced
+        decategorify = euler_class
     try:
-        kc = euler_class(pc, order)
+        kc = decategorify(val, order)
     except WindowError:   # the order leaves the class no validity window
         kc = None
     return ObjectValue(pc, red, kc)

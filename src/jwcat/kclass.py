@@ -6,21 +6,33 @@ bounded below in the grading (the projector side) produce honest elements of
 the completion; complexes from the topological side have exponents unbounded
 below, so their classes are stored with q inverted and flagged ``reversed``
 (comparisons undo the flag, arithmetic refuses to mix regimes).
+
+An Euler class is counted, not summed: one pass over the stored degrees
+adds the signed summands into integer multiplicities per (vertex, exponent),
+read off the one table of [P(v)<r>] exponents, and builds one series per
+vertex. Its window is the one the summand-by-summand sum had, from
+min(0, lowest exponent met) to the order. A tail adds its period block,
+counted the same way, times the geometric factor Σ_{k≥1} ratio^k, which is
+cached per (exponent, sign, order) of the ratio.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .complexes import (LEFT_TAIL, RIGHT_TAIL, ProjComplex, RegimeError,
                         Summand)
 from .modules import GradedModule
-from .series import LaurentPoly, TruncatedSeries, quantum_two
+from .series import LaurentPoly, TruncatedSeries, WindowError, quantum_two
 
 VERTICES = ("1", "2")
 STANDARD = "standard"
 REVERSED = "reversed"
+# [P(v)<r>] = Σ_w Σ_e q^(r+e) [L(w)] over the exponents e listed at v, w
+PROJECTIVE_EXPONENTS = {"1": {"1": (0,), "2": (1,)},
+                        "2": {"1": (1,), "2": (0, 2)}}
 
 
 @dataclass
@@ -80,40 +92,61 @@ def class_of_module(M: GradedModule, order: int) -> KClass:
 
 def class_of_summand(s: Summand, order: int, reversed_q: bool = False) -> KClass:
     """Class of P(v)<r>: in reversed mode exponents are negated."""
-    if s.vertex == "1":
-        poly = {"1": {0: 1}, "2": {1: 1}}
-    else:
-        poly = {"1": {1: 1}, "2": {0: 1, 2: 1}}
     sgn = -1 if reversed_q else 1
-    out = {}
-    for v in VERTICES:
-        coeffs = {sgn * (e + s.shift): Fraction(c) for e, c in poly[v].items()}
-        out[v] = TruncatedSeries.from_laurent(LaurentPoly(coeffs), order)
-    return KClass(out, REVERSED if reversed_q else STANDARD)
+    series = {}
+    for v, exps in PROJECTIVE_EXPONENTS[s.vertex].items():
+        poly = LaurentPoly({sgn * (e + s.shift): 1 for e in exps})
+        series[v] = TruncatedSeries.from_laurent(poly, order)
+    return KClass(series, REVERSED if reversed_q else STANDARD)
 
 
-def _term_class(term: tuple[Summand, ...], order: int, reversed_q: bool) -> KClass:
-    out = KClass.zero(order, REVERSED if reversed_q else STANDARD)
-    for s in term:
-        out = out + class_of_summand(s, order, reversed_q)
-    return out
+def _counted_class(x: ProjComplex, degrees: range, order: int,
+                   reversed_q: bool) -> KClass:
+    """Alternating sum of the summand classes in ``degrees``, counted as
+    integers per (vertex, exponent). The window is the one a sum of
+    ``class_of_summand`` terms onto the zero class has: it runs from
+    min(0, lowest exponent met) to ``order``. A count that cancels to zero
+    keeps its key, so cancelled summands reach the window too."""
+    sgn = -1 if reversed_q else 1
+    counts = {v: {} for v in VERTICES}
+    for i in degrees:
+        sign = 1 if i % 2 == 0 else -1
+        for s in x.term(i):
+            for v, exps in PROJECTIVE_EXPONENTS[s.vertex].items():
+                at_v = counts[v]
+                for e in exps:
+                    k = sgn * (e + s.shift)
+                    at_v[k] = at_v.get(k, 0) + sign
+    return KClass({v: TruncatedSeries(c, min([0, *c]), order) for v, c in counts.items()},
+                  REVERSED if reversed_q else STANDARD)
+
+
+@lru_cache(maxsize=64)
+def _geometric(step_exp: int, sign: int, order: int) -> TruncatedSeries:
+    """Σ_{k≥1} ratio^k for ratio = sign·q^step_exp, to ``order``. Shared
+    between calls: callers only multiply by it."""
+    ratio = TruncatedSeries.from_laurent(LaurentPoly({step_exp: sign}), order)
+    one = TruncatedSeries.one(order)
+    return ratio * (one - ratio).invert()
 
 
 def euler_class(x, order: int) -> KClass:
     """Alternating sum of the term classes of a formal complex of
     projectives; periodic tails are summed exactly as geometric series in the
-    appropriate completion. Modules go through ``class_of_module``."""
+    appropriate completion. Modules go through ``class_of_module``.
+
+    The stored degrees are counted in one pass (``_counted_class``), and so
+    is the tail's period block just inside the boundary; the block is then
+    scaled by the cached geometric factor of its ratio (``_geometric``)."""
     if not isinstance(x, ProjComplex):
         raise TypeError(f"cannot decategorify {x!r}")
+    if order < 0:   # the class sums onto the zero class on [0, order]
+        raise WindowError(f"empty validity window [0, {order}]")
     if x.is_zero():
         return KClass.zero(order)
     reversed_q = x.tail is not None and x.tail.side == RIGHT_TAIL
-    regime = REVERSED if reversed_q else STANDARD
-    out = KClass.zero(order, regime)
     lo, hi = x.window()
-    for i in range(lo, hi + 1):
-        c = _term_class(x.term(i), order, reversed_q)
-        out = out + (c if i % 2 == 0 else -c)
+    out = _counted_class(x, range(lo, hi + 1), order, reversed_q)
     t = x.tail
     if t is None:
         return out
@@ -124,16 +157,9 @@ def euler_class(x, order: int) -> KClass:
     else:
         block_range = range(hi - t.period + 1, hi + 1)
         step_exp = -t.shift         # exponents negated in the reversed regime
-    block = KClass.zero(order, regime)
-    for i in block_range:
-        c = _term_class(x.term(i), order, reversed_q)
-        block = block + (c if i % 2 == 0 else -c)
+    block = _counted_class(x, block_range, order, reversed_q)
     sgn = -1 if t.period % 2 == 1 else 1
-    ratio = TruncatedSeries.from_laurent(
-        LaurentPoly({step_exp: sgn}), order)
-    one = TruncatedSeries.one(order)
-    geom = ratio * (one - ratio).invert()    # Σ_{k>=1} ratio^k
-    return out + block.scale_series(geom)
+    return out + block.scale_series(_geometric(step_exp, sgn, order))
 
 
 # ---------------------------------------------------------------------------

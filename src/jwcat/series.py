@@ -148,8 +148,11 @@ class TruncatedSeries:
             raise WindowError(f"empty validity window [{min_exp}, {order}]")
         self.min_exp = min_exp
         self.order = order
-        self.coeffs = {e: _frac(c) for e, c in coeffs.items()
-                       if c != 0 and min_exp <= e <= order}
+        # beyond ``order`` is truncation; below ``min_exp`` is claimed zero
+        self.coeffs = {e: _frac(c) for e, c in coeffs.items() if c != 0 and e <= order}
+        if self.coeffs and min(self.coeffs) < min_exp:
+            raise WindowError(f"coefficient at q^{min(self.coeffs)} below the "
+                              f"validity window [{min_exp}, {order}]")
 
     @classmethod
     def from_laurent(cls, p: LaurentPoly, order: int) -> TruncatedSeries:

@@ -83,6 +83,18 @@ class TestEvaluate:
         assert val.kclass is None
         assert render_value(val) == "complex: [0] P(1)"
 
+    @pytest.mark.parametrize("expr, rendered", [
+        ("D(L(1))", "complex: [0] P(2)"),
+        ("L(1)", "complex: [-2] P(1)<2>  →  [-1] P(2)<1>  →  [0] P(1)"),
+    ])
+    def test_a_functor_value_and_a_module_alike_render_without_a_class(
+            self, setup, expr, rendered):
+        # D(L(1)) is decategorified by euler_class, the module L(1) by
+        # class_of_module; an order with no window leaves both without one
+        val = evaluate(setup, parse(expr), (0, 8), -1)
+        assert val.kclass is None
+        assert render_value(val) == rendered
+
     def test_any_other_class_error_propagates(self, setup):
         with mock.patch.object(exprs, "euler_class",
                                side_effect=ZeroDivisionError("not a window")):
@@ -96,6 +108,10 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "P(1)<-1>" in out
+
+    def test_eval_of_a_module_at_an_order_with_no_window_exits_zero(self, capsys):
+        assert main(["eval", "L(1)", "--order", "-1"]) == 0
+        assert "class:" not in capsys.readouterr().out
 
     def test_parse_error_is_usage_error(self, capsys):
         code = main(["eval", "P(1) %% nothing"])

@@ -1,7 +1,14 @@
-import pytest
+from fractions import Fraction
+from unittest import mock
 
-from jwcat.complexes import ProjComplex, gaussian_reduce
-from jwcat.functors import P_on_object, Setup, koszul_D_on_object
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jwcat.complexes import (LEFT_TAIL, RIGHT_TAIL, ProjComplex, Summand,
+                             TailSpec, gaussian_reduce)
+from jwcat.functors import (CK_on_object, P_on_object, Setup,
+                            koszul_D_on_object, projector_depth)
 from jwcat.kclass import (REVERSED, STANDARD, KClass, apply_jw_reference,
                           class_of_module, duality_on_class, euler_class,
                           jones_wenzl_reference, jw_matrix_square,
@@ -68,6 +75,118 @@ class TestEulerClass:
         raw = koszul_D_on_object(setup, injective2(setup.B))
         red = gaussian_reduce(raw)
         assert euler_class(raw, ORDER) == euler_class(red.reduced, ORDER)
+
+
+# ---------------------------------------------------------------------------
+# the summand-by-summand sum that counting replaced, as reference
+# ---------------------------------------------------------------------------
+
+def ref_class_of_summand(s, order, reversed_q):
+    if s.vertex == "1":
+        poly = {"1": {0: 1}, "2": {1: 1}}
+    else:
+        poly = {"1": {1: 1}, "2": {0: 1, 2: 1}}
+    sgn = -1 if reversed_q else 1
+    out = {}
+    for v in ("1", "2"):
+        coeffs = {sgn * (e + s.shift): Fraction(c) for e, c in poly[v].items()}
+        out[v] = TruncatedSeries.from_laurent(LaurentPoly(coeffs), order)
+    return KClass(out, REVERSED if reversed_q else STANDARD)
+
+
+def ref_term_class(term, order, reversed_q):
+    out = KClass.zero(order, REVERSED if reversed_q else STANDARD)
+    for s in term:
+        out = out + ref_class_of_summand(s, order, reversed_q)
+    return out
+
+
+def ref_euler_class(x, order):
+    if x.is_zero():
+        return KClass.zero(order)
+    reversed_q = x.tail is not None and x.tail.side == RIGHT_TAIL
+    regime = REVERSED if reversed_q else STANDARD
+    out = KClass.zero(order, regime)
+    lo, hi = x.window()
+    for i in range(lo, hi + 1):
+        c = ref_term_class(x.term(i), order, reversed_q)
+        out = out + (c if i % 2 == 0 else -c)
+    t = x.tail
+    if t is None:
+        return out
+    if t.side == LEFT_TAIL:
+        block_range = range(lo, lo + t.period)
+        step_exp = t.shift
+    else:
+        block_range = range(hi - t.period + 1, hi + 1)
+        step_exp = -t.shift
+    block = KClass.zero(order, regime)
+    for i in block_range:
+        c = ref_term_class(x.term(i), order, reversed_q)
+        block = block + (c if i % 2 == 0 else -c)
+    sgn = -1 if t.period % 2 == 1 else 1
+    ratio = TruncatedSeries.from_laurent(LaurentPoly({step_exp: sgn}), order)
+    one = TruncatedSeries.one(order)
+    geom = ratio * (one - ratio).invert()
+    return out + block.scale_series(geom)
+
+
+def outcome(fn, x, order):
+    """Regime and, per vertex, window and typed coefficients; or the error."""
+    try:
+        k = fn(x, order)
+    except ValueError as exc:   # WindowError, NoInverseError: compared
+        return ("raises", type(exc), str(exc))
+    return (k.regime, {v: (s.min_exp, s.order,
+                           sorted((e, type(c), c) for e, c in s.coeffs.items()))
+                       for v, s in k.series.items()})
+
+
+summands = st.lists(st.builds(Summand, st.sampled_from(("1", "2")), st.integers(-6, 6)),
+                    max_size=3)
+tails = st.one_of(st.none(), st.builds(
+    TailSpec, st.sampled_from((LEFT_TAIL, RIGHT_TAIL)), st.just(0),
+    st.integers(1, 2), st.sampled_from((-4, -2, 2, 4))))
+
+
+class TestCounting:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-4, 4), st.lists(summands, min_size=1, max_size=6), tails,
+           st.integers(-1, 12))
+    def test_counting_equals_the_summing_reference(self, setup, lo, degrees, tail,
+                                                   order):
+        # euler_class reads only terms, window and tail: no differentials
+        terms = {lo + k: tuple(t) for k, t in enumerate(degrees)}
+        x = ProjComplex(setup.B, terms, {}, tail, validate=False)
+        assert outcome(euler_class, x, order) == outcome(ref_euler_class, x, order)
+
+    def test_construction_count_does_not_grow_with_the_window(self, setup):
+        """After a warm-up call, a class costs as many series on N = 48 as
+        on N = 16: one per vertex for the window, the block, the scaled
+        block and the sum."""
+        built = []
+        init = TruncatedSeries.__init__
+
+        def counting(self, *args):
+            built.append(1)
+            init(self, *args)
+
+        costs = {}
+        for N in (16, 48):
+            inputs = {
+                "P(P(1))": P_on_object(setup, projective(setup.B, "1"),
+                                       depth=projector_depth((-N, 0))),
+                "CK(P(1))": CK_on_object(setup, ProjComplex.from_summand(setup.B, "1"),
+                                         out_window=(0, N)),
+            }
+            for name, x in inputs.items():
+                euler_class(x, 2 * N + 1)
+                built.clear()
+                with mock.patch.object(TruncatedSeries, "__init__", counting):
+                    euler_class(x, 2 * N + 1)
+                costs[name, N] = len(built)
+        for name in ("P(P(1))", "CK(P(1))"):
+            assert costs[name, 16] == costs[name, 48], costs
 
 
 class TestBasisConversion:

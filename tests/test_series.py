@@ -134,6 +134,12 @@ class TestTruncatedSeries:
         with pytest.raises(WindowError):
             x == y
 
+    def test_a_coefficient_below_the_window_is_refused(self):
+        with pytest.raises(WindowError, match="below the validity window"):
+            TruncatedSeries({-5: 1}, 0, 10)
+        # zeros anywhere and coefficients beyond the order are not refused
+        assert TruncatedSeries({-5: 0, 11: 1}, 0, 10) == TruncatedSeries.zero(10)
+
     def test_order_propagation(self):
         x = TruncatedSeries({0: 1, 1: 1}, 0, 5)
         y = TruncatedSeries({2: 1}, 2, 4)
