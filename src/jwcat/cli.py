@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--window", type=int, default=window,
                    help="homological window size N (default 16; env JWCAT_WINDOW)")
     v.add_argument("--order", type=int, default=None,
-                   help="series truncation order (default 2N+1)")
+                   help="series truncation order, at least 1 (default 2N+1)")
     v.add_argument("--format", choices=("text", "json"), default="text")
     v.add_argument("--only", type=str, default="",
                    help="comma-separated check names to run")

@@ -67,6 +67,16 @@ caller passes only the window it works at. Below, a tail has direction o
   ``reduce_on_window`` raises ``WindowTooSmall``. Over the suite at
   N = 4…16 and the eval pool at N = 12 no reduction needed more than one
   degree: right tails one, left tails none.
+* Gap rule (``reduce_on_window``). Let the reduced content end at degree
+  ``end`` with its last term nonzero, and let the gap be the number of
+  degrees from ``end`` out to the kept edge. A tail of period p claims
+  term(end + o·p) = term(end)<s>, which is nonzero. When gap >= p, degree
+  end + o·p lies inside the kept window, where it is empty, so the pattern
+  breaks inside the window and no tail can be claimed: the reduction is
+  bounded. Only when gap < p does the content reach the last period before
+  the edge, and a re-detected tail is kept. Content ending within one
+  degree of the edge (gap <= 1) without a pattern cannot tell bounded from
+  cut, and raises ``WindowTooSmall``.
 * Complete CK degrees (``functors._ck_cells``, ``functors._ck_total``).
   Cell (k, i) of X ⊗ CK, projector column k and X^i, lies in total degree
   k + i. With columns k <= K and X starting at x_lo, total degree n is
@@ -1185,8 +1195,9 @@ def reduce_on_window(c: ProjComplex, window: tuple[int, int]) -> Reduction:
     window on its side, one margin for every caller; the reduction margin
     of "Windows and margins" in the module docstring derives it. The
     reduction is clipped to ``window``, the tail is re-detected at the kept
-    edge, and F and G keep the kept degrees. When the reduced complex
-    reaches the kept edge without a periodic pattern, ``WindowTooSmall``.
+    edge and kept under the gap rule there, and F and G keep the kept
+    degrees. When the reduced complex reaches the kept edge without a
+    periodic pattern, ``WindowTooSmall``.
     """
     t = c.tail
     if t is not None:
@@ -1207,9 +1218,9 @@ def reduce_on_window(c: ProjComplex, window: tuple[int, int]) -> Reduction:
             raise WindowTooSmall(
                 f"reduction of {c.name} reaches the window edge without "
                 f"a periodic pattern; enlarge the window")
-        if tail is not None and gap > tail.period:
-            # only claim a tail when the content actually reaches the
-            # clip boundary; otherwise the complex genuinely became bounded
+        if tail is not None and gap >= tail.period:
+            # the gap rule of "Windows and margins": a pattern that breaks
+            # inside the kept window is no tail; the complex became bounded
             tail = None
     kept = ProjComplex(c.algebra, kept.terms, kept.diffs, tail, kept.name,
                        validate=False)

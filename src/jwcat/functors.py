@@ -8,9 +8,9 @@ Conventions carried over from the rest of the package:
   degrees up by r;
 * the duality functor reads a module-level complex and emits a formal
   complex of projectives: the basis vector m of bidegree (r, s) with vertex
-  label v contributes a summand P(swap(v))<-s> in homological degree r+s,
-  and the differential combines the scalar part of d with the two staircase
-  arrows, weighted by (-1)^(r+s);
+  label v contributes a summand P(DUAL_VERTEX[v])<-s> in homological
+  degree r+s, and the differential combines the scalar part of d with the
+  two staircase arrows, weighted by (-1)^(r+s);
 * tensoring with the translation bimodule never needs resolutions (it is
   exact), so the topological projector is a totalization of an explicitly
   built bicomplex;
@@ -33,8 +33,8 @@ from .complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, Complex,
                         realize, total_complex, total_layout, total_terms,
                         _alg_matrix_to_hom, _mat_coords)
 from .linalg import solve_from_columns
-from .modules import (C_TO_B, PI_SHIFT, GradedModule, ModuleHom, apply_pi,
-                      apply_pi_hom, projective, simple, injective2)
+from .modules import (C_TO_B, DUAL_VERTEX, PI_SHIFT, GradedModule, ModuleHom,
+                      apply_pi, apply_pi_hom, projective, simple, injective2)
 from .quiver import (STRUCTURE_MAPS, AlgebraElement, ConstructionError, Path,
                      PathAlgebra, build_B, build_C, structure_map_on_column)
 from .resolutions import resolve_complex
@@ -43,8 +43,8 @@ from .resolutions import resolve_complex
 @dataclass
 class Setup:
     """The fixed ambient data: the two-vertex algebra, its small quotient
-    endomorphism algebra, the vertex swap of the duality functor, and the
-    formal columns of the projector complex, derived once (``_ck_columns``)."""
+    endomorphism algebra, and the formal columns of the projector complex,
+    derived once (``_ck_columns``)."""
     B: PathAlgebra
     C: PathAlgebra
     ck_parts: dict = field(init=False, repr=False, compare=False)
@@ -57,9 +57,6 @@ class Setup:
     @classmethod
     def create(cls) -> Setup:
         return cls(B=build_B(), C=build_C())
-
-    def swap(self, v: str) -> str:
-        return "2" if v == "1" else "1"
 
     def standard_modules(self) -> dict[str, GradedModule]:
         """The five standard modules, in the order reports list them."""
@@ -237,8 +234,8 @@ def lift_through_resolutions(resM: ProjComplex, augM: dict[int, ModuleHom],
 def koszul_D_on_object(setup: Setup, x, out_window: tuple[int, int] | None = None
                        ) -> ProjComplex:
     """Bigraded construction: each basis vector of bidegree (r, s) and label v
-    gives a summand P(swap v)<-s> at homological degree r+s, with the scalar
-    part of d plus the signed staircase arrows as differential. A
+    gives a summand P(DUAL_VERTEX[v])<-s> at homological degree r+s, with the
+    scalar part of d plus the signed staircase arrows as differential. A
     left-tailed input is scanned as far as D's degree scan of "Windows and
     margins" in the ``complexes`` module docstring says."""
     return _koszul_D(setup, x, out_window)[0]
@@ -290,7 +287,7 @@ def _koszul_D(setup: Setup, x, out_window: tuple[int, int] | None):
         p_safe = min(p_safe, (lo - 1) + omit_min - 1)
 
     index = _dual_index(mat, out_window)
-    terms = {p: tuple(Summand(setup.swap(lab), -s) for (_, s, _), (_, lab) in vecs.items())
+    terms = {p: tuple(Summand(DUAL_VERTEX[lab], -s) for (_, s, _), (_, lab) in vecs.items())
              for p, vecs in sorted(index.items())}
 
     diffs: dict[int, AlgMatrix] = {}
@@ -310,7 +307,7 @@ def _koszul_D(setup: Setup, x, out_window: tuple[int, int] | None):
                 if coef != 0 and hit is not None:
                     row = hit[0]
                     d.entries[row][col] = d.entries[row][col] + \
-                        B.idempotent(setup.swap(lab)).scale(coef)
+                        B.idempotent(DUAL_VERTEX[lab]).scale(coef)
             # staircase arrows, with the parity sign
             for name, need_lab in (("a", "2"), ("b", "1")):
                 if lab != need_lab:
@@ -373,7 +370,7 @@ def koszul_D_on_map(setup: Setup, f: ModuleHom | ProjChainMap,
                 coef = fm.data[ridx][idx]
                 hit = vy[p].get((r, s, ridx))
                 if coef != 0 and hit is not None:
-                    m.entries[hit[0]][col] = B.idempotent(setup.swap(lab)).scale(coef)
+                    m.entries[hit[0]][col] = B.idempotent(DUAL_VERTEX[lab]).scale(coef)
         comps[p] = m
     return ProjChainMap(DX, DY, comps, f"𝔻({f.name})", validate=True)
 

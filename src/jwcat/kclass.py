@@ -10,22 +10,22 @@ below, so their classes are stored with q inverted and flagged ``reversed``
 An Euler class is counted, not summed: one pass over the stored degrees
 adds the signed summands into integer multiplicities per (vertex, exponent),
 read off the one table of [P(v)<r>] exponents, and builds one series per
-vertex. Its window is the one the summand-by-summand sum had, from
-min(0, lowest exponent met) to the order. A tail adds its period block,
-counted the same way, times the geometric factor Σ_{k≥1} ratio^k, which is
-cached per (exponent, sign, order) of the ratio.
+vertex through ``TruncatedSeries.exact``. Its window is the one the
+summand-by-summand sum had, from min(0, lowest exponent met) to the order.
+A tail adds its period block, counted the same way, times the geometric
+factor Σ_{k≥1} ratio^k, which is cached per (exponent, sign, order) of the
+ratio.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .complexes import (LEFT_TAIL, RIGHT_TAIL, ProjComplex, RegimeError,
                         Summand)
-from .modules import GradedModule
-from .series import LaurentPoly, TruncatedSeries, WindowError, quantum_two
+from .modules import DUAL_VERTEX, GradedModule
+from .series import TruncatedSeries, WindowError, quantum_two
 
 VERTICES = ("1", "2")
 STANDARD = "standard"
@@ -83,11 +83,10 @@ class KClass:
 
 def class_of_module(M: GradedModule, order: int) -> KClass:
     """[M] = Σ_j dim(M_j at vertex v)·q^j·[L(v)] (exact: a Laurent polynomial)."""
-    polys = {v: {} for v in VERTICES}
+    dims = {v: {} for v in VERTICES}
     for (j, v), d in M.graded_dims_by_vertex().items():
-        polys[v][j] = Fraction(d)
-    return KClass({v: TruncatedSeries.from_laurent(LaurentPoly(polys[v]), order)
-                   for v in VERTICES})
+        dims[v][j] = d
+    return KClass({v: TruncatedSeries.exact(dims[v], order) for v in VERTICES})
 
 
 def class_of_summand(s: Summand, order: int, reversed_q: bool = False) -> KClass:
@@ -95,18 +94,17 @@ def class_of_summand(s: Summand, order: int, reversed_q: bool = False) -> KClass
     sgn = -1 if reversed_q else 1
     series = {}
     for v, exps in PROJECTIVE_EXPONENTS[s.vertex].items():
-        poly = LaurentPoly({sgn * (e + s.shift): 1 for e in exps})
-        series[v] = TruncatedSeries.from_laurent(poly, order)
+        series[v] = TruncatedSeries.exact({sgn * (e + s.shift): 1 for e in exps}, order)
     return KClass(series, REVERSED if reversed_q else STANDARD)
 
 
 def _counted_class(x: ProjComplex, degrees: range, order: int,
                    reversed_q: bool) -> KClass:
     """Alternating sum of the summand classes in ``degrees``, counted as
-    integers per (vertex, exponent). The window is the one a sum of
-    ``class_of_summand`` terms onto the zero class has: it runs from
-    min(0, lowest exponent met) to ``order``. A count that cancels to zero
-    keeps its key, so cancelled summands reach the window too."""
+    integers per (vertex, exponent). ``TruncatedSeries.exact`` gives it the
+    window a sum of ``class_of_summand`` terms onto the zero class has: a
+    count that cancels to zero keeps its key, so cancelled summands reach
+    the window too."""
     sgn = -1 if reversed_q else 1
     counts = {v: {} for v in VERTICES}
     for i in degrees:
@@ -117,7 +115,7 @@ def _counted_class(x: ProjComplex, degrees: range, order: int,
                 for e in exps:
                     k = sgn * (e + s.shift)
                     at_v[k] = at_v.get(k, 0) + sign
-    return KClass({v: TruncatedSeries(c, min([0, *c]), order) for v, c in counts.items()},
+    return KClass({v: TruncatedSeries.exact(c, order) for v, c in counts.items()},
                   REVERSED if reversed_q else STANDARD)
 
 
@@ -125,7 +123,7 @@ def _counted_class(x: ProjComplex, degrees: range, order: int,
 def _geometric(step_exp: int, sign: int, order: int) -> TruncatedSeries:
     """Σ_{k≥1} ratio^k for ratio = sign·q^step_exp, to ``order``. Shared
     between calls: callers only multiply by it."""
-    ratio = TruncatedSeries.from_laurent(LaurentPoly({step_exp: sign}), order)
+    ratio = TruncatedSeries.exact({step_exp: sign}, order)
     one = TruncatedSeries.one(order)
     return ratio * (one - ratio).invert()
 
@@ -176,8 +174,8 @@ def simple_to_projective_basis(k: KClass) -> tuple[TruncatedSeries, TruncatedSer
         raise RegimeError("projective-basis coordinates live in the standard completion")
     s1, s2 = k.series["1"], k.series["2"]
     order = min(s1.order, s2.order)
-    q = TruncatedSeries.from_laurent(LaurentPoly({1: 1}), order)
-    one_q2 = TruncatedSeries.from_laurent(LaurentPoly({0: 1, 2: 1}), order)
+    q = TruncatedSeries.exact({1: 1}, order)
+    one_q2 = TruncatedSeries.exact({0: 1, 2: 1}, order)
     # inverse of [[1, q], [q, 1+q^2]] is [[1+q^2, -q], [-q, 1]]
     p1 = one_q2 * s1 - q * s2
     p2 = -(q * s1) + s2
@@ -229,14 +227,17 @@ def apply_jw_reference(m: dict[str, dict[str, TruncatedSeries]],
 
 def duality_on_class(k: KClass) -> KClass:
     """Decategorified shadow of the duality functor on bounded complexes:
-    q^r[L(1)] -> (-q)^{-r}[P(2)-class], q^r[L(2)] -> (-q)^{-r}[P(1)-class]."""
+    q^r[L(v)] -> (-q)^{-r}[P(DUAL_VERTEX[v])-class].
+
+    ``k`` must be an exact class, with no term truncated above its order:
+    q ↦ -q⁻¹ sends q^r to q^{-r}, so a truncated term would go missing deep
+    inside the twisted window, where the result claims zero."""
     if k.regime != STANDARD:
         raise RegimeError("the decategorified duality law is stated on bounded classes")
     order = min(s.order for s in k.series.values())
     out = KClass.zero(order)
-    for v, target_vertex in (("1", "2"), ("2", "1")):
-        s = k.series[v]
-        twisted = LaurentPoly(s.coeffs).substitute_minus_qinv()
-        out = out + projective_class(target_vertex, order).scale_series(
-            TruncatedSeries.from_laurent(twisted, order))
+    for v in VERTICES:
+        twisted = {-e: -c if e % 2 else c for e, c in k.series[v].coeffs.items()}
+        out = out + projective_class(DUAL_VERTEX[v], order).scale_series(
+            TruncatedSeries.exact(twisted, order))
     return out

@@ -58,6 +58,11 @@ class Summand:
         return f"P({self.vertex})<{self.shift}>"
 
 
+# the vertex swap of the duality functor: a basis vector labelled v goes to a
+# summand P(DUAL_VERTEX[v]), and so a class q^r[L(v)] to (-q)^-r[P(DUAL_VERTEX[v])]
+DUAL_VERTEX = {"1": "2", "2": "1"}
+
+
 class GradedModule:
     def __init__(self, algebra: PathAlgebra, basis: dict[int, tuple[str, ...]],
                  action: dict[str, dict[int, Matrix]], name: str = "M",

@@ -1,15 +1,16 @@
-"""Graded bookkeeping rings: Laurent polynomials in q and order-truncated
-series with finite principal part (the completion where 1/(q + q^-1) lives).
+"""Order-truncated series in q with finite principal part (the completion
+where 1/(q + q^-1) lives), the one coefficient type of the class layer.
 
 A TruncatedSeries knows the window on which its coefficients are exact:
 everything below ``min_exp`` is exactly zero, everything up to and including
 ``order`` is stored, and nothing is claimed beyond. Arithmetic propagates the
-window honestly and comparisons refuse to answer outside it.
+window honestly and comparisons refuse to answer outside it. An exact class,
+a Laurent polynomial, enters through ``TruncatedSeries.exact``, the one place
+its window, from min(0, lowest exponent) to the order, is chosen.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 from .linalg import _frac
@@ -21,121 +22,6 @@ class WindowError(ValueError):
 
 class NoInverseError(ValueError):
     """Series is identically zero on its window; no inverse exists."""
-
-
-def _clean(coeffs: dict) -> dict:
-    return {e: _frac(c) for e, c in coeffs.items() if c != 0}
-
-
-class LaurentPoly:
-    """Finitely supported map exponent -> rational, no stored zeros."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict | None = None):
-        self.coeffs = _clean(coeffs or {})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
-
-    def __add__(self, other: LaurentPoly) -> LaurentPoly:
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return LaurentPoly(out)
-
-    def __neg__(self) -> LaurentPoly:
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other: LaurentPoly) -> LaurentPoly:
-        return self + (-other)
-
-    def __mul__(self, other: LaurentPoly) -> LaurentPoly:
-        out: dict = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return LaurentPoly(out)
-
-    def substitute_minus_qinv(self) -> LaurentPoly:
-        """q -> -q^{-1}; the decategorified shadow of the duality functor."""
-        return LaurentPoly({-e: -c if e % 2 else c for e, c in self.coeffs.items()})
-
-    def reverse(self) -> LaurentPoly:
-        """q -> q^{-1}."""
-        return LaurentPoly({-e: c for e, c in self.coeffs.items()})
-
-    def valuation(self) -> int | None:
-        return min(self.coeffs) if self.coeffs else None
-
-    # --- textual form, exact round-trip ---
-
-    def render(self) -> str:
-        """e.g. 'q^-1 + 2 + q^3'; '-' joins negative terms; '0' for zero."""
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                qs = "q" if e == 1 else f"q^{e}"
-                body = qs if mag == 1 else f"{mag} {qs}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
-
-    _TERM = re.compile(
-        r"^\s*(?P<coef>-?\d+(?:/\d+)?)?\s*(?P<q>q(?:\^(?P<exp>-?\d+))?)?\s*$")
-
-    @classmethod
-    def parse(cls, text: str) -> LaurentPoly:
-        text = text.strip()
-        if text == "0":
-            return cls()
-        # split into signed terms; a '-' right after '^' is an exponent sign
-        toks = re.split(r"\s*(?<!\^)([+-])\s*", text)
-        if toks and toks[0] == "":
-            toks = toks[1:]
-        terms: list[tuple[int, str]] = []
-        sign = 1
-        i = 0
-        if toks and toks[0] in "+-":
-            sign = -1 if toks[0] == "-" else 1
-            i = 1
-        while i < len(toks):
-            terms.append((sign, toks[i]))
-            if i + 1 < len(toks):
-                sign = -1 if toks[i + 1] == "-" else 1
-            i += 2
-        out: dict = {}
-        for sgn, term in terms:
-            m = cls._TERM.match(term)
-            if not m or (m.group("coef") is None and m.group("q") is None):
-                raise ValueError(f"cannot parse Laurent term {term!r}")
-            coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
-            if m.group("q"):
-                exp = int(m.group("exp")) if m.group("exp") is not None else 1
-            else:
-                exp = 0
-            out[exp] = out.get(exp, Fraction(0)) + sgn * coef
-        return cls(out)
-
-    def __repr__(self):
-        return f"LaurentPoly({self.render()!r})"
 
 
 class TruncatedSeries:
@@ -155,9 +41,11 @@ class TruncatedSeries:
                               f"validity window [{min_exp}, {order}]")
 
     @classmethod
-    def from_laurent(cls, p: LaurentPoly, order: int) -> TruncatedSeries:
-        lo = p.valuation()
-        return cls(dict(p.coeffs), min(lo if lo is not None else 0, 0), order)
+    def exact(cls, coeffs: dict, order: int) -> TruncatedSeries:
+        """The Laurent polynomial ``coeffs`` to ``order``, exact from
+        min(0, lowest exponent key) on. A key whose value is zero counts, so
+        a count that cancels still reaches the window."""
+        return cls(coeffs, min([0, *coeffs]), order)
 
     @classmethod
     def zero(cls, order: int, min_exp: int = 0) -> TruncatedSeries:
@@ -253,7 +141,22 @@ class TruncatedSeries:
         return True
 
     def render(self) -> str:
-        body = LaurentPoly(dict(self.coeffs)).render()
+        """e.g. 'q^-1 + 2 + q^3 + O(q^6)'; '-' joins negative terms; '0' for
+        a zero body."""
+        parts = []
+        for e in sorted(self.coeffs):
+            c = self.coeffs[e]
+            mag = abs(c)
+            if e == 0:
+                body = str(mag)
+            else:
+                qs = "q" if e == 1 else f"q^{e}"
+                body = qs if mag == 1 else f"{mag} {qs}"
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(("+ " if c > 0 else "- ") + body)
+        body = " ".join(parts) if parts else "0"
         return f"{body} + O(q^{self.order + 1})"
 
     def __repr__(self):

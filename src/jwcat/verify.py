@@ -24,15 +24,15 @@ from .functors import (CK_on_map, CK_on_object, P_on_module_map, P_on_object,
                        Setup, koszul_D_on_map, koszul_D_on_object,
                        projector_depth, two_term_dual_model)
 from .kclass import (REVERSED, STANDARD, KClass, apply_jw_reference,
-                     class_of_module, euler_class, jones_wenzl_reference,
-                     jw_matrix_square, projective_class)
+                     class_of_module, duality_on_class, euler_class,
+                     jones_wenzl_reference, jw_matrix_square, projective_class)
 from .modules import (GradedModule, ModuleHom, apply_iota, apply_pi,
                       apply_pi_hom, direct_sum, find_module_iso, hom_space,
                       left_multiplication_hom, projective, simple,
                       tensor_with_bimodule)
 from .quiver import (bimodule_maps_alpha_beta_gamma, build_theta, koszul_dual)
 from .resolutions import projective_resolution
-from .series import LaurentPoly, TruncatedSeries, quantum_two
+from .series import TruncatedSeries, quantum_two
 
 
 @dataclass
@@ -47,6 +47,9 @@ class VerificationConfig:
                              "(one full tail period plus its seam)")
         if self.order is None:
             self.order = 2 * self.window + 1
+        if self.order < 1:
+            raise ValueError("order must be at least 1 (the reference class "
+                             "[2]^-1 = q - q^3 + ... starts at q^1)")
 
 
 @dataclass
@@ -720,13 +723,13 @@ class _Runner:
             e2 = euler_class(red.reduced, order)
             o = N - 6
             assert _classes_agree(e1, e2, o), f"reduction invariance for {c.name}"
-        # duality law on the bounded corpus
-        from .kclass import duality_on_class
+        # duality law on the bounded corpus: the twist reads the exact class,
+        # so the module's class is taken through its top degree
         for name in ("L(1)", "L(2)", "I(2)", "P(1)", "P(2)"):
             M = self.setup.standard_modules()[name]
             DM = koszul_D_on_object(setup, M)
             got = euler_class(DM, order)
-            want = duality_on_class(class_of_module(M, order))
+            want = duality_on_class(class_of_module(M, max(order, M.degrees()[-1])))
             assert got == want, f"duality class law for {name}"
         # topological side
         ck2 = CK_on_object(setup, ProjComplex.from_summand(B, "2"), out_window=(0, N))
@@ -761,7 +764,7 @@ def _classes_agree(x: KClass, y: KClass, order: int) -> bool:
 def _mirror_exact(k: KClass) -> KClass:
     out = {}
     for v, s in k.series.items():
-        out[v] = TruncatedSeries(LaurentPoly(s.coeffs).reverse().coeffs, -s.order, s.order)
+        out[v] = TruncatedSeries({-e: c for e, c in s.coeffs.items()}, -s.order, s.order)
     return KClass(out, REVERSED if k.regime == STANDARD else STANDARD)
 
 

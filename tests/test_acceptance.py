@@ -23,7 +23,7 @@ from jwcat.modules import (find_module_iso, injective2,
                            left_multiplication_hom, projective, simple)
 from jwcat.quiver import koszul_dual
 from jwcat.resolutions import projective_resolution
-from jwcat.series import LaurentPoly, TruncatedSeries
+from jwcat.series import TruncatedSeries
 from jwcat.verify import VerificationConfig, run_suite, _Runner
 
 N = 16
@@ -182,7 +182,7 @@ def test_criterion_5_decategorification(runner):
     ok = True
     pP1 = P_on_object(setup, projective(B, "1"), depth=ORDER + 2)
     e = euler_class(pP1, ORDER)
-    two = TruncatedSeries.from_laurent(LaurentPoly({1: 1, -1: 1}), ORDER)
+    two = TruncatedSeries({1: 1, -1: 1}, -1, ORDER)
     ref = projective_class("2", ORDER).scale_series(two.invert().truncate(ORDER))
     ok &= e == ref
     jw = jones_wenzl_reference(ORDER)

@@ -1,9 +1,11 @@
-"""Euler classes are pinned by their windows. One sha256 covers every
-``euler_class`` call that the suite at N = 16 and the eval pool at N = 12
-(without the nested-CK expressions) make: the input complex and order, then
-the class's regime and, per vertex, its window and coefficients, or the type
-of the error it raised. Renders print no ``min_exp``, so a change of window
-rule that leaves every rendered coefficient alone still moves this hash."""
+"""Grothendieck classes are pinned by their windows. One sha256 covers every
+``euler_class``, ``class_of_module`` and ``duality_on_class`` call that the
+suite at N = 16 and the eval pool at N = 12 (without the nested-CK
+expressions) make, in call order: the function, its input (complex or module
+and order, or the class it twists), then the class's regime and, per vertex,
+its window and coefficients, or the type of the error it raised. Renders
+print no ``min_exp``, so a change of window rule that leaves every rendered
+coefficient alone still moves this hash."""
 
 import hashlib
 import json
@@ -11,36 +13,52 @@ from contextlib import ExitStack
 from unittest import mock
 
 from jwcat import exprs, kclass, verify
-from jwcat.kclass import euler_class
 from jwcat.verify import VerificationConfig, run_suite
 from test_reduction_pin import run_pool
 
-# the modules that bind euler_class, each patched where it reads it
+# the modules that bind a class function, each patched where it reads it
 READERS = (exprs, kclass, verify)
-PINNED = "593683b5bacf281d1d3acb0c2d0154bfbdb6a390026b1216b2acf5a0df4cd680"
+PINNED = "59140e1952d85ee65ad495d322f123a62d0aaaa9d96da59eedc1f345c1e23e69"
+
+
+def class_text(k):
+    return [k.regime, {v: [s.min_exp, s.order,
+                           [[e, str(c)] for e, c in sorted(s.coeffs.items())]]
+                       for v, s in k.series.items()}]
+
+
+# each recorded function and the text of its input
+RECORDED = {
+    "euler_class": lambda x, order: [x.to_json(), order],
+    "class_of_module": lambda M, order: [M.to_json(), order],
+    "duality_on_class": class_text,
+}
 
 
 def recorded_classes(run):
-    """The text of every ``euler_class`` call ``run()`` makes, in call order."""
+    """The text of every recorded call ``run()`` makes, in call order."""
     seen = []
 
-    def call(x, order):
-        head = [x.to_json(), order]
-        try:
-            k = euler_class(x, order)
-        except Exception as exc:   # recorded, then raised again
-            seen.append(json.dumps(head + [type(exc).__name__], sort_keys=True,
+    def wrap(name, fn):
+        def call(*args):
+            head = [name, RECORDED[name](*args)]
+            try:
+                k = fn(*args)
+            except Exception as exc:   # recorded, then raised again
+                seen.append(json.dumps(head + [type(exc).__name__], sort_keys=True,
+                                       ensure_ascii=False))
+                raise
+            seen.append(json.dumps(head + class_text(k), sort_keys=True,
                                    ensure_ascii=False))
-            raise
-        series = {v: [s.min_exp, s.order, [[e, str(c)] for e, c in sorted(s.coeffs.items())]]
-                  for v, s in k.series.items()}
-        seen.append(json.dumps(head + [k.regime, series], sort_keys=True,
-                               ensure_ascii=False))
-        return k
+            return k
+        return call
 
     with ExitStack() as stack:
-        for module in READERS:
-            stack.enter_context(mock.patch.object(module, "euler_class", call))
+        for name in RECORDED:
+            wrapped = wrap(name, getattr(kclass, name))
+            for module in READERS:
+                if hasattr(module, name):
+                    stack.enter_context(mock.patch.object(module, name, wrapped))
         run()
     return seen
 

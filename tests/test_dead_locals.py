@@ -4,7 +4,8 @@ function, binds a name that nothing reads. No attribute is stored on an
 object from outside its class unless some class declares it, and no attribute
 a class declares goes unread in ``src``, ``tests``, ``demos`` or
 ``perfbench``, no function or method goes unreferenced there, and no
-defaulted parameter goes unset by every call there.
+defaulted parameter goes unset by every call there. Every name the
+package's ``__all__`` exports is bound in its ``__init__``.
 
 A name counts as read when its scope, or a function or comprehension nested
 in it, loads it. Names declared ``global`` or ``nonlocal`` belong to another
@@ -92,6 +93,35 @@ def exported_names(tree):
             for target in node.targets
             if isinstance(target, ast.Name) and target.id == "__all__"
             for elt in node.value.elts}
+
+
+def unbound_exports(tree):
+    """The ``__all__`` names that nothing at the module's top level binds."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return sorted(exported_names(tree) - bound)
+
+
+def test_the_scan_finds_an_unbound_export():
+    tree = ast.parse("from .series import TruncatedSeries as TS\n"
+                     "import os.path\n"
+                     "def f():\n"
+                     "    pass\n"
+                     "__version__ = '0'\n"
+                     "__all__ = ['TS', 'os', 'f', '__version__', 'Gone']\n")
+    assert unbound_exports(tree) == ["Gone"]
+
+
+def test_every_export_of_the_package_is_bound():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    assert exported_names(tree) and unbound_exports(tree) == []
 
 
 def unread_imports(tree):

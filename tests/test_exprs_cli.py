@@ -123,6 +123,12 @@ class TestCli:
     def test_window_too_small_rejected(self):
         assert main(["verify", "--window", "2"]) == 3
 
+    def test_an_order_below_one_is_a_usage_error(self, capsys):
+        # the reference [2]^-1 starts at q^1: at order 0 its window is empty
+        for order in ("0", "-1"):
+            assert main(["verify", "--order", order]) == 3
+            assert "order must be at least 1" in capsys.readouterr().err
+
     def test_show_lists_and_loads(self, capsys):
         assert main(["show", "list"]) == 0
         names = capsys.readouterr().out.split()

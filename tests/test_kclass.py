@@ -10,12 +10,13 @@ from jwcat.complexes import (LEFT_TAIL, RIGHT_TAIL, ProjComplex, Summand,
 from jwcat.functors import (CK_on_object, P_on_object, Setup,
                             koszul_D_on_object, projector_depth)
 from jwcat.kclass import (REVERSED, STANDARD, KClass, apply_jw_reference,
-                          class_of_module, duality_on_class, euler_class,
-                          jones_wenzl_reference, jw_matrix_square,
+                          class_of_module, class_of_summand, duality_on_class,
+                          euler_class, jones_wenzl_reference, jw_matrix_square,
                           projective_class, simple_to_projective_basis)
 from jwcat.modules import injective2, projective, simple
 from jwcat.resolutions import projective_resolution
-from jwcat.series import LaurentPoly, TruncatedSeries
+from jwcat.series import TruncatedSeries
+from jwcat.verify import VerificationConfig, run_suite
 
 
 @pytest.fixture(scope="module")
@@ -42,8 +43,19 @@ class TestClassOfModule:
         for r in (-2, 3):
             shifted = class_of_module(M.shift(r), ORDER)
             base = class_of_module(M, ORDER)
-            q_r = TruncatedSeries.from_laurent(LaurentPoly({r: 1}), ORDER)
+            q_r = TruncatedSeries({r: 1}, min(r, 0), ORDER)
             assert shifted == base.scale_series(q_r)
+
+    def test_the_projective_exponent_table_matches_the_algebra(self, setup):
+        """``PROJECTIVE_EXPONENTS``, read by ``class_of_summand`` and by every
+        Euler class, is the class of the realized P(v)<r>."""
+        for v in ("1", "2"):
+            for r in range(-3, 4):
+                for order in (2, ORDER):
+                    got = class_of_summand(Summand(v, r), order)
+                    want = class_of_module(projective(setup.B, v).shift(r), order)
+                    assert {w: (s.window(), s.coeffs) for w, s in got.series.items()} == \
+                        {w: (s.window(), s.coeffs) for w, s in want.series.items()}, (v, r)
 
 
 class TestEulerClass:
@@ -90,7 +102,7 @@ def ref_class_of_summand(s, order, reversed_q):
     out = {}
     for v in ("1", "2"):
         coeffs = {sgn * (e + s.shift): Fraction(c) for e, c in poly[v].items()}
-        out[v] = TruncatedSeries.from_laurent(LaurentPoly(coeffs), order)
+        out[v] = TruncatedSeries(coeffs, min(0, *coeffs), order)
     return KClass(out, REVERSED if reversed_q else STANDARD)
 
 
@@ -125,7 +137,7 @@ def ref_euler_class(x, order):
         c = ref_term_class(x.term(i), order, reversed_q)
         block = block + (c if i % 2 == 0 else -c)
     sgn = -1 if t.period % 2 == 1 else 1
-    ratio = TruncatedSeries.from_laurent(LaurentPoly({step_exp: sgn}), order)
+    ratio = TruncatedSeries({step_exp: sgn}, min(step_exp, 0), order)
     one = TruncatedSeries.one(order)
     geom = ratio * (one - ratio).invert()
     return out + block.scale_series(geom)
@@ -234,6 +246,23 @@ class TestDualityLaw:
             got = euler_class(koszul_D_on_object(setup, M), ORDER)
             want = duality_on_class(class_of_module(M, ORDER))
             assert got == want, name
+
+    def test_the_twist_stays_exact_at_negative_exponents(self):
+        # q^-1/3 [L(1)] -> -q/3 [P(2)] and q^-2 2/7 [L(2)] -> q^2 2/7 [P(1)],
+        # with [P(2)] = q[L(1)] + (1 + q^2)[L(2)] and [P(1)] = [L(1)] + q[L(2)]
+        k = KClass({"1": TruncatedSeries({-1: Fraction(1, 3)}, -1, 6),
+                    "2": TruncatedSeries({-2: Fraction(2, 7)}, -2, 6)})
+        got = duality_on_class(k)
+        assert got.series["1"].coeffs == {2: Fraction(-1, 21)}
+        assert got.series["2"].coeffs == {1: Fraction(-1, 3), 3: Fraction(-1, 21)}
+        assert all(type(c) is Fraction for s in got.series.values()
+                   for c in s.coeffs.values())
+
+    def test_the_suite_passes_at_order_one(self):
+        """The law twists the exact class of each module: q ↦ -q⁻¹ sends the
+        q²[L(2)] term of P(2), lost at order 1, to q⁻², inside the window."""
+        report = run_suite(VerificationConfig(window=16, order=1))
+        assert report.verdict_counts() == {"pass": 13, "fail": 0, "inconclusive": 0}
 
 
 class TestReversedRegime:

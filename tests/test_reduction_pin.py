@@ -26,7 +26,7 @@ EVAL_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "referen
 REDUCERS = ("gaussian_reduce", "reduce_on_window")
 # the modules that bind a reducer, each patched where it reads it
 READERS = (complexes, exprs, functors, verify)
-PINNED = "c383a46b09ef47d5dc658754246135067b9f5656d5a0f240fb1ce981aeb8e5b2"
+PINNED = "6cfd351659ed184da9c15da351bf980458335d84ad4d3a8b1c632dd23b4563ee"
 
 
 def recorded_reductions(run):
@@ -97,9 +97,10 @@ def ends_periodic(B):
 
 def gap_rule_reductions():
     """The reductions of ``ends_periodic`` kept one and two degrees past its
-    content: the gap rule's two sides (gap = period keeps the tail, gap =
-    period + 1 drops it), which no reduction of the suite or the pool
-    reaches."""
+    content, gap = period and gap = period + 1 of the period-1 pattern its
+    last degrees show. Both are bounded: the degree one period past the
+    content lies inside the kept window and is empty. No reduction of the
+    suite or the pool reaches either."""
     x = ends_periodic(build_B())
     return [reduce_on_window(x, (0, 6)), reduce_on_window(x, (0, 7))]
 
@@ -112,6 +113,12 @@ def reduction_digest():
     for red in reds:
         digest.update(reduction_text(red).encode())
     return len(reds), digest.hexdigest()
+
+
+def test_a_reduction_that_ends_a_period_inside_the_window_is_bounded():
+    for red in gap_rule_reductions():
+        assert red.reduced.window() == (0, 5)
+        assert red.reduced.tail is None
 
 
 def test_every_reduction_of_the_suite_and_the_pool_is_pinned():

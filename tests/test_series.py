@@ -5,65 +5,39 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from jwcat.series import (LaurentPoly, NoInverseError, TruncatedSeries,
-                          WindowError, quantum_two)
+from jwcat.series import NoInverseError, TruncatedSeries, WindowError, quantum_two
 
 
-def L(text):
-    return LaurentPoly.parse(text)
+class TestExact:
+    def test_an_empty_dict_gives_the_window_from_zero(self):
+        s = TruncatedSeries.exact({}, 5)
+        assert (s.window(), s.coeffs) == ((0, 5), {})
+
+    def test_the_window_starts_at_zero_or_below_it(self):
+        assert TruncatedSeries.exact({2: 1, 3: -1}, 5).window() == (0, 5)
+        assert TruncatedSeries.exact({-3: 1, 1: 2}, 5).window() == (-3, 5)
+
+    def test_a_zero_count_key_reaches_the_window(self):
+        s = TruncatedSeries.exact({-4: 0, 1: 1}, 5)
+        assert s.window() == (-4, 5)
+        assert s.coeffs == {1: Fraction(1)}
 
 
-class TestLaurentPoly:
-    def test_poly_identity(self):
-        # (1+q)(1-q) = 1 - q^2
-        assert L("1 + q") * L("1 - q") == L("1 - q^2")
+class TestRender:
+    def test_a_zero_body(self):
+        assert TruncatedSeries.zero(4).render() == "0 + O(q^5)"
 
-    def test_inverse_powers(self):
-        assert L("q") * L("q^-1") == L("1")
+    def test_terms_in_exponent_order(self):
+        s = TruncatedSeries({3: 1, -1: 1, 0: 2}, -1, 5)
+        assert s.render() == "q^-1 + 2 + q^3 + O(q^6)"
 
-    def test_no_stored_zeros(self):
-        p = L("1 + q") - L("q")
-        assert p.coeffs == {0: Fraction(1)}
+    def test_rational_and_negative_coefficients(self):
+        s = TruncatedSeries({-4: -1, 0: Fraction(-1, 2), 2: Fraction(3, 2)}, -4, 3)
+        assert s.render() == "-q^-4 - 1/2 + 3/2 q^2 + O(q^4)"
 
-    def test_render_roundtrip_exact(self):
-        for text in ["q^-1 + 2 + q^3", "0", "1", "-q", "3/2 q^2 - q^-4", "q"]:
-            p = L(text)
-            assert LaurentPoly.parse(p.render()) == p
-
-    def test_render_examples(self):
-        assert LaurentPoly({-1: 1, 0: 2, 3: 1}).render() == "q^-1 + 2 + q^3"
-        assert LaurentPoly({}).render() == "0"
-
-    def test_roundtrip_random(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            coeffs = {rng.randint(-6, 6): Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                      for _ in range(rng.randint(0, 5))}
-            p = LaurentPoly(coeffs)
-            assert LaurentPoly.parse(p.render()) == p
-
-    def test_ring_axioms_random(self):
-        rng = random.Random(11)
-
-        def rand_poly():
-            return LaurentPoly({rng.randint(-4, 4): rng.randint(-5, 5)
-                                for _ in range(rng.randint(0, 4))})
-
-        for _ in range(100):
-            x, y, z = rand_poly(), rand_poly(), rand_poly()
-            assert (x * y) * z == x * (y * z)
-            assert x * (y + z) == x * y + x * z
-            assert x + y == y + x
-            assert x * y == y * x
-
-    def test_substitutions(self):
-        p = L("q^2 - q^-1")
-        assert p.reverse() == L("q^-2 - q")
-        assert p.substitute_minus_qinv() == L("q^-2 + q")
-
-    def test_substitution_stays_exact_at_negative_exponents(self):
-        p = LaurentPoly({-1: Fraction(1, 3), -2: Fraction(2, 7)})
-        assert p.substitute_minus_qinv().coeffs == {1: Fraction(-1, 3), 2: Fraction(2, 7)}
+    def test_q_against_a_power_of_q(self):
+        assert TruncatedSeries({1: 1, 2: -1}, 0, 3).render() == "q - q^2 + O(q^4)"
+        assert TruncatedSeries({0: -1, 1: -2}, 0, 1).render() == "-1 - 2 q + O(q^2)"
 
 
 class TestTruncatedSeries:
