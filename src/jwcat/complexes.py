@@ -44,6 +44,14 @@ caller passes only the window it works at. Below, a tail has direction o
   period nearer σ, and a windowed solution extends to the semi-infinite
   complexes. The equations still run two periods past σ, which checks one
   repeated period explicitly, as the seam check does on the terms.
+  The ladder's period p is twice the lcm L of the two tails' periods
+  (``_common_tail``). Every solution periodic under L is periodic under 2L,
+  so doubling loses none, and it admits the solutions that change sign at
+  each step of L: a tail with differential d and its copy with -d, as a
+  homological shift of a period-1 tail gives, are isomorphic only through
+  φ_i = (-1)^i, which has period 2. Nothing proves 2L complete (a solution
+  that repeats only after three steps of L would still be missed), so an
+  empty solution set of the ansatz is inconclusive, never "false".
 * Reduction margin (``reduce_on_window``): 2p + 2 degrees on the tail
   side. ``gaussian_reduce`` always cancels at the lowest degree whose
   differential has a unit. A cancellation at i rewrites d(i), drops a row
@@ -89,7 +97,11 @@ caller passes only the window it works at. Below, a tail has direction o
   down until the lowest scanned term lands wholly above out_hi + 1; the
   output is then clipped below the lowest degree the next term out, the
   lowest one shifted by s, could reach, so no kept degree misses a
-  contribution.
+  contribution. Each period outward moves r by -p and a term's internal
+  degrees by s, so its degrees in D by s - p. The scan ends only when
+  s > p; otherwise every term of the tail lands at or below the degrees of
+  the last one, and D raises ``RegimeError`` before it scans. Every output
+  of P has p = 1 and s = 2.
 * Resolution repeat (``resolutions.resolve_complex``). The step that
   computes degree k of a resolution of Y covers the pairs (y, z), y in Y^k
   and z a cycle of P^(k+1), with d_Y(y) equal to the augmentation of z.
@@ -951,7 +963,8 @@ def _common_tail(X: ProjComplex, Y: ProjComplex) -> TailSpec | None:
     tx, ty = X.tail, Y.tail
     if tx is None or ty is None or tx.side != ty.side:
         return None
-    p = math.lcm(tx.period, ty.period)
+    # twice the common period: the ladder seam of "Windows and margins"
+    p = 2 * math.lcm(tx.period, ty.period)
     sx = tx.shift * (p // tx.period)
     sy = ty.shift * (p // ty.period)
     if sx != sy:
@@ -1237,6 +1250,9 @@ def iso_in_homotopy_category(x: ProjComplex, y: ProjComplex,
     to isomorphism in their homotopy class, so a summand-multiset mismatch is
     a certified "false"; an invertible chain map is a certified "true"; a
     failed search on matching shapes is reported inconclusive, never false.
+    No nonzero chain map at all is "false" between bounded minimal models;
+    between tailed ones it is inconclusive, since the periodic ansatz of the
+    ladder seam is not known to be complete.
     An input with a stored term outside the window on a side where it has
     no tail is inconclusive: the clip would drop that term unseen.
     """
@@ -1260,20 +1276,23 @@ def iso_in_homotopy_category(x: ProjComplex, y: ProjComplex,
     inv = search_invertible(sols, lambda f: _chain_map_invertible(f, window))
     if inv is not None:
         return Verdict("true", witness=(xm, ym, inv))
-    if not sols:
+    if not sols and xm.tail is None:
         return Verdict("false", reason="no nonzero chain maps between minimal models")
+    if not sols:
+        # the periodic ansatz is not known to be complete (ladder seam)
+        return Verdict("inconclusive",
+                       reason="no nonzero periodic chain maps between minimal models")
     return Verdict("inconclusive", reason="no invertible chain map found in the window")
 
 
 def _chain_map_invertible(f: ProjChainMap, window: tuple[int, int]) -> bool:
     """Invertible iff the scalar parts are invertible per isotype; radical
     entries are nilpotent and cannot obstruct invertibility."""
+    if not _summand_multisets_match(f.source, f.target, window):
+        return False
     lo, hi = window
     for i in range(lo, hi + 1):
         src, tgt = f.source.term(i), f.target.term(i)
-        if sorted((s.vertex, s.shift) for s in src) != \
-           sorted((s.vertex, s.shift) for s in tgt):
-            return False
         if not src:
             continue
         m = f.component(i)
@@ -1283,8 +1302,6 @@ def _chain_map_invertible(f: ProjChainMap, window: tuple[int, int]) -> bool:
         for k, s in enumerate(tgt):
             isotypes.setdefault((s.vertex, s.shift), ([], []))[1].append(k)
         for (cols, rows) in isotypes.values():
-            if len(cols) != len(rows):
-                return False
             blk = Matrix(len(rows), len(cols),
                          [[m.entries[r][c].scalar_part() for c in cols] for r in rows])
             if not blk.is_invertible():
@@ -1377,13 +1394,11 @@ def _solve_intertwining(F: ProjChainMap, G: ProjChainMap,
         return (ProjChainMap(S1, S2, s_maps, "ψ_s", validate=False),
                 ProjChainMap(T1, T2, t_maps, "ψ_t", validate=False))
 
-    def combine(coeffs):
-        return [sum(c * v[j] for c, v in zip(coeffs, kernel)) for j in range(ladder.n)]
-
-    vec = search_invertible(
-        kernel, lambda v: all(_chain_map_invertible(f, window) for f in psis(v)),
-        combine)
-    return None if vec is None else psis(vec)
+    # each kernel vector as a 1 x n row, so that the search's sums are vectors
+    row = search_invertible(
+        [Matrix.from_rows([v]) for v in kernel],
+        lambda r: all(_chain_map_invertible(f, window) for f in psis(r.data[0])))
+    return None if row is None else psis(row.data[0])
 
 
 def chain_maps_homotopic(f: ProjChainMap, g: ProjChainMap,

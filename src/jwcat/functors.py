@@ -265,6 +265,11 @@ def _koszul_D(setup: Setup, x, out_window: tuple[int, int] | None):
     Y = _as_module_complex(x)
     if Y.tail is not None and Y.tail.side == RIGHT_TAIL:
         raise RegimeError("duality input must be bounded above")
+    if Y.tail is not None and Y.tail.shift <= Y.tail.period:
+        # D's degree scan (complexes module docstring) ends only when each
+        # period outward moves the terms' degrees up
+        raise RegimeError("duality input's left tail must shift its terms by "
+                          "more than its period")
     if out_window is None:
         lo, hi = Y.window()
         smin = min((d for m in Y.terms.values() for d in m.degrees()), default=0)

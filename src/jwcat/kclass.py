@@ -91,32 +91,33 @@ def class_of_module(M: GradedModule, order: int) -> KClass:
 
 def class_of_summand(s: Summand, order: int, reversed_q: bool = False) -> KClass:
     """Class of P(v)<r>: in reversed mode exponents are negated."""
-    sgn = -1 if reversed_q else 1
-    series = {}
-    for v, exps in PROJECTIVE_EXPONENTS[s.vertex].items():
-        series[v] = TruncatedSeries.exact({sgn * (e + s.shift): 1 for e in exps}, order)
-    return KClass(series, REVERSED if reversed_q else STANDARD)
+    return _counted([(1, s)], order, reversed_q)
 
 
-def _counted_class(x: ProjComplex, degrees: range, order: int,
-                   reversed_q: bool) -> KClass:
-    """Alternating sum of the summand classes in ``degrees``, counted as
-    integers per (vertex, exponent). ``TruncatedSeries.exact`` gives it the
+def _counted(summands, order: int, reversed_q: bool) -> KClass:
+    """Σ m·[P(v)<r>] over the pairs (m, P(v)<r>) of ``summands``, counted as
+    integers per (vertex, exponent) off ``PROJECTIVE_EXPONENTS``; in reversed
+    mode exponents are negated. ``TruncatedSeries.exact`` gives it the
     window a sum of ``class_of_summand`` terms onto the zero class has: a
     count that cancels to zero keeps its key, so cancelled summands reach
     the window too."""
     sgn = -1 if reversed_q else 1
     counts = {v: {} for v in VERTICES}
-    for i in degrees:
-        sign = 1 if i % 2 == 0 else -1
-        for s in x.term(i):
-            for v, exps in PROJECTIVE_EXPONENTS[s.vertex].items():
-                at_v = counts[v]
-                for e in exps:
-                    k = sgn * (e + s.shift)
-                    at_v[k] = at_v.get(k, 0) + sign
+    for m, s in summands:
+        for v, exps in PROJECTIVE_EXPONENTS[s.vertex].items():
+            at_v = counts[v]
+            for e in exps:
+                k = sgn * (e + s.shift)
+                at_v[k] = at_v.get(k, 0) + m
     return KClass({v: TruncatedSeries.exact(c, order) for v, c in counts.items()},
                   REVERSED if reversed_q else STANDARD)
+
+
+def _counted_class(x: ProjComplex, degrees: range, order: int,
+                   reversed_q: bool) -> KClass:
+    """Alternating sum of the summand classes in ``degrees``."""
+    return _counted(((1 if i % 2 == 0 else -1, s) for i in degrees for s in x.term(i)),
+                    order, reversed_q)
 
 
 @lru_cache(maxsize=64)
@@ -227,7 +228,9 @@ def apply_jw_reference(m: dict[str, dict[str, TruncatedSeries]],
 
 def duality_on_class(k: KClass) -> KClass:
     """Decategorified shadow of the duality functor on bounded complexes:
-    q^r[L(v)] -> (-q)^{-r}[P(DUAL_VERTEX[v])-class].
+    q^r[L(v)] -> (-q)^{-r}[P(DUAL_VERTEX[v])-class], that is (-1)^r times
+    the class of P(DUAL_VERTEX[v])<-r>, counted as ``euler_class`` counts
+    summands, so the result keeps the order of ``k``.
 
     ``k`` must be an exact class, with no term truncated above its order:
     q ↦ -q⁻¹ sends q^r to q^{-r}, so a truncated term would go missing deep
@@ -235,9 +238,6 @@ def duality_on_class(k: KClass) -> KClass:
     if k.regime != STANDARD:
         raise RegimeError("the decategorified duality law is stated on bounded classes")
     order = min(s.order for s in k.series.values())
-    out = KClass.zero(order)
-    for v in VERTICES:
-        twisted = {-e: -c if e % 2 else c for e, c in k.series[v].coeffs.items()}
-        out = out + projective_class(DUAL_VERTEX[v], order).scale_series(
-            TruncatedSeries.exact(twisted, order))
-    return out
+    return _counted(((-c if e % 2 else c, Summand(DUAL_VERTEX[v], -e))
+                     for v in VERTICES for e, c in k.series[v].coeffs.items()),
+                    order, False)

@@ -5,6 +5,8 @@ to exact kernels and solves. ``Matrix`` stores dense lists of Fractions and
 is immutable by convention once built; its one elimination routine,
 ``Matrix.rref``, works on sparse rows and skips zero entries, since the
 systems that come up (ladder systems above all) hold a few nonzeros per row.
+A kernel and a solve read the same reduced form of the matrix built from
+their columns; a solve appends its right-hand side as one more column.
 """
 
 from __future__ import annotations
@@ -61,17 +63,10 @@ class Matrix:
             m.data[i][i] = Fraction(1)
         return m
 
-    def __getitem__(self, idx):
-        i, j = idx
-        return self.data[i][j]
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self.nrows, self.ncols) == (other.nrows, other.ncols) and self.data == other.data
-
-    def __hash__(self):
-        return hash((self.nrows, self.ncols, tuple(tuple(r) for r in self.data)))
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols}, {self.data!r})"
@@ -198,28 +193,6 @@ class Matrix:
             basis.append(v)
         return basis
 
-    def solve(self, rhs: Sequence[Fraction]) -> list[Fraction] | None:
-        """One particular solution of self * x = rhs, or None if inconsistent."""
-        if len(rhs) != self.nrows:
-            raise ValueError("rhs length mismatch")
-        aug = self.hstack(Matrix(self.nrows, 1, [[_frac(x)] for x in rhs]))
-        R, pivots = aug.rref()
-        if self.ncols in pivots:
-            return None
-        x = [Fraction(0)] * self.ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = R.data[r][self.ncols]
-        return x
-
-    def inverse(self) -> Matrix | None:
-        if self.nrows != self.ncols:
-            return None
-        aug = self.hstack(Matrix.identity(self.nrows))
-        R, pivots = aug.rref()
-        if pivots != list(range(self.nrows)):
-            return None
-        return R.submatrix(range(self.nrows), range(self.nrows, 2 * self.nrows))
-
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
 
@@ -227,14 +200,28 @@ class Matrix:
 def _matrix_from_columns(column_fn, nuk: int) -> Matrix:
     cols = [column_fn(j) for j in range(nuk)]
     nr = len(cols[0])
+    if any(len(c) != nr for c in cols):
+        raise ValueError("columns of different lengths")
     return Matrix(nr, nuk, [[cols[j][i] for j in range(nuk)] for i in range(nr)])
 
 
 def solve_from_columns(column_fn, nuk: int, rhs: list[Fraction]):
-    """Solve A x = rhs where column j of A is column_fn(j); returns x or None."""
+    """Solve A x = rhs where column j of A is column_fn(j); returns x or None.
+
+    [A | rhs] is reduced once, with rhs as column ``nuk``. The system is
+    inconsistent exactly when that column is a pivot; otherwise x holds, at
+    each pivot column, its row's entry in column ``nuk``, and zero elsewhere.
+    """
     if nuk == 0:
         return [] if all(c == 0 for c in rhs) else None
-    return _matrix_from_columns(column_fn, nuk).solve(rhs)
+    R, pivots = _matrix_from_columns(lambda j: rhs if j == nuk else column_fn(j),
+                                     nuk + 1).rref()
+    if nuk in pivots:
+        return None
+    x = [_ZERO] * nuk
+    for row, pc in zip(R.data, pivots):
+        x[pc] = row[nuk]
+    return x
 
 
 def kernel_from_columns(column_fn, nuk: int) -> list[list[Fraction]]:
@@ -244,31 +231,27 @@ def kernel_from_columns(column_fn, nuk: int) -> list[list[Fraction]]:
     return _matrix_from_columns(column_fn, nuk).nullspace()
 
 
-def search_invertible(basis: list, is_invertible, combine=None):
+def search_invertible(basis: list, is_invertible):
     """An element of the span of ``basis`` accepted by ``is_invertible``.
 
     Tries each basis element, then, when there are at most four, every
     combination with coefficients in {0, 1, -1, 2}, not all zero, in
-    ``itertools.product`` order. ``combine(coeffs)`` forms a combination; by
-    default it is the sum of ``b.scale(c)`` over the nonzero coefficients.
-    The search is deterministic. None means that no candidate passed, not
-    that the span has no invertible element, and callers report it that way.
+    ``itertools.product`` order: the sum of ``b.scale(c)`` over the nonzero
+    coefficients. The search is deterministic. None means that no candidate
+    passed, not that the span has no invertible element, and callers report
+    it that way.
     """
     for b in basis:
         if is_invertible(b):
             return b
     if len(basis) > 4:
         return None
-    if combine is None:
-        def combine(coeffs):
-            out = None
-            for c, b in zip(coeffs, basis):
-                if c:
-                    out = b.scale(c) if out is None else out + b.scale(c)
-            return out
     for coeffs in itertools.product((0, 1, -1, 2), repeat=len(basis)):
         if any(coeffs):
-            f = combine(coeffs)
+            f = None
+            for c, b in zip(coeffs, basis):
+                if c:
+                    f = b.scale(c) if f is None else f + b.scale(c)
             if is_invertible(f):
                 return f
     return None

@@ -3,6 +3,9 @@ N = 16 with exact arithmetic and zero tolerance throughout. Each test prints
 one pass/fail line (visible with pytest -s or on failure)."""
 
 import hashlib
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -321,3 +324,29 @@ def test_verdicts_are_monotone_in_the_window():
         digest = hashlib.sha256(report.to_json(with_timings=False).encode()).hexdigest()
         assert digest == SWEEP_DIGESTS[n], n
         passed_before = passed
+
+
+FORCED_FALSE = """
+from jwcat import verify
+from jwcat.complexes import Verdict
+
+
+def false(*args):
+    return Verdict("false", reason="forced")
+
+
+verify.iso_in_homotopy_category = verify.maps_agree_under_identification = false
+print(verify.run_suite(verify.VerificationConfig(window=8)).verdict_counts()["fail"])
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_a_claim_that_fails_fails_under_every_interpreter_flag(flags):
+    """With both homotopy-category decisions forced to "false", six checks
+    of the suite at N = 8 fail, also under ``python -O``, which strips
+    ``assert`` statements."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, *flags, "-B", "-c", FORCED_FALSE],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["6"]

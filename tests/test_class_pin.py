@@ -18,7 +18,7 @@ from test_reduction_pin import run_pool
 
 # the modules that bind a class function, each patched where it reads it
 READERS = (exprs, kclass, verify)
-PINNED = "59140e1952d85ee65ad495d322f123a62d0aaaa9d96da59eedc1f345c1e23e69"
+PINNED = "133c676ff500b3b2186504ce1e79a6f20effd76ce79c2b2e406549e751c67cd3"
 
 
 def class_text(k):

@@ -5,7 +5,8 @@ object from outside its class unless some class declares it, and no attribute
 a class declares goes unread in ``src``, ``tests``, ``demos`` or
 ``perfbench``, no function or method goes unreferenced there, and no
 defaulted parameter goes unset by every call there. Every name the
-package's ``__all__`` exports is bound in its ``__init__``.
+package's ``__all__`` exports is bound in its ``__init__``. No ``assert``
+statement states a claim in the package, since ``python -O`` strips them.
 
 A name counts as read when its scope, or a function or comprehension nested
 in it, loads it. Names declared ``global`` or ``nonlocal`` belong to another
@@ -427,3 +428,25 @@ def test_the_scan_finds_an_unset_default():
 
 def test_every_default_is_set_by_some_call():
     assert unset_defaults(package_trees(), reader_trees(), CALLED_FROM_OUTSIDE) == []
+
+
+def assert_statements(tree):
+    """The line of every ``assert`` statement. ``python -O`` strips them, so a
+    claim stated as one would pass under that flag whatever it found."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_the_scan_finds_an_assert_statement():
+    tree = ast.parse("def f(x):\n"
+                     "    assert x, 'x'\n"
+                     "    _require(x, 'assert x')\n"
+                     "    if x:\n"
+                     "        assert not x\n"
+                     "    return AssertionError\n")
+    assert assert_statements(tree) == [2, 5]
+
+
+def test_no_assert_statements_in_the_package():
+    found = [(path.name, line) for path in sorted(SRC.glob("*.py"))
+             for line in assert_statements(ast.parse(path.read_text(), str(path)))]
+    assert found == []

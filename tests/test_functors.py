@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from jwcat.complexes import (LEFT_TAIL, AlgMatrix, Complex, ProjChainMap,
@@ -48,6 +53,21 @@ class TestAtoms:
             ("b", (B.arrow_element("b"), P2.shift(1), P1)),
             ("e(1)", (B.idempotent("1"), P1, P1)),
             ("e(2)", (B.idempotent("2"), P2, P2))]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+FLAT_LEFT_TAIL = """
+from jwcat.complexes import LEFT_TAIL, ProjComplex, RegimeError, Summand, TailSpec
+from jwcat.functors import Setup, koszul_D_on_object
+
+setup = Setup.create()
+x = ProjComplex(setup.B, {i: (Summand("2", 0),) for i in range(-3, 1)}, {},
+                TailSpec(LEFT_TAIL, -2, 1, 0), "flat")
+try:
+    koszul_D_on_object(setup, x, out_window=(0, 8))
+except RegimeError:
+    print("RegimeError")
+"""
 
 
 def assert_same_complex(x, y):
@@ -295,6 +315,17 @@ class TestDuality:
         with pytest.raises(ConstructionError,
                            match="shift the source so the map has degree 0"):
             koszul_D_on_map(setup, f, out_window=(0, 8))
+
+    def test_a_left_tail_that_does_not_climb_is_a_regime_error(self):
+        """P(2) in every degree <= 0, with zero differentials: each period
+        outward lands in the same degrees of D, so D's degree scan would
+        never end. It is refused before the scan; the child process keeps a
+        scan that does not end from hanging the test."""
+        done = subprocess.run([sys.executable, "-B", "-c", FLAT_LEFT_TAIL],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=10)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["RegimeError"]
 
 
 class TestTopologicalProjector:

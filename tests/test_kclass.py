@@ -265,6 +265,24 @@ class TestDualityLaw:
         assert report.verdict_counts() == {"pass": 13, "fail": 0, "inconclusive": 0}
 
 
+    def test_the_law_keeps_the_order_of_the_suite(self):
+        """The twist is counted as summands, not multiplied as series, so at
+        the default N = 16 every class the suite's duality law twists comes
+        out at order 33. A product of series lowered it by the twisted
+        factor's depth below q⁰: to 32 for P(1) and 31 for P(2)."""
+        twisted = []
+
+        def recording(k):
+            twisted.append(duality_on_class(k))
+            return twisted[-1]
+
+        with mock.patch("jwcat.verify.duality_on_class", recording):
+            report = run_suite(VerificationConfig(only=("decategorification",)))
+        assert report.verdict_counts()["pass"] == 1
+        assert len(twisted) == 5
+        assert {s.order for k in twisted for s in k.series.values()} == {33}
+
+
 class TestReversedRegime:
     def test_ck_class_lives_in_inverted_completion(self, setup):
         from jwcat.functors import CK_on_object

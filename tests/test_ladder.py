@@ -2,6 +2,7 @@
 on complexes where the answer is known by hand."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from jwcat.complexes import (RIGHT_TAIL, AlgMatrix, LadderFamily, LadderSystem,
                              gaussian_reduce, iso_in_homotopy_category,
                              ladder_degrees, maps_agree_under_identification,
                              solve_chain_maps)
+from jwcat.exprs import evaluate, parse
 from jwcat.functors import P_on_object, Setup
 from jwcat.linalg import unit_vector
 from jwcat.modules import projective, simple
@@ -87,6 +89,46 @@ class TestDegreeRule:
             [(1, 0, 0, e2.word())]]
         assert [start for table in ladder.tables for start, _ in table.values()] \
             == [0, 3, 4, 4, 5]
+
+
+class TestPeriodicAnsatz:
+    def test_the_ladder_period_is_twice_the_lcm(self, B):
+        def tailed(period, shift):
+            t = (Summand("2", 0),)
+            return ProjComplex(B, {i: t for i in range(0, 9)}, {},
+                               TailSpec(RIGHT_TAIL, 2, period, shift), f"p{period}")
+        assert _common_tail(tailed(1, 0), tailed(1, 0)) == TailSpec(RIGHT_TAIL, 2, 2, 0)
+        assert _common_tail(tailed(1, 0), tailed(2, 0)) == TailSpec(RIGHT_TAIL, 2, 4, 0)
+
+    def test_a_sign_alternating_isomorphism_is_found(self):
+        """P(P(1)[1]) has d = ab in every degree and P(P(1))[1] has d = -ab.
+        They are isomorphic through φ_i = (-1)^i, of period 2, which an
+        ansatz of the tails' own period 1 misses: it used to answer
+        "false" ("no nonzero chain maps between minimal models")."""
+        setup = Setup.create()
+        x, y = (evaluate(setup, parse(e), (0, 6), 13).complex
+                for e in ("P(P(1)[1])", "P(P(1))[1]"))
+        assert x.tail.period == y.tail.period == 1
+        v = iso_in_homotopy_category(x, y, (-10, -1))
+        assert v.value == "true", v.reason
+        inv = v.witness[2]
+        assert _chain_map_invertible(inv, (-10, -1))
+        # one P(2) per degree: the witness changes sign from degree to degree
+        entries = [inv.component(i).entries[0][0] for i in range(-10, 0)]
+        assert all(not e.is_zero() and f == e.scale(-1)
+                   for e, f in zip(entries, entries[1:]))
+
+    def test_no_periodic_chain_map_is_false_only_between_bounded_models(self, B):
+        setup = Setup.create()
+        x = P_on_object(setup, projective(setup.B, "1"), depth=8)
+        p2 = ProjComplex.from_summand(B, "2", 0)
+        with mock.patch("jwcat.complexes.solve_chain_maps", return_value=[]):
+            tailed = iso_in_homotopy_category(x, x, (-8, 0))
+            bounded = iso_in_homotopy_category(p2, p2, (0, 0))
+        assert tailed.value == "inconclusive"
+        assert tailed.reason == "no nonzero periodic chain maps between minimal models"
+        assert bounded.value == "false"
+        assert bounded.reason == "no nonzero chain maps between minimal models"
 
 
 class TestHomotopySolve:
@@ -239,10 +281,12 @@ class TestLocalColumns:
         assert_local_columns_match(ladder, ladder.chain_blocks(0))
 
     def test_chain_maps_on_a_left_tail(self):
+        # the tail starts at -7 and the ladder's period is 2, so the unknowns
+        # stop at -8; the window runs four degrees further
         setup = Setup.create()
-        x = P_on_object(setup, projective(setup.B, "1"), depth=8)
-        ladder = LadderSystem([LadderFamily(x, x, 0, (-8, 0), _common_tail(x, x))])
-        assert min(ladder.tables[0]) > -8
+        x = P_on_object(setup, projective(setup.B, "1"), depth=8).materialize(-12, 0)
+        ladder = LadderSystem([LadderFamily(x, x, 0, (-12, 0), _common_tail(x, x))])
+        assert min(ladder.tables[0]) == -8
         assert_local_columns_match(ladder, ladder.chain_blocks(0))
 
     @pytest.mark.parametrize("strict", [True, False])

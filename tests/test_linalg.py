@@ -2,15 +2,21 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jwcat.linalg import Matrix, search_invertible
+from jwcat.linalg import Matrix, search_invertible, solve_from_columns
 
 
 def rand_matrix(rng, n, m, lo=-5, hi=5):
     return Matrix(n, m, [[Fraction(rng.randint(lo, hi)) for _ in range(m)]
                          for _ in range(n)])
+
+
+def solve(a, b):
+    """``solve_from_columns`` on the columns of ``a``."""
+    return solve_from_columns(lambda j: [row[j] for row in a.data], a.ncols, b)
 
 
 def test_identity_and_mul():
@@ -45,28 +51,22 @@ def test_solve_consistency():
         a = rand_matrix(rng, n, m)
         x = [Fraction(rng.randint(-4, 4)) for _ in range(m)]
         b = a.apply(x)
-        sol = a.solve(b)
+        sol = solve(a, b)
         assert sol is not None
         assert a.apply(sol) == b
 
 
 def test_solve_inconsistent():
     a = Matrix.from_rows([[1, 0], [1, 0]])
-    assert a.solve([Fraction(1), Fraction(2)]) is None
+    assert solve(a, [Fraction(1), Fraction(2)]) is None
 
 
-def test_inverse():
-    rng = random.Random(17)
-    found = 0
-    for _ in range(60):
-        n = rng.randint(1, 5)
-        a = rand_matrix(rng, n, n)
-        inv = a.inverse()
-        if inv is not None:
-            found += 1
-            assert a * inv == Matrix.identity(n)
-            assert inv * a == Matrix.identity(n)
-    assert found > 10
+def test_solve_rejects_a_right_hand_side_of_another_length():
+    a = Matrix.from_rows([[1, 0], [0, 1]])
+    with pytest.raises(ValueError):
+        solve(a, [Fraction(1)])
+    with pytest.raises(ValueError):
+        solve(a, [Fraction(1)] * 3)
 
 
 def test_rref_idempotent():
@@ -133,14 +133,30 @@ def test_sparse_kernels_and_solutions(a, data):
     assert a.rank() + len(a.nullspace()) == a.ncols
     x = [Fraction(data.draw(st.integers(-3, 3))) for _ in range(a.ncols)]
     b = a.apply(x)
-    sol = a.solve(b)
+    sol = solve(a, b)
     assert sol is not None and a.apply(sol) == b
-    inv = a.inverse()
-    if inv is not None:
-        assert a * inv == Matrix.identity(a.nrows) == inv * a
-        assert sol == inv.apply(b)
-    elif a.nrows == a.ncols:
-        assert a.rank() < a.nrows
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=sparse_matrices(), data=st.data())
+def test_a_solve_reads_the_reduced_form_of_the_augmented_matrix(a, data):
+    """The solution is the one read off the reduced form of [A | b], and it
+    is None exactly when b's column is a pivot; b is A x half of the time."""
+    if data.draw(st.booleans()):
+        b = a.apply([Fraction(data.draw(st.integers(-3, 3))) for _ in range(a.ncols)])
+    else:
+        b = [Fraction(data.draw(st.integers(-2, 2))) for _ in range(a.nrows)]
+    ref, ref_piv = reference_rref(Matrix(a.nrows, a.ncols + 1,
+                                         [row + [x] for row, x in zip(a.data, b)]))
+    sol = solve(a, b)
+    if a.ncols in ref_piv:
+        assert sol is None
+        return
+    want = [Fraction(0)] * a.ncols
+    for row, pc in zip(ref, ref_piv):
+        want[pc] = row[a.ncols]
+    assert sol == want
+    assert a.apply(sol) == b
 
 
 # ---------------------------------------------------------------------------
@@ -173,35 +189,36 @@ def test_search_invertible_combines_singular_basis_elements():
     assert tried == want
 
 
-def test_search_invertible_with_a_custom_combine_follows_product_order():
-    """The custom ``combine`` receives every coefficient tuple but all-zero,
-    in ``itertools.product`` order over (0, 1, -1, 2), until one passes."""
-    basis = [diagonal(1, 0, 0), diagonal(0, 1, 0), diagonal(0, 0, 1)]
-    seen = []
+def test_search_invertible_sums_rows_in_product_order():
+    """Kernel vectors enter as 1 x n rows; after the basis, the candidates
+    are the sums of c·row over every coefficient tuple but all-zero, in
+    ``itertools.product`` order over (0, 1, -1, 2), until one passes."""
+    basis = [Matrix.from_rows([v]) for v in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]
+    tried = []
 
-    def combine(coeffs):
-        seen.append(coeffs)
-        return diagonal(*coeffs)
+    def accept(r):
+        tried.append(r.data[0])
+        return r.data[0] == [1, 1, 2]
 
-    # invertible only with every coefficient nonzero and the last one 2
-    def accept(m):
-        return m.is_invertible() and m.data[2][2] == 2
-
-    got = search_invertible(basis, accept, combine)
-    assert got == diagonal(1, 1, 2)
+    assert search_invertible(basis, accept) == Matrix.from_rows([[1, 1, 2]])
     combos = [c for c in itertools.product(COEFFS, repeat=3) if any(c)]
-    assert seen == combos[:combos.index((1, 1, 2)) + 1]
+    assert tried == [b.data[0] for b in basis] + \
+        [list(c) for c in combos[:combos.index((1, 1, 2)) + 1]]
 
 
 def test_search_invertible_combines_at_most_four_basis_elements():
-    singular = [diagonal(*(1 if j == i else 0 for j in range(5))) for i in range(5)]
-    calls = []
+    """Five basis elements are tried alone and never combined; four are
+    followed by all 4^4 - 1 combinations."""
+    units = [diagonal(*(1 if j == i else 0 for j in range(5))) for i in range(5)]
+    tried = []
 
-    def combine(coeffs):
-        calls.append(coeffs)
-        return diagonal(*coeffs)
+    def reject(m):
+        tried.append(m)
+        return False
 
-    assert search_invertible(singular, Matrix.is_invertible, combine) is None
-    assert calls == []
-    assert search_invertible(singular[:4], lambda m: False, combine) is None
-    assert len(calls) == len(COEFFS) ** 4 - 1
+    assert search_invertible(units, reject) is None
+    assert tried == units
+    tried.clear()
+    assert search_invertible(units[:4], reject) is None
+    combos = [c for c in itertools.product(COEFFS, repeat=4) if any(c)]
+    assert tried == units[:4] + [diagonal(*c, 0) for c in combos]

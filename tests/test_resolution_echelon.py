@@ -16,7 +16,7 @@ from jwcat import resolutions
 from jwcat.complexes import WindowTooSmall
 from jwcat.exprs import evaluate, parse
 from jwcat.functors import Setup
-from jwcat.linalg import Matrix, unit_vector
+from jwcat.linalg import Matrix, solve_from_columns, unit_vector
 from jwcat.modules import GradedModule, ModuleHom, Summand, projective, projective_sum
 from jwcat.quiver import ConstructionError
 from jwcat.resolutions import minimal_generators, submodule_from_vectors
@@ -63,10 +63,7 @@ def ref_submodule_from_vectors(ambient, vectors, name="K"):
                     continue
                 if not tgt_rows:
                     raise ConstructionError("submodule is not action-closed")
-                T = Matrix(len(img), len(tgt_rows),
-                           [[tgt_rows[c][rr] for c in range(len(tgt_rows))]
-                            for rr in range(len(img))])
-                sol = T.solve(img)
+                sol = solve_from_columns(lambda c: tgt_rows[c], len(tgt_rows), img)
                 if sol is None:
                     raise ConstructionError("submodule is not action-closed")
                 for r, x in enumerate(sol):
