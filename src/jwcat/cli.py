@@ -74,6 +74,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.window < 0:
+        print(f"jwcat: error: window must be at least 0, not {args.window}", file=sys.stderr)
+        return USAGE_ERROR
     window = (0, args.window)
     order = args.order if args.order is not None else 2 * args.window + 1
     try:

@@ -140,11 +140,12 @@ caller passes only the window it works at. Below, a tail has direction o
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (Matrix, kernel_from_columns, search_invertible,
+from .linalg import (Matrix, _div, kernel_from_columns, search_invertible,
                      solve_from_columns)
 from .modules import (GradedModule, ModuleHom, Summand, add_left_multiplication,
                       projective_sum, sum_layout)
@@ -816,6 +817,7 @@ class _Eliminator:
         self.terms = dict(c.terms)
         self.diffs = {i: AlgMatrix(c.algebra, d.rows, d.cols, d.entries, validate=False)
                       for i, d in c.diffs.items()}
+        self.degrees = sorted(self.diffs)   # ``drop`` removes summands, not degrees
         # witnesses: original -> current (F), current -> original (G), h on original
         self.F = {i: AlgMatrix.identity(c.algebra, t) for i, t in c.terms.items()}
         self.G = {i: AlgMatrix.identity(c.algebra, t) for i, t in c.terms.items()}
@@ -846,7 +848,7 @@ class _Eliminator:
         ``start``: below it no differential had a unit, and a cancellation
         at i only rewrites d(i), drops a row of d(i - 1) and a column of
         d(i + 1), so none can have gained one."""
-        for i in sorted(k for k in self.diffs if k >= start):
+        for i in self.degrees[bisect.bisect_left(self.degrees, start):]:
             d = self.diffs[i]
             for r, (srow, row) in enumerate(zip(d.rows, d.entries)):
                 for col, (scol, z) in enumerate(zip(d.cols, row)):
@@ -868,7 +870,7 @@ class _Eliminator:
         ``drop`` deletes summand col of degree i and summand r of degree
         i + 1 from every map. Only nonzero entries are visited."""
         d = self.diffs[i]
-        lam_inv = Fraction(1) / d.entries[r][col].scalar_part()
+        lam_inv = _div(1, d.entries[r][col].scalar_part())
         kappa = [(k, row[col]) for k, row in enumerate(d.entries)
                  if k != r and row[col].terms]
         beta = [(j, z) for j, z in enumerate(d.entries[r]) if j != col and z.terms]
@@ -1083,7 +1085,7 @@ class LadderSystem:
         makes nonzero: the unknown's own and their periodic copies."""
         k, i, (r, c, path) = self.unknowns[j]
         m = self._zero(k, i)
-        m.entries[r][c] = self.families[k].source.algebra.element({path: Fraction(1)})
+        m.entries[r][c] = self.families[k].source.algebra.element({path: 1})
         maps: list[dict[int, AlgMatrix]] = [{} for _ in self.families]
         maps[k][i] = m
         self._extend(k, maps[k])
@@ -1133,12 +1135,11 @@ class LadderSystem:
             offsets.append(offsets[-1] + len(base[b]))
             for key in reads:
                 readers.setdefault(key, []).append(b)
-        zero = Fraction(0)
 
         def column_fn(j: int) -> list[Fraction]:
             maps = self._unit(j)
             k = self.unknowns[j][0]
-            col = [zero] * len(rhs)
+            col = [0] * len(rhs)
             for b in {b for i in maps[k] for b in readers.get((k, i), ())}:
                 part = blocks[b][1](maps)
                 if any(base[b]):

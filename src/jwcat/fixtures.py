@@ -16,6 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from .complexes import ProjComplex
+from .linalg import _frac
 from .modules import GradedModule
 from .quiver import PathAlgebra, build_B, build_C, koszul_dual
 
@@ -85,8 +86,7 @@ def projcomplex_from_json(d: dict, algebra: PathAlgebra) -> ProjComplex:
             coeff = 1
             if "·" in part:
                 c, part = part.split("·", 1)
-                from fractions import Fraction
-                coeff = Fraction(c)
+                coeff = _frac(c)
             if part.startswith("e("):
                 el = algebra.idempotent(part[2:-1])
             else:

@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals.
 
 Everything downstream (hom spaces, homology ranks, homotopy solving) reduces
-to exact kernels and solves. ``Matrix`` stores dense lists of Fractions and
-is immutable by convention once built; its one elimination routine,
+to exact kernels and solves. A coefficient is an int while it is integral
+and a Fraction only when it is not, never a float: ``_frac`` is the one
+constructor and ``_div`` the one division. ``Matrix`` stores dense lists of
+them and is immutable by convention once built; its one elimination routine,
 ``Matrix.rref``, works on sparse rows and skips zero entries, since the
 systems that come up (ladder systems above all) hold a few nonzeros per row.
 A kernel and a solve read the same reduced form of the matrix built from
@@ -15,25 +17,32 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rational = Fraction  # scalar type used across the package
-_ZERO, _ONE = Fraction(0), Fraction(1)
+Rational = Fraction  # the type of a non-integral coefficient
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _frac(x) -> int | Fraction:
+    """The exact value of ``x``: an int when it is integral, else a Fraction."""
+    if type(x) is int:
         return x
-    return Fraction(x)
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _div(x, y) -> int | Fraction:
+    """x / y exactly: x or -x when y is ±1, else through ``Fraction``, since
+    a bare ``/`` on two ints gives a float."""
+    return x if y == 1 else -x if y == -1 else _frac(Fraction(x) / y)
 
 
 def unit_vector(n: int, k: int) -> list[Fraction]:
     """The k-th standard basis vector of Q^n."""
-    v = [_ZERO] * n
-    v[k] = _ONE
+    v = [0] * n
+    v[k] = 1
     return v
 
 
 class Matrix:
-    """A rows x cols matrix of Fractions."""
+    """A rows x cols matrix of exact coefficients (``_frac``)."""
 
     __slots__ = ("nrows", "ncols", "data")
 
@@ -43,7 +52,7 @@ class Matrix:
         self.nrows = nrows
         self.ncols = ncols
         if data is None:
-            self.data = [[_ZERO] * ncols for _ in range(nrows)]
+            self.data = [[0] * ncols for _ in range(nrows)]
         else:
             if len(data) != nrows or any(len(r) != ncols for r in data):
                 raise ValueError("matrix data shape mismatch")
@@ -58,10 +67,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> Matrix:
-        m = cls(n, n)
-        for i in range(n):
-            m.data[i][i] = Fraction(1)
-        return m
+        return cls(n, n, [unit_vector(n, i) for i in range(n)])
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -81,38 +87,36 @@ class Matrix:
                       [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
 
     def __sub__(self, other: Matrix) -> Matrix:
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
     def scale(self, c) -> Matrix:
         c = _frac(c)
         return Matrix(self.nrows, self.ncols, [[c * x for x in row] for row in self.data])
 
     def __neg__(self) -> Matrix:
-        return self.scale(Fraction(-1))
+        return self.scale(-1)
 
     def __mul__(self, other: Matrix) -> Matrix:
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch in mul: {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
-        out = Matrix(self.nrows, other.ncols)
-        for i in range(self.nrows):
-            row = self.data[i]
+        out = [[0] * other.ncols for _ in range(self.nrows)]
+        for row, trow in zip(self.data, out):
             for k in range(self.ncols):
                 a = row[k]
                 if a == 0:
                     continue
                 orow = other.data[k]
-                trow = out.data[i]
                 for j in range(other.ncols):
                     b = orow[j]
                     if b != 0:
                         trow[j] = trow[j] + a * b
-        return out
+        return Matrix(self.nrows, other.ncols, out)
 
     def apply(self, vec: Sequence[Fraction]) -> list[Fraction]:
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
         nonzero = [(j, x) for j, x in enumerate(vec) if x]
-        return [sum((row[j] * x for j, x in nonzero if row[j]), _ZERO)
+        return [_frac(sum(row[j] * x for j, x in nonzero if row[j]))
                 for row in self.data]
 
     def hstack(self, other: Matrix) -> Matrix:
@@ -153,7 +157,7 @@ class Matrix:
             prow = pending.pop(best)
             pv = prow.pop(c)
             if pv != 1:
-                prow = {j: x / pv for j, x in prow.items()}
+                prow = {j: _div(x, pv) for j, x in prow.items()}
             emptied = False
             for row in itertools.chain(pending, done):
                 f = row.pop(c, None)
@@ -168,13 +172,13 @@ class Matrix:
                 emptied = emptied or not row
             if emptied:
                 pending = [row for row in pending if row]
-            prow[c] = _ONE
+            prow[c] = 1
             done.append(prow)
             pivots.append(c)
         out = Matrix(self.nrows, self.ncols)
         for dense, row in zip(out.data, done):
             for j, x in row.items():
-                dense[j] = x
+                dense[j] = _frac(x)
         return out, pivots
 
     def rank(self) -> int:
@@ -218,7 +222,7 @@ def solve_from_columns(column_fn, nuk: int, rhs: list[Fraction]):
                                      nuk + 1).rref()
     if nuk in pivots:
         return None
-    x = [_ZERO] * nuk
+    x = [0] * nuk
     for row, pc in zip(R.data, pivots):
         x[pc] = row[nuk]
     return x

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import _ONE, Matrix, kernel_from_columns, search_invertible, unit_vector
+from .linalg import Matrix, kernel_from_columns, search_invertible, unit_vector
 from .quiver import (AlgebraElement, BimodBasisVector, ConstructionError,
                      GradedBimodule, PathAlgebra, Path)
 
@@ -119,7 +119,7 @@ class GradedModule:
         if p.is_trivial():
             m = Matrix(self.dim(d), self.dim(d))
             for i in self.positions(d, p.vertex):
-                m.data[i][i] = _ONE
+                m.data[i][i] = 1
             return m
         # m·(α1...αl) applies α1 first
         mat = None
@@ -203,8 +203,7 @@ class GradedModule:
     @classmethod
     def from_json(cls, d: dict, algebra: PathAlgebra) -> GradedModule:
         basis = {int(k): tuple(v) for k, v in d["basis"].items()}
-        action = {g: {int(k): Matrix.from_rows([[Fraction(x) for x in row] for row in m])
-                      for k, m in mats.items()}
+        action = {g: {int(k): Matrix.from_rows(m) for k, m in mats.items()}
                   for g, mats in d["action"].items()}
         return cls(algebra, basis, action, name=d.get("name", "M"))
 
@@ -249,7 +248,7 @@ def projective_sum(algebra: PathAlgebra, summands) -> GradedModule:
                 if hit is not None:
                     if d not in mats:
                         mats[d] = Matrix(len(labels[hit[0]]), len(labels[d]))
-                    mats[d].data[hit[1]][i] = _ONE
+                    mats[d].data[hit[1]][i] = 1
         action[arrow.name] = {d: mats[d] for d in sorted(mats)}
     basis = {d: tuple(labels[d]) for d in sorted(labels)}
     name = " ⊕ ".join(s.label() for s in summands) or "0"
@@ -575,14 +574,14 @@ def tensor_with_bimodule(M: GradedModule, W: GradedBimodule) -> GradedModule:
             total = d2 + dg + W.basis[k2].degree
             if total not in by_total:
                 continue
-            row = [Fraction(0)] * len(by_total[total])
+            row = [0] * len(by_total[total])
             mg = acts[(g, d2)]
             for r in range(mg.nrows):
                 if mg.data[r][i2] != 0:
                     row[pos[pair_pos[(d2 + dg, r, k2)]]] += mg.data[r][i2]
             j = left[(g, k2)]
             if j is not None:
-                row[pos[pair_pos[(d2, i2, j)]]] -= _ONE
+                row[pos[pair_pos[(d2, i2, j)]]] -= 1
             if any(x != 0 for x in row):
                 rel_rows.setdefault(total, []).append(row)
     reducers: dict[int, tuple[Matrix, list[int]]] = {}
@@ -618,9 +617,9 @@ def tensor_with_bimodule(M: GradedModule, W: GradedBimodule) -> GradedModule:
             cols = []
             for p in free:
                 d, i, k = pairs[idxs[p]]
-                tvec = [Fraction(0)] * len(by_total[tgt_total])
+                tvec = [0] * len(by_total[tgt_total])
                 if right[k] is not None:
-                    tvec[pos[pair_pos[(d, i, right[k])]]] = _ONE
+                    tvec[pos[pair_pos[(d, i, right[k])]]] = 1
                 cols.append(reduce_vec(tgt_total, tvec))
             m = Matrix(len(quot_free[tgt_total]), len(free),
                        [[cols[j][i] for j in range(len(free))]

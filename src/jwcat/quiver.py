@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import _ONE, Matrix, _frac
+from .linalg import Matrix, _frac
 
 
 class ConstructionError(ValueError):
@@ -137,9 +137,9 @@ class PathAlgebra:
         self._projectives: dict = {}   # v -> P(v), stored by modules.projective
         self._zero_module = None       # stored by GradedModule.zero_module
         self._zero = AlgebraElement(self, {})
-        self._idempotents = {v: AlgebraElement(self, {Path((), v): _ONE})
+        self._idempotents = {v: AlgebraElement(self, {Path((), v): 1})
                              for v in quiver.vertices}
-        self._arrow_elements = {a.name: AlgebraElement(self, {p: _ONE})
+        self._arrow_elements = {a.name: AlgebraElement(self, {p: 1})
                                 for a in quiver.arrows
                                 if (p := Path((a.name,))) in self._index}
 
@@ -239,7 +239,7 @@ class PathAlgebra:
         for i in range(len(p.arrows) - 1):
             if self.quiver.arrow(p.arrows[i]).source != self.quiver.arrow(p.arrows[i + 1]).target:
                 raise ConstructionError(f"word {word} is not composable")
-        return AlgebraElement(self, {p: Fraction(1)})
+        return AlgebraElement(self, {p: 1})
 
     def radical_basis(self) -> list[Path]:
         return [p for p in self.basis if self.path_degree(p) > 0]
@@ -270,9 +270,10 @@ class PathAlgebra:
 class AlgebraElement:
     """Finitely supported rational combination of basis paths.
 
-    Elements are immutable: ``terms`` maps basis paths to nonzero Fractions
-    and is never changed after construction, so an element (the algebra's
-    one shared zero included) may sit in any number of matrices at once.
+    Elements are immutable: ``terms`` maps basis paths to nonzero ints and
+    non-integral Fractions (``linalg._frac``) and is never changed after
+    construction, so an element (the algebra's one shared zero included) may
+    sit in any number of matrices at once.
     """
 
     __slots__ = ("algebra", "terms")
@@ -291,13 +292,15 @@ class AlgebraElement:
 
     @classmethod
     def _trusted(cls, algebra: PathAlgebra, terms: dict) -> AlgebraElement:
-        """Element from basis paths with Fraction coefficients, zeros dropped.
+        """Element from basis paths with exact coefficients, zeros dropped.
 
         The arithmetic below builds its results here: sums and products of
-        basis-path terms need neither the coercion nor the basis check of
-        the public constructor. The element takes ``terms`` over, so callers
-        pass a dict of their own. A zero result is the algebra's shared zero.
+        basis-path terms need no basis check, and only a Fraction, which may
+        come out integral, goes through ``_frac``. The element takes ``terms``
+        over, so callers pass a dict of their own; a zero is the shared zero.
         """
+        if Fraction in map(type, terms.values()):
+            terms = {p: _frac(c) for p, c in terms.items()}
         clean = terms if all(terms.values()) else {p: c for p, c in terms.items() if c}
         if not clean:
             return algebra._zero
@@ -363,10 +366,10 @@ class AlgebraElement:
 
     def scalar_part(self) -> Fraction:
         """Coefficient sum on trivial paths (the degree-0 component)."""
-        return sum((c for p, c in self.terms.items() if p.is_trivial()), Fraction(0))
+        return sum(c for p, c in self.terms.items() if p.is_trivial())
 
     def coefficient(self, p: Path) -> Fraction:
-        return self.terms.get(p, Fraction(0))
+        return self.terms.get(p, 0)
 
     def vertex_sandwich(self) -> tuple[str, str] | None:
         """(target, source) when all terms agree, else None."""
@@ -539,7 +542,7 @@ class GradedBimodule:
                 want = Matrix(self.dim(), self.dim())
                 for i, label in enumerate(labels):
                     if label == v:
-                        want.data[i][i] = _ONE
+                        want.data[i][i] = 1
                 if action[f"e({v})"] != want:
                     raise ConstructionError(
                         f"{side} idempotent e({v}) is not the label projection")
@@ -714,7 +717,7 @@ def bimodule_maps_alpha_beta_gamma(B: PathAlgebra, theta: GradedBimodule):
         source = reg if name == "alpha" else theta
         gen_images = {}
         for g, terms in images.items():
-            img = [Fraction(0)] * theta.dim()
+            img = [0] * theta.dim()
             for coef, x, y in terms:
                 img[theta.index[(x, y)]] += coef
             gen_images[g] = img

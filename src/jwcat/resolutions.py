@@ -92,7 +92,7 @@ def kernel_submodule(f: ModuleHom, name: str = "ker") -> tuple[GradedModule, Mod
         for v in sorted(set(M.basis[d])):
             cols = M.positions(d, v)
             for kv in f.block(d, v).nullspace():
-                full = [Fraction(0)] * M.dim(d)
+                full = [0] * M.dim(d)
                 for c, x in zip(cols, kv):
                     full[c] = x
                 vectors[d].append(full)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import _frac
+from .linalg import _div, _frac
 
 
 class WindowError(ValueError):
@@ -58,7 +58,7 @@ class TruncatedSeries:
     def coeff(self, e: int) -> Fraction:
         if e > self.order:
             raise WindowError(f"exponent {e} beyond truncation order {self.order}")
-        return self.coeffs.get(e, Fraction(0))
+        return self.coeffs.get(e, 0)
 
     def window(self) -> tuple[int, int]:
         return (self.min_exp, self.order)
@@ -75,7 +75,7 @@ class TruncatedSeries:
         self._check_overlap(other)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return TruncatedSeries(out, min(self.min_exp, other.min_exp),
                                min(self.order, other.order))
 
@@ -99,7 +99,7 @@ class TruncatedSeries:
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
                 if e <= order:
-                    out[e] = out.get(e, Fraction(0)) + c1 * c2
+                    out[e] = out.get(e, 0) + c1 * c2
         return TruncatedSeries(out, min_exp, order)
 
     def invert(self) -> TruncatedSeries:
@@ -109,18 +109,18 @@ class TruncatedSeries:
         v = min(self.coeffs)  # lowest nonzero exponent; a unit in Q
         lead = self.coeffs[v]
         n_terms = self.order - v  # soluble coefficient count beyond leading
-        out = {-v: 1 / lead}
+        out = {-v: _div(1, lead)}
         # y_{-v+k} determined recursively from x * y = 1: the sum over
         # x_{v+i} y_{-v+k-i} runs over the nonzero x_{v+i}, 1 <= i <= k
         higher = sorted((e - v, c) for e, c in self.coeffs.items()
                         if v < e <= v + n_terms)
         for k in range(1, n_terms + 1):
-            s = Fraction(0)
+            s = 0
             for i, xc in higher:
                 if i > k:
                     break
                 s += xc * out[-v + k - i]
-            out[-v + k] = -s / lead
+            out[-v + k] = _div(-s, lead)
         return TruncatedSeries(out, -v, -v + n_terms)
 
     def truncate(self, order: int) -> TruncatedSeries:
@@ -136,7 +136,7 @@ class TruncatedSeries:
         # the region where one is exact-zero and the other stores data
         lo = min(self.min_exp, other.min_exp)
         for e in range(lo, hi + 1):
-            if self.coeffs.get(e, Fraction(0)) != other.coeffs.get(e, Fraction(0)):
+            if self.coeffs.get(e, 0) != other.coeffs.get(e, 0):
                 return False
         return True
 

@@ -12,6 +12,7 @@ from jwcat.complexes import AlgMatrix, Summand
 from jwcat.linalg import Matrix
 from jwcat.quiver import (AlgebraElement, ConstructionError, Path, build_B,
                           build_C, build_path_algebra, zigzag_quiver)
+from jwcat.series import TruncatedSeries
 
 ALGEBRAS = {
     "B": build_B(),
@@ -46,8 +47,15 @@ def reference_product(x, y):
     return AlgebraElement(alg, out)
 
 
+def clean_coefficient(c):
+    """An exact coefficient as the package stores it: an int, or a Fraction
+    that is not integral; never a float, and never a Fraction with
+    denominator 1."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
 def assert_clean(x):
-    assert all(type(c) is Fraction and c != 0 for c in x.terms.values())
+    assert all(clean_coefficient(c) and c != 0 for c in x.terms.values())
     assert all(p in x.algebra.basis for p in x.terms)
 
 
@@ -111,8 +119,30 @@ class TestElementArithmetic:
         a, b = Path(("a",)), Path(("b",))
         x = AlgebraElement(B, {a: 2, b: 0, Path(("a", "b")): Fraction(1, 2)})
         assert x.terms == {a: Fraction(2), Path(("a", "b")): Fraction(1, 2)}
-        assert all(type(c) is Fraction for c in x.terms.values())
+        assert_clean(x)
         assert AlgebraElement(B, {a: Fraction(0)}).is_zero()
+        # an integral Fraction is stored as an int, a float as its exact value
+        y = AlgebraElement(B, {a: Fraction(4, 2), b: 0.5, Path(("a", "b")): -3})
+        assert y.terms == {a: 2, b: Fraction(1, 2), Path(("a", "b")): -3}
+        assert type(y.terms[a]) is int
+        assert_clean(y)
+
+
+def test_a_fraction_result_that_comes_out_integral_is_stored_as_an_int():
+    """Sums, products and scalings of non-integral Fractions whose result is
+    integral store it as an int: in elements, matrices and series."""
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    a = AlgebraElement(B, {Path(("a",)): half})
+    for x in (a + a, a.scale(2), a * B.idempotent("1").scale(2)):
+        assert x.terms == {Path(("a",)): 1}
+        assert_clean(x)
+    m = Matrix.from_rows([[half, third]])
+    for prod in (m + m, m * Matrix.from_rows([[2], [3]]), m.scale(6)):
+        assert all(clean_coefficient(x) for row in prod.data for x in row)
+    assert (m * Matrix.from_rows([[2], [3]])).data == [[2]]
+    s = TruncatedSeries({0: half}, 0, 3)
+    assert (s + s).coeffs == {0: 1} and type((s + s).coeffs[0]) is int
+    assert type((s * TruncatedSeries({0: 2}, 0, 3)).coeffs[0]) is int
 
 
 def sandwiched_paths(alg, row: Summand, col: Summand):
@@ -182,4 +212,4 @@ def test_apply_matches_dense_sum(case):
     ref = [sum((row[j] * vec[j] for j in range(mat.ncols)), Fraction(0))
            for row in mat.data]
     assert out == ref
-    assert all(type(x) is Fraction for x in out)
+    assert all(clean_coefficient(x) for x in out)

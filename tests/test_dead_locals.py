@@ -6,7 +6,8 @@ a class declares goes unread in ``src``, ``tests``, ``demos`` or
 ``perfbench``, no function or method goes unreferenced there, and no
 defaulted parameter goes unset by every call there. Every name the
 package's ``__all__`` exports is bound in its ``__init__``. No ``assert``
-statement states a claim in the package, since ``python -O`` strips them.
+statement states a claim in the package, since ``python -O`` strips them, and
+no true division ``/`` appears outside ``linalg._div`` and three path joins.
 
 A name counts as read when its scope, or a function or comprehension nested
 in it, loads it. Names declared ``global`` or ``nonlocal`` belong to another
@@ -32,6 +33,11 @@ FRAMEWORK_OVERRIDES = {("_ArgumentParser", "error")}
 # (function, parameter) pairs set from outside the scanned code: the
 # ``jwcat`` console script calls ``cli.main()`` and leaves ``argv`` unset
 CALLED_FROM_OUTSIDE = {("main", "argv")}
+# (file, function) pairs that may hold a true division: the one coefficient
+# division, and the three ``pathlib`` joins of ``fixtures``
+ALLOWED_DIVISIONS = {("linalg.py", "_div"), ("fixtures.py", "_data_dir"),
+                     ("fixtures.py", "load_fixture"),
+                     ("fixtures.py", "write_bundled_fixtures")}
 
 
 def own_nodes(fn):
@@ -449,4 +455,38 @@ def test_the_scan_finds_an_assert_statement():
 def test_no_assert_statements_in_the_package():
     found = [(path.name, line) for path in sorted(SRC.glob("*.py"))
              for line in assert_statements(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+
+
+def true_divisions(tree):
+    """(enclosing function, line) of every ``/`` and ``/=``; "<module>"
+    outside any function. On two int coefficients ``/`` gives a float, so
+    every coefficient divides through ``linalg._div``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Div):
+                found.append((scope, child.lineno))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  else scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_the_scan_finds_a_true_division():
+    tree = ast.parse("def f(x, y):\n"
+                     "    z = x // y\n"
+                     "    z /= 2\n"
+                     "    g = lambda w: w / y\n"
+                     "    return z, g\n"
+                     "half = 1 / 2\n")
+    assert true_divisions(tree) == [("f", 3), ("f", 4), ("<module>", 6)]
+
+
+def test_no_true_division_in_the_package_outside_the_one_division():
+    found = [(path.name, *hit) for path in sorted(SRC.glob("*.py"))
+             for hit in true_divisions(ast.parse(path.read_text(), str(path)))
+             if (path.name, hit[0]) not in ALLOWED_DIVISIONS]
     assert found == []

@@ -113,6 +113,12 @@ class TestCli:
         assert main(["eval", "L(1)", "--order", "-1"]) == 0
         assert "class:" not in capsys.readouterr().out
 
+    def test_eval_on_an_empty_window_is_a_usage_error(self, capsys):
+        assert main(["eval", "P(1)", "--window", "-2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "window must be at least 0" in captured.err
+
     def test_parse_error_is_usage_error(self, capsys):
         code = main(["eval", "P(1) %% nothing"])
         assert code == 3

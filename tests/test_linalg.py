@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jwcat.linalg import Matrix, search_invertible, solve_from_columns
+from jwcat.linalg import Matrix, kernel_from_columns, search_invertible, solve_from_columns
+from test_arithmetic import clean_coefficient
 
 
 def rand_matrix(rng, n, m, lo=-5, hi=5):
@@ -79,7 +80,8 @@ def test_rref_idempotent():
 
 
 def reference_rref(a):
-    """Textbook dense Gauss-Jordan: first nonzero row below as pivot."""
+    """Textbook dense Gauss-Jordan: first nonzero row below as pivot. It
+    divides through ``Fraction``, so integer entries stay exact."""
     m = [row[:] for row in a.data]
     pivots, r = [], 0
     for c in range(a.ncols):
@@ -90,7 +92,7 @@ def reference_rref(a):
             continue
         m[r], m[below[0]] = m[below[0]], m[r]
         pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
+        m[r] = [Fraction(x) / pv for x in m[r]]
         for i in range(a.nrows):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
@@ -157,6 +159,43 @@ def test_a_solve_reads_the_reduced_form_of_the_augmented_matrix(a, data):
         want[pc] = row[a.ncols]
     assert sol == want
     assert a.apply(sol) == b
+
+
+@st.composite
+def non_unit_pivot_systems(draw):
+    """(p, A) with A = [[p, 1, 0 ...], [0, 0, B]] for p in {2, 3, -3}: column
+    0 holds one nonzero, p, so it is a pivot and column 1 is free, and B is
+    a small sparse integer matrix."""
+    p = draw(st.sampled_from((2, 3, -3)))
+    rest = draw(sparse_matrices(max_rows=4, max_cols=4))
+    rows = [[p, 1] + [0] * rest.ncols] + [[0, 0] + row for row in rest.data]
+    return p, Matrix(1 + rest.nrows, 2 + rest.ncols, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=non_unit_pivot_systems(), data=st.data())
+def test_a_non_unit_pivot_gives_exact_fractions(case, data):
+    """Dividing by p leaves 1/p, not a float, in the reduced form, the kernel
+    and the solution, and every entry is an int or a non-integral Fraction."""
+    p, a = case
+
+    def column(j):
+        return [row[j] for row in a.data]
+
+    r, piv = a.rref()
+    ref, ref_piv = reference_rref(a)
+    assert (r.data, piv) == (ref, ref_piv)
+    assert r.data[0][:2] == [1, Fraction(1, p)]
+    kernel = kernel_from_columns(column, a.ncols)
+    assert [-Fraction(1, p), 1] + [0] * (a.ncols - 2) in kernel
+    for v in kernel:
+        assert not any(a.apply(v))
+    y = [0, 0] + [data.draw(st.integers(-3, 3)) for _ in range(a.ncols - 2)]
+    b = [1] + a.apply(y)[1:]
+    sol = solve_from_columns(column, a.ncols, b)
+    assert sol[0] == Fraction(1, p) and a.apply(sol) == b
+    for values in (*r.data, *kernel, sol, b):
+        assert all(clean_coefficient(x) for x in values)
 
 
 # ---------------------------------------------------------------------------

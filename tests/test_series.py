@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jwcat.series import NoInverseError, TruncatedSeries, WindowError, quantum_two
+from test_arithmetic import clean_coefficient
 
 
 class TestExact:
@@ -98,6 +99,20 @@ class TestTruncatedSeries:
         assert all(prod.coeff(e) == (1 if e == 0 else 0)
                    for e in range(prod.min_exp, prod.order + 1))
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from((2, 3, -3)), st.lists(st.integers(-4, 4), max_size=6),
+           st.integers(-3, 3))
+    def test_invert_by_a_non_unit_leading_coefficient_is_exact(self, lead, higher, v):
+        coeffs = {v: lead, **{v + k: c for k, c in enumerate(higher, 1)}}
+        x = TruncatedSeries(coeffs, v, v + 8)
+        y = x.invert()
+        assert y.coeffs[-v] == Fraction(1, lead)
+        assert all(clean_coefficient(c) for c in y.coeffs.values())
+        ref = _dense_invert(x)
+        assert (y.coeffs, y.window()) == (ref.coeffs, ref.window())
+        prod = x * y
+        assert prod == TruncatedSeries.one(prod.order)
+
     def test_disjoint_windows_error(self):
         x = TruncatedSeries({0: 1}, 0, 3)
         y = TruncatedSeries({5: 1}, 5, 9)
@@ -124,11 +139,13 @@ class TestTruncatedSeries:
 
 
 def _dense_invert(x):
-    """The inverse by the recurrence over every (k, j) pair, zeros included."""
+    """The inverse by the recurrence over every (k, j) pair, zeros included.
+    It divides through ``Fraction``, so an integer leading coefficient stays
+    exact."""
     v = min(x.coeffs)
     lead = x.coeffs[v]
     n_terms = x.order - v
-    out = {-v: 1 / lead}
+    out = {-v: Fraction(1) / lead}
     for k in range(1, n_terms + 1):
         s = Fraction(0)
         for j in range(k):
