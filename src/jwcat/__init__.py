@@ -4,10 +4,10 @@ them, verified mechanically on objects, morphisms, and Grothendieck classes.
 A class is one ``TruncatedSeries`` per vertex, exact on its window.
 """
 
-from .linalg import Matrix, Rational
+from .linalg import Matrix
 from .series import NoInverseError, TruncatedSeries, WindowError
 
-__all__ = ["Matrix", "Rational", "TruncatedSeries", "WindowError",
-           "NoInverseError", "__version__"]
+__all__ = ["Matrix", "TruncatedSeries", "WindowError", "NoInverseError",
+           "__version__"]
 
 __version__ = "0.1.0"

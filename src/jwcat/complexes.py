@@ -38,7 +38,8 @@ caller passes only the window it works at. Below, a tail has direction o
   ``start - offset`` on a right tail, the earlier on a left tail, taken
   inside the window. From one period past σ the identification
   φ_i = φ_{i-o·p}<s> is well typed, so the unknowns stop one period past σ
-  and ``LadderSystem.build`` fills the rest of the window from them. An
+  and ``LadderSystem.build`` fills the rest of the window from them, by the
+  copy rule ``materialize`` extends terms and differentials with. An
   equation at least one period past σ reads only identified components and
   periodic differentials, so it is the shifted copy of the equation one
   period nearer σ, and a windowed solution extends to the semi-infinite
@@ -149,7 +150,7 @@ from .linalg import (Matrix, _div, kernel_from_columns, search_invertible,
                      solve_from_columns)
 from .modules import (GradedModule, ModuleHom, Summand, add_left_multiplication,
                       projective_sum, sum_layout)
-from .quiver import AlgebraElement, ConstructionError, PathAlgebra
+from .quiver import AlgebraElement, ConstructionError, Path, PathAlgebra
 
 
 class RegimeError(ValueError):
@@ -304,8 +305,54 @@ class TailSpec:
         return window[1] if self.outward > 0 else window[0]
 
 
-class ProjComplex:
+def _copy_outward(values: dict, t: TailSpec, edge: int, far: int, shift) -> None:
+    """The one copy rule of the tail ``t``: each degree i past ``edge`` out
+    to ``far`` takes the value one period in, shifted, where that value is
+    present: values[i] = shift(values[i - o·p], s)."""
+    o, step = t.outward, t.outward * t.period
+    for i in range(edge + o, far + o, o):
+        v = values.get(i - step)
+        if v is not None:
+            values[i] = shift(v, t.shift)
+
+
+class _StoredComplex:
+    """What ``ProjComplex`` and ``Complex`` share: terms and differentials
+    stored on a window, and their extension past it by the tail rule."""
+
+    def window(self) -> tuple[int, int]:
+        if not self.terms:
+            return (0, -1)
+        return (min(self.terms), max(self.terms))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def materialize(self, lo: int, hi: int):
+        """Extend the stored window to cover [lo, hi] by the tail's copy
+        rule, terms and differentials alike; only the tail side is extended.
+        A stored window shorter than one period cannot seed the extension:
+        ``WindowTooSmall``, with the text of ``check_tail_seam``."""
+        terms, diffs = dict(self.terms), dict(self.diffs)
+        t = self.tail
+        if t is not None:
+            o, stored = t.outward, self.window()
+            edge, far = t.edge(stored), t.edge((lo, hi))
+            if o * (far - edge) > 0 and stored[1] - stored[0] + 1 < t.period:
+                raise WindowTooSmall(f"window {stored} cannot exhibit tail of {self.name}")
+            _copy_outward(terms, t, edge, far, self._shift_term)
+            # d(j) joins j to j + 1: on a right tail its edge is one lower
+            _copy_outward(diffs, t, min(edge, edge - o), min(far, far - o),
+                          self._shift_diff)
+        return type(self)(self.algebra, terms, diffs, self.tail, self.name,
+                          validate=False)
+
+
+class ProjComplex(_StoredComplex):
     """Complex of formal sums of shifted projectives over one algebra."""
+
+    _shift_term = staticmethod(shift_summands)
+    _shift_diff = staticmethod(AlgMatrix.shifted)
 
     def __init__(self, algebra: PathAlgebra, terms: dict[int, tuple[Summand, ...]],
                  diffs: dict[int, AlgMatrix], tail: TailSpec | None = None,
@@ -321,11 +368,6 @@ class ProjComplex:
 
     # --- shape ---
 
-    def window(self) -> tuple[int, int]:
-        if not self.terms:
-            return (0, -1)
-        return (min(self.terms), max(self.terms))
-
     def term(self, i: int) -> tuple[Summand, ...]:
         return self.terms.get(i, ())
 
@@ -334,9 +376,6 @@ class ProjComplex:
         if d is None:
             return AlgMatrix.zero(self.algebra, self.term(i + 1), self.term(i))
         return d
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def _validate(self):
         for i, d in self.diffs.items():
@@ -362,15 +401,6 @@ class ProjComplex:
         if broken is not None:
             kind, i = broken
             raise ConstructionError(f"tail {kind} pattern broken at {i} in {self.name}")
-
-    # --- materialization ---
-
-    def materialize(self, lo: int, hi: int) -> ProjComplex:
-        """Extend the stored window to cover [lo, hi] using the tail rule."""
-        terms, diffs = _periodic_extension(self, lo, hi, shift_summands,
-                                           AlgMatrix.shifted)
-        return ProjComplex(self.algebra, terms, diffs, self.tail, self.name,
-                           validate=False)
 
     def clip(self, lo: int, hi: int) -> ProjComplex:
         terms = {i: t for i, t in self.terms.items() if lo <= i <= hi}
@@ -461,29 +491,6 @@ def _tail_break(c: ProjComplex, t: TailSpec) -> tuple[str, int] | None:
         if i < hi and c.diff(i) != c.diff(i - o * p).shifted(s):
             return "diff", i
     return None
-
-
-def _periodic_extension(c, lo: int, hi: int, shift_term, shift_diff):
-    """The terms and differentials of ``c`` (a ``ProjComplex`` or a
-    ``Complex``) extended over [lo, hi] by its tail rule, degree by degree
-    outward from the stored edge. Only the tail side is extended; without a
-    tail they are copies of the stored ones. A stored window shorter than
-    one period cannot seed the extension: ``WindowTooSmall``, with the
-    text of ``check_tail_seam``."""
-    terms, diffs = dict(c.terms), dict(c.diffs)
-    t = c.tail
-    if t is not None:
-        o, step = t.outward, t.outward * t.period
-        stored = c.window()
-        new = range(t.edge(stored) + o, t.edge((lo, hi)) + o, o)
-        if new and stored[1] - stored[0] + 1 < t.period:
-            raise WindowTooSmall(f"window {stored} cannot exhibit tail of {c.name}")
-        for i in new:
-            terms[i] = shift_term(terms[i - step], t.shift)
-            j = min(i, i - o)   # the differential joining i to the stored side
-            if j not in diffs and (j - step) in diffs:
-                diffs[j] = shift_diff(diffs[j - step], t.shift)
-    return terms, diffs
 
 
 def detect_tail(c: ProjComplex, side: str) -> TailSpec | None:
@@ -630,9 +637,12 @@ class ProjHomotopy:
 # realization to module level
 # ---------------------------------------------------------------------------
 
-class Complex:
+class Complex(_StoredComplex):
     """Module-level complex: terms are graded modules, differentials are
     internally degree-0 module maps."""
+
+    _shift_term = staticmethod(GradedModule.shift)
+    _shift_diff = staticmethod(ModuleHom.shift)
 
     def __init__(self, algebra: PathAlgebra, terms: dict[int, GradedModule],
                  diffs: dict[int, ModuleHom], tail: TailSpec | None = None,
@@ -645,11 +655,6 @@ class Complex:
         if validate:
             self._validate()
 
-    def window(self) -> tuple[int, int]:
-        if not self.terms:
-            return (0, -1)
-        return (min(self.terms), max(self.terms))
-
     def term(self, i: int) -> GradedModule:
         return self.terms.get(i) or GradedModule.zero_module(self.algebra)
 
@@ -658,9 +663,6 @@ class Complex:
         if d is None:
             return ModuleHom(self.term(i), self.term(i + 1), 0, {}, "0", validate=False)
         return d
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def _validate(self):
         for i, d in self.diffs.items():
@@ -671,13 +673,6 @@ class Complex:
             comp = self.diff(i + 1).compose(self.diff(i))
             if not comp.is_zero():
                 raise ConstructionError(f"d∘d != 0 at {i} of {self.name}")
-
-    def materialize(self, lo: int, hi: int) -> Complex:
-        """Extend the stored window to cover [lo, hi] using the tail rule."""
-        terms, diffs = _periodic_extension(self, lo, hi, GradedModule.shift,
-                                           ModuleHom.shift)
-        return Complex(self.algebra, terms, diffs, self.tail, self.name,
-                       validate=False)
 
     @classmethod
     def from_module(cls, M: GradedModule, degree: int = 0) -> Complex:
@@ -951,14 +946,17 @@ def _allowed_paths(algebra: PathAlgebra, tgt: Summand, src: Summand):
             if algebra.target(p) == tgt.vertex and algebra.source(p) == src.vertex]
 
 
+def _coordinates(algebra: PathAlgebra, rows: tuple[Summand, ...],
+                 cols: tuple[Summand, ...]) -> list[tuple[int, int, Path]]:
+    """The (row, column, path) coordinates of a degree-0 map ⊕cols -> ⊕rows,
+    by row, then column, then path in ``basis_by_degree`` order."""
+    return [(r, c, p) for r, sr in enumerate(rows) for c, sc in enumerate(cols)
+            for p in _allowed_paths(algebra, sr, sc)]
+
+
 def _mat_coords(m: AlgMatrix) -> list[Fraction]:
-    out = []
-    for i, sr in enumerate(m.rows):
-        for j, sc in enumerate(m.cols):
-            e = m.entries[i][j]
-            for p in _allowed_paths(m.algebra, sr, sc):
-                out.append(e.coefficient(p))
-    return out
+    return [m.entries[r][c].coefficient(p)
+            for r, c, p in _coordinates(m.algebra, m.rows, m.cols)]
 
 
 def _common_tail(X: ProjComplex, Y: ProjComplex) -> TailSpec | None:
@@ -1017,9 +1015,10 @@ class LadderSystem:
     """A linear system whose unknowns are the coefficients of one or more
     ladder families.
 
-    Unknowns are ordered by family, then degree, row, column, and path in
-    ``basis_by_degree`` order. ``build`` turns a coefficient vector into the
-    families' components, one dict per family.
+    ``unknowns`` is the one table of them: (family, degree, (row, column,
+    path)), ordered by family, then degree and ``_coordinates``, over each
+    family's unknown ``degrees``. ``build`` turns a coefficient vector into
+    the families' components, one dict per family.
 
     The equations come as blocks ``(reads, fn)``: ``fn(maps)`` is the list of
     coordinates of an affine expression in the components named by
@@ -1030,66 +1029,44 @@ class LadderSystem:
 
     def __init__(self, families: list[LadderFamily]):
         self.families = list(families)
-        self.tables: list[dict[int, tuple[int, list]]] = []
-        self.unknowns: list[tuple[int, int, tuple]] = []   # (family, degree, slot)
-        n = 0
-        for k, fam in enumerate(self.families):
-            alg = fam.source.algebra
-            table = {}
-            for i in ladder_degrees(fam.window, fam.offset, fam.tail)[0]:
-                rows, cols = fam.target.term(i + fam.offset), fam.source.term(i)
-                slots = [(r, c, path) for r, sr in enumerate(rows)
-                         for c, sc in enumerate(cols)
-                         for path in _allowed_paths(alg, sr, sc)]
-                table[i] = (n, slots)
-                self.unknowns.extend((k, i, slot) for slot in slots)
-                n += len(slots)
-            self.tables.append(table)
-        self.n = n
+        self.degrees = [ladder_degrees(f.window, f.offset, f.tail)[0]
+                        for f in self.families]
+        self.unknowns = [(k, i, slot) for k, (fam, degrees)
+                         in enumerate(zip(self.families, self.degrees))
+                         for i in degrees
+                         for slot in _coordinates(fam.source.algebra,
+                                                  fam.target.term(i + fam.offset),
+                                                  fam.source.term(i))]
+        self.n = len(self.unknowns)
 
     def _zero(self, k: int, i: int) -> AlgMatrix:
         fam = self.families[k]
         return AlgMatrix.zero(fam.source.algebra, fam.target.term(i + fam.offset),
                               fam.source.term(i))
 
-    def _extend(self, k: int, maps: dict[int, AlgMatrix]) -> None:
-        """Fill family k's window beyond its unknowns by the periodic
-        identification, from whichever components ``maps`` holds."""
-        fam, table = self.families[k], self.tables[k]
-        t = fam.tail
-        if t is None or not table:
-            return
-        o, solved = t.outward, (min(table), max(table))
-        for i in range(t.edge(solved) + o, t.edge(fam.window) + o, o):
-            m = maps.get(i - o * t.period)
-            if m is not None:
-                maps[i] = m.shifted(t.shift)
+    def _place(self, maps: list[dict[int, AlgMatrix]], coefficients
+               ) -> list[dict[int, AlgMatrix]]:
+        """Add each (unknown j, value v) of ``coefficients`` to ``maps`` as
+        v times unknown j's path at its entry, then fill each family's
+        window past its unknown degrees by the tail's copy rule."""
+        for j, v in coefficients:
+            k, i, (r, c, path) = self.unknowns[j]
+            m = maps[k].get(i)
+            if m is None:
+                m = maps[k][i] = self._zero(k, i)
+            m.entries[r][c] = m.entries[r][c] + m.algebra.element({path: v})
+        for fam, degrees, family_maps in zip(self.families, self.degrees, maps):
+            t = fam.tail
+            if t is not None and family_maps:
+                _copy_outward(family_maps, t, t.edge((degrees[0], degrees[-1])),
+                              t.edge(fam.window), AlgMatrix.shifted)
+        return maps
 
     def build(self, vec) -> list[dict[int, AlgMatrix]]:
-        out = []
-        for k, (fam, table) in enumerate(zip(self.families, self.tables)):
-            alg = fam.source.algebra
-            maps = {}
-            for i, (start, slots) in table.items():
-                m = self._zero(k, i)
-                for (r, c, path), v in zip(slots, vec[start:start + len(slots)]):
-                    if v != 0:
-                        m.entries[r][c] = m.entries[r][c] + alg.element({path: v})
-                maps[i] = m
-            self._extend(k, maps)
-            out.append(maps)
-        return out
-
-    def _unit(self, j: int) -> list[dict[int, AlgMatrix]]:
-        """``build`` of the j-th unit vector, holding only the components it
-        makes nonzero: the unknown's own and their periodic copies."""
-        k, i, (r, c, path) = self.unknowns[j]
-        m = self._zero(k, i)
-        m.entries[r][c] = self.families[k].source.algebra.element({path: 1})
-        maps: list[dict[int, AlgMatrix]] = [{} for _ in self.families]
-        maps[k][i] = m
-        self._extend(k, maps[k])
-        return maps
+        """The components at ``vec``: every unknown degree, then its copies."""
+        maps = [{i: self._zero(k, i) for i in degrees}
+                for k, degrees in enumerate(self.degrees)]
+        return self._place(maps, ((j, v) for j, v in enumerate(vec) if v != 0))
 
     def component(self, maps, k: int, i: int) -> AlgMatrix:
         m = maps[k].get(i)
@@ -1122,9 +1099,11 @@ class LadderSystem:
         r(e_j) - r(0) and rhs = -r(0), so that r(vec) = 0 exactly when
         A·vec = rhs for the matrix A with those columns.
 
-        r(0) is evaluated once. Column j evaluates only the blocks that read
-        a component of ``_unit(j)``; every other block reads zeros only, so
-        its part of the column is zero.
+        r(0) is evaluated once. Column j places the j-th unit vector as
+        ``build`` does, holding only the components it makes nonzero (the
+        unknown's own and its periodic copies), and evaluates only the
+        blocks that read one of them; every other block reads zeros only,
+        so its part of the column is zero.
         """
         empty: list[dict[int, AlgMatrix]] = [{} for _ in self.families]
         base = [fn(empty) for _, fn in blocks]
@@ -1137,7 +1116,7 @@ class LadderSystem:
                 readers.setdefault(key, []).append(b)
 
         def column_fn(j: int) -> list[Fraction]:
-            maps = self._unit(j)
+            maps = self._place([{} for _ in self.families], [(j, 1)])
             k = self.unknowns[j][0]
             col = [0] * len(rhs)
             for b in {b for i in maps[k] for b in readers.get((k, i), ())}:

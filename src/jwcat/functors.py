@@ -32,7 +32,7 @@ from .complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, Complex,
                         Summand, WindowTooSmall, attach_tail, gaussian_reduce,
                         realize, total_complex, total_layout, total_terms,
                         _alg_matrix_to_hom, _mat_coords)
-from .linalg import solve_from_columns
+from .linalg import Matrix, solve_from_columns
 from .modules import (C_TO_B, DUAL_VERTEX, PI_SHIFT, GradedModule, ModuleHom,
                       apply_pi, apply_pi_hom, projective, simple, injective2)
 from .quiver import (STRUCTURE_MAPS, AlgebraElement, ConstructionError, Path,
@@ -301,30 +301,17 @@ def _koszul_D(setup: Setup, x, out_window: tuple[int, int] | None):
         if up is None:
             continue
         d = AlgMatrix.zero(B, terms[p + 1], terms[p])
+        sign = -1 if p % 2 else 1   # p = r + s for every summand of D^p
         for (r, s, idx), (col, lab) in vecs.items():
-            sign = -1 if (r + s) % 2 else 1
-            M = mat.term(r)
             # scalar part: the complex differential, same s
-            dmat = mat.diff(r).mat(s)
-            for ridx in range(dmat.nrows):
-                coef = dmat.data[ridx][idx]
-                hit = up.get((r + 1, s, ridx))
-                if coef != 0 and hit is not None:
-                    row = hit[0]
-                    d.entries[row][col] = d.entries[row][col] + \
-                        B.idempotent(DUAL_VERTEX[lab]).scale(coef)
-            # staircase arrows, with the parity sign
-            for name, need_lab in (("a", "2"), ("b", "1")):
-                if lab != need_lab:
-                    continue
-                act = M.act_arrow(name, s)
-                for ridx in range(act.nrows):
-                    coef = act.data[ridx][idx]
-                    hit = up.get((r, s + 1, ridx))
-                    if coef != 0 and hit is not None:
-                        row = hit[0]
-                        d.entries[row][col] = d.entries[row][col] + \
-                            B.arrow_element(name).scale(sign * coef)
+            _place_dual(d, col, mat.diff(r).mat(s), idx, up, (r + 1, s),
+                        B.idempotent(DUAL_VERTEX[lab]))
+            # staircase: an arrow g acts on label g.target and raises s by
+            # its degree, with the parity sign
+            for g in B.quiver.arrows:
+                if g.target == lab:
+                    _place_dual(d, col, mat.term(r).act_arrow(g.name, s), idx, up,
+                                (r, s + g.degree), B.arrow_element(g.name), sign)
         diffs[p] = d
 
     out = ProjComplex(B, terms, diffs, None, f"𝔻({Y.name})", validate=True)
@@ -332,6 +319,18 @@ def _koszul_D(setup: Setup, x, out_window: tuple[int, int] | None):
         out = attach_tail(out, (out_lo, min(out_hi, p_safe)), RIGHT_TAIL,
                           "duality output did not stabilize; enlarge the window")
     return out, index
+
+
+def _place_dual(d: AlgMatrix, col: int, mat: Matrix, idx: int, index: dict,
+                rs: tuple[int, int], z: AlgebraElement, sign: int = 1) -> None:
+    """Add sign·coef·z to column ``col`` of ``d`` for each nonzero
+    coefficient coef of column ``idx`` of ``mat``, at the row of the
+    summand (r, s, row of coef) in ``index`` where there is one."""
+    for ridx in range(mat.nrows):
+        coef = mat.data[ridx][idx]
+        hit = index.get((*rs, ridx))
+        if coef != 0 and hit is not None:
+            d.entries[hit[0]][col] = d.entries[hit[0]][col] + z.scale(sign * coef)
 
 
 def koszul_D_on_map(setup: Setup, f: ModuleHom | ProjChainMap,
@@ -368,14 +367,9 @@ def koszul_D_on_map(setup: Setup, f: ModuleHom | ProjChainMap,
                     f"𝔻({f.name}) at degree {p} needs the component of "
                     f"{f.name} at degree {r}, past its stored degrees; "
                     f"resolve it deeper")
-            if r not in homs:
-                continue
-            fm = homs[r].mat(s)
-            for ridx in range(fm.nrows):
-                coef = fm.data[ridx][idx]
-                hit = vy[p].get((r, s, ridx))
-                if coef != 0 and hit is not None:
-                    m.entries[hit[0]][col] = B.idempotent(DUAL_VERTEX[lab]).scale(coef)
+            if r in homs:
+                _place_dual(m, col, homs[r].mat(s), idx, vy[p], (r, s),
+                            B.idempotent(DUAL_VERTEX[lab]))
         comps[p] = m
     return ProjChainMap(DX, DY, comps, f"𝔻({f.name})", validate=True)
 

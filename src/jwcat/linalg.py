@@ -17,8 +17,6 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rational = Fraction  # the type of a non-integral coefficient
-
 
 def _frac(x) -> int | Fraction:
     """The exact value of ``x``: an int when it is integral, else a Fraction."""

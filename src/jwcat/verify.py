@@ -19,8 +19,8 @@ from .complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, Complex,
                         iso_in_homotopy_category, maps_agree_under_identification,
                         match_up_to_diagonal_signs, realize, reduce_on_window,
                         total_complex)
-from .functors import (CK_on_map, CK_on_object, P_on_module_map, P_on_object,
-                       Setup, koszul_D_on_map, koszul_D_on_object,
+from .functors import (CK_on_map, CK_on_object, D_of_P1, P_on_module_map,
+                       P_on_object, Setup, koszul_D_on_map, koszul_D_on_object,
                        projector_depth, two_term_dual_model)
 from .kclass import (REVERSED, STANDARD, KClass, apply_jw_reference,
                      class_of_module, duality_on_class, euler_class,
@@ -392,12 +392,9 @@ class _Runner:
                        "termwise (free section image, no resolution needed)")
 
     def _dual_of_p1(self, details):
-        setup = self.setup
-        raw = koszul_D_on_object(setup, projective(self.B(), "1"))
-        red = gaussian_reduce(raw)
-        model = two_term_dual_model(setup)
-        _require(red.reduced.terms == model.terms and red.reduced.diffs == model.diffs,
-                 "two-term model, on the nose")
+        # D_of_P1 reduces D(P(1)) and checks it against the two-term model
+        raw = D_of_P1(self.setup).original
+        model = two_term_dual_model(self.setup)
         h1 = homology(realize(raw), 1)
         b_hom = left_multiplication_hom(projective(self.B(), "2"),
                                         projective(self.B(), "1").shift(-1),

@@ -5,7 +5,8 @@ object from outside its class unless some class declares it, and no attribute
 a class declares goes unread in ``src``, ``tests``, ``demos`` or
 ``perfbench``, no function or method goes unreferenced there, and no
 defaulted parameter goes unset by every call there. Every name the
-package's ``__all__`` exports is bound in its ``__init__``. No ``assert``
+package's ``__all__`` exports is bound in its ``__init__`` and, except
+``__version__``, read by another of its modules. No ``assert``
 statement states a claim in the package, since ``python -O`` strips them, and
 no true division ``/`` appears outside ``linalg._div`` and three path joins.
 
@@ -129,6 +130,32 @@ def test_the_scan_finds_an_unbound_export():
 def test_every_export_of_the_package_is_bound():
     tree = ast.parse((SRC / "__init__.py").read_text())
     assert exported_names(tree) and unbound_exports(tree) == []
+
+
+def unused_exports(init_tree, module_trees):
+    """The ``__all__`` names, ``__version__`` aside, that no module of the
+    package other than ``__init__`` loads."""
+    loaded = set().union(*(loaded_names(tree) for tree in module_trees))
+    return sorted(exported_names(init_tree) - {"__version__"} - loaded)
+
+
+def test_the_scan_finds_an_unused_export():
+    init = ast.parse("from .m import Used, Alias\n"
+                     "__version__ = '0'\n"
+                     "__all__ = ['Used', 'Alias', '__version__']\n")
+    module = ast.parse("class Used:\n"
+                       "    pass\n"
+                       "Alias = Used\n"
+                       "def f():\n"
+                       "    return Used()\n")
+    assert unused_exports(init, [module]) == ["Alias"]
+
+
+def test_every_export_of_the_package_is_used_by_it():
+    init = ast.parse((SRC / "__init__.py").read_text())
+    modules = [ast.parse(f.read_text()) for f in sorted(SRC.glob("*.py"))
+               if f.name != "__init__.py"]
+    assert unused_exports(init, modules) == []
 
 
 def unread_imports(tree):

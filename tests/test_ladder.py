@@ -22,6 +22,7 @@ from jwcat.linalg import unit_vector
 from jwcat.modules import projective, simple
 from jwcat.quiver import build_B
 from jwcat.resolutions import projective_resolution
+from test_tails import CORPUS_NAMES, corpus
 from test_window_work import cluttered, small_complexes
 
 
@@ -81,14 +82,15 @@ class TestDegreeRule:
         ladder = LadderSystem([LadderFamily(x, x, 0, (0, 1)),
                                LadderFamily(x, x, -1, (0, 2))])
         e2, c = B.idempotent("2"), B.path_element(("a", "b"))
-        words = [[(i, r, col, path.word()) for i, (_start, slots) in table.items()
-                  for r, col, path in slots] for table in ladder.tables]
+        words = [(k, i, r, col, path.word())
+                 for k, i, (r, col, path) in ladder.unknowns]
         assert words == [
-            [(0, 0, 0, e2.word()), (0, 0, 1, c.word()), (0, 1, 1, e2.word()),
-             (1, 0, 0, e2.word())],
-            [(1, 0, 0, e2.word())]]
-        assert [start for table in ladder.tables for start, _ in table.values()] \
-            == [0, 3, 4, 4, 5]
+            (0, 0, 0, 0, e2.word()), (0, 0, 0, 1, c.word()), (0, 0, 1, 1, e2.word()),
+            (0, 1, 0, 0, e2.word()),
+            (1, 1, 0, 0, e2.word())]
+        # the homotopy family has unknown degrees 0 and 2 without slots
+        assert ladder.degrees == [range(0, 2), range(0, 3)]
+        assert ladder.n == 5
 
 
 class TestPeriodicAnsatz:
@@ -277,7 +279,7 @@ class TestLocalColumns:
         x = cone_chain(B)
         ladder = LadderSystem([LadderFamily(x, x, 0, (0, 7), x.tail)])
         # unknowns stop at 3; the equations at 4..6 read periodic copies only
-        assert max(ladder.tables[0]) == 3
+        assert ladder.degrees[0] == range(0, 4)
         assert_local_columns_match(ladder, ladder.chain_blocks(0))
 
     def test_chain_maps_on_a_left_tail(self):
@@ -286,7 +288,7 @@ class TestLocalColumns:
         setup = Setup.create()
         x = P_on_object(setup, projective(setup.B, "1"), depth=8).materialize(-12, 0)
         ladder = LadderSystem([LadderFamily(x, x, 0, (-12, 0), _common_tail(x, x))])
-        assert min(ladder.tables[0]) == -8
+        assert ladder.degrees[0] == range(-8, 1)
         assert_local_columns_match(ladder, ladder.chain_blocks(0))
 
     @pytest.mark.parametrize("strict", [True, False])
@@ -309,3 +311,56 @@ class TestLocalColumns:
         blocks = ladder.chain_blocks(0, ProjChainMap.identity(x))
         assert any(ladder.probe(blocks)[1])
         assert_local_columns_match(ladder, blocks)
+
+
+def ladder_over(x, reach, homotopy):
+    """The one-family ladder of ``x`` to itself, as the solvers set it up,
+    on its stored window grown ``reach`` degrees out on its tail side: the
+    chain-map family, or the homotopy family with ``x`` read one degree past
+    each side (``solve_homotopy``)."""
+    lo, hi = x.window()
+    lo, hi = (lo, hi + reach) if x.tail.outward > 0 else (lo - reach, hi)
+    if homotopy:
+        x = x.materialize(lo - 1, hi + 1)
+        return LadderSystem([LadderFamily(x, x, -1, (lo, hi + 1), _common_tail(x, x))])
+    x = x.materialize(lo, hi)
+    return LadderSystem([LadderFamily(x, x, 0, (lo, hi), _common_tail(x, x))])
+
+
+class TestOnePlacement:
+    """``build`` and the unit columns of ``probe`` place coefficients one
+    way and fill the window past the unknown degrees by the tail's copy
+    rule. No ladder of the suite at N = 16 or 48 or of the non-nested eval
+    pool at N = 24 copies a component past its unknown degrees, so these
+    tests guard the copies: every corpus window grown by one degree or more
+    reaches past them."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(CORPUS_NAMES),
+           homotopy=st.booleans(), reach=st.integers(1, 10))
+    def test_build_is_the_sum_of_the_unit_placements(self, data, name, homotopy, reach):
+        ladder = ladder_over(corpus()[name], reach, homotopy)
+        vec = data.draw(st.lists(st.integers(-2, 2), min_size=ladder.n,
+                                 max_size=ladder.n))
+        built = ladder.build(vec)
+        units = {j: ladder._place([{}], [(j, 1)]) for j, v in enumerate(vec) if v}
+        lo, hi = ladder.families[0].window
+        assert len(ladder.degrees[0]) < hi - lo + 1
+        for i in range(lo, hi + 1):
+            want = ladder._zero(0, i)
+            for j, unit in units.items():
+                want = want + ladder.component(unit, 0, i).scale(vec[j])
+            assert ladder.component(built, 0, i) == want, i
+
+    @settings(max_examples=20, deadline=None)
+    @given(name=st.sampled_from(CORPUS_NAMES), reach=st.integers(1, 10))
+    def test_the_identity_builds_from_its_unknown_degrees(self, name, reach):
+        ladder = ladder_over(corpus()[name], reach, homotopy=False)
+        x = ladder.families[0].source
+        ident = {i: AlgMatrix.identity(x.algebra, x.term(i)) for i in ladder.degrees[0]}
+        built = ladder.build([ident[i].entries[r][c].coefficient(path)
+                              for _, i, (r, c, path) in ladder.unknowns])
+        lo, hi = x.window()
+        assert len(ladder.degrees[0]) < hi - lo + 1
+        for i in range(lo, hi + 1):
+            assert ladder.component(built, 0, i) == AlgMatrix.identity(x.algebra, x.term(i)), i
