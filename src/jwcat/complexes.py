@@ -1167,8 +1167,18 @@ class Verdict:
     witness: object = None
     reason: str = ""
 
-    def __bool__(self):
-        return self.value == "true"
+
+def _window_cut(window: tuple[int, int], *complexes: ProjComplex) -> Verdict | None:
+    """The one window rule of every decision: an input with a stored term
+    outside ``window`` on a side where it has no tail is inconclusive, since
+    the window would drop that term unseen. None when no input is cut."""
+    for c in complexes:
+        lo, hi = c.window()
+        if not c.is_zero() and (lo < window[0] and not _has_tail(c, LEFT_TAIL)
+                                or hi > window[1] and not _has_tail(c, RIGHT_TAIL)):
+            return Verdict("inconclusive",
+                           reason=f"{c.name} has terms outside the window {window}")
+    return None
 
 
 def _summand_multisets_match(X: ProjComplex, Y: ProjComplex,
@@ -1232,16 +1242,11 @@ def iso_in_homotopy_category(x: ProjComplex, y: ProjComplex,
     failed search on matching shapes is reported inconclusive, never false.
     No nonzero chain map at all is "false" between bounded minimal models;
     between tailed ones it is inconclusive, since the periodic ansatz of the
-    ladder seam is not known to be complete.
-    An input with a stored term outside the window on a side where it has
-    no tail is inconclusive: the clip would drop that term unseen.
+    ladder seam is not known to be complete. A window cut (``_window_cut``)
+    is inconclusive.
     """
-    for c in (x, y):
-        lo, hi = c.window()
-        if not c.is_zero() and (lo < window[0] and not _has_tail(c, LEFT_TAIL)
-                                or hi > window[1] and not _has_tail(c, RIGHT_TAIL)):
-            return Verdict("inconclusive",
-                           reason=f"{c.name} has terms outside the window {window}")
+    if (cut := _window_cut(window, x, y)) is not None:
+        return cut
     xm = reduce_on_window(x, window).reduced
     ym = reduce_on_window(y, window).reduced
     if xm.is_zero() and ym.is_zero():
@@ -1266,26 +1271,17 @@ def iso_in_homotopy_category(x: ProjComplex, y: ProjComplex,
 
 
 def _chain_map_invertible(f: ProjChainMap, window: tuple[int, int]) -> bool:
-    """Invertible iff the scalar parts are invertible per isotype; radical
-    entries are nilpotent and cannot obstruct invertibility."""
-    if not _summand_multisets_match(f.source, f.target, window):
-        return False
+    """Invertible iff the scalar part of each component on the window is. A
+    nonzero scalar entry joins equal summands (degree 0 forces equal shifts
+    and a trivial path), so one rank test decides every isotype block at
+    once; radical entries are nilpotent and cannot obstruct invertibility."""
     lo, hi = window
     for i in range(lo, hi + 1):
-        src, tgt = f.source.term(i), f.target.term(i)
-        if not src:
-            continue
         m = f.component(i)
-        isotypes: dict[tuple[str, int], tuple[list[int], list[int]]] = {}
-        for k, s in enumerate(src):
-            isotypes.setdefault((s.vertex, s.shift), ([], []))[0].append(k)
-        for k, s in enumerate(tgt):
-            isotypes.setdefault((s.vertex, s.shift), ([], []))[1].append(k)
-        for (cols, rows) in isotypes.values():
-            blk = Matrix(len(rows), len(cols),
-                         [[m.entries[r][c].scalar_part() for c in cols] for r in rows])
-            if not blk.is_invertible():
-                return False
+        if (m.rows or m.cols) and not Matrix(
+                len(m.rows), len(m.cols),
+                [[e.scalar_part() for e in row] for row in m.entries]).is_invertible():
+            return False
     return True
 
 
@@ -1299,10 +1295,13 @@ def maps_agree_under_identification(F: ProjChainMap, G: ProjChainMap,
     ψ_t: T1 -> T2 with ψ_t∘F = G∘ψ_s strictly, then up to homotopy; the
     verdict notes which level held. When the models literally coincide the
     identity identification is tried first so that equality is recognized
-    as stated.
+    as stated. "false" is certified only where ``iso_in_homotopy_category``
+    certifies that the sources or the targets are not isomorphic.
     """
     S1, T1 = F.source, F.target
     S2, T2 = G.source, G.target
+    if (cut := _window_cut(window, S1, T1, S2, T2)) is not None:
+        return cut
     if S1.terms == S2.terms and T1.terms == T2.terms and \
        {i: d.entries for i, d in S1.diffs.items()} == {i: d.entries for i, d in S2.diffs.items()} and \
        {i: d.entries for i, d in T1.diffs.items()} == {i: d.entries for i, d in T2.diffs.items()}:
@@ -1318,12 +1317,8 @@ def maps_agree_under_identification(F: ProjChainMap, G: ProjChainMap,
             level = "strict" if strict else "homotopy"
             return Verdict("true", witness=found,
                            reason=f"agree under an identification ({level})")
-    # certify falsehood only via object-level obstruction: the given models
-    # need not be minimal, so compare the minimal ones
-    if not _summand_multisets_match(reduce_on_window(S1, window).reduced,
-                                    reduce_on_window(S2, window).reduced, window) or \
-       not _summand_multisets_match(reduce_on_window(T1, window).reduced,
-                                    reduce_on_window(T2, window).reduced, window):
+    if any(iso_in_homotopy_category(a, b, window).value == "false"
+           for a, b in ((S1, S2), (T1, T2))):
         return Verdict("false", reason="objects are not isomorphic")
     return Verdict("inconclusive",
                    reason="no invertible intertwining identification found")
@@ -1386,6 +1381,8 @@ def chain_maps_homotopic(f: ProjChainMap, g: ProjChainMap,
     """f ≃ g, decided by solving for a homotopy (periodic ansatz on tails)."""
     if f.source.terms != g.source.terms or f.target.terms != g.target.terms:
         raise ConstructionError("chain maps must share source and target")
+    if (cut := _window_cut(window, f.source, f.target)) is not None:
+        return cut
     diff = f - g
     if diff.is_zero():
         return Verdict("true", witness=ProjHomotopy(f.source, f.target, {}),

@@ -6,9 +6,10 @@ a class declares goes unread in ``src``, ``tests``, ``demos`` or
 ``perfbench``, no function or method goes unreferenced there, and no
 defaulted parameter goes unset by every call there. Every name the
 package's ``__all__`` exports is bound in its ``__init__`` and, except
-``__version__``, read by another of its modules. No ``assert``
-statement states a claim in the package, since ``python -O`` strips them, and
-no true division ``/`` appears outside ``linalg._div`` and three path joins.
+``__version__``, read by another of its modules. Every function annotated to
+return ``Verdict`` calls ``_window_cut``. No ``assert`` statement states a
+claim in the package, since ``python -O`` strips them, and no true division
+``/`` appears outside ``linalg._div`` and three path joins.
 
 A name counts as read when its scope, or a function or comprehension nested
 in it, loads it. Names declared ``global`` or ``nonlocal`` belong to another
@@ -517,3 +518,35 @@ def test_no_true_division_in_the_package_outside_the_one_division():
              for hit in true_divisions(ast.parse(path.read_text(), str(path)))
              if (path.name, hit[0]) not in ALLOWED_DIVISIONS]
     assert found == []
+
+
+def decisions_without_window_cut(tree):
+    """(name, line) of each function annotated to return ``Verdict`` that
+    never calls ``_window_cut``: every decision reads the one window rule."""
+    return [(fn.name, fn.lineno) for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and fn.returns is not None and ast.unparse(fn.returns).strip("'\"") == "Verdict"
+            and not any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "_window_cut" for node in ast.walk(fn))]
+
+
+def test_the_scan_finds_a_decision_without_the_window_rule():
+    tree = ast.parse("def cut(window) -> Verdict | None:\n"
+                     "    return None\n"
+                     "def good(x, window) -> Verdict:\n"
+                     "    return _window_cut(window, x) or Verdict('true')\n"
+                     "def bad(x, window) -> 'Verdict':\n"
+                     "    return Verdict('true')\n"
+                     "def other(x, window) -> bool:\n"
+                     "    return True\n")
+    assert decisions_without_window_cut(tree) == [("bad", 5)]
+
+
+def test_every_decision_reads_the_window_rule():
+    trees = package_trees()
+    decisions = {fn.name for tree in trees for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef) and fn.returns is not None
+                 and ast.unparse(fn.returns) == "Verdict"}
+    assert {"iso_in_homotopy_category", "maps_agree_under_identification",
+            "chain_maps_homotopic"} <= decisions
+    assert [hit for tree in trees for hit in decisions_without_window_cut(tree)] == []
