@@ -144,6 +144,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .linalg import (Matrix, _div, kernel_from_columns, search_invertible,
@@ -792,47 +793,60 @@ def total_complex(bc: ProjBicomplex, name: str | None = None) -> ProjComplex:
 # Gaussian elimination
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Reduction:
-    original: ProjComplex
-    reduced: ProjComplex
-    to_reduced: ProjChainMap      # F: original -> reduced
-    from_reduced: ProjChainMap    # G: reduced -> original
-    homotopy: ProjHomotopy        # h on original with id - G∘F = dh + hd
+    """``reduced``, the minimal model of ``original``, and the
+    homotopy-equivalence witnesses F = ``to_reduced`` (original -> reduced),
+    G = ``from_reduced`` (reduced -> original) and h = ``homotopy`` on
+    original, with F∘G = id and id - G∘F = dh + hd; F and G have the degrees
+    of ``reduced``. The witnesses are built once, on first read, by
+    ``_replay`` of ``log``, the cancellations that reduced ``original``: a
+    caller that reads only ``reduced`` pays for none of them."""
+
+    def __init__(self, original: ProjComplex, reduced: ProjComplex, log: list):
+        self.original = original
+        self.reduced = reduced
+        self.log = log
+
+    @cached_property
+    def _witnesses(self) -> tuple[ProjChainMap, ProjChainMap, ProjHomotopy]:
+        c, red = self.original, self.reduced
+        F, G, H = _replay(c, self.log)
+        return (ProjChainMap(c, red, {i: F[i] for i in red.terms}, "F", validate=False),
+                ProjChainMap(red, c, {i: G[i] for i in red.terms}, "G", validate=False),
+                ProjHomotopy(c, c, H))
+
+    to_reduced = property(lambda self: self._witnesses[0])
+    from_reduced = property(lambda self: self._witnesses[1])
+    homotopy = property(lambda self: self._witnesses[2])
+
+
+def _drop(terms: dict, i: int, k: int, into: AlgMatrix | None,
+          out_of: AlgMatrix | None) -> None:
+    """Delete summand k of degree i from ``terms``, row k of ``into``, a map
+    into degree i, and column k of ``out_of``, a map out of it. Either map
+    may be None."""
+    t = terms[i] = terms[i][:k] + terms[i][k + 1:]
+    if into is not None:
+        del into.entries[k]
+        into.rows = t
+    if out_of is not None:
+        for row in out_of.entries:
+            del row[k]
+        out_of.cols = t
 
 
 class _Eliminator:
-    """Mutable elimination state with homotopy-equivalence witnesses threaded
-    through every cancellation. Differentials and witnesses are ``AlgMatrix``
-    copies; a cancelled summand leaves all of them through ``drop``."""
+    """Mutable elimination state: the differentials, as ``AlgMatrix``
+    copies, and the log of the cancellations made on them, from which
+    ``_replay`` builds the witnesses. A cancelled summand leaves the
+    differentials through ``_drop``."""
 
     def __init__(self, c: ProjComplex):
-        self.algebra = c.algebra
-        self.orig = c
         self.terms = dict(c.terms)
         self.diffs = {i: AlgMatrix(c.algebra, d.rows, d.cols, d.entries, validate=False)
                       for i, d in c.diffs.items()}
-        self.degrees = sorted(self.diffs)   # ``drop`` removes summands, not degrees
-        # witnesses: original -> current (F), current -> original (G), h on original
-        self.F = {i: AlgMatrix.identity(c.algebra, t) for i, t in c.terms.items()}
-        self.G = {i: AlgMatrix.identity(c.algebra, t) for i, t in c.terms.items()}
-        self.H: dict[int, AlgMatrix] = {}
-
-    def drop(self, i: int, k: int) -> None:
-        """Delete summand k of degree i: row k of each map into degree i,
-        d(i - 1) and F[i], and column k of each map out of it, d(i) and
-        G[i]."""
-        t = self.terms[i]
-        t = self.terms[i] = t[:k] + t[k + 1:]
-        for m in (self.diffs.get(i - 1), self.F[i]):
-            if m is not None:
-                del m.entries[k]
-                m.rows = t
-        for m in (self.diffs.get(i), self.G[i]):
-            if m is not None:
-                for row in m.entries:
-                    del row[k]
-                m.cols = t
+        self.degrees = sorted(self.diffs)   # ``_drop`` removes summands, not degrees
+        self.log: list = []
 
     def find_pivot(self, start: int):
         """(i, (row, col)): the first entry, row by row, with an invertible
@@ -857,13 +871,11 @@ class _Eliminator:
 
         With κ = d(i)[:, col] and β = d(i)[r, :], d(i) gains the Schur
         complement term -κₖλ⁻¹βⱼ at every kept (k, j) where κₖ and βⱼ are
-        both nonzero. The witnesses change in place by one row or column
-        operation each, which is what composing them with the step maps of
-        the cancellation amounts to: F[i+1] adds -κₖλ⁻¹·F[i+1][r] to each
-        kept row k, G[i] adds G[i][:, col]·(-βⱼλ⁻¹) to each kept column j,
-        and H[i+1] gains the rank-one (G[i][:, col]·λ⁻¹) ⊗ F[i+1][r]. Then
-        ``drop`` deletes summand col of degree i and summand r of degree
-        i + 1 from every map. Only nonzero entries are visited."""
+        both nonzero; only nonzero entries are visited. The cancellation is
+        logged as (i, r, col, λ⁻¹, κ, β) for ``_replay``: the update writes
+        no entry of κ or β, and elements are immutable. Then ``_drop``
+        deletes summand col of degree i and summand r of degree i + 1 from
+        every differential."""
         d = self.diffs[i]
         lam_inv = _div(1, d.entries[r][col].scalar_part())
         kappa = [(k, row[col]) for k, row in enumerate(d.entries)
@@ -873,45 +885,62 @@ class _Eliminator:
             row = d.entries[k]
             for j, b in beta:
                 row[j] = row[j] - (z * b).scale(lam_inv)
+        self.log.append((i, r, col, lam_inv, kappa, beta))
+        _drop(self.terms, i, col, self.diffs.get(i - 1), d)
+        _drop(self.terms, i + 1, r, d, self.diffs.get(i + 1))
 
-        F_i1, G_i = self.F[i + 1], self.G[i]
-        H = self.H.get(i + 1)
-        if H is None:
-            H = self.H[i + 1] = AlgMatrix.zero(self.algebra, self.orig.term(i),
-                                               self.orig.term(i + 1))
+
+def _replay(c: ProjComplex, log: list) -> tuple[dict, dict, dict]:
+    """The witnesses F, G and h of the cancellations ``log`` on ``c``, as
+    maps by degree. They start as identities and zero, and each
+    cancellation (i, r, col, λ⁻¹, κ, β) composes them with its step maps by
+    one row operation on F, one column operation on G and a rank-one term
+    on h, with no whole-matrix products: F[i+1] adds -κₖλ⁻¹·F[i+1][r] to
+    each kept row k, G[i] adds G[i][:, col]·(-βⱼλ⁻¹) to each kept column j,
+    and h[i+1] gains the rank-one (G[i][:, col]·λ⁻¹) ⊗ F[i+1][r]. Then
+    ``_drop`` deletes summand col of degree i and summand r of degree i + 1
+    from F and G. Only nonzero entries are visited."""
+    terms = dict(c.terms)
+    F = {i: AlgMatrix.identity(c.algebra, t) for i, t in terms.items()}
+    G = {i: AlgMatrix.identity(c.algebra, t) for i, t in terms.items()}
+    H: dict[int, AlgMatrix] = {}
+    for i, r, col, lam_inv, kappa, beta in log:
+        F_i1, G_i = F[i + 1], G[i]
+        h = H.get(i + 1)
+        if h is None:
+            h = H[i + 1] = AlgMatrix.zero(c.algebra, c.term(i), c.term(i + 1))
         f_row = [(n, z) for n, z in enumerate(F_i1.entries[r]) if z.terms]
-        for g_row, h_row in zip(G_i.entries, H.entries):
+        for g_row, h_row in zip(G_i.entries, h.entries):
             u = g_row[col]
             if u.terms:
                 u = u.scale(lam_inv)
                 for n, z in f_row:
                     h_row[n] = h_row[n] + u * z
         for k, z in kappa:
-            c = -(z.scale(lam_inv))
+            a = -(z.scale(lam_inv))
             row = F_i1.entries[k]
             for n, w in f_row:
-                row[n] = row[n] + c * w
+                row[n] = row[n] + a * w
         betas = [(j, -(b.scale(lam_inv))) for j, b in beta]
         for g_row in G_i.entries:
             u = g_row[col]
             if u.terms:
-                for j, c in betas:
-                    g_row[j] = g_row[j] + u * c
-        self.drop(i, col)
-        self.drop(i + 1, r)
+                for j, a in betas:
+                    g_row[j] = g_row[j] + u * a
+        _drop(terms, i, col, F[i], G_i)
+        _drop(terms, i + 1, r, F_i1, G[i + 1])
+    return F, G, H
 
 
 def gaussian_reduce(c: ProjComplex) -> Reduction:
     """Cancel unit components of the differential until none remain.
 
-    Returns the minimal complex (all remaining entries in the radical) plus
+    Returns the minimal complex (all remaining entries in the radical) with
+    the log of its cancellations, from which the ``Reduction`` builds the
     homotopy-equivalence witnesses F, G, h with F∘G = id and
-    id - G∘F = d∘h + h∘d. They start as identities and zero, and each
-    cancellation updates them in place (``_Eliminator.eliminate``): one
-    row operation on F, one column operation on G and a rank-one term on
-    h, with no whole-matrix products. The stored degrees are reduced as
-    they stand; a tailed complex is reduced on a window with margin by
-    ``reduce_on_window``.
+    id - G∘F = d∘h + h∘d on first read (``_replay``). The stored degrees are
+    reduced as they stand; a tailed complex is reduced on a window with
+    margin by ``reduce_on_window``.
     """
     st = _Eliminator(c)
     budget = c.summand_count() + 8
@@ -928,9 +957,7 @@ def gaussian_reduce(c: ProjComplex) -> Reduction:
         st.eliminate(i, r, col)
     reduced = ProjComplex(c.algebra, st.terms, st.diffs, None, f"min({c.name})",
                           validate=True)
-    return Reduction(c, reduced, ProjChainMap(c, reduced, st.F, "F", validate=False),
-                     ProjChainMap(reduced, c, st.G, "G", validate=False),
-                     ProjHomotopy(c, c, st.H))
+    return Reduction(c, reduced, st.log)
 
 
 # ---------------------------------------------------------------------------
@@ -1198,9 +1225,9 @@ def reduce_on_window(c: ProjComplex, window: tuple[int, int]) -> Reduction:
     window on its side, one margin for every caller; the reduction margin
     of "Windows and margins" in the module docstring derives it. The
     reduction is clipped to ``window``, the tail is re-detected at the kept
-    edge and kept under the gap rule there, and F and G keep the kept
-    degrees. When the reduced complex reaches the kept edge without a
-    periodic pattern, ``WindowTooSmall``.
+    edge and kept under the gap rule there, and F and G, built when first
+    read, keep the kept degrees. When the reduced complex reaches the kept
+    edge without a periodic pattern, ``WindowTooSmall``.
     """
     t = c.tail
     if t is not None:
@@ -1227,9 +1254,7 @@ def reduce_on_window(c: ProjComplex, window: tuple[int, int]) -> Reduction:
             tail = None
     kept = ProjComplex(c.algebra, kept.terms, kept.diffs, tail, kept.name,
                        validate=False)
-    F, G = ({i: w.maps[i] for i in kept.terms} for w in (red.to_reduced, red.from_reduced))
-    return Reduction(c, kept, ProjChainMap(c, kept, F, "F", validate=False),
-                     ProjChainMap(kept, c, G, "G", validate=False), red.homotopy)
+    return Reduction(c, kept, red.log)
 
 
 def iso_in_homotopy_category(x: ProjComplex, y: ProjComplex,

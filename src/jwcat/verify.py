@@ -49,6 +49,11 @@ class VerificationConfig:
         if self.order < 1:
             raise ValueError("order must be at least 1 (the reference class "
                              "[2]^-1 = q - q^3 + ... starts at q^1)")
+        names = [name for name, _, _ in CHECKS]
+        unknown = [x for x in self.only if x not in names]
+        if unknown:
+            raise ValueError(f"unknown check {', '.join(unknown)}; "
+                             f"the checks are {', '.join(names)}")
 
 
 @dataclass
@@ -128,7 +133,7 @@ class _Runner:
         t0 = time.time()
         details: list[str] = []
         try:
-            verdict = fn(details)
+            verdict = fn(self, details)
             if verdict is None:
                 verdict = "pass"
         except WindowTooSmall as exc:
@@ -177,55 +182,8 @@ class _Runner:
     # --- the suite ----------------------------------------------------------
 
     def run(self) -> Report:
-        self.check("algebra-sanity",
-                   "path algebra on two vertices with one dead loop: graded "
-                   "dimensions, associativity, radical nilpotence, quadratic "
-                   "dual and its structure isomorphism", self._algebra_sanity)
-        self.check("translation-bimodule",
-                   "the translation bimodule and its three structure maps: "
-                   "dimensions, commuting actions, vanishing consecutive "
-                   "compositions", self._translation_bimodule)
-        self.check("module-fixtures",
-                   "standard modules, hom spaces, section/inclusion functor "
-                   "values, translation on projectives", self._module_fixtures)
-        self.check("module-duals",
-                   "duality functor images of the four standard modules and "
-                   "the injective-projective shift relation", self._module_duals)
-        self.check("projector-fixtures",
-                   "projector on the two projectives: identity on one, the "
-                   "2-periodic free-resolution model on the other",
-                   self._projector_fixtures)
-        self.check("dual-of-p1",
-                   "duality image of the first projective reduces to the "
-                   "two-term model with the length-one differential",
-                   self._dual_of_p1)
-        self.check("total-model",
-                   "the staircase bicomplex totalizes to the displayed middle "
-                   "column; explicit matrices match up to a diagonal sign "
-                   "change; split maps exhibit the direct-sum decomposition",
-                   self._total_model)
-        self.check("ck-on-projectives",
-                   "topological projector on projectives: contractible on the "
-                   "big one, the signed 2-periodic complex on the other",
-                   self._ck_on_projectives)
-        self.check("ck-after-duality",
-                   "topological projector after duality on both projectives "
-                   "reduces to the stated shifted simple models",
-                   self._ck_after_duality)
-        self.check("duality-objects",
-                   "the two projector constructions agree through duality on "
-                   "both projectives (isomorphism in the homotopy category)",
-                   self._duality_objects)
-        self.check("duality-maps",
-                   "the two projector constructions agree through duality on "
-                   "the five generator maps", self._duality_maps)
-        self.check("shift-laws",
-                   "duality intertwines internal shifts diagonally and "
-                   "commutes with homological shifts", self._shift_laws)
-        self.check("decategorification",
-                   "graded Euler characteristics: the projector decategorifies "
-                   "to the degree-two idempotent, classes are reduction- and "
-                   "quasi-isomorphism-invariant", self._decategorification)
+        for name, statement, fn in CHECKS:
+            self.check(name, statement, fn)
         return self.report
 
     # --- individual checks ---------------------------------------------------
@@ -725,6 +683,61 @@ class _Runner:
         _require(_classes_agree(got, ref1, N - 6), "topological projector class")
         details.append(f"series compared through order {order} "
                        f"(tails summed exactly as geometric series)")
+
+
+# The suite in run order: each check's name, the claim it certifies and the
+# method of ``_Runner`` that certifies it. ``--only`` names checks from here.
+CHECKS = (
+    ("algebra-sanity",
+     "path algebra on two vertices with one dead loop: graded "
+     "dimensions, associativity, radical nilpotence, quadratic "
+     "dual and its structure isomorphism", _Runner._algebra_sanity),
+    ("translation-bimodule",
+     "the translation bimodule and its three structure maps: "
+     "dimensions, commuting actions, vanishing consecutive "
+     "compositions", _Runner._translation_bimodule),
+    ("module-fixtures",
+     "standard modules, hom spaces, section/inclusion functor "
+     "values, translation on projectives", _Runner._module_fixtures),
+    ("module-duals",
+     "duality functor images of the four standard modules and "
+     "the injective-projective shift relation", _Runner._module_duals),
+    ("projector-fixtures",
+     "projector on the two projectives: identity on one, the "
+     "2-periodic free-resolution model on the other",
+     _Runner._projector_fixtures),
+    ("dual-of-p1",
+     "duality image of the first projective reduces to the "
+     "two-term model with the length-one differential",
+     _Runner._dual_of_p1),
+    ("total-model",
+     "the staircase bicomplex totalizes to the displayed middle "
+     "column; explicit matrices match up to a diagonal sign "
+     "change; split maps exhibit the direct-sum decomposition",
+     _Runner._total_model),
+    ("ck-on-projectives",
+     "topological projector on projectives: contractible on the "
+     "big one, the signed 2-periodic complex on the other",
+     _Runner._ck_on_projectives),
+    ("ck-after-duality",
+     "topological projector after duality on both projectives "
+     "reduces to the stated shifted simple models",
+     _Runner._ck_after_duality),
+    ("duality-objects",
+     "the two projector constructions agree through duality on "
+     "both projectives (isomorphism in the homotopy category)",
+     _Runner._duality_objects),
+    ("duality-maps",
+     "the two projector constructions agree through duality on "
+     "the five generator maps", _Runner._duality_maps),
+    ("shift-laws",
+     "duality intertwines internal shifts diagonally and "
+     "commutes with homological shifts", _Runner._shift_laws),
+    ("decategorification",
+     "graded Euler characteristics: the projector decategorifies "
+     "to the degree-two idempotent, classes are reduction- and "
+     "quasi-isomorphism-invariant", _Runner._decategorification),
+)
 
 
 def _require(condition, message: str = "") -> None:

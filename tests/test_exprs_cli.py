@@ -154,6 +154,13 @@ class TestCli:
         assert payload["schema"] == "jwcat-report-v1"
         assert [c["name"] for c in payload["checks"]] == ["algebra-sanity"]
 
+    def test_verify_unknown_check_is_a_usage_error(self, capsys):
+        assert main(["verify", "--window", "6", "--only", "algebra-sanity,nosuch"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown check nosuch" in captured.err
+        assert "algebra-sanity, translation-bimodule" in captured.err
+
     def test_verify_text_report(self, capsys):
         code = main(["verify", "--window", "6", "--only", "algebra-sanity"])
         assert code == 0

@@ -1,16 +1,18 @@
 """The topological projector and Gaussian reduction do only the work their
 outputs read: CK builds only the cells of complete total degrees and rejects
-a window whose terms alone show no tail before building any matrix, each
-cancellation updates the reduction witnesses by row and column operations,
-and the pivot scan resumes at the last cancellation. The full-work code they
-replaced is kept here as the reference, and so are the hand-coded projector
-columns that the structure-map table replaced. The eval pool's CK and P
-expressions are pinned against the benchmark's reference outputs."""
+a window whose terms alone show no tail before building any matrix, the
+reduction witnesses are built only when read, by replaying each logged
+cancellation as row and column operations, and the pivot scan resumes at the
+last cancellation. The full-work code they replaced is kept here as the
+reference, and so are the hand-coded projector columns that the
+structure-map table replaced. The eval pool's CK and P expressions are
+pinned against the benchmark's reference outputs."""
 
 import json
 import re
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 from hypothesis import given, settings
@@ -18,8 +20,8 @@ from hypothesis import strategies as st
 
 from jwcat import complexes, functors
 from jwcat.complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, ProjBicomplex,
-                             ProjChainMap, ProjComplex, RegimeError, Summand,
-                             _allowed_paths, attach_tail, gaussian_reduce,
+                             ProjChainMap, ProjComplex, ProjHomotopy, RegimeError,
+                             Summand, _allowed_paths, attach_tail, gaussian_reduce,
                              total_complex)
 from jwcat.exprs import _eval, evaluate, parse, render_value
 from jwcat.functors import (Setup, _ck_column_map, _ck_tensor, _theta_parts,
@@ -27,7 +29,9 @@ from jwcat.functors import (Setup, _ck_column_map, _ck_tensor, _theta_parts,
 from jwcat.modules import projective, simple
 from jwcat.quiver import build_theta
 from jwcat.resolutions import projective_resolution
+from jwcat.verify import VerificationConfig, run_suite
 from test_complexes import ck_p2_complex
+from test_reduction_pin import run_pool
 from test_tails import outcome
 
 SETUP = Setup.create()
@@ -42,11 +46,23 @@ EVAL_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "referen
 
 class RefEliminator(complexes._Eliminator):
     """Every cancellation builds its step maps f, g, h on the current complex
-    and composes them with the accumulated witnesses: F = f∘F, G = G∘g,
-    H += G∘h∘F. The complex itself changes as in the production code."""
+    and composes them with witnesses of its own, which start as identities
+    and zero: F = f∘F, G = G∘g, H += G∘h∘F. The complex itself changes as in
+    the production code. ``made`` lists the instances, so that a test can
+    read their witnesses."""
+
+    made: list = []
+
+    def __init__(self, c):
+        super().__init__(c)
+        self.orig = c
+        self.F = {i: AlgMatrix.identity(B, t) for i, t in c.terms.items()}
+        self.G = {i: AlgMatrix.identity(B, t) for i, t in c.terms.items()}
+        self.H = {}
+        self.made.append(self)
 
     def eliminate(self, i, r, col):
-        alg = self.algebra
+        alg = B
         d = self.diffs[i]
         src, tgt = d.cols, d.rows
         lam_inv = Fraction(1) / d.entries[r][col].scalar_part()
@@ -73,13 +89,22 @@ class RefEliminator(complexes._Eliminator):
         h_i1.entries[col][r] = alg.idempotent(src[col].vertex).scale(lam_inv)
 
         zero_h = AlgMatrix.zero(alg, self.orig.term(i), self.orig.term(i + 1))
-        H = self.H.get(i + 1, zero_h) + self.G[i] * h_i1 * self.F[i + 1]
-        F = f_i * self.F[i], f_i1 * self.F[i + 1]
-        G = self.G[i] * g_i, self.G[i + 1] * g_i1
+        self.H[i + 1] = self.H.get(i + 1, zero_h) + self.G[i] * h_i1 * self.F[i + 1]
+        self.F[i], self.F[i + 1] = f_i * self.F[i], f_i1 * self.F[i + 1]
+        self.G[i], self.G[i + 1] = self.G[i] * g_i, self.G[i + 1] * g_i1
         super().eliminate(i, r, col)
-        self.H[i + 1] = H
-        self.F[i], self.F[i + 1] = F
-        self.G[i], self.G[i + 1] = G
+
+
+def ref_reduction(c):
+    """``gaussian_reduce(c)`` with ``RefEliminator``, its witnesses read from
+    the eliminator's own composed F, G and H."""
+    with mock.patch.object(complexes, "_Eliminator", RefEliminator):
+        red = gaussian_reduce(c)
+    st = RefEliminator.made.pop()
+    return SimpleNamespace(reduced=red.reduced,
+                           to_reduced=ProjChainMap(c, red.reduced, st.F, validate=False),
+                           from_reduced=ProjChainMap(red.reduced, c, st.G, validate=False),
+                           homotopy=ProjHomotopy(c, c, st.H))
 
 
 class RescanEliminator(complexes._Eliminator):
@@ -199,8 +224,7 @@ class TestWitnessUpdates:
     @given(c=cluttered_complexes())
     def test_row_operations_equal_composed_step_matrices(self, c):
         red = gaussian_reduce(c)
-        with mock.patch.object(complexes, "_Eliminator", RefEliminator):
-            ref = gaussian_reduce(c)
+        ref = ref_reduction(c)
         assert witness_data(red) == witness_data(ref)
 
     @settings(max_examples=120, deadline=None)
@@ -227,6 +251,46 @@ class TestWitnessUpdates:
         assert red.reduced.is_zero()
         assert red.homotopy.component(1).entries[0][0] == \
             B.idempotent("2").scale(Fraction(-1, 3))
+
+
+def replays(run):
+    """How many cancellation logs ``run()`` replays into witnesses."""
+    count = [0]
+    replay = complexes._replay
+
+    def counting(c, log):
+        count[0] += 1
+        return replay(c, log)
+
+    with mock.patch.object(complexes, "_replay", counting):
+        run()
+    return count[0]
+
+
+class TestWitnessesOnFirstRead:
+    """A reduction builds its witnesses once, on first read, and a caller
+    that reads only the reduced complex makes it build none."""
+
+    def test_evaluating_the_eval_pool_replays_no_log(self):
+        assert replays(run_pool) == 0
+
+    def test_reading_the_witnesses_twice_replays_once(self):
+        red = gaussian_reduce(ck_p2_complex(B, 8).clip(0, 5))
+        assert len(red.log) == 5
+
+        def read_twice():
+            for _ in range(2):
+                red.to_reduced, red.from_reduced, red.homotopy
+
+        assert replays(read_twice) == 1
+        assert red.to_reduced is red.to_reduced
+
+    def test_the_suite_replays_only_what_duality_maps_reads(self):
+        """Four reductions for each of the five generator maps."""
+        suite = replays(lambda: run_suite(VerificationConfig(window=16)))
+        alone = replays(lambda: run_suite(VerificationConfig(window=16,
+                                                             only=("duality-maps",))))
+        assert suite == alone == 20
 
 
 # ---------------------------------------------------------------------------
