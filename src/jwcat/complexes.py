@@ -42,9 +42,18 @@ caller passes only the window it works at. Below, a tail has direction o
   copy rule ``materialize`` extends terms and differentials with. An
   equation at least one period past σ reads only identified components and
   periodic differentials, so it is the shifted copy of the equation one
-  period nearer σ, and a windowed solution extends to the semi-infinite
-  complexes. The equations still run two periods past σ, which checks one
-  repeated period explicitly, as the seam check does on the terms.
+  period nearer σ. The equations still run two periods past σ, which checks
+  one repeated period explicitly, as the seam check does on the terms.
+  In practice the copy rule fills nothing: ``detect_tail`` seats each tail
+  2p' - 1 degrees in from its edge, for its own period p', and the ladder
+  period is 2·lcm >= 2p', so σ + p - 1 reaches the window edge and every
+  tailed family's unknowns run to it. At N = 16 the common tails of the
+  suite's four isomorphism witnesses start one to three degrees inside the
+  edge, e.g. (right, 15, 4, -8) on (0, 16). So a windowed solution extends
+  to the semi-infinite complexes only where it repeats one ladder period in
+  at the edge; each of the suite's witnesses does, at N = 16 and 24, which
+  ``tests/test_ladder.py`` checks. Moving the seam in to the earliest
+  common repeat, so that the copy rule does this work, is ROADMAP item 1.
   The ladder's period p is twice the lcm L of the two tails' periods
   (``_common_tail``). Every solution periodic under L is periodic under 2L,
   so doubling loses none, and it admits the solutions that change sign at

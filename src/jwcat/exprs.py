@@ -33,8 +33,9 @@ OBJECT_ATOMS = ("P(1)", "P(2)", "L(1)", "L(2)", "I(2)")
 MAP_ATOMS = ("e(1)", "e(2)", "c", "a", "b")
 FUNCTORS = ("CK", "D", "P")
 
-_TOKEN = re.compile(r"\s*(P\(1\)|P\(2\)|L\(1\)|L\(2\)|I\(2\)|e\(1\)|e\(2\)"
-                    r"|CK|D|P|c|a|b|\(|\)|<-?\d+>|\[-?\d+\])")
+# the names longest first, so that P(1) is read before the functor P
+_TOKEN = re.compile(r"\s*(%s|\(|\)|<-?\d+>|\[-?\d+\])" % "|".join(
+    map(re.escape, sorted(OBJECT_ATOMS + MAP_ATOMS + FUNCTORS, key=len, reverse=True))))
 
 
 @dataclass

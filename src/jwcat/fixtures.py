@@ -27,6 +27,15 @@ _ALGEBRAS = {
 }
 
 
+# each fixture kind's parser from its payload; ``load_fixture`` checks that
+# the parsed object writes the payload back bit-exactly
+_PARSERS = {
+    "algebra": PathAlgebra.from_json,
+    "module": lambda d: GradedModule.from_json(d, _ALGEBRAS[d["algebra"]]()),
+    "complex": lambda d: projcomplex_from_json(d, _ALGEBRAS[d["algebra"]]()),
+}
+
+
 def _data_dir():
     return resources.files("jwcat") / "data"
 
@@ -47,21 +56,11 @@ def load_fixture(name: str):
             raise FileNotFoundError(name)
         blob = json.loads(res.read_text())
     kind = blob.get("kind")
-    if kind == "algebra":
-        obj = PathAlgebra.from_json(blob["payload"])
-        _assert_roundtrip(blob["payload"], obj.to_json())
-        return kind, obj
-    if kind == "module":
-        alg = _ALGEBRAS[blob["payload"]["algebra"]]()
-        obj = GradedModule.from_json(blob["payload"], alg)
-        _assert_roundtrip(blob["payload"], obj.to_json())
-        return kind, obj
-    if kind == "complex":
-        alg = _ALGEBRAS[blob["payload"]["algebra"]]()
-        obj = projcomplex_from_json(blob["payload"], alg)
-        _assert_roundtrip(blob["payload"], obj.to_json())
-        return kind, obj
-    raise ValueError(f"unknown fixture kind {kind!r}")
+    if kind not in _PARSERS:
+        raise ValueError(f"unknown fixture kind {kind!r}")
+    obj = _PARSERS[kind](blob["payload"])
+    _assert_roundtrip(blob["payload"], obj.to_json())
+    return kind, obj
 
 
 def _assert_roundtrip(original: dict, regenerated: dict) -> None:
@@ -74,25 +73,19 @@ def _assert_roundtrip(original: dict, regenerated: dict) -> None:
 def projcomplex_from_json(d: dict, algebra: PathAlgebra) -> ProjComplex:
     from .complexes import AlgMatrix, Summand, TailSpec
 
+    paths = {p.word(): p for p in algebra.basis}
+
     def word_to_element(w: str):
-        if w == "0":
-            return algebra.zero()
+        """Read back ``AlgebraElement.word``: terms [-][c·]path joined by
+        " + " and " - "."""
         out = algebra.zero()
+        if w == "0":
+            return out
         for part in w.replace("- ", "+ -").split("+ "):
             part = part.strip()
-            neg = part.startswith("-")
-            if neg:
-                part = part[1:].lstrip("·").strip()
-            coeff = 1
-            if "·" in part:
-                c, part = part.split("·", 1)
-                coeff = _frac(c)
-            if part.startswith("e("):
-                el = algebra.idempotent(part[2:-1])
-            else:
-                el = algebra.path_element(tuple(part))
-            el = el.scale(-coeff if neg else coeff)
-            out = out + el
+            sign = -1 if part.startswith("-") else 1
+            coeff, _, word = part.lstrip("-").rpartition("·")
+            out = out + algebra.element({paths[word]: sign * _frac(coeff or 1)})
         return out
 
     terms = {int(i): tuple(Summand(v, s) for (v, s) in t)

@@ -19,6 +19,9 @@ these rules, and everything that crosses between formal sums of summands and
 realized modules reads it: ``projective_sum`` realizes the sum as a module,
 ``projective`` stores P(v) once per algebra and vertex, and the left
 multiplication maps, covers and differentials place their entries by it.
+``direct_sum`` lays out any sum of modules by the same block rule: each
+degree lists the summands' labels in summand order, and an arrow acts by the
+block-diagonal matrix of the summands' arrow matrices (``block_diagonal``).
 
 Every other computation reads what a module stores, its vertex labels and
 its arrow matrices, through two rules:
@@ -281,46 +284,33 @@ def injective2(B: PathAlgebra) -> GradedModule:
     return m
 
 
+def block_diagonal(blocks: list[Matrix]) -> Matrix:
+    """The matrix with ``blocks`` down its diagonal, in order, and zeros
+    elsewhere."""
+    out = Matrix(sum(b.nrows for b in blocks), sum(b.ncols for b in blocks))
+    rows, col = iter(out.data), 0
+    for b in blocks:
+        for brow, row in zip(b.data, rows):
+            row[col:col + b.ncols] = brow
+        col += b.ncols
+    return out
+
+
 def direct_sum(mods: list[GradedModule], algebra: PathAlgebra | None = None) -> GradedModule:
+    """⊕ mods: each degree lists the summands' labels in order, and an arrow
+    acts by the block-diagonal matrix of the summands' arrow matrices."""
     if not mods:
         if algebra is None:
             raise ConstructionError("empty direct sum needs an algebra")
         return GradedModule.zero_module(algebra)
     alg = mods[0].algebra
-    degrees = sorted({d for m in mods for d in m.degrees()})
-    basis: dict[int, tuple[str, ...]] = {}
-    offsets: list[dict[int, int]] = []
-    for d in degrees:
-        labels: list[str] = []
-        for k, m in enumerate(mods):
-            if len(offsets) <= k:
-                offsets.append({})
-            offsets[k][d] = len(labels)
-            labels.extend(m.basis.get(d, ()))
-        if labels:
-            basis[d] = tuple(labels)
-    action: dict[str, dict[int, Matrix]] = {}
-    for arrow in alg.quiver.arrows:
-        mats: dict[int, Matrix] = {}
-        for d in degrees:
-            tot_src = len(basis.get(d, ()))
-            tot_tgt = len(basis.get(d + arrow.degree, ()))
-            if tot_src == 0 or tot_tgt == 0:
-                continue
-            m = Matrix(tot_tgt, tot_src)
-            for k, mod in enumerate(mods):
-                blk = mod.act_arrow(arrow.name, d)
-                ro = offsets[k].get(d + arrow.degree, 0)
-                co = offsets[k].get(d, 0)
-                for i in range(blk.nrows):
-                    for j in range(blk.ncols):
-                        m.data[ro + i][co + j] = blk.data[i][j]
-            if not m.is_zero():
-                mats[d] = m
-        if mats:
-            action[arrow.name] = mats
-    name = " ⊕ ".join(m.name for m in mods) if mods else "0"
-    return GradedModule(alg, basis, action, name=name, validate=False)
+    basis = {d: tuple(lab for m in mods for lab in m.basis.get(d, ()))
+             for d in sorted({d for m in mods for d in m.degrees()})}
+    action = {arrow.name: {d: block_diagonal([m.act_arrow(arrow.name, d) for m in mods])
+                           for d in basis if d + arrow.degree in basis}
+              for arrow in alg.quiver.arrows}
+    return GradedModule(alg, basis, action, name=" ⊕ ".join(m.name for m in mods),
+                        validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -544,19 +534,14 @@ def tensor_with_bimodule(M: GradedModule, W: GradedBimodule) -> GradedModule:
     if M.algebra is not A:
         raise ConstructionError("module algebra must match the bimodule's left algebra")
     right_alg = W.right_algebra
-    pairs: list[tuple[int, int, int]] = []   # (module degree, module index, bimodule index)
-    pair_pos: dict[tuple[int, int, int], int] = {}
+    # the pairs (d, i, k) of the degree-d basis vector i of M and the basis
+    # vector k of W, listed by total degree; pos[pair] is its place there
+    by_total: dict[int, list[tuple[int, int, int]]] = {}
     for d in M.degrees():
         for i in range(M.dim(d)):
-            for k in range(W.dim()):
-                pair_pos[(d, i, k)] = len(pairs)
-                pairs.append((d, i, k))
-    by_total: dict[int, list[int]] = {}
-    pos: dict[int, int] = {}                 # pair index -> place in its total degree
-    for idx, (d, i, k) in enumerate(pairs):
-        idxs = by_total.setdefault(d + W.basis[k].degree, [])
-        pos[idx] = len(idxs)
-        idxs.append(idx)
+            for k, w in enumerate(W.basis):
+                by_total.setdefault(d + w.degree, []).append((d, i, k))
+    pos = {pair: p for pairs in by_total.values() for p, pair in enumerate(pairs)}
 
     # relation rows (m·g)⊗w − m⊗(g·w) for the generators g (idempotents and
     # arrows), each built once in its total degree; a total degree without
@@ -568,7 +553,7 @@ def tensor_with_bimodule(M: GradedModule, W: GradedBimodule) -> GradedModule:
     left = {(g, k): W.index.get(W.left(key, g)) for g in gens for key, k in W.index.items()}
     acts = {(g, d): M.act_path(g, d) for g in gens for d in M.degrees()}
     rel_rows: dict[int, list[list[Fraction]]] = {}
-    for (d2, i2, k2) in pairs:
+    for (d2, i2, k2) in pos:
         for g in gens:
             dg = A.path_degree(g)
             total = d2 + dg + W.basis[k2].degree
@@ -578,56 +563,40 @@ def tensor_with_bimodule(M: GradedModule, W: GradedBimodule) -> GradedModule:
             mg = acts[(g, d2)]
             for r in range(mg.nrows):
                 if mg.data[r][i2] != 0:
-                    row[pos[pair_pos[(d2 + dg, r, k2)]]] += mg.data[r][i2]
+                    row[pos[(d2 + dg, r, k2)]] += mg.data[r][i2]
             j = left[(g, k2)]
             if j is not None:
-                row[pos[pair_pos[(d2, i2, j)]]] -= 1
+                row[pos[(d2, i2, j)]] -= 1
             if any(x != 0 for x in row):
                 rel_rows.setdefault(total, []).append(row)
-    reducers: dict[int, tuple[Matrix, list[int]]] = {}
-    quot_free: dict[int, list[int]] = {}   # positions (within by_total) kept
+    # the quotient of a total degree has as basis the free positions, those
+    # that are not pivots of its reduced relations; coords[total][p] is the
+    # class of position p there: a unit vector at a free p, and minus the
+    # free part of its relation row at a pivot p
+    free: dict[int, list[int]] = {}
+    coords: dict[int, dict[int, list[Fraction]]] = {}
     basis: dict[int, tuple[str, ...]] = {}
-    for total, idxs in sorted(by_total.items()):
-        reducers[total] = Matrix.from_rows(rel_rows.get(total, [])).rref()
-        free = [p for p in range(len(idxs)) if p not in reducers[total][1]]
-        quot_free[total] = free
-        labels = [W.basis[pairs[idxs[p]][2]].right_vertex for p in free]
-        if labels:
-            basis[total] = tuple(labels)
-
-    def reduce_vec(total: int, vec: list[Fraction]) -> list[Fraction]:
-        R, piv = reducers[total]
-        v = list(vec)
-        for r, pc in enumerate(piv):
-            if v[pc] != 0:
-                f = v[pc]
-                v = [x - f * y for x, y in zip(v, R.data[r])]
-        return [v[p] for p in quot_free[total]]
+    for total, pairs in sorted(by_total.items()):
+        R, piv = Matrix.from_rows(rel_rows.get(total, [])).rref()
+        kept = free[total] = [p for p in range(len(pairs)) if p not in piv]
+        coords[total] = {p: [int(p == q) for q in kept] for p in kept}
+        coords[total].update({pc: [-row[q] for q in kept] for pc, row in zip(piv, R.data)})
+        basis[total] = tuple(W.basis[pairs[p][2]].right_vertex for p in kept)
 
     action: dict[str, dict[int, Matrix]] = {}
     for arrow in right_alg.quiver.arrows:
         g = Path((arrow.name,))
         right = {k: W.index.get(W.right(key, g)) for key, k in W.index.items()}
         mats: dict[int, Matrix] = {}
-        for total, free in quot_free.items():
-            tgt_total = total + arrow.degree
-            if not free or tgt_total not in quot_free or not quot_free[tgt_total]:
+        for total, kept in free.items():
+            tgt = total + arrow.degree
+            if not kept or not free.get(tgt):
                 continue
-            idxs = by_total[total]
-            cols = []
-            for p in free:
-                d, i, k = pairs[idxs[p]]
-                tvec = [0] * len(by_total[tgt_total])
-                if right[k] is not None:
-                    tvec[pos[pair_pos[(d, i, right[k])]]] = 1
-                cols.append(reduce_vec(tgt_total, tvec))
-            m = Matrix(len(quot_free[tgt_total]), len(free),
-                       [[cols[j][i] for j in range(len(free))]
-                        for i in range(len(quot_free[tgt_total]))])
-            if not m.is_zero():
-                mats[total] = m
-        if mats:
-            action[arrow.name] = mats
+            zero = [0] * len(free[tgt])
+            cols = [zero if right[k] is None else coords[tgt][pos[(d, i, right[k])]]
+                    for d, i, k in (by_total[total][p] for p in kept)]
+            mats[total] = Matrix(len(zero), len(kept), [list(r) for r in zip(*cols)])
+        action[arrow.name] = mats
     return GradedModule(right_alg, basis, action,
                         name=f"{M.name}⊗{W.name}")
 

@@ -249,24 +249,16 @@ def resolve_complex(Y: Complex, depth: int
         summands, epsW = projective_cover(W)
         terms[i] = summands
         realized[i] = epsW.source
-        full = w_incl.compose(epsW)
-        # split into the Y-component (augmentation) and Z-component (differential)
-        y_mats: dict[int, Matrix] = {}
-        z_mats: dict[int, Matrix] = {}
-        for d in realized[i].degrees():
-            m = full.mat(d)
-            ny = Yi.dim(d)
-            if ny:
-                ym = m.submatrix(range(ny), range(m.ncols))
-                if not ym.is_zero():
-                    y_mats[d] = ym
-            if m.nrows - ny > 0:
-                zm = m.submatrix(range(ny, m.nrows), range(m.ncols))
-                if not zm.is_zero():
-                    z_mats[d] = zm
-        augment[i] = ModuleHom(realized[i], Yi, 0, y_mats, "eps", validate=False)
+        # the cover's map into Y^i ⊕ Z: in each degree d its first dim Y^i_d
+        # rows are the augmentation onto Y^i, the rest the map into Z
+        full = w_incl.compose(epsW).mats
+        augment[i] = ModuleHom(realized[i], Yi, 0, {
+            d: m.submatrix(range(Yi.dim(d)), range(m.ncols)) for d, m in full.items()},
+            "eps", validate=False)
         if not Z.is_zero():
-            z_hom = ModuleHom(realized[i], Z, 0, z_mats, "toZ", validate=False)
+            z_hom = ModuleHom(realized[i], Z, 0, {
+                d: m.submatrix(range(Yi.dim(d), m.nrows), range(m.ncols))
+                for d, m in full.items()}, "toZ", validate=False)
             into_P = z_incl.compose(z_hom)
             dmats[i] = into_P
             diffs[i] = _hom_to_alg_matrix(into_P, summands, terms[i + 1], alg)

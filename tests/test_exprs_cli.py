@@ -209,6 +209,35 @@ class TestFixtureRoundTrip:
             kind, obj = load_fixture(str(f))
             assert kind in ("algebra", "module", "complex")
 
+    def test_a_complex_over_the_dual_algebra_round_trips(self, tmp_path, capsys):
+        """Entries are read back as basis-path words, so a starred arrow such
+        as a* is one arrow, not the arrow a followed by a character *."""
+        from jwcat.complexes import AlgMatrix, ProjComplex, Summand
+        from jwcat.fixtures import load_fixture
+        from jwcat.quiver import Path, build_B, koszul_dual
+        dual, _ = koszul_dual(build_B())
+        terms = {0: (Summand("2", 1), Summand("1", 2)), 1: (Summand("1", 0),)}
+        d0 = AlgMatrix(dual, terms[1], terms[0],
+                       [[dual.path_element(("a*",)).scale(-2),
+                         dual.path_element(("a*", "b*"))]])
+        x = ProjComplex(dual, terms, {0: d0}, None, "X")
+        assert x.to_json()["diffs"] == {"0": [["-2·a*", "a*b*"]]}
+        path = tmp_path / "dual.json"
+        path.write_text(json.dumps({"kind": "complex", "payload": x.to_json()}))
+        kind, y = load_fixture(str(path))
+        assert kind == "complex" and y.algebra.name == "B!"
+        assert y.diffs[0].entries[0][0].terms == {Path(("a*",)): -2}
+        assert y.to_json() == x.to_json()
+        assert main(["show", str(path)]) == 0
+        assert "[0] P(2)<1> ⊕ P(1)<2>  →  [1] P(1)" in capsys.readouterr().out
+
+    def test_unknown_fixture_kind_rejected(self, tmp_path):
+        from jwcat.fixtures import load_fixture
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps({"kind": "bimodule", "payload": {}}))
+        with pytest.raises(ValueError, match="unknown fixture kind 'bimodule'"):
+            load_fixture(str(path))
+
     def test_corrupted_fixture_rejected(self, tmp_path):
         import json as _json
         from jwcat.fixtures import load_fixture

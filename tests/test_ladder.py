@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jwcat import verify
 from jwcat.complexes import (RIGHT_TAIL, AlgMatrix, LadderFamily, LadderSystem,
                              ProjChainMap, ProjComplex, Summand, TailSpec,
                              _chain_map_invertible, _common_tail,
@@ -325,6 +326,35 @@ def ladder_over(x, reach, homotopy):
         return LadderSystem([LadderFamily(x, x, -1, (lo, hi + 1), _common_tail(x, x))])
     x = x.materialize(lo, hi)
     return LadderSystem([LadderFamily(x, x, 0, (lo, hi), _common_tail(x, x))])
+
+
+class TestWitnessesRepeatAtTheEdge:
+    """``detect_tail`` seats a tail 2p - 1 degrees in from the edge and the
+    ladder period is twice the lcm of the tails' periods, so every tailed
+    ladder's unknowns reach its window edge and the copy rule fixes no
+    component there (the ladder seam of "Windows and margins"). A witness
+    then extends to the semi-infinite complexes only if it repeats one
+    ladder period in at the edge; each of the suite's does, until ROADMAP
+    item 1 moves the seam in."""
+
+    @pytest.mark.parametrize("N", [16, 24])
+    def test_every_tailed_witness_of_the_suite_repeats_one_period_in(self, N):
+        seen = []
+
+        def spy(x, y, window):
+            v = iso_in_homotopy_category(x, y, window)
+            if v.witness is not None and _common_tail(*v.witness[:2]) is not None:
+                seen.append((window, v.witness))
+            return v
+
+        with mock.patch.object(verify, "iso_in_homotopy_category", spy):
+            verify.run_suite(verify.VerificationConfig(window=N))
+        assert len(seen) == 4
+        for window, (xm, ym, inv) in seen:
+            t = _common_tail(xm, ym)
+            edge = t.edge(window)
+            assert inv.component(edge) == \
+                inv.component(edge - t.outward * t.period).shifted(t.shift), (window, t)
 
 
 class TestOnePlacement:

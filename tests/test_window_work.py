@@ -505,3 +505,14 @@ class TestProjectorDepth:
         """P prints its resolution window, so these pin ``projector_depth``
         as well as the values, on objects and on maps."""
         assert reproduce_eval_reference(APPLIES_P.search) == 291
+
+
+class TestSuffixedChains:
+    def test_every_suffixed_chain_without_ck_or_p_matches_the_eval_reference(self):
+        """The rest of the pool: suffixed chains of D and atoms, such as
+        D(D(I(2)))<-1> and L(1)[1]. A module atom is resolved by
+        ``ProjComplexify`` when it takes a homological shift and when its
+        value is printed, so these reach the resolver."""
+        bases = {e: v["base"] for e, v in eval_reference()["expressions"].items()}
+        assert reproduce_eval_reference(
+            lambda e: e != bases[e] and "CK(" not in e and not APPLIES_P.search(e)) == 120
