@@ -142,10 +142,11 @@ caller passes only the window it works at. Below, a tail has direction o
   and fails a check at hi - lo - 1 (N = 8, 12, 16). The other 6 degrees
   are kept because the eval language prints P's resolution window, so the
   value is part of its output.
-* Homotopy reach (``solve_homotopy``): ±1. The homotopy equation at
-  degree i reads h_i: X^i -> Y^(i-1) and h_(i+1), so on (lo, hi) the
-  unknowns run over lo..hi + 1 and read X through hi + 1 and Y from
-  lo - 1; both are materialized one degree past each side.
+* Homotopy reach (``solve_homotopy``): ±1. The homotopy h is a
+  ``ProjChainMap`` of degree -1, h_i: X^i -> Y^(i-1), and the equation at
+  degree i, its ``defect`` d∘h_i + h_(i+1)∘d, reads h_i and h_(i+1), so on
+  (lo, hi) the unknowns run over lo..hi + 1 and read X through hi + 1 and
+  Y from lo - 1; both are materialized one degree past each side.
 """
 
 from __future__ import annotations
@@ -546,38 +547,53 @@ def attach_tail(c: ProjComplex, window: tuple[int, int], side: str,
 # ---------------------------------------------------------------------------
 
 class ProjChainMap:
-    """Degree-0 map of complexes given by AlgMatrix components."""
+    """Map of complexes of homological degree ``degree`` given by AlgMatrix
+    components φ_i: source^i -> target^(i + degree): a chain map at degree
+    0, a homotopy h: X^i -> Y^(i-1) at degree -1. The chain identity is
+    stated once, by ``sides`` and ``defect``."""
 
     def __init__(self, source: ProjComplex, target: ProjComplex,
                  maps: dict[int, AlgMatrix], name: str = "f",
-                 validate: bool = True):
+                 validate: bool = True, degree: int = 0):
         self.source = source
         self.target = target
         self.maps = {i: m for i, m in maps.items() if m.rows and m.cols}
         self.name = name
+        self.degree = degree
         if validate:
             self._validate()
 
     def component(self, i: int) -> AlgMatrix:
         m = self.maps.get(i)
         if m is None:
-            return AlgMatrix.zero(self.source.algebra, self.target.term(i),
+            return AlgMatrix.zero(self.source.algebra, self.target.term(i + self.degree),
                                   self.source.term(i))
         return m
 
+    def sides(self, i: int) -> tuple[AlgMatrix, AlgMatrix]:
+        """(d∘φ_i, φ_(i+1)∘d), the two sides of the chain identity at i."""
+        return (self.target.diff(i + self.degree) * self.component(i),
+                self.component(i + 1) * self.source.diff(i))
+
+    def defect(self, i: int) -> AlgMatrix:
+        """d∘φ_i - (-1)^degree φ_(i+1)∘d: zero at every degree for a chain
+        map, and d∘h + h∘d for a homotopy h."""
+        out, back = self.sides(i)
+        return out + back if self.degree % 2 else out - back
+
     def _validate(self):
         for i, m in self.maps.items():
-            if m.cols != self.source.term(i) or m.rows != self.target.term(i):
+            if m.cols != self.source.term(i) or m.rows != self.target.term(i + self.degree):
                 raise ConstructionError(f"chain map component at {i} has wrong shape")
-        # d∘f = f∘d at i reads source^i and target^(i+1); past a cut edge
-        # that has a tail the unstored degree is not zero, so not there
+        # the identity at i reads source^i and target^(i+degree+1); past a
+        # cut edge that has a tail the unstored degree is not zero, so not there
         (s_lo, s_hi), (t_lo, t_hi) = self.source.window(), self.target.window()
+        t_lo, t_hi = t_lo - self.degree, t_hi - self.degree
         lo = max(s_lo, t_lo if _has_tail(self.target, LEFT_TAIL) else t_lo - 1)
         hi = min(s_hi - 1 if _has_tail(self.source, RIGHT_TAIL) else s_hi, t_hi - 1)
         for i in range(lo, hi + 1):
-            lhs = self.target.diff(i) * self.component(i)
-            rhs = self.component(i + 1) * self.source.diff(i)
-            if lhs != rhs:
+            out, back = self.sides(i)
+            if out != (-back if self.degree % 2 else back):
                 raise ConstructionError(
                     f"{self.name} does not commute with differentials at {i}")
 
@@ -587,17 +603,23 @@ class ProjChainMap:
         return cls(c, c, maps, name="id", validate=False)
 
     def compose(self, other: ProjChainMap) -> ProjChainMap:
+        """self∘other, of degree self.degree + other.degree."""
+        d = other.degree
         maps = {}
-        for i in set(self.maps) | set(other.maps):
-            maps[i] = self.component(i) * other.component(i)
+        for i in {j - d for j in self.maps} | set(other.maps):
+            maps[i] = self.component(i + d) * other.component(i)
         return ProjChainMap(other.source, self.target, maps,
-                            f"{self.name}∘{other.name}", validate=False)
+                            f"{self.name}∘{other.name}", validate=False,
+                            degree=self.degree + d)
 
     def __add__(self, other: ProjChainMap) -> ProjChainMap:
+        if self.degree != other.degree:
+            raise ConstructionError("maps of different degrees cannot be added")
         maps = {}
         for i in set(self.maps) | set(other.maps):
             maps[i] = self.component(i) + other.component(i)
-        return ProjChainMap(self.source, self.target, maps, self.name, validate=False)
+        return ProjChainMap(self.source, self.target, maps, self.name,
+                            validate=False, degree=self.degree)
 
     def __sub__(self, other: ProjChainMap) -> ProjChainMap:
         return self + other.scale(-1)
@@ -605,42 +627,20 @@ class ProjChainMap:
     def scale(self, c) -> ProjChainMap:
         return ProjChainMap(self.source, self.target,
                             {i: m.scale(c) for i, m in self.maps.items()},
-                            self.name, validate=False)
+                            self.name, validate=False, degree=self.degree)
+
+    def witnesses(self, f: ProjChainMap, g: ProjChainMap,
+                  window: tuple[int, int]) -> bool:
+        """For a homotopy: f - g = d∘h + h∘d on the window."""
+        lo, hi = window
+        return all(f.component(i) - g.component(i) == self.defect(i)
+                   for i in range(lo, hi + 1))
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.maps.values())
 
     def __repr__(self):
         return f"ProjChainMap({self.name}: {self.source.name} -> {self.target.name})"
-
-
-class ProjHomotopy:
-    """h with components X^i -> Y^{i-1}."""
-
-    def __init__(self, source: ProjComplex, target: ProjComplex,
-                 maps: dict[int, AlgMatrix]):
-        self.source = source
-        self.target = target
-        self.maps = {i: m for i, m in maps.items() if m.rows and m.cols}
-
-    def component(self, i: int) -> AlgMatrix:
-        m = self.maps.get(i)
-        if m is None:
-            return AlgMatrix.zero(self.source.algebra, self.target.term(i - 1),
-                                  self.source.term(i))
-        return m
-
-    def witnesses(self, f: ProjChainMap, g: ProjChainMap,
-                  window: tuple[int, int]) -> bool:
-        """Check f - g = d∘h + h∘d on the window."""
-        lo, hi = window
-        for i in range(lo, hi + 1):
-            want = f.component(i) - g.component(i)
-            got = (self.target.diff(i - 1) * self.component(i)
-                   + self.component(i + 1) * self.source.diff(i))
-            if want != got:
-                return False
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -805,11 +805,11 @@ def total_complex(bc: ProjBicomplex, name: str | None = None) -> ProjComplex:
 class Reduction:
     """``reduced``, the minimal model of ``original``, and the
     homotopy-equivalence witnesses F = ``to_reduced`` (original -> reduced),
-    G = ``from_reduced`` (reduced -> original) and h = ``homotopy`` on
-    original, with F∘G = id and id - G∘F = dh + hd; F and G have the degrees
-    of ``reduced``. The witnesses are built once, on first read, by
-    ``_replay`` of ``log``, the cancellations that reduced ``original``: a
-    caller that reads only ``reduced`` pays for none of them."""
+    G = ``from_reduced`` (reduced -> original) and h = ``homotopy``, of
+    degree -1 on original, with F∘G = id and id - G∘F = dh + hd; F and G
+    have the degrees of ``reduced``. The witnesses are built once, on first
+    read, by ``_replay`` of ``log``, the cancellations that reduced
+    ``original``: a caller that reads only ``reduced`` pays for none of them."""
 
     def __init__(self, original: ProjComplex, reduced: ProjComplex, log: list):
         self.original = original
@@ -817,12 +817,12 @@ class Reduction:
         self.log = log
 
     @cached_property
-    def _witnesses(self) -> tuple[ProjChainMap, ProjChainMap, ProjHomotopy]:
+    def _witnesses(self) -> tuple[ProjChainMap, ProjChainMap, ProjChainMap]:
         c, red = self.original, self.reduced
         F, G, H = _replay(c, self.log)
         return (ProjChainMap(c, red, {i: F[i] for i in red.terms}, "F", validate=False),
                 ProjChainMap(red, c, {i: G[i] for i in red.terms}, "G", validate=False),
-                ProjHomotopy(c, c, H))
+                ProjChainMap(c, c, H, "h", validate=False, degree=-1))
 
     to_reduced = property(lambda self: self._witnesses[0])
     from_reduced = property(lambda self: self._witnesses[1])
@@ -1054,13 +1054,14 @@ class LadderSystem:
     ``unknowns`` is the one table of them: (family, degree, (row, column,
     path)), ordered by family, then degree and ``_coordinates``, over each
     family's unknown ``degrees``. ``build`` turns a coefficient vector into
-    the families' components, one dict per family.
+    the families' maps, one ``ProjChainMap`` per family, of the family's
+    offset as its degree.
 
     The equations come as blocks ``(reads, fn)``: ``fn(maps)`` is the list of
     coordinates of an affine expression in the components named by
-    ``reads``, (family, degree) pairs that it reads through ``component``.
-    ``probe`` turns a list of blocks into matrix columns and a right-hand side
-    for ``kernel_from_columns`` or ``solve_from_columns``.
+    ``reads``, (family, degree) pairs, of the maps. ``probe`` turns a list of
+    blocks into matrix columns and a right-hand side for
+    ``kernel_from_columns`` or ``solve_from_columns``.
     """
 
     def __init__(self, families: list[LadderFamily]):
@@ -1075,55 +1076,40 @@ class LadderSystem:
                                                   fam.source.term(i))]
         self.n = len(self.unknowns)
 
-    def _zero(self, k: int, i: int) -> AlgMatrix:
-        fam = self.families[k]
-        return AlgMatrix.zero(fam.source.algebra, fam.target.term(i + fam.offset),
-                              fam.source.term(i))
+    def _empty(self) -> list[ProjChainMap]:
+        """Each family's map with no components."""
+        return [ProjChainMap(f.source, f.target, {}, validate=False, degree=f.offset)
+                for f in self.families]
 
-    def _place(self, maps: list[dict[int, AlgMatrix]], coefficients
-               ) -> list[dict[int, AlgMatrix]]:
+    def _place(self, maps: list[ProjChainMap], coefficients) -> list[ProjChainMap]:
         """Add each (unknown j, value v) of ``coefficients`` to ``maps`` as
         v times unknown j's path at its entry, then fill each family's
         window past its unknown degrees by the tail's copy rule."""
         for j, v in coefficients:
             k, i, (r, c, path) = self.unknowns[j]
-            m = maps[k].get(i)
+            m = maps[k].maps.get(i)
             if m is None:
-                m = maps[k][i] = self._zero(k, i)
+                m = maps[k].maps[i] = maps[k].component(i)
             m.entries[r][c] = m.entries[r][c] + m.algebra.element({path: v})
-        for fam, degrees, family_maps in zip(self.families, self.degrees, maps):
+        for fam, degrees, f in zip(self.families, self.degrees, maps):
             t = fam.tail
-            if t is not None and family_maps:
-                _copy_outward(family_maps, t, t.edge((degrees[0], degrees[-1])),
+            if t is not None and f.maps:
+                _copy_outward(f.maps, t, t.edge((degrees[0], degrees[-1])),
                               t.edge(fam.window), AlgMatrix.shifted)
         return maps
 
-    def build(self, vec) -> list[dict[int, AlgMatrix]]:
-        """The components at ``vec``: every unknown degree, then its copies."""
-        maps = [{i: self._zero(k, i) for i in degrees}
-                for k, degrees in enumerate(self.degrees)]
-        return self._place(maps, ((j, v) for j, v in enumerate(vec) if v != 0))
-
-    def component(self, maps, k: int, i: int) -> AlgMatrix:
-        m = maps[k].get(i)
-        return self._zero(k, i) if m is None else m
-
-    def commutator(self, maps, k: int, i: int) -> AlgMatrix:
-        """d∘φ_i - (-1)^offset φ_{i+1}∘d at degree i: the chain-map condition
-        for offset 0, d∘h + h∘d for a homotopy (offset -1)."""
-        fam = self.families[k]
-        out = fam.target.diff(i + fam.offset) * self.component(maps, k, i)
-        back = self.component(maps, k, i + 1) * fam.source.diff(i)
-        return out - back if fam.offset % 2 == 0 else out + back
+    def build(self, vec) -> list[ProjChainMap]:
+        """The maps at ``vec``: every unknown degree, then its copies."""
+        return self._place(self._empty(), ((j, v) for j, v in enumerate(vec) if v != 0))
 
     def chain_blocks(self, k: int, given: ProjChainMap | None = None) -> list:
-        """The blocks of family k's commutator, minus ``given``, one per
+        """The blocks of family k's ``defect``, minus ``given``, one per
         equation degree i; block i reads φ_i and φ_{i+1}."""
         fam = self.families[k]
 
         def block(i):
             def fn(maps):
-                m = self.commutator(maps, k, i)
+                m = maps[k].defect(i)
                 return _mat_coords(m if given is None else m - given.component(i))
             return ((k, i), (k, i + 1)), fn
 
@@ -1141,7 +1127,7 @@ class LadderSystem:
         blocks that read one of them; every other block reads zeros only,
         so its part of the column is zero.
         """
-        empty: list[dict[int, AlgMatrix]] = [{} for _ in self.families]
+        empty = self._empty()
         base = [fn(empty) for _, fn in blocks]
         rhs = [-x for part in base for x in part]
         offsets = [0]
@@ -1152,10 +1138,10 @@ class LadderSystem:
                 readers.setdefault(key, []).append(b)
 
         def column_fn(j: int) -> list[Fraction]:
-            maps = self._place([{} for _ in self.families], [(j, 1)])
+            maps = self._place(self._empty(), [(j, 1)])
             k = self.unknowns[j][0]
             col = [0] * len(rhs)
-            for b in {b for i in maps[k] for b in readers.get((k, i), ())}:
+            for b in {b for i in maps[k].maps for b in readers.get((k, i), ())}:
                 part = blocks[b][1](maps)
                 if any(base[b]):
                     part = [x - y for x, y in zip(part, base[b])]
@@ -1173,24 +1159,23 @@ def solve_chain_maps(X: ProjComplex, Y: ProjComplex,
     ladder = LadderSystem([LadderFamily(X, Y, 0, window, _common_tail(X, Y))])
     column, _ = ladder.probe(ladder.chain_blocks(0))
     kernel = kernel_from_columns(column, ladder.n)
-    return [ProjChainMap(X, Y, ladder.build(vec)[0], validate=False) for vec in kernel]
+    return [ladder.build(vec)[0] for vec in kernel]
 
 
 def solve_homotopy(X: ProjComplex, Y: ProjComplex, f_minus_g: ProjChainMap,
                    window: tuple[int, int], periodic: bool = True
-                   ) -> ProjHomotopy | None:
-    """h: X^i -> Y^{i-1} with (f-g) = d∘h + h∘d on the window, or None.
-    X and Y are read one degree past the window on each side (the homotopy
-    reach of "Windows and margins" in the module docstring)."""
+                   ) -> ProjChainMap | None:
+    """h: X^i -> Y^{i-1}, a map of degree -1, with (f-g) = d∘h + h∘d on the
+    window, or None. X and Y are read one degree past the window on each
+    side (the homotopy reach of "Windows and margins" in the module
+    docstring)."""
     lo, hi = window
     tail = _common_tail(X, Y) if periodic else None
     X, Y = X.materialize(lo - 1, hi + 1), Y.materialize(lo - 1, hi + 1)
     ladder = LadderSystem([LadderFamily(X, Y, -1, (lo, hi + 1), tail)])
     column, rhs = ladder.probe(ladder.chain_blocks(0, f_minus_g))
     sol = solve_from_columns(column, ladder.n, rhs)
-    if sol is None:
-        return None
-    return ProjHomotopy(X, Y, ladder.build(sol)[0])
+    return None if sol is None else ladder.build(sol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1329,14 +1314,20 @@ def maps_agree_under_identification(F: ProjChainMap, G: ProjChainMap,
     ψ_t: T1 -> T2 with ψ_t∘F = G∘ψ_s strictly, then up to homotopy; the
     verdict notes which level held. When the models literally coincide the
     identity identification is tried first so that equality is recognized
-    as stated. "false" is certified only where ``iso_in_homotopy_category``
-    certifies that the sources or the targets are not isomorphic.
+    as stated. An identification is looked for only where the sources and
+    the targets each have aligned tails, both none or a common one, as
+    ``iso_in_homotopy_category`` requires; a bounded model and a tailed one
+    are never identified. "false" is certified only where
+    ``iso_in_homotopy_category`` certifies that the sources or the targets
+    are not isomorphic.
     """
     S1, T1 = F.source, F.target
     S2, T2 = G.source, G.target
     if (cut := _window_cut(window, S1, T1, S2, T2)) is not None:
         return cut
-    if S1.terms == S2.terms and T1.terms == T2.terms and \
+    aligned = all((a.tail is None and b.tail is None) or _common_tail(a, b) is not None
+                  for a, b in ((S1, S2), (T1, T2)))
+    if aligned and S1.terms == S2.terms and T1.terms == T2.terms and \
        {i: d.entries for i, d in S1.diffs.items()} == {i: d.entries for i, d in S2.diffs.items()} and \
        {i: d.entries for i, d in T1.diffs.items()} == {i: d.entries for i, d in T2.diffs.items()}:
         Gsame = ProjChainMap(S1, T1, G.maps, G.name, validate=False)
@@ -1345,7 +1336,7 @@ def maps_agree_under_identification(F: ProjChainMap, G: ProjChainMap,
             level = "strict" if (F - Gsame).is_zero() else "homotopy"
             return Verdict("true", witness=direct.witness,
                            reason=f"equal under the identity identification ({level})")
-    for strict in (True, False):
+    for strict in (True, False) if aligned else ():
         found = _solve_intertwining(F, G, window, strict=strict)
         if found is not None:
             level = "strict" if strict else "homotopy"
@@ -1375,10 +1366,9 @@ def _intertwining_system(F: ProjChainMap, G: ProjChainMap,
 
     def block(i):
         def fn(maps):
-            m = (ladder.component(maps, 1, i) * F.component(i)
-                 - G.component(i) * ladder.component(maps, 0, i))
+            m = maps[1].component(i) * F.component(i) - G.component(i) * maps[0].component(i)
             if not strict:
-                m = m - ladder.commutator(maps, 2, i)
+                m = m - maps[2].defect(i)
             return _mat_coords(m)
         return ((0, i), (1, i), (2, i), (2, i + 1)), fn
 
@@ -1389,25 +1379,19 @@ def _intertwining_system(F: ProjChainMap, G: ProjChainMap,
 
 def _solve_intertwining(F: ProjChainMap, G: ProjChainMap,
                         window: tuple[int, int], strict: bool):
-    """Solution search for ψ_t∘F - G∘ψ_s = (0 | dh + hd) with ψ's invertible."""
-    S1, T1 = F.source, F.target
-    S2, T2 = G.source, G.target
+    """Solution search for ψ_t∘F - G∘ψ_s = (0 | dh + hd) with ψ's invertible:
+    the pair (ψ_s, ψ_t), or None."""
     ladder, blocks = _intertwining_system(F, G, window, strict)
     if ladder.n == 0:
         return None
     column, _ = ladder.probe(blocks)
     kernel = kernel_from_columns(column, ladder.n)
-
-    def psis(vec):
-        s_maps, t_maps = ladder.build(vec)[:2]
-        return (ProjChainMap(S1, S2, s_maps, "ψ_s", validate=False),
-                ProjChainMap(T1, T2, t_maps, "ψ_t", validate=False))
-
     # each kernel vector as a 1 x n row, so that the search's sums are vectors
     row = search_invertible(
         [Matrix.from_rows([v]) for v in kernel],
-        lambda r: all(_chain_map_invertible(f, window) for f in psis(r.data[0])))
-    return None if row is None else psis(row.data[0])
+        lambda r: all(_chain_map_invertible(f, window)
+                      for f in ladder.build(r.data[0])[:2]))
+    return None if row is None else tuple(ladder.build(row.data[0])[:2])
 
 
 def chain_maps_homotopic(f: ProjChainMap, g: ProjChainMap,
@@ -1419,7 +1403,8 @@ def chain_maps_homotopic(f: ProjChainMap, g: ProjChainMap,
         return cut
     diff = f - g
     if diff.is_zero():
-        return Verdict("true", witness=ProjHomotopy(f.source, f.target, {}),
+        return Verdict("true", witness=ProjChainMap(f.source, f.target, {},
+                                                    validate=False, degree=-1),
                        reason="maps are equal")
     h = solve_homotopy(f.source, f.target, diff, window, periodic=True)
     if h is not None:

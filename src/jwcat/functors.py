@@ -208,7 +208,7 @@ def lift_through_resolutions(resM: ProjComplex, augM: dict[int, ModuleHom],
             cover, want = augM[0].source, f0.compose(augM[0])
 
             def residual(maps) -> list[Fraction]:
-                hom = _alg_matrix_to_hom(ladder.component(maps, 0, 0), cover,
+                hom = _alg_matrix_to_hom(maps[0].component(0), cover,
                                          augN[0].source, resM.algebra)
                 diff = augN[0].compose(hom) - want
                 return [x for d in cover.degrees()
@@ -217,13 +217,13 @@ def lift_through_resolutions(resM: ProjComplex, augM: dict[int, ModuleHom],
             back = lift[i + 1] * resM.diff(i)
 
             def residual(maps) -> list[Fraction]:
-                return _mat_coords(resN.diff(i) * ladder.component(maps, 0, i) - back)
+                return _mat_coords(maps[0].sides(i)[0] - back)
 
         column, rhs = ladder.probe([(((0, i),), residual)])
         sol = solve_from_columns(column, ladder.n, rhs)
         if sol is None:
             raise ConstructionError(f"resolution lift failed at degree {i}")
-        lift[i] = ladder.build(sol)[0][i]
+        lift[i] = ladder.build(sol)[0].component(i)
     return lift
 
 

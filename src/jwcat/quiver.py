@@ -404,11 +404,6 @@ def zigzag_quiver() -> Quiver:
     return Quiver(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "2", "1")))
 
 
-def build_path_algebra(quiver: Quiver, relations: list[tuple[str, str]],
-                       d_max: int = 4, name: str = "A") -> PathAlgebra:
-    return PathAlgebra(quiver, relations, d_max, name)
-
-
 def build_B() -> PathAlgebra:
     """The two-vertex algebra with arrows a, b and relation ba = 0."""
     return PathAlgebra(zigzag_quiver(), [("b", "a")], name="B")

@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 
 from jwcat.complexes import AlgMatrix, Summand
 from jwcat.linalg import Matrix
-from jwcat.quiver import (AlgebraElement, ConstructionError, Path, build_B,
-                          build_C, build_path_algebra, zigzag_quiver)
+from jwcat.quiver import (AlgebraElement, ConstructionError, Path, PathAlgebra,
+                          build_B, build_C, zigzag_quiver)
 from jwcat.series import TruncatedSeries
 
 ALGEBRAS = {
     "B": build_B(),
     "C": build_C(),
     # no relations: products vanish only past the degree bound
-    "free-d3": build_path_algebra(zigzag_quiver(), [], d_max=3, name="F"),
+    "free-d3": PathAlgebra(zigzag_quiver(), [], d_max=3, name="F"),
 }
 B = ALGEBRAS["B"]
 

@@ -79,6 +79,22 @@ class TestEveryVerdictExit:
         assert v.value == "false"
         assert v.reason == "one side is bounded, the other is not"
 
+    def test_a_bounded_copy_is_not_identified_with_its_tailed_original(self):
+        """The identities of P(P(1)) and of its stored degrees without the
+        tail. Their objects are not isomorphic, so neither the identity
+        shortcut, which compares stored terms and differentials, nor the
+        identification search, which then solves as if both were bounded,
+        may answer "true"."""
+        x = P_on_object(Setup.create(), projective(B, "1"), depth=10)
+        assert x.window() == (-10, 0) and x.tail.side == LEFT_TAIL
+        cut = ProjComplex(x.algebra, x.terms, x.diffs, None, "cut")
+        window = x.window()
+        assert iso_in_homotopy_category(x, cut, window).value == "false"
+        v = maps_agree_under_identification(ProjChainMap.identity(x),
+                                            ProjChainMap.identity(cut), window)
+        assert v.value == "false"
+        assert v.reason == "objects are not isomorphic"
+
     def test_tails_on_opposite_sides(self):
         terms = {i: (Summand("2", -2 * i),) for i in range(5)}
         left, right = (ProjComplex(B, terms, {}, detect_tail(ProjComplex(B, terms, {}), side),

@@ -21,10 +21,10 @@ from jwcat.exprs import evaluate, parse
 from jwcat.functors import P_on_object, Setup
 from jwcat.linalg import unit_vector
 from jwcat.modules import projective, simple
-from jwcat.quiver import build_B
+from jwcat.quiver import ConstructionError, build_B
 from jwcat.resolutions import projective_resolution
 from test_tails import CORPUS_NAMES, corpus
-from test_window_work import cluttered, small_complexes
+from test_window_work import cluttered, cluttered_complexes, small_complexes
 
 
 @pytest.fixture(scope="module")
@@ -182,7 +182,7 @@ class TestHomotopySolve:
         lo, hi = x.window()
         ladder = LadderSystem([LadderFamily(x, x, -1, (lo, hi + 1))])
         h = ladder.build(coeffs[:ladder.n])[0]
-        boundary = {i: ladder.commutator([h], 0, i) for i in range(lo, hi + 1)}
+        boundary = {i: h.defect(i) for i in range(lo, hi + 1)}
         f = ProjChainMap.identity(x)
         g = f + ProjChainMap(x, x, boundary, validate=True)
         assert chain_maps_homotopic(g, f, (lo, hi)).value == "true"
@@ -373,14 +373,14 @@ class TestOnePlacement:
         vec = data.draw(st.lists(st.integers(-2, 2), min_size=ladder.n,
                                  max_size=ladder.n))
         built = ladder.build(vec)
-        units = {j: ladder._place([{}], [(j, 1)]) for j, v in enumerate(vec) if v}
+        units = {j: ladder._place(ladder._empty(), [(j, 1)]) for j, v in enumerate(vec) if v}
         lo, hi = ladder.families[0].window
         assert len(ladder.degrees[0]) < hi - lo + 1
         for i in range(lo, hi + 1):
-            want = ladder._zero(0, i)
+            want = ladder._empty()[0].component(i)
             for j, unit in units.items():
-                want = want + ladder.component(unit, 0, i).scale(vec[j])
-            assert ladder.component(built, 0, i) == want, i
+                want = want + unit[0].component(i).scale(vec[j])
+            assert built[0].component(i) == want, i
 
     @settings(max_examples=20, deadline=None)
     @given(name=st.sampled_from(CORPUS_NAMES), reach=st.integers(1, 10))
@@ -393,4 +393,57 @@ class TestOnePlacement:
         lo, hi = x.window()
         assert len(ladder.degrees[0]) < hi - lo + 1
         for i in range(lo, hi + 1):
-            assert ladder.component(built, 0, i) == AlgMatrix.identity(x.algebra, x.term(i)), i
+            assert built[0].component(i) == AlgMatrix.identity(x.algebra, x.term(i)), i
+
+
+class TestOneMapType:
+    """A homotopy is a ``ProjChainMap`` of degree -1: composing with a chain
+    map keeps it a homotopy, maps of different degrees do not add, and each
+    ladder family builds one map of its offset."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), c=cluttered_complexes())
+    def test_a_reduction_homotopy_composed_with_a_chain_map(self, data, c):
+        red = gaussian_reduce(c)
+        GF = red.from_reduced.compose(red.to_reduced)
+        h = red.homotopy
+        assert h.degree == -1 and GF.degree == 0
+        lo, hi = c.window()
+        k = ProjChainMap.identity(c)
+        for f in solve_chain_maps(c, c, (lo, hi)):
+            k = k + f.scale(data.draw(st.integers(-2, 2)))
+        window = (lo - 1, hi + 1)
+        # d(kh) + (kh)d = k(id - GF), and d(hk) + (hk)d = (id - GF)k
+        assert k.compose(h).degree == h.compose(k).degree == -1
+        assert k.compose(h).witnesses(k, k.compose(GF), window)
+        assert h.compose(k).witnesses(k, GF.compose(k), window)
+
+    def test_every_homotopy_is_a_map_of_degree_minus_one(self, B):
+        x = cone(B)
+        idm, zero = ProjChainMap.identity(x), ProjChainMap(x, x, {})
+        equal = chain_maps_homotopic(idm, idm, (0, 1))
+        assert equal.reason == "maps are equal"
+        solved = chain_maps_homotopic(idm, zero, (0, 1))
+        for h in (equal.witness, solved.witness, gaussian_reduce(x).homotopy):
+            assert isinstance(h, ProjChainMap) and h.degree == -1
+
+    def test_maps_of_different_degrees_do_not_add(self, B):
+        h = gaussian_reduce(cone(B)).homotopy
+        with pytest.raises(ConstructionError, match="different degrees"):
+            ProjChainMap.identity(cone(B)) + h
+        with pytest.raises(ConstructionError, match="different degrees"):
+            h - ProjChainMap.identity(cone(B))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(CORPUS_NAMES), strict=st.booleans())
+    def test_build_returns_one_map_per_family_of_its_offset(self, data, name, strict):
+        x = corpus()[name]
+        F = ProjChainMap.identity(x)
+        ladder, _ = _intertwining_system(F, F, x.window(), strict)
+        vec = data.draw(st.lists(st.integers(-2, 2), min_size=ladder.n, max_size=ladder.n))
+        maps = ladder.build(vec)
+        assert [f.degree for f in maps] == [fam.offset for fam in ladder.families] \
+            == ([0, 0] if strict else [0, 0, -1])
+        for f, fam in zip(maps, ladder.families):
+            assert isinstance(f, ProjChainMap)
+            assert (f.source, f.target) == (fam.source, fam.target)

@@ -42,7 +42,7 @@ def ref_lift_through_resolutions(alg, resM, augM, resN, augN, f0):
         degrees = sorted(set(srcR.term(i).degrees()))
 
         def residual(maps):
-            hom = _alg_matrix_to_hom(ladder.component(maps, 0, i), srcR.term(i),
+            hom = _alg_matrix_to_hom(maps[0].component(i), srcR.term(i),
                                      tgtR.term(i), alg)
             diff = after.compose(hom) - want
             return [x for d in degrees for row in diff.mat(d).data for x in row]
@@ -51,7 +51,7 @@ def ref_lift_through_resolutions(alg, resM, augM, resN, augN, f0):
         sol = solve_from_columns(column, ladder.n, rhs)
         if sol is None:
             raise ConstructionError(f"resolution lift failed at degree {i}")
-        lift[i] = ladder.build(sol)[0][i]
+        lift[i] = ladder.build(sol)[0].component(i)
     return lift
 
 

@@ -6,7 +6,7 @@ import pytest
 from jwcat.quiver import (ConstructionError, PathAlgebra, Path, Quiver,
                           _bimodule_map_from_generator_images,
                           algebra_as_bimodule, bimodule_maps_alpha_beta_gamma,
-                          build_B, build_C, build_path_algebra, build_theta,
+                          build_B, build_C, build_theta,
                           koszul_dual, structure_map_on_column, zigzag_quiver)
 
 
@@ -31,13 +31,13 @@ class TestPathAlgebraB:
 
     def test_one_vertex_no_arrows(self):
         q = Quiver(("v",), ())
-        alg = build_path_algebra(q, [], d_max=3)
+        alg = PathAlgebra(q, [], d_max=3)
         assert alg.graded_dimensions(2) == [1, 0, 0]
 
     def test_bad_relation_rejected(self):
         # aa is not composable in the two-vertex quiver
         with pytest.raises(ConstructionError):
-            build_path_algebra(zigzag_quiver(), [("a", "a")])
+            PathAlgebra(zigzag_quiver(), [("a", "a")])
 
     def test_sandwiches(self, B):
         a, b = B.arrow_element("a"), B.arrow_element("b")

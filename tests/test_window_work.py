@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from jwcat import complexes, functors
 from jwcat.complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, ProjBicomplex,
-                             ProjChainMap, ProjComplex, ProjHomotopy, RegimeError,
+                             ProjChainMap, ProjComplex, RegimeError,
                              Summand, _allowed_paths, attach_tail, gaussian_reduce,
                              total_complex)
 from jwcat.exprs import _eval, evaluate, parse, render_value
@@ -104,7 +104,7 @@ def ref_reduction(c):
     return SimpleNamespace(reduced=red.reduced,
                            to_reduced=ProjChainMap(c, red.reduced, st.F, validate=False),
                            from_reduced=ProjChainMap(red.reduced, c, st.G, validate=False),
-                           homotopy=ProjHomotopy(c, c, st.H))
+                           homotopy=ProjChainMap(c, c, st.H, validate=False, degree=-1))
 
 
 class RescanEliminator(complexes._Eliminator):
