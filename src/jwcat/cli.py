@@ -5,7 +5,9 @@
     jwcat show algebra_two_vertex
 
 Exit codes: 0 all pass, 1 any fail, 2 inconclusive (none failing),
-3 usage error. JWCAT_WINDOW overrides the default window.
+3 usage error; ``eval`` exits 2 when the window cannot certify its value
+(``WindowTooSmall``) and 1 on any other engine error. JWCAT_WINDOW overrides
+the default window.
 """
 
 from __future__ import annotations
@@ -14,11 +16,13 @@ import argparse
 import os
 import sys
 
+from .complexes import WindowTooSmall
 from .exprs import ParseError, evaluate, parse, render_value
 from .functors import Setup
 from .fixtures import available_fixtures, load_fixture, render_fixture
 from .verify import VerificationConfig, run_suite
 
+INCONCLUSIVE = 2
 USAGE_ERROR = 3
 
 
@@ -89,7 +93,7 @@ def cmd_eval(args) -> int:
         val = evaluate(setup, node, window, order)
     except Exception as exc:   # noqa: BLE001 - surface engine errors verbatim
         print(f"jwcat: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return INCONCLUSIVE if isinstance(exc, WindowTooSmall) else 1
     print(render_value(val))
     return 0
 

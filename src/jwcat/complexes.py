@@ -99,9 +99,38 @@ caller passes only the window it works at. Below, a tail has direction o
   Cell (k, i) of X ⊗ CK, projector column k and X^i, lies in total degree
   k + i. With columns k <= K and X starting at x_lo, total degree n is
   complete, every cell of it built, exactly when n <= x_lo + K. The output
-  window reads degrees through out_hi, so K = out_hi - x_lo, and X is
-  materialized through out_hi: X^i with i > out_hi meets only degrees past
-  out_hi.
+  window reads degrees through out_hi, and X is materialized through
+  out_hi: X^i with i > out_hi meets only degrees past out_hi. The
+  bicomplex is built through the head of the CK period below,
+  K = head - x_lo.
+* CK period (``functors.ck_bicomplex``, ``functors._ck_total``,
+  ``functors.CK_on_map``). X stops at its top x_hi (x_hi = out_hi for a
+  right-tailed X, materialized there), so each cell (k, i) of total degree
+  n has k = n - i >= n - x_hi: past x_hi every cell lies in a column
+  k >= 1, and from x_hi + 3 on in a column k >= 3. Column k >= 1 is
+  X ⊗ θ<1 - 2k>, so its θ-parts are column 1's shifted by -2(k - 1), and
+  so is m ⊗ id on it; the structure map out of it alternates β and γ
+  (``quiver.structure_map_on_column``), so d1 on column k is d1 on column
+  k - 2 shifted by -4 for k >= 3, and Tot's sign (-1)^k on d2 has period
+  2 too. Hence for n >= x_hi + 3, Tot^n has the cells of Tot^(n-2) moved
+  two columns right, in the same order and at the same offsets, and
+  Tot^n = Tot^(n-2)<-4>, d(n) = d(n-2)<-4>: a right tail of period 2 and
+  shift -4 from x_hi + 3. The bicomplex is built through
+  head = min(out_hi, x_hi + 6): ``detect_tail`` seats a period-2 tail
+  3 degrees in from the edge and compares 3·2 degrees, and from x_hi + 1
+  to x_hi + 6 these are all past x_hi, so the tail shows over two periods
+  in computed degrees. A tail found there with another period p <= 4
+  holds with the period 2 on the min(3p, 6) computed degrees before the
+  edge, at least p + 2 - gcd(p, 2) of them, so by the periodicity lemma of
+  Fine and Wilf its copies are the construction's. The tail rule extends Tot from the head to out_hi, and
+  every d∘d is checked once: ``total_complex`` checks the computed head
+  before its tail is looked for, so that a broken d∘d is reported as such
+  and not as a window without a tail, and the copied degrees are checked
+  after the extension, from the last computed differential on, as
+  ``resolutions.resolve_complex`` checks its repeat's. A map f ⊗ id has
+  the cells of its source and target, so its component at n is the one
+  at n - 2 shifted by -4 once n passes both tops by 3: it is built
+  through max(top of source, top of target) + 2 and copied beyond.
 * D's degree scan (``functors._koszul_D``). A basis vector of bidegree
   (r, s) lands in degree r + s. On a left-tailed input the scan walks r
   down until the lowest scanned term lands wholly above out_hi + 1; the

@@ -29,9 +29,10 @@ from fractions import Fraction
 from .complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, Complex,
                         LadderFamily, LadderSystem, ProjBicomplex,
                         ProjChainMap, ProjComplex, Reduction, RegimeError,
-                        Summand, WindowTooSmall, attach_tail, gaussian_reduce,
-                        realize, total_complex, total_layout, total_terms,
-                        _alg_matrix_to_hom, _mat_coords)
+                        Summand, TailSpec, WindowTooSmall, attach_tail,
+                        gaussian_reduce, realize, shift_summands,
+                        total_complex, total_layout, total_terms,
+                        _alg_matrix_to_hom, _copy_outward, _mat_coords)
 from .linalg import Matrix, solve_from_columns
 from .modules import (C_TO_B, DUAL_VERTEX, PI_SHIFT, GradedModule, ModuleHom,
                       apply_pi, apply_pi_hom, projective, simple, injective2)
@@ -472,60 +473,79 @@ def _ck_cells(setup: Setup, x: ProjComplex, K: int
     total degree k + i is complete, k + i <= x_lo + K (complete CK degrees
     in "Windows and margins" of the ``complexes`` module docstring). Cell
     (k, i) is X^i on column 0 and the theta-parts of its summands on column
-    k >= 1."""
+    k >= 1: column 1's shifted by -2(k - 1) (the CK period there)."""
     top = x.window()[0] + K
-    return {(k, i): t if k == 0 else sum((_theta_parts(setup, s, k) for s in t), ())
-            for i, t in x.terms.items() for k in range(top - i + 1)}
+    cells = {}
+    for i, t in x.terms.items():
+        first = sum((_theta_parts(setup, s, 1) for s in t), ())
+        for k in range(top - i + 1):
+            cells[(k, i)] = t if k == 0 else shift_summands(first, 2 - 2 * k)
+    return cells
 
 
 def ck_bicomplex(setup: Setup, x: ProjComplex, K: int) -> ProjBicomplex:
     """X ⊗ projector complex, horizontal = projector column index, built
     only on the complete total degrees of ``_ck_cells``: nothing totalized
-    from it reads a cell beyond them. Its identities are checked once, when
-    ``total_complex`` validates its totalization: Tot's d∘d has the blocks
-    d1∘d1, d2∘d2 and ±(d1∘d2 - d2∘d1) in three distinct cells
+    from it reads a cell beyond them. Columns 0 and 1 are computed and each
+    later column is copied by the CK period of "Windows and margins" in the
+    ``complexes`` module docstring: d2(k, i) = d2(1, i)<-2(k-1)> and
+    d1(k, i) = d1(k-2, i)<-4> for k >= 3. Its identities are checked once,
+    when ``total_complex`` validates its totalization: Tot's d∘d has the
+    blocks d1∘d1, d2∘d2 and ±(d1∘d2 - d2∘d1) in three distinct cells
     (``ProjBicomplex``). From the top total degree, the cell identities and
     Tot's d∘d alike read only maps into cells that were never built."""
     B = setup.B
     terms = _ck_cells(setup, x, K)
     d1: dict[tuple[int, int], AlgMatrix] = {}
     d2: dict[tuple[int, int], AlgMatrix] = {}
+    # the cells come column by column for each i, so each copy's source is built
     for (k, i) in terms:
-        t = x.terms[i]
         if (k + 1, i) in terms:
-            m = AlgMatrix.zero(B, terms[(k + 1, i)], terms[(k, i)])
-            ro = co = 0
-            for s in t:
-                blk = _ck_column_map(setup, s, k)
-                m.place(blk, ro, co)
-                ro += len(blk.rows)
-                co += len(blk.cols)
-            d1[(k, i)] = m
+            if k >= 3:
+                d1[(k, i)] = d1[(k - 2, i)].shifted(-4)
+            else:
+                m = AlgMatrix.zero(B, terms[(k + 1, i)], terms[(k, i)])
+                ro = co = 0
+                for s in x.terms[i]:
+                    blk = _ck_column_map(setup, s, k)
+                    m.place(blk, ro, co)
+                    ro += len(blk.rows)
+                    co += len(blk.cols)
+                d1[(k, i)] = m
         if (k, i + 1) in terms:
-            d2[(k, i)] = _ck_tensor(setup, x.diff(i), k)
+            d2[(k, i)] = (d2[(1, i)].shifted(2 - 2 * k) if k >= 2
+                          else _ck_tensor(setup, x.diff(i), k))
     return ProjBicomplex(B, terms, d1, d2, name=f"{x.name}⊗CK")
 
 
 def _ck_total(setup: Setup, x: ProjComplex, out_window: tuple[int, int]
               ) -> tuple[ProjComplex, ProjBicomplex]:
-    """``CK_on_object`` on a given window, together with the bicomplex it
-    totalizes, whose ``total_layout`` the map functor reads.
+    """``CK_on_object`` on a given window, together with the bicomplex of
+    its computed head, whose ``total_layout`` the map functor reads.
 
-    Projector columns run to K = out_hi - x_lo, so the total degrees
-    through out_hi, all the output window reads, are complete (complete CK
-    degrees in "Windows and margins" of the ``complexes`` module
-    docstring). Before any matrix is built, the tail is
-    looked for on the cell terms alone: ``attach_tail`` on their
-    totalization without differentials, where each differential comparison
-    of the tail walk compares only shapes that its term comparisons already
-    fix. A window that fails there fails the full walk too, with the same
-    text, and is rejected without building the bicomplex."""
+    Past the input's top x_hi each total degree is the one two below,
+    shifted by -4 (the CK period in "Windows and margins" of the
+    ``complexes`` module docstring), so the bicomplex is built only through
+    head = min(out_hi, x_hi + 6), on the complete total degrees there,
+    K = head - x_lo. Its totalization is validated and shows its tail; the
+    tail rule extends it to out_hi, the copied degrees are validated in
+    turn, and the output window is clipped and its tail detected as on a
+    construction built in full. A right-tailed input is materialized
+    through out_hi, so there x_hi = out_hi and everything is built.
+
+    Before any matrix is built, the tail is looked for on the head's cell
+    terms alone: ``attach_tail`` on their totalization without
+    differentials, where each differential comparison of the tail walk
+    compares only shapes that its term comparisons already fix. A head that
+    fails there fails the full walk too, with the same text, and is
+    rejected without building the bicomplex."""
     if x.tail is not None and x.tail.side == LEFT_TAIL:
         raise RegimeError("topological projector input must be bounded below")
     out_hi = out_window[1]
     x = x.materialize(x.window()[0], out_hi)
-    x_lo = x.window()[0]
-    K = out_hi - x_lo
+    x_lo, x_hi = x.window()
+    head = min(out_hi, x_hi + 6)
+    K = head - x_lo
     if x.is_zero():
         return ProjComplex.zero_complex(setup.B), ck_bicomplex(setup, x, K)
     # the raw tensor is always right-infinite for nonzero input, so a
@@ -534,9 +554,13 @@ def _ck_total(setup: Setup, x: ProjComplex, out_window: tuple[int, int]
     message = f"projector tensor output did not stabilize on window {out_window}"
     shape = ProjBicomplex(setup.B, _ck_cells(setup, x, K), {}, {})
     attach_tail(ProjComplex(setup.B, total_terms(shape), {}, validate=False),
-                out_window, RIGHT_TAIL, message)
+                (x_lo, head), RIGHT_TAIL, message)
     bc = ck_bicomplex(setup, x, K)
-    tot = total_complex(bc, name=f"ℂ𝕂({x.name})")
+    tot = attach_tail(total_complex(bc, name=f"ℂ𝕂({x.name})"), (x_lo, head),
+                      RIGHT_TAIL, message).materialize(x_lo, out_hi)
+    # d∘d on the copied degrees, from the last computed differential on
+    copied = tot.clip(head - 1, out_hi)
+    ProjComplex(setup.B, copied.terms, copied.diffs, None, tot.name)
     return attach_tail(tot, out_window, RIGHT_TAIL, message), bc
 
 
@@ -548,22 +572,49 @@ def CK_on_object(setup: Setup, x, out_window: tuple[int, int]) -> ProjComplex:
     return _ck_total(setup, x, out_window)[0]
 
 
+# the CK period of "Windows and margins" in the ``complexes`` module
+# docstring: two total degrees up, two columns right, internal shift -4
+_CK_PERIOD = TailSpec(RIGHT_TAIL, 0, 2, -4)
+
+
+def _ck_layout(bc: ProjBicomplex, top: int) -> dict[int, dict[tuple[int, int], int]]:
+    """``total_layout`` of a bicomplex of ``ck_bicomplex`` through total
+    degree ``top``: past its built degrees, each degree has the cells two
+    degrees down, two columns right, at the same offsets (the CK period)."""
+    layout = total_layout(bc)
+    _copy_outward(layout, _CK_PERIOD, max(layout, default=top), top,
+                  lambda cells, _shift: {(k + 2, i): co for (k, i), co in cells.items()})
+    return layout
+
+
 def CK_on_map(setup: Setup, f: ProjChainMap, out_window: tuple[int, int]
               ) -> ProjChainMap:
     """Termwise f ⊗ id through the totalization: on each total degree, the
     cell (k, i) of the source goes to the same cell of the target by
-    f^i ⊗ id on projector column k."""
+    f^i ⊗ id on projector column k.
+
+    Past n0 + 1, n0 = max(top of source, top of target) + 1, each component
+    is the one two degrees down shifted by -4 (the CK period in "Windows and
+    margins" of the ``complexes`` module docstring), so the components are
+    built through n0 + 1, and through out_lo + 1 at least, on the cell
+    layout of the two constructions, and copied beyond; the chain map is
+    validated on every degree. A right-tailed side has its top at out_hi,
+    so there every component is built."""
     CX, bcX = _ck_total(setup, f.source, out_window)
     CY, bcY = _ck_total(setup, f.target, out_window)
-    layout_x, layout_y = total_layout(bcX), total_layout(bcY)
+    lo, hi = out_window[0], min(CX.window()[1], CY.window()[1])
+    n0 = max((i for bc in (bcX, bcY) for _, i in bc.terms), default=lo) + 1
+    built = min(hi, max(n0, lo) + 1)
+    layout_x, layout_y = _ck_layout(bcX, built), _ck_layout(bcY, built)
     comps: dict[int, AlgMatrix] = {}
-    for n in range(out_window[0], min(CX.window()[1], CY.window()[1]) + 1):
+    for n in range(lo, built + 1):
         m = AlgMatrix.zero(setup.B, CY.term(n), CX.term(n))
         cells_y = layout_y.get(n, {})
         for (k, i), co in layout_x.get(n, {}).items():
             if (k, i) in cells_y:
                 m.place(_ck_tensor(setup, f.component(i), k), cells_y[(k, i)], co)
         comps[n] = m
+    _copy_outward(comps, _CK_PERIOD, built, hi, AlgMatrix.shifted)
     return ProjChainMap(CX, CY, comps, f"ℂ𝕂({f.name})", validate=True)
 
 

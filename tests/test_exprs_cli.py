@@ -119,6 +119,16 @@ class TestCli:
         assert captured.out == ""
         assert "window must be at least 0" in captured.err
 
+    def test_eval_on_a_window_too_small_exits_inconclusive(self, capsys):
+        assert main(["eval", "CK(CK(P(1)))", "--window", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("jwcat: WindowTooSmall: projector tensor output")
+
+    def test_eval_engine_error_exits_one(self, capsys):
+        assert main(["eval", "CK(P(P(1)))", "--window", "8"]) == 1
+        assert "RegimeError" in capsys.readouterr().err
+
     def test_parse_error_is_usage_error(self, capsys):
         code = main(["eval", "P(1) %% nothing"])
         assert code == 3

@@ -337,8 +337,8 @@ def corrupt_bicomplex(monkeypatch, breaker):
     monkeypatch.setattr(functors, "ck_bicomplex", ck_bicomplex)
 
 
-def run_ck():
-    return CK_on_object(SETUP, ProjComplex.from_summand(B, "2"), out_window=WINDOW)
+def run_ck(window=WINDOW):
+    return CK_on_object(SETUP, ProjComplex.from_summand(B, "2"), out_window=window)
 
 
 def run_d():
@@ -381,7 +381,7 @@ class TestCorruptionIsCaughtAtEveryAttachment:
         with pytest.raises(WindowTooSmall, match="neither terminates nor stabilizes"):
             run_p()
 
-    def test_topological_projector_dd(self, monkeypatch):
+    def test_topological_projector_dd(self, monkeypatch, window=WINDOW):
         def breaker(d1, d2):
             # one horizontal block, checked by the totalization
             k, i = min(key for key in d1 if (key[0] + 1, key[1]) in d1)
@@ -389,13 +389,22 @@ class TestCorruptionIsCaughtAtEveryAttachment:
             return {**d1, (k, i): bad}, d2
         corrupt_bicomplex(monkeypatch, breaker)
         with pytest.raises(ConstructionError, match="d∘d"):
-            run_ck()
+            run_ck(window)
 
-    def test_topological_projector_seam(self, monkeypatch):
+    def test_topological_projector_seam(self, monkeypatch, window=WINDOW):
         def breaker(d1, d2):
             def total(cell):
                 return cell[0] + cell[1]
             return break_seam(d1, degree=total), break_seam(d2, degree=total)
         corrupt_bicomplex(monkeypatch, breaker)
         with pytest.raises(WindowTooSmall, match="projector tensor output did not stabilize"):
-            run_ck()
+            run_ck(window)
+
+    # on (0, 24) the bicomplex stops at its head, 6 degrees past the input's
+    # top, and the tail rule copies the rest: a break is caught where it was
+    # computed
+    def test_topological_projector_dd_past_the_head(self, monkeypatch):
+        self.test_topological_projector_dd(monkeypatch, (0, 24))
+
+    def test_topological_projector_seam_past_the_head(self, monkeypatch):
+        self.test_topological_projector_seam(monkeypatch, (0, 24))

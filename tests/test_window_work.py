@@ -1,6 +1,8 @@
 """The topological projector and Gaussian reduction do only the work their
-outputs read: CK builds only the cells of complete total degrees and rejects
-a window whose terms alone show no tail before building any matrix, the
+outputs read: CK builds only the cells of complete total degrees, only
+through its head, six degrees past the input's top, copying the rest by the
+column period, on objects and on maps, and rejects a head whose terms alone
+show no tail before building any matrix, the
 reduction witnesses are built only when read, by replaying each logged
 cancellation as row and column operations, and the pivot scan resumes at the
 last cancellation. The full-work code they replaced is kept here as the
@@ -15,6 +17,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,11 +25,12 @@ from jwcat import complexes, functors
 from jwcat.complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, ProjBicomplex,
                              ProjChainMap, ProjComplex, RegimeError,
                              Summand, _allowed_paths, attach_tail, gaussian_reduce,
-                             total_complex)
+                             shift_summands, total_complex, total_layout)
 from jwcat.exprs import _eval, evaluate, parse, render_value
-from jwcat.functors import (Setup, _ck_column_map, _ck_tensor, _theta_parts,
+from jwcat.functors import (CK_on_map, CK_on_object, Setup, _ck_column_map,
+                            _ck_tensor, _theta_parts, koszul_D_on_map,
                             koszul_D_on_object)
-from jwcat.modules import projective, simple
+from jwcat.modules import left_multiplication_hom, projective, simple
 from jwcat.quiver import build_theta
 from jwcat.resolutions import projective_resolution
 from jwcat.verify import VerificationConfig, run_suite
@@ -342,11 +346,54 @@ class TestColumnsDeriveFromTheStructureMapTable:
                     assert got == want, (v, shift, k)
                     got._validate()
 
+    def test_columns_repeat_with_period_two_from_column_one(self):
+        """The CK period of "Windows and margins": column k + 1's parts are
+        column k's shifted by -2, and the structure map two columns on is
+        the same one shifted by -4."""
+        for v in ("1", "2"):
+            for shift in range(-6, 7):
+                s = Summand(v, shift)
+                for k in range(1, 9):
+                    assert _theta_parts(SETUP, s, k + 1) == \
+                        shift_summands(_theta_parts(SETUP, s, k), -2)
+                    assert _ck_column_map(SETUP, s, k + 2) == \
+                        _ck_column_map(SETUP, s, k).shifted(-4), (v, shift, k)
+
+    def test_the_tensor_on_column_k_is_column_one_shifted(self):
+        """m ⊗ id on column k >= 1 is m ⊗ id on column 1 shifted by
+        -2(k - 1), on every differential and map component that the suite
+        hands the topological projector."""
+        maps = suite_ck_maps(16)
+        inputs = suite_ck_inputs() + [c for f in maps for c in (f.source, f.target)]
+        mats = [m for c in inputs for m in c.diffs.values()]
+        mats += [m for f in maps for m in f.maps.values()]
+        assert len(mats) == 30
+        for m in mats:
+            first = _ck_tensor(SETUP, m, 1)
+            for k in range(2, 9):
+                assert _ck_tensor(SETUP, m, k) == first.shifted(-2 * (k - 1))
+
     def test_parts_are_the_paths_into_2_of_theta(self):
         into2 = {p for p, _ in build_theta(B).index}
         assert set(sum(SETUP.ck_parts.values(), ())) == into2
         for v, parts in SETUP.ck_parts.items():
             assert all(B.target(p) == v and B.source(p) == "2" for p in parts)
+
+
+def suite_ck_inputs():
+    """The complexes the check suite hands the topological projector as
+    objects: P(1), P(2), their duality images and the shifted resolution of
+    L(1)."""
+    return [ProjComplex.from_summand(B, "1"), ProjComplex.from_summand(B, "2"),
+            *(koszul_D_on_object(SETUP, projective(B, v)) for v in ("1", "2")),
+            projective_resolution(simple(B, "1"), 6).shift(0, -2)]
+
+
+def suite_ck_maps(n):
+    """The maps the check suite hands the topological projector at window
+    (0, n): the duality images of the five generator maps."""
+    return [koszul_D_on_map(SETUP, left_multiplication_hom(src, tgt, z, name), (0, n))
+            for name, (z, src, tgt) in SETUP.generator_maps().items()]
 
 
 def ref_ck_bicomplex(setup, x, K):
@@ -388,6 +435,23 @@ def ref_ck_total(setup, x, out_window):
                        f"{out_window}"), bc
 
 
+def ref_ck_on_map(setup, f, out_window):
+    """f ⊗ id with every component built cell by cell, on the full
+    rectangles of ``ref_ck_total``."""
+    CX, bcX = ref_ck_total(setup, f.source, out_window)
+    CY, bcY = ref_ck_total(setup, f.target, out_window)
+    layout_x, layout_y = total_layout(bcX), total_layout(bcY)
+    comps = {}
+    for n in range(out_window[0], min(CX.window()[1], CY.window()[1]) + 1):
+        m = AlgMatrix.zero(B, CY.term(n), CX.term(n))
+        cells_y = layout_y.get(n, {})
+        for (k, i), co in layout_x.get(n, {}).items():
+            if (k, i) in cells_y:
+                m.place(_ck_tensor(setup, f.component(i), k), cells_y[(k, i)], co)
+        comps[n] = m
+    return ProjChainMap(CX, CY, comps, f"ℂ𝕂({f.name})", validate=True)
+
+
 def complex_data(c):
     return c.terms, c.diffs, c.tail
 
@@ -420,7 +484,7 @@ class TestProjectorBuildsOnlyWhatTheWindowReads:
             assert expr in CK_EXPRESSIONS
 
     @settings(max_examples=40, deadline=None)
-    @given(expr=st.sampled_from(CK_EXPRESSIONS), n=st.integers(4, 24))
+    @given(expr=st.sampled_from(CK_EXPRESSIONS), n=st.integers(4, 48))
     def test_same_verdict_and_output_as_the_full_rectangle(self, expr, n):
         node = parse(expr)
         got = outcome(_eval, SETUP, node, (0, n))
@@ -441,6 +505,55 @@ class TestProjectorBuildsOnlyWhatTheWindowReads:
         assert bc.d1 == {c: m for c, m in ref.d1.items() if sum(c) < top}
         assert bc.d2 == {c: m for c, m in ref.d2.items() if sum(c) < top}
         assert len(bc.terms) < len(ref.terms)
+
+    @pytest.mark.parametrize("n", [16, 32, 48])
+    def test_maps_equal_the_ones_built_cell_by_cell(self, n):
+        """Past both tops CK_on_map copies its components; the reference
+        builds each one."""
+        for f in suite_ck_maps(n):
+            got, want = CK_on_map(SETUP, f, (0, n)), ref_ck_on_map(SETUP, f, (0, n))
+            assert value_data(got) == value_data(want), f.name
+
+    def test_maps_whose_sides_stop_far_apart_or_below_the_window(self):
+        """Components are built past one side's head when the other side
+        stops more than 4 degrees higher, or when the window starts more
+        than 5 degrees past a top; the layout there is the copied one."""
+        x = ProjComplex.from_summand(B, "2")
+        y = ProjComplex(B, {0: x.term(0), 6: x.term(0)}, {})
+        inclusion = ProjChainMap(x, y, {0: AlgMatrix.identity(B, x.term(0))})
+        cases = [(inclusion, (0, 16)), (suite_ck_maps(24)[1], (10, 24))]
+        for f, w in cases:
+            got, want = CK_on_map(SETUP, f, w), ref_ck_on_map(SETUP, f, w)
+            assert got.maps and value_data(got) == value_data(want), w
+
+    @pytest.mark.parametrize("name", ["P(2)", "D(I(2))"])
+    def test_the_work_does_not_grow_with_the_window(self, name):
+        """The bicomplex of a bounded input stops at its head, x_hi + 6, so
+        its cells and the tensors it builds are the same at N = 24 and 96."""
+        x = (ProjComplex.from_summand(B, "2") if name == "P(2)" else
+             koszul_D_on_object(SETUP, SETUP.standard_module("I(2)")))
+        counts = []
+        for n in (24, 96):
+            cells, tensors = [], []
+            real_bicomplex, real_tensor = functors.ck_bicomplex, functors._ck_tensor
+
+            def ck_bicomplex(setup, x, K):
+                bc = real_bicomplex(setup, x, K)
+                cells.append(len(bc.terms))
+                return bc
+
+            def ck_tensor(setup, m, k):
+                tensors.append(k)
+                return real_tensor(setup, m, k)
+
+            with mock.patch.object(functors, "ck_bicomplex", ck_bicomplex), \
+                    mock.patch.object(functors, "_ck_tensor", ck_tensor):
+                out = CK_on_object(SETUP, x, (0, n))
+            assert out.window()[1] == n
+            counts.append((cells, len(tensors)))
+        assert counts[0] == counts[1]
+        # P(2) has no differential to tensor, D(I(2)) has
+        assert counts[0][0] and (counts[0][1] == 0) == (name == "P(2)")
 
     def test_a_hopeless_window_builds_no_bicomplex(self):
         inner = functors.CK_on_object(SETUP, ProjComplex.from_summand(B, "1"),
