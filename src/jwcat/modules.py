@@ -38,7 +38,6 @@ its arrow matrices, through two rules:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import Matrix, kernel_from_columns, search_invertible, unit_vector
@@ -46,14 +45,38 @@ from .quiver import (AlgebraElement, BimodBasisVector, ConstructionError,
                      GradedBimodule, PathAlgebra, Path)
 
 
-@dataclass(frozen=True)
 class Summand:
-    """The shifted indecomposable projective P(vertex)<shift>."""
-    vertex: str
-    shift: int
+    """The shifted indecomposable projective P(vertex)<shift>.
+
+    Summands are canonical: equal fields give one object, stored once in
+    ``_interned``, so terms of complexes hash and compare by identity, in C.
+    Each summand keeps the shifts ``shifted`` has made of it."""
+    __slots__ = ("vertex", "shift", "_shifts")
+    _interned: dict = {}   # (vertex, shift) -> the one Summand
+
+    def __new__(cls, vertex: str, shift: int):
+        self = cls._interned.get((vertex, shift))
+        if self is None:
+            self = object.__new__(cls)
+            self.vertex = vertex
+            self.shift = shift
+            self._shifts = {}   # r -> Summand(vertex, shift + r)
+            # setdefault keeps one object per value if two threads race here
+            self = cls._interned.setdefault((vertex, shift), self)
+        return self
+
+    def __reduce__(self):
+        # rebuilt through the table, so a copy or an unpickled summand is the one summand
+        return Summand, (self.vertex, self.shift)
+
+    def __repr__(self):
+        return f"Summand(vertex={self.vertex!r}, shift={self.shift!r})"
 
     def shifted(self, r: int) -> Summand:
-        return Summand(self.vertex, self.shift + r)
+        s = self._shifts.get(r)
+        if s is None:
+            s = self._shifts[r] = Summand(self.vertex, self.shift + r)
+        return s
 
     def label(self) -> str:
         if self.shift == 0:

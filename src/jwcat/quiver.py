@@ -52,12 +52,11 @@ class Quiver:
         for a in self.arrows:
             if a.source not in self.vertices or a.target not in self.vertices:
                 raise ConstructionError(f"arrow {a.name} has undeclared endpoint")
+        # name -> arrow for ``arrow``; not a field, so equality and hash skip it
+        object.__setattr__(self, "_by_name", {a.name: a for a in self.arrows})
 
     def arrow(self, name: str) -> Arrow:
-        for a in self.arrows:
-            if a.name == name:
-                return a
-        raise KeyError(name)
+        return self._by_name[name]
 
     def to_json(self) -> dict:
         return {
@@ -74,24 +73,32 @@ class Quiver:
                          for a in d["arrows"]))
 
 
-@dataclass(frozen=True)
 class Path:
-    """arrows applied right-to-left; length 0 = trivial path at ``vertex``.
+    """arrows applied right-to-left; length 0 = trivial path at ``vertex``,
+    which is None on a longer path.
 
-    Paths key every element's ``terms`` dict, so the hash is computed once,
-    at construction, rather than on every lookup."""
-    arrows: tuple[str, ...]
-    vertex: str | None = None  # only for length 0
+    Paths are canonical: equal fields give one object, stored once in
+    ``_interned``. Paths key every element's ``terms`` dict, so a lookup
+    hashes and compares them by identity, in C."""
+    __slots__ = ("arrows", "vertex")
+    _interned: dict = {}   # (arrows, vertex) -> the one Path
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.arrows, self.vertex)))
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, arrows: tuple[str, ...], vertex: str | None = None):
+        self = cls._interned.get((arrows, vertex))
+        if self is None:
+            self = object.__new__(cls)
+            self.arrows = arrows
+            self.vertex = vertex
+            # setdefault keeps one object per value if two threads race here
+            self = cls._interned.setdefault((arrows, vertex), self)
+        return self
 
     def __reduce__(self):
-        # rebuilt, not copied: string hashes differ between processes
+        # rebuilt through the table, so a copy or an unpickled path is the one path
         return Path, (self.arrows, self.vertex)
+
+    def __repr__(self):
+        return f"Path(arrows={self.arrows!r}, vertex={self.vertex!r})"
 
     def is_trivial(self) -> bool:
         return not self.arrows

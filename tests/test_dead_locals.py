@@ -401,9 +401,9 @@ def unset_defaults(trees, readers, exempt=frozenset()):
     """(function name, parameter) for each defaulted parameter of a function
     of ``trees`` that no call in ``trees`` or ``readers`` sets, by keyword or
     positionally. Calls are matched by name (``call_settings``); a method's
-    positions start after ``self`` or ``cls``, and a class's ``__init__`` is
-    called by the class's name. ``exempt`` (function, parameter) pairs are
-    set from outside the scanned code."""
+    positions start after ``self`` or ``cls``, and a class's ``__init__`` and
+    ``__new__`` are called by the class's name. ``exempt`` (function,
+    parameter) pairs are set from outside the scanned code."""
     settings_by_name = call_settings([*trees, *readers])
     found = []
     for tree in trees:
@@ -418,7 +418,8 @@ def unset_defaults(trees, readers, exempt=frozenset()):
                 static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
                              for d in fn.decorator_list)
                 offset = 1 if in_class and not static else 0
-                called = scope.name if in_class and fn.name == "__init__" else fn.name
+                called = scope.name if in_class and fn.name in ("__init__", "__new__") \
+                    else fn.name
                 setting = settings_by_name.get(called, (0, set()))
                 if setting is None:
                     continue
@@ -451,13 +452,19 @@ def test_the_scan_finds_an_unset_default():
                      "    @staticmethod\n"
                      "    def s(p, q=0):\n"
                      "        return p, q\n"
+                     "class N:\n"
+                     "    def __new__(cls, n, o=0, t=0):\n"
+                     "        return object.__new__(cls)\n"
                      "f(1, 2)\n"
                      "h(*[])\n"
                      "K().m(1)\n"
-                     "K.s(1, 2)\n")
+                     "K.s(1, 2)\n"
+                     "N(1, 2)\n")
     readers = [ast.parse("from m import K\nK(k=1)\nf(0, w=1)\n")]
-    assert unset_defaults([tree], readers) == [("f", "z"), ("g", "a"), ("m", "v")]
-    assert unset_defaults([tree], readers, {("g", "a")}) == [("f", "z"), ("m", "v")]
+    assert unset_defaults([tree], readers) == [
+        ("__new__", "t"), ("f", "z"), ("g", "a"), ("m", "v")]
+    assert unset_defaults([tree], readers, {("g", "a")}) == [
+        ("__new__", "t"), ("f", "z"), ("m", "v")]
 
 
 def test_every_default_is_set_by_some_call():

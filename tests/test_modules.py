@@ -1,4 +1,9 @@
+import copy
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jwcat.complexes import Summand, realize, homology
 from jwcat.modules import (GradedModule, apply_iota, apply_pi,
@@ -207,3 +212,21 @@ class TestResolutions:
         assert homology(R, 0) == mods["L(1)"].graded_dims_by_vertex()
         for i in range(res.window()[0] + 1, 0):
             assert not homology(R, i)
+
+
+SUMMAND_FIELDS = st.tuples(st.sampled_from(("1", "2", "*")), st.integers(-40, 40))
+
+
+class TestCanonicalSummands:
+    @settings(max_examples=150, deadline=None)
+    @given(SUMMAND_FIELDS, SUMMAND_FIELDS, st.integers(-40, 40))
+    def test_summands_are_canonical(self, f, g, r):
+        s, t = Summand(*f), Summand(*g)
+        assert s is Summand(*f) and (s.vertex, s.shift) == f
+        assert (s is t) == (f == g) and (s == t) == (f == g)
+        assert s.shifted(r) is Summand(f[0], f[1] + r) and s.shifted(0) is s
+        assert pickle.loads(pickle.dumps(s)) is s
+        assert copy.copy(s) is s and copy.deepcopy([s])[0] is s
+
+    def test_repr_is_the_field_text(self):
+        assert repr(Summand("1", 2)) == "Summand(vertex='1', shift=2)"

@@ -1,13 +1,20 @@
+import copy
 import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jwcat.quiver import (ConstructionError, PathAlgebra, Path, Quiver,
                           _bimodule_map_from_generator_images,
                           algebra_as_bimodule, bimodule_maps_alpha_beta_gamma,
                           build_B, build_C, build_theta,
                           koszul_dual, structure_map_on_column, zigzag_quiver)
+
+
+ARROWS = st.lists(st.sampled_from("abcx"), max_size=3).map(tuple)
+VERTICES = st.sampled_from((None, "1", "2", "*"))
 
 
 @pytest.fixture(scope="module")
@@ -72,12 +79,29 @@ class TestPathAlgebraB:
 
     def test_paths_hash_and_compare_by_value(self, B):
         p, q = Path(("a", "b")), Path(tuple("ab"))
-        assert p is not q and p == q and hash(p) == hash(q)
+        assert p is q and p == q and hash(p) == hash(q)
         assert {p: 1}[q] == 1 and Path((), "1") != Path((), "2")
         assert repr(p) == "Path(arrows=('a', 'b'), vertex=None)"
         assert pickle.loads(pickle.dumps(p)) == p
         assert all(B.element({path: 1}).terms == {Path(path.arrows, path.vertex): 1}
                    for path in B.basis)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.tuples(ARROWS, VERTICES), st.tuples(ARROWS, VERTICES))
+    def test_paths_are_canonical(self, f, g):
+        p, q = Path(*f), Path(*g)
+        assert p is Path(tuple(list(f[0])), f[1]) and (p.arrows, p.vertex) == f
+        assert (p is q) == (f == g) and (p == q) == (f == g)
+        assert pickle.loads(pickle.dumps(p)) is p
+        assert copy.copy(p) is p and copy.deepcopy([p])[0] is p
+
+    def test_arrow_reads_its_quiver(self, B):
+        assert B.quiver.arrow("b").source == "2"
+        with pytest.raises(KeyError):
+            B.quiver.arrow("x")
+        q, r = build_B().quiver, build_B().quiver
+        assert q is not r and q == r and hash(q) == hash(r)
+        assert q != Quiver(q.vertices, q.arrows[:1])
 
     def test_json_roundtrip(self, B):
         import json
