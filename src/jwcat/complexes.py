@@ -31,7 +31,12 @@ caller passes only the window it works at. Below, a tail has direction o
   2p - 1 degrees past ``start``: the repeated period shows twice.
   ``detect_tail`` puts ``start`` 2p - 1 degrees in from the outward edge,
   so it needs 3p stored degrees, the two repeats and the period they are
-  compared with. Periods up to 4 are tried.
+  compared with. Periods up to 4 are tried. Copies are not checked: a
+  construction checks d∘d on the degrees it computed, and ``attach_tail``
+  extends its repeat by ``_copy_outward``. A copied degree holds the value
+  one period in, shifted by s, and the seam walk (for a resolution, its
+  repeat d(i) = d(i + p)<s>) compared that value with the one a period
+  further in, so every copied d∘d product is a shifted computed one.
 * Ladder seam (``ladder_degrees``). A ladder family φ_i: A^i -> B^{i+offset}
   with a common tail repeats from the seam σ, where both A^i and
   B^{i+offset} lie in the tail: the later of ``start`` and
@@ -122,14 +127,12 @@ caller passes only the window it works at. Below, a tail has direction o
   in computed degrees. A tail found there with another period p <= 4
   holds with the period 2 on the min(3p, 6) computed degrees before the
   edge, at least p + 2 - gcd(p, 2) of them, so by the periodicity lemma of
-  Fine and Wilf its copies are the construction's. The tail rule extends Tot from the head to out_hi, and
-  every d∘d is checked once: ``total_complex`` checks the computed head
-  before its tail is looked for, so that a broken d∘d is reported as such
-  and not as a window without a tail, and the copied degrees are checked
-  after the extension, from the last computed differential on, as
-  ``resolutions.resolve_complex`` checks its repeat's. A map f ⊗ id has
-  the cells of its source and target, so its component at n is the one
-  at n - 2 shifted by -4 once n passes both tops by 3: it is built
+  Fine and Wilf its copies are the construction's. ``total_complex``
+  checks d∘d on the head before its tail is looked for, so that a broken
+  d∘d is reported as such and not as a window without a tail, and
+  ``attach_tail`` copies Tot on to out_hi (see the two-period seam). A map
+  f ⊗ id has the cells of its source and target, so its component at n is
+  the one at n - 2 shifted by -4 once n passes both tops by 3: it is built
   through max(top of source, top of target) + 2 and copied beyond.
 * D's degree scan (``functors._koszul_D``). A basis vector of bidegree
   (r, s) lands in degree r + s. On a left-tailed input the scan walks r
@@ -152,9 +155,9 @@ caller passes only the window it works at. Below, a tail has direction o
   d(i) = d(i + p)<s>, terms included, with i + p <= ylo - 1, the step at
   i - 1 thus repeats the step at i + p - 1 <= ylo - 2 shifted, and by
   induction every degree below i is the copy of the one p above. The
-  descent stops there, p <= 4 as in the seam, and the tail rule extends it
-  to the floor, where d∘d and the tail seam are checked as on computed
-  degrees. The bound is tight: the step at ylo - 1 reads the augmentation.
+  descent stops there, p <= 4 as in the seam, and ``attach_tail`` copies
+  it on to the floor (see the two-period seam). The bound is tight: the
+  step at ylo - 1 reads the augmentation.
   A left-tailed input has terms down to the floor and is resolved in full.
   Below a bounded input a descent that reaches the floor with no repeat
   takes the step past it as well: only when that step is nonzero does the
@@ -558,12 +561,14 @@ def detect_tail(c: ProjComplex, side: str) -> TailSpec | None:
 
 def attach_tail(c: ProjComplex, window: tuple[int, int], side: str,
                 message: str) -> ProjComplex:
-    """``c`` clipped to ``window`` with the tail ``detect_tail`` finds there
-    on ``side``; ``WindowTooSmall(message)`` when it finds none.
-
-    ``c`` must have been validated: the clipped d∘d products are the ones
-    its validation checked, and ``detect_tail`` checked the seam, so the
-    result is not validated again."""
+    """``c``, extended through ``window`` by the tail it carries (a repeat
+    its construction found), clipped to ``window`` with the tail
+    ``detect_tail`` finds there on ``side``; ``WindowTooSmall(message)``
+    when it finds none. ``c`` must be validated on its stored degrees: by
+    the two-period seam of "Windows and margins" in the module docstring
+    the copies need no check, so the result is not validated again."""
+    if c.tail is not None:
+        c = c.materialize(*window)
     out = c.clip(*window)
     tail = detect_tail(out, side)
     if tail is None:
@@ -1291,12 +1296,16 @@ def iso_in_homotopy_category(x: ProjComplex, y: ProjComplex,
     No nonzero chain map at all is "false" between bounded minimal models;
     between tailed ones it is inconclusive, since the periodic ansatz of the
     ladder seam is not known to be complete. A window cut (``_window_cut``)
-    is inconclusive.
+    is inconclusive, and so is a reduction the window cuts
+    (``WindowTooSmall`` out of ``reduce_on_window``).
     """
     if (cut := _window_cut(window, x, y)) is not None:
         return cut
-    xm = reduce_on_window(x, window).reduced
-    ym = reduce_on_window(y, window).reduced
+    try:
+        xm = reduce_on_window(x, window).reduced
+        ym = reduce_on_window(y, window).reduced
+    except WindowTooSmall as exc:
+        return Verdict("inconclusive", reason=str(exc))
     if xm.is_zero() and ym.is_zero():
         return Verdict("true", witness=None, reason="both reduce to zero")
     if not _summand_multisets_match(xm, ym, window):

@@ -527,11 +527,10 @@ def _ck_total(setup: Setup, x: ProjComplex, out_window: tuple[int, int]
     shifted by -4 (the CK period in "Windows and margins" of the
     ``complexes`` module docstring), so the bicomplex is built only through
     head = min(out_hi, x_hi + 6), on the complete total degrees there,
-    K = head - x_lo. Its totalization is validated and shows its tail; the
-    tail rule extends it to out_hi, the copied degrees are validated in
-    turn, and the output window is clipped and its tail detected as on a
-    construction built in full. A right-tailed input is materialized
-    through out_hi, so there x_hi = out_hi and everything is built.
+    K = head - x_lo. Its totalization is validated and shows its tail, and
+    ``attach_tail`` copies it on to out_hi and clips it to the output
+    window. A right-tailed input is materialized through out_hi, so there
+    x_hi = out_hi and everything is built.
 
     Before any matrix is built, the tail is looked for on the head's cell
     terms alone: ``attach_tail`` on their totalization without
@@ -557,10 +556,7 @@ def _ck_total(setup: Setup, x: ProjComplex, out_window: tuple[int, int]
                 (x_lo, head), RIGHT_TAIL, message)
     bc = ck_bicomplex(setup, x, K)
     tot = attach_tail(total_complex(bc, name=f"ℂ𝕂({x.name})"), (x_lo, head),
-                      RIGHT_TAIL, message).materialize(x_lo, out_hi)
-    # d∘d on the copied degrees, from the last computed differential on
-    copied = tot.clip(head - 1, out_hi)
-    ProjComplex(setup.B, copied.terms, copied.diffs, None, tot.name)
+                      RIGHT_TAIL, message)
     return attach_tail(tot, out_window, RIGHT_TAIL, message), bc
 
 

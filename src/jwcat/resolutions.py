@@ -44,7 +44,8 @@ def submodule_from_vectors(ambient: GradedModule,
     vectors of a single vertex label. An arrow's image of the basis has its
     coordinates at the pivots of the target degree's basis, and the span
     must be closed under the algebra action: the image must equal the
-    recombination of those coordinates (checked exactly).
+    recombination of those coordinates (checked exactly). These are the
+    inclusion's label and commutator checks, so it is not validated again.
     """
     span: dict[int, Matrix] = {}      # columns: the reduced basis of a degree
     pivots: dict[int, list[int]] = {}
@@ -80,7 +81,7 @@ def submodule_from_vectors(ambient: GradedModule,
         if mats:
             action[arrow.name] = mats
     sub = GradedModule(ambient.algebra, labels, action, name=name)
-    return sub, ModuleHom(sub, ambient, 0, span, f"incl({name})")
+    return sub, ModuleHom(sub, ambient, 0, span, f"incl({name})", validate=False)
 
 
 def kernel_submodule(f: ModuleHom, name: str = "ker") -> tuple[GradedModule, ModuleHom]:
@@ -198,9 +199,9 @@ def resolve_complex(Y: Complex, depth: int
     augmentation maps from the computed terms onto the input terms: below a
     bounded input, where it is zero, only down to the resolution repeat.
     The floor cuts the resolution, which must then show a left tail, only
-    where it goes on below: for a left-tailed input, at a repeat, or when
-    the step past the floor is nonzero ("Resolution repeat" in the
-    ``complexes`` module docstring).
+    where it goes on below: for a left-tailed input, at a repeat, which
+    ``attach_tail`` copies on to the floor, or when the step past the floor
+    is nonzero ("Resolution repeat" in the ``complexes`` module docstring).
     """
     alg = Y.algebra
     if Y.is_zero():
@@ -266,13 +267,10 @@ def resolve_complex(Y: Complex, depth: int
             if repeat is not None:
                 break
 
-    if repeat is not None:
-        part = ProjComplex(alg, terms, diffs, repeat, validate=False)
-        extended = part.materialize(floor, yhi)
-        terms, diffs = extended.terms, extended.diffs
     pc = ProjComplex(alg, terms, diffs, None, f"res({Y.name})")
     if not pc.is_zero() and (Y.tail is not None or repeat is not None or past_floor):
-        pc = attach_tail(pc, pc.window(), LEFT_TAIL,
+        pc = attach_tail(ProjComplex(alg, terms, diffs, repeat, pc.name, validate=False),
+                         (floor, yhi), LEFT_TAIL,
                          f"resolution of {Y.name} neither terminates nor "
                          f"stabilizes at depth {depth}")
     return pc, augment

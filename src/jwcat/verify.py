@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, Complex,
                         ProjBicomplex, ProjChainMap, ProjComplex, Summand,
-                        TailSpec, WindowTooSmall,
+                        TailSpec, Verdict, WindowTooSmall,
                         gaussian_reduce, homology,
                         iso_in_homotopy_category, maps_agree_under_identification,
                         match_up_to_diagonal_signs, realize, reduce_on_window,
@@ -317,7 +317,7 @@ class _Runner:
         redI2 = gaussian_reduce(DI2).reduced
         resL1 = projective_resolution(mods["L(1)"], 6)
         v = iso_in_homotopy_category(redI2, resL1, window=(-3, 1))
-        _require(v.value == "true", "dual of the injective is the simple's model")
+        _certify(v, "dual of the injective is the simple's model")
         _require(homology(realize(DI2), 0) == mods["L(1)"].graded_dims_by_vertex())
         _require(find_module_iso(mods["P(2)"], mods["I(2)"].shift(2)) is not None,
                  "projective-injective shift relation")
@@ -345,7 +345,7 @@ class _Runner:
         # idempotency within the window
         ppP1 = P_on_object(setup, pP1, depth=depth)
         v = iso_in_homotopy_category(ppP1, pP1, window=(-N + 2, 0))
-        _require(v.value == "true", "projector is idempotent on the window")
+        _certify(v, "projector is idempotent on the window")
         details.append("projector of the projector equals the projector "
                        "termwise (free section image, no resolution needed)")
 
@@ -506,7 +506,7 @@ class _Runner:
             details.append("composite sign normalization: " + _sign_summary(signs2))
         red_mid = reduce_on_window(mid, (-2, K - 3))
         v = iso_in_homotopy_category(red_mid.reduced, right, window=(-2, K - 3))
-        _require(v.value == "true", "middle column reduces to the right column")
+        _certify(v, "middle column reduces to the right column")
 
     def _ck_on_projectives(self, details):
         setup = self.setup
@@ -549,7 +549,7 @@ class _Runner:
         resL1 = projective_resolution(simple(B, "1"), 6)
         model = resL1.shift(-2, -2)
         v = iso_in_homotopy_category(red2.reduced, model, window=(0, N - 4))
-        _require(v.value == "true", "reduces to the shifted simple model")
+        _certify(v, "reduces to the shifted simple model")
         ckd1 = self.ckd_side("1")
         red1 = reduce_on_window(ckd1, (0, N))
         if N < 8:
@@ -567,14 +567,14 @@ class _Runner:
         model1 = ProjComplex(B, terms, diffs,
                              TailSpec(RIGHT_TAIL, N - 4, 2, -4), "reference-model")
         v1 = iso_in_homotopy_category(red1.reduced, model1, window=(0, N - 2))
-        _require(v1.value == "true", "matches the displayed semi-infinite model")
+        _certify(v1, "matches the displayed semi-infinite model")
         # tensoring the projector complex with the simple's resolution models
         # the shifted simple again
         res = projective_resolution(simple(B, "1"), 6).shift(0, -2)  # degrees 0..2
         ck_res = CK_on_object(setup, res, out_window=(0, N))
         red_res = reduce_on_window(ck_res, (0, N - 4))
         v2 = iso_in_homotopy_category(red_res.reduced, res, window=(0, N - 4))
-        _require(v2.value == "true", "projector complex fixes the simple's model")
+        _certify(v2, "projector complex fixes the simple's model")
 
     def _duality_objects(self, details):
         N = self.cfg.window
@@ -582,7 +582,7 @@ class _Runner:
             dp = self.dp_side(vertex)
             ckd = self.ckd_side(vertex)
             v = iso_in_homotopy_category(dp, ckd, window=(0, N))
-            _require(v.value == "true", f"composites disagree on P({vertex}): {v.reason}")
+            _certify(v, f"composites disagree on P({vertex}): {v.reason}")
             details.append(f"P({vertex}): isomorphism witnessed on window (0, {N})")
 
     def _duality_maps(self, details):
@@ -601,7 +601,7 @@ class _Runner:
             lhs = red[1].to_reduced.compose(DPz).compose(red[0].from_reduced)
             rhs = red[3].to_reduced.compose(CKDz).compose(red[2].from_reduced)
             v = maps_agree_under_identification(lhs, rhs, cmp_w)
-            _require(v.value == "true", f"maps disagree on {zname}: {v.reason}")
+            _certify(v, f"maps disagree on {zname}: {v.reason}")
             details.append(f"{zname}: {v.reason}")
 
     def _shift_laws(self, details):
@@ -618,7 +618,7 @@ class _Runner:
                 lo = min(lhs.window()[0], rhs.window()[0]) - 1
                 hi = max(lhs.window()[1], rhs.window()[1]) + 1
                 v = iso_in_homotopy_category(lhs, rhs, window=(lo, hi))
-                _require(v.value == "true", f"{law} shift law fails: {name}, r={r}")
+                _certify(v, f"{law} shift law fails: {name}, r={r}")
         details.append("both laws checked exactly for all five standard "
                        "modules and shifts up to three in both directions")
 
@@ -746,6 +746,15 @@ def _require(condition, message: str = "") -> None:
     statement would vanish under ``python -O``."""
     if not condition:
         raise AssertionError(message)
+
+
+def _certify(v: Verdict, message: str) -> None:
+    """A decision's claim: "true" passes, "false" fails with ``message``,
+    and "inconclusive" leaves the check inconclusive with the decision's
+    reason."""
+    if v.value == "inconclusive":
+        raise WindowTooSmall(v.reason)
+    _require(v.value == "true", message)
 
 
 def _classes_agree(x: KClass, y: KClass, order: int) -> bool:

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from jwcat import verify
 from jwcat.complexes import (Complex, ProjChainMap, ProjComplex, Summand,
-                             gaussian_reduce, homology,
+                             Verdict, gaussian_reduce, homology,
                              iso_in_homotopy_category,
                              maps_agree_under_identification,
                              match_up_to_diagonal_signs, realize,
@@ -331,7 +332,7 @@ from jwcat import verify
 from jwcat.complexes import Verdict
 
 
-def false(*args):
+def false(*args, **kwargs):
     return Verdict("false", reason="forced")
 
 
@@ -350,3 +351,19 @@ def test_a_claim_that_fails_fails_under_every_interpreter_flag(flags):
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["6"]
+
+
+def test_an_inconclusive_decision_leaves_its_check_inconclusive(monkeypatch):
+    """With both homotopy-category decisions forced to "inconclusive", the
+    seven checks of the suite at N = 16 that read one are inconclusive with
+    the decision's reason, and none fails."""
+    def inconclusive(*args, **kwargs):
+        return Verdict("inconclusive", reason="forced")
+
+    for name in ("iso_in_homotopy_category", "maps_agree_under_identification"):
+        monkeypatch.setattr(verify, name, inconclusive)
+    report = run_suite(VerificationConfig(window=N))
+    assert report.verdict_counts() == {"pass": 6, "fail": 0, "inconclusive": 7}
+    for check in report.checks:
+        if check.verdict == "inconclusive":
+            assert "window too small to certify: forced" in check.details, check.name

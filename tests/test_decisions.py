@@ -16,7 +16,7 @@ from jwcat.complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, ProjChainMap,
                              _solve_intertwining, chain_maps_homotopic,
                              detect_tail, iso_in_homotopy_category,
                              maps_agree_under_identification)
-from jwcat.functors import P_on_object, Setup
+from jwcat.functors import P_on_object, Setup, projector_depth
 from jwcat.linalg import Matrix
 from jwcat.modules import projective
 from jwcat.quiver import ConstructionError
@@ -103,6 +103,19 @@ class TestEveryVerdictExit:
         v = iso_in_homotopy_category(left, right, (0, 4))
         assert v.value == "inconclusive"
         assert v.reason == "tail patterns do not align"
+
+    def test_a_reduction_the_window_cuts(self):
+        """P(P(1)<1>) against P(P(1))<1> on (0, 12): both are stored on
+        (-18, 0) with a left tail, and the window keeps one reduced degree,
+        too few to show the tail."""
+        setup, window = Setup.create(), (0, 12)
+        depth = projector_depth(window)
+        x = P_on_object(setup, projective(B, "1").shift(1), depth=depth)
+        y = P_on_object(setup, projective(B, "1"), depth=depth).shift(1)
+        v = iso_in_homotopy_category(x, y, window)
+        assert v.value == "inconclusive"
+        assert v.reason == ("reduction of ℙ(P(1)<1>) reaches the window edge "
+                            "without a periodic pattern; enlarge the window")
 
     def test_chain_maps_exist_but_none_is_invertible(self):
         # P(1)<1> --a--> P(2) against the same terms with d = 0: a chain map

@@ -10,11 +10,12 @@ CK(D(x)) starts below degree 0 there and its construction clips it at 0
 The shift laws F(y s) ≅ F(y) s for F in {P, D, CK}, s in {<1>, <-1>, [1],
 [-1]} and the 15 objects y that are an atom or P or D of one; D turns <r>
 into <-r>[-r]. A pair is undefined when a side cannot be built
-(``WindowTooSmall``, or ``RegimeError`` for CK of a left-tailed input) or
-the decision cannot reduce a side on the window (``WindowTooSmall``). On
-(0, 12) three pairs answer "false", CK(y[-1]) against CK(y)[-1] for
-y = L(1), L(2) and D(I(2)): item 3's cut again. On (-8, 12) all 172 defined
-pairs are "true"."""
+(``WindowTooSmall``, or ``RegimeError`` for CK of a left-tailed input). On
+(0, 12) the decision cannot reduce a side of 18 pairs on the window and
+answers "inconclusive" there: P(y s) against P(y) s, whose sides are stored
+below the window. Three pairs answer "false", CK(y[-1]) against CK(y)[-1]
+for y = L(1), L(2) and D(I(2)): item 3's cut again. On (-8, 12) all 172
+defined pairs are "true"."""
 
 import pytest
 

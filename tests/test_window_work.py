@@ -8,7 +8,10 @@ cancellation as row and column operations, and the pivot scan resumes at the
 last cancellation. The full-work code they replaced is kept here as the
 reference, and so are the hand-coded projector columns that the
 structure-map table replaced. The eval pool's CK and P expressions are
-pinned against the benchmark's reference outputs."""
+pinned against the benchmark's reference outputs. CK and the resolutions
+check d∘d only on the degrees they compute, a count pinned flat in the
+window, and every complex of the pool and of the suite's CK and P outputs
+passes a full re-validation here, copies included."""
 
 import json
 import re
@@ -21,15 +24,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jwcat import complexes, functors
+from jwcat import complexes, functors, verify
 from jwcat.complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, ProjBicomplex,
                              ProjChainMap, ProjComplex, RegimeError,
                              Summand, _allowed_paths, attach_tail, gaussian_reduce,
                              shift_summands, total_complex, total_layout)
-from jwcat.exprs import _eval, evaluate, parse, render_value
-from jwcat.functors import (CK_on_map, CK_on_object, Setup, _ck_column_map,
-                            _ck_tensor, _theta_parts, koszul_D_on_map,
-                            koszul_D_on_object)
+from jwcat.exprs import ObjectValue, _eval, evaluate, parse, render_value
+from jwcat.functors import (CK_on_map, CK_on_object, P_on_object, Setup,
+                            _ck_column_map, _ck_tensor, _theta_parts,
+                            koszul_D_on_map, koszul_D_on_object)
 from jwcat.modules import left_multiplication_hom, projective, simple
 from jwcat.quiver import build_theta
 from jwcat.resolutions import projective_resolution
@@ -555,6 +558,36 @@ class TestProjectorBuildsOnlyWhatTheWindowReads:
         # P(2) has no differential to tensor, D(I(2)) has
         assert counts[0][0] and (counts[0][1] == 0) == (name == "P(2)")
 
+    @pytest.mark.parametrize("name, sizes", [("CK(P(2))", (24, 96)),
+                                             ("CK(D(I(2)))", (24, 96)),
+                                             ("P(L(2))", (12, 48))])
+    def test_the_checked_degrees_do_not_grow_with_the_window(self, name, sizes):
+        """d∘d is checked on the degrees a construction computes: CK's head
+        and a resolution down to its repeat. The copies past them are not
+        checked again, so ``ProjComplex._validate`` checks as many degrees
+        at N = 24 as at N = 96, and at depth 12 as at depth 48."""
+        x = {"CK(P(2))": ProjComplex.from_summand(B, "2"),
+             "CK(D(I(2)))": koszul_D_on_object(SETUP, SETUP.standard_module("I(2)")),
+             "P(L(2))": simple(B, "2")}[name]
+        counts, real = [], ProjComplex._validate
+        for n in sizes:
+            checked = []
+
+            def validate(c):
+                lo, hi = c.window()
+                checked.append(hi - lo + 1)
+                real(c)
+
+            with mock.patch.object(ProjComplex, "_validate", validate):
+                if name.startswith("CK"):
+                    out = CK_on_object(SETUP, x, (0, n))
+                    assert out.window()[1] == n
+                else:
+                    out = P_on_object(SETUP, x, depth=n)
+                    assert out.window()[0] == -n
+            counts.append(sum(checked))
+        assert counts[0] == counts[1] > 0
+
     def test_a_hopeless_window_builds_no_bicomplex(self):
         inner = functors.CK_on_object(SETUP, ProjComplex.from_summand(B, "1"),
                                       out_window=(0, 12))
@@ -629,3 +662,53 @@ class TestSuffixedChains:
         bases = {e: v["base"] for e, v in eval_reference()["expressions"].items()}
         assert reproduce_eval_reference(
             lambda e: e != bases[e] and "CK(" not in e and not APPLIES_P.search(e)) == 120
+
+
+# ---------------------------------------------------------------------------
+# the copies past the computed degrees hold d∘d and the tail seam
+# ---------------------------------------------------------------------------
+
+def revalidate(c):
+    """``c`` built again with every check on: d∘d on every stored degree,
+    copies included, and the tail seam."""
+    ProjComplex(c.algebra, c.terms, c.diffs, c.tail, c.name)
+
+
+class TestCopiesPassAFullValidation:
+    def test_every_complex_of_the_eval_pool(self):
+        """Each complex value of the eval pool at N = 24, as evaluated and
+        as reduced."""
+        ref = eval_reference()
+        window = (0, ref["window"])
+        values = 0
+        for expr in sorted(ref["expressions"]):
+            got = outcome(evaluate, SETUP, parse(expr), window, ref["order"])
+            if got[0] == "value" and isinstance(got[1], ObjectValue):
+                revalidate(got[1].complex)
+                revalidate(got[1].reduced)
+                values += 1
+        assert values == 524
+
+    def test_every_ck_and_p_output_of_the_suite(self, monkeypatch):
+        """Each complex the check suite at N = 48 reads out of CK and P, on
+        objects and as the sides of maps."""
+        outputs = []
+
+        def recording(fn, complexes_of):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                outputs.extend(complexes_of(out))
+                return out
+            return wrapped
+
+        for name in ("CK_on_object", "P_on_object"):
+            monkeypatch.setattr(verify, name,
+                                recording(getattr(verify, name), lambda c: [c]))
+        for name in ("CK_on_map", "P_on_module_map"):
+            monkeypatch.setattr(verify, name, recording(getattr(verify, name),
+                                                        lambda f: [f.source, f.target]))
+        report = run_suite(VerificationConfig(window=48))
+        assert report.verdict_counts()["fail"] == 0
+        assert len(outputs) == 38
+        for c in outputs:
+            revalidate(c)
