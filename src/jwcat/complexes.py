@@ -35,8 +35,9 @@ caller passes only the window it works at. Below, a tail has direction o
   construction checks d∘d on the degrees it computed, and ``attach_tail``
   extends its repeat by ``_copy_outward``. A copied degree holds the value
   one period in, shifted by s, and the seam walk (for a resolution, its
-  repeat d(i) = d(i + p)<s>) compared that value with the one a period
-  further in, so every copied d∘d product is a shifted computed one.
+  repeat d(i) = d(i + p)<s>; for D, its derived tail checked on the head)
+  compared that value with the one a period further in, so every copied
+  d∘d product is a shifted computed one.
 * Ladder seam (``ladder_degrees``). A ladder family φ_i: A^i -> B^{i+offset}
   with a common tail repeats from the seam σ, where both A^i and
   B^{i+offset} lie in the tail: the later of ``start`` and
@@ -134,16 +135,39 @@ caller passes only the window it works at. Below, a tail has direction o
   f ⊗ id has the cells of its source and target, so its component at n is
   the one at n - 2 shifted by -4 once n passes both tops by 3: it is built
   through max(top of source, top of target) + 2 and copied beyond.
-* D's degree scan (``functors._koszul_D``). A basis vector of bidegree
-  (r, s) lands in degree r + s. On a left-tailed input the scan walks r
-  down until the lowest scanned term lands wholly above out_hi + 1; the
-  output is then clipped below the lowest degree the next term out, the
-  lowest one shifted by s, could reach, so no kept degree misses a
-  contribution. Each period outward moves r by -p and a term's internal
-  degrees by s, so its degrees in D by s - p. The scan ends only when
-  s > p; otherwise every term of the tail lands at or below the degrees of
-  the last one, and D raises ``RegimeError`` before it scans. Every output
-  of P has p = 1 and s = 2.
+* D's head (``functors._koszul_D``). A basis vector of bidegree (r, j)
+  lands in degree r + j. Let the input x have a left tail of period p and
+  shift s. One period outward moves r by -p and the internal degrees by s,
+  so a term's degrees in D by s - p; only for s > p does each degree of D
+  read finitely many terms, and otherwise D raises ``RegimeError``. Every
+  output of P has p = 1 and s = 2. Let e be the innermost degree from which
+  x follows its tail: ``_tail_break`` walks out from the stored top and is
+  restarted one degree past each break. Let reach be the highest degree a
+  term above e reaches, the largest r + (top internal degree of x^r) over
+  the stored r > e; a formal summand P(v)<k> spans the degrees k + deg(q)
+  for the paths q of P(v), so neither this bound nor the walk realizes a
+  term. Past reach, D^q reads only the terms x^r with r <= e, which repeat,
+  and (r, j) -> (r - p, j + s) sends D^q onto D^(q + s - p) in the same
+  order, internally shifted by -s, with the scalar parts and arrow actions
+  that x repeats. D's differential carries the sign (-1)^q, so D has a
+  right tail of period P = s - p, doubled when s - p is odd, and shift
+  -s·P/(s - p), from q0 = max(reach + 1, out_lo) + P, the first degree
+  whose copy source lies past reach and in the window. D is computed and
+  its d∘d validated on (out_lo, head), head = min(out_hi, q0 + 2P - 1),
+  which shows the tail twice; the derived tail is checked there by
+  ``_tail_break`` (a break raises ``WindowTooSmall``), and ``attach_tail``
+  copies it on to out_hi (see the two-period seam) and finds the stored
+  tail at out_hi. The copy starts at the head's top stored degree, which
+  lies past q0: a vector of the tail's innermost period lands at most
+  s - p past reach, its copies land every s - p degrees above, so each P
+  consecutive degrees past q0 hold a summand. When q0 + 2P - 1 > out_hi
+  the head is the whole window and nothing is copied. The read: walking
+  down from e, degree r - p lands s - p higher than degree r, so once a
+  whole input period lands above head + 1 every degree further out does
+  too, and only the degrees from that period to the stored top are
+  materialized and realized. The map functor reads its sides through
+  out_hi instead, in the same walk, since its components are built on
+  every degree.
 * Resolution repeat (``resolutions.resolve_complex``). The step that
   computes degree k of a resolution of Y covers the pairs (y, z), y in Y^k
   and z a cycle of P^(k+1), with d_Y(y) equal to the augmentation of z.
@@ -390,6 +414,12 @@ class _StoredComplex:
         return type(self)(self.algebra, terms, diffs, self.tail, self.name,
                           validate=False)
 
+    def clip(self, lo: int, hi: int):
+        """The stored degrees in [lo, hi], without a tail."""
+        terms = {i: t for i, t in self.terms.items() if lo <= i <= hi}
+        diffs = {i: d for i, d in self.diffs.items() if lo <= i and i + 1 <= hi}
+        return type(self)(self.algebra, terms, diffs, None, self.name, validate=False)
+
 
 class ProjComplex(_StoredComplex):
     """Complex of formal sums of shifted projectives over one algebra."""
@@ -444,11 +474,6 @@ class ProjComplex(_StoredComplex):
         if broken is not None:
             kind, i = broken
             raise ConstructionError(f"tail {kind} pattern broken at {i} in {self.name}")
-
-    def clip(self, lo: int, hi: int) -> ProjComplex:
-        terms = {i: t for i, t in self.terms.items() if lo <= i <= hi}
-        diffs = {i: d for i, d in self.diffs.items() if lo <= i and i + 1 <= hi}
-        return ProjComplex(self.algebra, terms, diffs, None, self.name, validate=False)
 
     # --- constructions ---
 
@@ -519,7 +544,7 @@ def _has_tail(c: ProjComplex, side: str) -> bool:
     return c.tail is not None and c.tail.side == side
 
 
-def _tail_break(c: ProjComplex, t: TailSpec) -> tuple[str, int] | None:
+def _tail_break(c: _StoredComplex, t: TailSpec) -> tuple[str, int] | None:
     """The first break of the pattern ``t`` in the stored window of ``c``.
 
     Walks from ``t.start`` outward to the window's edge and checks
@@ -529,9 +554,9 @@ def _tail_break(c: ProjComplex, t: TailSpec) -> tuple[str, int] | None:
     o, p, s = t.outward, t.period, t.shift
     hi = c.window()[1]
     for i in range(t.start, t.edge(c.window()) + o, o):
-        if c.term(i) != shift_summands(c.term(i - o * p), s):
+        if c.term(i) != c._shift_term(c.term(i - o * p), s):
             return "term", i
-        if i < hi and c.diff(i) != c.diff(i - o * p).shifted(s):
+        if i < hi and c.diff(i) != c._shift_diff(c.diff(i - o * p), s):
             return "diff", i
     return None
 

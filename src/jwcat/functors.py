@@ -23,7 +23,8 @@ Conventions carried over from the rest of the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, Complex,
@@ -32,7 +33,8 @@ from .complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, Complex,
                         Summand, TailSpec, WindowTooSmall, attach_tail,
                         gaussian_reduce, realize, shift_summands,
                         total_complex, total_layout, total_terms,
-                        _alg_matrix_to_hom, _copy_outward, _mat_coords)
+                        _alg_matrix_to_hom, _copy_outward, _mat_coords,
+                        _tail_break)
 from .linalg import Matrix, solve_from_columns
 from .modules import (C_TO_B, DUAL_VERTEX, PI_SHIFT, GradedModule, ModuleHom,
                       apply_pi, apply_pi_hom, projective, simple, injective2)
@@ -237,8 +239,10 @@ def koszul_D_on_object(setup: Setup, x, out_window: tuple[int, int] | None = Non
     """Bigraded construction: each basis vector of bidegree (r, s) and label v
     gives a summand P(DUAL_VERTEX[v])<-s> at homological degree r+s, with the
     scalar part of d plus the signed staircase arrows as differential. A
-    left-tailed input is scanned as far as D's degree scan of "Windows and
-    margins" in the ``complexes`` module docstring says."""
+    bounded input gives every degree, on ``out_window`` when one is given. A
+    left-tailed input is computed through D's head of "Windows and margins"
+    in the ``complexes`` module docstring and extended by the tail derived
+    there."""
     return _koszul_D(setup, x, out_window)[0]
 
 
@@ -259,51 +263,72 @@ def _dual_index(c: Complex, out_window: tuple[int, int]
             for p, v in vecs.items()}
 
 
-def _koszul_D(setup: Setup, x, out_window: tuple[int, int] | None):
-    """``koszul_D_on_object`` together with the ``_dual_index`` of its
-    summands, which the map functor reads."""
+def _term_degrees(B: PathAlgebra, Y: ProjComplex | Complex, r: int) -> list[int]:
+    """The internal degrees of Y^r. A formal summand P(v)<k> spans k + deg(q)
+    for the paths q of P(v), so a formal term is read without realizing it."""
+    if isinstance(Y, ProjComplex):
+        return [s.shift + B.path_degree(q) for s in Y.term(r)
+                for q in B.projective_paths[s.vertex]]
+    return Y.term(r).degrees()
+
+
+def _koszul_D(setup: Setup, x, out_window: tuple[int, int] | None,
+              through: int | None = None):
+    """``koszul_D_on_object``, together with the ``_dual_index`` of its input
+    through degree ``through`` (the head when None) and that input realized
+    on the degrees the index reads, which the map functor reads.
+
+    On a left-tailed input this is D's head of "Windows and margins" in the
+    ``complexes`` module docstring: e is the innermost degree from which the
+    input follows its tail, D is computed and validated through the head, its
+    derived tail is checked there, and ``attach_tail`` extends it."""
     B = setup.B
-    Y = _as_module_complex(x)
-    if Y.tail is not None and Y.tail.side == RIGHT_TAIL:
+    Y = x if isinstance(x, ProjComplex) else _as_module_complex(x)
+    t = Y.tail
+    if t is not None and t.side == RIGHT_TAIL:
         raise RegimeError("duality input must be bounded above")
-    if Y.tail is not None and Y.tail.shift <= Y.tail.period:
-        # D's degree scan (complexes module docstring) ends only when each
-        # period outward moves the terms' degrees up
-        raise RegimeError("duality input's left tail must shift its terms by "
-                          "more than its period")
-    if out_window is None:
-        lo, hi = Y.window()
-        smin = min((d for m in Y.terms.values() for d in m.degrees()), default=0)
-        smax = max((d for m in Y.terms.values() for d in m.degrees()), default=0)
-        out_window = (lo + smin, hi + smax)
-    out_lo, out_hi = out_window
+    if t is None:
+        out_window = out_window or (-math.inf, math.inf)
+        head = through = out_window[1]
+        mat = _as_module_complex(Y)
+    else:
+        if t.shift <= t.period:
+            # each period outward moves D's degrees by shift - period, so only
+            # a climbing tail leaves every output degree finitely many terms
+            raise RegimeError("duality input's left tail must shift its terms "
+                              "by more than its period")
+        if out_window is None:
+            raise RegimeError("a left-tailed duality input needs an output window")
+        e = Y.window()[1]
+        while (broken := _tail_break(Y, replace(t, start=e))) is not None:
+            e = broken[1] - 1
+        reach = max(r + max(_term_degrees(B, Y, r)) for r in Y.terms if r > e)
+        climb = t.shift - t.period
+        period = climb if climb % 2 == 0 else 2 * climb   # d carries (-1)^q
+        q0 = max(reach + 1, out_window[0]) + period
+        tail = TailSpec(RIGHT_TAIL, q0, period, -t.shift * period // climb)
+        head = min(out_window[1], q0 + 2 * period - 1)
+        # the read: the first whole input period, walking down from e, whose
+        # degrees land above through + 1 is the last one realized
+        through = head if through is None else through
+        lows = [j + min(ds) for j in range(e - t.period + 1, e + 1)
+                if (ds := _term_degrees(B, Y, j))]
+        k = max([0] + [(through + 1 - m) // climb + 1 for m in lows])
+        lo, hi = e - t.period + 1 - k * t.period, Y.window()[1]
+        mat = _as_module_complex(Y.materialize(lo, hi).clip(lo, hi))
 
-    mat = Y
-    p_safe = out_hi
-    if Y.tail is not None:
-        # D's degree scan (complexes module docstring), materializing ahead
-        # of the scan by doubling the window
-        lo, hi = Y.window()
-        while lo + min(mat.term(lo).degrees()) <= out_hi + 1:
-            lo -= 1
-            if lo not in mat.terms:
-                mat = Y.materialize(2 * lo - hi, hi)
-        mat = Y.materialize(lo, hi)
-        omit_min = min(mat.term(lo).degrees()) + mat.tail.shift
-        p_safe = min(p_safe, (lo - 1) + omit_min - 1)
-
-    index = _dual_index(mat, out_window)
+    index = _dual_index(mat, (out_window[0], through))
     terms = {p: tuple(Summand(DUAL_VERTEX[lab], -s) for (_, s, _), (_, lab) in vecs.items())
-             for p, vecs in sorted(index.items())}
+             for p, vecs in sorted(index.items()) if p <= head}
 
     diffs: dict[int, AlgMatrix] = {}
-    for p, vecs in sorted(index.items()):
-        up = index.get(p + 1)
-        if up is None:
+    for p in terms:
+        if p + 1 not in terms:
             continue
+        up = index[p + 1]
         d = AlgMatrix.zero(B, terms[p + 1], terms[p])
         sign = -1 if p % 2 else 1   # p = r + s for every summand of D^p
-        for (r, s, idx), (col, lab) in vecs.items():
+        for (r, s, idx), (col, lab) in index[p].items():
             # scalar part: the complex differential, same s
             _place_dual(d, col, mat.diff(r).mat(s), idx, up, (r + 1, s),
                         B.idempotent(DUAL_VERTEX[lab]))
@@ -316,10 +341,14 @@ def _koszul_D(setup: Setup, x, out_window: tuple[int, int] | None):
         diffs[p] = d
 
     out = ProjComplex(B, terms, diffs, None, f"𝔻({Y.name})", validate=True)
-    if Y.tail is not None:
-        out = attach_tail(out, (out_lo, min(out_hi, p_safe)), RIGHT_TAIL,
-                          "duality output did not stabilize; enlarge the window")
-    return out, index
+    if t is not None:
+        message = "duality output did not stabilize; enlarge the window"
+        if _tail_break(out, tail) is not None:
+            raise WindowTooSmall(message)
+        if head < out_window[1]:
+            out = ProjComplex(B, out.terms, out.diffs, tail, out.name, validate=False)
+        out = attach_tail(out, out_window, RIGHT_TAIL, message)
+    return out, index, mat
 
 
 def _place_dual(d: AlgMatrix, col: int, mat: Matrix, idx: int, index: dict,
@@ -340,21 +369,22 @@ def koszul_D_on_map(setup: Setup, f: ModuleHom | ProjChainMap,
     placed between matching summands.
 
     f is a degree-0 module map, read in homological degree 0, or a formal
-    chain map, realized here, as ``koszul_D_on_object`` reads a module or a
-    formal complex. The object construction extends a left-tailed source or
-    target past its stored degrees; f has no component there, so when an
-    output degree reads such a degree this raises ``WindowTooSmall`` naming
-    it."""
+    chain map, realized here on the degrees its sides' constructions read
+    through out_hi, as ``koszul_D_on_object`` reads a module or a formal
+    complex. The object construction extends a left-tailed source or target
+    past its stored degrees; f has no component there, so when an output
+    degree reads such a degree this raises ``WindowTooSmall`` naming it."""
     B = setup.B
-    X, Y = _as_module_complex(f.source), _as_module_complex(f.target)
     if isinstance(f, ModuleHom):
         _check_degree_zero(f)
-        homs = {0: f}
+    DX, vx, X = _koszul_D(setup, f.source, out_window, out_window[1])
+    DY, vy, Y = _koszul_D(setup, f.target, out_window, out_window[1])
+    if isinstance(f, ModuleHom):
+        homs, stored = {0: f}, {0}
     else:
         homs = {i: _alg_matrix_to_hom(m, X.term(i), Y.term(i), f.source.algebra)
                 for i, m in f.maps.items() if i in X.terms and i in Y.terms}
-    DX, vx = _koszul_D(setup, X, out_window)
-    DY, vy = _koszul_D(setup, Y, out_window)
+        stored = f.source.terms.keys() & f.target.terms.keys()
     hi = min(DX.window()[1], DY.window()[1])
     comps: dict[int, AlgMatrix] = {}
     for p in sorted(set(vx) & set(vy)):
@@ -363,7 +393,7 @@ def koszul_D_on_map(setup: Setup, f: ModuleHom | ProjChainMap,
         m = AlgMatrix.zero(B, DY.term(p), DX.term(p))
         target_rs = {(r, s) for (r, s, _) in vy[p]}
         for (r, s, idx), (col, lab) in vx[p].items():
-            if (r, s) in target_rs and not (r in X.terms and r in Y.terms):
+            if (r, s) in target_rs and r not in stored:
                 raise WindowTooSmall(
                     f"𝔻({f.name}) at degree {p} needs the component of "
                     f"{f.name} at degree {r}, past its stored degrees; "

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from jwcat.complexes import (LEFT_TAIL, AlgMatrix, Complex, ProjChainMap,
-                             ProjComplex, Summand, WindowTooSmall,
+                             ProjComplex, RegimeError, Summand, WindowTooSmall,
                              gaussian_reduce, homology,
                              iso_in_homotopy_category,
                              maps_agree_under_identification, realize,
@@ -298,6 +298,13 @@ class TestDuality:
             assert_same_complex(Df.source, koszul_D_on_object(setup, f.source, w))
             assert_same_complex(Df.target, koszul_D_on_object(setup, f.target, w))
 
+    def test_a_left_tailed_input_needs_a_window(self, setup):
+        # D of a bounded input has every degree; of a left-tailed one, only
+        # the degrees of a window
+        x = P_on_object(setup, projective(setup.B, "1"), depth=3)
+        with pytest.raises(RegimeError, match="needs an output window"):
+            koszul_D_on_object(setup, x)
+
     def test_map_past_its_stored_degrees_is_window_too_small(self, setup):
         # 𝔻 extends the left-tailed source and target of ℙ(e(1)) by their
         # tails; a short lift has no components there
@@ -318,9 +325,10 @@ class TestDuality:
 
     def test_a_left_tail_that_does_not_climb_is_a_regime_error(self):
         """P(2) in every degree <= 0, with zero differentials: each period
-        outward lands in the same degrees of D, so D's degree scan would
-        never end. It is refused before the scan; the child process keeps a
-        scan that does not end from hanging the test."""
+        outward lands in the same degrees of D, so those degrees would read
+        infinitely many terms and D's tail has no period. It is refused
+        before D reads the input; the child process keeps a read that does
+        not end from hanging the test."""
         done = subprocess.run([sys.executable, "-B", "-c", FLAT_LEFT_TAIL],
                               env=dict(os.environ, PYTHONPATH=str(SRC)),
                               capture_output=True, text=True, timeout=10)

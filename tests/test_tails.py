@@ -320,8 +320,14 @@ def break_seam(diffs, degree=lambda key: key):
 
 def corrupting(breaker):
     """A ``ProjComplex`` whose raw (tailless, validated) construction passes
-    its differentials through ``breaker`` first."""
-    class Corrupted(ProjComplex):
+    its differentials through ``breaker`` first. Every ``ProjComplex`` counts
+    as an instance of it, so a module patched with it still tells a formal
+    input from a realized one."""
+    class Corrupting(type):
+        def __instancecheck__(cls, obj):
+            return isinstance(obj, ProjComplex)
+
+    class Corrupted(ProjComplex, metaclass=Corrupting):
         def __init__(self, algebra, terms, diffs, tail=None, name="X", validate=True):
             if tail is None and validate and diffs:
                 diffs = breaker(diffs)
@@ -344,8 +350,11 @@ def run_ck(window=WINDOW):
     return CK_on_object(SETUP, ProjComplex.from_summand(B, "2"), out_window=window)
 
 
-def run_d():
-    return koszul_D_on_object(SETUP, realize(corpus()["P(P(1))"]), out_window=WINDOW)
+def run_d(kind="formal", window=WINDOW):
+    """D on P(P(1)) as the formal complex or realized as a ``Complex``."""
+    x = corpus()["P(P(1))"]
+    return koszul_D_on_object(SETUP, x if kind == "formal" else realize(x),
+                              out_window=window)
 
 
 def run_p():
@@ -361,18 +370,31 @@ class TestCorruptionIsCaughtAtEveryAttachment:
 
     def test_uncorrupted_sites_attach_their_tails(self):
         assert run_ck().tail.side == RIGHT_TAIL
+        assert run_d("formal").tail == run_d("realized").tail
         assert run_d().tail.side == RIGHT_TAIL
         assert run_p().tail.side == LEFT_TAIL
 
-    def test_duality_dd(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["formal", "realized"])
+    def test_duality_dd(self, monkeypatch, kind, window=WINDOW):
         monkeypatch.setattr(functors, "ProjComplex", corrupting(break_dd))
         with pytest.raises(ConstructionError, match="d∘d"):
-            run_d()
+            run_d(kind, window)
 
-    def test_duality_seam(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["formal", "realized"])
+    def test_duality_seam(self, monkeypatch, kind, window=WINDOW):
         monkeypatch.setattr(functors, "ProjComplex", corrupting(break_seam))
         with pytest.raises(WindowTooSmall, match="duality output did not stabilize"):
-            run_d()
+            run_d(kind, window)
+
+    # on (0, 24) D stops at its head, degree 10, and the tail rule copies
+    # the rest: a break is caught where it was computed
+    @pytest.mark.parametrize("kind", ["formal", "realized"])
+    def test_duality_dd_past_the_head(self, monkeypatch, kind):
+        self.test_duality_dd(monkeypatch, kind, (0, 24))
+
+    @pytest.mark.parametrize("kind", ["formal", "realized"])
+    def test_duality_seam_past_the_head(self, monkeypatch, kind):
+        self.test_duality_seam(monkeypatch, kind, (0, 24))
 
     def test_resolution_dd(self, monkeypatch):
         monkeypatch.setattr(resolutions, "ProjComplex", corrupting(break_dd))

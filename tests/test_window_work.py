@@ -1,16 +1,17 @@
-"""The topological projector and Gaussian reduction do only the work their
-outputs read: CK builds only the cells of complete total degrees, only
-through its head, six degrees past the input's top, copying the rest by the
-column period, on objects and on maps, and rejects a head whose terms alone
-show no tail before building any matrix, the
+"""The topological projector, the duality functor and Gaussian reduction do
+only the work their outputs read: CK builds only the cells of complete total
+degrees, only through its head, six degrees past the input's top, copying
+the rest by the column period, on objects and on maps, and rejects a head
+whose terms alone show no tail before building any matrix, D computes a
+left-tailed input's image through its head and copies the rest, the
 reduction witnesses are built only when read, by replaying each logged
 cancellation as row and column operations, and the pivot scan resumes at the
 last cancellation. The full-work code they replaced is kept here as the
 reference, and so are the hand-coded projector columns that the
 structure-map table replaced. The eval pool's CK and P expressions are
-pinned against the benchmark's reference outputs. CK and the resolutions
+pinned against the benchmark's reference outputs. CK, D and the resolutions
 check d∘d only on the degrees they compute, a count pinned flat in the
-window, and every complex of the pool and of the suite's CK and P outputs
+window, and every complex of the pool and of the suite's CK, D and P outputs
 passes a full re-validation here, copies included."""
 
 import json
@@ -27,13 +28,15 @@ from hypothesis import strategies as st
 from jwcat import complexes, functors, verify
 from jwcat.complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, ProjBicomplex,
                              ProjChainMap, ProjComplex, RegimeError,
-                             Summand, _allowed_paths, attach_tail, gaussian_reduce,
-                             shift_summands, total_complex, total_layout)
+                             Summand, TailSpec, _allowed_paths, attach_tail,
+                             gaussian_reduce, realize, shift_summands,
+                             total_complex, total_layout)
 from jwcat.exprs import ObjectValue, _eval, evaluate, parse, render_value
 from jwcat.functors import (CK_on_map, CK_on_object, P_on_object, Setup,
                             _ck_column_map, _ck_tensor, _theta_parts,
-                            koszul_D_on_map, koszul_D_on_object)
-from jwcat.modules import left_multiplication_hom, projective, simple
+                            koszul_D_on_map, koszul_D_on_object, projector_depth)
+from jwcat.modules import (DUAL_VERTEX, left_multiplication_hom, projective,
+                           simple)
 from jwcat.quiver import build_theta
 from jwcat.resolutions import projective_resolution
 from jwcat.verify import VerificationConfig, run_suite
@@ -588,6 +591,38 @@ class TestProjectorBuildsOnlyWhatTheWindowReads:
             counts.append(sum(checked))
         assert counts[0] == counts[1] > 0
 
+    @pytest.mark.parametrize("name", ["D(P(P(1)))", "D(P(L(2)))"])
+    def test_duality_checks_and_realizes_as_much_at_every_window(self, name):
+        """D computes and validates its head and realizes only the input
+        degrees the head reads, so inside ``koszul_D_on_object``
+        ``ProjComplex._validate`` checks as many degrees, and
+        ``_alg_matrix_to_hom`` realizes as many differentials, at N = 24 as
+        at N = 96."""
+        counts, real_validate = [], ProjComplex._validate
+        real_hom = complexes._alg_matrix_to_hom
+        for n in (24, 96):
+            depth = projector_depth((0, n))
+            x = (P_on_object(SETUP, P_on_object(SETUP, projective(B, "1"), depth), depth)
+                 if name == "D(P(P(1)))" else P_on_object(SETUP, simple(B, "2"), depth))
+            checked, homs = [], []
+
+            def validate(c):
+                lo, hi = c.window()
+                checked.append(hi - lo + 1)
+                real_validate(c)
+
+            def to_hom(*args):
+                homs.append(args[0])
+                return real_hom(*args)
+
+            with mock.patch.object(ProjComplex, "_validate", validate), \
+                    mock.patch.object(complexes, "_alg_matrix_to_hom", to_hom):
+                out = koszul_D_on_object(SETUP, x, (0, n))
+            assert out.window()[1] == n
+            counts.append((sum(checked), len(homs)))
+        assert counts[0] == counts[1]
+        assert counts[0][0] > 0 and counts[0][1] > 0
+
     def test_a_hopeless_window_builds_no_bicomplex(self):
         inner = functors.CK_on_object(SETUP, ProjComplex.from_summand(B, "1"),
                                       out_window=(0, 12))
@@ -596,6 +631,121 @@ class TestProjectorBuildsOnlyWhatTheWindowReads:
         with mock.patch.object(functors, "ck_bicomplex",
                                side_effect=AssertionError("bicomplex built")):
             assert outcome(functors.CK_on_object, SETUP, inner, (0, 12)) == want
+
+
+# ---------------------------------------------------------------------------
+# the duality functor computes its head and copies
+# ---------------------------------------------------------------------------
+
+def ref_koszul_D(setup, x, out_window):
+    """D of a left-tailed input on every output degree: the input realized
+    down to the first whole period, walking down from its stored bottom,
+    whose degrees all land above out_hi + 1, D built and validated on the
+    whole window, and its tail detected at out_hi."""
+    Y = functors._as_module_complex(x)
+    out_lo, out_hi = out_window
+    lo, hi = Y.window()
+    p, mat = Y.tail.period, Y
+    while any(r + min(mat.term(r).degrees(), default=out_hi + 2) <= out_hi + 1
+              for r in range(lo, lo + p)):
+        lo -= p
+        mat = mat.materialize(lo, hi)
+    index = functors._dual_index(mat, out_window)
+    terms = {q: tuple(Summand(DUAL_VERTEX[lab], -s) for (_, s, _), (_, lab) in v.items())
+             for q, v in sorted(index.items())}
+    diffs = {}
+    for q, vecs in sorted(index.items()):
+        up = index.get(q + 1)
+        if up is None:
+            continue
+        d = AlgMatrix.zero(B, terms[q + 1], terms[q])
+        sign = -1 if q % 2 else 1
+        for (r, s, idx), (col, lab) in vecs.items():
+            functors._place_dual(d, col, mat.diff(r).mat(s), idx, up, (r + 1, s),
+                                 B.idempotent(DUAL_VERTEX[lab]))
+            for g in B.quiver.arrows:
+                if g.target == lab:
+                    functors._place_dual(d, col, mat.term(r).act_arrow(g.name, s), idx,
+                                         up, (r, s + g.degree), B.arrow_element(g.name),
+                                         sign)
+        diffs[q] = d
+    out = ProjComplex(B, terms, diffs, None, f"𝔻({Y.name})")
+    return attach_tail(out, out_window, RIGHT_TAIL,
+                       "duality output did not stabilize; enlarge the window")
+
+
+def odd_degrees_higher(offset):
+    """P(2)<-2r + offset·[r odd]> in each degree r <= 0, no differentials: a
+    left tail of period 2 and shift 4, whose odd degrees land ``offset``
+    degrees higher in D than the even ones."""
+    terms = {r: (Summand("2", -2 * r + offset * (r % 2)),) for r in range(-8, 1)}
+    return ProjComplex(B, terms, {}, TailSpec(LEFT_TAIL, -5, 2, 4), f"odd+{offset}")
+
+
+@st.composite
+def climbing_left_tails(draw):
+    """A left-tailed complex with zero differentials: period 1 to 3, a shift
+    above the period, one or two random summands in each degree of one
+    period, repeated down to the stored bottom."""
+    p = draw(st.integers(1, 3))
+    s = draw(st.integers(p + 1, p + 4))
+    summands = st.builds(Summand, st.sampled_from("12"), st.integers(-4, 4))
+    base = [tuple(draw(st.lists(summands, min_size=1, max_size=2))) for _ in range(p)]
+    lo = -3 * p - draw(st.integers(0, 2))
+    terms = {r: shift_summands(base[-r % p], s * (-r // p)) for r in range(lo, 1)}
+    return ProjComplex(B, terms, {}, TailSpec(LEFT_TAIL, lo + 2 * p - 1, p, s),
+                       "climbing")
+
+
+def pool_d_inputs(n):
+    """The left-tailed complexes the eval pool hands D at window (0, n)."""
+    inputs = {}
+    for expr in eval_reference()["expressions"]:
+        node = parse(expr)
+        while node is not None and node.kind == "apply":
+            if node.name == "D":
+                got = outcome(_eval, SETUP, node.child, (0, n))
+                if got[0] == "value" and isinstance(got[1], ProjComplex) \
+                        and got[1].tail is not None:
+                    inputs[repr(node.child)] = got[1]
+            node = node.child
+    return inputs
+
+
+class TestDualityComputesItsHeadAndCopies:
+    @pytest.mark.parametrize("n", [24, 48, 96])
+    def test_every_tailed_input_of_the_pool_gives_the_every_degree_output(self, n):
+        inputs = pool_d_inputs(n)
+        assert len(inputs) == 18
+        for key, x in sorted(inputs.items()):
+            got = outcome(koszul_D_on_object, SETUP, x, (0, n))
+            want = outcome(ref_koszul_D, SETUP, x, (0, n))
+            if got[0] == want[0] == "value":
+                got, want = complex_data(got[1]), complex_data(want[1])
+            assert got == want, key
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=climbing_left_tails())
+    def test_random_climbing_tails_give_the_every_degree_output(self, x):
+        got = outcome(koszul_D_on_object, SETUP, x, (0, 24))
+        want = outcome(ref_koszul_D, SETUP, x, (0, 24))
+        if got[0] == want[0] == "value":
+            got, want = complex_data(got[1]), complex_data(want[1])
+        assert got == want
+
+    @pytest.mark.parametrize("offset, n", [(10, 24), (10, 48), (20, 48), (30, 48)])
+    def test_a_period_two_tail_is_read_a_whole_period_down(self, offset, n):
+        """Degree r - 2 lands 4 - 2 = 2 higher in D than degree r, but odd
+        and even degrees alternate by ``offset``. A read that stopped at the
+        first degree landing past the window missed the even degrees below
+        it: on (0, 24) with offset 10, degrees 18–24 lacked summands."""
+        x = odd_degrees_higher(offset)
+        deep = functors._dual_index(realize(x.materialize(-200, 0)), (0, n))
+        got = koszul_D_on_object(SETUP, x, (0, n))
+        assert got.terms == {
+            q: tuple(Summand(DUAL_VERTEX[lab], -s) for (_, s, _), (_, lab) in v.items())
+            for q, v in deep.items()}
+        assert complex_data(got) == complex_data(ref_koszul_D(SETUP, x, (0, n)))
 
 
 def reproduce_eval_reference(pick) -> int:
@@ -690,8 +840,8 @@ class TestCopiesPassAFullValidation:
         assert values == 524
 
     def test_every_ck_and_p_output_of_the_suite(self, monkeypatch):
-        """Each complex the check suite at N = 48 reads out of CK and P, on
-        objects and as the sides of maps."""
+        """Each complex the check suite at N = 48 reads out of CK, D and P,
+        on objects and as the sides of maps."""
         outputs = []
 
         def recording(fn, complexes_of):
@@ -701,14 +851,14 @@ class TestCopiesPassAFullValidation:
                 return out
             return wrapped
 
-        for name in ("CK_on_object", "P_on_object"):
+        for name in ("CK_on_object", "P_on_object", "koszul_D_on_object"):
             monkeypatch.setattr(verify, name,
                                 recording(getattr(verify, name), lambda c: [c]))
-        for name in ("CK_on_map", "P_on_module_map"):
+        for name in ("CK_on_map", "P_on_module_map", "koszul_D_on_map"):
             monkeypatch.setattr(verify, name, recording(getattr(verify, name),
                                                         lambda f: [f.source, f.target]))
         report = run_suite(VerificationConfig(window=48))
         assert report.verdict_counts()["fail"] == 0
-        assert len(outputs) == 38
+        assert len(outputs) == 147
         for c in outputs:
             revalidate(c)
