@@ -37,7 +37,15 @@ caller passes only the window it works at. Below, a tail has direction o
   one period in, shifted by s, and the seam walk (for a resolution, its
   repeat d(i) = d(i + p)<s>; for D, its derived tail checked on the head)
   compared that value with the one a period further in, so every copied
-  d∘d product is a shifted computed one.
+  d∘d product is a shifted computed one. The map functors copy components
+  by the same rule: P's lift below its repeat, CK past both tops + 2 and
+  D past its cone's head (the lift repeat, the CK period and D's head
+  below). Each checks the chain identity only where it reads a computed
+  component (``ProjChainMap.check_identity``): P from the lowest solved
+  degree - 1 to -1, CK on its built degrees, D by its cone's d∘d on the
+  head. An identity past them reads copies of components and differentials
+  one period in, so it is the shifted copy of one nearer the seam, and by
+  induction of a checked one.
 * Ladder seam (``ladder_degrees``). A ladder family φ_i: A^i -> B^{i+offset}
   with a common tail repeats from the seam σ, where both A^i and
   B^{i+offset} lie in the tail: the later of ``start`` and
@@ -165,9 +173,29 @@ caller passes only the window it works at. Below, a tail has direction o
   down from e, degree r - p lands s - p higher than degree r, so once a
   whole input period lands above head + 1 every degree further out does
   too, and only the degrees from that period to the stored top are
-  materialized and realized. The map functor reads its sides through
-  out_hi instead, in the same walk, since its components are built on
-  every degree.
+  materialized and realized. A map f: X -> Y is read off D of its mapping
+  cone (``functors._cone``), cone^i = X^(i+1) ⊕ Y^i on the degrees where
+  every tailed side is stored, repeating with the lcm of the sides'
+  periods, on which their shifts must agree (else ``RegimeError``). D is
+  termwise, so D(cone)^q is D(X)^(q+1) ⊕ D(Y)^q, its differential has -d
+  of D(X) and d of D(Y) on the diagonal and D(f)^(q+1) below it, and its
+  d∘d states D(f)'s chain identity. D is built on (out_lo - 1, out_hi), so
+  both sides and the components come from one head with one d∘d check;
+  a tailed side takes the derived tail (from q0 + 1 for X), and the
+  components past the head are copied by it.
+* Lift repeat (``functors.lift_through_resolutions``). The comparison lift
+  φ between two resolutions solves at each degree i < 0 the system
+  d_N(i)∘φ_i = φ_(i+1)∘d_M(i), which reads the two differentials at i and
+  φ_(i+1). Let both resolutions follow their common tail (period p, shift
+  s, ``_common_tail``) from e on, and let φ_i = φ_(i+p)<s> with i - 1 <= e
+  and i + p <= 0. Then the system at i - 1 is the system at i - 1 + p
+  shifted by s, with the same coordinates in the same order, and
+  ``solve_from_columns`` returns a solution fixed by the system alone (its
+  reduced form), so φ_(i-1) = φ_(i-1+p)<s>, and by induction every
+  component below i is the copy of the one p above. The lift stops there
+  and ``_copy_outward`` fills the rest down to the higher of the two
+  bottoms; below that bottom a component maps into or out of zero. ℙ(e(1))
+  solves degrees 0, -1 and -2 at every depth.
 * Resolution repeat (``resolutions.resolve_complex``). The step that
   computes degree k of a resolution of Y covers the pairs (y, z), y in Y^k
   and z a cycle of P^(k+1), with d_Y(y) equal to the augmentation of z.
@@ -209,7 +237,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 
@@ -561,6 +589,16 @@ def _tail_break(c: _StoredComplex, t: TailSpec) -> tuple[str, int] | None:
     return None
 
 
+def _repeat_start(c: _StoredComplex, t: TailSpec) -> int:
+    """The innermost degree from which ``c`` follows the left tail ``t``:
+    ``_tail_break`` walks out from the stored top and is restarted one
+    degree past each break."""
+    e = c.window()[1]
+    while (broken := _tail_break(c, replace(t, start=e))) is not None:
+        e = broken[1] - 1
+    return e
+
+
 def detect_tail(c: ProjComplex, side: str) -> TailSpec | None:
     """Smallest periodic pattern, of period at most 4, visible over two
     periods at the outward end (the two-period seam of "Windows and
@@ -644,12 +682,18 @@ class ProjChainMap:
         for i, m in self.maps.items():
             if m.cols != self.source.term(i) or m.rows != self.target.term(i + self.degree):
                 raise ConstructionError(f"chain map component at {i} has wrong shape")
+        self.check_identity(-math.inf, math.inf)
+
+    def check_identity(self, lo: float, hi: float) -> None:
+        """The chain identity at each degree from ``lo`` to ``hi`` where it
+        reads stored degrees. A map functor that copies components past the
+        ones it computed passes the degrees that read a computed one."""
         # the identity at i reads source^i and target^(i+degree+1); past a
         # cut edge that has a tail the unstored degree is not zero, so not there
         (s_lo, s_hi), (t_lo, t_hi) = self.source.window(), self.target.window()
         t_lo, t_hi = t_lo - self.degree, t_hi - self.degree
-        lo = max(s_lo, t_lo if _has_tail(self.target, LEFT_TAIL) else t_lo - 1)
-        hi = min(s_hi - 1 if _has_tail(self.source, RIGHT_TAIL) else s_hi, t_hi - 1)
+        lo = max(lo, s_lo, t_lo if _has_tail(self.target, LEFT_TAIL) else t_lo - 1)
+        hi = min(hi, s_hi - 1 if _has_tail(self.source, RIGHT_TAIL) else s_hi, t_hi - 1)
         for i in range(lo, hi + 1):
             out, back = self.sides(i)
             if out != (-back if self.degree % 2 else back):

@@ -18,7 +18,11 @@ Conventions carried over from the rest of the package:
   whose ``source`` and ``target`` are the object functor's images: the
   projector takes a degree-0 ``ModuleHom``, the duality functor a degree-0
   ``ModuleHom`` or a ``ProjChainMap`` (as it takes a module or a formal
-  complex on objects), the topological projector a ``ProjChainMap``.
+  complex on objects), the topological projector a ``ProjChainMap``. Each
+  takes maps of degree 0 and refuses a homotopy. The duality functor reads
+  a map off its image of the map's mapping cone, and each map functor
+  computes its components through one head or period, copies the rest and
+  checks the chain identity where it reads a computed component.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ from .complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, Complex,
                         Summand, TailSpec, WindowTooSmall, attach_tail,
                         gaussian_reduce, realize, shift_summands,
                         total_complex, total_layout, total_terms,
-                        _alg_matrix_to_hom, _copy_outward, _mat_coords,
-                        _tail_break)
+                        _alg_matrix_to_hom, _common_tail, _copy_outward,
+                        _mat_coords, _repeat_start, _tail_break)
 from .linalg import Matrix, solve_from_columns
 from .modules import (C_TO_B, DUAL_VERTEX, PI_SHIFT, GradedModule, ModuleHom,
                       apply_pi, apply_pi_hom, projective, simple, injective2)
@@ -175,37 +179,63 @@ def P_on_object(setup: Setup, x, depth: int) -> ProjComplex:
     return out
 
 
-def _check_degree_zero(f: ModuleHom) -> None:
-    if f.degree != 0:
+def _check_degree_zero(f: ModuleHom | ProjChainMap) -> None:
+    """A map functor takes maps of degree 0; a ``ProjChainMap`` of another
+    degree is a homotopy, not a chain map."""
+    if f.degree == 0:
+        return
+    if isinstance(f, ModuleHom):
         raise ConstructionError("shift the source so the map has degree 0")
+    raise ConstructionError(f"{f.name} has degree {f.degree}; a map functor "
+                            f"takes chain maps of degree 0")
 
 
 def P_on_module_map(setup: Setup, f: ModuleHom, depth: int) -> ProjChainMap:
     """ℙ(f) for a degree-0 module map f: ι of the comparison lift of π(f),
-    checked once, as a chain map over B. A side whose π is zero is
-    ``ProjComplex.zero_complex``, and ℙ(f) then has no components."""
+    whose chain identity is checked over B on the degrees that read a solved
+    component. A side whose π is zero is ``ProjComplex.zero_complex``, and
+    ℙ(f) then has no components."""
     _check_degree_zero(f)
     resM = _section_resolution(setup, Complex.from_module(f.source), depth)
     resN = _section_resolution(setup, Complex.from_module(f.target), depth)
-    comps = {}
+    comps, solved = {}, 0
     if resM is not None and resN is not None:
         lift = lift_through_resolutions(*resM, *resN, apply_pi_hom(f, setup.C))
         comps = {i: _iota_translate_matrix(setup, m) for i, m in lift.items()}
+        solved = lift.solved
     srcB, tgtB = (ProjComplex.zero_complex(setup.B) if res is None
                   else iota_translate(setup, res[0]) for res in (resM, resN))
-    return ProjChainMap(srcB, tgtB, comps, f"ℙ({f.name})", validate=True)
+    out = ProjChainMap(srcB, tgtB, comps, f"ℙ({f.name})", validate=False)
+    # below solved - 1 each identity is the shifted copy of one a period up
+    out.check_identity(solved - 1, -1)
+    return out
+
+
+class _Lift(dict):
+    """A comparison lift, its components by degree, and ``solved``, the
+    lowest degree whose component was solved: the ones below are copies."""
+    solved: int
 
 
 def lift_through_resolutions(resM: ProjComplex, augM: dict[int, ModuleHom],
                              resN: ProjComplex, augN: dict[int, ModuleHom],
-                             f0: ModuleHom) -> dict[int, AlgMatrix]:
+                             f0: ModuleHom) -> _Lift:
     """Comparison lift: the chain map between resolutions that covers f0 in
     degree 0, solved from degree 0 down, each solution entering the next;
     below degree 0 on the formal matrices. Realization is faithful and
     respects composition, so each system keeps its solution set, and that
-    set alone fixes the reduced echelon form ``solve_from_columns`` reads."""
-    lift: dict[int, AlgMatrix] = {}
-    for i in range(0, resM.window()[0] - 1, -1):
+    set alone fixes the reduced echelon form ``solve_from_columns`` reads.
+
+    The lift stops at the higher of the two resolutions' bottoms: below it a
+    component maps into or out of zero. With a common tail of period p and
+    shift s, it stops once lift[i] = lift[i + p]<s>, where i - 1 <= e, the
+    innermost degree from which both resolutions follow the tail, and copies
+    the rest (the lift repeat of "Windows and margins" in the ``complexes``
+    module docstring)."""
+    lift = _Lift()
+    bottom = max(resM.window()[0], resN.window()[0])
+    t, e = _common_tail(resM, resN), None
+    for i in range(0, bottom - 1, -1):
         ladder = LadderSystem([LadderFamily(resM, resN, 0, (i, i))])
         if i == 0:   # augN∘φ_0 = f0∘augM on the realized degree-0 covers
             cover, want = augM[0].source, f0.compose(augM[0])
@@ -226,7 +256,14 @@ def lift_through_resolutions(resM: ProjComplex, augM: dict[int, ModuleHom],
         sol = solve_from_columns(column, ladder.n, rhs)
         if sol is None:
             raise ConstructionError(f"resolution lift failed at degree {i}")
-        lift[i] = ladder.build(sol)[0].component(i)
+        lift[i], lift.solved = ladder.build(sol)[0].component(i), i
+        if t is not None and i + t.period <= 0 \
+                and lift[i] == lift[i + t.period].shifted(t.shift):
+            if e is None:
+                e = min(_repeat_start(resM, t), _repeat_start(resN, t))
+            if i - 1 <= e:
+                _copy_outward(lift, t, i, bottom, AlgMatrix.shifted)
+                break
     return lift
 
 
@@ -243,7 +280,9 @@ def koszul_D_on_object(setup: Setup, x, out_window: tuple[int, int] | None = Non
     left-tailed input is computed through D's head of "Windows and margins"
     in the ``complexes`` module docstring and extended by the tail derived
     there."""
-    return _koszul_D(setup, x, out_window)[0]
+    out, _, tail = _koszul_D(setup, x, out_window)
+    return out if tail is None else attach_tail(out, out_window, RIGHT_TAIL,
+                                                _DUAL_UNSTABLE)
 
 
 def _dual_index(c: Complex, out_window: tuple[int, int]
@@ -264,32 +303,39 @@ def _dual_index(c: Complex, out_window: tuple[int, int]
 
 
 def _term_degrees(B: PathAlgebra, Y: ProjComplex | Complex, r: int) -> list[int]:
-    """The internal degrees of Y^r. A formal summand P(v)<k> spans k + deg(q)
-    for the paths q of P(v), so a formal term is read without realizing it."""
+    """The internal degree of each basis vector of Y^r. A formal summand
+    P(v)<k> spans k + deg(q) for the paths q of P(v), so a formal term is
+    read without realizing it."""
     if isinstance(Y, ProjComplex):
         return [s.shift + B.path_degree(q) for s in Y.term(r)
                 for q in B.projective_paths[s.vertex]]
-    return Y.term(r).degrees()
+    M = Y.term(r)
+    return [s for s in M.degrees() for _ in range(M.dim(s))]
 
 
-def _koszul_D(setup: Setup, x, out_window: tuple[int, int] | None,
-              through: int | None = None):
-    """``koszul_D_on_object``, together with the ``_dual_index`` of its input
-    through degree ``through`` (the head when None) and that input realized
-    on the degrees the index reads, which the map functor reads.
+_DUAL_UNSTABLE = "duality output did not stabilize; enlarge the window"
 
-    On a left-tailed input this is D's head of "Windows and margins" in the
-    ``complexes`` module docstring: e is the innermost degree from which the
-    input follows its tail, D is computed and validated through the head, its
-    derived tail is checked there, and ``attach_tail`` extends it."""
+
+def _koszul_D(setup: Setup, x, out_window: tuple[int, int] | None
+              ) -> tuple[ProjComplex, dict, TailSpec | None]:
+    """D of ``x`` as computed and validated, with the ``_dual_index`` of the
+    input degrees it read and, for a left-tailed input, the tail it derived.
+
+    A bounded input gives every degree of the window. On a left-tailed input
+    this is D's head of "Windows and margins" in the ``complexes`` module
+    docstring: e is the innermost degree from which the input follows its
+    tail, D is computed and validated through the head, and its derived tail
+    is checked there and carried when the head stops short of out_hi, for
+    ``attach_tail`` to extend it."""
     B = setup.B
     Y = x if isinstance(x, ProjComplex) else _as_module_complex(x)
     t = Y.tail
     if t is not None and t.side == RIGHT_TAIL:
         raise RegimeError("duality input must be bounded above")
+    tail = None
     if t is None:
         out_window = out_window or (-math.inf, math.inf)
-        head = through = out_window[1]
+        head = out_window[1]
         mat = _as_module_complex(Y)
     else:
         if t.shift <= t.period:
@@ -299,9 +345,7 @@ def _koszul_D(setup: Setup, x, out_window: tuple[int, int] | None,
                               "by more than its period")
         if out_window is None:
             raise RegimeError("a left-tailed duality input needs an output window")
-        e = Y.window()[1]
-        while (broken := _tail_break(Y, replace(t, start=e))) is not None:
-            e = broken[1] - 1
+        e = _repeat_start(Y, t)
         reach = max(r + max(_term_degrees(B, Y, r)) for r in Y.terms if r > e)
         climb = t.shift - t.period
         period = climb if climb % 2 == 0 else 2 * climb   # d carries (-1)^q
@@ -309,17 +353,16 @@ def _koszul_D(setup: Setup, x, out_window: tuple[int, int] | None,
         tail = TailSpec(RIGHT_TAIL, q0, period, -t.shift * period // climb)
         head = min(out_window[1], q0 + 2 * period - 1)
         # the read: the first whole input period, walking down from e, whose
-        # degrees land above through + 1 is the last one realized
-        through = head if through is None else through
+        # degrees land above head + 1 is the last one realized
         lows = [j + min(ds) for j in range(e - t.period + 1, e + 1)
                 if (ds := _term_degrees(B, Y, j))]
-        k = max([0] + [(through + 1 - m) // climb + 1 for m in lows])
+        k = max([0] + [(head + 1 - m) // climb + 1 for m in lows])
         lo, hi = e - t.period + 1 - k * t.period, Y.window()[1]
         mat = _as_module_complex(Y.materialize(lo, hi).clip(lo, hi))
 
-    index = _dual_index(mat, (out_window[0], through))
+    index = _dual_index(mat, (out_window[0], head))
     terms = {p: tuple(Summand(DUAL_VERTEX[lab], -s) for (_, s, _), (_, lab) in vecs.items())
-             for p, vecs in sorted(index.items()) if p <= head}
+             for p, vecs in sorted(index.items())}
 
     diffs: dict[int, AlgMatrix] = {}
     for p in terms:
@@ -341,14 +384,12 @@ def _koszul_D(setup: Setup, x, out_window: tuple[int, int] | None,
         diffs[p] = d
 
     out = ProjComplex(B, terms, diffs, None, f"𝔻({Y.name})", validate=True)
-    if t is not None:
-        message = "duality output did not stabilize; enlarge the window"
+    if tail is not None:
         if _tail_break(out, tail) is not None:
-            raise WindowTooSmall(message)
+            raise WindowTooSmall(_DUAL_UNSTABLE)
         if head < out_window[1]:
             out = ProjComplex(B, out.terms, out.diffs, tail, out.name, validate=False)
-        out = attach_tail(out, out_window, RIGHT_TAIL, message)
-    return out, index, mat
+    return out, index, tail
 
 
 def _place_dual(d: AlgMatrix, col: int, mat: Matrix, idx: int, index: dict,
@@ -363,46 +404,105 @@ def _place_dual(d: AlgMatrix, col: int, mat: Matrix, idx: int, index: dict,
             d.entries[hit[0]][col] = d.entries[hit[0]][col] + z.scale(sign * coef)
 
 
+def _cone(f: ModuleHom | ProjChainMap) -> Complex | ProjComplex:
+    """The mapping cone of a degree-0 map f: X -> Y, cone(f)^i = X^(i+1) ⊕ Y^i
+    with differential [[-d_X, 0], [f, d_Y]]; a module map is read in
+    homological degree 0. Each term lays X's summands first.
+
+    A formal cone repeats with the sides' common tail, the lcm of their
+    periods, on which their shifts must agree, and is stored from the
+    highest stored bottom of a left-tailed side (D refuses a right tail
+    before it reads the cone). ``_koszul_D`` walks the stored degrees for
+    the repeat, so the tail's start is the stored bottom."""
+    if isinstance(f, ModuleHom):
+        return Complex(f.source.algebra, {-1: f.source, 0: f.target}, {-1: f},
+                       name=f"cone({f.name})")
+    X, Y = f.source, f.target
+    # X^i lies in cone degree i - 1
+    spans = [(c.window()[0] - o, c.window()[1] - o, c.tail)
+             for c, o in ((X, 1), (Y, 0)) if c.terms]
+    lo = min((s[0] for s in spans), default=0)
+    hi = max((s[1] for s in spans), default=-1)
+    tails = [t for _, _, t in spans if t is not None]
+    tail = None
+    if tails:
+        period = math.lcm(*(t.period for t in tails))
+        kinds = {(t.side, t.shift * period // t.period) for t in tails}
+        if len(kinds) > 1:
+            raise RegimeError(f"the tails of the source and target of {f.name} "
+                              f"do not agree")
+        ((side, shift),) = kinds
+        if side == LEFT_TAIL:
+            lo = max(s_lo for s_lo, _, t in spans if t is not None)
+        tail = TailSpec(side, lo, period, shift)
+    terms = {i: X.term(i + 1) + Y.term(i) for i in range(lo, hi + 1)}
+    diffs = {}
+    for i in range(lo, hi):
+        d = AlgMatrix.zero(X.algebra, terms[i + 1], terms[i])
+        up = len(X.term(i + 2))
+        d.place(-X.diff(i + 1), 0, 0)
+        d.place(f.component(i + 1), up, 0)
+        d.place(Y.diff(i), up, len(X.term(i + 1)))
+        diffs[i] = d
+    return ProjComplex(X.algebra, terms, diffs, tail, f"cone({f.name})", validate=False)
+
+
+def _block(m: AlgMatrix, rows: list[int], cols: list[int]) -> AlgMatrix:
+    return AlgMatrix(m.algebra, tuple(m.rows[i] for i in rows),
+                     tuple(m.cols[j] for j in cols),
+                     [[m.entries[i][j] for j in cols] for i in rows], validate=False)
+
+
 def koszul_D_on_map(setup: Setup, f: ModuleHom | ProjChainMap,
                     out_window: tuple[int, int]) -> ProjChainMap:
     """Induced map m⊗g -> f(m)⊗g: entries are the scalar coefficients of f
     placed between matching summands.
 
     f is a degree-0 module map, read in homological degree 0, or a formal
-    chain map, realized here on the degrees its sides' constructions read
-    through out_hi, as ``koszul_D_on_object`` reads a module or a formal
-    complex. The object construction extends a left-tailed source or target
-    past its stored degrees; f has no component there, so when an output
-    degree reads such a degree this raises ``WindowTooSmall`` naming it."""
+    chain map. D is termwise, so D of f's mapping cone (``_cone``) is the
+    cone of D(f), and both sides and the components are read off its one
+    construction ("D's head" in "Windows and margins" of the ``complexes``
+    module docstring): in D(cone)^q the vector (r, s, idx) is the vector
+    (r + 1, s, idx) of D(X)^(q+1) when idx < dim X^(r+1)_s, else one of
+    D(Y)^q, each side in its own order."""
+    _check_degree_zero(f)
     B = setup.B
+    lo, hi = out_window
     if isinstance(f, ModuleHom):
-        _check_degree_zero(f)
-    DX, vx, X = _koszul_D(setup, f.source, out_window, out_window[1])
-    DY, vy, Y = _koszul_D(setup, f.target, out_window, out_window[1])
-    if isinstance(f, ModuleHom):
-        homs, stored = {0: f}, {0}
+        X, Y = Complex.from_module(f.source), Complex.from_module(f.target)
     else:
-        homs = {i: _alg_matrix_to_hom(m, X.term(i), Y.term(i), f.source.algebra)
-                for i, m in f.maps.items() if i in X.terms and i in Y.terms}
-        stored = f.source.terms.keys() & f.target.terms.keys()
-    hi = min(DX.window()[1], DY.window()[1])
-    comps: dict[int, AlgMatrix] = {}
-    for p in sorted(set(vx) & set(vy)):
-        if p > hi:
-            continue
-        m = AlgMatrix.zero(B, DY.term(p), DX.term(p))
-        target_rs = {(r, s) for (r, s, _) in vy[p]}
-        for (r, s, idx), (col, lab) in vx[p].items():
-            if (r, s) in target_rs and r not in stored:
-                raise WindowTooSmall(
-                    f"𝔻({f.name}) at degree {p} needs the component of "
-                    f"{f.name} at degree {r}, past its stored degrees; "
-                    f"resolve it deeper")
-            if r in homs:
-                _place_dual(m, col, homs[r].mat(s), idx, vy[p], (r, s),
-                            B.idempotent(DUAL_VERTEX[lab]))
-        comps[p] = m
-    return ProjChainMap(DX, DY, comps, f"𝔻({f.name})", validate=True)
+        X, Y = f.source, f.target
+    head, index, tail = _koszul_D(setup, _cone(f), (lo - 1, hi))
+    if X.tail is not None and index:   # the read may reach below X's stored bottom
+        lowest = min(r for vecs in index.values() for r, _, _ in vecs)
+        X = X.materialize(lowest + 1, X.window()[1])
+    xs: dict[int, list[int]] = {}
+    ys: dict[int, list[int]] = {}
+    for q in head.terms:
+        dims: dict[int, int] = {}
+        for (r, s, idx), (k, _) in index[q].items():
+            if r not in dims:
+                dims[r] = _term_degrees(B, X, r + 1).count(s)
+            (xs if idx < dims[r] else ys).setdefault(q, []).append(k)
+    sides = []
+    for c, part, up in ((X, xs, 1), (Y, ys, 0)):
+        terms = {q + up: tuple(head.term(q)[k] for k in ks) for q, ks in part.items()}
+        diffs = {q + up: _block(head.diff(q), part[q + 1], ks)
+                 for q, ks in part.items() if q + 1 in part}
+        if up:   # the X block of the cone's d is -d_X
+            diffs = {q: -d for q, d in diffs.items()}
+        side = ProjComplex(B, terms, diffs,
+                           head.tail and replace(tail, start=tail.start + up),
+                           f"𝔻({c.name})", validate=False)
+        sides.append(side.clip(lo, hi) if c.tail is None else
+                     attach_tail(side, out_window, RIGHT_TAIL, _DUAL_UNSTABLE))
+    DX, DY = sides
+    comps = {q + 1: _block(head.diff(q), ys[q + 1], xs[q])
+             for q in xs if q + 1 in ys}
+    if head.tail is not None:
+        _copy_outward(comps, tail, head.window()[1],
+                      min(DX.window()[1], DY.window()[1]), AlgMatrix.shifted)
+    return ProjChainMap(DX, DY, comps, f"𝔻({f.name})", validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -623,9 +723,12 @@ def CK_on_map(setup: Setup, f: ProjChainMap, out_window: tuple[int, int]
     is the one two degrees down shifted by -4 (the CK period in "Windows and
     margins" of the ``complexes`` module docstring), so the components are
     built through n0 + 1, and through out_lo + 1 at least, on the cell
-    layout of the two constructions, and copied beyond; the chain map is
-    validated on every degree. A right-tailed side has its top at out_hi,
-    so there every component is built."""
+    layout of the two constructions, and copied beyond. The chain identity
+    is checked on the built degrees, the last of which reads one copy: past
+    them each identity is the one two degrees down shifted by -4. A
+    right-tailed side has its top at out_hi, so there every component is
+    built."""
+    _check_degree_zero(f)
     CX, bcX = _ck_total(setup, f.source, out_window)
     CY, bcY = _ck_total(setup, f.target, out_window)
     lo, hi = out_window[0], min(CX.window()[1], CY.window()[1])
@@ -641,7 +744,9 @@ def CK_on_map(setup: Setup, f: ProjChainMap, out_window: tuple[int, int]
                 m.place(_ck_tensor(setup, f.component(i), k), cells_y[(k, i)], co)
         comps[n] = m
     _copy_outward(comps, _CK_PERIOD, built, hi, AlgMatrix.shifted)
-    return ProjChainMap(CX, CY, comps, f"ℂ𝕂({f.name})", validate=True)
+    out = ProjChainMap(CX, CY, comps, f"ℂ𝕂({f.name})", validate=False)
+    out.check_identity(lo, built)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from jwcat.complexes import (LEFT_TAIL, AlgMatrix, Complex, ProjChainMap,
-                             ProjComplex, RegimeError, Summand, WindowTooSmall,
-                             gaussian_reduce, homology,
+from jwcat import functors
+from jwcat.complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, Complex,
+                             ProjChainMap, ProjComplex, RegimeError, Summand,
+                             TailSpec, gaussian_reduce, homology,
                              iso_in_homotopy_category,
                              maps_agree_under_identification, realize,
                              reduce_on_window)
@@ -68,6 +70,14 @@ try:
 except RegimeError:
     print("RegimeError")
 """
+
+
+def identity_homotopy(setup):
+    """h: P(1) in degree 0 -> P(1) in degree -1 with h_0 = id, a map of
+    degree -1."""
+    x = ProjComplex.from_summand(setup.B, "1")
+    return ProjChainMap(x, x.shift(0, 1), {0: AlgMatrix.identity(setup.B, x.term(0))},
+                        "h", degree=-1)
 
 
 def assert_same_complex(x, y):
@@ -305,16 +315,18 @@ class TestDuality:
         with pytest.raises(RegimeError, match="needs an output window"):
             koszul_D_on_object(setup, x)
 
-    def test_map_past_its_stored_degrees_is_window_too_small(self, setup):
-        # 𝔻 extends the left-tailed source and target of ℙ(e(1)) by their
-        # tails; a short lift has no components there
+    def test_map_extended_past_its_stored_degrees(self, setup):
+        # a short lift is extended by the tail of its mapping cone, as its
+        # source and target are, so it gives what a long one gives
         f0 = generator_maps(setup)["e(1)"]
-        short = P_on_module_map(setup, f0, depth=3)
-        with pytest.raises(WindowTooSmall, match="at degree 5 .* at degree -4"):
-            koszul_D_on_map(setup, short, out_window=(0, 12))
-        Df = koszul_D_on_map(setup, P_on_module_map(setup, f0, depth=18),
-                             out_window=(0, 12))
-        assert Df.source.window() == Df.target.window() == (1, 12)
+        w = (0, 12)
+        long = koszul_D_on_map(setup, P_on_module_map(setup, f0, depth=18), w)
+        assert long.source.window() == long.target.window() == (1, 12)
+        for depth in (3, 4, 5, 8):
+            short = koszul_D_on_map(setup, P_on_module_map(setup, f0, depth=depth), w)
+            assert_same_complex(short.source, long.source)
+            assert_same_complex(short.target, long.target)
+            assert short.maps == long.maps, depth
 
     def test_map_of_nonzero_degree_is_rejected(self, setup):
         B = setup.B
@@ -322,6 +334,35 @@ class TestDuality:
         with pytest.raises(ConstructionError,
                            match="shift the source so the map has degree 0"):
             koszul_D_on_map(setup, f, out_window=(0, 8))
+
+    def test_a_homotopy_is_rejected(self, setup):
+        """A ``ProjChainMap`` of degree -1 is a homotopy, not a chain map:
+        D refuses it before it builds anything."""
+        with mock.patch.object(functors, "_koszul_D",
+                               side_effect=AssertionError("built")):
+            with pytest.raises(ConstructionError, match="h has degree -1"):
+                koszul_D_on_map(setup, identity_homotopy(setup), out_window=(0, 6))
+
+    def test_a_right_tailed_input_is_a_regime_error(self, setup):
+        # CK(P(1)) has a right tail, and so do both sides of its identity
+        x = CK_on_object(setup, ProjComplex.from_summand(setup.B, "1"), (0, 8))
+        assert x.tail.side == RIGHT_TAIL
+        with pytest.raises(RegimeError, match="duality input must be bounded above"):
+            koszul_D_on_object(setup, x, (0, 8))
+        with pytest.raises(RegimeError, match="duality input must be bounded above"):
+            koszul_D_on_map(setup, ProjChainMap.identity(x), (0, 8))
+
+    def test_a_map_between_tails_that_do_not_agree_is_a_regime_error(self, setup):
+        """P(2)<-2r> and P(2)<-3r> in each degree r <= 0 repeat with period 1
+        and shifts 2 and 3, so the mapping cone D reads has no tail."""
+        def climbing(shift):
+            terms = {r: (Summand("2", -shift * r),) for r in range(-8, 1)}
+            return ProjComplex(setup.B, terms, {}, TailSpec(LEFT_TAIL, -6, 1, shift),
+                               f"climb{shift}")
+        zero = ProjChainMap(climbing(2), climbing(3), {}, "z")
+        with pytest.raises(RegimeError, match="tails of the source and target of z "
+                                              "do not agree"):
+            koszul_D_on_map(setup, zero, (0, 12))
 
     def test_a_left_tail_that_does_not_climb_is_a_regime_error(self):
         """P(2) in every degree <= 0, with zero differentials: each period
@@ -365,6 +406,12 @@ class TestTopologicalProjector:
         for i, m in f.maps.items():
             for k in range(len(m.rows)):
                 assert m.entries[k][k].scalar_part() == 1
+
+    def test_a_homotopy_is_rejected(self, setup):
+        with mock.patch.object(functors, "_ck_total",
+                               side_effect=AssertionError("built")):
+            with pytest.raises(ConstructionError, match="h has degree -1"):
+                CK_on_map(setup, identity_homotopy(setup), out_window=(0, 6))
 
     def test_map_source_and_target_are_the_object_images(self, setup):
         w = (0, 12)

@@ -55,9 +55,17 @@ def ref_lift_through_resolutions(alg, resM, augM, resN, augN, f0):
     return lift
 
 
+def kept(lift):
+    """The components a ``ProjChainMap`` keeps: rows and columns nonempty.
+    The formal lift stops at the higher of the two resolutions' bottoms,
+    where the reference solves on for components into zero."""
+    return {i: m for i, m in lift.items() if m.rows and m.cols}
+
+
 def both_lifts(f, depth):
     """The lift of π(f), formal and module-level, between the resolutions
-    that P resolves; the formal one checked to realize only degree 0."""
+    that P resolves, as kept; the formal one checked to realize only
+    degree 0."""
     resM, augM = _section_resolution(SETUP, Complex.from_module(f.source), depth)
     resN, augN = _section_resolution(SETUP, Complex.from_module(f.target), depth)
     pif = apply_pi_hom(f, C)
@@ -71,7 +79,7 @@ def both_lifts(f, depth):
             mock.patch.object(functors, "realize", side_effect=AssertionError):
         got = functors.lift_through_resolutions(resM, augM, resN, augN, pif)
     assert sources and all(s is augM[0].source for s in sources)
-    return got, ref_lift_through_resolutions(C, resM, augM, resN, augN, pif)
+    return kept(got), kept(ref_lift_through_resolutions(C, resM, augM, resN, augN, pif))
 
 
 def degree_zero_maps():

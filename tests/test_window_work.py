@@ -12,7 +12,10 @@ structure-map table replaced. The eval pool's CK and P expressions are
 pinned against the benchmark's reference outputs. CK, D and the resolutions
 check d∘d only on the degrees they compute, a count pinned flat in the
 window, and every complex of the pool and of the suite's CK, D and P outputs
-passes a full re-validation here, copies included."""
+passes a full re-validation here, copies included. D reads a map off its
+image of the map's mapping cone, pinned against the every-degree placement
+it replaced, and the map functors' lift systems and chain-identity reads
+are pinned flat too, with every map they build re-validated in full."""
 
 import json
 import re
@@ -25,18 +28,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jwcat import complexes, functors, verify
+from jwcat import complexes, exprs, functors, verify
 from jwcat.complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, ProjBicomplex,
                              ProjChainMap, ProjComplex, RegimeError,
-                             Summand, TailSpec, _allowed_paths, attach_tail,
+                             Summand, TailSpec, WindowTooSmall,
+                             _alg_matrix_to_hom, _allowed_paths, attach_tail,
                              gaussian_reduce, realize, shift_summands,
                              total_complex, total_layout)
 from jwcat.exprs import ObjectValue, _eval, evaluate, parse, render_value
-from jwcat.functors import (CK_on_map, CK_on_object, P_on_object, Setup,
-                            _ck_column_map, _ck_tensor, _theta_parts,
-                            koszul_D_on_map, koszul_D_on_object, projector_depth)
-from jwcat.modules import (DUAL_VERTEX, left_multiplication_hom, projective,
-                           simple)
+from jwcat.functors import (CK_on_map, CK_on_object, P_on_module_map,
+                            P_on_object, Setup, _ck_column_map, _ck_tensor,
+                            _theta_parts, koszul_D_on_map, koszul_D_on_object,
+                            projector_depth)
+from jwcat.modules import (DUAL_VERTEX, ModuleHom, left_multiplication_hom,
+                           projective, simple)
 from jwcat.quiver import build_theta
 from jwcat.resolutions import projective_resolution
 from jwcat.verify import VerificationConfig, run_suite
@@ -642,15 +647,7 @@ def ref_koszul_D(setup, x, out_window):
     down to the first whole period, walking down from its stored bottom,
     whose degrees all land above out_hi + 1, D built and validated on the
     whole window, and its tail detected at out_hi."""
-    Y = functors._as_module_complex(x)
-    out_lo, out_hi = out_window
-    lo, hi = Y.window()
-    p, mat = Y.tail.period, Y
-    while any(r + min(mat.term(r).degrees(), default=out_hi + 2) <= out_hi + 1
-              for r in range(lo, lo + p)):
-        lo -= p
-        mat = mat.materialize(lo, hi)
-    index = functors._dual_index(mat, out_window)
+    index, mat = ref_dual_read(x, out_window)
     terms = {q: tuple(Summand(DUAL_VERTEX[lab], -s) for (_, s, _), (_, lab) in v.items())
              for q, v in sorted(index.items())}
     diffs = {}
@@ -669,9 +666,62 @@ def ref_koszul_D(setup, x, out_window):
                                          up, (r, s + g.degree), B.arrow_element(g.name),
                                          sign)
         diffs[q] = d
-    out = ProjComplex(B, terms, diffs, None, f"𝔻({Y.name})")
+    out = ProjComplex(B, terms, diffs, None, f"𝔻({mat.name})")
     return attach_tail(out, out_window, RIGHT_TAIL,
                        "duality output did not stabilize; enlarge the window")
+
+
+def ref_dual_read(x, out_window):
+    """What D reads of ``x``: x realized, and for a left-tailed x extended
+    down to the first whole period, walking down from its stored bottom,
+    whose degrees all land above out_hi + 1; with its ``_dual_index`` on the
+    window."""
+    mat = functors._as_module_complex(x)
+    if mat.tail is not None:
+        out_hi = out_window[1]
+        lo, hi = mat.window()
+        p = mat.tail.period
+        while any(r + min(mat.term(r).degrees(), default=out_hi + 2) <= out_hi + 1
+                  for r in range(lo, lo + p)):
+            lo -= p
+            mat = mat.materialize(lo, hi)
+    return functors._dual_index(mat, out_window), mat
+
+
+def ref_koszul_D_on_map(setup, f, out_window):
+    """D(f) as it was built before it was read off the mapping cone: the
+    object images as sides, each component placed on every degree from the
+    realized components of f, and the chain map validated on every degree.
+    An output degree that needs f past its stored degrees raises
+    ``WindowTooSmall``."""
+    DX = koszul_D_on_object(setup, f.source, out_window)
+    DY = koszul_D_on_object(setup, f.target, out_window)
+    vx, X = ref_dual_read(f.source, out_window)
+    vy, Y = ref_dual_read(f.target, out_window)
+    if isinstance(f, ModuleHom):
+        homs, stored = {0: f}, {0}
+    else:
+        homs = {i: _alg_matrix_to_hom(m, X.term(i), Y.term(i), B)
+                for i, m in f.maps.items() if i in X.terms and i in Y.terms}
+        stored = f.source.terms.keys() & f.target.terms.keys()
+    hi = min(DX.window()[1], DY.window()[1])
+    comps = {}
+    for p in sorted(set(vx) & set(vy)):
+        if p > hi:
+            continue
+        m = AlgMatrix.zero(B, DY.term(p), DX.term(p))
+        target_rs = {(r, s) for (r, s, _) in vy[p]}
+        for (r, s, idx), (col, lab) in vx[p].items():
+            if (r, s) in target_rs and r not in stored:
+                raise WindowTooSmall(
+                    f"𝔻({f.name}) at degree {p} needs the component of "
+                    f"{f.name} at degree {r}, past its stored degrees; "
+                    f"resolve it deeper")
+            if r in homs:
+                functors._place_dual(m, col, homs[r].mat(s), idx, vy[p], (r, s),
+                                     B.idempotent(DUAL_VERTEX[lab]))
+        comps[p] = m
+    return ProjChainMap(DX, DY, comps, f"𝔻({f.name})", validate=True)
 
 
 def odd_degrees_higher(offset):
@@ -697,19 +747,24 @@ def climbing_left_tails(draw):
                        "climbing")
 
 
-def pool_d_inputs(n):
-    """The left-tailed complexes the eval pool hands D at window (0, n)."""
-    inputs = {}
+def pool_d_arguments(n):
+    """What the eval pool hands D at window (0, n), by argument expression."""
+    arguments = {}
     for expr in eval_reference()["expressions"]:
         node = parse(expr)
         while node is not None and node.kind == "apply":
             if node.name == "D":
                 got = outcome(_eval, SETUP, node.child, (0, n))
-                if got[0] == "value" and isinstance(got[1], ProjComplex) \
-                        and got[1].tail is not None:
-                    inputs[repr(node.child)] = got[1]
+                if got[0] == "value":
+                    arguments[repr(node.child)] = got[1]
             node = node.child
-    return inputs
+    return arguments
+
+
+def pool_d_inputs(n):
+    """The left-tailed complexes the eval pool hands D at window (0, n)."""
+    return {key: x for key, x in pool_d_arguments(n).items()
+            if isinstance(x, ProjComplex) and x.tail is not None}
 
 
 class TestDualityComputesItsHeadAndCopies:
@@ -747,6 +802,69 @@ class TestDualityComputesItsHeadAndCopies:
             for q, v in deep.items()}
         assert complex_data(got) == complex_data(ref_koszul_D(SETUP, x, (0, n)))
 
+
+def pool_d_maps(n):
+    """The maps the eval pool hands D at window (0, n)."""
+    return {key: f for key, f in pool_d_arguments(n).items()
+            if isinstance(f, (ProjChainMap, ModuleHom))}
+
+
+def suite_d_maps(n):
+    """The maps the check suite hands D at window (0, n): the generator maps
+    and their P images."""
+    maps = {}
+    for name, (z, src, tgt) in SETUP.generator_maps().items():
+        f0 = left_multiplication_hom(src, tgt, z, name)
+        maps[name] = f0
+        maps[f"P({name})"] = P_on_module_map(SETUP, f0, projector_depth((0, n)))
+    return maps
+
+
+class TestDualityReadsMapsOffTheCone:
+    @pytest.mark.parametrize("n", [24, 48, 96])
+    def test_every_map_of_the_pool_and_the_suite_gives_the_placed_output(self, n):
+        pool, suite = pool_d_maps(n), suite_d_maps(n)
+        assert len(pool) == 15 and len(suite) == 10
+        for key, f in sorted({**pool, **{f"suite {k}": f for k, f in suite.items()}}.items()):
+            got = outcome(koszul_D_on_map, SETUP, f, (0, n))
+            want = outcome(ref_koszul_D_on_map, SETUP, f, (0, n))
+            if got[0] == want[0] == "value":
+                got, want = value_data(got[1]), value_data(want[1])
+            assert got == want, key
+
+    @pytest.mark.parametrize("name", ["D(P(e(1)))", "CK(D(e(1)))", "P(e(1))"])
+    def test_map_functors_compute_and_check_as_much_at_every_window(self, name):
+        """D reads a map off one cone head, CK builds its components through
+        its head and P solves its lift down to the lift repeat, and each
+        checks the chain identity only where it reads a computed component:
+        the realized homs, the ``sides`` read and the lift systems solved are
+        as many at N = 24 as at N = 96."""
+        node = parse(name)
+        counts = []
+        real_sides, real_hom = ProjChainMap.sides, complexes._alg_matrix_to_hom
+        real_solve = functors.solve_from_columns
+
+        def counted(log, real):
+            def wrapped(*args):
+                log.append(args)
+                return real(*args)
+            return wrapped
+
+        for n in (24, 96):
+            w = (0, n)
+            f = _eval(SETUP, node.child, w)
+            sides, homs, systems = [], [], []
+            with mock.patch.object(ProjChainMap, "sides", counted(sides, real_sides)), \
+                    mock.patch.object(complexes, "_alg_matrix_to_hom",
+                                      counted(homs, real_hom)), \
+                    mock.patch.object(functors, "solve_from_columns",
+                                      counted(systems, real_solve)):
+                out = exprs._apply_functor_to_map(SETUP, node.name, f, w, ())
+            assert out.maps
+            counts.append((len(sides), len(homs), len(systems)))
+        assert counts[0] == counts[1]
+        assert counts[0] == {"D(P(e(1)))": (0, 14, 0), "CK(D(e(1)))": (4, 0, 0),
+                             "P(e(1))": (7, 0, 3)}[name]
 
 def reproduce_eval_reference(pick) -> int:
     """Evaluate the pool expressions that ``pick`` accepts at the reference
@@ -862,3 +980,28 @@ class TestCopiesPassAFullValidation:
         assert len(outputs) == 147
         for c in outputs:
             revalidate(c)
+
+    def test_every_map_of_the_eval_pool_and_the_suite(self, monkeypatch):
+        """Each chain map P, D and CK build for the eval pool at N = 24 and
+        for the check suite at N = 48, rebuilt with the chain identity
+        checked on every degree, copied components included."""
+        maps = []
+
+        def recording(fn):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                maps.append(out)
+                return out
+            return wrapped
+
+        for module in (exprs, verify):
+            for name in ("CK_on_map", "P_on_module_map", "koszul_D_on_map"):
+                monkeypatch.setattr(module, name, recording(getattr(module, name)))
+        ref = eval_reference()
+        for expr in sorted(ref["expressions"]):
+            outcome(evaluate, SETUP, parse(expr), (0, ref["window"]), ref["order"])
+        pool = len(maps)
+        run_suite(VerificationConfig(window=48))
+        assert (pool, len(maps) - pool) == (44, 20)
+        for f in maps:
+            ProjChainMap(f.source, f.target, f.maps, f.name)
