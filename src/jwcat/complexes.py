@@ -46,10 +46,10 @@ caller passes only the window it works at. Below, a tail has direction o
   head. An identity past them reads copies of components and differentials
   one period in, so it is the shifted copy of one nearer the seam, and by
   induction of a checked one.
-* Ladder seam (``ladder_degrees``). A ladder family φ_i: A^i -> B^{i+offset}
-  with a common tail repeats from the seam σ, where both A^i and
-  B^{i+offset} lie in the tail: the later of ``start`` and
-  ``start - offset`` on a right tail, the earlier on a left tail, taken
+* Ladder seam (``ladder_degrees``, ``_common_tail``). A ladder family
+  φ_i: A^i -> B^{i+offset} with a common tail repeats from the seam σ,
+  where both A^i and B^{i+offset} lie in the tail: the later of ``start``
+  and ``start - offset`` on a right tail, the earlier on a left tail, taken
   inside the window. From one period past σ the identification
   φ_i = φ_{i-o·p}<s> is well typed, so the unknowns stop one period past σ
   and ``LadderSystem.build`` fills the rest of the window from them, by the
@@ -58,16 +58,39 @@ caller passes only the window it works at. Below, a tail has direction o
   periodic differentials, so it is the shifted copy of the equation one
   period nearer σ. The equations still run two periods past σ, which checks
   one repeated period explicitly, as the seam check does on the terms.
-  In practice the copy rule fills nothing: ``detect_tail`` seats each tail
-  2p' - 1 degrees in from its edge, for its own period p', and the ladder
-  period is 2·lcm >= 2p', so σ + p - 1 reaches the window edge and every
-  tailed family's unknowns run to it. At N = 16 the common tails of the
-  suite's four isomorphism witnesses start one to three degrees inside the
-  edge, e.g. (right, 15, 4, -8) on (0, 16). So a windowed solution extends
-  to the semi-infinite complexes only where it repeats one ladder period in
-  at the edge; each of the suite's witnesses does, at N = 16 and 24, which
-  ``tests/test_ladder.py`` checks. Moving the seam in to the earliest
-  common repeat, so that the copy rule does this work, is ROADMAP item 1.
+  The seam is walked (``_common_tail``). It starts at the outer of the two
+  tails' starts: from there each complex follows its own tail, so both
+  follow the doubled pattern from one ladder period further out, which is
+  all the identification reads. It moves in to the innermost degree from
+  which both complexes follow the doubled pattern at every stored degree
+  out to the edge, term(i) = term(i - o·p)<s> and d(i) likewise where
+  i + 1 is stored (``_break_at``, the test that ``_tail_break`` walks
+  with), when that degree lies further in. ``_repeat_start`` finds it: it
+  walks inward from the edge of the degrees both store, compares summands
+  by identity and entry lists without building shifted copies, and stops
+  at the first break or where the reference i - o·p would leave a stored
+  window, so it reads no degree that either complex does not store. The
+  stored ``TailSpec`` of each complex is left as it is. Soundness: the walk moves the seam only across
+  degrees where both complexes are periodic, so every equation past it is
+  still the shifted copy of one the system keeps, and a solution is still
+  a chain map or homotopy of the semi-infinite complexes. The ansatz
+  identifies more components, so it admits fewer solutions: it can lose a
+  "true", as an empty periodic solution set between tailed models is
+  inconclusive, but it never adds a "false". In ``duality-maps`` both
+  models follow their pattern from degree 6 or 7, so the largest ladder
+  system has 18 unknowns at every N (252 and 1,020 at N = 128 and 512 with
+  the seam at the stored tails' starts).
+  Intertwining cut (``_intertwining_degrees``). The blocks
+  ψ_t∘F - G∘ψ_s (- dh - hd) of ``maps_agree_under_identification`` stop two
+  ladder periods past the innermost degree D from which each matrix block
+  i reads is the shifted copy of the one block i - o·p reads: the ψ and h
+  components past each family's unknowns or holding none, F and G, walked
+  by ``_repeat_start`` with the same comparison (``_is_copy``), and, up to
+  homotopy, d_S1 and d_T2. A block past D is then the shifted copy of the
+  one a period in, with the same coordinates: it repeats rows the system
+  has and leaves the kernel as it is. When the families' tails do not
+  share one pattern (side, period, shift) the blocks run to the window
+  edge.
   The ladder's period p is twice the lcm L of the two tails' periods
   (``_common_tail``). Every solution periodic under L is periodic under 2L,
   so doubling loses none, and it admits the solutions that change sign at
@@ -149,8 +172,8 @@ caller passes only the window it works at. Below, a tail has direction o
   so a term's degrees in D by s - p; only for s > p does each degree of D
   read finitely many terms, and otherwise D raises ``RegimeError``. Every
   output of P has p = 1 and s = 2. Let e be the innermost degree from which
-  x follows its tail: ``_tail_break`` walks out from the stored top and is
-  restarted one degree past each break. Let reach be the highest degree a
+  x follows its tail: ``_repeat_start`` walks in from the stored bottom
+  and stops at the first break. Let reach be the highest degree a
   term above e reaches, the largest r + (top internal degree of x^r) over
   the stored r > e; a formal summand P(v)<k> spans the degrees k + deg(q)
   for the paths q of P(v), so neither this bound nor the walk realizes a
@@ -186,9 +209,13 @@ caller passes only the window it works at. Below, a tail has direction o
 * Lift repeat (``functors.lift_through_resolutions``). The comparison lift
   φ between two resolutions solves at each degree i < 0 the system
   d_N(i)∘φ_i = φ_(i+1)∘d_M(i), which reads the two differentials at i and
-  φ_(i+1). Let both resolutions follow their common tail (period p, shift
-  s, ``_common_tail``) from e on, and let φ_i = φ_(i+p)<s> with i - 1 <= e
-  and i + p <= 0. Then the system at i - 1 is the system at i - 1 + p
+  φ_(i+1). Let both resolutions follow their doubled pattern (period p,
+  shift s, ``_doubled_tail``) from e on: e is found by one walk over both
+  (``_complexes_repeat``; -3 for ℙ(e(1)) at every depth). It is not the
+  seam of ``_common_tail``, which keeps the outer stored start where the
+  walk stops further out, since a ladder reads the pattern only a period
+  past its seam and the lift reads it from e on. Let φ_i = φ_(i+p)<s> with
+  i - 1 <= e and i + p <= 0. Then the system at i - 1 is the system at i - 1 + p
   shifted by s, with the same coordinates in the same order, and
   ``solve_from_columns`` returns a solution fixed by the system alone (its
   reduced form), so φ_(i-1) = φ_(i-1+p)<s>, and by induction every
@@ -383,6 +410,13 @@ class AlgMatrix:
         return f"AlgMatrix[{body}]"
 
 
+def _is_copy(m: AlgMatrix, ref: AlgMatrix, s: int) -> bool:
+    """m == ref.shifted(s), read off the summands and the entry lists
+    without building the copy."""
+    return (m.entries == ref.entries and m.rows == shift_summands(ref.rows, s)
+            and m.cols == shift_summands(ref.cols, s))
+
+
 @dataclass(frozen=True)
 class TailSpec:
     side: str       # LEFT_TAIL or RIGHT_TAIL
@@ -454,6 +488,7 @@ class ProjComplex(_StoredComplex):
 
     _shift_term = staticmethod(shift_summands)
     _shift_diff = staticmethod(AlgMatrix.shifted)
+    _is_copy = staticmethod(_is_copy)
 
     def __init__(self, algebra: PathAlgebra, terms: dict[int, tuple[Summand, ...]],
                  diffs: dict[int, AlgMatrix], tail: TailSpec | None = None,
@@ -572,31 +607,55 @@ def _has_tail(c: ProjComplex, side: str) -> bool:
     return c.tail is not None and c.tail.side == side
 
 
-def _tail_break(c: _StoredComplex, t: TailSpec) -> tuple[str, int] | None:
-    """The first break of the pattern ``t`` in the stored window of ``c``.
-
-    Walks from ``t.start`` outward to the window's edge and checks
-    term(i) = term(i - outward·period)<shift>, then d(i) likewise while i + 1
-    is stored. Returns ("term", i) or ("diff", i) at the first failure, or
-    None when the stored degrees follow the pattern."""
-    o, p, s = t.outward, t.period, t.shift
-    hi = c.window()[1]
-    for i in range(t.start, t.edge(c.window()) + o, o):
-        if c.term(i) != c._shift_term(c.term(i - o * p), s):
-            return "term", i
-        if i < hi and c.diff(i) != c._shift_diff(c.diff(i - o * p), s):
-            return "diff", i
+def _break_at(c: _StoredComplex, t: TailSpec, i: int, hi: int) -> str | None:
+    """The one per-degree test of the pattern ``t``: "term" when term(i) is
+    not term(i - outward·period)<shift>, "diff" when d(i) is not d(i -
+    outward·period)<shift> (tested while i + 1 <= ``hi``, the stored top),
+    None when degree i follows the pattern."""
+    j, s = i - t.outward * t.period, t.shift
+    if c.term(i) != c._shift_term(c.term(j), s):
+        return "term"
+    if i < hi and not c._is_copy(c.diff(i), c.diff(j), s):
+        return "diff"
     return None
 
 
-def _repeat_start(c: _StoredComplex, t: TailSpec) -> int:
-    """The innermost degree from which ``c`` follows the left tail ``t``:
-    ``_tail_break`` walks out from the stored top and is restarted one
-    degree past each break."""
-    e = c.window()[1]
-    while (broken := _tail_break(c, replace(t, start=e))) is not None:
-        e = broken[1] - 1
+def _tail_break(c: _StoredComplex, t: TailSpec) -> tuple[str, int] | None:
+    """The first break of the pattern ``t`` in the stored window of ``c``:
+    walks from ``t.start`` outward to the window's edge and returns
+    (``_break_at``'s kind, i) at the first degree that fails, or None when
+    the stored degrees follow the pattern."""
+    hi = c.window()[1]
+    for i in range(t.start, t.edge(c.window()) + t.outward, t.outward):
+        if (kind := _break_at(c, t, i, hi)) is not None:
+            return kind, i
+    return None
+
+
+def _repeat_start(t: TailSpec, window: tuple[int, int], follows) -> int:
+    """The innermost degree of ``window`` from which ``follows(i)`` holds at
+    every degree i out to the window's edge on the side of ``t``. The walk
+    runs inward from that edge and stops at the first degree that fails, or
+    at the innermost degree whose reference i - outward·period lies in
+    ``window``; with no such degree it returns the degree past the edge."""
+    o = t.outward
+    inner = window[0] + t.period if o > 0 else window[1] - t.period
+    e = t.edge(window) + o
+    for i in range(t.edge(window), inner - o, -o):
+        if not follows(i):
+            break
+        e = i
     return e
+
+
+def _complexes_repeat(t: TailSpec, *cs: _StoredComplex) -> int:
+    """``_repeat_start`` of the complexes ``cs`` together, by ``_break_at``,
+    over the degrees stored in every one of them: no reference degree is
+    read outside a stored window."""
+    windows = [c.window() for c in cs]
+    window = (max(w[0] for w in windows), min(w[1] for w in windows))
+    return _repeat_start(t, window, lambda i: all(
+        _break_at(c, t, i, w[1]) is None for c, w in zip(cs, windows)))
 
 
 def detect_tail(c: ProjComplex, side: str) -> TailSpec | None:
@@ -756,6 +815,7 @@ class Complex(_StoredComplex):
 
     _shift_term = staticmethod(GradedModule.shift)
     _shift_diff = staticmethod(ModuleHom.shift)
+    _is_copy = staticmethod(lambda m, ref, s: m == ref.shift(s))
 
     def __init__(self, algebra: PathAlgebra, terms: dict[int, GradedModule],
                  diffs: dict[int, ModuleHom], tail: TailSpec | None = None,
@@ -910,9 +970,12 @@ class Reduction:
     homotopy-equivalence witnesses F = ``to_reduced`` (original -> reduced),
     G = ``from_reduced`` (reduced -> original) and h = ``homotopy``, of
     degree -1 on original, with F∘G = id and id - G∘F = dh + hd; F and G
-    have the degrees of ``reduced``. The witnesses are built once, on first
-    read, by ``_replay`` of ``log``, the cancellations that reduced
-    ``original``: a caller that reads only ``reduced`` pays for none of them."""
+    have the degrees of ``reduced``. The witnesses are built on first read
+    from ``log``, the cancellations that reduced ``original``: ``_replay``
+    runs once and builds F and G with h's rank-one factors, and h is summed
+    from those factors only when it is read. A caller that reads only
+    ``reduced`` pays for none of them, and one that reads F and G pays for
+    no h."""
 
     def __init__(self, original: ProjComplex, reduced: ProjComplex, log: list):
         self.original = original
@@ -920,16 +983,19 @@ class Reduction:
         self.log = log
 
     @cached_property
-    def _witnesses(self) -> tuple[ProjChainMap, ProjChainMap, ProjChainMap]:
+    def _replayed(self) -> tuple[ProjChainMap, ProjChainMap, list]:
         c, red = self.original, self.reduced
-        F, G, H = _replay(c, self.log)
+        F, G, factors = _replay(c, self.log)
         return (ProjChainMap(c, red, {i: F[i] for i in red.terms}, "F", validate=False),
                 ProjChainMap(red, c, {i: G[i] for i in red.terms}, "G", validate=False),
-                ProjChainMap(c, c, H, "h", validate=False, degree=-1))
+                factors)
 
-    to_reduced = property(lambda self: self._witnesses[0])
-    from_reduced = property(lambda self: self._witnesses[1])
-    homotopy = property(lambda self: self._witnesses[2])
+    to_reduced = property(lambda self: self._replayed[0])
+    from_reduced = property(lambda self: self._replayed[1])
+
+    @cached_property
+    def homotopy(self) -> ProjChainMap:
+        return _homotopy(self.original, self._replayed[2])
 
 
 def _drop(terms: dict, i: int, k: int, into: AlgMatrix | None,
@@ -1002,46 +1068,55 @@ class _Eliminator:
         _drop(self.terms, i + 1, r, d, self.diffs.get(i + 1))
 
 
-def _replay(c: ProjComplex, log: list) -> tuple[dict, dict, dict]:
-    """The witnesses F, G and h of the cancellations ``log`` on ``c``, as
-    maps by degree. They start as identities and zero, and each
-    cancellation (i, r, col, λ⁻¹, κ, β) composes them with its step maps by
-    one row operation on F, one column operation on G and a rank-one term
-    on h, with no whole-matrix products: F[i+1] adds -κₖλ⁻¹·F[i+1][r] to
-    each kept row k, G[i] adds G[i][:, col]·(-βⱼλ⁻¹) to each kept column j,
-    and h[i+1] gains the rank-one (G[i][:, col]·λ⁻¹) ⊗ F[i+1][r]. Then
-    ``_drop`` deletes summand col of degree i and summand r of degree i + 1
-    from F and G. Only nonzero entries are visited."""
+def _replay(c: ProjComplex, log: list) -> tuple[dict, dict, list]:
+    """The witnesses F and G of the cancellations ``log`` on ``c``, as maps
+    by degree, and the rank-one factors of h. F and G start as identities,
+    and each cancellation (i, r, col, λ⁻¹, κ, β) composes them with its step
+    maps by one row operation on F and one column operation on G, with no
+    whole-matrix products: F[i+1] adds -κₖλ⁻¹·F[i+1][r] to each kept row k,
+    and G[i] adds G[i][:, col]·(-βⱼλ⁻¹) to each kept column j. Its term of
+    h[i+1] is the rank-one (G[i][:, col]·λ⁻¹) ⊗ F[i+1][r], recorded as
+    (i, λ⁻¹, G[i][:, col], F[i+1][r]) for ``_homotopy``. Then ``_drop``
+    deletes summand col of degree i and summand r of degree i + 1 from F
+    and G. Only nonzero entries are visited."""
     terms = dict(c.terms)
     F = {i: AlgMatrix.identity(c.algebra, t) for i, t in terms.items()}
     G = {i: AlgMatrix.identity(c.algebra, t) for i, t in terms.items()}
-    H: dict[int, AlgMatrix] = {}
+    factors = []
     for i, r, col, lam_inv, kappa, beta in log:
         F_i1, G_i = F[i + 1], G[i]
-        h = H.get(i + 1)
-        if h is None:
-            h = H[i + 1] = AlgMatrix.zero(c.algebra, c.term(i), c.term(i + 1))
         f_row = [(n, z) for n, z in enumerate(F_i1.entries[r]) if z.terms]
-        for g_row, h_row in zip(G_i.entries, h.entries):
-            u = g_row[col]
-            if u.terms:
-                u = u.scale(lam_inv)
-                for n, z in f_row:
-                    h_row[n] = h_row[n] + u * z
+        g_col = [(m, g_row[col]) for m, g_row in enumerate(G_i.entries)
+                 if g_row[col].terms]
+        factors.append((i, lam_inv, g_col, f_row))
         for k, z in kappa:
             a = -(z.scale(lam_inv))
             row = F_i1.entries[k]
             for n, w in f_row:
                 row[n] = row[n] + a * w
         betas = [(j, -(b.scale(lam_inv))) for j, b in beta]
-        for g_row in G_i.entries:
-            u = g_row[col]
-            if u.terms:
-                for j, a in betas:
-                    g_row[j] = g_row[j] + u * a
+        for m, u in g_col:
+            g_row = G_i.entries[m]
+            for j, a in betas:
+                g_row[j] = g_row[j] + u * a
         _drop(terms, i, col, F[i], G_i)
         _drop(terms, i + 1, r, F_i1, G[i + 1])
-    return F, G, H
+    return F, G, factors
+
+
+def _homotopy(c: ProjComplex, factors: list) -> ProjChainMap:
+    """h of degree -1 on ``c``, the sum of the rank-one terms ``_replay``
+    recorded, in their order: h[i+1] gains (G[i][:, col]·λ⁻¹) ⊗ F[i+1][r]."""
+    H: dict[int, AlgMatrix] = {}
+    for i, lam_inv, g_col, f_row in factors:
+        h = H.get(i + 1)
+        if h is None:
+            h = H[i + 1] = AlgMatrix.zero(c.algebra, c.term(i), c.term(i + 1))
+        for m, u in g_col:
+            u, h_row = u.scale(lam_inv), h.entries[m]
+            for n, z in f_row:
+                h_row[n] = h_row[n] + u * z
+    return ProjChainMap(c, c, H, "h", validate=False, degree=-1)
 
 
 def gaussian_reduce(c: ProjComplex) -> Reduction:
@@ -1098,18 +1173,31 @@ def _mat_coords(m: AlgMatrix) -> list[Fraction]:
             for r, c, p in _coordinates(m.algebra, m.rows, m.cols)]
 
 
-def _common_tail(X: ProjComplex, Y: ProjComplex) -> TailSpec | None:
+def _doubled_tail(X: ProjComplex, Y: ProjComplex) -> TailSpec | None:
+    """The pattern both tails follow with period twice the lcm of theirs,
+    from the outer of their starts, or None when the tails do not align."""
     tx, ty = X.tail, Y.tail
     if tx is None or ty is None or tx.side != ty.side:
         return None
-    # twice the common period: the ladder seam of "Windows and margins"
     p = 2 * math.lcm(tx.period, ty.period)
     sx = tx.shift * (p // tx.period)
     sy = ty.shift * (p // ty.period)
     if sx != sy:
         return None
-    start = max(tx.start, ty.start) if tx.side == RIGHT_TAIL else min(tx.start, ty.start)
-    return TailSpec(tx.side, start, p, sx)
+    outer = max if tx.side == RIGHT_TAIL else min
+    return TailSpec(tx.side, outer(tx.start, ty.start), p, sx)
+
+
+def _common_tail(X: ProjComplex, Y: ProjComplex) -> TailSpec | None:
+    """The tail of the ladders between X and Y: ``_doubled_tail``, moved in
+    to the innermost degree from which both follow it on their stored
+    degrees when that lies further in (the ladder seam of "Windows and
+    margins" in the module docstring)."""
+    t = _doubled_tail(X, Y)
+    if t is None:
+        return None
+    inner = min if t.outward > 0 else max
+    return replace(t, start=inner(t.start, _complexes_repeat(t, X, Y)))
 
 
 def ladder_degrees(window: tuple[int, int], offset: int,
@@ -1461,10 +1549,10 @@ def _intertwining_system(F: ProjChainMap, G: ProjChainMap,
     """The ladder system and blocks of ψ_t∘F - G∘ψ_s = (0 | dh + hd) with
     ψ_s: S1 -> S2 and ψ_t: T1 -> T2 chain maps (families 0 and 1) and, up to
     homotopy, h: S1^i -> T2^{i-1} (family 2). Intertwining block i reads
-    ψ_s(i), ψ_t(i), and h(i), h(i+1)."""
+    ψ_s(i), ψ_t(i), and h(i), h(i+1), on the degrees
+    ``_intertwining_degrees`` gives."""
     S1, T1 = F.source, F.target
     S2, T2 = G.source, G.target
-    lo, hi = window
     families = [LadderFamily(S1, S2, 0, window, _common_tail(S1, S2)),
                 LadderFamily(T1, T2, 0, window, _common_tail(T1, T2))]
     if not strict:
@@ -1480,8 +1568,54 @@ def _intertwining_system(F: ProjChainMap, G: ProjChainMap,
         return ((0, i), (1, i), (2, i), (2, i + 1)), fn
 
     blocks = (ladder.chain_blocks(0) + ladder.chain_blocks(1)
-              + [block(i) for i in range(lo, hi)])
+              + [block(i) for i in _intertwining_degrees(ladder, F, G, window, strict)])
     return ladder, blocks
+
+
+def _intertwining_degrees(ladder: LadderSystem, F: ProjChainMap, G: ProjChainMap,
+                          window: tuple[int, int], strict: bool) -> range:
+    """The degrees i of the intertwining blocks: lo .. hi - 1, cut on the
+    tail side two ladder periods past D when the families' tails share one
+    pattern (side, period p, shift s); else the whole range (the
+    intertwining cut of "Windows and margins" in the module docstring). D
+    is the innermost degree from which each matrix block i reads is the
+    shifted copy of the one block i - outward·p reads. A family's component
+    is a copy where the copy rule fills it, past a tailed family's unknown
+    degrees, and where it holds no unknown at i or a period in and its zero
+    matrices are copies."""
+    lo, hi = window
+    pattern = {(f.tail.side, f.tail.period, f.tail.shift)
+               for f in ladder.families if f.tail is not None}
+    if len(pattern) != 1:
+        return range(lo, hi)
+    side, p, s = pattern.pop()
+    t = TailSpec(side, 0, p, s)
+    o = t.outward
+    free = {(k, i) for k, i, _ in ladder.unknowns}
+    empty = ladder._empty()
+
+    def copied(k: int, i: int) -> bool:
+        degrees, j = ladder.degrees[k], i - o * p
+        if ladder.families[k].tail is not None and \
+                o * (i - t.edge((degrees[0], degrees[-1]))) > 0:
+            return True
+        return ((k, i) not in free and (k, j) not in free
+                and _is_copy(empty[k].component(i), empty[k].component(j), s))
+
+    def reads_copies(i: int) -> bool:
+        j = i - o * p
+        pairs = [(F.component(i), F.component(j)), (G.component(i), G.component(j))]
+        if not strict:
+            S1, T2 = F.source, G.target
+            pairs += [(S1.diff(i), S1.diff(j)), (T2.diff(i - 1), T2.diff(j - 1))]
+        return (copied(0, i) and copied(1, i)
+                and (strict or copied(2, i) and copied(2, i + 1))
+                and all(_is_copy(m, ref, s) for m, ref in pairs))
+
+    D = _repeat_start(t, (lo, hi - 1), reads_copies)
+    if o > 0:
+        return range(lo, min(hi, D + 2 * p))
+    return range(max(lo, D - 2 * p + 1), hi)
 
 
 def _solve_intertwining(F: ProjChainMap, G: ProjChainMap,

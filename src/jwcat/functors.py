@@ -37,8 +37,8 @@ from .complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, Complex,
                         Summand, TailSpec, WindowTooSmall, attach_tail,
                         gaussian_reduce, realize, shift_summands,
                         total_complex, total_layout, total_terms,
-                        _alg_matrix_to_hom, _common_tail, _copy_outward,
-                        _mat_coords, _repeat_start, _tail_break)
+                        _alg_matrix_to_hom, _complexes_repeat, _copy_outward,
+                        _doubled_tail, _is_copy, _mat_coords, _tail_break)
 from .linalg import Matrix, solve_from_columns
 from .modules import (C_TO_B, DUAL_VERTEX, PI_SHIFT, GradedModule, ModuleHom,
                       apply_pi, apply_pi_hom, projective, simple, injective2)
@@ -229,12 +229,14 @@ def lift_through_resolutions(resM: ProjComplex, augM: dict[int, ModuleHom],
     The lift stops at the higher of the two resolutions' bottoms: below it a
     component maps into or out of zero. With a common tail of period p and
     shift s, it stops once lift[i] = lift[i + p]<s>, where i - 1 <= e, the
-    innermost degree from which both resolutions follow the tail, and copies
+    innermost degree from which both resolutions follow the tail, found by
+    one walk over both (``_complexes_repeat``), and copies
     the rest (the lift repeat of "Windows and margins" in the ``complexes``
     module docstring)."""
     lift = _Lift()
     bottom = max(resM.window()[0], resN.window()[0])
-    t, e = _common_tail(resM, resN), None
+    t = _doubled_tail(resM, resN)
+    e = None if t is None else _complexes_repeat(t, resM, resN)
     for i in range(0, bottom - 1, -1):
         ladder = LadderSystem([LadderFamily(resM, resN, 0, (i, i))])
         if i == 0:   # augN∘φ_0 = f0∘augM on the realized degree-0 covers
@@ -257,13 +259,10 @@ def lift_through_resolutions(resM: ProjComplex, augM: dict[int, ModuleHom],
         if sol is None:
             raise ConstructionError(f"resolution lift failed at degree {i}")
         lift[i], lift.solved = ladder.build(sol)[0].component(i), i
-        if t is not None and i + t.period <= 0 \
-                and lift[i] == lift[i + t.period].shifted(t.shift):
-            if e is None:
-                e = min(_repeat_start(resM, t), _repeat_start(resN, t))
-            if i - 1 <= e:
-                _copy_outward(lift, t, i, bottom, AlgMatrix.shifted)
-                break
+        if t is not None and i + t.period <= 0 and i - 1 <= e \
+                and _is_copy(lift[i], lift[i + t.period], t.shift):
+            _copy_outward(lift, t, i, bottom, AlgMatrix.shifted)
+            break
     return lift
 
 
@@ -345,7 +344,7 @@ def _koszul_D(setup: Setup, x, out_window: tuple[int, int] | None
                               "by more than its period")
         if out_window is None:
             raise RegimeError("a left-tailed duality input needs an output window")
-        e = _repeat_start(Y, t)
+        e = _complexes_repeat(t, Y)
         reach = max(r + max(_term_degrees(B, Y, r)) for r in Y.terms if r > e)
         climb = t.shift - t.period
         period = climb if climb % 2 == 0 else 2 * climb   # d carries (-1)^q

@@ -1,25 +1,28 @@
 """The ladder solver: chain maps, homotopies and intertwining identifications
-on complexes where the answer is known by hand."""
+on complexes where the answer is known by hand, and the seam walk and the
+intertwining cut that keep the ladders of ``duality-maps`` the same size at
+every window."""
 
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from jwcat import verify
-from jwcat.complexes import (RIGHT_TAIL, AlgMatrix, LadderFamily, LadderSystem,
-                             ProjChainMap, ProjComplex, Summand, TailSpec,
-                             _chain_map_invertible, _common_tail,
+from jwcat import complexes, verify
+from jwcat.complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, LadderFamily,
+                             LadderSystem, ProjChainMap, ProjComplex, Summand,
+                             TailSpec, _allowed_paths, _chain_map_invertible,
+                             _common_tail, _complexes_repeat,
                              _intertwining_system, _solve_intertwining,
-                             chain_maps_homotopic,
+                             _tail_break, chain_maps_homotopic, detect_tail,
                              gaussian_reduce, iso_in_homotopy_category,
                              ladder_degrees, maps_agree_under_identification,
-                             solve_chain_maps)
+                             shift_summands, solve_chain_maps)
 from jwcat.exprs import evaluate, parse
 from jwcat.functors import P_on_object, Setup
-from jwcat.linalg import unit_vector
+from jwcat.linalg import kernel_from_columns, unit_vector
 from jwcat.modules import projective, simple
 from jwcat.quiver import ConstructionError, build_B
 from jwcat.resolutions import projective_resolution
@@ -284,12 +287,16 @@ class TestLocalColumns:
         assert_local_columns_match(ladder, ladder.chain_blocks(0))
 
     def test_chain_maps_on_a_left_tail(self):
-        # the tail starts at -7 and the ladder's period is 2, so the unknowns
-        # stop at -8; the window runs four degrees further
+        # x is P(2)<2k + 1> in degree -k, joined by ab, and the ladder's
+        # pattern has period 2 and shift 4. Degree i follows it while
+        # term(i) = term(i + 2)<4> and d(i) = d(i + 2)<4>: true for i <= -3,
+        # false at -2, whose reference d(0) is zero (degree 1 is empty). So
+        # the seam is -3, the unknowns run one period past it, from -4 to the
+        # top, and the copy rule fills -12 .. -5
         setup = Setup.create()
         x = P_on_object(setup, projective(setup.B, "1"), depth=8).materialize(-12, 0)
         ladder = LadderSystem([LadderFamily(x, x, 0, (-12, 0), _common_tail(x, x))])
-        assert ladder.degrees[0] == range(-8, 1)
+        assert ladder.degrees[0] == range(-4, 1)
         assert_local_columns_match(ladder, ladder.chain_blocks(0))
 
     @pytest.mark.parametrize("strict", [True, False])
@@ -329,13 +336,10 @@ def ladder_over(x, reach, homotopy):
 
 
 class TestWitnessesRepeatAtTheEdge:
-    """``detect_tail`` seats a tail 2p - 1 degrees in from the edge and the
-    ladder period is twice the lcm of the tails' periods, so every tailed
-    ladder's unknowns reach its window edge and the copy rule fixes no
-    component there (the ladder seam of "Windows and margins"). A witness
-    then extends to the semi-infinite complexes only if it repeats one
-    ladder period in at the edge; each of the suite's does, until ROADMAP
-    item 1 moves the seam in."""
+    """A witness extends to the semi-infinite complexes only if it repeats
+    one ladder period in at the window edge. With the seam walked in to the
+    earliest common repeat, the copy rule fills the edge (the ladder seam of
+    "Windows and margins"); each of the suite's witnesses repeats there."""
 
     @pytest.mark.parametrize("N", [16, 24])
     def test_every_tailed_witness_of_the_suite_repeats_one_period_in(self, N):
@@ -360,10 +364,8 @@ class TestWitnessesRepeatAtTheEdge:
 class TestOnePlacement:
     """``build`` and the unit columns of ``probe`` place coefficients one
     way and fill the window past the unknown degrees by the tail's copy
-    rule. No ladder of the suite at N = 16 or 48 or of the non-nested eval
-    pool at N = 24 copies a component past its unknown degrees, so these
-    tests guard the copies: every corpus window grown by one degree or more
-    reaches past them."""
+    rule. These tests guard the copies: every corpus window grown by one
+    degree or more reaches past them."""
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data(), name=st.sampled_from(CORPUS_NAMES),
@@ -447,3 +449,178 @@ class TestOneMapType:
         for f, fam in zip(maps, ladder.families):
             assert isinstance(f, ProjChainMap)
             assert (f.source, f.target) == (fam.source, fam.target)
+
+
+# ---------------------------------------------------------------------------
+# the seam at the earliest common repeat
+# ---------------------------------------------------------------------------
+
+def ref_repeat_start(c, t):
+    """The innermost degree from which ``c`` follows ``t`` out to its stored
+    edge, by one outward pass over the degrees whose reference is stored,
+    comparing each with its reference's shifted copy, built."""
+    lo, hi = c.window()
+    o, p, s = t.outward, t.period, t.shift
+    edge = t.edge((lo, hi))
+    e = i = lo + p if o > 0 else hi - p
+    while o * (i - edge) <= 0:
+        j = i - o * p
+        if c.term(i) != shift_summands(c.term(j), s) or \
+                (i < hi and c.diff(i) != c.diff(j).shifted(s)):
+            e = i + o
+        i += o
+    return e if o * (e - edge) <= 0 else edge + o
+
+
+@st.composite
+def entries_between(draw, B, rows, cols):
+    """An AlgMatrix rows <- cols with random entries on allowed paths."""
+    m = AlgMatrix.zero(B, rows, cols)
+    for r, tgt in enumerate(rows):
+        for k, src in enumerate(cols):
+            paths = _allowed_paths(B, tgt, src)
+            if paths and draw(st.booleans()):
+                m.entries[r][k] = B.element({draw(st.sampled_from(paths)):
+                                             draw(st.sampled_from([-1, 1, 2]))})
+    return m
+
+
+@st.composite
+def terms(draw):
+    return tuple(Summand(draw(st.sampled_from("12")), draw(st.integers(-2, 2)))
+                 for _ in range(draw(st.integers(1, 2))))
+
+
+@st.composite
+def periodic_pairs(draw, B):
+    """Two complexes with one periodic tail (side, period 1-3, shift) and
+    random non-periodic heads of one length, stored on one window, each
+    with the tail ``detect_tail`` finds there. Not validated: the walk reads
+    terms and entries only."""
+    side = draw(st.sampled_from([LEFT_TAIL, RIGHT_TAIL]))
+    p, s = draw(st.integers(1, 3)), draw(st.integers(-4, 4))
+    pattern = [draw(terms()) for _ in range(p)]
+    nxt = [pattern[k + 1] if k + 1 < p else shift_summands(pattern[0], s)
+           for k in range(p)]
+    # link k joins pattern[k] to the next degree outward, as d orients it
+    links = [draw(entries_between(B, *((nxt[k], pattern[k]) if side == RIGHT_TAIL
+                                      else (pattern[k], nxt[k]))))
+             for k in range(p)]
+    n_tail, n_head = draw(st.integers(3 * p, 4 * p + 2)), draw(st.integers(0, 3))
+    o = 1 if side == RIGHT_TAIL else -1
+
+    def build(name):
+        seq = [draw(terms()) for _ in range(n_head)] + \
+            [shift_summands(pattern[m % p], s * (m // p)) for m in range(n_tail)]
+        # index m sits at degree o·m, inward to outward
+        t = {o * m: term for m, term in enumerate(seq)}
+        d = {}
+        for m in range(len(seq) - 1):
+            k = m - n_head
+            if k >= 0:
+                link = links[k % p].shifted(s * (k // p))
+            else:
+                a, b = seq[m], seq[m + 1]
+                link = draw(entries_between(B, *((b, a) if o > 0 else (a, b))))
+            d[min(o * m, o * (m + 1))] = link
+        c = ProjComplex(B, t, d, None, name, validate=False)
+        return ProjComplex(B, t, d, detect_tail(c, side), name, validate=False)
+
+    X, Y = build("X"), build("Y")
+    assume(X.tail is not None and Y.tail is not None)
+    return X, Y
+
+
+class TestSeamWalk:
+    """``_common_tail`` walks its seam in to the earliest degree from which
+    both complexes follow the doubled pattern, by ``_repeat_start``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_the_walk_stops_at_the_first_break_and_reads_stored_degrees(self, B, data):
+        X, Y = data.draw(periodic_pairs(B))
+        t = _common_tail(X, Y)
+        assume(t is not None)
+        o, (lo, hi) = t.outward, X.window()
+        walked = _complexes_repeat(t, X, Y)
+        outer = max if o > 0 else min
+        assert walked == outer(ref_repeat_start(X, t), ref_repeat_start(Y, t))
+        # never past a stored edge, and its reference, a period in, is stored
+        if o > 0:
+            assert lo + t.period <= walked <= hi + 1
+        else:
+            assert lo - 1 <= walked <= hi - t.period
+        if lo <= walked <= hi:
+            for c in (X, Y):
+                assert _tail_break(c, TailSpec(t.side, walked, t.period, t.shift)) is None
+        # the seam only moves in from the outer of the two stored starts
+        inner = min if o > 0 else max
+        assert t.start == inner(walked, outer(X.tail.start, Y.tail.start))
+
+
+def duality_maps_systems(N):
+    """The unknown count of every ladder system ``duality-maps`` sets up at
+    window N, and the intertwining degrees of each identification it
+    solves."""
+    sizes, degrees = [], []
+    init, cut = LadderSystem.__init__, complexes._intertwining_degrees
+
+    def counting_init(self, families):
+        init(self, families)
+        sizes.append(self.n)
+
+    def recording_cut(*args):
+        degrees.append(cut(*args))
+        return degrees[-1]
+
+    with mock.patch.object(LadderSystem, "__init__", counting_init), \
+            mock.patch.object(complexes, "_intertwining_degrees", recording_cut):
+        verify.run_suite(verify.VerificationConfig(window=N, only=("duality-maps",)))
+    return sizes, degrees
+
+
+def generator_map_comparisons(N):
+    """(lhs, rhs, window) of each of the five generator maps that
+    ``duality-maps`` compares at window N."""
+    seen = []
+
+    def spy(F, G, window):
+        seen.append((F, G, window))
+        return maps_agree_under_identification(F, G, window)
+
+    with mock.patch.object(verify, "maps_agree_under_identification", spy):
+        verify.run_suite(verify.VerificationConfig(window=N, only=("duality-maps",)))
+    assert len(seen) == 5
+    return seen
+
+
+class TestLaddersOfConstantSize:
+    """The walked seam and the intertwining cut keep every ladder system of
+    ``duality-maps`` the same size at every window (the ladder seam of
+    "Windows and margins")."""
+
+    def test_the_largest_system_and_the_blocks_do_not_grow(self):
+        sizes_128, cut_128 = duality_maps_systems(128)
+        sizes_512, cut_512 = duality_maps_systems(512)
+        assert max(sizes_128) == max(sizes_512) == 18
+        assert cut_128 and [len(r) for r in cut_128] == [len(r) for r in cut_512]
+        assert all(len(r) < 40 for r in cut_512)
+
+    @pytest.mark.parametrize("N", [16, 24])
+    def test_the_cut_system_has_the_kernel_of_the_full_window(self, N):
+        def kernel(F, G, window, strict):
+            ladder, blocks = _intertwining_system(F, G, window, strict)
+            column, _ = ladder.probe(blocks)
+            return len(blocks), kernel_from_columns(column, ladder.n)
+
+        dropped = 0
+        for F, G, window in generator_map_comparisons(N):
+            for strict in (True, False):
+                n_cut, cut = kernel(F, G, window, strict)
+                with mock.patch.object(complexes, "_intertwining_degrees",
+                                       lambda ladder, F, G, window, strict: range(*window)):
+                    n_full, full = kernel(F, G, window, strict)
+                assert cut == full
+                dropped += n_full - n_cut
+        # at N = 16 two ladder periods past D reach the window edge
+        assert dropped > 0 or N == 16

@@ -5,7 +5,8 @@ the rest by the column period, on objects and on maps, and rejects a head
 whose terms alone show no tail before building any matrix, D computes a
 left-tailed input's image through its head and copies the rest, the
 reduction witnesses are built only when read, by replaying each logged
-cancellation as row and column operations, and the pivot scan resumes at the
+cancellation as row and column operations, with h summed from the replay's
+rank-one factors only when it is read, and the pivot scan resumes at the
 last cancellation. The full-work code they replaced is kept here as the
 reference, and so are the hand-coded projector columns that the
 structure-map table replaced. The eval pool's CK and P expressions are
@@ -306,6 +307,23 @@ class TestWitnessesOnFirstRead:
         alone = replays(lambda: run_suite(VerificationConfig(window=16,
                                                              only=("duality-maps",))))
         assert suite == alone == 20
+
+    def test_the_homotopy_is_summed_only_when_read(self):
+        """The suite reads F and G only, so it sums no h; a reduction sums
+        its h once, from the factors of its one replay."""
+        summed = [0]
+        homotopy = complexes._homotopy
+
+        def counting(c, factors):
+            summed[0] += 1
+            return homotopy(c, factors)
+
+        with mock.patch.object(complexes, "_homotopy", counting):
+            run_suite(VerificationConfig(window=16))
+            assert summed[0] == 0
+            red = gaussian_reduce(ck_p2_complex(B, 8).clip(0, 5))
+            assert replays(lambda: (red.homotopy, red.to_reduced, red.homotopy)) == 1
+        assert summed[0] == 1
 
 
 # ---------------------------------------------------------------------------
