@@ -63,23 +63,31 @@ caller passes only the window it works at. Below, a tail has direction o
   follow the doubled pattern from one ladder period further out, which is
   all the identification reads. It moves in to the innermost degree from
   which both complexes follow the doubled pattern at every stored degree
-  out to the edge, term(i) = term(i - o·p)<s> and d(i) likewise where
+  out to their edges, term(i) = term(i - o·p)<s> and d(i) likewise where
   i + 1 is stored (``_break_at``, the test that ``_tail_break`` walks
-  with), when that degree lies further in. ``_repeat_start`` finds it: it
-  walks inward from the edge of the degrees both store, compares summands
-  by identity and entry lists without building shifted copies, and stops
-  at the first break or where the reference i - o·p would leave a stored
-  window, so it reads no degree that either complex does not store. The
-  stored ``TailSpec`` of each complex is left as it is. Soundness: the walk moves the seam only across
-  degrees where both complexes are periodic, so every equation past it is
-  still the shifted copy of one the system keeps, and a solution is still
-  a chain map or homotopy of the semi-infinite complexes. The ansatz
-  identifies more components, so it admits fewer solutions: it can lose a
-  "true", as an empty periodic solution set between tailed models is
-  inconclusive, but it never adds a "false". In ``duality-maps`` both
-  models follow their pattern from degree 6 or 7, so the largest ladder
-  system has 18 unknowns at every N (252 and 1,020 at N = 128 and 512 with
-  the seam at the stored tails' starts).
+  with), when that degree lies further in. ``_complexes_repeat`` finds it
+  as the outer of the two complexes' ``_repeat_start``s: each walks inward
+  from its complex's own stored edge, compares summands by identity and
+  entry lists without building shifted copies, and stops at the first
+  break or where the reference i - o·p would leave the stored window, so
+  it reads no degree the complex does not store, and a break that only
+  the complex stored further out holds is not skipped. The stored
+  ``TailSpec`` of each complex is left as it is. A homotopy's equations
+  d∘h + h∘d = f - g also read the given f - g, which nothing above makes
+  periodic, so ``LadderSystem.chain_blocks`` stops them two periods past
+  the outer of the seam and the innermost degree from which f - g repeats
+  out to the window edge (``_repeat_start`` with ``_is_copy``); where
+  f - g never repeats they run to the edge. Soundness: the walks move the
+  cut only across degrees where both complexes, and f - g, are periodic,
+  so every dropped equation is still the shifted copy of one the system
+  keeps, and a solution is still a chain map or homotopy of the
+  semi-infinite complexes. The ansatz identifies more components, so it
+  admits fewer solutions: it can lose a "true", as an empty periodic
+  solution set between tailed models is inconclusive, but it never adds
+  a "false". In ``duality-maps`` both models follow their pattern from
+  degree 6 or 7, so the largest ladder system has 18 unknowns at every N
+  (252 and 1,020 at N = 128 and 512 with the seam at the stored tails'
+  starts).
   Intertwining cut (``_intertwining_degrees``). The blocks
   ψ_t∘F - G∘ψ_s (- dh - hd) of ``maps_agree_under_identification`` stop two
   ladder periods past the innermost degree D from which each matrix block
@@ -210,19 +218,20 @@ caller passes only the window it works at. Below, a tail has direction o
   φ between two resolutions solves at each degree i < 0 the system
   d_N(i)∘φ_i = φ_(i+1)∘d_M(i), which reads the two differentials at i and
   φ_(i+1). Let both resolutions follow their doubled pattern (period p,
-  shift s, ``_doubled_tail``) from e on: e is found by one walk over both
-  (``_complexes_repeat``; -3 for ℙ(e(1)) at every depth). It is not the
-  seam of ``_common_tail``, which keeps the outer stored start where the
-  walk stops further out, since a ladder reads the pattern only a period
-  past its seam and the lift reads it from e on. Let φ_i = φ_(i+p)<s> with
-  i - 1 <= e and i + p <= 0. Then the system at i - 1 is the system at i - 1 + p
-  shifted by s, with the same coordinates in the same order, and
-  ``solve_from_columns`` returns a solution fixed by the system alone (its
-  reduced form), so φ_(i-1) = φ_(i-1+p)<s>, and by induction every
-  component below i is the copy of the one p above. The lift stops there
-  and ``_copy_outward`` fills the rest down to the higher of the two
-  bottoms; below that bottom a component maps into or out of zero. ℙ(e(1))
-  solves degrees 0, -1 and -2 at every depth.
+  shift s, ``_doubled_tail``) from e on: e is the outer of the two
+  resolutions' walks (``_complexes_repeat``; -3 for ℙ(e(1)) at every
+  depth). It is not the seam of ``_common_tail``, which keeps the outer
+  stored start where the walk stops further out, since a ladder reads the
+  pattern only a period past its seam and the lift reads it from e on.
+  Let φ_i = φ_(i+p)<s> with i - 1 <= e and i + p <= 0. Then the system at
+  i - 1 is the system at i - 1 + p shifted by s, with the same
+  coordinates in the same order, and ``solve_from_columns`` returns a
+  solution fixed by the system alone (its reduced form), so
+  φ_(i-1) = φ_(i-1+p)<s>, and by induction every component below i is the
+  copy of the one p above. The lift stops there and ``_copy_outward``
+  fills the rest down to the higher of the two bottoms; below that bottom
+  a component maps into or out of zero. ℙ(e(1)) solves degrees 0, -1 and
+  -2 at every depth.
 * Resolution repeat (``resolutions.resolve_complex``). The step that
   computes degree k of a resolution of Y covers the pairs (y, z), y in Y^k
   and z a cycle of P^(k+1), with d_Y(y) equal to the augmentation of z.
@@ -649,13 +658,15 @@ def _repeat_start(t: TailSpec, window: tuple[int, int], follows) -> int:
 
 
 def _complexes_repeat(t: TailSpec, *cs: _StoredComplex) -> int:
-    """``_repeat_start`` of the complexes ``cs`` together, by ``_break_at``,
-    over the degrees stored in every one of them: no reference degree is
-    read outside a stored window."""
-    windows = [c.window() for c in cs]
-    window = (max(w[0] for w in windows), min(w[1] for w in windows))
-    return _repeat_start(t, window, lambda i: all(
-        _break_at(c, t, i, w[1]) is None for c, w in zip(cs, windows)))
+    """The outer of the complexes' ``_repeat_start``s, each walked by
+    ``_break_at`` over its own stored window: from there every one of them
+    follows ``t`` out to its stored edge, and no reference degree is read
+    outside a stored window."""
+    def walk(c: _StoredComplex) -> int:
+        window = c.window()
+        return _repeat_start(t, window, lambda i: _break_at(c, t, i, window[1]) is None)
+
+    return (max if t.outward > 0 else min)(walk(c) for c in cs)
 
 
 def detect_tail(c: ProjComplex, side: str) -> TailSpec | None:
@@ -1272,6 +1283,31 @@ class LadderSystem:
         return [ProjChainMap(f.source, f.target, {}, validate=False, degree=f.offset)
                 for f in self.families]
 
+    def _copy_edge(self, k: int) -> int:
+        """The last unknown degree of the tailed family k on its tail side:
+        the copy rule fills the family's window past it."""
+        degrees = self.degrees[k]
+        return self.families[k].tail.edge((degrees[0], degrees[-1]))
+
+    @cached_property
+    def _slotted(self) -> set[tuple[int, int]]:
+        """The (family, degree) pairs that hold an unknown."""
+        return {(k, i) for k, i, _ in self.unknowns}
+
+    def copied(self, k: int, i: int, t: TailSpec) -> bool:
+        """Whether family k's component i is, at every vec, the copy of its
+        component i - o·p shifted by s, for the pattern ``t`` (outward o,
+        period p, shift s) of the family's tail, if it has one: where the copy
+        rule fills it, past the unknown degrees, or where neither holds an
+        unknown and their zero matrices are copies."""
+        fam, j = self.families[k], i - t.outward * t.period
+        if fam.tail is not None and t.outward * (i - self._copy_edge(k)) > 0:
+            return True
+        src, tgt, off, s = fam.source, fam.target, fam.offset, t.shift
+        return ((k, i) not in self._slotted and (k, j) not in self._slotted
+                and src.term(i) == shift_summands(src.term(j), s)
+                and tgt.term(i + off) == shift_summands(tgt.term(j + off), s))
+
     def _place(self, maps: list[ProjChainMap], coefficients) -> list[ProjChainMap]:
         """Add each (unknown j, value v) of ``coefficients`` to ``maps`` as
         v times unknown j's path at its entry, then fill each family's
@@ -1282,11 +1318,10 @@ class LadderSystem:
             if m is None:
                 m = maps[k].maps[i] = maps[k].component(i)
             m.entries[r][c] = m.entries[r][c] + m.algebra.element({path: v})
-        for fam, degrees, f in zip(self.families, self.degrees, maps):
-            t = fam.tail
-            if t is not None and f.maps:
-                _copy_outward(f.maps, t, t.edge((degrees[0], degrees[-1])),
-                              t.edge(fam.window), AlgMatrix.shifted)
+        for k, (fam, f) in enumerate(zip(self.families, maps)):
+            if fam.tail is not None and f.maps:
+                _copy_outward(f.maps, fam.tail, self._copy_edge(k),
+                              fam.tail.edge(fam.window), AlgMatrix.shifted)
         return maps
 
     def build(self, vec) -> list[ProjChainMap]:
@@ -1295,8 +1330,18 @@ class LadderSystem:
 
     def chain_blocks(self, k: int, given: ProjChainMap | None = None) -> list:
         """The blocks of family k's ``defect``, minus ``given``, one per
-        equation degree i; block i reads φ_i and φ_{i+1}."""
+        equation degree i; block i reads φ_i and φ_{i+1}. On a tailed family
+        the blocks stop two periods past the seam and past the innermost
+        degree from which ``given`` repeats (the ladder seam of "Windows and
+        margins" in the module docstring)."""
         fam = self.families[k]
+        tail = fam.tail
+        if given is not None and tail is not None:
+            o, p, s = tail.outward, tail.period, tail.shift
+            lo, hi = fam.window
+            repeats = _repeat_start(tail, (lo, hi - 1), lambda i: _is_copy(
+                given.component(i), given.component(i - o * p), s))
+            tail = replace(tail, start=(max if o > 0 else min)(tail.start, repeats))
 
         def block(i):
             def fn(maps):
@@ -1304,7 +1349,7 @@ class LadderSystem:
                 return _mat_coords(m if given is None else m - given.component(i))
             return ((k, i), (k, i + 1)), fn
 
-        return [block(i) for i in ladder_degrees(fam.window, fam.offset, fam.tail)[1]]
+        return [block(i) for i in ladder_degrees(fam.window, fam.offset, tail)[1]]
 
     def probe(self, blocks: list) -> tuple:
         """(column_fn, rhs) of the affine map r: vec -> the blocks'
@@ -1469,7 +1514,7 @@ def iso_in_homotopy_category(x: ProjComplex, y: ProjComplex,
         return Verdict("false", reason="minimal models have different summands")
     if (xm.tail is None) != (ym.tail is None):
         return Verdict("false", reason="one side is bounded, the other is not")
-    if xm.tail is not None and _common_tail(xm, ym) is None:
+    if xm.tail is not None and _doubled_tail(xm, ym) is None:
         return Verdict("inconclusive", reason="tail patterns do not align")
     sols = solve_chain_maps(xm, ym, window)
     inv = search_invertible(sols, lambda f: _chain_map_invertible(f, window))
@@ -1520,7 +1565,7 @@ def maps_agree_under_identification(F: ProjChainMap, G: ProjChainMap,
     S2, T2 = G.source, G.target
     if (cut := _window_cut(window, S1, T1, S2, T2)) is not None:
         return cut
-    aligned = all((a.tail is None and b.tail is None) or _common_tail(a, b) is not None
+    aligned = all((a.tail is None and b.tail is None) or _doubled_tail(a, b) is not None
                   for a, b in ((S1, S2), (T1, T2)))
     if aligned and S1.terms == S2.terms and T1.terms == T2.terms and \
        {i: d.entries for i, d in S1.diffs.items()} == {i: d.entries for i, d in S2.diffs.items()} and \
@@ -1579,10 +1624,9 @@ def _intertwining_degrees(ladder: LadderSystem, F: ProjChainMap, G: ProjChainMap
     pattern (side, period p, shift s); else the whole range (the
     intertwining cut of "Windows and margins" in the module docstring). D
     is the innermost degree from which each matrix block i reads is the
-    shifted copy of the one block i - outward·p reads. A family's component
-    is a copy where the copy rule fills it, past a tailed family's unknown
-    degrees, and where it holds no unknown at i or a period in and its zero
-    matrices are copies."""
+    shifted copy of the one block i - outward·p reads: the families'
+    components by ``LadderSystem.copied``, and F and G (with d_S1 and d_T2
+    up to homotopy) by ``_is_copy``."""
     lo, hi = window
     pattern = {(f.tail.side, f.tail.period, f.tail.shift)
                for f in ladder.families if f.tail is not None}
@@ -1590,17 +1634,7 @@ def _intertwining_degrees(ladder: LadderSystem, F: ProjChainMap, G: ProjChainMap
         return range(lo, hi)
     side, p, s = pattern.pop()
     t = TailSpec(side, 0, p, s)
-    o = t.outward
-    free = {(k, i) for k, i, _ in ladder.unknowns}
-    empty = ladder._empty()
-
-    def copied(k: int, i: int) -> bool:
-        degrees, j = ladder.degrees[k], i - o * p
-        if ladder.families[k].tail is not None and \
-                o * (i - t.edge((degrees[0], degrees[-1]))) > 0:
-            return True
-        return ((k, i) not in free and (k, j) not in free
-                and _is_copy(empty[k].component(i), empty[k].component(j), s))
+    o, copied = t.outward, ladder.copied
 
     def reads_copies(i: int) -> bool:
         j = i - o * p
@@ -1608,8 +1642,8 @@ def _intertwining_degrees(ladder: LadderSystem, F: ProjChainMap, G: ProjChainMap
         if not strict:
             S1, T2 = F.source, G.target
             pairs += [(S1.diff(i), S1.diff(j)), (T2.diff(i - 1), T2.diff(j - 1))]
-        return (copied(0, i) and copied(1, i)
-                and (strict or copied(2, i) and copied(2, i + 1))
+        return (copied(0, i, t) and copied(1, i, t)
+                and (strict or copied(2, i, t) and copied(2, i + 1, t))
                 and all(_is_copy(m, ref, s) for m, ref in pairs))
 
     D = _repeat_start(t, (lo, hi - 1), reads_copies)

@@ -229,9 +229,8 @@ def lift_through_resolutions(resM: ProjComplex, augM: dict[int, ModuleHom],
     The lift stops at the higher of the two resolutions' bottoms: below it a
     component maps into or out of zero. With a common tail of period p and
     shift s, it stops once lift[i] = lift[i + p]<s>, where i - 1 <= e, the
-    innermost degree from which both resolutions follow the tail, found by
-    one walk over both (``_complexes_repeat``), and copies
-    the rest (the lift repeat of "Windows and margins" in the ``complexes``
+    innermost degree from which both resolutions follow the tail, the
+    outer of their walks (``_complexes_repeat``), and copies the rest (the lift repeat of "Windows and margins" in the ``complexes``
     module docstring)."""
     lift = _Lift()
     bottom = max(resM.window()[0], resN.window()[0])

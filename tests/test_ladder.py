@@ -175,6 +175,22 @@ class TestHomotopySolve:
         v = chain_maps_homotopic(ProjChainMap.identity(padded), GF, padded.window())
         assert v.value == "true" and v.reason == ""
 
+    @pytest.mark.parametrize("side", [RIGHT_TAIL, LEFT_TAIL])
+    def test_a_difference_past_the_seam_is_seen(self, B, side):
+        """x is P(2) in every degree with d = 0, so dh + hd = 0 and only
+        equal maps are homotopic. f = id and g = id but at the edge of a
+        wide window: f - g repeats nowhere, so the homotopy's equations
+        run to the edge, far past the seam's two periods, and see it."""
+        o, t = (1 if side == RIGHT_TAIL else -1), (Summand("2", 0),)
+        x = ProjComplex(B, {o * m: t for m in range(41)}, {},
+                        TailSpec(side, 2 * o, 1, 0), "flat")
+        seam = _common_tail(x, x).start
+        f = ProjChainMap.identity(x)
+        g = ProjChainMap(x, x, {i: m for i, m in f.maps.items() if i != 40 * o})
+        assert o * (40 * o - seam) > 2 * 2 + 1
+        v = chain_maps_homotopic(f, g, x.window())
+        assert v.value == "false", v.reason
+
     @settings(max_examples=25, deadline=None)
     @given(which=st.sampled_from(["res-L1", "res-L2", "cone"]),
            coeffs=st.lists(st.integers(-3, 3), min_size=16, max_size=16))
@@ -494,9 +510,11 @@ def terms(draw):
 @st.composite
 def periodic_pairs(draw, B):
     """Two complexes with one periodic tail (side, period 1-3, shift) and
-    random non-periodic heads of one length, stored on one window, each
-    with the tail ``detect_tail`` finds there. Not validated: the walk reads
-    terms and entries only."""
+    random non-periodic heads of one length, each with the tail
+    ``detect_tail`` finds on its stored window. The tails run to edges of
+    their own, and each may hold one random term, a break of the pattern,
+    which may lie past the other complex's edge. Not validated: the walk
+    reads terms and entries only."""
     side = draw(st.sampled_from([LEFT_TAIL, RIGHT_TAIL]))
     p, s = draw(st.integers(1, 3)), draw(st.integers(-4, 4))
     pattern = [draw(terms()) for _ in range(p)]
@@ -506,18 +524,22 @@ def periodic_pairs(draw, B):
     links = [draw(entries_between(B, *((nxt[k], pattern[k]) if side == RIGHT_TAIL
                                       else (pattern[k], nxt[k]))))
              for k in range(p)]
-    n_tail, n_head = draw(st.integers(3 * p, 4 * p + 2)), draw(st.integers(0, 3))
+    n_head = draw(st.integers(0, 3))
     o = 1 if side == RIGHT_TAIL else -1
 
     def build(name):
+        n_tail = draw(st.integers(3 * p, 6 * p + 2))
         seq = [draw(terms()) for _ in range(n_head)] + \
             [shift_summands(pattern[m % p], s * (m // p)) for m in range(n_tail)]
+        broken = draw(st.one_of(st.none(), st.integers(n_head, len(seq) - 1)))
+        if broken is not None:
+            seq[broken] = draw(terms())
         # index m sits at degree o·m, inward to outward
         t = {o * m: term for m, term in enumerate(seq)}
         d = {}
         for m in range(len(seq) - 1):
             k = m - n_head
-            if k >= 0:
+            if k >= 0 and broken not in (m, m + 1):
                 link = links[k % p].shifted(s * (k // p))
             else:
                 a, b = seq[m], seq[m + 1]
@@ -541,17 +563,20 @@ class TestSeamWalk:
         X, Y = data.draw(periodic_pairs(B))
         t = _common_tail(X, Y)
         assume(t is not None)
-        o, (lo, hi) = t.outward, X.window()
+        o = t.outward
         walked = _complexes_repeat(t, X, Y)
         outer = max if o > 0 else min
         assert walked == outer(ref_repeat_start(X, t), ref_repeat_start(Y, t))
-        # never past a stored edge, and its reference, a period in, is stored
+        # never past the outer stored edge, and its reference, a period in,
+        # is stored in both: the two share their inner edge, degree 0
+        (lo, hi), (lo_y, hi_y) = X.window(), Y.window()
         if o > 0:
-            assert lo + t.period <= walked <= hi + 1
+            assert lo + t.period <= walked <= max(hi, hi_y) + 1
         else:
-            assert lo - 1 <= walked <= hi - t.period
-        if lo <= walked <= hi:
-            for c in (X, Y):
+            assert min(lo, lo_y) - 1 <= walked <= hi - t.period
+        # no break at or past it in either complex, out to its own edge
+        for c in (X, Y):
+            if o * (walked - t.edge(c.window())) <= 0:
                 assert _tail_break(c, TailSpec(t.side, walked, t.period, t.shift)) is None
         # the seam only moves in from the outer of the two stored starts
         inner = min if o > 0 else max
