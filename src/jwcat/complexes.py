@@ -53,11 +53,8 @@ caller passes only the window it works at. Below, a tail has direction o
   inside the window. From one period past σ the identification
   φ_i = φ_{i-o·p}<s> is well typed, so the unknowns stop one period past σ
   and ``LadderSystem.build`` fills the rest of the window from them, by the
-  copy rule ``materialize`` extends terms and differentials with. An
-  equation at least one period past σ reads only identified components and
-  periodic differentials, so it is the shifted copy of the equation one
-  period nearer σ. The equations still run two periods past σ, which checks
-  one repeated period explicitly, as the seam check does on the terms.
+  copy rule ``materialize`` extends terms and differentials with. Which
+  equations the system keeps is the equation cut below.
   The seam is walked (``_common_tail``). It starts at the outer of the two
   tails' starts: from there each complex follows its own tail, so both
   follow the doubled pattern from one ladder period further out, which is
@@ -72,33 +69,15 @@ caller passes only the window it works at. Below, a tail has direction o
   break or where the reference i - o·p would leave the stored window, so
   it reads no degree the complex does not store, and a break that only
   the complex stored further out holds is not skipped. The stored
-  ``TailSpec`` of each complex is left as it is. A homotopy's equations
-  d∘h + h∘d = f - g also read the given f - g, which nothing above makes
-  periodic, so ``LadderSystem.chain_blocks`` stops them two periods past
-  the outer of the seam and the innermost degree from which f - g repeats
-  out to the window edge (``_repeat_start`` with ``_is_copy``); where
-  f - g never repeats they run to the edge. Soundness: the walks move the
-  cut only across degrees where both complexes, and f - g, are periodic,
-  so every dropped equation is still the shifted copy of one the system
-  keeps, and a solution is still a chain map or homotopy of the
-  semi-infinite complexes. The ansatz identifies more components, so it
-  admits fewer solutions: it can lose a "true", as an empty periodic
-  solution set between tailed models is inconclusive, but it never adds
-  a "false". In ``duality-maps`` both models follow their pattern from
-  degree 6 or 7, so the largest ladder system has 18 unknowns at every N
-  (252 and 1,020 at N = 128 and 512 with the seam at the stored tails'
-  starts).
-  Intertwining cut (``_intertwining_degrees``). The blocks
-  ψ_t∘F - G∘ψ_s (- dh - hd) of ``maps_agree_under_identification`` stop two
-  ladder periods past the innermost degree D from which each matrix block
-  i reads is the shifted copy of the one block i - o·p reads: the ψ and h
-  components past each family's unknowns or holding none, F and G, walked
-  by ``_repeat_start`` with the same comparison (``_is_copy``), and, up to
-  homotopy, d_S1 and d_T2. A block past D is then the shifted copy of the
-  one a period in, with the same coordinates: it repeats rows the system
-  has and leaves the kernel as it is. When the families' tails do not
-  share one pattern (side, period, shift) the blocks run to the window
-  edge.
+  ``TailSpec`` of each complex is left as it is. Soundness: the walk moves
+  the seam only across degrees where both complexes are periodic, so a
+  solution is still a chain map or homotopy of the semi-infinite
+  complexes. The ansatz identifies more components, so it admits fewer
+  solutions: it can lose a "true", as an empty periodic solution set
+  between tailed models is inconclusive, but it never adds a "false". In
+  ``duality-maps`` both models follow their pattern from degree 6 or 7, so
+  the largest ladder system has 18 unknowns at every N (252 and 1,020 at
+  N = 128 and 512 with the seam at the stored tails' starts).
   The ladder's period p is twice the lcm L of the two tails' periods
   (``_common_tail``). Every solution periodic under L is periodic under 2L,
   so doubling loses none, and it admits the solutions that change sign at
@@ -107,6 +86,28 @@ caller passes only the window it works at. Below, a tail has direction o
   φ_i = (-1)^i, which has period 2. Nothing proves 2L complete (a solution
   that repeats only after three steps of L would still be missed), so an
   empty solution set of the ansatz is inconclusive, never "false".
+* Equation cut (``LadderSystem.cut``). Each block list of a ladder
+  system, a family's chain blocks d∘φ_i ∓ φ_(i+1)∘d (less a given f - g
+  for a homotopy) or the intertwining blocks ψ_t∘F - G∘ψ_s (- dh - hd),
+  states what block i reads: its unknown components, and its fixed
+  matrices besides the families' differentials (f - g, F and G). Under the
+  one pattern (side, period p, shift s) the families' tails share, D is the
+  innermost degree from which each block is the shifted copy of the one a
+  period in: each component it reads is ``LadderSystem.copied`` and each
+  fixed matrix a copy by ``_is_copy``. The differentials need no
+  comparison: a component copied past its family's unknowns lies a period
+  past the seam, from where both complexes repeat (the ladder seam above),
+  and one that holds no unknown is zero, so the differentials it meets add
+  nothing. A block past D thus has the coordinates and, at every vec, the
+  value of the one a period in: by induction it repeats rows of the period
+  before D, and dropping it leaves every kernel and solution as it is. The
+  cut keeps the blocks up to D and one period of repeats from it,
+  D .. D + o·(p - 1), which checks a repeated period explicitly, as the
+  seam check does on the terms. Chain blocks without a given map repeat
+  from where both components they read lie a period past the seam, where
+  f - g never repeats they run to the window edge, and those of a family
+  without a tail, beside a tailed one, repeat from a period past its
+  models' top. Without one shared pattern every block is kept.
 * Reduction margin (``reduce_on_window``): 2p + 2 degrees on the tail
   side. ``gaussian_reduce`` always cancels at the lowest degree whose
   differential has a unit. A cancellation at i rewrites d(i), drops a row
@@ -274,7 +275,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 
 from .linalg import (Matrix, _div, kernel_from_columns, search_invertible,
@@ -1212,30 +1213,23 @@ def _common_tail(X: ProjComplex, Y: ProjComplex) -> TailSpec | None:
 
 
 def ladder_degrees(window: tuple[int, int], offset: int,
-                   tail: TailSpec | None) -> tuple[range, range]:
-    """The degree rule of a ladder family φ_i: A^i -> B^{i+offset}.
-
-    Returns (unknowns, equations): the degrees whose components are solved
-    for, and the degrees i of the chain-type equations d∘φ_i ± φ_{i+1}∘d.
-    Those equations involve φ_i and φ_{i+1}, so without a tail they run over
-    window[0] .. window[1] - 1 and every component in the window is unknown.
-
-    With a common tail of A and B (period p) the unknowns stop one period
-    past the seam σ, through σ + p - 1 on a right tail and from σ - p + 1 on
-    a left tail, and ``build`` fills the rest of the window by the periodic
-    identification. The equations run two periods past σ on the tail side
-    and to the window edge on the other. The derivation is the ladder seam
-    of "Windows and margins" in the module docstring.
+                   tail: TailSpec | None) -> range:
+    """The unknown degrees of a ladder family φ_i: A^i -> B^{i+offset}: the
+    whole window without a tail. With a common tail of A and B (period p)
+    they stop one period past the seam σ, through σ + p - 1 on a right tail
+    and from σ - p + 1 on a left tail, and ``build`` fills the rest of the
+    window by the periodic identification (the ladder seam of "Windows and
+    margins" in the module docstring).
     """
     lo, hi = window
     if tail is None:
-        return range(lo, hi + 1), range(lo, hi)
+        return range(lo, hi + 1)
     p = tail.period
     if tail.side == RIGHT_TAIL:
         seam = max(lo, tail.start, tail.start - offset)
-        return range(lo, min(hi, seam + p - 1) + 1), range(lo, min(hi - 1, seam + 2 * p) + 1)
+        return range(lo, min(hi, seam + p - 1) + 1)
     seam = min(hi, tail.start, tail.start - offset)
-    return range(max(lo, seam - p + 1), hi + 1), range(max(lo, seam - 2 * p), hi)
+    return range(max(lo, seam - p + 1), hi + 1)
 
 
 @dataclass(frozen=True)
@@ -1261,14 +1255,16 @@ class LadderSystem:
 
     The equations come as blocks ``(reads, fn)``: ``fn(maps)`` is the list of
     coordinates of an affine expression in the components named by
-    ``reads``, (family, degree) pairs, of the maps. ``probe`` turns a list of
-    blocks into matrix columns and a right-hand side for
+    ``reads``, (family, degree) pairs, of the maps. ``cut`` makes a list of
+    them from one statement of what block i reads, components and fixed
+    matrices, and drops those that repeat rows it keeps. ``probe`` turns a
+    list of blocks into matrix columns and a right-hand side for
     ``kernel_from_columns`` or ``solve_from_columns``.
     """
 
     def __init__(self, families: list[LadderFamily]):
         self.families = list(families)
-        self.degrees = [ladder_degrees(f.window, f.offset, f.tail)[0]
+        self.degrees = [ladder_degrees(f.window, f.offset, f.tail)
                         for f in self.families]
         self.unknowns = [(k, i, slot) for k, (fam, degrees)
                          in enumerate(zip(self.families, self.degrees))
@@ -1283,30 +1279,51 @@ class LadderSystem:
         return [ProjChainMap(f.source, f.target, {}, validate=False, degree=f.offset)
                 for f in self.families]
 
-    def _copy_edge(self, k: int) -> int:
-        """The last unknown degree of the tailed family k on its tail side:
-        the copy rule fills the family's window past it."""
-        degrees = self.degrees[k]
-        return self.families[k].tail.edge((degrees[0], degrees[-1]))
+    @cached_property
+    def _copy_edges(self) -> list[int | None]:
+        """Each tailed family's last unknown degree on its tail side, None
+        for a family without a tail: the copy rule fills the window past it."""
+        return [None if f.tail is None else f.tail.edge((d[0], d[-1]))
+                for f, d in zip(self.families, self.degrees)]
 
     @cached_property
     def _slotted(self) -> set[tuple[int, int]]:
         """The (family, degree) pairs that hold an unknown."""
         return {(k, i) for k, i, _ in self.unknowns}
 
-    def copied(self, k: int, i: int, t: TailSpec) -> bool:
-        """Whether family k's component i is, at every vec, the copy of its
-        component i - o·p shifted by s, for the pattern ``t`` (outward o,
-        period p, shift s) of the family's tail, if it has one: where the copy
+    @cached_property
+    def _pattern(self) -> TailSpec | None:
+        """The one pattern (side, period, shift) the families' tails share,
+        as a ``TailSpec`` from 0, or None when they share none."""
+        patterns = {(f.tail.side, f.tail.period, f.tail.shift)
+                    for f in self.families if f.tail is not None}
+        if len(patterns) != 1:
+            return None
+        side, p, s = patterns.pop()
+        return TailSpec(side, 0, p, s)
+
+    def copied(self, k: int, i: int) -> bool:
+        """Whether family k's component i, with the family's differentials it
+        meets, is at every vec the copy of its component i - o·p shifted by
+        s, under ``_pattern`` (outward o, period p, shift s): where the copy
         rule fills it, past the unknown degrees, or where neither holds an
-        unknown and their zero matrices are copies."""
-        fam, j = self.families[k], i - t.outward * t.period
-        if fam.tail is not None and t.outward * (i - self._copy_edge(k)) > 0:
+        unknown and their zero matrices are copies (the equation cut of
+        "Windows and margins" in the module docstring)."""
+        t, edge = self._pattern, self._copy_edges[k]
+        if edge is not None and t.outward * (i - edge) > 0:
             return True
+        fam, j = self.families[k], i - t.outward * t.period
         src, tgt, off, s = fam.source, fam.target, fam.offset, t.shift
         return ((k, i) not in self._slotted and (k, j) not in self._slotted
                 and src.term(i) == shift_summands(src.term(j), s)
                 and tgt.term(i + off) == shift_summands(tgt.term(j + off), s))
+
+    @cached_property
+    def _copied_from(self) -> list[int]:
+        """For each family, the innermost degree of its window from which
+        every component out to the window edge is ``copied``."""
+        return [_repeat_start(self._pattern, f.window, lambda i, k=k: self.copied(k, i))
+                for k, f in enumerate(self.families)]
 
     def _place(self, maps: list[ProjChainMap], coefficients) -> list[ProjChainMap]:
         """Add each (unknown j, value v) of ``coefficients`` to ``maps`` as
@@ -1320,7 +1337,7 @@ class LadderSystem:
             m.entries[r][c] = m.entries[r][c] + m.algebra.element({path: v})
         for k, (fam, f) in enumerate(zip(self.families, maps)):
             if fam.tail is not None and f.maps:
-                _copy_outward(f.maps, fam.tail, self._copy_edge(k),
+                _copy_outward(f.maps, fam.tail, self._copy_edges[k],
                               fam.tail.edge(fam.window), AlgMatrix.shifted)
         return maps
 
@@ -1328,28 +1345,39 @@ class LadderSystem:
         """The maps at ``vec``: every unknown degree, then its copies."""
         return self._place(self._empty(), ((j, v) for j, v in enumerate(vec) if v != 0))
 
+    def cut(self, reads, fixed, fn, degrees: range) -> list:
+        """The blocks i -> ``fn(maps, i)`` for i in ``degrees``, as ``probe``
+        reads them, cut by the equation cut of "Windows and margins" in the
+        module docstring. Block i reads the components (k, i + a) for each
+        (k, a) in ``reads``, and the fixed matrices m(i) for each m in
+        ``fixed`` besides the families' differentials. Under ``_pattern`` the
+        blocks are kept up to the innermost degree D from which each is the
+        shifted copy of the one a period in (every component it reads is
+        ``copied`` and every fixed matrix a copy by ``_is_copy``), and one
+        period of repeats from D. Without one pattern every block is kept."""
+        t = self._pattern
+        if t is not None and degrees:
+            o, p, s = t.outward, t.period, t.shift
+            copied_from = (max if o > 0 else min)(self._copied_from[k] - a for k, a in reads)
+
+            def repeats(i):
+                return o * (i - copied_from) >= 0 and all(
+                    _is_copy(m(i), m(i - o * p), s) for m in fixed)
+
+            D = _repeat_start(t, (degrees[0], degrees[-1]), repeats)
+            degrees = [i for i in degrees if o * (i - D) < p]
+        return [(tuple([(k, i + a) for k, a in reads]), partial(fn, i=i)) for i in degrees]
+
     def chain_blocks(self, k: int, given: ProjChainMap | None = None) -> list:
         """The blocks of family k's ``defect``, minus ``given``, one per
-        equation degree i; block i reads φ_i and φ_{i+1}. On a tailed family
-        the blocks stop two periods past the seam and past the innermost
-        degree from which ``given`` repeats (the ladder seam of "Windows and
-        margins" in the module docstring)."""
-        fam = self.families[k]
-        tail = fam.tail
-        if given is not None and tail is not None:
-            o, p, s = tail.outward, tail.period, tail.shift
-            lo, hi = fam.window
-            repeats = _repeat_start(tail, (lo, hi - 1), lambda i: _is_copy(
-                given.component(i), given.component(i - o * p), s))
-            tail = replace(tail, start=(max if o > 0 else min)(tail.start, repeats))
+        degree i of the window but its top, cut by ``cut``; block i reads
+        φ_i and φ_{i+1}, and given_i."""
+        def fn(maps, i):
+            m = maps[k].defect(i)
+            return _mat_coords(m if given is None else m - given.component(i))
 
-        def block(i):
-            def fn(maps):
-                m = maps[k].defect(i)
-                return _mat_coords(m if given is None else m - given.component(i))
-            return ((k, i), (k, i + 1)), fn
-
-        return [block(i) for i in ladder_degrees(fam.window, fam.offset, tail)[1]]
+        fixed = () if given is None else (given.component,)
+        return self.cut(((k, 0), (k, 1)), fixed, fn, range(*self.families[k].window))
 
     def probe(self, blocks: list) -> tuple:
         """(column_fn, rhs) of the affine map r: vec -> the blocks'
@@ -1594,8 +1622,8 @@ def _intertwining_system(F: ProjChainMap, G: ProjChainMap,
     """The ladder system and blocks of ψ_t∘F - G∘ψ_s = (0 | dh + hd) with
     ψ_s: S1 -> S2 and ψ_t: T1 -> T2 chain maps (families 0 and 1) and, up to
     homotopy, h: S1^i -> T2^{i-1} (family 2). Intertwining block i reads
-    ψ_s(i), ψ_t(i), and h(i), h(i+1), on the degrees
-    ``_intertwining_degrees`` gives."""
+    ψ_s(i), ψ_t(i), up to homotopy h(i) and h(i+1), and the fixed matrices
+    F_i and G_i; ``LadderSystem.cut`` cuts every block list."""
     S1, T1 = F.source, F.target
     S2, T2 = G.source, G.target
     families = [LadderFamily(S1, S2, 0, window, _common_tail(S1, S2)),
@@ -1604,52 +1632,14 @@ def _intertwining_system(F: ProjChainMap, G: ProjChainMap,
         families.append(LadderFamily(S1, T2, -1, window, _common_tail(S1, T2)))
     ladder = LadderSystem(families)
 
-    def block(i):
-        def fn(maps):
-            m = maps[1].component(i) * F.component(i) - G.component(i) * maps[0].component(i)
-            if not strict:
-                m = m - maps[2].defect(i)
-            return _mat_coords(m)
-        return ((0, i), (1, i), (2, i), (2, i + 1)), fn
+    def fn(maps, i):
+        m = maps[1].component(i) * F.component(i) - G.component(i) * maps[0].component(i)
+        return _mat_coords(m if strict else m - maps[2].defect(i))
 
+    reads = ((0, 0), (1, 0)) if strict else ((0, 0), (1, 0), (2, 0), (2, 1))
     blocks = (ladder.chain_blocks(0) + ladder.chain_blocks(1)
-              + [block(i) for i in _intertwining_degrees(ladder, F, G, window, strict)])
+              + ladder.cut(reads, (F.component, G.component), fn, range(*window)))
     return ladder, blocks
-
-
-def _intertwining_degrees(ladder: LadderSystem, F: ProjChainMap, G: ProjChainMap,
-                          window: tuple[int, int], strict: bool) -> range:
-    """The degrees i of the intertwining blocks: lo .. hi - 1, cut on the
-    tail side two ladder periods past D when the families' tails share one
-    pattern (side, period p, shift s); else the whole range (the
-    intertwining cut of "Windows and margins" in the module docstring). D
-    is the innermost degree from which each matrix block i reads is the
-    shifted copy of the one block i - outward·p reads: the families'
-    components by ``LadderSystem.copied``, and F and G (with d_S1 and d_T2
-    up to homotopy) by ``_is_copy``."""
-    lo, hi = window
-    pattern = {(f.tail.side, f.tail.period, f.tail.shift)
-               for f in ladder.families if f.tail is not None}
-    if len(pattern) != 1:
-        return range(lo, hi)
-    side, p, s = pattern.pop()
-    t = TailSpec(side, 0, p, s)
-    o, copied = t.outward, ladder.copied
-
-    def reads_copies(i: int) -> bool:
-        j = i - o * p
-        pairs = [(F.component(i), F.component(j)), (G.component(i), G.component(j))]
-        if not strict:
-            S1, T2 = F.source, G.target
-            pairs += [(S1.diff(i), S1.diff(j)), (T2.diff(i - 1), T2.diff(j - 1))]
-        return (copied(0, i, t) and copied(1, i, t)
-                and (strict or copied(2, i, t) and copied(2, i + 1, t))
-                and all(_is_copy(m, ref, s) for m, ref in pairs))
-
-    D = _repeat_start(t, (lo, hi - 1), reads_copies)
-    if o > 0:
-        return range(lo, min(hi, D + 2 * p))
-    return range(max(lo, D - 2 * p + 1), hi)
 
 
 def _solve_intertwining(F: ProjChainMap, G: ProjChainMap,

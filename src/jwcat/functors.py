@@ -230,8 +230,9 @@ def lift_through_resolutions(resM: ProjComplex, augM: dict[int, ModuleHom],
     component maps into or out of zero. With a common tail of period p and
     shift s, it stops once lift[i] = lift[i + p]<s>, where i - 1 <= e, the
     innermost degree from which both resolutions follow the tail, the
-    outer of their walks (``_complexes_repeat``), and copies the rest (the lift repeat of "Windows and margins" in the ``complexes``
-    module docstring)."""
+    outer of their walks (``_complexes_repeat``), and copies the rest (the
+    lift repeat of "Windows and margins" in the ``complexes`` module
+    docstring)."""
     lift = _Lift()
     bottom = max(resM.window()[0], resN.window()[0])
     t = _doubled_tail(resM, resN)

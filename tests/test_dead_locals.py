@@ -9,7 +9,10 @@ package's ``__all__`` exports is bound in its ``__init__`` and, except
 ``__version__``, read by another of its modules. Every function annotated to
 return ``Verdict`` calls ``_window_cut``. No ``assert`` statement states a
 claim in the package, since ``python -O`` strips them, and no true division
-``/`` appears outside ``linalg._div`` and three path joins.
+``/`` appears outside ``linalg._div`` and three path joins. Every
+identifier in double backquotes in a docstring of the package, and in
+single backquotes in README.md outside its code blocks, is named by the
+package's code, so that no document cites a name the code has dropped.
 
 A name counts as read when its scope, or a function or comprehension nested
 in it, loads it. Names declared ``global`` or ``nonlocal`` belong to another
@@ -20,6 +23,9 @@ definition. A parameter may go unread when it is ``self``, ``cls`` or
 """
 
 import ast
+import builtins
+import keyword
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -557,3 +563,65 @@ def test_every_decision_reads_the_window_rule():
     assert {"iso_in_homotopy_category", "maps_agree_under_identification",
             "chain_maps_homotopic"} <= decisions
     assert [hit for tree in trees for hit in decisions_without_window_cut(tree)] == []
+
+
+def code_names(trees):
+    """Every identifier the code of ``trees`` names: each name it binds or
+    reads, attribute, function, class, parameter, keyword argument and
+    import, and each string constant that is an identifier, such as a
+    command name; with Python's builtins and keywords."""
+    names = set(dir(builtins)) | set(keyword.kwlist)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.arg, ast.keyword)) and node.arg:
+                names.add(node.arg)
+            elif isinstance(node, ast.alias):
+                names.update((node.asname or node.name).split("."))
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names.update(node.module.split("."))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and node.value.isidentifier():
+                names.add(node.value)
+    return names
+
+
+def stale_doc_names(trees, readme):
+    """(file, name) for each identifier, dotted or not, in double backquotes
+    in a docstring of ``trees`` (file name -> tree) or in single backquotes
+    in ``readme`` outside its code blocks, with a part that the code of
+    ``trees`` does not name and that is neither ``jwcat`` nor one of its
+    modules."""
+    known = code_names(trees.values()) | {"jwcat"} | {Path(name).stem for name in trees}
+    cited = [(name, text) for name, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef))
+             and (doc := ast.get_docstring(node))
+             for text in re.findall(r"``([^`]+)``", doc)]
+    prose = re.sub(r"```.*?```", "", readme, flags=re.S)
+    cited += [("README.md", text) for text in re.findall(r"`([^`\n]+)`", prose)]
+    return sorted({(name, text) for name, text in cited
+                   if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", text)
+                   and not set(text.split(".")) <= known})
+
+
+def test_the_scan_finds_a_stale_doc_name():
+    tree = ast.parse('"""Reads ``walk.kept`` and ``f(x)``."""\n'
+                     "def walk(kept):\n"
+                     '    """``kept`` as cut by ``_gone``, or ``None``."""\n'
+                     "    return kept\n")
+    readme = ("`jwcat.m.walk` and `m.walk(x)`, not `_old` or `walk._old`\n"
+              "```\n`_in_a_code_block`\n```\n")
+    assert stale_doc_names({"m.py": tree}, readme) == [
+        ("README.md", "_old"), ("README.md", "walk._old"), ("m.py", "_gone")]
+
+
+def test_every_doc_name_is_named_by_the_package():
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    assert stale_doc_names(trees, (ROOT / "README.md").read_text()) == []

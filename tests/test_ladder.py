@@ -1,6 +1,6 @@
 """The ladder solver: chain maps, homotopies and intertwining identifications
 on complexes where the answer is known by hand, and the seam walk and the
-intertwining cut that keep the ladders of ``duality-maps`` the same size at
+equation cut that keep the ladders of ``duality-maps`` the same size at
 every window."""
 
 from fractions import Fraction
@@ -19,7 +19,7 @@ from jwcat.complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, LadderFamily,
                              _tail_break, chain_maps_homotopic, detect_tail,
                              gaussian_reduce, iso_in_homotopy_category,
                              ladder_degrees, maps_agree_under_identification,
-                             shift_summands, solve_chain_maps)
+                             shift_summands, solve_chain_maps, solve_homotopy)
 from jwcat.exprs import evaluate, parse
 from jwcat.functors import P_on_object, Setup
 from jwcat.linalg import kernel_from_columns, unit_vector
@@ -60,23 +60,23 @@ def is_chain_map(f, window):
 
 class TestDegreeRule:
     def test_no_tail_covers_the_window(self):
-        assert ladder_degrees((0, 5), 0, None) == (range(0, 6), range(0, 5))
+        assert ladder_degrees((0, 5), 0, None) == range(0, 6)
 
     def test_right_tail_seam_waits_for_the_shifted_target(self):
         tail = TailSpec(RIGHT_TAIL, 2, 2, -2)
-        assert ladder_degrees((0, 20), 0, tail) == (range(0, 4), range(0, 7))
+        assert ladder_degrees((0, 20), 0, tail) == range(0, 4)
         # h_i: X^i -> Y^{i-1} is periodic only once Y^{i-1} is, from 3 on
-        assert ladder_degrees((0, 20), -1, tail) == (range(0, 5), range(0, 8))
+        assert ladder_degrees((0, 20), -1, tail) == range(0, 5)
 
     def test_left_tail_runs_to_the_window_edge_inward(self):
         tail = TailSpec("left", -7, 1, 2)
-        assert ladder_degrees((-20, 0), 0, tail) == (range(-7, 1), range(-9, 0))
-        assert ladder_degrees((-20, 1), -1, tail) == (range(-7, 2), range(-9, 1))
+        assert ladder_degrees((-20, 0), 0, tail) == range(-7, 1)
+        assert ladder_degrees((-20, 1), -1, tail) == range(-7, 2)
 
     def test_window_starting_inside_the_tail(self, B):
         # the seam is taken at the window edge: unknowns at 3 and 4 only
         x = cone_chain(B)
-        assert ladder_degrees((3, 7), 0, x.tail)[0] == range(3, 5)
+        assert ladder_degrees((3, 7), 0, x.tail) == range(3, 5)
         sols = solve_chain_maps(x, x, (3, 7))
         assert sols and all(is_chain_map(f, (3, 7)) for f in sols)
 
@@ -95,6 +95,68 @@ class TestDegreeRule:
         # the homotopy family has unknown degrees 0 and 2 without slots
         assert ladder.degrees == [range(0, 2), range(0, 3)]
         assert ladder.n == 5
+
+
+def block_degrees(blocks):
+    """The degree i of each chain block, read off the first component it
+    reads, φ_i."""
+    return [reads[0][1] for reads, _ in blocks]
+
+
+class TestEquationCut:
+    """``LadderSystem.cut`` keeps a block list up to the innermost degree D
+    from which each block repeats the one a period in and one period of
+    repeats from it, D .. D + o·(p - 1), and every block without one shared
+    tail pattern (the equation cut of "Windows and margins")."""
+
+    def test_without_a_tail_every_degree_is_kept(self, B):
+        t = (Summand("2", 0),)
+        x = ProjComplex(B, {i: t for i in range(6)}, {}, name="flat")
+        ladder = LadderSystem([LadderFamily(x, x, 0, (0, 5))])
+        # block i reads φ_i and φ_(i+1): every i below the top
+        assert block_degrees(ladder.chain_blocks(0)) == list(range(0, 5))
+
+    def test_right_tail_keeps_one_period_of_repeats(self, B):
+        """cone_chain has period 2 and seam 2. The chain maps' unknowns
+        stop at 3, so φ_i and φ_(i+1) are both copies from D = 4 on, and the
+        blocks are kept through D + 1 = 5. The homotopy's unknowns stop at 4,
+        but h_4: P(2)<-4> -> P(2)<-2> and h_2 have no path of degree -2, so
+        h_4 is a copy too, D = 4 again, and the blocks end at 5."""
+        x = cone_chain(B, hi=21).materialize(-1, 21)
+        chain = LadderSystem([LadderFamily(x, x, 0, (0, 20), x.tail)])
+        assert chain.degrees[0] == range(0, 4)
+        assert block_degrees(chain.chain_blocks(0)) == list(range(0, 6))
+        homotopy = LadderSystem([LadderFamily(x, x, -1, (0, 20), x.tail)])
+        assert homotopy.degrees[0] == range(0, 5)
+        assert block_degrees(homotopy.chain_blocks(0)) == list(range(0, 6))
+
+    def test_left_tail_keeps_one_period_of_repeats(self):
+        """P(P(1)) has period 1 and shift 2 from -7. The chain maps'
+        unknowns run from -7, so φ_i and φ_(i+1) are both copies from
+        D = -9 out, and the blocks are kept from D. Its homotopies
+        h_i: P(2)<1 - 2i> -> P(2)<3 - 2i> have no path of degree -2 in any
+        degree, so every component is zero and a copy wherever the terms
+        repeat: from -1 out, as degree 1 is empty. So h_(i+1) is a copy for
+        i <= -2, and the blocks are kept from D = -2."""
+        setup = Setup.create()
+        x = P_on_object(setup, projective(setup.B, "1"), depth=8).materialize(-21, 1)
+        tail = TailSpec(LEFT_TAIL, -7, 1, 2)
+        assert x.tail == tail
+        chain = LadderSystem([LadderFamily(x, x, 0, (-20, 0), tail)])
+        assert chain.degrees[0] == range(-7, 1)
+        assert block_degrees(chain.chain_blocks(0)) == list(range(-9, 0))
+        homotopy = LadderSystem([LadderFamily(x, x, -1, (-20, 1), tail)])
+        assert homotopy.degrees[0] == range(-7, 2) and homotopy.n == 0
+        assert block_degrees(homotopy.chain_blocks(0)) == list(range(-2, 1))
+
+    def test_a_given_map_that_never_repeats_keeps_every_degree(self, B):
+        """f - g is nonzero at 19 only, the top block's degree, so block 19
+        does not repeat block 17 and D lies past the window edge."""
+        x = cone_chain(B, hi=21).materialize(-1, 21)
+        homotopy = LadderSystem([LadderFamily(x, x, -1, (0, 20), x.tail)])
+        e2 = AlgMatrix.identity(B, x.term(19))
+        given = ProjChainMap(x, x, {19: e2}, validate=False)
+        assert block_degrees(homotopy.chain_blocks(0, given)) == list(range(0, 20))
 
 
 class TestPeriodicAnsatz:
@@ -585,23 +647,23 @@ class TestSeamWalk:
 
 def duality_maps_systems(N):
     """The unknown count of every ladder system ``duality-maps`` sets up at
-    window N, and the intertwining degrees of each identification it
-    solves."""
-    sizes, degrees = [], []
-    init, cut = LadderSystem.__init__, complexes._intertwining_degrees
+    window N, and the block count of each intertwining system it solves."""
+    sizes, blocks = [], []
+    init, system = LadderSystem.__init__, complexes._intertwining_system
 
     def counting_init(self, families):
         init(self, families)
         sizes.append(self.n)
 
-    def recording_cut(*args):
-        degrees.append(cut(*args))
-        return degrees[-1]
+    def counting_system(*args):
+        ladder, found = system(*args)
+        blocks.append(len(found))
+        return ladder, found
 
     with mock.patch.object(LadderSystem, "__init__", counting_init), \
-            mock.patch.object(complexes, "_intertwining_degrees", recording_cut):
+            mock.patch.object(complexes, "_intertwining_system", counting_system):
         verify.run_suite(verify.VerificationConfig(window=N, only=("duality-maps",)))
-    return sizes, degrees
+    return sizes, blocks
 
 
 def generator_map_comparisons(N):
@@ -620,32 +682,56 @@ def generator_map_comparisons(N):
 
 
 class TestLaddersOfConstantSize:
-    """The walked seam and the intertwining cut keep every ladder system of
-    ``duality-maps`` the same size at every window (the ladder seam of
-    "Windows and margins")."""
+    """The walked seam and the equation cut keep every ladder system of
+    ``duality-maps`` the same size at every window (the ladder seam and the
+    equation cut of "Windows and margins")."""
 
     def test_the_largest_system_and_the_blocks_do_not_grow(self):
-        sizes_128, cut_128 = duality_maps_systems(128)
-        sizes_512, cut_512 = duality_maps_systems(512)
+        """The blocks of a family without a tail stop a period past its
+        models' top, so no system keeps one block per window degree."""
+        sizes_128, blocks_128 = duality_maps_systems(128)
+        sizes_512, blocks_512 = duality_maps_systems(512)
         assert max(sizes_128) == max(sizes_512) == 18
-        assert cut_128 and [len(r) for r in cut_128] == [len(r) for r in cut_512]
-        assert all(len(r) < 40 for r in cut_512)
+        assert blocks_128 == blocks_512 == [41, 40, 42]
 
     @pytest.mark.parametrize("N", [16, 24])
-    def test_the_cut_system_has_the_kernel_of_the_full_window(self, N):
-        def kernel(F, G, window, strict):
-            ladder, blocks = _intertwining_system(F, G, window, strict)
-            column, _ = ladder.probe(blocks)
-            return len(blocks), kernel_from_columns(column, ladder.n)
+    def test_the_cut_keeps_every_kernel_and_solution(self, N):
+        """Each system cut, and with every degree kept (no shared pattern,
+        so ``cut`` keeps all): the chain maps between the sources and
+        between the targets of each generator map of ``duality-maps`` at N,
+        its strict and non-strict intertwining systems, and, on each corpus
+        complex grown N // 2 degrees on its tail side (the models of
+        ``duality-maps`` hold no homotopy unknown), a homotopy for a
+        boundary dh + hd and one for the identity."""
+        comparisons = generator_map_comparisons(N)
+        homotopies = []
+        for name in CORPUS_NAMES:
+            ladder = ladder_over(corpus()[name], N // 2, homotopy=True)
+            (lo, top), x = ladder.families[0].window, ladder.families[0].source
+            h = ladder.build([(-1) ** j for j in range(ladder.n)])[0]
+            boundary = {i: h.defect(i) for i in range(lo, top)}
+            homotopies += [(x, ProjChainMap(x, x, boundary, validate=False), (lo, top - 1)),
+                           (x, ProjChainMap.identity(x), (lo, top - 1))]
 
-        dropped = 0
-        for F, G, window in generator_map_comparisons(N):
-            for strict in (True, False):
-                n_cut, cut = kernel(F, G, window, strict)
-                with mock.patch.object(complexes, "_intertwining_degrees",
-                                       lambda ladder, F, G, window, strict: range(*window)):
-                    n_full, full = kernel(F, G, window, strict)
-                assert cut == full
-                dropped += n_full - n_cut
-        # at N = 16 two ladder periods past D reach the window edge
-        assert dropped > 0 or N == 16
+        def solved():
+            out, n_blocks = [], 0
+            for F, G, window in comparisons:
+                for X, Y in ((F.source, G.source), (F.target, G.target)):
+                    out.append([f.maps for f in solve_chain_maps(X, Y, window)])
+                for strict in (True, False):
+                    ladder, blocks = _intertwining_system(F, G, window, strict)
+                    column, _ = ladder.probe(blocks)
+                    out.append(kernel_from_columns(column, ladder.n))
+                    n_blocks += len(blocks)
+            for x, given, window in homotopies:
+                found = solve_homotopy(x, x, given, window)
+                out.append(None if found is None else found.maps)
+            return out, n_blocks
+
+        cut, n_cut = solved()
+        with mock.patch.object(LadderSystem, "_pattern", None):
+            full, n_full = solved()
+        assert cut == full
+        assert n_cut < n_full
+        # every boundary is null-homotopic
+        assert all(h is not None for h in cut[-2 * len(CORPUS_NAMES)::2])
