@@ -238,15 +238,19 @@ caller passes only the window it works at. Below, a tail has direction o
   and z a cycle of P^(k+1), with d_Y(y) equal to the augmentation of z.
   Below the lowest term ylo of a bounded Y, for k <= ylo - 2, Y^k and
   Y^(k+1) are zero and the step reads only d(k + 1): a minimal cover of
-  its kernel. Shift by s moves each basis vector of P^(k+1) s degrees up
-  and keeps the order within a degree, from which the kernel and the
-  cover's generators are chosen, so d(k + 1)<s> gives d(k)<s>. If
-  d(i) = d(i + p)<s>, terms included, with i + p <= ylo - 1, the step at
-  i - 1 thus repeats the step at i + p - 1 <= ylo - 2 shifted, and by
-  induction every degree below i is the copy of the one p above. The
-  descent stops there, p <= 4 as in the seam, and ``attach_tail`` copies
-  it on to the floor (see the two-period seam). The bound is tight: the
-  step at ylo - 1 reads the augmentation.
+  its kernel. Such a step is pure and takes that kernel alone: with Y^k and
+  Y^(k+1) zero, Y^k ⊕ Z is Z and the map (d_Y, -ε∘incl_Z) lands in zero,
+  so the fiber product W is all of Z. Its reduced basis is the reduced form
+  of Z's unit vectors, which is those unit vectors in order, so W is Z on
+  its own basis, with the identity inclusion. Shift by s moves each basis
+  vector of P^(k+1) s degrees up and keeps the order within a degree, from
+  which the kernel and the cover's generators are chosen, so d(k + 1)<s>
+  gives d(k)<s>. If d(i) = d(i + p)<s>, terms included, with
+  i + p <= ylo - 1, the step at i - 1 thus repeats the step at
+  i + p - 1 <= ylo - 2 shifted, and by induction every degree below i is
+  the copy of the one p above. The descent stops there, p <= 4 as in the
+  seam, and ``attach_tail`` copies it on to the floor (see the two-period
+  seam). The bound is tight: the step at ylo - 1 reads the augmentation.
   A left-tailed input has terms down to the floor and is resolved in full.
   Below a bounded input a descent that reaches the floor with no repeat
   takes the step past it as well: only when that step is nonzero does the

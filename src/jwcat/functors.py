@@ -50,16 +50,31 @@ from .resolutions import resolve_complex
 @dataclass
 class Setup:
     """The fixed ambient data: the two-vertex algebra, its small quotient
-    endomorphism algebra, and the formal columns of the projector complex,
-    derived once (``_ck_columns``)."""
+    endomorphism algebra, the formal columns of the projector complex,
+    derived once (``_ck_columns``), and the standard modules and generator
+    maps, built once. Every value is shared by every caller, which nothing
+    may mutate."""
     B: PathAlgebra
     C: PathAlgebra
     ck_parts: dict = field(init=False, repr=False, compare=False)
     ck_degrees: dict = field(init=False, repr=False, compare=False)
     ck_blocks: dict = field(init=False, repr=False, compare=False)
+    modules: dict = field(init=False, repr=False, compare=False)
+    maps: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.ck_parts, self.ck_degrees, self.ck_blocks = _ck_columns(self.B)
+        B = self.B
+        self.ck_parts, self.ck_degrees, self.ck_blocks = _ck_columns(B)
+        P1, P2 = projective(B, "1"), projective(B, "2")
+        self.modules = {"P(1)": P1, "P(2)": P2, "L(1)": simple(B, "1"),
+                        "L(2)": simple(B, "2"), "I(2)": injective2(B)}
+        self.maps = {
+            "c": (B.path_element(("a", "b")), P2.shift(2), P2),
+            "a": (B.arrow_element("a"), P1.shift(1), P2),
+            "b": (B.arrow_element("b"), P2.shift(1), P1),
+            "e(1)": (B.idempotent("1"), P1, P1),
+            "e(2)": (B.idempotent("2"), P2, P2),
+        }
 
     @classmethod
     def create(cls) -> Setup:
@@ -67,28 +82,17 @@ class Setup:
 
     def standard_modules(self) -> dict[str, GradedModule]:
         """The five standard modules, in the order reports list them."""
-        B = self.B
-        return {"P(1)": projective(B, "1"), "P(2)": projective(B, "2"),
-                "L(1)": simple(B, "1"), "L(2)": simple(B, "2"),
-                "I(2)": injective2(B)}
+        return self.modules
 
     def standard_module(self, name: str) -> GradedModule:
-        return self.standard_modules()[name]
+        return self.modules[name]
 
     def generator_maps(self) -> dict[str, tuple[AlgebraElement, GradedModule,
                                                 GradedModule]]:
         """The five generator maps, left multiplication between shifted
         projectives, as (element, source, target) in the order reports list
         them."""
-        B = self.B
-        P1, P2 = projective(B, "1"), projective(B, "2")
-        return {
-            "c": (B.path_element(("a", "b")), P2.shift(2), P2),
-            "a": (B.arrow_element("a"), P1.shift(1), P2),
-            "b": (B.arrow_element("b"), P2.shift(1), P1),
-            "e(1)": (B.idempotent("1"), P1, P1),
-            "e(2)": (B.idempotent("2"), P2, P2),
-        }
+        return self.maps
 
 
 # ---------------------------------------------------------------------------
@@ -98,26 +102,50 @@ class Setup:
 def iota_translate(setup: Setup, freeC: ProjComplex) -> ProjComplex:
     """The inclusion functor on free complexes, read off ``modules.C_TO_B``:
     each free summand <r> becomes P(2)<r+1>, the degree-2 generator becomes
-    the loop. Unchecked: across the ring isomorphism e(2)·B·e(2) ≅ C, d∘d
-    and the tail seam hold over B exactly when they hold on ``freeC``, where
-    ``resolve_complex`` checked them."""
-    terms = {i: _iota_summands(t) for i, t in freeC.terms.items()}
-    diffs = {i: _iota_translate_matrix(setup, d) for i, d in freeC.diffs.items()}
-    return ProjComplex(setup.B, terms, diffs, freeC.tail, f"ι({freeC.name})",
-                       validate=False)
+    the loop. Each distinct entry and summand is translated once
+    (``_Iota``): a degree the tail copied (``AlgMatrix.shifted``) shares its
+    entry objects with the degree it copies, so it only relabels its
+    summands. Unchecked: across the ring isomorphism e(2)·B·e(2) ≅ C, d∘d
+    and the tail seam hold over B exactly when they hold on ``freeC``,
+    where ``resolve_complex`` checked them."""
+    iota = _Iota(setup.B)
+    return ProjComplex(setup.B, {i: iota.summands(t) for i, t in freeC.terms.items()},
+                       {i: iota.matrix(d) for i, d in freeC.diffs.items()},
+                       freeC.tail, f"ι({freeC.name})", validate=False)
 
 
-def _iota_summands(term: tuple[Summand, ...]) -> tuple[Summand, ...]:
-    return tuple(Summand(C_TO_B[Path((), s.vertex)].vertex, s.shift + PI_SHIFT)
-                 for s in term)
+class _Iota:
+    """ι's C -> B translation for one call: a summand <r> goes to P(2)<r+1>
+    and an entry's scalar part onto e(2), x onto the loop. Each summand and
+    each entry object is translated once; the table keeps every entry it
+    has read, so no other object takes its id while it lives."""
 
+    def __init__(self, B: PathAlgebra):
+        self.B = B
+        self._summands: dict[Summand, Summand] = {}
+        self._entries: dict[int, tuple[AlgebraElement, AlgebraElement]] = {}
 
-def _iota_translate_matrix(setup: Setup, m: AlgMatrix) -> AlgMatrix:
-    """Entrywise C -> B translation: scalar part onto e(2), x onto the loop."""
-    B = setup.B
-    return AlgMatrix(B, _iota_summands(m.rows), _iota_summands(m.cols),
-                     [[B.element({dst: z.coefficient(src) for src, dst in C_TO_B.items()})
-                       for z in row] for row in m.entries], validate=False)
+    def summands(self, term: tuple[Summand, ...]) -> tuple[Summand, ...]:
+        out = []
+        for s in term:
+            t = self._summands.get(s)
+            if t is None:
+                t = self._summands[s] = Summand(C_TO_B[Path((), s.vertex)].vertex,
+                                                s.shift + PI_SHIFT)
+            out.append(t)
+        return tuple(out)
+
+    def entry(self, z: AlgebraElement) -> AlgebraElement:
+        hit = self._entries.get(id(z))
+        if hit is None:
+            hit = self._entries[id(z)] = (z, self.B.element(
+                {dst: z.coefficient(src) for src, dst in C_TO_B.items()}))
+        return hit[1]
+
+    def matrix(self, m: AlgMatrix) -> AlgMatrix:
+        return AlgMatrix(self.B, self.summands(m.rows), self.summands(m.cols),
+                         [[self.entry(z) for z in row] for row in m.entries],
+                         validate=False)
 
 
 def _as_module_complex(x) -> Complex:
@@ -201,7 +229,8 @@ def P_on_module_map(setup: Setup, f: ModuleHom, depth: int) -> ProjChainMap:
     comps, solved = {}, 0
     if resM is not None and resN is not None:
         lift = lift_through_resolutions(*resM, *resN, apply_pi_hom(f, setup.C))
-        comps = {i: _iota_translate_matrix(setup, m) for i, m in lift.items()}
+        iota = _Iota(setup.B)
+        comps = {i: iota.matrix(m) for i, m in lift.items()}
         solved = lift.solved
     srcB, tgtB = (ProjComplex.zero_complex(setup.B) if res is None
                   else iota_translate(setup, res[0]) for res in (resM, resN))

@@ -17,8 +17,9 @@ once, here:
 ``sum_layout`` maps each (summand k, path p) to its (degree, index) under
 these rules, and everything that crosses between formal sums of summands and
 realized modules reads it: ``projective_sum`` realizes the sum as a module,
-``projective`` stores P(v) once per algebra and vertex, and the left
-multiplication maps, covers and differentials place their entries by it.
+once per algebra and summand tuple, ``projective`` is its one-summand entry,
+and the left multiplication maps, covers and differentials place their
+entries by it.
 ``direct_sum`` lays out any sum of modules by the same block rule: each
 degree lists the summands' labels in summand order, and an arrow acts by the
 block-diagonal matrix of the summands' arrow matrices (``block_diagonal``).
@@ -99,6 +100,7 @@ class GradedModule:
                        for g, mats in action.items()}
         self.action = {g: mats for g, mats in self.action.items() if mats}
         self.name = name
+        self._pi = None   # π of this module, kept by ``apply_pi``
         if validate:
             self._validate()
 
@@ -158,14 +160,11 @@ class GradedModule:
 
     # --- constructors ---
 
-    @classmethod
-    def zero_module(cls, algebra: PathAlgebra) -> GradedModule:
-        """The algebra's zero module, built and checked once, as ``projective``
-        stores P(v); every call returns the stored module, which nothing may
-        mutate."""
-        if algebra._zero_module is None:
-            algebra._zero_module = cls(algebra, {}, {}, name="0")
-        return algebra._zero_module
+    @staticmethod
+    def zero_module(algebra: PathAlgebra) -> GradedModule:
+        """The algebra's zero module: the stored sum of no summands
+        (``projective_sum``), which nothing may mutate."""
+        return projective_sum(algebra, ())
 
     def _validate(self) -> None:
         q = self.algebra.quiver
@@ -258,8 +257,18 @@ def sum_layout(algebra: PathAlgebra, summands) -> list[dict[Path, tuple[int, int
 def projective_sum(algebra: PathAlgebra, summands) -> GradedModule:
     """The sum ⊕ P(v)<r> of a summand tuple as a module, on the basis that
     ``sum_layout`` lays out: basis path p carries the label source(p), and
-    an arrow g sends it to p·g."""
-    layout = sum_layout(algebra, summands)
+    an arrow g sends it to p·g.
+
+    Each sum is realized and checked once per algebra and kept in
+    ``algebra._sums`` under its summand tuple, which is exact since summands
+    are canonical; every call returns the stored module, which nothing may
+    mutate. ``projective`` and ``GradedModule.zero_module`` are its entries
+    of one summand and of none."""
+    key = tuple(summands)
+    M = algebra._sums.get(key)
+    if M is not None:
+        return M
+    layout = sum_layout(algebra, key)
     labels: dict[int, list[str]] = {}
     for positions in layout:
         for p, (d, _i) in positions.items():   # indices come in walking order
@@ -277,21 +286,15 @@ def projective_sum(algebra: PathAlgebra, summands) -> GradedModule:
                     mats[d].data[hit[1]][i] = 1
         action[arrow.name] = {d: mats[d] for d in sorted(mats)}
     basis = {d: tuple(labels[d]) for d in sorted(labels)}
-    name = " ⊕ ".join(s.label() for s in summands) or "0"
-    return GradedModule(algebra, basis, action, name=name, validate=False)
+    name = " ⊕ ".join(s.label() for s in key) or "0"
+    return algebra._sums.setdefault(key, GradedModule(algebra, basis, action, name=name))
 
 
 def projective(algebra: PathAlgebra, v: str) -> GradedModule:
-    """P(v) = e(v)·(algebra), built and checked once per algebra and vertex;
-    every call returns the stored module, which nothing may mutate."""
-    P = algebra._projectives.get(v)
-    if P is None:
-        if v not in algebra.quiver.vertices:
-            raise ConstructionError(f"unknown vertex {v!r}")
-        P = projective_sum(algebra, (Summand(v, 0),))
-        P._validate()
-        algebra._projectives[v] = P
-    return P
+    """P(v) = e(v)·(algebra): the stored sum of the one summand P(v)<0>."""
+    if v not in algebra.quiver.vertices:
+        raise ConstructionError(f"unknown vertex {v!r}")
+    return projective_sum(algebra, (Summand(v, 0),))
 
 
 def simple(algebra: PathAlgebra, v: str) -> GradedModule:
@@ -650,7 +653,10 @@ def p2_as_left_c_bimodule(B: PathAlgebra, C: PathAlgebra) -> GradedBimodule:
 def apply_pi(M: GradedModule, C: PathAlgebra) -> GradedModule:
     """Hom from the big projective, with its degree-2 endomorphism acting;
     realized as the vertex-2 weight space shifted down by one, with x acting
-    as right multiplication by ab."""
+    as right multiplication by ab. Computed and checked once per module:
+    the image is kept on M and every later call over the same C reads it."""
+    if M._pi is not None and M._pi.algebra is C:
+        return M._pi
     v = _UNIT.vertex
     if v not in M.algebra.quiver.vertices:
         raise ConstructionError("apply_pi needs the two-vertex algebra")
@@ -663,8 +669,8 @@ def apply_pi(M: GradedModule, C: PathAlgebra) -> GradedModule:
             sub = M.act_path(_LOOP, d).submatrix(sel[d + dx], keep)
             if not sub.is_zero():
                 mats[d - PI_SHIFT] = sub
-    return GradedModule(C, basis, {"x": mats} if mats else {},
-                        name=f"π({M.name})")
+    M._pi = GradedModule(C, basis, {"x": mats} if mats else {}, name=f"π({M.name})")
+    return M._pi
 
 
 def apply_pi_hom(f: ModuleHom, C: PathAlgebra) -> ModuleHom:

@@ -141,8 +141,7 @@ class PathAlgebra:
             v: tuple(sorted((p for p in self.basis if self.target(p) == v),
                             key=lambda p: (self.path_degree(p), p.word())))
             for v in quiver.vertices}
-        self._projectives: dict = {}   # v -> P(v), stored by modules.projective
-        self._zero_module = None       # stored by GradedModule.zero_module
+        self._sums: dict = {}   # summand tuple -> its module, stored by modules.projective_sum
         self._zero = AlgebraElement(self, {})
         self._idempotents = {v: AlgebraElement(self, {Path((), v): 1})
                              for v in quiver.vertices}

@@ -235,13 +235,17 @@ def resolve_complex(Y: Complex, depth: int
         d_out = dmats.get(i + 1) or ModuleHom(P_next, zero_mod, 0, {}, validate=False)
         Z, z_incl = kernel_submodule(d_out, name="Z")
         # W = {(y, z) : d_Y(y) = eps(z)}: the kernel of (d_Y, -eps∘incl_Z)
-        # from Y^i ⊕ Z to Y^{i+1}
-        eps = augment.get(i + 1) or ModuleHom(P_next, Y_next, 0, {}, validate=False)
-        eps_z = eps.compose(z_incl)
-        amb, dY = direct_sum([Yi, Z]), Y.diff(i)
-        to_next = ModuleHom(amb, Y_next, 0, {d: dY.mat(d).hstack(-eps_z.mat(d))
-                                             for d in amb.degrees()}, validate=False)
-        W, w_incl = kernel_submodule(to_next, name="W")
+        # from Y^i ⊕ Z to Y^{i+1}. Where Y^i and Y^{i+1} are zero the map
+        # lands in zero, so W is Z, on its own basis ("Resolution repeat")
+        if Yi.is_zero() and Y_next.is_zero():
+            W, w_incl = Z, None
+        else:
+            eps = augment.get(i + 1) or ModuleHom(P_next, Y_next, 0, {}, validate=False)
+            eps_z = eps.compose(z_incl)
+            amb, dY = direct_sum([Yi, Z]), Y.diff(i)
+            to_next = ModuleHom(amb, Y_next, 0, {d: dY.mat(d).hstack(-eps_z.mat(d))
+                                                 for d in amb.degrees()}, validate=False)
+            W, w_incl = kernel_submodule(to_next, name="W")
         if W.is_zero():
             continue
         if i < floor:
@@ -252,7 +256,7 @@ def resolve_complex(Y: Complex, depth: int
         realized[i] = epsW.source
         # the cover's map into Y^i ⊕ Z: in each degree d its first dim Y^i_d
         # rows are the augmentation onto Y^i, the rest the map into Z
-        full = w_incl.compose(epsW).mats
+        full = (epsW if w_incl is None else w_incl.compose(epsW)).mats
         augment[i] = ModuleHom(realized[i], Yi, 0, {
             d: m.submatrix(range(Yi.dim(d)), range(m.ncols)) for d, m in full.items()},
             "eps", validate=False)

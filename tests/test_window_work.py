@@ -16,10 +16,13 @@ window, and every complex of the pool and of the suite's CK, D and P outputs
 passes a full re-validation here, copies included. D reads a map off its
 image of the map's mapping cone, pinned against the every-degree placement
 it replaced, and the map functors' lift systems and chain-identity reads
-are pinned flat too, with every map they build re-validated in full."""
+are pinned flat too, with every map they build re-validated in full. A
+resolution step whose input terms are both zero takes one kernel, a count
+pinned on a simple module and on the eval pool."""
 
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -29,7 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jwcat import complexes, exprs, functors, verify
+from jwcat import complexes, exprs, functors, resolutions, verify
 from jwcat.complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, ProjBicomplex,
                              ProjChainMap, ProjComplex, RegimeError,
                              Summand, TailSpec, WindowTooSmall,
@@ -1023,3 +1026,51 @@ class TestCopiesPassAFullValidation:
         assert (pool, len(maps) - pool) == (44, 20)
         for f in maps:
             ProjChainMap(f.source, f.target, f.maps, f.name)
+
+
+# ---------------------------------------------------------------------------
+# a pure descent step of a resolution takes one kernel
+# ---------------------------------------------------------------------------
+
+def kernels(run) -> dict[str, int]:
+    """The kernels ``resolve_complex`` takes while ``run()`` runs, by name:
+    one Z, the cycles one degree up, per step, and one W, the fiber
+    product, per step whose input terms are not both zero."""
+    seen = Counter()
+    real = resolutions.kernel_submodule
+
+    def counting(f, name="ker"):
+        seen[name] += 1
+        return real(f, name=name)
+
+    with mock.patch.object(resolutions, "kernel_submodule", counting):
+        run()
+    return dict(seen)
+
+
+class TestPureStepsTakeOneKernel:
+    """Where Y^i and Y^(i+1) are zero the fiber product W is the cycles Z on
+    their own basis, so such a step takes the kernel Z alone ("Resolution
+    repeat" in the ``complexes`` module docstring)."""
+
+    @pytest.mark.parametrize("depth", [8, 40])
+    def test_a_simple_module(self, depth):
+        """L(1) is resolved down to its repeat at any depth: the steps at 0
+        and -1 read L(1), the two below it are pure."""
+        assert kernels(lambda: projective_resolution(simple(B, "1"), depth)) == \
+            {"Z": 4, "W": 2}
+
+    def test_the_eval_pool(self):
+        """The pool's value expressions at N = 24, the eval-mix pass but its
+        five nested-CK jobs (which take 7 steps and 4 W kernels more): 207
+        of the 810 steps are pure."""
+        ref = eval_reference()
+        window = (0, ref["window"])
+        values = [e for e, entry in sorted(ref["expressions"].items())
+                  if not entry["base"].startswith("CK(CK(")]
+
+        def run():
+            for expr in values:
+                evaluate(SETUP, parse(expr), window, ref["order"])
+
+        assert kernels(run) == {"Z": 810, "W": 603}
