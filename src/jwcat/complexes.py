@@ -15,7 +15,9 @@ degree. Semi-infinite complexes carry an eventually-periodic tail descriptor
 (``TailSpec``). Its direction ``outward`` is +1 on a right tail and -1 on a
 left one, and for every degree i from ``start`` outward
 term(i) = term(i - outward·period) internally shifted by ``shift``, and so is
-d(i). The stored window must exhibit the pattern over two periods.
+d(i). The stored window must exhibit the pattern over two periods. The
+tail's ``repeat`` is the innermost degree from which its construction
+certified the pattern.
 
 Windows and margins
 -------------------
@@ -64,7 +66,9 @@ caller passes only the window it works at. Below, a tail has direction o
   i + 1 is stored (``_break_at``, the test that ``_tail_break`` walks
   with), when that degree lies further in. ``_complexes_repeat`` finds it
   as the outer of the two complexes' ``_repeat_start``s: each walks inward
-  from its complex's own stored edge, compares summands by identity and
+  from its complex's own stored edge, or from the degree that its own
+  tail, certified from its ``repeat``, already carries into the doubled
+  pattern (``_implied_from``), compares summands by identity and
   entry lists without building shifted copies, and stops at the first
   break or where the reference i - o·p would leave the stored window, so
   it reads no degree the complex does not store, and a break that only
@@ -109,7 +113,10 @@ caller passes only the window it works at. Below, a tail has direction o
   without a tail, beside a tailed one, repeat from a period past its
   models' top. Without one shared pattern every block is kept.
 * Reduction margin (``reduce_on_window``): 2p + 2 degrees on the tail
-  side. ``gaussian_reduce`` always cancels at the lowest degree whose
+  side. It serves left tails and the printed original: the sweep of a right
+  tail stops at its repeat (the reduction repeat below), and the original
+  that a ``Reduction`` keeps and replays is materialized with the margin.
+  ``gaussian_reduce`` always cancels at the lowest degree whose
   differential has a unit. A cancellation at i rewrites d(i), drops a row
   of d(i - 1) and a column of d(i + 1), and none of these creates a unit
   below d(i), so degrees the sweep has passed are final. On a right tail
@@ -131,6 +138,38 @@ caller passes only the window it works at. Below, a tail has direction o
   ``reduce_on_window`` raises ``WindowTooSmall``. Over the suite at
   N = 4…16 and the eval pool at N = 12 no reduction needed more than one
   degree: right tails one, left tails none.
+* Reduction repeat (``_Eliminator``, ``gaussian_reduce``, ``Reduction``).
+  The sweep of a right tail of period p and shift s, certified from its
+  ``repeat`` r, stops once it repeats. The cancellations at degree j read
+  only d(j) as the sweep reaches it: the input's d(j) less the columns the
+  cancellations at j - 1 dropped. They rewrite d(j) and drop rows of
+  d(j - 1) and columns of d(j + 1). Let j be the first degree at which d(j)
+  as reached, rows, columns and entries, is the shifted copy of d(j - p)
+  as reached, with j - p >= r. The input follows its tail from j - p on, so
+  its d(j + 1) is the copy of d(j + 1 - p); the cancellations at j are the
+  copies of those at j - p and drop the copied columns, so d(j + 1) as
+  reached is the copy of d(j + 1 - p) as reached, and by induction every
+  step from j on is the shifted copy of the step one period in. The sweep
+  runs on through end = j + 2p - 1, where the input stores d(end), and
+  stops. The terms through end and the differentials through end - 1 are
+  final, and they repeat from j: term(j) is the columns of the reached
+  d(j) less those the cancellations at j drop, the copy of term(j - p),
+  and d(j) also loses the rows of the cancellations at j + 1, copies of
+  those at j + 1 - p. One period would do; the second is checked: every
+  swept degree for d∘d, and the stretch from j for the pattern over two
+  periods (``_tail_break``). Past end the log is continued by the period
+  through the original's top M - 1: by the reduction margin above, M
+  changes no entry below it, and M, with no d(M), has none, so these are
+  the entries a full sweep makes. F[i] and G[i] are final once the
+  cancellations at i - 1 and i are made, copies for i >= j + 1, so past
+  end they are copied one period down (``_copy_outward``), and so are h's
+  rank-one factors, which read G[i] and F[i + 1] at a cancellation at i.
+  ``reduce_on_window`` materializes the stretch through the kept window
+  and reads the kept degrees as it reads a full sweep: the kept tail is
+  found at the kept edge, and its repeat is j where the stop's pattern is
+  the found one taken once or twice (``_carry_repeat``). Where the stretch
+  holds no term from j on, the reduction is bounded (the gap rule below).
+  Left tails are swept whole: their sweep starts at the cut.
 * Gap rule (``reduce_on_window``). Let the reduced content end at degree
   ``end`` with its last term nonzero, and let the gap be the number of
   degrees from ``end`` out to the kept edge. A tail of period p claims
@@ -192,16 +231,21 @@ caller passes only the window it works at. Below, a tail has direction o
   that x repeats. D's differential carries the sign (-1)^q, so D has a
   right tail of period P = s - p, doubled when s - p is odd, and shift
   -s·P/(s - p), from q0 = max(reach + 1, out_lo) + P, the first degree
-  whose copy source lies past reach and in the window. D is computed and
-  its d∘d validated on (out_lo, head), head = min(out_hi, q0 + 2P - 1),
-  which shows the tail twice; the derived tail is checked there by
-  ``_tail_break`` (a break raises ``WindowTooSmall``), and ``attach_tail``
-  copies it on to out_hi (see the two-period seam) and finds the stored
-  tail at out_hi. The copy starts at the head's top stored degree, which
-  lies past q0: a vector of the tail's innermost period lands at most
-  s - p past reach, its copies land every s - p degrees above, so each P
-  consecutive degrees past q0 hold a summand. When q0 + 2P - 1 > out_hi
-  the head is the whole window and nothing is copied. The read: walking
+  whose copy source lies past reach and in the window; q0 is the tail's
+  repeat. D is computed and its d∘d validated on (out_lo, head),
+  head = q0 + 2P - 1, which shows the tail twice; the derived tail is
+  checked there by ``_tail_break`` (a break raises ``WindowTooSmall``), and
+  ``attach_tail`` copies it on to out_hi (see the two-period seam) and
+  finds the stored tail at out_hi. The copy starts at the head's top stored
+  degree, which lies past q0: a vector of the tail's innermost period lands
+  at most s - p past reach, its copies land every s - p degrees above, so
+  each P consecutive degrees past q0 hold a summand. When head > out_hi the
+  head is stored past the window, and ``attach_tail`` keeps the tail it
+  finds at out_hi only where that tail holds on the head's degrees past
+  out_hi and on one period of their copies: from there each degree and its
+  reference are the copies of two of those, P degrees in, so the found
+  pattern holds on the whole tail. A pattern that the window's edge shows
+  and the head past it breaks raises ``WindowTooSmall``. The read: walking
   down from e, degree r - p lands s - p higher than degree r, so once a
   whole input period lands above head + 1 every degree further out does
   too, and only the degrees from that period to the stored top are
@@ -220,8 +264,8 @@ caller passes only the window it works at. Below, a tail has direction o
   d_N(i)∘φ_i = φ_(i+1)∘d_M(i), which reads the two differentials at i and
   φ_(i+1). Let both resolutions follow their doubled pattern (period p,
   shift s, ``_doubled_tail``) from e on: e is the outer of the two
-  resolutions' walks (``_complexes_repeat``; -3 for ℙ(e(1)) at every
-  depth). It is not the seam of ``_common_tail``, which keeps the outer
+  resolutions' walks (``_complexes_repeat``, each from its resolution
+  repeat in; -3 for ℙ(e(1)) at every depth). It is not the seam of ``_common_tail``, which keeps the outer
   stored start where the walk stops further out, since a ladder reads the
   pattern only a period past its seam and the lift reads it from e on.
   Let φ_i = φ_(i+p)<s> with i - 1 <= e and i + p <= 0. Then the system at
@@ -278,7 +322,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from fractions import Fraction
 
@@ -433,10 +477,36 @@ def _is_copy(m: AlgMatrix, ref: AlgMatrix, s: int) -> bool:
 
 @dataclass(frozen=True)
 class TailSpec:
+    """An eventually periodic tail: for every degree i from ``start``
+    outward, term(i) = term(i - outward·period)<shift>, and so is d(i).
+
+    ``start`` is where the stored window shows the pattern, two periods in
+    from its edge for a detected tail; ``to_json`` prints it. ``repeat`` is
+    the innermost degree from which the construction certified the pattern
+    on its stored degrees, no further out than ``start``: D's q0, the
+    resolution repeat, the tail ``functors._ck_total`` detects on its head,
+    a reduction's stop (the reduction repeat of "Windows and margins" in the
+    module docstring), and ``start`` itself for a tail detected or written
+    by hand. It is neither printed nor compared, so fixtures and equality
+    read the pattern alone. ``attach_tail`` keeps a carried repeat where it
+    finds the same pattern at the edge, ``ProjComplex.shift`` moves it, and
+    the right-tailed sweep of ``gaussian_reduce`` reads it. Two fields will
+    sit beside it: the exact range, the degrees on which the stored terms
+    are those of the uncut object (ROADMAP item 3), and the stored-through
+    range of a complex that keeps only its head and two periods (item 9)."""
     side: str       # LEFT_TAIL or RIGHT_TAIL
     start: int      # pattern governs every degree from here outward
     period: int
     shift: int      # internal shift per period step, moving outward
+    repeat: int = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.repeat is None:
+            object.__setattr__(self, "repeat", self.start)
+
+    def moved(self, r: int) -> TailSpec:
+        """The same pattern r degrees up, its start and repeat moved."""
+        return replace(self, start=self.start + r, repeat=self.repeat + r)
 
     @property
     def outward(self) -> int:
@@ -576,10 +646,7 @@ class ProjComplex(_StoredComplex):
             if sign < 0:
                 nd = nd.scale(-1)
             diffs[i - homological] = nd
-        tail = self.tail
-        if tail is not None:
-            tail = TailSpec(tail.side, tail.start - homological, tail.period,
-                            tail.shift)
+        tail = self.tail and self.tail.moved(-homological)
         return ProjComplex(self.algebra, terms, diffs, tail,
                            f"{self.name}<{internal}>[{homological}]", validate=False)
 
@@ -666,12 +733,33 @@ def _complexes_repeat(t: TailSpec, *cs: _StoredComplex) -> int:
     """The outer of the complexes' ``_repeat_start``s, each walked by
     ``_break_at`` over its own stored window: from there every one of them
     follows ``t`` out to its stored edge, and no reference degree is read
-    outside a stored window."""
+    outside a stored window. A complex whose own tail implies ``t`` (same
+    side, a period p dividing t's period P, t's shift P/p times its own) is
+    walked in from ``_implied_from`` instead of its edge: every stored
+    degree past that one follows ``t`` already."""
     def walk(c: _StoredComplex) -> int:
         window = c.window()
-        return _repeat_start(t, window, lambda i: _break_at(c, t, i, window[1]) is None)
+        top, o, inner = window[1], t.outward, _implied_from(c.tail, t)
+        if inner is not None and o * (t.edge(window) - inner) > 0:
+            # never inside the walk's own inner bound, one period in
+            inner = max(inner, window[0] + t.period) if o > 0 else \
+                min(inner, window[1] - t.period)
+            window = (window[0], inner) if o > 0 else (inner, window[1])
+        return _repeat_start(t, window, lambda i: _break_at(c, t, i, top) is None)
 
     return (max if t.outward > 0 else min)(walk(c) for c in cs)
+
+
+def _implied_from(ct: TailSpec | None, t: TailSpec) -> int | None:
+    """The innermost degree from which a complex whose tail ``ct`` holds
+    from its ``repeat`` follows ``t`` at every stored degree, where ``t``
+    has ct's side, a period P = k·p and shift k·s for ct's period p and
+    shift s: k steps of ct from there reach no degree inside the repeat.
+    None where ``ct`` does not imply ``t``."""
+    if ct is None or ct.side != t.side or t.period % ct.period \
+            or t.shift != ct.shift * (t.period // ct.period):
+        return None
+    return ct.repeat + t.outward * (t.period - ct.period)
 
 
 def detect_tail(c: ProjComplex, side: str) -> TailSpec | None:
@@ -704,14 +792,51 @@ def attach_tail(c: ProjComplex, window: tuple[int, int], side: str,
     ``detect_tail`` finds there on ``side``; ``WindowTooSmall(message)``
     when it finds none. ``c`` must be validated on its stored degrees: by
     the two-period seam of "Windows and margins" in the module docstring
-    the copies need no check, so the result is not validated again."""
-    if c.tail is not None:
+    the copies need no check, so the result is not validated again. The
+    carried tail's repeat is kept where it implies the found tail
+    (``_carry_repeat``). Where ``c`` stores computed degrees past
+    ``window`` (D's head of "Windows and margins"), the found tail must hold
+    on them and on one period of their copies, or ``WindowTooSmall``."""
+    carried = c.tail
+    if carried is not None:
         c = c.materialize(*window)
     out = c.clip(*window)
     tail = detect_tail(out, side)
     if tail is None:
         raise WindowTooSmall(message)
-    return ProjComplex(c.algebra, out.terms, out.diffs, tail, out.name, validate=False)
+    o, edge = tail.outward, tail.edge(c.window())
+    if carried is not None and o * (edge - tail.edge(window)) > 0:
+        # c holds computed degrees past the window: the pattern found at its
+        # edge is the object's only if it holds on them and on one period of
+        # their copies, which repeat every degree further out
+        far = edge + o * carried.period
+        past = c.materialize(*((window[0], far) if o > 0 else (far, window[1])))
+        if _tail_break(past, tail) is not None:
+            raise WindowTooSmall(message)
+    return ProjComplex(c.algebra, out.terms, out.diffs,
+                       _carry_repeat(tail, carried, out.window()), out.name,
+                       validate=False)
+
+
+def _carry_repeat(tail: TailSpec, carried: TailSpec | None,
+                  window: tuple[int, int]) -> TailSpec:
+    """``tail``, found on the stored ``window``, with the repeat of
+    ``carried`` where that pattern is the found one taken once or twice
+    (``_implied_from``): moved out to the innermost degree whose reference
+    one period in is stored, and no further out than ``tail.start``, which
+    is certified as well. ``detect_tail`` checked the found pattern on the
+    2p degrees out to the edge, two of its periods and so one of carried's.
+    A degree i past carried's repeat is the copy of one of them, i + m·P
+    for carried's period P, and so is its reference i - o·p: the found
+    pattern holds at i."""
+    if carried is None or carried.period > 2 * tail.period \
+            or _implied_from(tail, carried) is None:
+        return tail
+    if tail.outward > 0:
+        repeat = min(tail.start, max(carried.repeat, window[0] + tail.period))
+    else:
+        repeat = max(tail.start, min(carried.repeat, window[1] - tail.period))
+    return replace(tail, repeat=repeat)
 
 
 # ---------------------------------------------------------------------------
@@ -991,17 +1116,35 @@ class Reduction:
     runs once and builds F and G with h's rank-one factors, and h is summed
     from those factors only when it is read. A caller that reads only
     ``reduced`` pays for none of them, and one that reads F and G pays for
-    no h."""
+    no h.
 
-    def __init__(self, original: ProjComplex, reduced: ProjComplex, log: list):
+    ``stop`` is the tail at which the sweep of a right-tailed ``original``
+    stopped, None where it swept every degree (the reduction repeat of
+    "Windows and margins" in the module docstring). Then ``log`` holds the
+    cancellations swept through stop.start + 2·period - 1 and, past them
+    through the original's top - 1, each degree's copy of the one a period
+    in; the replay runs on the swept ones only, and F, G and h's factors
+    past them are copied by the same rule."""
+
+    def __init__(self, original: ProjComplex, reduced: ProjComplex, log: list,
+                 stop: TailSpec | None):
         self.original = original
         self.reduced = reduced
         self.log = log
+        self.stop = stop
 
     @cached_property
     def _replayed(self) -> tuple[ProjChainMap, ProjChainMap, list]:
-        c, red = self.original, self.reduced
-        F, G, factors = _replay(c, self.log)
+        c, red, t = self.original, self.reduced, self.stop
+        if t is None:
+            F, G, factors = _replay(c, self.log)
+        else:
+            end = _swept_through(t)
+            swept = bisect.bisect_right([e[0] for e in self.log], end)
+            F, G, factors = _replay(c.clip(c.window()[0], end + 1), self.log[:swept])
+            for maps in (F, G):
+                _copy_outward(maps, t, end, red.window()[1], AlgMatrix.shifted)
+            _continue_periodically(factors, end, c.window()[1] - 1, t.period)
         return (ProjChainMap(c, red, {i: F[i] for i in red.terms}, "F", validate=False),
                 ProjChainMap(red, c, {i: G[i] for i in red.terms}, "G", validate=False),
                 factors)
@@ -1012,6 +1155,13 @@ class Reduction:
     @cached_property
     def homotopy(self) -> ProjChainMap:
         return _homotopy(self.original, self._replayed[2])
+
+
+def _swept_through(stop: TailSpec) -> int:
+    """The last degree a sweep that stopped at ``stop`` reduces: one period
+    of repeats past it, stop.start + 2·period - 1 (the reduction repeat of
+    "Windows and margins" in the module docstring)."""
+    return stop.start + 2 * stop.period - 1
 
 
 def _drop(terms: dict, i: int, k: int, into: AlgMatrix | None,
@@ -1033,7 +1183,14 @@ class _Eliminator:
     """Mutable elimination state: the differentials, as ``AlgMatrix``
     copies, and the log of the cancellations made on them, from which
     ``_replay`` builds the witnesses. A cancelled summand leaves the
-    differentials through ``_drop``."""
+    differentials through ``_drop``.
+
+    On a right-tailed complex the sweep stops at its first repeat: ``stop``
+    is the tail from the degree j whose differential, as the sweep reaches
+    it, is the shifted copy of d(j - p) as the sweep reached that one, with
+    j - p at or past the input's repeat, and ``end`` = j + 2p - 1 the last
+    degree swept (the reduction repeat of "Windows and margins" in the
+    module docstring)."""
 
     def __init__(self, c: ProjComplex):
         self.terms = dict(c.terms)
@@ -1041,17 +1198,46 @@ class _Eliminator:
                       for i, d in c.diffs.items()}
         self.degrees = sorted(self.diffs)   # ``_drop`` removes summands, not degrees
         self.log: list = []
+        self.tail = c.tail if _has_tail(c, RIGHT_TAIL) else None
+        self.top = c.window()[1]
+        self.reached = -math.inf
+        self.arrivals: dict[int, AlgMatrix] = {}
+        self.stop: TailSpec | None = None
+        self.end = math.inf
+
+    def _arrive(self, j: int) -> None:
+        """The sweep reaches d(j): on a right tail, stop at j when d(j) is
+        the shifted copy of d(j - p) as the sweep reached it, j - p lies at
+        or past the input's repeat and the input stores d(j + 2p - 1);
+        otherwise keep d(j) as reached, from the repeat on."""
+        self.reached, t = j, self.tail
+        if t is None or self.stop is not None:
+            return
+        d, p = self.diffs[j], t.period
+        ref = self.arrivals.get(j - p)   # kept from the repeat on: j - p >= repeat
+        if ref is not None and j + 2 * p <= self.top and _is_copy(d, ref, t.shift):
+            self.stop = TailSpec(RIGHT_TAIL, j, p, t.shift)
+            self.end = _swept_through(self.stop)
+        elif j >= t.repeat:
+            self.arrivals[j] = AlgMatrix(d.algebra, d.rows, d.cols, d.entries,
+                                         validate=False)
 
     def find_pivot(self, start: int):
         """(i, (row, col)): the first entry, row by row, with an invertible
         degree-0 part between equal summands in the lowest differential
-        d(i), i >= ``start``, that has one; None when no d(i) does.
+        d(i), ``start`` <= i <= ``end``, that has one; None when no d(i)
+        does. Each d(i) the scan reaches for the first time is passed to
+        ``_arrive``, which may stop the sweep.
 
         ``gaussian_reduce`` passes the degree of the last cancellation as
         ``start``: below it no differential had a unit, and a cancellation
         at i only rewrites d(i), drops a row of d(i - 1) and a column of
         d(i + 1), so none can have gained one."""
         for i in self.degrees[bisect.bisect_left(self.degrees, start):]:
+            if i > self.reached:
+                self._arrive(i)
+            if i > self.end:
+                return None
             d = self.diffs[i]
             for r, (srow, row) in enumerate(zip(d.rows, d.entries)):
                 for col, (scol, z) in enumerate(zip(d.cols, row)):
@@ -1144,6 +1330,14 @@ def gaussian_reduce(c: ProjComplex) -> Reduction:
     id - G∘F = d∘h + h∘d on first read (``_replay``). The stored degrees are
     reduced as they stand; a tailed complex is reduced on a window with
     margin by ``reduce_on_window``.
+
+    The sweep of a right-tailed complex stops at its first repeat
+    (``_Eliminator.stop``, from j, swept through end = j + 2p - 1): the
+    reduced complex keeps the degrees through end with the stop's tail,
+    none when its terms from j on are zero, and the log past end is
+    continued by the period through the input's top - 1 (the reduction
+    repeat of "Windows and margins" in the module docstring). The swept
+    degrees are checked for d∘d and the stretch from j for its pattern.
     """
     st = _Eliminator(c)
     budget = c.summand_count() + 8
@@ -1158,9 +1352,29 @@ def gaussian_reduce(c: ProjComplex) -> Reduction:
             raise ConstructionError("reduction step budget exceeded")
         i, (r, col) = piv
         st.eliminate(i, r, col)
-    reduced = ProjComplex(c.algebra, st.terms, st.diffs, None, f"min({c.name})",
-                          validate=True)
-    return Reduction(c, reduced, st.log)
+    t, end = st.stop, st.end
+    reduced = ProjComplex(c.algebra, {i: x for i, x in st.terms.items() if i <= end},
+                          {i: d for i, d in st.diffs.items() if i < end}, None,
+                          f"min({c.name})", validate=True)
+    if t is not None:
+        if (broken := _tail_break(reduced, t)) is not None:
+            raise ConstructionError(f"reduction of {c.name} breaks its repeat at "
+                                    f"{broken[1]}")
+        if reduced.window()[1] >= t.start:
+            reduced.tail = t
+        _continue_periodically(st.log, end, c.window()[1] - 1, t.period)
+    return Reduction(c, reduced, st.log, t)
+
+
+def _continue_periodically(entries: list, end: int, top: int, p: int) -> None:
+    """Extend ``entries``, tuples led by their degree in ascending order
+    through ``end``, through degree ``top``: each degree past ``end`` takes
+    the entries of the degree p below, in their order."""
+    k = next((n for n, e in enumerate(entries) if e[0] > end - p), len(entries))
+    while k < len(entries) and entries[k][0] + p <= top:
+        i, *rest = entries[k]
+        entries.append((i + p, *rest))
+        k += 1
 
 
 # ---------------------------------------------------------------------------
@@ -1485,7 +1699,9 @@ def reduce_on_window(c: ProjComplex, window: tuple[int, int]) -> Reduction:
 
     A periodic tail is first materialized 2·period + 2 degrees past the
     window on its side, one margin for every caller; the reduction margin
-    of "Windows and margins" in the module docstring derives it. The
+    of "Windows and margins" in the module docstring derives it. A sweep
+    that stopped at its repeat (a right tail) is materialized from its
+    stretch through ``window`` (the reduction repeat there). The
     reduction is clipped to ``window``, the tail is re-detected at the kept
     edge and kept under the gap rule there, and F and G, built when first
     read, keep the kept degrees. When the reduced complex reaches the kept
@@ -1496,7 +1712,10 @@ def reduce_on_window(c: ProjComplex, window: tuple[int, int]) -> Reduction:
         margin = 2 * t.period + 2
         c = c.materialize(window[0] - margin, window[1] + margin)
     red = gaussian_reduce(c)
-    kept = red.reduced.clip(*window)
+    reduced = red.reduced
+    if reduced.tail is not None:   # a stopped sweep: its stretch, copied on
+        reduced = reduced.materialize(*window)
+    kept = reduced.clip(*window)
     tail = None
     if t is not None and not kept.is_zero():
         tail = detect_tail(kept, t.side)
@@ -1514,9 +1733,11 @@ def reduce_on_window(c: ProjComplex, window: tuple[int, int]) -> Reduction:
             # the gap rule of "Windows and margins": a pattern that breaks
             # inside the kept window is no tail; the complex became bounded
             tail = None
+    if tail is not None:
+        tail = _carry_repeat(tail, red.stop, kept.window())
     kept = ProjComplex(c.algebra, kept.terms, kept.diffs, tail, kept.name,
                        validate=False)
-    return Reduction(c, kept, red.log)
+    return Reduction(c, kept, red.log, red.stop)
 
 
 def iso_in_homotopy_category(x: ProjComplex, y: ProjComplex,

@@ -28,7 +28,7 @@ Conventions carried over from the rest of the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, Complex,
@@ -352,9 +352,9 @@ def _koszul_D(setup: Setup, x, out_window: tuple[int, int] | None
     A bounded input gives every degree of the window. On a left-tailed input
     this is D's head of "Windows and margins" in the ``complexes`` module
     docstring: e is the innermost degree from which the input follows its
-    tail, D is computed and validated through the head, and its derived tail
-    is checked there and carried when the head stops short of out_hi, for
-    ``attach_tail`` to extend it."""
+    tail, D is computed and validated through the head, past out_hi where
+    the window is short, and its derived tail, certified from q0, is
+    checked there and carried for ``attach_tail`` to extend it."""
     B = setup.B
     Y = x if isinstance(x, ProjComplex) else _as_module_complex(x)
     t = Y.tail
@@ -379,7 +379,9 @@ def _koszul_D(setup: Setup, x, out_window: tuple[int, int] | None
         period = climb if climb % 2 == 0 else 2 * climb   # d carries (-1)^q
         q0 = max(reach + 1, out_window[0]) + period
         tail = TailSpec(RIGHT_TAIL, q0, period, -t.shift * period // climb)
-        head = min(out_window[1], q0 + 2 * period - 1)
+        # past out_hi where the window is short: ``attach_tail`` then checks
+        # the pattern it finds at the window's edge on the degrees past it
+        head = q0 + 2 * period - 1
         # the read: the first whole input period, walking down from e, whose
         # degrees land above head + 1 is the last one realized
         lows = [j + min(ds) for j in range(e - t.period + 1, e + 1)
@@ -415,8 +417,7 @@ def _koszul_D(setup: Setup, x, out_window: tuple[int, int] | None
     if tail is not None:
         if _tail_break(out, tail) is not None:
             raise WindowTooSmall(_DUAL_UNSTABLE)
-        if head < out_window[1]:
-            out = ProjComplex(B, out.terms, out.diffs, tail, out.name, validate=False)
+        out.tail = tail
     return out, index, tail
 
 
@@ -520,13 +521,13 @@ def koszul_D_on_map(setup: Setup, f: ModuleHom | ProjChainMap,
         if up:   # the X block of the cone's d is -d_X
             diffs = {q: -d for q, d in diffs.items()}
         side = ProjComplex(B, terms, diffs,
-                           head.tail and replace(tail, start=tail.start + up),
+                           tail and tail.moved(up),
                            f"𝔻({c.name})", validate=False)
         sides.append(side.clip(lo, hi) if c.tail is None else
                      attach_tail(side, out_window, RIGHT_TAIL, _DUAL_UNSTABLE))
     DX, DY = sides
     comps = {q + 1: _block(head.diff(q), ys[q + 1], xs[q])
-             for q in xs if q + 1 in ys}
+             for q in xs if q + 1 in ys and q + 1 <= hi}
     if head.tail is not None:
         _copy_outward(comps, tail, head.window()[1],
                       min(DX.window()[1], DY.window()[1]), AlgMatrix.shifted)

@@ -386,7 +386,8 @@ class _Runner:
             diffs[h] = AlgMatrix(B, terms[h + 1], terms[h],
                                  [[z, b, e1], [z, z, -a], [z, z, z]])
         return ProjComplex(B, terms, diffs,
-                           TailSpec(RIGHT_TAIL, K - 2, 1, -2), "middle-column")
+                           TailSpec(RIGHT_TAIL, K - 2, 1, -2, repeat=1),
+                           "middle-column")
 
     def _left_fixture(self, K: int) -> ProjComplex:
         B = self.B()
@@ -398,7 +399,8 @@ class _Runner:
         for h in range(0, K):
             diffs[h] = AlgMatrix(B, terms[h + 1], terms[h], [[z, e1], [z, z]])
         return ProjComplex(B, terms, diffs,
-                           TailSpec(RIGHT_TAIL, K - 2, 1, -2), "left-column")
+                           TailSpec(RIGHT_TAIL, K - 2, 1, -2, repeat=1),
+                           "left-column")
 
     def _right_fixture(self, K: int) -> ProjComplex:
         B = self.B()
@@ -412,7 +414,8 @@ class _Runner:
         for h in range(0, K):
             diffs[h] = AlgMatrix(B, terms[h + 1], terms[h], [[c]])
         return ProjComplex(B, terms, diffs,
-                           TailSpec(RIGHT_TAIL, K - 2, 1, -2), "right-column")
+                           TailSpec(RIGHT_TAIL, K - 2, 1, -2, repeat=0),
+                           "right-column")
 
     def _split_fixtures(self, K: int):
         B = self.B()
@@ -565,7 +568,8 @@ class _Runner:
             sign = -1 if i % 2 == 0 else 1
             diffs[i] = AlgMatrix(B, terms[i + 1], terms[i], [[c_el.scale(sign)]])
         model1 = ProjComplex(B, terms, diffs,
-                             TailSpec(RIGHT_TAIL, N - 4, 2, -4), "reference-model")
+                             TailSpec(RIGHT_TAIL, N - 4, 2, -4, repeat=4),
+                             "reference-model")
         v1 = iso_in_homotopy_category(red1.reduced, model1, window=(0, N - 2))
         _certify(v1, "matches the displayed semi-infinite model")
         # tensoring the projector complex with the simple's resolution models

@@ -18,7 +18,11 @@ image of the map's mapping cone, pinned against the every-degree placement
 it replaced, and the map functors' lift systems and chain-identity reads
 are pinned flat too, with every map they build re-validated in full. A
 resolution step whose input terms are both zero takes one kernel, a count
-pinned on a simple module and on the eval pool."""
+pinned on a simple module and on the eval pool. A right-tailed reduction
+stops one period after its first repeat, so the suite's cancellations are
+pinned flat in the window, with no tail test added to find the repeat, and
+D never keeps a tail that the window's edge shows but its image past the
+window breaks."""
 
 import json
 import re
@@ -1074,3 +1078,96 @@ class TestPureStepsTakeOneKernel:
                 evaluate(SETUP, parse(expr), window, ref["order"])
 
         assert kernels(run) == {"Z": 810, "W": 603}
+
+
+# ---------------------------------------------------------------------------
+# a right-tailed reduction sweeps a head and one period, and walks no tail
+# ---------------------------------------------------------------------------
+
+def eliminations(cfg: VerificationConfig) -> int:
+    """The cancellations ``run_suite(cfg)`` makes."""
+    count = [0]
+    eliminate = complexes._Eliminator.eliminate
+
+    def counting(self, i, r, col):
+        count[0] += 1
+        return eliminate(self, i, r, col)
+
+    with mock.patch.object(complexes._Eliminator, "eliminate", counting):
+        run_suite(cfg)
+    return count[0]
+
+
+def break_at_calls(run) -> int:
+    """The per-degree tail tests ``_break_at`` makes while ``run()`` runs."""
+    count = [0]
+    real = complexes._break_at
+
+    def counting(*args):
+        count[0] += 1
+        return real(*args)
+
+    with mock.patch.object(complexes, "_break_at", counting):
+        run()
+    return count[0]
+
+
+class TestRightTailsStopAtTheirRepeat:
+    """The sweep of a right tail stops one period after its first repeat
+    and copies the rest (the reduction repeat in the ``complexes`` module
+    docstring), so the suite cancels as much at every window. The repeat it
+    reads is carried by the construction that certified it, so no walk is
+    added to find it."""
+
+    @pytest.mark.parametrize("only", [(), ("duality-maps",)])
+    def test_the_cancellations_do_not_grow_with_the_window(self, only):
+        counts = [eliminations(VerificationConfig(window=n, only=only)) for n in (128, 512)]
+        assert counts[0] == counts[1]
+
+    def test_no_tail_test_is_added(self):
+        """The counts before the sweep stopped were 1,365 for the suite at
+        N = 48 and 5,511 for the pool at N = 24."""
+        assert break_at_calls(lambda: run_suite(VerificationConfig(window=48))) <= 1365
+        assert break_at_calls(lambda: run_pool(24)) <= 5511
+
+
+def offset_climbing_tails():
+    """``climbing_left_tails`` whose summands of one residue class of the
+    period land up to 40 degrees higher in D than the others, as
+    ``odd_degrees_higher`` does for period 2."""
+    @st.composite
+    def build(draw):
+        x = draw(climbing_left_tails())
+        p, offset = x.tail.period, draw(st.integers(0, 40))
+        k = draw(st.integers(0, p - 1))
+        terms = {r: t if r % p != k else shift_summands(t, offset)
+                 for r, t in x.terms.items()}
+        return ProjComplex(B, terms, {}, x.tail, f"climbing+{offset}")
+    return build()
+
+
+class TestDualityCertifiesItsTail:
+    """D never keeps a tail the window's edge shows but the true image does
+    not have: where its derived tail starts past the window, D computes its
+    head past the window and checks the tail found at the window's edge on
+    it (D's head in the ``complexes`` module docstring)."""
+
+    def test_a_tail_that_starts_past_the_window_is_not_guessed(self):
+        assert outcome(koszul_D_on_object, SETUP, odd_degrees_higher(30), (0, 24)) == \
+            ("WindowTooSmall", functors._DUAL_UNSTABLE)
+
+    @settings(max_examples=40, deadline=None)
+    @given(x=offset_climbing_tails(), n=st.integers(12, 48))
+    def test_d_raises_or_gives_the_deep_image(self, x, n):
+        """Each period down lands at least one degree higher in D, so the
+        input's degrees below deep_lo all land past ``far``."""
+        got = outcome(koszul_D_on_object, SETUP, x, (0, n))
+        if got[0] == "WindowTooSmall":
+            return
+        out = got[1]
+        far = n + 4 * out.tail.period
+        deep_lo = -x.tail.period * (far + 12)
+        deep = functors._dual_index(realize(x.materialize(deep_lo, 0)), (0, far))
+        assert out.materialize(0, far).terms == {
+            q: tuple(Summand(DUAL_VERTEX[lab], -s) for (_, s, _), (_, lab) in v.items())
+            for q, v in deep.items()}
