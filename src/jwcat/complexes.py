@@ -37,17 +37,17 @@ caller passes only the window it works at. Below, a tail has direction o
   construction checks d∘d on the degrees it computed, and ``attach_tail``
   extends its repeat by ``_copy_outward``. A copied degree holds the value
   one period in, shifted by s, and the seam walk (for a resolution, its
-  repeat d(i) = d(i + p)<s>; for D, its derived tail checked on the head)
-  compared that value with the one a period further in, so every copied
-  d∘d product is a shifted computed one. The map functors copy components
-  by the same rule: P's lift below its repeat, CK past both tops + 2 and
-  D past its cone's head (the lift repeat, the CK period and D's head
-  below). Each checks the chain identity only where it reads a computed
-  component (``ProjChainMap.check_identity``): P from the lowest solved
-  degree - 1 to -1, CK on its built degrees, D by its cone's d∘d on the
-  head. An identity past them reads copies of components and differentials
-  one period in, so it is the shifted copy of one nearer the seam, and by
-  induction of a checked one.
+  repeat d(i) = d(i + p)<s>; for D and CK, the derived tail checked on the
+  head) compared that value with the one a period further in, so every
+  copied d∘d product is a shifted computed one. The map functors copy
+  components by the same rule: P's lift below its repeat, CK past both
+  tops + 2 and D past its cone's head (the lift repeat, the CK period and
+  D's head below). Each checks the chain identity only where it reads a
+  computed component (``ProjChainMap.check_identity``): P from the lowest
+  solved degree - 1 to -1, CK on its built degrees, D by its cone's d∘d on
+  the head. An identity past them reads copies of components and
+  differentials one period in, so it is the shifted copy of one nearer the
+  seam, and by induction of a checked one.
 * Ladder seam (``ladder_degrees``, ``_common_tail``). A ladder family
   φ_i: A^i -> B^{i+offset} with a common tail repeats from the seam σ,
   where both A^i and B^{i+offset} lie in the tail: the later of ``start``
@@ -135,7 +135,7 @@ caller passes only the window it works at. Below, a tail has direction o
   it; 2p + 2 allows the stray degree at the cut, the differential into it
   and two periods more. A longer transient leaves the kept edge without a
   periodic pattern unless it repeats for three periods, and there
-  ``reduce_on_window`` raises ``WindowTooSmall``. Over the suite at
+  ``attach_tail`` raises ``WindowTooSmall``. Over the suite at
   N = 4…16 and the eval pool at N = 12 no reduction needed more than one
   degree: right tails one, left tails none.
 * Reduction repeat (``_Eliminator``, ``gaussian_reduce``, ``Reduction``).
@@ -157,29 +157,39 @@ caller passes only the window it works at. Below, a tail has direction o
   and d(j) also loses the rows of the cancellations at j + 1, copies of
   those at j + 1 - p. One period would do; the second is checked: every
   swept degree for d∘d, and the stretch from j for the pattern over two
-  periods (``_tail_break``). Past end the log is continued by the period
-  through the original's top M - 1: by the reduction margin above, M
-  changes no entry below it, and M, with no d(M), has none, so these are
-  the entries a full sweep makes. F[i] and G[i] are final once the
-  cancellations at i - 1 and i are made, copies for i >= j + 1, so past
-  end they are copied one period down (``_copy_outward``), and so are h's
-  rank-one factors, which read G[i] and F[i + 1] at a cancellation at i.
-  ``reduce_on_window`` materializes the stretch through the kept window
-  and reads the kept degrees as it reads a full sweep: the kept tail is
-  found at the kept edge, and its repeat is j where the stop's pattern is
-  the found one taken once or twice (``_carry_repeat``). Where the stretch
-  holds no term from j on, the reduction is bounded (the gap rule below).
+  periods (``_tail_break``). The log ends at end, and the witnesses are
+  replayed from it and copied past it (``_copy_outward``). F[i] and G[i]
+  are final once the cancellations at i - 1 and i are made, copies for
+  i >= j + 1, so past end each is the one a period in, shifted. h[i] sums
+  the rank-one terms of the cancellations at i - 1, which read G[i - 1]
+  and F[i], so it is a copy for i >= j + 2 and is copied past end + 1,
+  through the original's top M: by the reduction margin above, M changes
+  no entry below it, and M, with no d(M), has none, so these are the h a
+  full sweep makes. ``reduce_on_window`` hands the stretch to
+  ``attach_tail`` with the stop's tail, which copies it through the kept
+  window; the kept tail is found at the kept edge, as for a full sweep,
+  and its repeat is j where the stop's pattern is the found one taken once
+  or twice (``_carry_repeat``). Where the stretch holds no term from j on,
+  it carries no tail, and the reduction is bounded (the gap rule below).
   Left tails are swept whole: their sweep starts at the cut.
-* Gap rule (``reduce_on_window``). Let the reduced content end at degree
-  ``end`` with its last term nonzero, and let the gap be the number of
-  degrees from ``end`` out to the kept edge. A tail of period p claims
-  term(end + o·p) = term(end)<s>, which is nonzero. When gap >= p, degree
-  end + o·p lies inside the kept window, where it is empty, so the pattern
-  breaks inside the window and no tail can be claimed: the reduction is
-  bounded. Only when gap < p does the content reach the last period before
-  the edge, and a re-detected tail is kept. Content ending within one
-  degree of the edge (gap <= 1) without a pattern cannot tell bounded from
-  cut, and raises ``WindowTooSmall``.
+* Gap rule (``attach_tail``). Let the content clipped to the window end at
+  degree ``end`` with its last term nonzero, and let the gap be the number
+  of degrees from ``end`` out to the window's edge. A tail of period p
+  claims term(end + o·p) = term(end)<s>, which is nonzero. When gap >= p,
+  degree end + o·p lies inside the window, where it is empty, so the
+  pattern breaks inside the window and no tail can be claimed. Only when
+  gap < p does the content reach the last period before the edge, and the
+  found tail is kept. Otherwise a complex that carries no tail is bounded,
+  and so is an empty clip: the reduction of a tailed complex, computed
+  with margin past the window (the reduction margin above), is the caller
+  that ends there. Content ending within one degree of the edge (gap <= 1)
+  without a pattern cannot tell bounded from cut, and raises
+  ``WindowTooSmall``. A carried tail repeats with a term in every period,
+  so a complex that carries one is never bounded: where no tail is kept,
+  ``attach_tail`` raises ``WindowTooSmall``. Neither is a resolution cut at
+  the floor, which raises where it keeps none. D, CK and the resolutions
+  reach the edge with content (gap 0) at every call of the suite and the
+  eval pool.
 * Complete CK degrees (``functors._ck_cells``, ``functors._ck_total``).
   Cell (k, i) of X ⊗ CK, projector column k and X^i, lies in total degree
   k + i. With columns k <= K and X starting at x_lo, total degree n is
@@ -187,12 +197,11 @@ caller passes only the window it works at. Below, a tail has direction o
   window reads degrees through out_hi, and X is materialized through
   out_hi: X^i with i > out_hi meets only degrees past out_hi. The
   bicomplex is built through the head of the CK period below,
-  K = head - x_lo.
+  head = x_hi + 6, so K = head - x_lo.
 * CK period (``functors.ck_bicomplex``, ``functors._ck_total``,
-  ``functors.CK_on_map``). X stops at its top x_hi (x_hi = out_hi for a
-  right-tailed X, materialized there), so each cell (k, i) of total degree
-  n has k = n - i >= n - x_hi: past x_hi every cell lies in a column
-  k >= 1, and from x_hi + 3 on in a column k >= 3. Column k >= 1 is
+  ``functors.CK_on_map``). X stops at its top x_hi, so each cell (k, i) of
+  total degree n has k = n - i >= n - x_hi: past x_hi every cell lies in a
+  column k >= 1, and from x_hi + 3 on in a column k >= 3. Column k >= 1 is
   X ⊗ θ<1 - 2k>, so its θ-parts are column 1's shifted by -2(k - 1), and
   so is m ⊗ id on it; the structure map out of it alternates β and γ
   (``quiver.structure_map_on_column``), so d1 on column k is d1 on column
@@ -200,20 +209,21 @@ caller passes only the window it works at. Below, a tail has direction o
   2 too. Hence for n >= x_hi + 3, Tot^n has the cells of Tot^(n-2) moved
   two columns right, in the same order and at the same offsets, and
   Tot^n = Tot^(n-2)<-4>, d(n) = d(n-2)<-4>: a right tail of period 2 and
-  shift -4 from x_hi + 3. The bicomplex is built through
-  head = min(out_hi, x_hi + 6): ``detect_tail`` seats a period-2 tail
-  3 degrees in from the edge and compares 3·2 degrees, and from x_hi + 1
-  to x_hi + 6 these are all past x_hi, so the tail shows over two periods
-  in computed degrees. A tail found there with another period p <= 4
-  holds with the period 2 on the min(3p, 6) computed degrees before the
-  edge, at least p + 2 - gcd(p, 2) of them, so by the periodicity lemma of
-  Fine and Wilf its copies are the construction's. ``total_complex``
-  checks d∘d on the head before its tail is looked for, so that a broken
-  d∘d is reported as such and not as a window without a tail, and
-  ``attach_tail`` copies Tot on to out_hi (see the two-period seam). A map
-  f ⊗ id has the cells of its source and target, so its component at n is
-  the one at n - 2 shifted by -4 once n passes both tops by 3: it is built
-  through max(top of source, top of target) + 2 and copied beyond.
+  shift -4 from x_hi + 3, its repeat. ``_ck_total`` builds this tail and
+  computes Tot through head = x_hi + 6, which shows it twice in computed
+  degrees. A window with out_hi < head raises ``WindowTooSmall`` before any
+  cell is built, and so does every nonzero right-tailed X: it is
+  materialized through out_hi, so x_hi = out_hi. ``total_complex`` checks
+  d∘d on the head, so that a broken d∘d is reported as such; the tail is
+  checked there (``_tail_break``, as D checks its derived tail), and
+  ``attach_tail`` copies Tot on to out_hi by it (see the two-period seam)
+  and finds the printed tail at out_hi. From out_hi - 3 >= x_hi + 3 on
+  Tot repeats with period 2, so the found tail has period 2, or period 1
+  and shift -2 where two degrees there repeat so: then every degree
+  further out does, each the copy of one two degrees in. A map f ⊗ id has
+  the cells of its source and target, so its component at n is the one at
+  n - 2 shifted by -4 once n passes both tops by 3: it is built through
+  max(top of source, top of target) + 2 and copied beyond.
 * D's head (``functors._koszul_D``). A basis vector of bidegree (r, j)
   lands in degree r + j. Let the input x have a left tail of period p and
   shift s. One period outward moves r by -p and the internal degrees by s,
@@ -245,14 +255,16 @@ caller passes only the window it works at. Below, a tail has direction o
   out_hi and on one period of their copies: from there each degree and its
   reference are the copies of two of those, P degrees in, so the found
   pattern holds on the whole tail. A pattern that the window's edge shows
-  and the head past it breaks raises ``WindowTooSmall``. The read: walking
+  and the head past it breaks raises ``WindowTooSmall``, and so does a
+  window that holds none of D's terms. The read: walking
   down from e, degree r - p lands s - p higher than degree r, so once a
   whole input period lands above head + 1 every degree further out does
   too, and only the degrees from that period to the stored top are
   materialized and realized. A map f: X -> Y is read off D of its mapping
   cone (``functors._cone``), cone^i = X^(i+1) ⊕ Y^i on the degrees where
-  every tailed side is stored, repeating with the lcm of the sides'
-  periods, on which their shifts must agree (else ``RegimeError``). D is
+  either side is stored, each tailed side materialized there, repeating
+  with the lcm of the sides' periods, on which their shifts must agree
+  (else ``RegimeError``), from the outer of the sides' repeats. D is
   termwise, so D(cone)^q is D(X)^(q+1) ⊕ D(Y)^q, its differential has -d
   of D(X) and d of D(Y) on the diagonal and D(f)^(q+1) below it, and its
   d∘d states D(f)'s chain identity. D is built on (out_lo - 1, out_hi), so
@@ -484,16 +496,18 @@ class TailSpec:
     from its edge for a detected tail; ``to_json`` prints it. ``repeat`` is
     the innermost degree from which the construction certified the pattern
     on its stored degrees, no further out than ``start``: D's q0, the
-    resolution repeat, the tail ``functors._ck_total`` detects on its head,
-    a reduction's stop (the reduction repeat of "Windows and margins" in the
-    module docstring), and ``start`` itself for a tail detected or written
-    by hand. It is neither printed nor compared, so fixtures and equality
-    read the pattern alone. ``attach_tail`` keeps a carried repeat where it
-    finds the same pattern at the edge, ``ProjComplex.shift`` moves it, and
-    the right-tailed sweep of ``gaussian_reduce`` reads it. Two fields will
-    sit beside it: the exact range, the degrees on which the stored terms
-    are those of the uncut object (ROADMAP item 3), and the stored-through
-    range of a complex that keeps only its head and two periods (item 9)."""
+    resolution repeat, x_hi + 3 for the tail ``functors._ck_total`` derives
+    (the CK period), a reduction's stop (the reduction repeat of "Windows
+    and margins" in the module docstring), the outer of a cone's sides'
+    repeats (``functors._cone``), and ``start`` itself for a tail detected
+    or written by hand. It is neither printed nor compared, so fixtures and
+    equality read the pattern alone. ``attach_tail`` keeps a carried repeat
+    where it finds the same pattern at the edge, ``ProjComplex.shift`` moves
+    it, and the right-tailed sweep of ``gaussian_reduce`` reads it. Two
+    fields will sit beside it: the exact range, the degrees on which the
+    stored terms are those of the uncut object (ROADMAP item 3), and the
+    stored-through range of a complex that keeps only its head and two
+    periods (item 9)."""
     side: str       # LEFT_TAIL or RIGHT_TAIL
     start: int      # pattern governs every degree from here outward
     period: int
@@ -787,22 +801,30 @@ def detect_tail(c: ProjComplex, side: str) -> TailSpec | None:
 
 def attach_tail(c: ProjComplex, window: tuple[int, int], side: str,
                 message: str) -> ProjComplex:
-    """``c``, extended through ``window`` by the tail it carries (a repeat
-    its construction found), clipped to ``window`` with the tail
-    ``detect_tail`` finds there on ``side``; ``WindowTooSmall(message)``
-    when it finds none. ``c`` must be validated on its stored degrees: by
-    the two-period seam of "Windows and margins" in the module docstring
-    the copies need no check, so the result is not validated again. The
-    carried tail's repeat is kept where it implies the found tail
-    (``_carry_repeat``). Where ``c`` stores computed degrees past
-    ``window`` (D's head of "Windows and margins"), the found tail must hold
-    on them and on one period of their copies, or ``WindowTooSmall``."""
+    """The one rule at a window's edge: ``c``, extended through ``window``
+    by the tail it carries (a repeat its construction certified) and
+    clipped to ``window``, with the tail ``detect_tail`` finds there on
+    ``side``, or bounded, or ``WindowTooSmall(message)``, by the gap rule of
+    "Windows and margins" in the module docstring; a complex that carries a
+    tail is never bounded. ``c`` must be validated on its stored degrees: by
+    the two-period seam the copies need no check, so the result is not
+    validated again. The carried tail's repeat is kept where it implies the
+    found tail (``_carry_repeat``). Where ``c`` stores computed degrees past
+    ``window`` (D's head, a stopped sweep), the found tail must hold on them
+    and on one period of their copies, or ``WindowTooSmall``."""
     carried = c.tail
     if carried is not None:
         c = c.materialize(*window)
     out = c.clip(*window)
-    tail = detect_tail(out, side)
-    if tail is None:
+    tail = None if out.is_zero() else detect_tail(out, side)
+    # degrees between the content's outward end and the window's edge
+    ref = TailSpec(side, 0, 0, 0)
+    gap = ref.outward * (ref.edge(window) - ref.edge(out.window()))
+    if tail is None or gap >= tail.period:
+        # no tail kept: bounded where none is carried and the content ends
+        # inside the window: empty, a pattern broken there, or gap >= 2
+        if carried is None and (out.is_zero() or tail is not None or gap > 1):
+            return out
         raise WindowTooSmall(message)
     o, edge = tail.outward, tail.edge(c.window())
     if carried is not None and o * (edge - tail.edge(window)) > 0:
@@ -1073,18 +1095,13 @@ def total_layout(bc: ProjBicomplex) -> dict[int, dict[tuple[int, int], int]]:
     return layout
 
 
-def total_terms(bc: ProjBicomplex) -> dict[int, tuple[Summand, ...]]:
-    """The terms of the total complex: for each total degree, the summands
-    of its cells in ``total_layout`` order."""
-    return {n: tuple(s for cell in cells for s in bc.term(*cell))
-            for n, cells in sorted(total_layout(bc).items())}
-
-
 def total_complex(bc: ProjBicomplex, name: str | None = None) -> ProjComplex:
-    """Antidiagonal direct sums, differential d1 + (-1)^p d2. Validating
+    """Antidiagonal direct sums, each the summands of its cells in
+    ``total_layout`` order, with differential d1 + (-1)^p d2. Validating
     the total complex checks the identities of ``bc`` (``ProjBicomplex``)."""
     layout = total_layout(bc)
-    terms = total_terms(bc)
+    terms = {n: tuple(s for cell in cells for s in bc.term(*cell))
+             for n, cells in sorted(layout.items())}
     diffs: dict[int, AlgMatrix] = {}
     for n, cells in sorted(layout.items()):
         up = layout.get(n + 1)
@@ -1121,10 +1138,9 @@ class Reduction:
     ``stop`` is the tail at which the sweep of a right-tailed ``original``
     stopped, None where it swept every degree (the reduction repeat of
     "Windows and margins" in the module docstring). Then ``log`` holds the
-    cancellations swept through stop.start + 2·period - 1 and, past them
-    through the original's top - 1, each degree's copy of the one a period
-    in; the replay runs on the swept ones only, and F, G and h's factors
-    past them are copied by the same rule."""
+    cancellations swept through stop.start + 2·period - 1, the replay runs
+    on all of them, and F, G and h past the swept degrees are copies of
+    the ones a period in, shifted (``_copy_outward``)."""
 
     def __init__(self, original: ProjComplex, reduced: ProjComplex, log: list,
                  stop: TailSpec | None):
@@ -1140,11 +1156,9 @@ class Reduction:
             F, G, factors = _replay(c, self.log)
         else:
             end = _swept_through(t)
-            swept = bisect.bisect_right([e[0] for e in self.log], end)
-            F, G, factors = _replay(c.clip(c.window()[0], end + 1), self.log[:swept])
+            F, G, factors = _replay(c.clip(c.window()[0], end + 1), self.log)
             for maps in (F, G):
                 _copy_outward(maps, t, end, red.window()[1], AlgMatrix.shifted)
-            _continue_periodically(factors, end, c.window()[1] - 1, t.period)
         return (ProjChainMap(c, red, {i: F[i] for i in red.terms}, "F", validate=False),
                 ProjChainMap(red, c, {i: G[i] for i in red.terms}, "G", validate=False),
                 factors)
@@ -1154,7 +1168,12 @@ class Reduction:
 
     @cached_property
     def homotopy(self) -> ProjChainMap:
-        return _homotopy(self.original, self._replayed[2])
+        c, t = self.original, self.stop
+        h = _homotopy(c, self._replayed[2])
+        if t is not None:   # h[i] reads the cancellations at i - 1
+            _copy_outward(h.maps, t, _swept_through(t) + 1, c.window()[1],
+                          AlgMatrix.shifted)
+        return h
 
 
 def _swept_through(stop: TailSpec) -> int:
@@ -1334,10 +1353,10 @@ def gaussian_reduce(c: ProjComplex) -> Reduction:
     The sweep of a right-tailed complex stops at its first repeat
     (``_Eliminator.stop``, from j, swept through end = j + 2p - 1): the
     reduced complex keeps the degrees through end with the stop's tail,
-    none when its terms from j on are zero, and the log past end is
-    continued by the period through the input's top - 1 (the reduction
-    repeat of "Windows and margins" in the module docstring). The swept
-    degrees are checked for d∘d and the stretch from j for its pattern.
+    none when its terms from j on are zero, and the log ends at end (the
+    reduction repeat of "Windows and margins" in the module docstring). The
+    swept degrees are checked for d∘d and the stretch from j for its
+    pattern.
     """
     st = _Eliminator(c)
     budget = c.summand_count() + 8
@@ -1362,19 +1381,7 @@ def gaussian_reduce(c: ProjComplex) -> Reduction:
                                     f"{broken[1]}")
         if reduced.window()[1] >= t.start:
             reduced.tail = t
-        _continue_periodically(st.log, end, c.window()[1] - 1, t.period)
     return Reduction(c, reduced, st.log, t)
-
-
-def _continue_periodically(entries: list, end: int, top: int, p: int) -> None:
-    """Extend ``entries``, tuples led by their degree in ascending order
-    through ``end``, through degree ``top``: each degree past ``end`` takes
-    the entries of the degree p below, in their order."""
-    k = next((n for n, e in enumerate(entries) if e[0] > end - p), len(entries))
-    while k < len(entries) and entries[k][0] + p <= top:
-        i, *rest = entries[k]
-        entries.append((i + p, *rest))
-        k += 1
 
 
 # ---------------------------------------------------------------------------
@@ -1699,44 +1706,21 @@ def reduce_on_window(c: ProjComplex, window: tuple[int, int]) -> Reduction:
 
     A periodic tail is first materialized 2·period + 2 degrees past the
     window on its side, one margin for every caller; the reduction margin
-    of "Windows and margins" in the module docstring derives it. A sweep
-    that stopped at its repeat (a right tail) is materialized from its
-    stretch through ``window`` (the reduction repeat there). The
-    reduction is clipped to ``window``, the tail is re-detected at the kept
-    edge and kept under the gap rule there, and F and G, built when first
-    read, keep the kept degrees. When the reduced complex reaches the kept
-    edge without a periodic pattern, ``WindowTooSmall``.
+    of "Windows and margins" in the module docstring derives it. The
+    reduction of a tailed complex is kept by ``attach_tail``: a stopped
+    sweep (a right tail) carries the stop's tail, which copies its stretch
+    through ``window`` (the reduction repeat there), and the kept tail is
+    the one found at the kept edge under the gap rule. F and G, built when
+    first read, keep the kept degrees.
     """
     t = c.tail
     if t is not None:
         margin = 2 * t.period + 2
         c = c.materialize(window[0] - margin, window[1] + margin)
     red = gaussian_reduce(c)
-    reduced = red.reduced
-    if reduced.tail is not None:   # a stopped sweep: its stretch, copied on
-        reduced = reduced.materialize(*window)
-    kept = reduced.clip(*window)
-    tail = None
-    if t is not None and not kept.is_zero():
-        tail = detect_tail(kept, t.side)
-        # degrees between the content's outward end and the kept edge
-        gap = t.outward * (t.edge(window) - t.edge(kept.window()))
-        if tail is None and gap <= 1:
-            # content touching the clip boundary without a visible
-            # pattern: the window cannot distinguish bounded from
-            # truncated; content ending strictly inside is trustworthy
-            # because those degrees were reduced with margin beyond them
-            raise WindowTooSmall(
-                f"reduction of {c.name} reaches the window edge without "
-                f"a periodic pattern; enlarge the window")
-        if tail is not None and gap >= tail.period:
-            # the gap rule of "Windows and margins": a pattern that breaks
-            # inside the kept window is no tail; the complex became bounded
-            tail = None
-    if tail is not None:
-        tail = _carry_repeat(tail, red.stop, kept.window())
-    kept = ProjComplex(c.algebra, kept.terms, kept.diffs, tail, kept.name,
-                       validate=False)
+    kept = red.reduced.clip(*window) if t is None else attach_tail(
+        red.reduced, window, t.side, f"reduction of {c.name} reaches the window "
+        f"edge without a periodic pattern; enlarge the window")
     return Reduction(c, kept, red.log, red.stop)
 
 

@@ -36,9 +36,10 @@ from .complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, Complex,
                         ProjChainMap, ProjComplex, Reduction, RegimeError,
                         Summand, TailSpec, WindowTooSmall, attach_tail,
                         gaussian_reduce, realize, shift_summands,
-                        total_complex, total_layout, total_terms,
+                        total_complex, total_layout,
                         _alg_matrix_to_hom, _complexes_repeat, _copy_outward,
-                        _doubled_tail, _is_copy, _mat_coords, _tail_break)
+                        _doubled_tail, _implied_from, _is_copy, _mat_coords,
+                        _tail_break)
 from .linalg import Matrix, solve_from_columns
 from .modules import (C_TO_B, DUAL_VERTEX, PI_SHIFT, GradedModule, ModuleHom,
                       apply_pi, apply_pi_hom, projective, simple, injective2)
@@ -438,21 +439,24 @@ def _cone(f: ModuleHom | ProjChainMap) -> Complex | ProjComplex:
     with differential [[-d_X, 0], [f, d_Y]]; a module map is read in
     homological degree 0. Each term lays X's summands first.
 
-    A formal cone repeats with the sides' common tail, the lcm of their
-    periods, on which their shifts must agree, and is stored from the
-    highest stored bottom of a left-tailed side (D refuses a right tail
-    before it reads the cone). ``_koszul_D`` walks the stored degrees for
-    the repeat, so the tail's start is the stored bottom."""
+    A formal cone repeats with the sides' common tail, the lcm L of their
+    periods, on which their shifts must agree. It is stored on the union of
+    the sides' stored windows, each tailed side materialized there, and
+    repeats from the outer of the sides' repeats in cone degrees, X's moved
+    by -1: a tailed side's repeat taken to period L (``_implied_from``), a
+    bounded side's edge moved L + 2 degrees out, past which a step of the
+    pattern and the d it compares read none of its terms. The window is
+    widened to that repeat, so the copies past it are the cone's. f carries
+    no tail: the cone reads its components as repeating with the sides from
+    there (D refuses a right tail before it reads the cone)."""
     if isinstance(f, ModuleHom):
         return Complex(f.source.algebra, {-1: f.source, 0: f.target}, {-1: f},
                        name=f"cone({f.name})")
-    X, Y = f.source, f.target
     # X^i lies in cone degree i - 1
-    spans = [(c.window()[0] - o, c.window()[1] - o, c.tail)
-             for c, o in ((X, 1), (Y, 0)) if c.terms]
-    lo = min((s[0] for s in spans), default=0)
-    hi = max((s[1] for s in spans), default=-1)
-    tails = [t for _, _, t in spans if t is not None]
+    sides = [(c, o) for c, o in ((f.source, 1), (f.target, 0)) if c.terms]
+    lo = min((c.window()[0] - o for c, o in sides), default=0)
+    hi = max((c.window()[1] - o for c, o in sides), default=-1)
+    tails = [c.tail for c, _ in sides if c.tail is not None]
     tail = None
     if tails:
         period = math.lcm(*(t.period for t in tails))
@@ -461,9 +465,15 @@ def _cone(f: ModuleHom | ProjChainMap) -> Complex | ProjComplex:
             raise RegimeError(f"the tails of the source and target of {f.name} "
                               f"do not agree")
         ((side, shift),) = kinds
-        if side == LEFT_TAIL:
-            lo = max(s_lo for s_lo, _, t in spans if t is not None)
-        tail = TailSpec(side, lo, period, shift)
+        pattern = TailSpec(side, 0, period, shift)
+        o = pattern.outward
+        repeat = (max if o > 0 else min)(
+            (_implied_from(c.tail, pattern) if c.tail is not None
+             else pattern.edge(c.window()) + o * (period + 2)) - up for c, up in sides)
+        lo, hi = min(lo, repeat), max(hi, repeat)
+        tail = TailSpec(side, repeat, period, shift)
+    X, Y = (c if c.tail is None else c.materialize(lo + up, hi + up)
+            for c, up in ((f.source, 1), (f.target, 0)))
     terms = {i: X.term(i + 1) + Y.term(i) for i in range(lo, hi + 1)}
     diffs = {}
     for i in range(lo, hi):
@@ -683,39 +693,32 @@ def _ck_total(setup: Setup, x: ProjComplex, out_window: tuple[int, int]
     its computed head, whose ``total_layout`` the map functor reads.
 
     Past the input's top x_hi each total degree is the one two below,
-    shifted by -4 (the CK period in "Windows and margins" of the
-    ``complexes`` module docstring), so the bicomplex is built only through
-    head = min(out_hi, x_hi + 6), on the complete total degrees there,
-    K = head - x_lo. Its totalization is validated and shows its tail, and
+    shifted by -4: the CK period in "Windows and margins" of the
+    ``complexes`` module docstring proves this right tail from x_hi + 3. So
+    the bicomplex is built only through head = x_hi + 6, which shows the
+    tail twice, on the complete total degrees there, K = head - x_lo. Its
+    totalization is validated and checked for that tail, and
     ``attach_tail`` copies it on to out_hi and clips it to the output
-    window. A right-tailed input is materialized through out_hi, so there
-    x_hi = out_hi and everything is built.
-
-    Before any matrix is built, the tail is looked for on the head's cell
-    terms alone: ``attach_tail`` on their totalization without
-    differentials, where each differential comparison of the tail walk
-    compares only shapes that its term comparisons already fix. A head that
-    fails there fails the full walk too, with the same text, and is
-    rejected without building the bicomplex."""
+    window; a break of that tail on the head is ``WindowTooSmall``, as D's
+    is. A window that ends before the head raises ``WindowTooSmall``
+    before any cell is built. So does every nonzero right-tailed input: it
+    is materialized through out_hi, so its x_hi is out_hi."""
     if x.tail is not None and x.tail.side == LEFT_TAIL:
         raise RegimeError("topological projector input must be bounded below")
     out_hi = out_window[1]
     x = x.materialize(x.window()[0], out_hi)
     x_lo, x_hi = x.window()
-    head = min(out_hi, x_hi + 6)
-    K = head - x_lo
+    head = x_hi + 6
     if x.is_zero():
-        return ProjComplex.zero_complex(setup.B), ck_bicomplex(setup, x, K)
-    # the raw tensor is always right-infinite for nonzero input, so a
-    # missing pattern means the window cannot certify the tail, never
-    # boundedness
+        return ProjComplex.zero_complex(setup.B), ck_bicomplex(setup, x, 0)
     message = f"projector tensor output did not stabilize on window {out_window}"
-    shape = ProjBicomplex(setup.B, _ck_cells(setup, x, K), {}, {})
-    attach_tail(ProjComplex(setup.B, total_terms(shape), {}, validate=False),
-                (x_lo, head), RIGHT_TAIL, message)
-    bc = ck_bicomplex(setup, x, K)
-    tot = attach_tail(total_complex(bc, name=f"ℂ𝕂({x.name})"), (x_lo, head),
-                      RIGHT_TAIL, message)
+    if out_hi < head:
+        raise WindowTooSmall(message)
+    bc = ck_bicomplex(setup, x, head - x_lo)
+    tot = total_complex(bc, name=f"ℂ𝕂({x.name})")
+    tot.tail = TailSpec(RIGHT_TAIL, x_hi + 3, 2, -4)
+    if _tail_break(tot, tot.tail) is not None:
+        raise WindowTooSmall(message)
     return attach_tail(tot, out_window, RIGHT_TAIL, message), bc
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .complexes import (LEFT_TAIL, AlgMatrix, Complex, ProjComplex, Summand,
-                        TailSpec, attach_tail)
+                        TailSpec, WindowTooSmall, _is_copy, attach_tail)
 from .linalg import Matrix, unit_vector
 from .modules import (GradedModule, ModuleHom, direct_sum, projective_sum,
                       sum_layout)
@@ -273,10 +273,12 @@ def resolve_complex(Y: Complex, depth: int
 
     pc = ProjComplex(alg, terms, diffs, None, f"res({Y.name})")
     if not pc.is_zero() and (Y.tail is not None or repeat is not None or past_floor):
+        # the resolution goes on below the floor, so it is never bounded there
+        message = f"resolution of {Y.name} neither terminates nor stabilizes at depth {depth}"
         pc = attach_tail(ProjComplex(alg, terms, diffs, repeat, pc.name, validate=False),
-                         (floor, yhi), LEFT_TAIL,
-                         f"resolution of {Y.name} neither terminates nor "
-                         f"stabilizes at depth {depth}")
+                         (floor, yhi), LEFT_TAIL, message)
+        if pc.tail is None:
+            raise WindowTooSmall(message)
     return pc, augment
 
 
@@ -287,7 +289,7 @@ def _resolution_repeat(terms: dict[int, tuple[Summand, ...]],
     p <= 4 with i + p <= ``pure_below``: the resolution repeat."""
     for p in range(1, min(4, pure_below - i) + 1):
         s = terms[i][0].shift - terms[i + p][0].shift
-        if diffs[i] == diffs[i + p].shifted(s):
+        if _is_copy(diffs[i], diffs[i + p], s):
             return TailSpec(LEFT_TAIL, i, p, s)
     return None
 

@@ -3,15 +3,17 @@
 ``gaussian_reduce`` cancels at the lowest degree first, so once d(j), as the
 sweep reaches it, is the shifted copy of d(j - p) as reached, past the
 input's certified repeat, every later step is the copy of the one a period
-in: the sweep runs on through j + 2p - 1 and copies the reduced complex, the
-log, F, G and h's factors from there (the reduction repeat of "Windows and
-margins" in the ``complexes`` module docstring). The reference is the same
-reduction with a sweep that never stops, over every right-tailed
+in: the sweep runs on through j + 2p - 1, logs no cancellation past it, and
+copies the reduced complex, F, G and h from there (the reduction repeat of
+"Windows and margins" in the ``complexes`` module docstring). The reference
+is the same reduction with a sweep that never stops, whose log is compared
+through j + 2p - 1 and everything else at every degree, over every right-tailed
 ``reduce_on_window`` call of the suite and the eval pool and over random
 right-tailed complexes, some of whose heads copy the tail before breaking
 it and some of whose tails reduce to zero. Every tail the suite and the pool
 build carries a repeat from which it holds on its stored degrees."""
 
+import math
 from contextlib import ExitStack
 from dataclasses import replace
 from unittest import mock
@@ -21,8 +23,8 @@ from hypothesis import strategies as st
 
 from jwcat import complexes, exprs, functors, resolutions, verify
 from jwcat.complexes import (RIGHT_TAIL, AlgMatrix, ProjComplex, Summand, TailSpec,
-                             _allowed_paths, _tail_break, reduce_on_window,
-                             shift_summands)
+                             _allowed_paths, _swept_through, _tail_break,
+                             reduce_on_window, shift_summands)
 from jwcat.functors import Setup
 from jwcat.verify import VerificationConfig, run_suite
 from test_reduction_pin import ends_periodic, run_pool
@@ -72,17 +74,23 @@ def full_sweep(c, window):
         return reduce_on_window(c, window)
 
 
-def reduction_data(red):
-    """The kept complex with its tail, the log and the witnesses."""
-    return (red.reduced.terms, red.reduced.diffs, red.reduced.tail, red.log,
+def reduction_data(red, through):
+    """The kept complex with its tail, the log through degree ``through``
+    and the witnesses."""
+    return (red.reduced.terms, red.reduced.diffs, red.reduced.tail,
+            [e for e in red.log if e[0] <= through],
             red.to_reduced.maps, red.from_reduced.maps, red.homotopy.maps)
 
 
 def assert_same_as_full_sweep(c, window):
+    """The stopped sweep keeps the full sweep's log through its last swept
+    degree, and the same complex, tail, F, G and h at every degree."""
     got, want = outcome(reduce_on_window, c, window), outcome(full_sweep, c, window)
     if got[0] == want[0] == "value":
         assert want[1].stop is None
-        got, want = reduction_data(got[1]), reduction_data(want[1])
+        stop = got[1].stop
+        through = math.inf if stop is None else _swept_through(stop)
+        got, want = reduction_data(got[1], through), reduction_data(want[1], through)
     assert got == want
     return got
 

@@ -13,13 +13,16 @@ from hypothesis import strategies as st
 
 from jwcat import functors, resolutions
 from jwcat.complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, ProjBicomplex,
-                             ProjComplex, Summand, TailSpec, WindowTooSmall,
-                             detect_tail, realize, shift_summands)
-from jwcat.functors import (CK_on_object, P_on_object, Setup,
-                            koszul_D_on_object)
+                             ProjChainMap, ProjComplex, RegimeError, Summand,
+                             TailSpec, WindowTooSmall, _tail_break, detect_tail,
+                             realize, shift_summands)
+from jwcat.exprs import ObjectValue, ParseError, evaluate, parse
+from jwcat.functors import (CK_on_object, P_on_object, Setup, _cone,
+                            koszul_D_on_map, koszul_D_on_object)
 from jwcat.modules import projective, simple
 from jwcat.quiver import ConstructionError
 from test_complexes import ck_p2_complex
+from test_reduction_pin import pool_expressions
 
 SETUP = Setup.create()
 B = SETUP.B
@@ -437,3 +440,108 @@ class TestCorruptionIsCaughtAtEveryAttachment:
 
     def test_topological_projector_seam_past_the_head(self, monkeypatch):
         self.test_topological_projector_seam(monkeypatch, (0, 24))
+
+
+# ---------------------------------------------------------------------------
+# a certified tail holds past the window
+# ---------------------------------------------------------------------------
+
+def pool_object_values(n):
+    """The object values of the eval pool, nested CK excluded, at N = n."""
+    values = {}
+    for expr in pool_expressions():
+        try:
+            value = evaluate(SETUP, parse(expr), (0, n), 2 * n + 1)
+        except (WindowTooSmall, ParseError, RegimeError):
+            continue
+        if isinstance(value, ObjectValue):
+            values[expr] = value
+    return values
+
+
+def climbing(lo, hi, extra=None, side=LEFT_TAIL):
+    """P(2)<-2i> in each degree i of lo..hi, with the summands ``extra``
+    adds in some degrees, no differentials, and the tail ``detect_tail``
+    finds on ``side``."""
+    extra = extra or {}
+    c = ProjComplex(B, {i: (Summand("2", -2 * i),) + extra.get(i, ())
+                        for i in range(lo, hi + 1)}, {}, name=f"climbing{lo}..{hi}")
+    c.tail = detect_tail(c, side)
+    return c
+
+
+class TestCertifiedTailsHoldPastTheWindow:
+    def test_every_tailed_value_of_the_pool_is_the_deep_one(self):
+        """Each tailed complex and reduced complex of the pool at N = 12,
+        materialized to 48, equals the one computed at N = 48 on every
+        degree both store."""
+        small, deep = pool_object_values(12), pool_object_values(48)
+        checked = 0
+        for expr, value in small.items():
+            for kind in ("complex", "reduced"):
+                c, d = getattr(value, kind), getattr(deep[expr], kind)
+                if not isinstance(c, ProjComplex) or c.tail is None:
+                    continue
+                lo, hi = c.window()
+                c = c.materialize(*((lo, 48) if c.tail.outward > 0 else (-48, hi)))
+                lo, hi = max(c.window()[0], d.window()[0]), min(c.window()[1], d.window()[1])
+                assert hi - lo > 30, expr
+                assert [c.term(i) for i in range(lo, hi + 1)] == \
+                    [d.term(i) for i in range(lo, hi + 1)], (expr, kind)
+                assert [c.diff(i) for i in range(lo, hi)] == \
+                    [d.diff(i) for i in range(lo, hi)], (expr, kind)
+                checked += 1
+        assert checked > 300
+
+    def test_ck_keeps_no_tail_that_a_term_past_the_window_breaks(self):
+        """P(2) in degrees 0 and 20: on (0, 12) the window's edge shows
+        CK's period, but the term at 20 adds cells from degree 20 on. The
+        head, x_hi + 6 = 26, lies past the window, so CK raises."""
+        x = ProjComplex(B, {0: (Summand("2", 0),), 20: (Summand("2", 0),)}, {})
+        assert outcome(CK_on_object, SETUP, x, (0, 12)) == (
+            "WindowTooSmall", "projector tensor output did not stabilize on window (0, 12)")
+        assert CK_on_object(SETUP, x, (0, 26)).tail.repeat == 23
+
+    @pytest.mark.parametrize("depth", [7, 8, 9])
+    def test_a_resolution_cut_at_the_floor_is_never_bounded(self, depth):
+        """P(1)<-2i> in each degree i <= 0 that 5 divides, a period no tail
+        walk tries: below -30 the floor leaves the last 2 to 4 degrees empty,
+        but the input goes on, so its resolution is never bounded there."""
+        x = ProjComplex(B, {i: (Summand("1", -2 * i),) for i in range(-30, 1, 5)}, {},
+                        TailSpec(LEFT_TAIL, -20, 5, 10), "every-fifth")
+        assert outcome(resolutions.resolve_complex, realize(x), depth) == (
+            "WindowTooSmall",
+            f"resolution of every-fifth neither terminates nor stabilizes at depth {depth}")
+
+    def test_a_cone_keeps_the_terms_of_the_side_stored_further_out(self):
+        """X stored on -10..0 and Y on -40..0, with a P(1)<31> in Y's head at
+        -13: the cone of the zero map X -> Y is stored from Y's bottom, so
+        its copies do not overwrite that summand, and D of the map has
+        D(Y) as its target."""
+        X, Y = climbing(-10, 0), climbing(-40, 0, {-13: (Summand("1", 31),)})
+        f = ProjChainMap(X, Y, {})
+        cone, Xm = _cone(f).materialize(-16, 0), X.materialize(-15, 0)
+        assert {i: cone.term(i) for i in range(-16, 1)} == \
+            {i: Xm.term(i + 1) + Y.term(i) for i in range(-16, 1)}
+        got = koszul_D_on_map(SETUP, f, (0, 40)).target
+        want = koszul_D_on_object(SETUP, Y, (0, 40))
+        assert (got.terms, got.diffs, got.tail) == (want.terms, want.diffs, want.tail)
+
+    def test_a_cone_holds_its_tail_from_its_repeat(self):
+        """The cone's repeat is the outer of its sides' repeats, X's moved
+        by -1, where a bounded side counts from L + 2 degrees past its
+        edge. Its pattern holds on every stored degree from there, and its
+        copies are the cone of the sides' copies."""
+        bounded = ProjComplex(B, {-20: (Summand("1", 31),)}, {})
+        cases = [(climbing(0, 10, side=RIGHT_TAIL),
+                  climbing(0, 40, {13: (Summand("1", 31),)}, RIGHT_TAIL), 39),
+                 (climbing(-10, 0), climbing(-40, 0, {-13: (Summand("1", 31),)}), -39),
+                 (climbing(-10, 0), bounded, -23)]
+        for X, Y, repeat in cases:
+            cone = _cone(ProjChainMap(X, Y, {}))
+            assert cone.tail.repeat == repeat
+            assert _tail_break(cone, cone.tail) is None
+            lo, hi = (-60, 0) if cone.tail.side == LEFT_TAIL else (-1, 60)
+            Xm, Ym = (c if c.tail is None else c.materialize(lo, hi + 1) for c in (X, Y))
+            assert {i: cone.materialize(lo, hi).term(i) for i in range(lo, hi + 1)} == \
+                {i: Xm.term(i + 1) + Ym.term(i) for i in range(lo, hi + 1)}

@@ -662,6 +662,23 @@ class TestProjectorBuildsOnlyWhatTheWindowReads:
                                side_effect=AssertionError("bicomplex built")):
             assert outcome(functors.CK_on_object, SETUP, inner, (0, 12)) == want
 
+    @pytest.mark.parametrize("kind", ["right-tailed", "bounded"])
+    def test_a_window_short_of_the_head_builds_no_cell(self, kind):
+        """A window that ends before the head, x_hi + 6, raises before a
+        cell is built or totalized: a right-tailed input is materialized
+        through out_hi, so its x_hi is out_hi, and P(2) in degrees 0 and 8
+        has its head at 14, past (0, 12)."""
+        s = ProjComplex.from_summand(B, "2").term(0)
+        x = (CK_on_object(SETUP, ProjComplex.from_summand(B, "1"), (0, 12))
+             if kind == "right-tailed" else ProjComplex(B, {0: s, 8: s}, {}))
+        with mock.patch.object(functors, "ck_bicomplex",
+                               side_effect=AssertionError("bicomplex built")), \
+                mock.patch.object(functors, "total_complex",
+                                  side_effect=AssertionError("totalized")):
+            assert outcome(functors._ck_total, SETUP, x, (0, 12)) == (
+                "WindowTooSmall",
+                "projector tensor output did not stabilize on window (0, 12)")
+
 
 # ---------------------------------------------------------------------------
 # the duality functor computes its head and copies
