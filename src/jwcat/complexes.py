@@ -30,24 +30,24 @@ caller passes only the window it works at. Below, a tail has direction o
 * Two-period seam (``check_tail_seam``, ``detect_tail``). A stored tail is
   accepted only when every stored degree from ``start`` outward follows
   term(i) = term(i - o·p)<s> and d(i) likewise, and the window reaches
-  2p - 1 degrees past ``start``: the repeated period shows twice.
-  ``detect_tail`` puts ``start`` 2p - 1 degrees in from the outward edge,
-  so it needs 3p stored degrees, the two repeats and the period they are
-  compared with. Periods up to 4 are tried. Copies are not checked: a
-  construction checks d∘d on the degrees it computed, and ``attach_tail``
-  extends its repeat by ``_copy_outward``. A copied degree holds the value
-  one period in, shifted by s, and the seam walk (for a resolution, its
-  repeat d(i) = d(i + p)<s>; for D and CK, the derived tail checked on the
-  head) compared that value with the one a period further in, so every
-  copied d∘d product is a shifted computed one. The map functors copy
-  components by the same rule: P's lift below its repeat, CK past both
-  tops + 2 and D past its cone's head (the lift repeat, the CK period and
-  D's head below). Each checks the chain identity only where it reads a
-  computed component (``ProjChainMap.check_identity``): P from the lowest
-  solved degree - 1 to -1, CK on its built degrees, D by its cone's d∘d on
-  the head. An identity past them reads copies of components and
-  differentials one period in, so it is the shifted copy of one nearer the
-  seam, and by induction of a checked one.
+  ``TailSpec.two_period_end``: the repeated period shows twice.
+  ``detect_tail`` puts that end at the edge and ``start`` no further in than
+  ``TailSpec.reference_bound``: 3p stored degrees, the two repeats and the
+  period they are compared with. Periods up to 4 are tried. Copies are not
+  checked: a construction checks d∘d on the degrees it computed, and
+  ``attach_tail`` extends its repeat by ``_copy_outward``. A copied degree
+  holds the value one period in, shifted by s, and the seam walk (for a
+  resolution, its repeat d(i) = d(i + p)<s>; for D and CK,
+  ``TailSpec.certify`` on the head) compared that value with the one a
+  period further in, so every copied d∘d product is a shifted computed one.
+  The map functors copy components by the same rule: P's lift below its
+  repeat, CK past both tops + 2 and D past its cone's head (the lift repeat,
+  the CK period and D's head below). Each checks the chain identity only
+  where it reads a computed component (``ProjChainMap.check_identity``): P
+  from the lowest solved degree - 1 to -1, CK on its built degrees, D by its
+  cone's d∘d on the head. An identity past them reads copies of components
+  and differentials one period in, so it is the shifted copy of one nearer
+  the seam, and by induction of a checked one.
 * Ladder seam (``ladder_degrees``, ``_common_tail``). A ladder family
   φ_i: A^i -> B^{i+offset} with a common tail repeats from the seam σ,
   where both A^i and B^{i+offset} lie in the tail: the later of ``start``
@@ -61,35 +61,34 @@ caller passes only the window it works at. Below, a tail has direction o
   tails' starts: from there each complex follows its own tail, so both
   follow the doubled pattern from one ladder period further out, which is
   all the identification reads. It moves in to the innermost degree from
-  which both complexes follow the doubled pattern at every stored degree
-  out to their edges, term(i) = term(i - o·p)<s> and d(i) likewise where
-  i + 1 is stored (``_break_at``, the test that ``_tail_break`` walks
-  with), when that degree lies further in. ``_complexes_repeat`` finds it
-  as the outer of the two complexes' ``_repeat_start``s: each walks inward
-  from its complex's own stored edge, or from the degree that its own
-  tail, certified from its ``repeat``, already carries into the doubled
-  pattern (``_implied_from``), compares summands by identity and
-  entry lists without building shifted copies, and stops at the first
-  break or where the reference i - o·p would leave the stored window, so
-  it reads no degree the complex does not store, and a break that only
-  the complex stored further out holds is not skipped. The stored
-  ``TailSpec`` of each complex is left as it is. Soundness: the walk moves
-  the seam only across degrees where both complexes are periodic, so a
-  solution is still a chain map or homotopy of the semi-infinite
-  complexes. The ansatz identifies more components, so it admits fewer
-  solutions: it can lose a "true", as an empty periodic solution set
-  between tailed models is inconclusive, but it never adds a "false". In
-  ``duality-maps`` both models follow their pattern from degree 6 or 7, so
-  the largest ladder system has 18 unknowns at every N (252 and 1,020 at
-  N = 128 and 512 with the seam at the stored tails' starts).
+  which both complexes follow the doubled pattern at every stored degree out
+  to their edges (``_break_at``, the test that ``_tail_break`` walks with),
+  when that degree lies further in. ``_complexes_repeat`` finds it as the
+  outer of the two complexes' ``_repeat_start``s: each walks inward from its
+  complex's own stored edge, or from the degree that its own tail, certified
+  from its ``repeat``, already carries into the doubled pattern
+  (``TailSpec.implied_from``), compares summands by identity and entry lists
+  without building shifted copies, and stops at the first break or at
+  ``TailSpec.reference_bound``, so it reads no degree the complex does not
+  store, and a break that only the complex stored further out holds is not
+  skipped. The stored ``TailSpec`` of each complex is left as it is.
+  Soundness: the walk moves the seam only across degrees where both
+  complexes are periodic, so a solution is still a chain map or homotopy of
+  the semi-infinite complexes. The ansatz identifies more components, so it
+  admits fewer solutions: it can lose a "true", as an empty periodic
+  solution set between tailed models is inconclusive, but it never adds a
+  "false". In ``duality-maps`` both models follow their pattern from degree
+  6 or 7, so the largest ladder system has 18 unknowns at every N (252 and
+  1,020 at N = 128 and 512 with the seam at the stored tails' starts).
   The ladder's period p is twice the lcm L of the two tails' periods
-  (``_common_tail``). Every solution periodic under L is periodic under 2L,
-  so doubling loses none, and it admits the solutions that change sign at
-  each step of L: a tail with differential d and its copy with -d, as a
-  homological shift of a period-1 tail gives, are isomorphic only through
-  φ_i = (-1)^i, which has period 2. Nothing proves 2L complete (a solution
-  that repeats only after three steps of L would still be missed), so an
-  empty solution set of the ansatz is inconclusive, never "false".
+  (``TailSpec.common`` with k = 2). Every solution periodic under L is
+  periodic under 2L, so doubling loses none, and it admits the solutions
+  that change sign at each step of L: a tail with differential d and its
+  copy with -d, as a homological shift of a period-1 tail gives, are
+  isomorphic only through φ_i = (-1)^i, which has period 2. Nothing proves
+  2L complete (a solution that repeats only after three steps of L would
+  still be missed), so an empty solution set of the ansatz is inconclusive,
+  never "false".
 * Equation cut (``LadderSystem.cut``). Each block list of a ladder
   system, a family's chain blocks d∘φ_i ∓ φ_(i+1)∘d (less a given f - g
   for a homotopy) or the intertwining blocks ψ_t∘F - G∘ψ_s (- dh - hd),
@@ -144,34 +143,34 @@ caller passes only the window it works at. Below, a tail has direction o
   only d(j) as the sweep reaches it: the input's d(j) less the columns the
   cancellations at j - 1 dropped. They rewrite d(j) and drop rows of
   d(j - 1) and columns of d(j + 1). Let j be the first degree at which d(j)
-  as reached, rows, columns and entries, is the shifted copy of d(j - p)
-  as reached, with j - p >= r. The input follows its tail from j - p on, so
-  its d(j + 1) is the copy of d(j + 1 - p); the cancellations at j are the
+  as reached, rows, columns and entries, is the shifted copy of d(j - p) as
+  reached, with j - p >= r. The input follows its tail from j - p on, so its
+  d(j + 1) is the copy of d(j + 1 - p); the cancellations at j are the
   copies of those at j - p and drop the copied columns, so d(j + 1) as
   reached is the copy of d(j + 1 - p) as reached, and by induction every
   step from j on is the shifted copy of the step one period in. The sweep
-  runs on through end = j + 2p - 1, where the input stores d(end), and
-  stops. The terms through end and the differentials through end - 1 are
-  final, and they repeat from j: term(j) is the columns of the reached
-  d(j) less those the cancellations at j drop, the copy of term(j - p),
-  and d(j) also loses the rows of the cancellations at j + 1, copies of
-  those at j + 1 - p. One period would do; the second is checked: every
-  swept degree for d∘d, and the stretch from j for the pattern over two
-  periods (``_tail_break``). The log ends at end, and the witnesses are
-  replayed from it and copied past it (``_copy_outward``). F[i] and G[i]
-  are final once the cancellations at i - 1 and i are made, copies for
+  runs on through end, the ``TailSpec.two_period_end`` of the tail from j,
+  where the input stores d(end), and stops. The terms through end and the
+  differentials through end - 1 are final, and they repeat from j: term(j)
+  is the columns of the reached d(j) less those the cancellations at j drop,
+  the copy of term(j - p), and d(j) also loses the rows of the cancellations
+  at j + 1, copies of those at j + 1 - p. One period would do; the second is
+  checked: every swept degree for d∘d, and the stretch from j for the
+  pattern (``_tail_break``). The log ends at end, and the witnesses are
+  replayed from it and copied past it (``_copy_outward``). F[i] and G[i] are
+  final once the cancellations at i - 1 and i are made, copies for
   i >= j + 1, so past end each is the one a period in, shifted. h[i] sums
-  the rank-one terms of the cancellations at i - 1, which read G[i - 1]
-  and F[i], so it is a copy for i >= j + 2 and is copied past end + 1,
-  through the original's top M: by the reduction margin above, M changes
-  no entry below it, and M, with no d(M), has none, so these are the h a
-  full sweep makes. ``reduce_on_window`` hands the stretch to
-  ``attach_tail`` with the stop's tail, which copies it through the kept
-  window; the kept tail is found at the kept edge, as for a full sweep,
-  and its repeat is j where the stop's pattern is the found one taken once
-  or twice (``_carry_repeat``). Where the stretch holds no term from j on,
-  it carries no tail, and the reduction is bounded (the gap rule below).
-  Left tails are swept whole: their sweep starts at the cut.
+  the rank-one terms of the cancellations at i - 1, which read G[i - 1] and
+  F[i], so it is a copy for i >= j + 2 and is copied past end + 1, through
+  the original's top M: by the reduction margin above, M changes no entry
+  below it, and M, with no d(M), has none, so these are the h a full sweep
+  makes. ``reduce_on_window`` hands the stretch to ``attach_tail`` with the
+  stop's tail, which copies it through the kept window; the kept tail is
+  found at the kept edge, as for a full sweep, and its repeat is j where the
+  stop's pattern is the found one taken once or twice (``_carry_repeat``).
+  Where the stretch holds no term from j on, it carries no tail, and the
+  reduction is bounded (the gap rule below). Left tails are swept whole:
+  their sweep starts at the cut.
 * Gap rule (``attach_tail``). Let the content clipped to the window end at
   degree ``end`` with its last term nonzero, and let the gap be the number
   of degrees from ``end`` out to the window's edge. A tail of period p
@@ -196,99 +195,97 @@ caller passes only the window it works at. Below, a tail has direction o
   complete, every cell of it built, exactly when n <= x_lo + K. The output
   window reads degrees through out_hi, and X is materialized through
   out_hi: X^i with i > out_hi meets only degrees past out_hi. The
-  bicomplex is built through the head of the CK period below,
-  head = x_hi + 6, so K = head - x_lo.
+  bicomplex is built through the head of the CK period below, the
+  two-period end of its tail from x_hi + 3, so K = head - x_lo.
 * CK period (``functors.ck_bicomplex``, ``functors._ck_total``,
   ``functors.CK_on_map``). X stops at its top x_hi, so each cell (k, i) of
   total degree n has k = n - i >= n - x_hi: past x_hi every cell lies in a
   column k >= 1, and from x_hi + 3 on in a column k >= 3. Column k >= 1 is
-  X ⊗ θ<1 - 2k>, so its θ-parts are column 1's shifted by -2(k - 1), and
-  so is m ⊗ id on it; the structure map out of it alternates β and γ
+  X ⊗ θ<1 - 2k>, so its θ-parts are column 1's shifted by -2(k - 1), and so
+  is m ⊗ id on it; the structure map out of it alternates β and γ
   (``quiver.structure_map_on_column``), so d1 on column k is d1 on column
-  k - 2 shifted by -4 for k >= 3, and Tot's sign (-1)^k on d2 has period
-  2 too. Hence for n >= x_hi + 3, Tot^n has the cells of Tot^(n-2) moved
-  two columns right, in the same order and at the same offsets, and
+  k - 2 shifted by -4 for k >= 3, and Tot's sign (-1)^k on d2 has period 2
+  too. Hence for n >= x_hi + 3, Tot^n has the cells of Tot^(n-2) moved two
+  columns right, in the same order and at the same offsets, and
   Tot^n = Tot^(n-2)<-4>, d(n) = d(n-2)<-4>: a right tail of period 2 and
   shift -4 from x_hi + 3, its repeat. ``_ck_total`` builds this tail and
-  computes Tot through head = x_hi + 6, which shows it twice in computed
-  degrees. A window with out_hi < head raises ``WindowTooSmall`` before any
-  cell is built, and so does every nonzero right-tailed X: it is
-  materialized through out_hi, so x_hi = out_hi. ``total_complex`` checks
-  d∘d on the head, so that a broken d∘d is reported as such; the tail is
-  checked there (``_tail_break``, as D checks its derived tail), and
-  ``attach_tail`` copies Tot on to out_hi by it (see the two-period seam)
-  and finds the printed tail at out_hi. From out_hi - 3 >= x_hi + 3 on
-  Tot repeats with period 2, so the found tail has period 2, or period 1
-  and shift -2 where two degrees there repeat so: then every degree
-  further out does, each the copy of one two degrees in. A map f ⊗ id has
-  the cells of its source and target, so its component at n is the one at
-  n - 2 shifted by -4 once n passes both tops by 3: it is built through
-  max(top of source, top of target) + 2 and copied beyond.
-* D's head (``functors._koszul_D``). A basis vector of bidegree (r, j)
-  lands in degree r + j. Let the input x have a left tail of period p and
-  shift s. One period outward moves r by -p and the internal degrees by s,
-  so a term's degrees in D by s - p; only for s > p does each degree of D
-  read finitely many terms, and otherwise D raises ``RegimeError``. Every
-  output of P has p = 1 and s = 2. Let e be the innermost degree from which
-  x follows its tail: ``_repeat_start`` walks in from the stored bottom
-  and stops at the first break. Let reach be the highest degree a
-  term above e reaches, the largest r + (top internal degree of x^r) over
-  the stored r > e; a formal summand P(v)<k> spans the degrees k + deg(q)
-  for the paths q of P(v), so neither this bound nor the walk realizes a
-  term. Past reach, D^q reads only the terms x^r with r <= e, which repeat,
-  and (r, j) -> (r - p, j + s) sends D^q onto D^(q + s - p) in the same
-  order, internally shifted by -s, with the scalar parts and arrow actions
-  that x repeats. D's differential carries the sign (-1)^q, so D has a
-  right tail of period P = s - p, doubled when s - p is odd, and shift
-  -s·P/(s - p), from q0 = max(reach + 1, out_lo) + P, the first degree
-  whose copy source lies past reach and in the window; q0 is the tail's
-  repeat. D is computed and its d∘d validated on (out_lo, head),
-  head = q0 + 2P - 1, which shows the tail twice; the derived tail is
-  checked there by ``_tail_break`` (a break raises ``WindowTooSmall``), and
-  ``attach_tail`` copies it on to out_hi (see the two-period seam) and
-  finds the stored tail at out_hi. The copy starts at the head's top stored
-  degree, which lies past q0: a vector of the tail's innermost period lands
-  at most s - p past reach, its copies land every s - p degrees above, so
-  each P consecutive degrees past q0 hold a summand. When head > out_hi the
-  head is stored past the window, and ``attach_tail`` keeps the tail it
-  finds at out_hi only where that tail holds on the head's degrees past
-  out_hi and on one period of their copies: from there each degree and its
-  reference are the copies of two of those, P degrees in, so the found
-  pattern holds on the whole tail. A pattern that the window's edge shows
-  and the head past it breaks raises ``WindowTooSmall``, and so does a
-  window that holds none of D's terms. The read: walking
-  down from e, degree r - p lands s - p higher than degree r, so once a
-  whole input period lands above head + 1 every degree further out does
-  too, and only the degrees from that period to the stored top are
-  materialized and realized. A map f: X -> Y is read off D of its mapping
-  cone (``functors._cone``), cone^i = X^(i+1) ⊕ Y^i on the degrees where
-  either side is stored, each tailed side materialized there, repeating
-  with the lcm of the sides' periods, on which their shifts must agree
-  (else ``RegimeError``), from the outer of the sides' repeats. D is
-  termwise, so D(cone)^q is D(X)^(q+1) ⊕ D(Y)^q, its differential has -d
-  of D(X) and d of D(Y) on the diagonal and D(f)^(q+1) below it, and its
-  d∘d states D(f)'s chain identity. D is built on (out_lo - 1, out_hi), so
-  both sides and the components come from one head with one d∘d check;
-  a tailed side takes the derived tail (from q0 + 1 for X), and the
-  components past the head are copied by it.
-* Lift repeat (``functors.lift_through_resolutions``). The comparison lift
-  φ between two resolutions solves at each degree i < 0 the system
+  computes Tot through the head, its ``TailSpec.two_period_end``. A window
+  with out_hi < head raises ``WindowTooSmall`` before any cell is built, and
+  so does every nonzero right-tailed X: it is materialized through out_hi,
+  so x_hi = out_hi. ``total_complex`` checks d∘d on the head, so that a
+  broken d∘d is reported as such; ``TailSpec.certify`` checks the tail
+  there, as for D, and ``attach_tail`` copies Tot on to out_hi by it (see
+  the two-period seam) and finds the printed tail at out_hi. From
+  out_hi - 3 >= x_hi + 3 on Tot repeats with period 2, so the found tail has
+  period 2, or period 1 and shift -2 where two degrees there repeat so: then
+  every degree further out does, each the copy of one two degrees in. A map
+  f ⊗ id has the cells of its source and target, so its component at n is
+  the one at n - 2 shifted by -4 once n passes both tops by 3: it is built
+  through max(top of source, top of target) + 2 and copied beyond.
+* D's head (``functors._koszul_D``). A basis vector of bidegree (r, j) lands
+  in degree r + j. Let the input x have a left tail of period p and shift s.
+  One period outward moves r by -p and the internal degrees by s, so a
+  term's degrees in D by s - p; only for s > p does each degree of D read
+  finitely many terms, and otherwise D raises ``RegimeError``. Every output
+  of P has p = 1 and s = 2. Let e be the innermost degree from which x
+  follows its tail: ``_repeat_start`` walks in from the stored bottom and
+  stops at the first break. Let reach be the highest degree a term above e
+  reaches, the largest r + (top internal degree of x^r) over the stored
+  r > e; a formal summand P(v)<k> spans the degrees k + deg(q) for the paths
+  q of P(v), so neither this bound nor the walk realizes a term. Past reach,
+  D^q reads only the terms x^r with r <= e, which repeat, and
+  (r, j) -> (r - p, j + s) sends D^q onto D^(q + s - p) in the same order,
+  internally shifted by -s, with the scalar parts and arrow actions that x
+  repeats. D's differential carries the sign (-1)^q, so D has a right tail
+  of period P = s - p, doubled when s - p is odd, and shift -s·P/(s - p),
+  from q0 = max(reach + 1, out_lo) + P, the first degree whose copy source
+  lies past reach and in the window; q0 is the tail's repeat. D is computed
+  and its d∘d validated on (out_lo, head), head the tail's
+  ``TailSpec.two_period_end``; the derived tail is checked there by
+  ``TailSpec.certify``, and ``attach_tail`` copies it on to out_hi (see the
+  two-period seam) and finds the stored tail at out_hi. The copy starts at
+  the head's top stored degree, which lies past q0: a vector of the tail's
+  innermost period lands at most s - p past reach, its copies land every
+  s - p degrees above, so each P consecutive degrees past q0 hold a summand.
+  When head > out_hi the head is stored past the window, and ``attach_tail``
+  keeps the tail it finds at out_hi only where that tail holds on the head's
+  degrees past out_hi and on one period of their copies: from there each
+  degree and its reference are the copies of two of those, P degrees in, so
+  the found pattern holds on the whole tail. A pattern that the window's
+  edge shows and the head past it breaks raises ``WindowTooSmall``, and so
+  does a window that holds none of D's terms. The read: walking down from e,
+  degree r - p lands s - p higher than degree r, so once a whole input
+  period lands above head + 1 every degree further out does too, and only
+  the degrees from that period to the stored top are materialized and
+  realized. A map f: X -> Y is read off D of its mapping cone
+  (``functors._cone``), cone^i = X^(i+1) ⊕ Y^i on the degrees where either
+  side is stored, each tailed side materialized there, repeating with the
+  pattern the sides share (``TailSpec.common``; sides that share none are a
+  ``RegimeError``), from the outer of the sides' repeats. D is termwise, so
+  D(cone)^q is D(X)^(q+1) ⊕ D(Y)^q, its differential has -d of D(X) and d of
+  D(Y) on the diagonal and D(f)^(q+1) below it, and its d∘d states D(f)'s
+  chain identity. D is built on (out_lo - 1, out_hi), so both sides and the
+  components come from one head with one d∘d check; a tailed side takes the
+  derived tail (from q0 + 1 for X), and the components past the head are
+  copied by it.
+* Lift repeat (``functors.lift_through_resolutions``). The comparison lift φ
+  between two resolutions solves at each degree i < 0 the system
   d_N(i)∘φ_i = φ_(i+1)∘d_M(i), which reads the two differentials at i and
   φ_(i+1). Let both resolutions follow their doubled pattern (period p,
-  shift s, ``_doubled_tail``) from e on: e is the outer of the two
-  resolutions' walks (``_complexes_repeat``, each from its resolution
-  repeat in; -3 for ℙ(e(1)) at every depth). It is not the seam of ``_common_tail``, which keeps the outer
-  stored start where the walk stops further out, since a ladder reads the
-  pattern only a period past its seam and the lift reads it from e on.
-  Let φ_i = φ_(i+p)<s> with i - 1 <= e and i + p <= 0. Then the system at
-  i - 1 is the system at i - 1 + p shifted by s, with the same
-  coordinates in the same order, and ``solve_from_columns`` returns a
-  solution fixed by the system alone (its reduced form), so
+  shift s, ``TailSpec.common`` with k = 2) from e on: e is the outer of the
+  two resolutions' walks (``_complexes_repeat``, each from its resolution
+  repeat in; -3 for ℙ(e(1)) at every depth). It is not the seam of
+  ``_common_tail``, which keeps the outer stored start where the walk stops
+  further out, since a ladder reads the pattern only a period past its seam
+  and the lift reads it from e on. Let φ_i = φ_(i+p)<s> with i - 1 <= e and
+  i + p <= 0. Then the system at i - 1 is the system at i - 1 + p shifted by
+  s, with the same coordinates in the same order, and ``solve_from_columns``
+  returns a solution fixed by the system alone (its reduced form), so
   φ_(i-1) = φ_(i-1+p)<s>, and by induction every component below i is the
-  copy of the one p above. The lift stops there and ``_copy_outward``
-  fills the rest down to the higher of the two bottoms; below that bottom
-  a component maps into or out of zero. ℙ(e(1)) solves degrees 0, -1 and
-  -2 at every depth.
+  copy of the one p above. The lift stops there and ``_copy_outward`` fills
+  the rest down to the higher of the two bottoms; below that bottom a
+  component maps into or out of zero. ℙ(e(1)) solves degrees 0, -1 and -2 at
+  every depth.
 * Resolution repeat (``resolutions.resolve_complex``). The step that
   computes degree k of a resolution of Y covers the pairs (y, z), y in Y^k
   and z a cycle of P^(k+1), with d_Y(y) equal to the augmentation of z.
@@ -355,6 +352,12 @@ class WindowTooSmall(ValueError):
 
 LEFT_TAIL = "left"    # extends to -infinity homologically
 RIGHT_TAIL = "right"  # extends to +infinity homologically
+_OUTWARD = {LEFT_TAIL: -1, RIGHT_TAIL: 1}   # the direction a tail runs in
+
+
+def _edge(side: str, window: tuple[int, int]) -> int:
+    """The end of ``window`` on ``side``."""
+    return window[1] if side == RIGHT_TAIL else window[0]
 
 
 def shift_summands(term: tuple[Summand, ...], r: int) -> tuple[Summand, ...]:
@@ -503,11 +506,11 @@ class TailSpec:
     or written by hand. It is neither printed nor compared, so fixtures and
     equality read the pattern alone. ``attach_tail`` keeps a carried repeat
     where it finds the same pattern at the edge, ``ProjComplex.shift`` moves
-    it, and the right-tailed sweep of ``gaussian_reduce`` reads it. Two
-    fields will sit beside it: the exact range, the degrees on which the
-    stored terms are those of the uncut object (ROADMAP item 3), and the
-    stored-through range of a complex that keeps only its head and two
-    periods (item 9)."""
+    it, and the right-tailed sweep of ``gaussian_reduce`` reads it. Each
+    tail rule of "Windows and margins" is written once, here:
+    ``two_period_end``, ``reference_bound``, pattern agreement (``common``,
+    ``implied_from``) and ``certify``. A tail that does not run left or
+    right, or whose period is below 1, is a ``ValueError``."""
     side: str       # LEFT_TAIL or RIGHT_TAIL
     start: int      # pattern governs every degree from here outward
     period: int
@@ -515,21 +518,73 @@ class TailSpec:
     repeat: int = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.side not in _OUTWARD or self.period < 1:
+            raise ValueError(f"a tail runs left or right with a period of at "
+                             f"least 1, not {self.side!r} with {self.period!r}")
         if self.repeat is None:
             object.__setattr__(self, "repeat", self.start)
 
     def moved(self, r: int) -> TailSpec:
         """The same pattern r degrees up, its start and repeat moved."""
-        return replace(self, start=self.start + r, repeat=self.repeat + r)
+        return TailSpec(self.side, self.start + r, self.period, self.shift, self.repeat + r)
 
     @property
     def outward(self) -> int:
         """The direction the tail runs in: +1 on a right tail, -1 on a left."""
-        return 1 if self.side == RIGHT_TAIL else -1
+        return _OUTWARD[self.side]
 
     def edge(self, window: tuple[int, int]) -> int:
         """The end of ``window`` on the tail side."""
-        return window[1] if self.outward > 0 else window[0]
+        return _edge(self.side, window)
+
+    def outer(self, *degrees: int) -> int:
+        """The outermost of ``degrees`` on the tail side."""
+        return max(degrees) if self.outward > 0 else min(degrees)
+
+    def inner(self, *degrees: int) -> int:
+        """The innermost of ``degrees`` on the tail side."""
+        return min(degrees) if self.outward > 0 else max(degrees)
+
+    def two_period_end(self) -> int:
+        """The degree through which the pattern shows twice from ``start``."""
+        return self.start + self.outward * (2 * self.period - 1)
+
+    def reference_bound(self, window: tuple[int, int]) -> int:
+        """The innermost degree of ``window`` whose reference, one period
+        in, lies in ``window``."""
+        return self.inner(*window) + self.outward * self.period
+
+    @staticmethod
+    def common(tails, k: int) -> TailSpec | None:
+        """The pattern of period P = k·lcm of the periods that each of
+        ``tails``, of period p and shift s, follows with shift s·P/p, from
+        the outer of their starts; None where one is None or their sides or
+        those shifts differ."""
+        if None in tails:
+            return None
+        period = k * math.lcm(*(t.period for t in tails))
+        kinds = {(t.side, t.shift * (period // t.period)) for t in tails}
+        if len(kinds) != 1:
+            return None
+        ((side, shift),) = kinds
+        return TailSpec(side, tails[0].outer(*(t.start for t in tails)), period, shift)
+
+    def implied_from(self, t: TailSpec) -> int | None:
+        """The innermost degree from which a complex that follows this tail
+        from its ``repeat`` follows ``t``, where ``t`` is this pattern taken
+        k times (``common`` of the two has t's period): k steps of this tail
+        from there stay outside the repeat. None where it is not."""
+        both = TailSpec.common((self, t), 1)
+        if both is None or both.period != t.period:
+            return None
+        return self.repeat + t.outward * (t.period - self.period)
+
+    def certify(self, c: ProjComplex, message: str) -> None:
+        """Give ``c`` this tail where it holds on the stored degrees from
+        ``start`` out, else raise ``WindowTooSmall(message)``."""
+        if _tail_break(c, self) is not None:
+            raise WindowTooSmall(message)
+        c.tail = self
 
 
 def _copy_outward(values: dict, t: TailSpec, edge: int, far: int, shift) -> None:
@@ -628,7 +683,7 @@ class ProjComplex(_StoredComplex):
         and every stored degree from ``start`` outward must follow it: the
         two-period seam of "Windows and margins" in the module docstring."""
         t = self.tail
-        if t.outward * (t.edge(self.window()) - t.start) < 2 * t.period - 1:
+        if t.outward * (t.edge(self.window()) - t.two_period_end()) < 0:
             raise WindowTooSmall(
                 f"window {self.window()} cannot exhibit tail of {self.name}")
         broken = _tail_break(self, t)
@@ -731,12 +786,11 @@ def _repeat_start(t: TailSpec, window: tuple[int, int], follows) -> int:
     """The innermost degree of ``window`` from which ``follows(i)`` holds at
     every degree i out to the window's edge on the side of ``t``. The walk
     runs inward from that edge and stops at the first degree that fails, or
-    at the innermost degree whose reference i - outward·period lies in
-    ``window``; with no such degree it returns the degree past the edge."""
+    at ``TailSpec.reference_bound``; past that it returns the degree past
+    the edge."""
     o = t.outward
-    inner = window[0] + t.period if o > 0 else window[1] - t.period
     e = t.edge(window) + o
-    for i in range(t.edge(window), inner - o, -o):
+    for i in range(t.edge(window), t.reference_bound(window) - o, -o):
         if not follows(i):
             break
         e = i
@@ -747,33 +801,18 @@ def _complexes_repeat(t: TailSpec, *cs: _StoredComplex) -> int:
     """The outer of the complexes' ``_repeat_start``s, each walked by
     ``_break_at`` over its own stored window: from there every one of them
     follows ``t`` out to its stored edge, and no reference degree is read
-    outside a stored window. A complex whose own tail implies ``t`` (same
-    side, a period p dividing t's period P, t's shift P/p times its own) is
-    walked in from ``_implied_from`` instead of its edge: every stored
-    degree past that one follows ``t`` already."""
+    outside a stored window. A complex whose own tail implies ``t`` is
+    walked in from ``TailSpec.implied_from`` instead of its edge: every
+    stored degree past that one follows ``t`` already."""
     def walk(c: _StoredComplex) -> int:
         window = c.window()
-        top, o, inner = window[1], t.outward, _implied_from(c.tail, t)
+        top, o, inner = window[1], t.outward, c.tail and c.tail.implied_from(t)
         if inner is not None and o * (t.edge(window) - inner) > 0:
-            # never inside the walk's own inner bound, one period in
-            inner = max(inner, window[0] + t.period) if o > 0 else \
-                min(inner, window[1] - t.period)
+            inner = t.outer(inner, t.reference_bound(window))
             window = (window[0], inner) if o > 0 else (inner, window[1])
         return _repeat_start(t, window, lambda i: _break_at(c, t, i, top) is None)
 
-    return (max if t.outward > 0 else min)(walk(c) for c in cs)
-
-
-def _implied_from(ct: TailSpec | None, t: TailSpec) -> int | None:
-    """The innermost degree from which a complex whose tail ``ct`` holds
-    from its ``repeat`` follows ``t`` at every stored degree, where ``t``
-    has ct's side, a period P = k·p and shift k·s for ct's period p and
-    shift s: k steps of ct from there reach no degree inside the repeat.
-    None where ``ct`` does not imply ``t``."""
-    if ct is None or ct.side != t.side or t.period % ct.period \
-            or t.shift != ct.shift * (t.period // ct.period):
-        return None
-    return ct.repeat + t.outward * (t.period - ct.period)
+    return t.outer(*(walk(c) for c in cs))
 
 
 def detect_tail(c: ProjComplex, side: str) -> TailSpec | None:
@@ -783,18 +822,15 @@ def detect_tail(c: ProjComplex, side: str) -> TailSpec | None:
     ``check_tail_seam``: it is accepted by the same walk."""
     if c.is_zero():
         return None
-    lo, hi = c.window()
-    direction = TailSpec(side, 0, 0, 0)
-    o, edge = direction.outward, direction.edge((lo, hi))
+    window = c.window()
+    edge = _edge(side, window)
     for p in range(1, 5):
-        if hi - lo + 1 < 3 * p:
-            continue
-        ref_out, ref_in = c.term(edge), c.term(edge - o * p)
+        ref_out, ref_in = c.term(edge), c.term(edge - _OUTWARD[side] * p)
         if len(ref_out) != len(ref_in):
             continue
-        t = TailSpec(side, edge - o * (2 * p - 1), p,
-                     ref_out[0].shift - ref_in[0].shift)
-        if _tail_break(c, t) is None:
+        t = TailSpec(side, edge, p, ref_out[0].shift - ref_in[0].shift)
+        t = t.moved(edge - t.two_period_end())   # shown twice through the edge
+        if t.outer(t.start, t.reference_bound(window)) == t.start and _tail_break(c, t) is None:
             return t
     return None
 
@@ -818,8 +854,7 @@ def attach_tail(c: ProjComplex, window: tuple[int, int], side: str,
     out = c.clip(*window)
     tail = None if out.is_zero() else detect_tail(out, side)
     # degrees between the content's outward end and the window's edge
-    ref = TailSpec(side, 0, 0, 0)
-    gap = ref.outward * (ref.edge(window) - ref.edge(out.window()))
+    gap = _OUTWARD[side] * (_edge(side, window) - _edge(side, out.window()))
     if tail is None or gap >= tail.period:
         # no tail kept: bounded where none is carried and the content ends
         # inside the window: empty, a pattern broken there, or gap >= 2
@@ -833,8 +868,7 @@ def attach_tail(c: ProjComplex, window: tuple[int, int], side: str,
         # their copies, which repeat every degree further out
         far = edge + o * carried.period
         past = c.materialize(*((window[0], far) if o > 0 else (far, window[1])))
-        if _tail_break(past, tail) is not None:
-            raise WindowTooSmall(message)
+        tail.certify(past, message)
     return ProjComplex(c.algebra, out.terms, out.diffs,
                        _carry_repeat(tail, carried, out.window()), out.name,
                        validate=False)
@@ -844,21 +878,17 @@ def _carry_repeat(tail: TailSpec, carried: TailSpec | None,
                   window: tuple[int, int]) -> TailSpec:
     """``tail``, found on the stored ``window``, with the repeat of
     ``carried`` where that pattern is the found one taken once or twice
-    (``_implied_from``): moved out to the innermost degree whose reference
-    one period in is stored, and no further out than ``tail.start``, which
-    is certified as well. ``detect_tail`` checked the found pattern on the
-    2p degrees out to the edge, two of its periods and so one of carried's.
-    A degree i past carried's repeat is the copy of one of them, i + m·P
-    for carried's period P, and so is its reference i - o·p: the found
-    pattern holds at i."""
+    (``TailSpec.implied_from``): moved out to the reference bound, and no
+    further out than ``tail.start``, which is certified as well.
+    ``detect_tail`` checked the found pattern on the 2p degrees out to the
+    edge, two of its periods and so one of carried's. A degree i past
+    carried's repeat is the copy of one of them, i + m·P for its period P,
+    and so is its reference i - o·p: the found pattern holds at i."""
     if carried is None or carried.period > 2 * tail.period \
-            or _implied_from(tail, carried) is None:
+            or tail.implied_from(carried) is None:
         return tail
-    if tail.outward > 0:
-        repeat = min(tail.start, max(carried.repeat, window[0] + tail.period))
-    else:
-        repeat = max(tail.start, min(carried.repeat, window[1] - tail.period))
-    return replace(tail, repeat=repeat)
+    bound = tail.reference_bound(window)
+    return replace(tail, repeat=tail.inner(tail.start, tail.outer(carried.repeat, bound)))
 
 
 # ---------------------------------------------------------------------------
@@ -1138,9 +1168,9 @@ class Reduction:
     ``stop`` is the tail at which the sweep of a right-tailed ``original``
     stopped, None where it swept every degree (the reduction repeat of
     "Windows and margins" in the module docstring). Then ``log`` holds the
-    cancellations swept through stop.start + 2·period - 1, the replay runs
-    on all of them, and F, G and h past the swept degrees are copies of
-    the ones a period in, shifted (``_copy_outward``)."""
+    cancellations swept through its ``two_period_end``, the replay runs on
+    all of them, and F, G and h past the swept degrees are copies of the
+    ones a period in, shifted (``_copy_outward``)."""
 
     def __init__(self, original: ProjComplex, reduced: ProjComplex, log: list,
                  stop: TailSpec | None):
@@ -1155,7 +1185,7 @@ class Reduction:
         if t is None:
             F, G, factors = _replay(c, self.log)
         else:
-            end = _swept_through(t)
+            end = t.two_period_end()
             F, G, factors = _replay(c.clip(c.window()[0], end + 1), self.log)
             for maps in (F, G):
                 _copy_outward(maps, t, end, red.window()[1], AlgMatrix.shifted)
@@ -1171,16 +1201,9 @@ class Reduction:
         c, t = self.original, self.stop
         h = _homotopy(c, self._replayed[2])
         if t is not None:   # h[i] reads the cancellations at i - 1
-            _copy_outward(h.maps, t, _swept_through(t) + 1, c.window()[1],
+            _copy_outward(h.maps, t, t.two_period_end() + 1, c.window()[1],
                           AlgMatrix.shifted)
         return h
-
-
-def _swept_through(stop: TailSpec) -> int:
-    """The last degree a sweep that stopped at ``stop`` reduces: one period
-    of repeats past it, stop.start + 2·period - 1 (the reduction repeat of
-    "Windows and margins" in the module docstring)."""
-    return stop.start + 2 * stop.period - 1
 
 
 def _drop(terms: dict, i: int, k: int, into: AlgMatrix | None,
@@ -1207,9 +1230,9 @@ class _Eliminator:
     On a right-tailed complex the sweep stops at its first repeat: ``stop``
     is the tail from the degree j whose differential, as the sweep reaches
     it, is the shifted copy of d(j - p) as the sweep reached that one, with
-    j - p at or past the input's repeat, and ``end`` = j + 2p - 1 the last
-    degree swept (the reduction repeat of "Windows and margins" in the
-    module docstring)."""
+    j - p at or past the input's repeat, and ``end``, its two-period end, is
+    the last degree swept (the reduction repeat of "Windows and margins" in
+    the module docstring)."""
 
     def __init__(self, c: ProjComplex):
         self.terms = dict(c.terms)
@@ -1227,16 +1250,16 @@ class _Eliminator:
     def _arrive(self, j: int) -> None:
         """The sweep reaches d(j): on a right tail, stop at j when d(j) is
         the shifted copy of d(j - p) as the sweep reached it, j - p lies at
-        or past the input's repeat and the input stores d(j + 2p - 1);
-        otherwise keep d(j) as reached, from the repeat on."""
+        or past the input's repeat and the input stores d at the stop's
+        two-period end; else keep d(j) as reached, from the repeat on."""
         self.reached, t = j, self.tail
         if t is None or self.stop is not None:
             return
         d, p = self.diffs[j], t.period
         ref = self.arrivals.get(j - p)   # kept from the repeat on: j - p >= repeat
-        if ref is not None and j + 2 * p <= self.top and _is_copy(d, ref, t.shift):
-            self.stop = TailSpec(RIGHT_TAIL, j, p, t.shift)
-            self.end = _swept_through(self.stop)
+        stop = None if ref is None else TailSpec(RIGHT_TAIL, j, p, t.shift)
+        if stop is not None and stop.two_period_end() < self.top and _is_copy(d, ref, t.shift):
+            self.stop, self.end = stop, stop.two_period_end()
         elif j >= t.repeat:
             self.arrivals[j] = AlgMatrix(d.algebra, d.rows, d.cols, d.entries,
                                          validate=False)
@@ -1351,7 +1374,7 @@ def gaussian_reduce(c: ProjComplex) -> Reduction:
     margin by ``reduce_on_window``.
 
     The sweep of a right-tailed complex stops at its first repeat
-    (``_Eliminator.stop``, from j, swept through end = j + 2p - 1): the
+    (``_Eliminator.stop``, from j, swept through its two-period end): the
     reduced complex keeps the degrees through end with the stop's tail,
     none when its terms from j on are zero, and the log ends at end (the
     reduction repeat of "Windows and margins" in the module docstring). The
@@ -1410,31 +1433,14 @@ def _mat_coords(m: AlgMatrix) -> list[Fraction]:
             for r, c, p in _coordinates(m.algebra, m.rows, m.cols)]
 
 
-def _doubled_tail(X: ProjComplex, Y: ProjComplex) -> TailSpec | None:
-    """The pattern both tails follow with period twice the lcm of theirs,
-    from the outer of their starts, or None when the tails do not align."""
-    tx, ty = X.tail, Y.tail
-    if tx is None or ty is None or tx.side != ty.side:
-        return None
-    p = 2 * math.lcm(tx.period, ty.period)
-    sx = tx.shift * (p // tx.period)
-    sy = ty.shift * (p // ty.period)
-    if sx != sy:
-        return None
-    outer = max if tx.side == RIGHT_TAIL else min
-    return TailSpec(tx.side, outer(tx.start, ty.start), p, sx)
-
-
 def _common_tail(X: ProjComplex, Y: ProjComplex) -> TailSpec | None:
-    """The tail of the ladders between X and Y: ``_doubled_tail``, moved in
-    to the innermost degree from which both follow it on their stored
+    """The tail of the ladders between X and Y: the pattern both tails
+    follow with period twice the lcm of theirs (``TailSpec.common``), moved
+    in to the innermost degree from which both follow it on their stored
     degrees when that lies further in (the ladder seam of "Windows and
     margins" in the module docstring)."""
-    t = _doubled_tail(X, Y)
-    if t is None:
-        return None
-    inner = min if t.outward > 0 else max
-    return replace(t, start=inner(t.start, _complexes_repeat(t, X, Y)))
+    t = TailSpec.common((X.tail, Y.tail), 2)
+    return t and replace(t, start=t.inner(t.start, _complexes_repeat(t, X, Y)))
 
 
 def ladder_degrees(window: tuple[int, int], offset: int,
@@ -1583,7 +1589,7 @@ class LadderSystem:
         t = self._pattern
         if t is not None and degrees:
             o, p, s = t.outward, t.period, t.shift
-            copied_from = (max if o > 0 else min)(self._copied_from[k] - a for k, a in reads)
+            copied_from = t.outer(*(self._copied_from[k] - a for k, a in reads))
 
             def repeats(i):
                 return o * (i - copied_from) >= 0 and all(
@@ -1751,7 +1757,7 @@ def iso_in_homotopy_category(x: ProjComplex, y: ProjComplex,
         return Verdict("false", reason="minimal models have different summands")
     if (xm.tail is None) != (ym.tail is None):
         return Verdict("false", reason="one side is bounded, the other is not")
-    if xm.tail is not None and _doubled_tail(xm, ym) is None:
+    if xm.tail is not None and TailSpec.common((xm.tail, ym.tail), 2) is None:
         return Verdict("inconclusive", reason="tail patterns do not align")
     sols = solve_chain_maps(xm, ym, window)
     inv = search_invertible(sols, lambda f: _chain_map_invertible(f, window))
@@ -1802,7 +1808,8 @@ def maps_agree_under_identification(F: ProjChainMap, G: ProjChainMap,
     S2, T2 = G.source, G.target
     if (cut := _window_cut(window, S1, T1, S2, T2)) is not None:
         return cut
-    aligned = all((a.tail is None and b.tail is None) or _doubled_tail(a, b) is not None
+    aligned = all((a.tail is None and b.tail is None)
+                  or TailSpec.common((a.tail, b.tail), 2) is not None
                   for a, b in ((S1, S2), (T1, T2)))
     if aligned and S1.terms == S2.terms and T1.terms == T2.terms and \
        {i: d.entries for i, d in S1.diffs.items()} == {i: d.entries for i, d in S2.diffs.items()} and \

@@ -38,8 +38,7 @@ from .complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, Complex,
                         gaussian_reduce, realize, shift_summands,
                         total_complex, total_layout,
                         _alg_matrix_to_hom, _complexes_repeat, _copy_outward,
-                        _doubled_tail, _implied_from, _is_copy, _mat_coords,
-                        _tail_break)
+                        _is_copy, _mat_coords)
 from .linalg import Matrix, solve_from_columns
 from .modules import (C_TO_B, DUAL_VERTEX, PI_SHIFT, GradedModule, ModuleHom,
                       apply_pi, apply_pi_hom, projective, simple, injective2)
@@ -265,7 +264,7 @@ def lift_through_resolutions(resM: ProjComplex, augM: dict[int, ModuleHom],
     docstring)."""
     lift = _Lift()
     bottom = max(resM.window()[0], resN.window()[0])
-    t = _doubled_tail(resM, resN)
+    t = TailSpec.common((resM.tail, resN.tail), 2)
     e = None if t is None else _complexes_repeat(t, resM, resN)
     for i in range(0, bottom - 1, -1):
         ladder = LadderSystem([LadderFamily(resM, resN, 0, (i, i))])
@@ -354,8 +353,9 @@ def _koszul_D(setup: Setup, x, out_window: tuple[int, int] | None
     this is D's head of "Windows and margins" in the ``complexes`` module
     docstring: e is the innermost degree from which the input follows its
     tail, D is computed and validated through the head, past out_hi where
-    the window is short, and its derived tail, certified from q0, is
-    checked there and carried for ``attach_tail`` to extend it."""
+    the window is short, and its derived tail, certified from q0, is checked
+    there by ``TailSpec.certify``, also on a cone's copied components, and
+    carried for ``attach_tail`` to extend it."""
     B = setup.B
     Y = x if isinstance(x, ProjComplex) else _as_module_complex(x)
     t = Y.tail
@@ -382,7 +382,7 @@ def _koszul_D(setup: Setup, x, out_window: tuple[int, int] | None
         tail = TailSpec(RIGHT_TAIL, q0, period, -t.shift * period // climb)
         # past out_hi where the window is short: ``attach_tail`` then checks
         # the pattern it finds at the window's edge on the degrees past it
-        head = q0 + 2 * period - 1
+        head = tail.two_period_end()
         # the read: the first whole input period, walking down from e, whose
         # degrees land above head + 1 is the last one realized
         lows = [j + min(ds) for j in range(e - t.period + 1, e + 1)
@@ -416,9 +416,7 @@ def _koszul_D(setup: Setup, x, out_window: tuple[int, int] | None
 
     out = ProjComplex(B, terms, diffs, None, f"𝔻({Y.name})", validate=True)
     if tail is not None:
-        if _tail_break(out, tail) is not None:
-            raise WindowTooSmall(_DUAL_UNSTABLE)
-        out.tail = tail
+        tail.certify(out, _DUAL_UNSTABLE)
     return out, index, tail
 
 
@@ -439,16 +437,16 @@ def _cone(f: ModuleHom | ProjChainMap) -> Complex | ProjComplex:
     with differential [[-d_X, 0], [f, d_Y]]; a module map is read in
     homological degree 0. Each term lays X's summands first.
 
-    A formal cone repeats with the sides' common tail, the lcm L of their
-    periods, on which their shifts must agree. It is stored on the union of
-    the sides' stored windows, each tailed side materialized there, and
-    repeats from the outer of the sides' repeats in cone degrees, X's moved
-    by -1: a tailed side's repeat taken to period L (``_implied_from``), a
+    A formal cone repeats with the pattern its sides share, of period L
+    (``TailSpec.common``; sides that share none are a ``RegimeError``), from
+    the outer of the sides' repeats in cone degrees, X's moved by -1: a
+    tailed side's repeat taken to period L (``TailSpec.implied_from``), a
     bounded side's edge moved L + 2 degrees out, past which a step of the
-    pattern and the d it compares read none of its terms. The window is
-    widened to that repeat, so the copies past it are the cone's. f carries
-    no tail: the cone reads its components as repeating with the sides from
-    there (D refuses a right tail before it reads the cone)."""
+    pattern and the d it compares read none of its terms. It is stored on
+    the union of the sides' stored windows, each tailed side materialized
+    there, widened to that repeat, so the copies past it are the cone's. f
+    carries no tail: the cone reads its components as repeating with the
+    sides from there (D refuses a right tail before it reads the cone)."""
     if isinstance(f, ModuleHom):
         return Complex(f.source.algebra, {-1: f.source, 0: f.target}, {-1: f},
                        name=f"cone({f.name})")
@@ -459,19 +457,15 @@ def _cone(f: ModuleHom | ProjChainMap) -> Complex | ProjComplex:
     tails = [c.tail for c, _ in sides if c.tail is not None]
     tail = None
     if tails:
-        period = math.lcm(*(t.period for t in tails))
-        kinds = {(t.side, t.shift * period // t.period) for t in tails}
-        if len(kinds) > 1:
+        t = TailSpec.common(tails, 1)
+        if t is None:
             raise RegimeError(f"the tails of the source and target of {f.name} "
                               f"do not agree")
-        ((side, shift),) = kinds
-        pattern = TailSpec(side, 0, period, shift)
-        o = pattern.outward
-        repeat = (max if o > 0 else min)(
-            (_implied_from(c.tail, pattern) if c.tail is not None
-             else pattern.edge(c.window()) + o * (period + 2)) - up for c, up in sides)
+        repeat = t.outer(*((c.tail.implied_from(t) if c.tail is not None
+                            else t.edge(c.window()) + t.outward * (t.period + 2)) - up
+                           for c, up in sides))
         lo, hi = min(lo, repeat), max(hi, repeat)
-        tail = TailSpec(side, repeat, period, shift)
+        tail = TailSpec(t.side, repeat, t.period, t.shift)
     X, Y = (c if c.tail is None else c.materialize(lo + up, hi + up)
             for c, up in ((f.source, 1), (f.target, 0)))
     terms = {i: X.term(i + 1) + Y.term(i) for i in range(lo, hi + 1)}
@@ -695,20 +689,21 @@ def _ck_total(setup: Setup, x: ProjComplex, out_window: tuple[int, int]
     Past the input's top x_hi each total degree is the one two below,
     shifted by -4: the CK period in "Windows and margins" of the
     ``complexes`` module docstring proves this right tail from x_hi + 3. So
-    the bicomplex is built only through head = x_hi + 6, which shows the
-    tail twice, on the complete total degrees there, K = head - x_lo. Its
-    totalization is validated and checked for that tail, and
-    ``attach_tail`` copies it on to out_hi and clips it to the output
-    window; a break of that tail on the head is ``WindowTooSmall``, as D's
-    is. A window that ends before the head raises ``WindowTooSmall``
-    before any cell is built. So does every nonzero right-tailed input: it
-    is materialized through out_hi, so its x_hi is out_hi."""
+    the bicomplex is built only through the head, the tail's
+    ``TailSpec.two_period_end``, on the complete total degrees there,
+    K = head - x_lo. Its totalization is validated, the tail certified on it
+    as D's is (``TailSpec.certify``), and ``attach_tail`` copies it on to
+    out_hi and clips it to the output window. A window that ends before the
+    head raises ``WindowTooSmall`` before any cell is built. So does every
+    nonzero right-tailed input: it is materialized through out_hi, so its
+    x_hi is out_hi."""
     if x.tail is not None and x.tail.side == LEFT_TAIL:
         raise RegimeError("topological projector input must be bounded below")
     out_hi = out_window[1]
     x = x.materialize(x.window()[0], out_hi)
     x_lo, x_hi = x.window()
-    head = x_hi + 6
+    tail = _CK_PERIOD.moved(x_hi + 3)
+    head = tail.two_period_end()
     if x.is_zero():
         return ProjComplex.zero_complex(setup.B), ck_bicomplex(setup, x, 0)
     message = f"projector tensor output did not stabilize on window {out_window}"
@@ -716,9 +711,7 @@ def _ck_total(setup: Setup, x: ProjComplex, out_window: tuple[int, int]
         raise WindowTooSmall(message)
     bc = ck_bicomplex(setup, x, head - x_lo)
     tot = total_complex(bc, name=f"ℂ𝕂({x.name})")
-    tot.tail = TailSpec(RIGHT_TAIL, x_hi + 3, 2, -4)
-    if _tail_break(tot, tot.tail) is not None:
-        raise WindowTooSmall(message)
+    tail.certify(tot, message)
     return attach_tail(tot, out_window, RIGHT_TAIL, message), bc
 
 

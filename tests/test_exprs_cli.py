@@ -248,6 +248,20 @@ class TestFixtureRoundTrip:
         with pytest.raises(ValueError, match="unknown fixture kind 'bimodule'"):
             load_fixture(str(path))
 
+    @pytest.mark.parametrize("tail", [{"period": 0, "shift": 0}, {"side": "up"}])
+    def test_a_malformed_tail_is_rejected(self, tmp_path, capsys, tail):
+        """A tail of period 0 would extend nothing, and a side other than
+        left or right would be drawn on one side and extended on the other."""
+        from jwcat.fixtures import _data_dir, load_fixture
+        blob = json.loads((_data_dir() / "complex_projector_p1.json").read_text())
+        blob["payload"]["tail"].update(tail)
+        path = tmp_path / "bad_tail.json"
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match="a tail runs left or right"):
+            load_fixture(str(path))
+        assert main(["show", str(path)]) == 1
+        assert "invalid fixture" in capsys.readouterr().err
+
     def test_corrupted_fixture_rejected(self, tmp_path):
         import json as _json
         from jwcat.fixtures import load_fixture

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from jwcat import complexes, exprs, functors, resolutions, verify
 from jwcat.complexes import (RIGHT_TAIL, AlgMatrix, ProjComplex, Summand, TailSpec,
-                             _allowed_paths, _swept_through, _tail_break,
+                             _allowed_paths, _tail_break,
                              reduce_on_window, shift_summands)
 from jwcat.functors import Setup
 from jwcat.verify import VerificationConfig, run_suite
@@ -89,7 +89,7 @@ def assert_same_as_full_sweep(c, window):
     if got[0] == want[0] == "value":
         assert want[1].stop is None
         stop = got[1].stop
-        through = math.inf if stop is None else _swept_through(stop)
+        through = math.inf if stop is None else stop.two_period_end()
         got, want = reduction_data(got[1], through), reduction_data(want[1], through)
     assert got == want
     return got

@@ -1143,9 +1143,23 @@ class TestRightTailsStopAtTheirRepeat:
 
     def test_no_tail_test_is_added(self):
         """The counts before the sweep stopped were 1,365 for the suite at
-        N = 48 and 5,511 for the pool at N = 24."""
-        assert break_at_calls(lambda: run_suite(VerificationConfig(window=48))) <= 1365
-        assert break_at_calls(lambda: run_pool(24)) <= 5511
+        N = 48 and 5,511 for the pool at N = 24; since the construction
+        carries its repeat they are 558 and 3,917."""
+        assert break_at_calls(lambda: run_suite(VerificationConfig(window=48))) <= 558
+        assert break_at_calls(lambda: run_pool(24)) <= 3917
+
+
+class TestTheLiftWalksFromItsRepeat:
+    @pytest.mark.parametrize("name, tests", [("e(1)", 8), ("a", 2), ("b", 2)])
+    def test_the_lift_tests_as_many_degrees_at_every_depth(self, name, tests):
+        """P on a generator map walks its resolutions in from the repeat
+        ``resolve_complex`` found, not from their floor, so it makes as many
+        tail tests at depth 30 as at depth 402."""
+        z, src, tgt = SETUP.generator_maps()[name]
+        f0 = left_multiplication_hom(src, tgt, z, name)
+        counts = [break_at_calls(lambda: P_on_module_map(SETUP, f0, depth))
+                  for depth in (30, 402)]
+        assert counts == [tests, tests]
 
 
 def offset_climbing_tails():
