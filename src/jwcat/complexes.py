@@ -57,21 +57,26 @@ caller passes only the window it works at. Below, a tail has direction o
   and ``LadderSystem.build`` fills the rest of the window from them, by the
   copy rule ``materialize`` extends terms and differentials with. Which
   equations the system keeps is the equation cut below.
-  The seam is walked (``_common_tail``). It starts at the outer of the two
-  tails' starts: from there each complex follows its own tail, so both
-  follow the doubled pattern from one ladder period further out, which is
-  all the identification reads. It moves in to the innermost degree from
-  which both complexes follow the doubled pattern at every stored degree out
-  to their edges (``_break_at``, the test that ``_tail_break`` walks with),
-  when that degree lies further in. ``_complexes_repeat`` finds it as the
-  outer of the two complexes' ``_repeat_start``s: each walks inward from its
+  The seam is walked, by the ladder alone (``_common_tail``). It starts at
+  the outer of the two tails' starts: from there each complex follows its
+  own tail, so both follow the doubled pattern from one ladder period
+  further out, which is all the identification reads. It moves in to the
+  innermost degree from which both complexes follow the doubled pattern at
+  every stored degree out to their edges (``_break_at``, the test that
+  ``_tail_break`` walks with), when that degree lies further in: the outer
+  of the two complexes' ``_repeat_start``s. Each walks inward from its
   complex's own stored edge, or from the degree that its own tail, certified
   from its ``repeat``, already carries into the doubled pattern
   (``TailSpec.implied_from``), compares summands by identity and entry lists
   without building shifted copies, and stops at the first break or at
   ``TailSpec.reference_bound``, so it reads no degree the complex does not
   store, and a break that only the complex stored further out holds is not
-  skipped. The stored ``TailSpec`` of each complex is left as it is.
+  skipped. The stored ``TailSpec`` of each complex is left as it is. The
+  carried repeats do not replace the walk: in each of the suite's 8 calls
+  it moves the seam in past the outer stored start and past the outer of
+  the repeats the two tails carry (to 6 or 7 on the right tails where those
+  give 10 to 14, at N = 16 and 48 alike), which keeps the ladders of
+  ``duality-maps`` at their size.
   Soundness: the walk moves the seam only across degrees where both
   complexes are periodic, so a solution is still a chain map or homotopy of
   the semi-infinite complexes. The ansatz identifies more components, so it
@@ -221,18 +226,21 @@ caller passes only the window it works at. Below, a tail has direction o
   every degree further out does, each the copy of one two degrees in. A map
   f ⊗ id has the cells of its source and target, so its component at n is
   the one at n - 2 shifted by -4 once n passes both tops by 3: it is built
-  through max(top of source, top of target) + 2 and copied beyond.
+  through max(top of source, top of target) + 2 and copied beyond. The
+  offsets it is built at are those of each side's complete cells through
+  its built degree (``functors._ck_cells``), in ``total_layout`` order: the
+  same cells the object's total complex holds there, computed or copied.
 * D's head (``functors._koszul_D``). A basis vector of bidegree (r, j) lands
   in degree r + j. Let the input x have a left tail of period p and shift s.
   One period outward moves r by -p and the internal degrees by s, so a
   term's degrees in D by s - p; only for s > p does each degree of D read
   finitely many terms, and otherwise D raises ``RegimeError``. Every output
-  of P has p = 1 and s = 2. Let e be the innermost degree from which x
-  follows its tail: ``_repeat_start`` walks in from the stored bottom and
-  stops at the first break. Let reach be the highest degree a term above e
-  reaches, the largest r + (top internal degree of x^r) over the stored
-  r > e; a formal summand P(v)<k> spans the degrees k + deg(q) for the paths
-  q of P(v), so neither this bound nor the walk realizes a term. Past reach,
+  of P has p = 1 and s = 2. Let e be a degree from which x follows its
+  tail: the tail's ``repeat``, which the construction of x certified. Let
+  reach be the highest degree a term above e reaches, the largest
+  r + (top internal degree of x^r) over the stored r > e; a formal summand
+  P(v)<k> spans the degrees k + deg(q) for the paths q of P(v), so this
+  bound realizes no term. Past reach,
   D^q reads only the terms x^r with r <= e, which repeat, and
   (r, j) -> (r - p, j + s) sends D^q onto D^(q + s - p) in the same order,
   internally shifted by -s, with the scalar parts and arrow actions that x
@@ -273,11 +281,12 @@ caller passes only the window it works at. Below, a tail has direction o
   d_N(i)∘φ_i = φ_(i+1)∘d_M(i), which reads the two differentials at i and
   φ_(i+1). Let both resolutions follow their doubled pattern (period p,
   shift s, ``TailSpec.common`` with k = 2) from e on: e is the outer of the
-  two resolutions' walks (``_complexes_repeat``, each from its resolution
-  repeat in; -3 for ℙ(e(1)) at every depth). It is not the seam of
-  ``_common_tail``, which keeps the outer stored start where the walk stops
-  further out, since a ladder reads the pattern only a period past its seam
-  and the lift reads it from e on. Let φ_i = φ_(i+p)<s> with i - 1 <= e and
+  degrees from which the two resolutions' repeats carry them into that
+  pattern (``TailSpec.implied_from``; -3 for ℙ(e(1)) at every depth), and
+  no walk reads a degree for it. It is not the seam of ``_common_tail``,
+  which keeps the outer stored start where the walk stops further out,
+  since a ladder reads the pattern only a period past its seam and the lift
+  reads it from e on. Let φ_i = φ_(i+p)<s> with i - 1 <= e and
   i + p <= 0. Then the system at i - 1 is the system at i - 1 + p shifted by
   s, with the same coordinates in the same order, and ``solve_from_columns``
   returns a solution fixed by the system alone (its reduced form), so
@@ -469,6 +478,13 @@ class AlgMatrix:
         for r, row in enumerate(blk.entries):
             self.entries[ro + r][co:co + len(row)] = row
 
+    def submatrix(self, rows: list[int], cols: list[int]) -> AlgMatrix:
+        """The entries at ``rows`` and ``cols``, in the order listed."""
+        return AlgMatrix(self.algebra, tuple(self.rows[i] for i in rows),
+                         tuple(self.cols[j] for j in cols),
+                         [[self.entries[i][j] for j in cols] for i in rows],
+                         validate=False)
+
     def shifted(self, r: int) -> AlgMatrix:
         """Same entries between internally shifted summands."""
         return AlgMatrix(self.algebra, shift_summands(self.rows, r),
@@ -506,7 +522,8 @@ class TailSpec:
     or written by hand. It is neither printed nor compared, so fixtures and
     equality read the pattern alone. ``attach_tail`` keeps a carried repeat
     where it finds the same pattern at the edge, ``ProjComplex.shift`` moves
-    it, and the right-tailed sweep of ``gaussian_reduce`` reads it. Each
+    it, and the right-tailed sweep of ``gaussian_reduce``, D's head, P's
+    lift and the ladder seam's walk read it. Each
     tail rule of "Windows and margins" is written once, here:
     ``two_period_end``, ``reference_bound``, pattern agreement (``common``,
     ``implied_from``) and ``certify``. A tail that does not run left or
@@ -795,24 +812,6 @@ def _repeat_start(t: TailSpec, window: tuple[int, int], follows) -> int:
             break
         e = i
     return e
-
-
-def _complexes_repeat(t: TailSpec, *cs: _StoredComplex) -> int:
-    """The outer of the complexes' ``_repeat_start``s, each walked by
-    ``_break_at`` over its own stored window: from there every one of them
-    follows ``t`` out to its stored edge, and no reference degree is read
-    outside a stored window. A complex whose own tail implies ``t`` is
-    walked in from ``TailSpec.implied_from`` instead of its edge: every
-    stored degree past that one follows ``t`` already."""
-    def walk(c: _StoredComplex) -> int:
-        window = c.window()
-        top, o, inner = window[1], t.outward, c.tail and c.tail.implied_from(t)
-        if inner is not None and o * (t.edge(window) - inner) > 0:
-            inner = t.outer(inner, t.reference_bound(window))
-            window = (window[0], inner) if o > 0 else (inner, window[1])
-        return _repeat_start(t, window, lambda i: _break_at(c, t, i, top) is None)
-
-    return t.outer(*(walk(c) for c in cs))
 
 
 def detect_tail(c: ProjComplex, side: str) -> TailSpec | None:
@@ -1112,16 +1111,17 @@ class ProjBicomplex:
         return m
 
 
-def total_layout(bc: ProjBicomplex) -> dict[int, dict[tuple[int, int], int]]:
-    """The antidiagonal layout of the total complex: for each total degree n,
-    the cells (p, q) with p + q = n in increasing p, each with the offset of
-    its summands in Tot^n."""
+def total_layout(cells: dict[tuple[int, int], tuple[Summand, ...]]
+                 ) -> dict[int, dict[tuple[int, int], int]]:
+    """The antidiagonal layout of the total complex of a bicomplex with the
+    terms ``cells``: for each total degree n, the cells (p, q) with p + q = n
+    in increasing p, each with the offset of its summands in Tot^n."""
     layout: dict[int, dict[tuple[int, int], int]] = {}
     size: dict[int, int] = {}
-    for (p, q) in sorted(bc.terms):
+    for (p, q) in sorted(cells):
         n = p + q
         layout.setdefault(n, {})[(p, q)] = size.get(n, 0)
-        size[n] = size.get(n, 0) + len(bc.term(p, q))
+        size[n] = size.get(n, 0) + len(cells[(p, q)])
     return layout
 
 
@@ -1129,7 +1129,7 @@ def total_complex(bc: ProjBicomplex, name: str | None = None) -> ProjComplex:
     """Antidiagonal direct sums, each the summands of its cells in
     ``total_layout`` order, with differential d1 + (-1)^p d2. Validating
     the total complex checks the identities of ``bc`` (``ProjBicomplex``)."""
-    layout = total_layout(bc)
+    layout = total_layout(bc.terms)
     terms = {n: tuple(s for cell in cells for s in bc.term(*cell))
              for n, cells in sorted(layout.items())}
     diffs: dict[int, AlgMatrix] = {}
@@ -1438,9 +1438,23 @@ def _common_tail(X: ProjComplex, Y: ProjComplex) -> TailSpec | None:
     follow with period twice the lcm of theirs (``TailSpec.common``), moved
     in to the innermost degree from which both follow it on their stored
     degrees when that lies further in (the ladder seam of "Windows and
-    margins" in the module docstring)."""
+    margins" in the module docstring). Each complex is walked by
+    ``_break_at`` over its own stored window, in from the degree its own
+    tail carries into the pattern (``TailSpec.implied_from``), so no
+    reference degree is read outside a stored window."""
     t = TailSpec.common((X.tail, Y.tail), 2)
-    return t and replace(t, start=t.inner(t.start, _complexes_repeat(t, X, Y)))
+    if t is None:
+        return None
+
+    def walk(c: ProjComplex) -> int:
+        window = c.window()
+        top, o, inner = window[1], t.outward, c.tail.implied_from(t)
+        if o * (t.edge(window) - inner) > 0:
+            inner = t.outer(inner, t.reference_bound(window))
+            window = (window[0], inner) if o > 0 else (inner, window[1])
+        return _repeat_start(t, window, lambda i: _break_at(c, t, i, top) is None)
+
+    return replace(t, start=t.inner(t.start, t.outer(walk(X), walk(Y))))
 
 
 def ladder_degrees(window: tuple[int, int], offset: int,
@@ -1524,14 +1538,9 @@ class LadderSystem:
 
     @cached_property
     def _pattern(self) -> TailSpec | None:
-        """The one pattern (side, period, shift) the families' tails share,
-        as a ``TailSpec`` from 0, or None when they share none."""
-        patterns = {(f.tail.side, f.tail.period, f.tail.shift)
-                    for f in self.families if f.tail is not None}
-        if len(patterns) != 1:
-            return None
-        side, p, s = patterns.pop()
-        return TailSpec(side, 0, p, s)
+        """The one pattern the families' tails share, ``TailSpec.common``
+        with k = 1, or None when they share none."""
+        return TailSpec.common([f.tail for f in self.families if f.tail is not None], 1)
 
     def copied(self, k: int, i: int) -> bool:
         """Whether family k's component i, with the family's differentials it

@@ -13,8 +13,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .complexes import (ProjComplex, ProjChainMap, gaussian_reduce,
-                        reduce_on_window)
+from .complexes import (ProjComplex, ProjChainMap, WindowTooSmall,
+                        gaussian_reduce, reduce_on_window)
 from .functors import (CK_on_map, CK_on_object, P_on_module_map, P_on_object,
                        Setup, koszul_D_on_map, koszul_D_on_object,
                        projector_depth)
@@ -156,6 +156,9 @@ def evaluate(setup: Setup, node: Node, window: tuple[int, int],
         lo, hi = pc.window()
         if pc.tail is not None:
             lo, hi = (lo, window[1]) if pc.tail.outward > 0 else (-window[1], hi)
+            if lo > hi:   # a reduction that keeps nothing reads as zero
+                raise WindowTooSmall(f"{pc.name} has no stored degree in "
+                                     f"({-window[1]}, {window[1]}); enlarge the window")
         red = reduce_on_window(pc, (lo, hi)).reduced
         decategorify = euler_class
     try:

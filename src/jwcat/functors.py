@@ -37,7 +37,7 @@ from .complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, Complex,
                         Summand, TailSpec, WindowTooSmall, attach_tail,
                         gaussian_reduce, realize, shift_summands,
                         total_complex, total_layout,
-                        _alg_matrix_to_hom, _complexes_repeat, _copy_outward,
+                        _alg_matrix_to_hom, _copy_outward,
                         _is_copy, _mat_coords)
 from .linalg import Matrix, solve_from_columns
 from .modules import (C_TO_B, DUAL_VERTEX, PI_SHIFT, GradedModule, ModuleHom,
@@ -257,15 +257,15 @@ def lift_through_resolutions(resM: ProjComplex, augM: dict[int, ModuleHom],
 
     The lift stops at the higher of the two resolutions' bottoms: below it a
     component maps into or out of zero. With a common tail of period p and
-    shift s, it stops once lift[i] = lift[i + p]<s>, where i - 1 <= e, the
-    innermost degree from which both resolutions follow the tail, the
-    outer of their walks (``_complexes_repeat``), and copies the rest (the
-    lift repeat of "Windows and margins" in the ``complexes`` module
-    docstring)."""
+    shift s, it stops once lift[i] = lift[i + p]<s>, where i - 1 <= e, a
+    degree from which both resolutions follow the tail: the outer of the
+    degrees their certified repeats carry into it
+    (``TailSpec.implied_from``). It copies the rest (the lift repeat of
+    "Windows and margins" in the ``complexes`` module docstring)."""
     lift = _Lift()
     bottom = max(resM.window()[0], resN.window()[0])
     t = TailSpec.common((resM.tail, resN.tail), 2)
-    e = None if t is None else _complexes_repeat(t, resM, resN)
+    e = t and t.outer(*(res.tail.implied_from(t) for res in (resM, resN)))
     for i in range(0, bottom - 1, -1):
         ladder = LadderSystem([LadderFamily(resM, resN, 0, (i, i))])
         if i == 0:   # augN∘φ_0 = f0∘augM on the realized degree-0 covers
@@ -351,11 +351,12 @@ def _koszul_D(setup: Setup, x, out_window: tuple[int, int] | None
 
     A bounded input gives every degree of the window. On a left-tailed input
     this is D's head of "Windows and margins" in the ``complexes`` module
-    docstring: e is the innermost degree from which the input follows its
-    tail, D is computed and validated through the head, past out_hi where
-    the window is short, and its derived tail, certified from q0, is checked
-    there by ``TailSpec.certify``, also on a cone's copied components, and
-    carried for ``attach_tail`` to extend it."""
+    docstring: e is the ``repeat`` that the input's construction certified
+    its tail from, and no walk reads a degree for it. D is computed and
+    validated through the head, past out_hi where the window is short, and
+    its derived tail, certified from q0, is checked there by
+    ``TailSpec.certify``, also on a cone's copied components, and carried
+    for ``attach_tail`` to extend it."""
     B = setup.B
     Y = x if isinstance(x, ProjComplex) else _as_module_complex(x)
     t = Y.tail
@@ -374,7 +375,7 @@ def _koszul_D(setup: Setup, x, out_window: tuple[int, int] | None
                               "by more than its period")
         if out_window is None:
             raise RegimeError("a left-tailed duality input needs an output window")
-        e = _complexes_repeat(t, Y)
+        e = t.repeat
         reach = max(r + max(_term_degrees(B, Y, r)) for r in Y.terms if r > e)
         climb = t.shift - t.period
         period = climb if climb % 2 == 0 else 2 * climb   # d carries (-1)^q
@@ -480,12 +481,6 @@ def _cone(f: ModuleHom | ProjChainMap) -> Complex | ProjComplex:
     return ProjComplex(X.algebra, terms, diffs, tail, f"cone({f.name})", validate=False)
 
 
-def _block(m: AlgMatrix, rows: list[int], cols: list[int]) -> AlgMatrix:
-    return AlgMatrix(m.algebra, tuple(m.rows[i] for i in rows),
-                     tuple(m.cols[j] for j in cols),
-                     [[m.entries[i][j] for j in cols] for i in rows], validate=False)
-
-
 def koszul_D_on_map(setup: Setup, f: ModuleHom | ProjChainMap,
                     out_window: tuple[int, int]) -> ProjChainMap:
     """Induced map m⊗g -> f(m)⊗g: entries are the scalar coefficients of f
@@ -520,7 +515,7 @@ def koszul_D_on_map(setup: Setup, f: ModuleHom | ProjChainMap,
     sides = []
     for c, part, up in ((X, xs, 1), (Y, ys, 0)):
         terms = {q + up: tuple(head.term(q)[k] for k in ks) for q, ks in part.items()}
-        diffs = {q + up: _block(head.diff(q), part[q + 1], ks)
+        diffs = {q + up: head.diff(q).submatrix(part[q + 1], ks)
                  for q, ks in part.items() if q + 1 in part}
         if up:   # the X block of the cone's d is -d_X
             diffs = {q: -d for q, d in diffs.items()}
@@ -530,7 +525,7 @@ def koszul_D_on_map(setup: Setup, f: ModuleHom | ProjChainMap,
         sides.append(side.clip(lo, hi) if c.tail is None else
                      attach_tail(side, out_window, RIGHT_TAIL, _DUAL_UNSTABLE))
     DX, DY = sides
-    comps = {q + 1: _block(head.diff(q), ys[q + 1], xs[q])
+    comps = {q + 1: head.diff(q).submatrix(ys[q + 1], xs[q])
              for q in xs if q + 1 in ys and q + 1 <= hi}
     if head.tail is not None:
         _copy_outward(comps, tail, head.window()[1],
@@ -681,10 +676,8 @@ def ck_bicomplex(setup: Setup, x: ProjComplex, K: int) -> ProjBicomplex:
     return ProjBicomplex(B, terms, d1, d2, name=f"{x.name}⊗CK")
 
 
-def _ck_total(setup: Setup, x: ProjComplex, out_window: tuple[int, int]
-              ) -> tuple[ProjComplex, ProjBicomplex]:
-    """``CK_on_object`` on a given window, together with the bicomplex of
-    its computed head, whose ``total_layout`` the map functor reads.
+def _ck_total(setup: Setup, x: ProjComplex, out_window: tuple[int, int]) -> ProjComplex:
+    """``CK_on_object`` on a given window.
 
     Past the input's top x_hi each total degree is the one two below,
     shifted by -4: the CK period in "Windows and margins" of the
@@ -701,18 +694,17 @@ def _ck_total(setup: Setup, x: ProjComplex, out_window: tuple[int, int]
         raise RegimeError("topological projector input must be bounded below")
     out_hi = out_window[1]
     x = x.materialize(x.window()[0], out_hi)
+    if x.is_zero():
+        return ProjComplex.zero_complex(setup.B)
     x_lo, x_hi = x.window()
     tail = _CK_PERIOD.moved(x_hi + 3)
     head = tail.two_period_end()
-    if x.is_zero():
-        return ProjComplex.zero_complex(setup.B), ck_bicomplex(setup, x, 0)
     message = f"projector tensor output did not stabilize on window {out_window}"
     if out_hi < head:
         raise WindowTooSmall(message)
-    bc = ck_bicomplex(setup, x, head - x_lo)
-    tot = total_complex(bc, name=f"ℂ𝕂({x.name})")
+    tot = total_complex(ck_bicomplex(setup, x, head - x_lo), name=f"ℂ𝕂({x.name})")
     tail.certify(tot, message)
-    return attach_tail(tot, out_window, RIGHT_TAIL, message), bc
+    return attach_tail(tot, out_window, RIGHT_TAIL, message)
 
 
 def CK_on_object(setup: Setup, x, out_window: tuple[int, int]) -> ProjComplex:
@@ -720,22 +712,12 @@ def CK_on_object(setup: Setup, x, out_window: tuple[int, int]) -> ProjComplex:
     on ``out_window``."""
     if not isinstance(x, ProjComplex):
         raise TypeError("topological projector consumes formal complexes of projectives")
-    return _ck_total(setup, x, out_window)[0]
+    return _ck_total(setup, x, out_window)
 
 
 # the CK period of "Windows and margins" in the ``complexes`` module
 # docstring: two total degrees up, two columns right, internal shift -4
 _CK_PERIOD = TailSpec(RIGHT_TAIL, 0, 2, -4)
-
-
-def _ck_layout(bc: ProjBicomplex, top: int) -> dict[int, dict[tuple[int, int], int]]:
-    """``total_layout`` of a bicomplex of ``ck_bicomplex`` through total
-    degree ``top``: past its built degrees, each degree has the cells two
-    degrees down, two columns right, at the same offsets (the CK period)."""
-    layout = total_layout(bc)
-    _copy_outward(layout, _CK_PERIOD, max(layout, default=top), top,
-                  lambda cells, _shift: {(k + 2, i): co for (k, i), co in cells.items()})
-    return layout
 
 
 def CK_on_map(setup: Setup, f: ProjChainMap, out_window: tuple[int, int]
@@ -747,19 +729,21 @@ def CK_on_map(setup: Setup, f: ProjChainMap, out_window: tuple[int, int]
     Past n0 + 1, n0 = max(top of source, top of target) + 1, each component
     is the one two degrees down shifted by -4 (the CK period in "Windows and
     margins" of the ``complexes`` module docstring), so the components are
-    built through n0 + 1, and through out_lo + 1 at least, on the cell
-    layout of the two constructions, and copied beyond. The chain identity
-    is checked on the built degrees, the last of which reads one copy: past
-    them each identity is the one two degrees down shifted by -4. A
-    right-tailed side has its top at out_hi, so there every component is
-    built."""
+    built through n0 + 1, and through out_lo + 1 at least, and copied
+    beyond. Each side's cells there are the complete ones of ``_ck_cells``
+    through that degree, at the offsets ``total_layout`` gives them in the
+    object's total complex. The chain identity is checked on the built
+    degrees, the last of which reads one copy: past them each identity is
+    the one two degrees down shifted by -4. Both sides are bounded by then:
+    ``_ck_total`` raises on a right-tailed one and refuses a left-tailed
+    one."""
     _check_degree_zero(f)
-    CX, bcX = _ck_total(setup, f.source, out_window)
-    CY, bcY = _ck_total(setup, f.target, out_window)
+    CX, CY = _ck_total(setup, f.source, out_window), _ck_total(setup, f.target, out_window)
     lo, hi = out_window[0], min(CX.window()[1], CY.window()[1])
-    n0 = max((i for bc in (bcX, bcY) for _, i in bc.terms), default=lo) + 1
+    n0 = max((c.window()[1] for c in (f.source, f.target) if c.terms), default=lo) + 1
     built = min(hi, max(n0, lo) + 1)
-    layout_x, layout_y = _ck_layout(bcX, built), _ck_layout(bcY, built)
+    layout_x, layout_y = (total_layout(_ck_cells(setup, c, built - c.window()[0]))
+                          for c in (f.source, f.target))
     comps: dict[int, AlgMatrix] = {}
     for n in range(lo, built + 1):
         m = AlgMatrix.zero(setup.B, CY.term(n), CX.term(n))

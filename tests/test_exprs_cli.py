@@ -125,6 +125,19 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("jwcat: WindowTooSmall: projector tensor output")
 
+    @pytest.mark.parametrize("expr, window, name", [
+        ("P(P(1))[3]", "2", "ℙ(P(1))<0>[3]"),
+        ("D(P(P(1)))[-13]", "12", "𝔻(ℙ(P(1)))<0>[-13]")])
+    def test_a_tailed_value_shifted_out_of_the_window_is_inconclusive(
+            self, capsys, expr, window, name):
+        """A tail shifted past the window leaves its reduction no degree to
+        keep; that empty reduction is not the value's minimal model."""
+        assert main(["eval", expr, "--window", window]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"jwcat: WindowTooSmall: {name} has no stored degree "
+                                f"in (-{window}, {window}); enlarge the window\n")
+
     def test_eval_engine_error_exits_one(self, capsys):
         assert main(["eval", "CK(P(P(1)))", "--window", "8"]) == 1
         assert "RegimeError" in capsys.readouterr().err

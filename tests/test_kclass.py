@@ -283,6 +283,18 @@ class TestDualityLaw:
         assert {s.order for k in twisted for s in k.series.values()} == {33}
 
 
+class TestTheCheckComparesThroughTheOrdersHeld:
+    @pytest.mark.parametrize("N", [8, 12, 16, 24])
+    def test_decategorification_passes_at_every_order(self, N):
+        """``_classes_agree`` compares each pair of classes through the
+        orders the two hold, with no order of the check's own, so the check
+        passes at orders below, at and far above the default 2N + 1."""
+        for order in sorted({1, 2, 5, 10, N, 2 * N + 1, 3 * N, 100}):
+            report = run_suite(VerificationConfig(window=N, order=order,
+                                                  only=("decategorification",)))
+            assert report.verdict_counts()["pass"] == 1, (N, order)
+
+
 class TestReversedRegime:
     def test_ck_class_lives_in_inverted_completion(self, setup):
         from jwcat.functors import CK_on_object
