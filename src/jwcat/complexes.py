@@ -370,7 +370,8 @@ def _edge(side: str, window: tuple[int, int]) -> int:
 
 
 def shift_summands(term: tuple[Summand, ...], r: int) -> tuple[Summand, ...]:
-    return tuple(s.shifted(r) for s in term)
+    """``term`` with every summand shifted by r: the term itself when r = 0."""
+    return term if r == 0 else tuple(s.shifted(r) for s in term)
 
 
 class AlgMatrix:
@@ -627,11 +628,30 @@ class _StoredComplex:
     def is_zero(self) -> bool:
         return not self.terms
 
+    @classmethod
+    def _stored(cls, algebra: PathAlgebra, terms: dict, diffs: dict,
+                tail: TailSpec | None, name: str):
+        """The complex that stores ``terms`` and ``diffs`` as given, taking
+        both dicts over, unvalidated. The copies of a stored complex are
+        built here: ``materialize``, ``clip`` and ``ProjComplex.shift`` read
+        values the constructor already filtered, so they hold no zero term
+        and no zero differential, and neither do their shifts and their
+        negations."""
+        self = object.__new__(cls)
+        self.algebra = algebra
+        self.terms = terms
+        self.diffs = diffs
+        self.tail = tail
+        self.name = name
+        return self
+
     def materialize(self, lo: int, hi: int):
         """Extend the stored window to cover [lo, hi] by the tail's copy
         rule, terms and differentials alike; only the tail side is extended.
         A stored window shorter than one period cannot seed the extension:
-        ``WindowTooSmall``, with the text of ``check_tail_seam``."""
+        ``WindowTooSmall``, with the text of ``check_tail_seam``. The result
+        is a new complex (``_stored``), unvalidated: its stored degrees are
+        this complex's, and each copy is one of them, shifted."""
         terms, diffs = dict(self.terms), dict(self.diffs)
         t = self.tail
         if t is not None:
@@ -643,14 +663,14 @@ class _StoredComplex:
             # d(j) joins j to j + 1: on a right tail its edge is one lower
             _copy_outward(diffs, t, min(edge, edge - o), min(far, far - o),
                           self._shift_diff)
-        return type(self)(self.algebra, terms, diffs, self.tail, self.name,
-                          validate=False)
+        return self._stored(self.algebra, terms, diffs, self.tail, self.name)
 
     def clip(self, lo: int, hi: int):
-        """The stored degrees in [lo, hi], without a tail."""
+        """The stored degrees in [lo, hi], without a tail: a new complex
+        (``_stored``) that shares this one's terms and differentials."""
         terms = {i: t for i, t in self.terms.items() if lo <= i <= hi}
         diffs = {i: d for i, d in self.diffs.items() if lo <= i and i + 1 <= hi}
-        return type(self)(self.algebra, terms, diffs, None, self.name, validate=False)
+        return self._stored(self.algebra, terms, diffs, None, self.name)
 
 
 class ProjComplex(_StoredComplex):
@@ -733,8 +753,8 @@ class ProjComplex(_StoredComplex):
                 nd = nd.scale(-1)
             diffs[i - homological] = nd
         tail = self.tail and self.tail.moved(-homological)
-        return ProjComplex(self.algebra, terms, diffs, tail,
-                           f"{self.name}<{internal}>[{homological}]", validate=False)
+        return self._stored(self.algebra, terms, diffs, tail,
+                            f"{self.name}<{internal}>[{homological}]")
 
     def summand_count(self) -> int:
         return sum(len(t) for t in self.terms.values())

@@ -165,6 +165,10 @@ def evaluate(setup: Setup, node: Node, window: tuple[int, int],
         kc = decategorify(val, order)
     except WindowError:   # the order leaves the class no validity window
         kc = None
+    if pc.tail is not None and red.is_zero() and kc is not None and not kc.is_zero():
+        # the content the class counts lies past the reduction's window
+        raise WindowTooSmall(f"{pc.name} reduces to 0 on ({lo}, {hi}) but its class "
+                             f"is not zero; enlarge the window")
     return ObjectValue(pc, red, kc)
 
 

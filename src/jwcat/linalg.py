@@ -4,9 +4,15 @@ Everything downstream (hom spaces, homology ranks, homotopy solving) reduces
 to exact kernels and solves. A coefficient is an int while it is integral
 and a Fraction only when it is not, never a float: ``_frac`` is the one
 constructor and ``_div`` the one division. ``Matrix`` stores dense lists of
-them and is immutable by convention once built; its one elimination routine,
-``Matrix.rref``, works on sparse rows and skips zero entries, since the
-systems that come up (ladder systems above all) hold a few nonzeros per row.
+them. Its public constructor sends every cell of outside data through
+``_frac``; the matrices its own arithmetic makes (sums, products, scalings,
+stacks, submatrices and the matrix of a column system) are built by
+``Matrix._trusted``, which sends only a row holding a cell that is not an int
+through it. A matrix is immutable once built, and
+``zero_matrix`` relies on that: it hands out one shared all-zero matrix per
+shape. Its one elimination routine, ``Matrix.rref``, works on sparse rows and
+skips zero entries, since the systems that come up (ladder systems above
+all) hold a few nonzeros per row.
 A kernel and a solve read the same reduced form of the matrix built from
 their columns; a solve appends its right-hand side as one more column.
 """
@@ -39,6 +45,19 @@ def unit_vector(n: int, k: int) -> list[Fraction]:
     return v
 
 
+_INT = frozenset((int,))
+_ZEROS: dict[tuple[int, int], Matrix] = {}   # (nrows, ncols) -> the shared zero
+
+
+def zero_matrix(nrows: int, ncols: int) -> Matrix:
+    """The all-zero nrows x ncols matrix: one shared object per shape, which
+    nothing may mutate. Use ``Matrix(nrows, ncols)`` for a zero to fill in."""
+    m = _ZEROS.get((nrows, ncols))
+    if m is None:
+        m = _ZEROS.setdefault((nrows, ncols), Matrix(nrows, ncols))
+    return m
+
+
 class Matrix:
     """A rows x cols matrix of exact coefficients (``_frac``)."""
 
@@ -55,6 +74,23 @@ class Matrix:
             if len(data) != nrows or any(len(r) != ncols for r in data):
                 raise ValueError("matrix data shape mismatch")
             self.data = [[_frac(x) for x in row] for row in data]
+
+    @classmethod
+    def _trusted(cls, nrows: int, ncols: int, data: list[list]) -> Matrix:
+        """Matrix from rows of the right shape, built from exact coefficients.
+
+        The arithmetic below builds its results here, and so does
+        ``_matrix_from_columns`` once it has checked its column lengths: the
+        shape needs no check, an int cell is already exact, and only a row
+        that holds another cell, such as a Fraction that may come out
+        integral, goes through ``_frac``. The matrix takes ``data`` over, so
+        callers pass lists of their own."""
+        self = object.__new__(cls)
+        self.nrows = nrows
+        self.ncols = ncols
+        self.data = [row if _INT.issuperset(map(type, row)) else [_frac(x) for x in row]
+                     for row in data]
+        return self
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> Matrix:
@@ -81,15 +117,16 @@ class Matrix:
     def __add__(self, other: Matrix) -> Matrix:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in add")
-        return Matrix(self.nrows, self.ncols,
-                      [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
+        return Matrix._trusted(self.nrows, self.ncols,
+                               [[a + b for a, b in zip(r1, r2)]
+                                for r1, r2 in zip(self.data, other.data)])
 
     def __sub__(self, other: Matrix) -> Matrix:
         return self + other.scale(-1)
 
     def scale(self, c) -> Matrix:
         c = _frac(c)
-        return Matrix(self.nrows, self.ncols, [[c * x for x in row] for row in self.data])
+        return Matrix._trusted(self.nrows, self.ncols, [[c * x for x in row] for row in self.data])
 
     def __neg__(self) -> Matrix:
         return self.scale(-1)
@@ -108,7 +145,7 @@ class Matrix:
                     b = orow[j]
                     if b != 0:
                         trow[j] = trow[j] + a * b
-        return Matrix(self.nrows, other.ncols, out)
+        return Matrix._trusted(self.nrows, other.ncols, out)
 
     def apply(self, vec: Sequence[Fraction]) -> list[Fraction]:
         if len(vec) != self.ncols:
@@ -120,13 +157,14 @@ class Matrix:
     def hstack(self, other: Matrix) -> Matrix:
         if self.nrows != other.nrows:
             raise ValueError("hstack row mismatch")
-        return Matrix(self.nrows, self.ncols + other.ncols,
-                      [r1 + r2 for r1, r2 in zip(self.data, other.data)])
+        return Matrix._trusted(self.nrows, self.ncols + other.ncols,
+                               [r1 + r2 for r1, r2 in zip(self.data, other.data)])
 
     def submatrix(self, rows: Iterable[int], cols: Iterable[int]) -> Matrix:
         rows = list(rows)
         cols = list(cols)
-        return Matrix(len(rows), len(cols), [[self.data[i][j] for j in cols] for i in rows])
+        return Matrix._trusted(len(rows), len(cols),
+                               [[self.data[i][j] for j in cols] for i in rows])
 
     # --- elimination ---
 
@@ -204,7 +242,7 @@ def _matrix_from_columns(column_fn, nuk: int) -> Matrix:
     nr = len(cols[0])
     if any(len(c) != nr for c in cols):
         raise ValueError("columns of different lengths")
-    return Matrix(nr, nuk, [[cols[j][i] for j in range(nuk)] for i in range(nr)])
+    return Matrix._trusted(nr, nuk, [[cols[j][i] for j in range(nuk)] for i in range(nr)])
 
 
 def solve_from_columns(column_fn, nuk: int, rhs: list[Fraction]):

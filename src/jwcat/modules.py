@@ -41,7 +41,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Matrix, kernel_from_columns, search_invertible, unit_vector
+from .linalg import (Matrix, kernel_from_columns, search_invertible, unit_vector,
+                     zero_matrix)
 from .quiver import (AlgebraElement, BimodBasisVector, ConstructionError,
                      GradedBimodule, PathAlgebra, Path)
 
@@ -116,7 +117,7 @@ class GradedModule:
         return sum(len(v) for v in self.basis.values())
 
     def is_zero(self) -> bool:
-        return self.total_dim() == 0
+        return not self.basis
 
     def graded_dims_by_vertex(self) -> dict[tuple[int, str], int]:
         out: dict[tuple[int, str], int] = {}
@@ -135,11 +136,12 @@ class GradedModule:
     # --- action ---
 
     def act_arrow(self, name: str, d: int) -> Matrix:
-        deg = self.algebra.quiver.arrow(name).degree
-        tgt_dim = self.dim(d + deg)
+        """The arrow's matrix on the degree-d slice; an absent block is the
+        shared zero of its shape (``zero_matrix``)."""
         mat = self.action.get(name, {}).get(d)
         if mat is None:
-            return Matrix(tgt_dim, self.dim(d))
+            deg = self.algebra.quiver.arrow(name).degree
+            return zero_matrix(self.dim(d + deg), self.dim(d))
         return mat
 
     def act_path(self, p: Path, d: int) -> Matrix:
@@ -357,9 +359,11 @@ class ModuleHom:
             self._validate()
 
     def mat(self, d: int) -> Matrix:
+        """The degree-d matrix; an absent block is the shared zero of its
+        shape (``zero_matrix``)."""
         m = self.mats.get(d)
         if m is None:
-            return Matrix(self.target.dim(d + self.degree), self.source.dim(d))
+            return zero_matrix(self.target.dim(d + self.degree), self.source.dim(d))
         return m
 
     def block(self, d: int, v: str) -> Matrix:

@@ -1,18 +1,28 @@
 """The arithmetic core against plain references: element products read the
 algebra's path-product table, results share one zero and never change an
-operand, and the matrix products and ``Matrix.apply`` skip zero entries."""
+operand, and the matrix products and ``Matrix.apply`` skip zero entries.
+An absent module block is one shared zero matrix per shape, which no run
+changes, and the copies of a stored complex hold what its constructor would
+have kept."""
 
+import json
+import pathlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jwcat.complexes import AlgMatrix, Summand
-from jwcat.linalg import Matrix
+from jwcat import linalg
+from jwcat.complexes import AlgMatrix, Summand, WindowTooSmall, realize
+from jwcat.exprs import ObjectValue, evaluate, parse
+from jwcat.functors import Setup
+from jwcat.linalg import Matrix, zero_matrix
+from jwcat.modules import ModuleHom, projective, simple
 from jwcat.quiver import (AlgebraElement, ConstructionError, Path, PathAlgebra,
                           build_B, build_C, zigzag_quiver)
 from jwcat.series import TruncatedSeries
+from jwcat.verify import VerificationConfig, run_suite
 
 ALGEBRAS = {
     "B": build_B(),
@@ -213,3 +223,74 @@ def test_apply_matches_dense_sum(case):
            for row in mat.data]
     assert out == ref
     assert all(clean_coefficient(x) for x in out)
+
+
+# ---------------------------------------------------------------------------
+# shared zero blocks and the copies of stored complexes
+# ---------------------------------------------------------------------------
+
+EVAL_REFERENCE = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference" \
+    / "eval-N24.json"
+
+
+def unsuffixed_pool_values(window=24):
+    """The object values of the 80 unsuffixed pool expressions that are not
+    nested CK, evaluated at ``window``; an inconclusive one is skipped."""
+    ref = json.loads(EVAL_REFERENCE.read_text())["expressions"]
+    exprs = sorted(e for e, entry in ref.items()
+                   if e == entry["base"] and not e.startswith("CK(CK("))
+    assert len(exprs) == 80
+    setup, values = Setup.create(), []
+    for e in exprs:
+        try:
+            values.append(evaluate(setup, parse(e), (0, window), 2 * window + 1))
+        except WindowTooSmall:
+            pass
+    return [v for v in values if isinstance(v, ObjectValue)]
+
+
+class TestSharedZeroBlocks:
+    def test_an_absent_block_is_the_shared_zero_of_its_shape(self):
+        P1, L1 = projective(B, "1"), simple(B, "1")
+        assert P1.act_arrow("a", 5) is zero_matrix(P1.dim(6), P1.dim(5))
+        assert L1.act_arrow("b", 0) is zero_matrix(0, 1)
+        f = ModuleHom(P1, P1, 0, {}, validate=False)
+        assert f.mat(0) is zero_matrix(1, 1) is f.mat(0)
+
+    def test_no_run_changes_a_shared_zero(self):
+        """Every product, sum and block the suite and the pool build from a
+        shared zero leaves it all zeros, of its shape."""
+        run_suite(VerificationConfig(window=16))
+        unsuffixed_pool_values()
+        assert linalg._ZEROS
+        for (n, m), z in linalg._ZEROS.items():
+            assert (z.nrows, z.ncols) == (n, m)
+            assert z.data == [[0] * m for _ in range(n)]
+            assert all(type(x) is int for row in z.data for x in row)
+
+
+def assert_stored_as_constructed(c):
+    """The public constructor, which drops zero terms and zero differentials
+    and stores a formal term as a tuple (a tuple never equals a list), keeps
+    ``c``'s terms and differentials as they are."""
+    rebuilt = type(c)(c.algebra, c.terms, c.diffs, c.tail, c.name, validate=False)
+    assert rebuilt.terms == c.terms and rebuilt.diffs == c.diffs
+
+
+class TestStoredCopies:
+    def test_materialize_clip_and_shift_store_what_the_constructor_keeps(self):
+        copies = 0
+        for v in unsuffixed_pool_values(window=12):
+            pc = v.complex
+            lo, hi = pc.window()
+            made = [pc.clip(lo, hi), pc.clip(lo + 1, hi - 1), pc.clip(hi, lo)]
+            made += [pc.shift(r, s) for r, s in ((0, 0), (2, 0), (0, 1), (-3, -2))]
+            if pc.tail is not None:
+                reach = 2 * pc.tail.period + 1
+                made.append(pc.materialize(lo - reach, hi + reach))
+            module_level = realize(pc)
+            made += [module_level.clip(lo, hi - 1), module_level.materialize(lo - 2, hi + 2)]
+            for c in made:
+                assert_stored_as_constructed(c)
+            copies += len(made)
+        assert copies > 400

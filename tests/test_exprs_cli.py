@@ -138,6 +138,16 @@ class TestCli:
         assert captured.err == (f"jwcat: WindowTooSmall: {name} has no stored degree "
                                 f"in (-{window}, {window}); enlarge the window\n")
 
+    def test_a_value_whose_content_lies_past_its_window_is_inconclusive(self, capsys):
+        """The reduction on (-2, -2) cancels all it keeps, but the class
+        counts the content past the window; that zero is not the value's
+        minimal model."""
+        assert main(["eval", "P(D(P(1)))[3]", "--window", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("jwcat: WindowTooSmall: ℙ(𝔻(P(1)))<0>[3] reduces to 0 on "
+                                "(-2, -2) but its class is not zero; enlarge the window\n")
+
     def test_eval_engine_error_exits_one(self, capsys):
         assert main(["eval", "CK(P(P(1)))", "--window", "8"]) == 1
         assert "RegimeError" in capsys.readouterr().err

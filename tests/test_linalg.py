@@ -261,3 +261,44 @@ def test_search_invertible_combines_at_most_four_basis_elements():
     assert search_invertible(units[:4], reject) is None
     combos = [c for c in itertools.product(COEFFS, repeat=4) if any(c)]
     assert tried == units[:4] + [diagonal(*c, 0) for c in combos]
+
+
+@st.composite
+def fraction_matrix_triples(draw):
+    """a and b of one shape n x m and c of shape m x k, with entries of
+    denominator 1 to 3 and many zeros, so that sums and products often come
+    out integral as Fractions; and a Fraction to scale by."""
+    n, m, k = (draw(st.integers(0, 4)) for _ in range(3))
+    entry = st.one_of(st.just(0), st.just(0),
+                      st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+
+    def matrix(r, s):
+        return Matrix(r, s, [[draw(entry) for _ in range(s)] for _ in range(r)])
+
+    scalar = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+    return matrix(n, m), matrix(n, m), matrix(m, k), scalar
+
+
+def assert_as_built_by_the_public_constructor(x):
+    """Every cell is clean (an int, or a Fraction that is not integral), the
+    rows have the shape, and the public constructor on the same data gives
+    an equal matrix."""
+    assert len(x.data) == x.nrows and all(len(row) == x.ncols for row in x.data)
+    assert all(clean_coefficient(c) for row in x.data for c in row)
+    assert x == Matrix(x.nrows, x.ncols, x.data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=fraction_matrix_triples(), data=st.data())
+def test_every_result_of_the_arithmetic_is_clean(case, data):
+    """The results the arithmetic builds without the public constructor's
+    checks (``Matrix._trusted``) hold exactly what it would have stored."""
+    a, b, c, s = case
+    rows = data.draw(st.lists(st.integers(0, a.nrows - 1), max_size=4)) if a.nrows else []
+    cols = data.draw(st.lists(st.integers(0, a.ncols - 1), max_size=4)) if a.ncols else []
+    for x in (a + b, a - b, -a, a * c, a.scale(s), a.scale(2), a.hstack(b),
+              a.submatrix(rows, cols), a.rref()[0]):
+        assert_as_built_by_the_public_constructor(x)
+    kernel = a.nullspace()
+    assert all(clean_coefficient(v) for vec in kernel for v in vec)
+    assert_as_built_by_the_public_constructor(Matrix(len(kernel), a.ncols, kernel))
