@@ -67,8 +67,8 @@ caller passes only the window it works at. Below, a tail has direction o
   of the two complexes' ``_repeat_start``s. Each walks inward from its
   complex's own stored edge, or from the degree that its own tail, certified
   from its ``repeat``, already carries into the doubled pattern
-  (``TailSpec.implied_from``), compares summands by identity and entry lists
-  without building shifted copies, and stops at the first break or at
+  (``TailSpec.implied_from``), compares each degree with the shifted copy
+  of the one a period in, and stops at the first break or at
   ``TailSpec.reference_bound``, so it reads no degree the complex does not
   store, and a break that only the complex stored further out holds is not
   skipped. The stored ``TailSpec`` of each complex is left as it is. The
@@ -102,7 +102,7 @@ caller passes only the window it works at. Below, a tail has direction o
   one pattern (side, period p, shift s) the families' tails share, D is the
   innermost degree from which each block is the shifted copy of the one a
   period in: each component it reads is ``LadderSystem.copied`` and each
-  fixed matrix a copy by ``_is_copy``. The differentials need no
+  fixed matrix m has m(i) == m(i - o·p).shifted(s). The differentials need no
   comparison: a component copied past its family's unknowns lies a period
   past the seam, from where both complexes repeat (the ladder seam above),
   and one that holds no unknown is zero, so the differentials it meets add
@@ -380,22 +380,47 @@ class AlgMatrix:
     Entry z in row i, column j is a map P(cols[j].vertex)<cols[j].shift> ->
     P(rows[i].vertex)<rows[i].shift>, so z = e(rows[i].vertex)·z·e(cols[j].vertex)
     homogeneous of degree cols[j].shift - rows[i].shift. Zero entries allowed.
+    A matrix is never written once built, so a shift shares its entry rows.
+    The public constructor copies outside data, and only ``_Eliminator`` and
+    ``_replay`` write, on rows they made.
     """
 
     __slots__ = ("algebra", "rows", "cols", "entries")
 
     def __init__(self, algebra: PathAlgebra, rows: tuple[Summand, ...],
-                 cols: tuple[Summand, ...], entries=None, validate: bool = True):
+                 cols: tuple[Summand, ...], entries, validate: bool = True):
         self.algebra = algebra
         self.rows = tuple(rows)
         self.cols = tuple(cols)
-        if entries is None:
-            zero = algebra.zero()
-            self.entries = [[zero] * len(self.cols) for _ in self.rows]
-        else:
-            self.entries = [list(row) for row in entries]
+        self.entries = [list(row) for row in entries]
         if validate:
             self._validate()
+
+    @classmethod
+    def _trusted(cls, algebra, rows, cols, entries) -> AlgMatrix:
+        """Matrix from summand tuples and entry rows the package built, taken
+        over unchecked: rows of the caller's own, or a matrix's (``shifted``)."""
+        self = object.__new__(cls)
+        self.algebra = algebra
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
+        return self
+
+    @classmethod
+    def from_sums(cls, algebra, rows, cols, items) -> AlgMatrix:
+        """The matrix whose entry (i, j) is the sum of the elements z of the
+        items (i, j, z), zero where none falls: every builder's constructor."""
+        entries = [[algebra.zero()] * len(cols) for _ in rows]
+        for i, j, z in items:
+            v = entries[i][j]
+            entries[i][j] = z if not v.terms else v + z
+        return cls._trusted(algebra, rows, cols, entries)
+
+    def block(self, ro: int, co: int) -> list:
+        """The nonzero entries as ``from_sums`` items, the block at (ro, co)."""
+        return [(ro + i, co + j, z) for i, row in enumerate(self.entries)
+                for j, z in enumerate(row) if z.terms]
 
     def _validate(self):
         if len(self.entries) != len(self.rows) or \
@@ -418,14 +443,12 @@ class AlgMatrix:
 
     @classmethod
     def zero(cls, algebra, rows, cols):
-        return cls(algebra, rows, cols, validate=False)
+        return cls.from_sums(algebra, rows, cols, ())
 
     @classmethod
     def identity(cls, algebra, term: tuple[Summand, ...]):
-        m = cls(algebra, term, term, validate=False)
-        for i, s in enumerate(term):
-            m.entries[i][i] = algebra.idempotent(s.vertex)
-        return m
+        return cls.from_sums(algebra, term, term, ((i, i, algebra.idempotent(s.vertex))
+                                                   for i, s in enumerate(term)))
 
     def is_zero(self) -> bool:
         return not any(e.terms for row in self.entries for e in row)
@@ -439,27 +462,25 @@ class AlgMatrix:
     def __mul__(self, other: AlgMatrix) -> AlgMatrix:
         if self.cols != other.rows:
             raise ConstructionError("AlgMatrix composition shape mismatch")
-        out = AlgMatrix.zero(self.algebra, self.rows, other.cols)
+        out = [[self.algebra.zero()] * len(other.cols) for _ in self.rows]
         # the nonzero entries of each row of the right factor, listed once
         nonzero = [[(j, w) for j, w in enumerate(row) if w.terms]
                    for row in other.entries]
-        for row, orow in zip(self.entries, out.entries):
+        for row, orow in zip(self.entries, out):
             for z, nz in zip(row, nonzero):
                 if not z.terms:
                     continue
                 for j, w in nz:
                     v = orow[j]
                     orow[j] = z * w if not v.terms else v + z * w
-        return out
+        return AlgMatrix._trusted(self.algebra, self.rows, other.cols, out)
 
     def __add__(self, other: AlgMatrix) -> AlgMatrix:
         if self.rows != other.rows or self.cols != other.cols:
             raise ConstructionError("AlgMatrix sum shape mismatch")
-        out = AlgMatrix.zero(self.algebra, self.rows, self.cols)
-        for i in range(len(self.rows)):
-            for j in range(len(self.cols)):
-                out.entries[i][j] = self.entries[i][j] + other.entries[i][j]
-        return out
+        return AlgMatrix._trusted(self.algebra, self.rows, self.cols,
+                                  [[a + b for a, b in zip(r1, r2)]
+                                   for r1, r2 in zip(self.entries, other.entries)])
 
     def __neg__(self) -> AlgMatrix:
         return self.scale(-1)
@@ -468,29 +489,20 @@ class AlgMatrix:
         return self + (-other)
 
     def scale(self, c) -> AlgMatrix:
-        out = AlgMatrix.zero(self.algebra, self.rows, self.cols)
-        for i in range(len(self.rows)):
-            for j in range(len(self.cols)):
-                out.entries[i][j] = self.entries[i][j].scale(c)
-        return out
-
-    def place(self, blk: AlgMatrix, ro: int, co: int) -> None:
-        """Copy ``blk`` into this matrix with its top-left entry at (ro, co)."""
-        for r, row in enumerate(blk.entries):
-            self.entries[ro + r][co:co + len(row)] = row
+        return AlgMatrix._trusted(self.algebra, self.rows, self.cols,
+                                  [[z.scale(c) for z in row] for row in self.entries])
 
     def submatrix(self, rows: list[int], cols: list[int]) -> AlgMatrix:
         """The entries at ``rows`` and ``cols``, in the order listed."""
-        return AlgMatrix(self.algebra, tuple(self.rows[i] for i in rows),
-                         tuple(self.cols[j] for j in cols),
-                         [[self.entries[i][j] for j in cols] for i in rows],
-                         validate=False)
+        return AlgMatrix._trusted(self.algebra, tuple(self.rows[i] for i in rows),
+                                  tuple(self.cols[j] for j in cols),
+                                  [[self.entries[i][j] for j in cols] for i in rows])
 
     def shifted(self, r: int) -> AlgMatrix:
-        """Same entries between internally shifted summands."""
-        return AlgMatrix(self.algebra, shift_summands(self.rows, r),
-                         shift_summands(self.cols, r), self.entries,
-                         validate=False)
+        """Same entries between internally shifted summands: the copy shares
+        the entry rows, so a copy test m == ref.shifted(s) allocates none."""
+        return AlgMatrix._trusted(self.algebra, shift_summands(self.rows, r),
+                                  shift_summands(self.cols, r), self.entries)
 
     def all_entries_in_radical(self) -> bool:
         return all(e.scalar_part() == 0 for row in self.entries for e in row)
@@ -498,13 +510,6 @@ class AlgMatrix:
     def __repr__(self):
         body = "; ".join(" ".join(e.word() for e in row) for row in self.entries)
         return f"AlgMatrix[{body}]"
-
-
-def _is_copy(m: AlgMatrix, ref: AlgMatrix, s: int) -> bool:
-    """m == ref.shifted(s), read off the summands and the entry lists
-    without building the copy."""
-    return (m.entries == ref.entries and m.rows == shift_summands(ref.rows, s)
-            and m.cols == shift_summands(ref.cols, s))
 
 
 @dataclass(frozen=True)
@@ -678,7 +683,6 @@ class ProjComplex(_StoredComplex):
 
     _shift_term = staticmethod(shift_summands)
     _shift_diff = staticmethod(AlgMatrix.shifted)
-    _is_copy = staticmethod(_is_copy)
 
     def __init__(self, algebra: PathAlgebra, terms: dict[int, tuple[Summand, ...]],
                  diffs: dict[int, AlgMatrix], tail: TailSpec | None = None,
@@ -802,7 +806,7 @@ def _break_at(c: _StoredComplex, t: TailSpec, i: int, hi: int) -> str | None:
     j, s = i - t.outward * t.period, t.shift
     if c.term(i) != c._shift_term(c.term(j), s):
         return "term"
-    if i < hi and not c._is_copy(c.diff(i), c.diff(j), s):
+    if i < hi and c.diff(i) != c._shift_diff(c.diff(j), s):
         return "diff"
     return None
 
@@ -1027,7 +1031,6 @@ class Complex(_StoredComplex):
 
     _shift_term = staticmethod(GradedModule.shift)
     _shift_diff = staticmethod(ModuleHom.shift)
-    _is_copy = staticmethod(lambda m, ref, s: m == ref.shift(s))
 
     def __init__(self, algebra: PathAlgebra, terms: dict[int, GradedModule],
                  diffs: dict[int, ModuleHom], tail: TailSpec | None = None,
@@ -1157,14 +1160,14 @@ def total_complex(bc: ProjBicomplex, name: str | None = None) -> ProjComplex:
         up = layout.get(n + 1)
         if up is None:
             continue
-        d = AlgMatrix.zero(bc.algebra, terms[n + 1], terms[n])
+        items = []
         for (p, q), co in cells.items():
             if (p + 1, q) in up:
-                d.place(bc.D1(p, q), up[(p + 1, q)], co)
+                items += bc.D1(p, q).block(up[(p + 1, q)], co)
             if (p, q + 1) in up:
                 blk = bc.D2(p, q)
-                d.place(blk.scale(-1) if p % 2 else blk, up[(p, q + 1)], co)
-        diffs[n] = d
+                items += (blk.scale(-1) if p % 2 else blk).block(up[(p, q + 1)], co)
+        diffs[n] = AlgMatrix.from_sums(bc.algebra, terms[n + 1], terms[n], items)
     return ProjComplex(bc.algebra, terms, diffs, None, name or f"Tot({bc.name})",
                        validate=True)
 
@@ -1230,7 +1233,7 @@ def _drop(terms: dict, i: int, k: int, into: AlgMatrix | None,
           out_of: AlgMatrix | None) -> None:
     """Delete summand k of degree i from ``terms``, row k of ``into``, a map
     into degree i, and column k of ``out_of``, a map out of it. Either map
-    may be None."""
+    may be None. It is passed only the eliminator's and the replay's own rows."""
     t = terms[i] = terms[i][:k] + terms[i][k + 1:]
     if into is not None:
         del into.entries[k]
@@ -1243,9 +1246,9 @@ def _drop(terms: dict, i: int, k: int, into: AlgMatrix | None,
 
 class _Eliminator:
     """Mutable elimination state: the differentials, as ``AlgMatrix``
-    copies, and the log of the cancellations made on them, from which
-    ``_replay`` builds the witnesses. A cancelled summand leaves the
-    differentials through ``_drop``.
+    copies made on entry, written in place, and the log of the cancellations
+    made on them, from which ``_replay`` builds the witnesses. A cancelled
+    summand leaves the differentials through ``_drop``.
 
     On a right-tailed complex the sweep stops at its first repeat: ``stop``
     is the tail from the degree j whose differential, as the sweep reaches
@@ -1278,7 +1281,7 @@ class _Eliminator:
         d, p = self.diffs[j], t.period
         ref = self.arrivals.get(j - p)   # kept from the repeat on: j - p >= repeat
         stop = None if ref is None else TailSpec(RIGHT_TAIL, j, p, t.shift)
-        if stop is not None and stop.two_period_end() < self.top and _is_copy(d, ref, t.shift):
+        if stop is not None and stop.two_period_end() < self.top and d == ref.shifted(t.shift):
             self.stop, self.end = stop, stop.two_period_end()
         elif j >= t.repeat:
             self.arrivals[j] = AlgMatrix(d.algebra, d.rows, d.cols, d.entries,
@@ -1342,7 +1345,7 @@ def _replay(c: ProjComplex, log: list) -> tuple[dict, dict, list]:
     h[i+1] is the rank-one (G[i][:, col]·λ⁻¹) ⊗ F[i+1][r], recorded as
     (i, λ⁻¹, G[i][:, col], F[i+1][r]) for ``_homotopy``. Then ``_drop``
     deletes summand col of degree i and summand r of degree i + 1 from F
-    and G. Only nonzero entries are visited."""
+    and G, the replay's own identities. Only nonzero entries are visited."""
     terms = dict(c.terms)
     F = {i: AlgMatrix.identity(c.algebra, t) for i, t in terms.items()}
     G = {i: AlgMatrix.identity(c.algebra, t) for i, t in terms.items()}
@@ -1371,15 +1374,14 @@ def _replay(c: ProjComplex, log: list) -> tuple[dict, dict, list]:
 def _homotopy(c: ProjComplex, factors: list) -> ProjChainMap:
     """h of degree -1 on ``c``, the sum of the rank-one terms ``_replay``
     recorded, in their order: h[i+1] gains (G[i][:, col]·λ⁻¹) ⊗ F[i+1][r]."""
-    H: dict[int, AlgMatrix] = {}
+    items: dict[int, list] = {}
     for i, lam_inv, g_col, f_row in factors:
-        h = H.get(i + 1)
-        if h is None:
-            h = H[i + 1] = AlgMatrix.zero(c.algebra, c.term(i), c.term(i + 1))
+        at = items.setdefault(i + 1, [])
         for m, u in g_col:
-            u, h_row = u.scale(lam_inv), h.entries[m]
-            for n, z in f_row:
-                h_row[n] = h_row[n] + u * z
+            u = u.scale(lam_inv)
+            at += [(m, n, u * z) for n, z in f_row]
+    H = {i: AlgMatrix.from_sums(c.algebra, c.term(i - 1), c.term(i), at)
+         for i, at in items.items()}
     return ProjChainMap(c, c, H, "h", validate=False, degree=-1)
 
 
@@ -1586,15 +1588,19 @@ class LadderSystem:
                 for k, f in enumerate(self.families)]
 
     def _place(self, maps: list[ProjChainMap], coefficients) -> list[ProjChainMap]:
-        """Add each (unknown j, value v) of ``coefficients`` to ``maps`` as
-        v times unknown j's path at its entry, then fill each family's
-        window past its unknown degrees by the tail's copy rule."""
+        """Give each family's map in ``maps``, which has no components yet,
+        the components ``coefficients`` fill: each (unknown j, value v) adds v
+        times unknown j's path at its entry. Then fill each family's window
+        past its unknown degrees by the tail's copy rule."""
+        items: dict[tuple[int, int], list] = {}
         for j, v in coefficients:
             k, i, (r, c, path) = self.unknowns[j]
-            m = maps[k].maps.get(i)
-            if m is None:
-                m = maps[k].maps[i] = maps[k].component(i)
-            m.entries[r][c] = m.entries[r][c] + m.algebra.element({path: v})
+            element = maps[k].source.algebra.element({path: v})
+            items.setdefault((k, i), []).append((r, c, element))
+        for (k, i), at in items.items():
+            f = maps[k]
+            f.maps[i] = AlgMatrix.from_sums(f.source.algebra, f.target.term(i + f.degree),
+                                            f.source.term(i), at)
         for k, (fam, f) in enumerate(zip(self.families, maps)):
             if fam.tail is not None and f.maps:
                 _copy_outward(f.maps, fam.tail, self._copy_edges[k],
@@ -1613,7 +1619,7 @@ class LadderSystem:
         ``fixed`` besides the families' differentials. Under ``_pattern`` the
         blocks are kept up to the innermost degree D from which each is the
         shifted copy of the one a period in (every component it reads is
-        ``copied`` and every fixed matrix a copy by ``_is_copy``), and one
+        ``copied`` and every fixed m(i) == m(i - o·p).shifted(s)), and one
         period of repeats from D. Without one pattern every block is kept."""
         t = self._pattern
         if t is not None and degrees:
@@ -1622,7 +1628,7 @@ class LadderSystem:
 
             def repeats(i):
                 return o * (i - copied_from) >= 0 and all(
-                    _is_copy(m(i), m(i - o * p), s) for m in fixed)
+                    m(i) == m(i - o * p).shifted(s) for m in fixed)
 
             D = _repeat_start(t, (degrees[0], degrees[-1]), repeats)
             degrees = [i for i in degrees if o * (i - D) < p]

@@ -37,8 +37,7 @@ from .complexes import (LEFT_TAIL, RIGHT_TAIL, AlgMatrix, Complex,
                         Summand, TailSpec, WindowTooSmall, attach_tail,
                         gaussian_reduce, realize, shift_summands,
                         total_complex, total_layout,
-                        _alg_matrix_to_hom, _copy_outward,
-                        _is_copy, _mat_coords)
+                        _alg_matrix_to_hom, _copy_outward, _mat_coords)
 from .linalg import Matrix, solve_from_columns
 from .modules import (C_TO_B, DUAL_VERTEX, PI_SHIFT, GradedModule, ModuleHom,
                       apply_pi, apply_pi_hom, projective, simple, injective2)
@@ -143,9 +142,8 @@ class _Iota:
         return hit[1]
 
     def matrix(self, m: AlgMatrix) -> AlgMatrix:
-        return AlgMatrix(self.B, self.summands(m.rows), self.summands(m.cols),
-                         [[self.entry(z) for z in row] for row in m.entries],
-                         validate=False)
+        return AlgMatrix._trusted(self.B, self.summands(m.rows), self.summands(m.cols),
+                                  [[self.entry(z) for z in row] for row in m.entries])
 
 
 def _as_module_complex(x) -> Complex:
@@ -289,7 +287,7 @@ def lift_through_resolutions(resM: ProjComplex, augM: dict[int, ModuleHom],
             raise ConstructionError(f"resolution lift failed at degree {i}")
         lift[i], lift.solved = ladder.build(sol)[0].component(i), i
         if t is not None and i + t.period <= 0 and i - 1 <= e \
-                and _is_copy(lift[i], lift[i + t.period], t.shift):
+                and lift[i] == lift[i + t.period].shifted(t.shift):
             _copy_outward(lift, t, i, bottom, AlgMatrix.shifted)
             break
     return lift
@@ -401,19 +399,19 @@ def _koszul_D(setup: Setup, x, out_window: tuple[int, int] | None
         if p + 1 not in terms:
             continue
         up = index[p + 1]
-        d = AlgMatrix.zero(B, terms[p + 1], terms[p])
+        items = []
         sign = -1 if p % 2 else 1   # p = r + s for every summand of D^p
         for (r, s, idx), (col, lab) in index[p].items():
             # scalar part: the complex differential, same s
-            _place_dual(d, col, mat.diff(r).mat(s), idx, up, (r + 1, s),
-                        B.idempotent(DUAL_VERTEX[lab]))
+            items += _dual_items(col, mat.diff(r).mat(s), idx, up, (r + 1, s),
+                                 B.idempotent(DUAL_VERTEX[lab]))
             # staircase: an arrow g acts on label g.target and raises s by
             # its degree, with the parity sign
             for g in B.quiver.arrows:
                 if g.target == lab:
-                    _place_dual(d, col, mat.term(r).act_arrow(g.name, s), idx, up,
-                                (r, s + g.degree), B.arrow_element(g.name), sign)
-        diffs[p] = d
+                    items += _dual_items(col, mat.term(r).act_arrow(g.name, s), idx, up,
+                                         (r, s + g.degree), B.arrow_element(g.name), sign)
+        diffs[p] = AlgMatrix.from_sums(B, terms[p + 1], terms[p], items)
 
     out = ProjComplex(B, terms, diffs, None, f"𝔻({Y.name})", validate=True)
     if tail is not None:
@@ -421,16 +419,16 @@ def _koszul_D(setup: Setup, x, out_window: tuple[int, int] | None
     return out, index, tail
 
 
-def _place_dual(d: AlgMatrix, col: int, mat: Matrix, idx: int, index: dict,
-                rs: tuple[int, int], z: AlgebraElement, sign: int = 1) -> None:
-    """Add sign·coef·z to column ``col`` of ``d`` for each nonzero
-    coefficient coef of column ``idx`` of ``mat``, at the row of the
-    summand (r, s, row of coef) in ``index`` where there is one."""
+def _dual_items(col: int, mat: Matrix, idx: int, index: dict,
+                rs: tuple[int, int], z: AlgebraElement, sign: int = 1):
+    """The ``AlgMatrix.from_sums`` items of sign·coef·z in column ``col``
+    for each nonzero coefficient coef of column ``idx`` of ``mat``, at the
+    row of the summand (r, s, row of coef) in ``index`` where there is one."""
     for ridx in range(mat.nrows):
         coef = mat.data[ridx][idx]
         hit = index.get((*rs, ridx))
         if coef != 0 and hit is not None:
-            d.entries[hit[0]][col] = d.entries[hit[0]][col] + z.scale(sign * coef)
+            yield hit[0], col, z.scale(sign * coef)
 
 
 def _cone(f: ModuleHom | ProjChainMap) -> Complex | ProjComplex:
@@ -472,12 +470,11 @@ def _cone(f: ModuleHom | ProjChainMap) -> Complex | ProjComplex:
     terms = {i: X.term(i + 1) + Y.term(i) for i in range(lo, hi + 1)}
     diffs = {}
     for i in range(lo, hi):
-        d = AlgMatrix.zero(X.algebra, terms[i + 1], terms[i])
         up = len(X.term(i + 2))
-        d.place(-X.diff(i + 1), 0, 0)
-        d.place(f.component(i + 1), up, 0)
-        d.place(Y.diff(i), up, len(X.term(i + 1)))
-        diffs[i] = d
+        diffs[i] = AlgMatrix.from_sums(X.algebra, terms[i + 1], terms[i],
+                                       (-X.diff(i + 1)).block(0, 0)
+                                       + f.component(i + 1).block(up, 0)
+                                       + Y.diff(i).block(up, len(X.term(i + 1))))
     return ProjComplex(X.algebra, terms, diffs, tail, f"cone({f.name})", validate=False)
 
 
@@ -579,29 +576,27 @@ def _theta_parts(setup: Setup, s: Summand, k: int) -> tuple[Summand, ...]:
     return tuple(Summand("2", s.shift - 2 * k + d) for d in setup.ck_degrees[s.vertex])
 
 
-def _theta_block(setup: Setup, z: AlgebraElement, src: Summand, tgt: Summand,
-                 k: int) -> AlgMatrix:
-    """Induced scalar block of z ⊗ id between theta-parts at column k >= 1:
-    the part p of src goes to the part z·p of tgt."""
+def _theta_items(setup: Setup, z: AlgebraElement, src: Summand, tgt: Summand,
+                 ro: int, co: int):
+    """The ``AlgMatrix.from_sums`` items of the scalar block of z ⊗ id between
+    theta-parts, with its top-left entry at (ro, co): the part p of src goes
+    to the part z·p of tgt."""
     B = setup.B
-    out = AlgMatrix.zero(B, _theta_parts(setup, tgt, k), _theta_parts(setup, src, k))
     tgt_basis = setup.ck_parts[tgt.vertex]
     for j, p in enumerate(setup.ck_parts[src.vertex]):
         for q, coef in z.terms.items():
             r = B.mul_paths(q, p)
             if r is not None and r in tgt_basis:
-                i = tgt_basis.index(r)
-                out.entries[i][j] = out.entries[i][j] + B.idempotent("2").scale(coef)
-    return out
+                yield ro + tgt_basis.index(r), co + j, B.idempotent("2").scale(coef)
 
 
 def _ck_column_map(setup: Setup, s: Summand, k: int) -> AlgMatrix:
     """The structure map of the projector complex on one projective summand,
-    from column k to k+1: its ``_ck_columns`` block between the parts of s."""
+    from column k to k+1: its ``_ck_columns`` block between the parts of s,
+    whose rows it shares."""
     cols = (s,) if k == 0 else _theta_parts(setup, s, k)
-    return AlgMatrix(setup.B, _theta_parts(setup, s, k + 1), cols,
-                     setup.ck_blocks[(s.vertex, structure_map_on_column(k))],
-                     validate=False)
+    return AlgMatrix._trusted(setup.B, _theta_parts(setup, s, k + 1), cols,
+                              setup.ck_blocks[(s.vertex, structure_map_on_column(k))])
 
 
 def _ck_tensor(setup: Setup, m: AlgMatrix, k: int) -> AlgMatrix:
@@ -612,17 +607,17 @@ def _ck_tensor(setup: Setup, m: AlgMatrix, k: int) -> AlgMatrix:
         return m
     rows = [_theta_parts(setup, s, k) for s in m.rows]
     cols = [_theta_parts(setup, s, k) for s in m.cols]
-    out = AlgMatrix.zero(setup.B, sum(rows, ()), sum(cols, ()))
+    items = []
     ro = 0
     for ti, row_parts in enumerate(rows):
         co = 0
         for tj, col_parts in enumerate(cols):
             z = m.entries[ti][tj]
             if not z.is_zero():
-                out.place(_theta_block(setup, z, m.cols[tj], m.rows[ti], k), ro, co)
+                items += _theta_items(setup, z, m.cols[tj], m.rows[ti], ro, co)
             co += len(col_parts)
         ro += len(row_parts)
-    return out
+    return AlgMatrix.from_sums(setup.B, sum(rows, ()), sum(cols, ()), items)
 
 
 def _ck_cells(setup: Setup, x: ProjComplex, K: int
@@ -662,14 +657,14 @@ def ck_bicomplex(setup: Setup, x: ProjComplex, K: int) -> ProjBicomplex:
             if k >= 3:
                 d1[(k, i)] = d1[(k - 2, i)].shifted(-4)
             else:
-                m = AlgMatrix.zero(B, terms[(k + 1, i)], terms[(k, i)])
+                items = []
                 ro = co = 0
                 for s in x.terms[i]:
                     blk = _ck_column_map(setup, s, k)
-                    m.place(blk, ro, co)
+                    items += blk.block(ro, co)
                     ro += len(blk.rows)
                     co += len(blk.cols)
-                d1[(k, i)] = m
+                d1[(k, i)] = AlgMatrix.from_sums(B, terms[(k + 1, i)], terms[(k, i)], items)
         if (k, i + 1) in terms:
             d2[(k, i)] = (d2[(1, i)].shifted(2 - 2 * k) if k >= 2
                           else _ck_tensor(setup, x.diff(i), k))
@@ -746,12 +741,10 @@ def CK_on_map(setup: Setup, f: ProjChainMap, out_window: tuple[int, int]
                           for c in (f.source, f.target))
     comps: dict[int, AlgMatrix] = {}
     for n in range(lo, built + 1):
-        m = AlgMatrix.zero(setup.B, CY.term(n), CX.term(n))
         cells_y = layout_y.get(n, {})
-        for (k, i), co in layout_x.get(n, {}).items():
-            if (k, i) in cells_y:
-                m.place(_ck_tensor(setup, f.component(i), k), cells_y[(k, i)], co)
-        comps[n] = m
+        comps[n] = AlgMatrix.from_sums(setup.B, CY.term(n), CX.term(n), [
+            item for (k, i), co in layout_x.get(n, {}).items() if (k, i) in cells_y
+            for item in _ck_tensor(setup, f.component(i), k).block(cells_y[(k, i)], co)])
     _copy_outward(comps, _CK_PERIOD, built, hi, AlgMatrix.shifted)
     out = ProjChainMap(CX, CY, comps, f"ℂ𝕂({f.name})", validate=False)
     out.check_identity(lo, built)

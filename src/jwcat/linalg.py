@@ -6,9 +6,9 @@ and a Fraction only when it is not, never a float: ``_frac`` is the one
 constructor and ``_div`` the one division. ``Matrix`` stores dense lists of
 them. Its public constructor sends every cell of outside data through
 ``_frac``; the matrices its own arithmetic makes (sums, products, scalings,
-stacks, submatrices and the matrix of a column system) are built by
-``Matrix._trusted``, which sends only a row holding a cell that is not an int
-through it. A matrix is immutable once built, and
+stacks, submatrices, reduced forms and the matrix of a column system) are
+built by ``Matrix._trusted``, which sends only a row holding a cell that is
+not an int through it. A matrix is immutable once built, and
 ``zero_matrix`` relies on that: it hands out one shared all-zero matrix per
 shape. Its one elimination routine, ``Matrix.rref``, works on sparse rows and
 skips zero entries, since the systems that come up (ladder systems above
@@ -79,9 +79,9 @@ class Matrix:
     def _trusted(cls, nrows: int, ncols: int, data: list[list]) -> Matrix:
         """Matrix from rows of the right shape, built from exact coefficients.
 
-        The arithmetic below builds its results here, and so does
-        ``_matrix_from_columns`` once it has checked its column lengths: the
-        shape needs no check, an int cell is already exact, and only a row
+        The arithmetic below and ``rref`` build their results here, and so
+        does ``_matrix_from_columns`` once it has checked its column lengths:
+        the shape needs no check, an int cell is already exact, and only a row
         that holds another cell, such as a Fraction that may come out
         integral, goes through ``_frac``. The matrix takes ``data`` over, so
         callers pass lists of their own."""
@@ -211,11 +211,9 @@ class Matrix:
             prow[c] = 1
             done.append(prow)
             pivots.append(c)
-        out = Matrix(self.nrows, self.ncols)
-        for dense, row in zip(out.data, done):
-            for j, x in row.items():
-                dense[j] = _frac(x)
-        return out, pivots
+        rows = [[row.get(j, 0) for j in range(self.ncols)] for row in done]
+        rows += [[0] * self.ncols for _ in range(self.nrows - len(done))]
+        return Matrix._trusted(self.nrows, self.ncols, rows), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])

@@ -22,8 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .complexes import (LEFT_TAIL, AlgMatrix, Complex, ProjComplex, Summand,
-                        TailSpec, WindowTooSmall, _is_copy, attach_tail)
-from .linalg import Matrix, unit_vector
+                        TailSpec, WindowTooSmall, attach_tail)
+from .linalg import Matrix, unit_vector, zero_matrix
 from .modules import (GradedModule, ModuleHom, direct_sum, projective_sum,
                       sum_layout)
 from .quiver import ConstructionError, PathAlgebra, Path
@@ -74,7 +74,8 @@ def submodule_from_vectors(ambient: GradedModule,
             td = d + arrow.degree
             img = act * S
             m = img.submatrix(pivots.get(td, []), range(S.ncols))
-            if span.get(td, Matrix(ambient.dim(td), 0)) * m != img:
+            into = span[td] if td in span else zero_matrix(ambient.dim(td), 0)
+            if into * m != img:
                 raise ConstructionError("submodule is not action-closed")
             if not m.is_zero():
                 mats[d] = m
@@ -176,9 +177,9 @@ def _hom_to_alg_matrix(f: ModuleHom, src_summands: tuple[Summand, ...],
     cyclic projectives from the images of the summand generators: the image
     of summand j's generator e(v) has, at target basis path p of summand b,
     the coefficient of p in entry (b, j)."""
-    out = AlgMatrix.zero(alg, tgt_summands, src_summands)
     at = {dr: (b, p) for b, positions in enumerate(sum_layout(alg, tgt_summands))
           for p, dr in positions.items()}
+    items = []
     for j, (s, positions) in enumerate(zip(src_summands, sum_layout(alg, src_summands))):
         d, col = positions[Path((), s.vertex)]
         m = f.mats.get(d)
@@ -187,8 +188,8 @@ def _hom_to_alg_matrix(f: ModuleHom, src_summands: tuple[Summand, ...],
         for r in range(m.nrows):
             if m.data[r][col] != 0:
                 b, p = at[(d, r)]
-                out.entries[b][j] = out.entries[b][j] + alg.element({p: m.data[r][col]})
-    return out
+                items.append((b, j, alg.element({p: m.data[r][col]})))
+    return AlgMatrix.from_sums(alg, tgt_summands, src_summands, items)
 
 
 def resolve_complex(Y: Complex, depth: int
@@ -289,7 +290,7 @@ def _resolution_repeat(terms: dict[int, tuple[Summand, ...]],
     p <= 4 with i + p <= ``pure_below``: the resolution repeat."""
     for p in range(1, min(4, pure_below - i) + 1):
         s = terms[i][0].shift - terms[i + p][0].shift
-        if _is_copy(diffs[i], diffs[i + p], s):
+        if diffs[i] == diffs[i + p].shifted(s):
             return TailSpec(LEFT_TAIL, i, p, s)
     return None
 

@@ -206,10 +206,8 @@ def cluttered(draw, base):
     for i in terms:
         if i + 1 not in terms:
             continue
-        d = AlgMatrix.zero(B, terms[i + 1], terms[i])
-        if i in base.diffs:
-            d.place(base.diffs[i], 0, 0)
-        diffs[i] = d
+        diffs[i] = AlgMatrix.from_sums(B, terms[i + 1], terms[i],
+                                       base.diffs[i].block(0, 0) if i in base.diffs else ())
     for i, col, row, s, lam in cones:
         diffs[i].entries[row][col] = B.idempotent(s.vertex).scale(lam)
     # changes of basis I + z·e_ab on X^i; those that mix a cone's source
@@ -441,14 +439,14 @@ def ref_ck_bicomplex(setup, x, K):
     d1, d2 = {}, {}
     for i, t in x.terms.items():
         for k in range(K):
-            m = AlgMatrix.zero(B, terms[(k + 1, i)], terms[(k, i)])
+            items = []
             ro = co = 0
             for s in t:
                 blk = ref_ck_column_map(s, k)
-                m.place(blk, ro, co)
+                items += blk.block(ro, co)
                 ro += len(blk.rows)
                 co += len(blk.cols)
-            d1[(k, i)] = m
+            d1[(k, i)] = AlgMatrix.from_sums(B, terms[(k + 1, i)], terms[(k, i)], items)
         if (i + 1) in x.terms:
             for k in range(K + 1):
                 d2[(k, i)] = _ck_tensor(setup, x.diff(i), k)
@@ -479,12 +477,12 @@ def ref_ck_on_map(setup, f, out_window):
     layout_x, layout_y = total_layout(bcX.terms), total_layout(bcY.terms)
     comps = {}
     for n in range(out_window[0], min(CX.window()[1], CY.window()[1]) + 1):
-        m = AlgMatrix.zero(B, CY.term(n), CX.term(n))
+        items = []
         cells_y = layout_y.get(n, {})
         for (k, i), co in layout_x.get(n, {}).items():
             if (k, i) in cells_y:
-                m.place(_ck_tensor(setup, f.component(i), k), cells_y[(k, i)], co)
-        comps[n] = m
+                items += _ck_tensor(setup, f.component(i), k).block(cells_y[(k, i)], co)
+        comps[n] = AlgMatrix.from_sums(B, CY.term(n), CX.term(n), items)
     return ProjChainMap(CX, CY, comps, f"ℂ𝕂({f.name})", validate=True)
 
 
@@ -698,17 +696,17 @@ def ref_koszul_D(setup, x, out_window):
         up = index.get(q + 1)
         if up is None:
             continue
-        d = AlgMatrix.zero(B, terms[q + 1], terms[q])
+        items = []
         sign = -1 if q % 2 else 1
         for (r, s, idx), (col, lab) in vecs.items():
-            functors._place_dual(d, col, mat.diff(r).mat(s), idx, up, (r + 1, s),
-                                 B.idempotent(DUAL_VERTEX[lab]))
+            items += functors._dual_items(col, mat.diff(r).mat(s), idx, up, (r + 1, s),
+                                          B.idempotent(DUAL_VERTEX[lab]))
             for g in B.quiver.arrows:
                 if g.target == lab:
-                    functors._place_dual(d, col, mat.term(r).act_arrow(g.name, s), idx,
-                                         up, (r, s + g.degree), B.arrow_element(g.name),
-                                         sign)
-        diffs[q] = d
+                    items += functors._dual_items(col, mat.term(r).act_arrow(g.name, s),
+                                                  idx, up, (r, s + g.degree),
+                                                  B.arrow_element(g.name), sign)
+        diffs[q] = AlgMatrix.from_sums(B, terms[q + 1], terms[q], items)
     out = ProjComplex(B, terms, diffs, None, f"𝔻({mat.name})")
     return attach_tail(out, out_window, RIGHT_TAIL,
                        "duality output did not stabilize; enlarge the window")
@@ -752,7 +750,7 @@ def ref_koszul_D_on_map(setup, f, out_window):
     for p in sorted(set(vx) & set(vy)):
         if p > hi:
             continue
-        m = AlgMatrix.zero(B, DY.term(p), DX.term(p))
+        items = []
         target_rs = {(r, s) for (r, s, _) in vy[p]}
         for (r, s, idx), (col, lab) in vx[p].items():
             if (r, s) in target_rs and r not in stored:
@@ -761,9 +759,9 @@ def ref_koszul_D_on_map(setup, f, out_window):
                     f"{f.name} at degree {r}, past its stored degrees; "
                     f"resolve it deeper")
             if r in homs:
-                functors._place_dual(m, col, homs[r].mat(s), idx, vy[p], (r, s),
-                                     B.idempotent(DUAL_VERTEX[lab]))
-        comps[p] = m
+                items += functors._dual_items(col, homs[r].mat(s), idx, vy[p], (r, s),
+                                              B.idempotent(DUAL_VERTEX[lab]))
+        comps[p] = AlgMatrix.from_sums(B, DY.term(p), DX.term(p), items)
     return ProjChainMap(DX, DY, comps, f"𝔻({f.name})", validate=True)
 
 
